@@ -64,7 +64,6 @@ from .flowtree import (
     write_matching,
 )
 from .quadtree import (
-    CellId,
     OutsideRootError,
     ShiftedQuadtree,
     TreeConfig,
@@ -79,7 +78,6 @@ __all__ = [
     "AssignmentProblem",
     "AugmentedMatching",
     "BenchRow",
-    "CellId",
     "DEFAULT_SIZE_CAP",
     "DiagramError",
     "DiagramParseError",

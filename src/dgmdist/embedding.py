@@ -3,20 +3,22 @@
 A diagram maps to one coordinate per occupied, non-terminal quadtree cell,
 valued at (cell side) * (point count with multiplicity). Cells meeting the
 diagonal are dropped, which makes the plain L1 distance between two such
-vectors the tree-metric transport cost with diagonal absorption. Vectors are
-sorted sparse lists, so the distance is a linear-time merge.
+vectors the tree-metric transport cost with diagonal absorption. A vector is
+a sorted (level, ix, iy) int64 array with a parallel value array; the
+distance groups the two vectors' cells in one sort and sums the absolute
+differences exactly with math.fsum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .diagram import PersistenceDiagram
-from .quadtree import CellId, ShiftedQuadtree
+from .quadtree import ShiftedQuadtree
 
 
 class TreeMismatchError(ValueError):
@@ -27,68 +29,61 @@ class TreeMismatchError(ValueError):
 class EmbeddingVector:
     """Sparse embedding bound to one tree via its signature.
 
-    entries are ((level, ix, iy) -> side*count) pairs sorted by cell id;
-    zero values and terminal cells never appear.
+    cells holds (level, ix, iy) rows in lexicographic order and values the
+    matching side*count coordinates; zero values and terminal cells never
+    appear.
     """
 
     tree_signature: str
-    entries: list[tuple[CellId, float]] = field(default_factory=list)
+    cells: np.ndarray
+    values: np.ndarray
     total_mass: int | None = None
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.values)
+
+
+def _sum_by_key(keys: np.ndarray, weights: np.ndarray):
+    """Distinct rows of keys in lexicographic order, with summed weights.
+
+    Rows with equal keys are summed in their input order.
+    """
+    if len(keys) == 0:
+        return keys, weights
+    order = np.lexsort(keys.T[::-1])
+    keys, weights = keys[order], weights[order]
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    return keys[starts], np.add.reduceat(weights, starts)
 
 
 def embed(tree: ShiftedQuadtree, diagram: PersistenceDiagram) -> EmbeddingVector:
     """Embed a diagram on a tree built over a superset of its points."""
-    coords = diagram.coords()
-    mults = diagram.multiplicities().astype(np.int64)
-    entries: list[tuple[CellId, float]] = []
-    if len(coords) > 0:
-        for level in tree.levels():
-            s = tree.side(level)
-            ix, iy = tree.cell_indices(coords[:, 0], coords[:, 1], level)
-            cells = np.stack([ix, iy], axis=1)
-            uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
-            counts = np.bincount(inverse.ravel(), weights=mults).astype(np.int64)
-            x0 = tree.origin[0] + uniq[:, 0] * s
-            y0 = tree.origin[1] + uniq[:, 1] * s
-            keep = (x0 > y0 + s) | (y0 > x0 + s)  # non-terminal only
-            for (cx, cy), count in zip(uniq[keep].tolist(), counts[keep].tolist()):
-                entries.append((CellId(level, cx, cy), s * count))
+    mults = diagram.multiplicities()
+    cells, values = [], []
+    for level, side, ix, iy, terminal in tree.level_pass(diagram.coords()):
+        keep = ~terminal
+        cell, count = _sum_by_key(np.column_stack((ix[keep], iy[keep])), mults[keep])
+        cells.append(np.column_stack((np.full(len(cell), level, np.int64), cell)))
+        values.append(side * count)
     return EmbeddingVector(
         tree_signature=tree.signature,
-        entries=entries,
+        cells=np.concatenate(cells),
+        values=np.concatenate(values),
         total_mass=diagram.total_count,
     )
 
 
 def l1_distance(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """L1 distance between two embeddings of the same tree (sorted merge)."""
+    """L1 distance between two embeddings of the same tree."""
     if a.tree_signature != b.tree_signature:
         raise TreeMismatchError(
             f"vectors come from different trees: "
             f"{a.tree_signature} vs {b.tree_signature}"
         )
-    diffs: list[float] = []
-    ea, eb = a.entries, b.entries
-    i = j = 0
-    while i < len(ea) and j < len(eb):
-        ka, va = ea[i]
-        kb, vb = eb[j]
-        if ka == kb:
-            diffs.append(abs(va - vb))
-            i += 1
-            j += 1
-        elif ka < kb:
-            diffs.append(abs(va))
-            i += 1
-        else:
-            diffs.append(abs(vb))
-            j += 1
-    diffs.extend(abs(v) for _, v in ea[i:])
-    diffs.extend(abs(v) for _, v in eb[j:])
-    return math.fsum(diffs)
+    _, diffs = _sum_by_key(
+        np.concatenate((a.cells, b.cells)), np.concatenate((a.values, -b.values))
+    )
+    return math.fsum(np.abs(diffs).tolist())
 
 
 def write_vector(vector: EmbeddingVector, path) -> None:
@@ -96,7 +91,8 @@ def write_vector(vector: EmbeddingVector, path) -> None:
     path = Path(path)
     lines = [vector.tree_signature]
     lines.extend(
-        f"{c.level} {c.ix} {c.iy} {v!r}" for c, v in vector.entries
+        f"{level} {ix} {iy} {v!r}"
+        for (level, ix, iy), v in zip(vector.cells.tolist(), vector.values.tolist())
     )
     path.write_text("\n".join(lines) + "\n")
 
@@ -107,7 +103,8 @@ def read_vector(path) -> EmbeddingVector:
         signature = fh.readline().strip()
         if not signature:
             raise ValueError(f"{path.name}: missing tree signature header")
-        entries: list[tuple[CellId, float]] = []
+        cells: list[tuple[int, int, int]] = []
+        values: list[float] = []
         for lineno, raw in enumerate(fh, start=2):
             line = raw.strip()
             if not line:
@@ -115,10 +112,10 @@ def read_vector(path) -> EmbeddingVector:
             fields = line.split()
             if len(fields) != 4:
                 raise ValueError(f"{path.name}: malformed entry at line {lineno}")
-            entries.append(
-                (
-                    CellId(int(fields[0]), int(fields[1]), int(fields[2])),
-                    float(fields[3]),
-                )
-            )
-    return EmbeddingVector(tree_signature=signature, entries=entries)
+            cells.append((int(fields[0]), int(fields[1]), int(fields[2])))
+            values.append(float(fields[3]))
+    return EmbeddingVector(
+        tree_signature=signature,
+        cells=np.array(cells, dtype=np.int64).reshape(-1, 3),
+        values=np.array(values, dtype=float),
+    )

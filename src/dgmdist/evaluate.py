@@ -124,7 +124,6 @@ def _error_pair_job(
     metrics: tuple[GroundMetric, ...],
     shared_trees: dict | None,
     size_cap: int,
-    max_levels_cap: int,
 ):
     """Evaluate one sampled pair; returns rows, or None if the oracle cap bit."""
     pair_index, left, right, a, b, tree_seed = job
@@ -151,12 +150,7 @@ def _error_pair_job(
                 tree = shared_trees[metric]
             else:
                 tree = build_tree(
-                    points,
-                    TreeConfig(
-                        seed=tree_seed,
-                        max_levels_cap=max_levels_cap,
-                        ground_metric=metric,
-                    ),
+                    points, TreeConfig(seed=tree_seed, ground_metric=metric)
                 )
         for method in methods:
             d_approx = _approx_distance(method, tree, a, b, metric, size_cap)
@@ -183,7 +177,6 @@ def error_suite(
     n_pairs: int,
     tree_policy: str = "per_pair",
     size_cap: int = DEFAULT_SIZE_CAP,
-    max_levels_cap: int = 40,
     workers: int = 1,
 ) -> ErrorSuiteResult:
     """Relative-error statistics of approximate methods over sampled pairs.
@@ -205,12 +198,7 @@ def error_suite(
     if tree_policy == "whole_dataset" and any(m in TREE_METHODS for m in methods):
         points = union_coords(dataset)
         shared_trees = {
-            metric: build_tree(
-                points,
-                TreeConfig(
-                    seed=seed, max_levels_cap=max_levels_cap, ground_metric=metric
-                ),
-            )
+            metric: build_tree(points, TreeConfig(seed=seed, ground_metric=metric))
             for metric in metrics
         }
 
@@ -227,7 +215,6 @@ def error_suite(
         metrics=tuple(metrics),
         shared_trees=shared_trees,
         size_cap=size_cap,
-        max_levels_cap=max_levels_cap,
     )
     results = _run_jobs(fn, jobs, workers)
 
@@ -341,7 +328,6 @@ def knn_distances(
     metric: GroundMetric,
     seed: int = 0,
     size_cap: int = DEFAULT_SIZE_CAP,
-    max_levels_cap: int = 40,
     workers: int = 1,
 ) -> list[list[float] | None]:
     """Per-query candidate distances on one shared tree; None marks a query
@@ -354,7 +340,7 @@ def knn_distances(
     if method in TREE_METHODS:
         tree = build_tree(
             union_coords(list(queries) + list(candidates)),
-            TreeConfig(seed=seed, max_levels_cap=max_levels_cap, ground_metric=metric),
+            TreeConfig(seed=seed, ground_metric=metric),
         )
         if method == "embedding":
             candidate_vectors = tuple(embed(tree, c) for c in candidates)
@@ -378,7 +364,6 @@ def recall_at_m(
     m_max: int | None = None,
     seed: int = 0,
     size_cap: int = DEFAULT_SIZE_CAP,
-    max_levels_cap: int = 40,
     workers: int = 1,
 ) -> tuple[RecallCurve, int]:
     """Fraction of queries whose true nearest neighbor lands in the top m.
@@ -400,7 +385,7 @@ def recall_at_m(
     if method in TREE_METHODS:
         tree = build_tree(
             union_coords(list(queries) + list(candidates)),
-            TreeConfig(seed=seed, max_levels_cap=max_levels_cap, ground_metric=metric),
+            TreeConfig(seed=seed, ground_metric=metric),
         )
         if method == "embedding":
             candidate_vectors = tuple(embed(tree, c) for c in candidates)
@@ -433,7 +418,6 @@ def ranking_table(
     tree: ShiftedQuadtree | None = None,
     seed: int = 0,
     size_cap: int = DEFAULT_SIZE_CAP,
-    max_levels_cap: int = 40,
 ) -> list[tuple[int, int]]:
     """(true_rank, approx_rank) per candidate, ties broken by index."""
     if not candidates:
@@ -442,7 +426,7 @@ def ranking_table(
     if method in TREE_METHODS and tree is None:
         tree = build_tree(
             union_coords([query] + list(candidates)),
-            TreeConfig(seed=seed, max_levels_cap=max_levels_cap, ground_metric=metric),
+            TreeConfig(seed=seed, ground_metric=metric),
         )
     true_d = [exact_distance(query, c, metric, size_cap) for c in candidates]
     approx_d = _method_distances(method, tree, query, candidates, metric, size_cap)
@@ -458,7 +442,6 @@ def runtime_bench(
     seed: int = 0,
     reps: int = 5,
     size_cap: int = DEFAULT_SIZE_CAP,
-    max_levels_cap: int = 40,
 ) -> list[BenchRow]:
     """Wall-clock scaling of distance computation over synthetic diagrams.
 
@@ -484,11 +467,7 @@ def runtime_bench(
                 t0 = time.perf_counter()
                 tree = build_tree(
                     union_coords((first, second)),
-                    TreeConfig(
-                        seed=tree_seed,
-                        max_levels_cap=max_levels_cap,
-                        ground_metric=metric,
-                    ),
+                    TreeConfig(seed=tree_seed, ground_metric=metric),
                 )
                 tree_seconds = time.perf_counter() - t0
             times = []

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .diagram import GroundMetric, PersistenceDiagram
 from .embedding import embed, l1_distance
 from .quadtree import ShiftedQuadtree, TreeConfig, build_tree, union_coords
@@ -66,6 +68,19 @@ def _diagonal_pair(
     return MatchPair((mid, mid), (x, y), mass, KIND_Q_TO_DIAGONAL, level, dist)
 
 
+def _mixed_cells(cx: np.ndarray, cy: np.ndarray, from_first: np.ndarray):
+    """(start, split, end) of each run of equal cells holding points of both
+    diagrams, with first's points in [start, split) and second's in
+    [split, end)."""
+    if len(cx) == 0:
+        return []
+    starts = np.flatnonzero(np.r_[True, (cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1])])
+    ends = np.r_[starts[1:], len(cx)]
+    splits = starts + np.add.reduceat(from_first, starts, dtype=np.int64)
+    mixed = (starts < splits) & (splits < ends)
+    return zip(starts[mixed].tolist(), splits[mixed].tolist(), ends[mixed].tolist())
+
+
 def greedy_match(
     tree: ShiftedQuadtree,
     first: PersistenceDiagram,
@@ -79,71 +94,55 @@ def greedy_match(
     O((|first| + |second|) * levels).
     """
     metric = metric or tree.ground_metric
-    # live entries: [birth, death, remaining mass], in lexicographic order
-    p_live = [[p.birth, p.death, p.multiplicity] for p in first.points]
-    q_live = [[p.birth, p.death, p.multiplicity] for p in second.points]
-    for entries in (p_live, q_live):
-        for e in entries:
-            if not tree.contains((e[0], e[1])):
-                raise ValueError(f"diagram point ({e[0]}, {e[1]}) outside tree root")
-
-    ox, oy = tree.origin
+    # points of first, then of second, each in lexicographic order
+    coords = np.vstack((first.coords(), second.coords()))
+    mass = np.concatenate((first.multiplicities(), second.multiplicities()))
+    n_first = len(first)
+    xs, ys = coords[:, 0].tolist(), coords[:, 1].tolist()
+    live = np.arange(len(mass))
     pairs: list[MatchPair] = []
     residuals: list[tuple[int, int]] = []
 
-    for level in tree.levels():
-        s = tree.side(level)
-        n = tree.grid_cells(level)
-        buckets: dict[tuple[int, int], tuple[list, list]] = {}
-        for side_idx, entries in enumerate((p_live, q_live)):
-            for e in entries:
-                ix = min(int((e[0] - ox) // s), n - 1)
-                iy = min(int((e[1] - oy) // s), n - 1)
-                buckets.setdefault((ix, iy), ([], []))[side_idx].append(e)
+    def to_diagonal(points: np.ndarray, level: int) -> None:
+        for i, m in zip(points.tolist(), mass[points].tolist()):
+            pairs.append(_diagonal_pair(xs[i], ys[i], m, i < n_first, level, metric))
+        mass[points] = 0
 
-        for (ix, iy), (ps, qs) in buckets.items():
-            x0 = ox + ix * s
-            y0 = oy + iy * s
-            if x0 <= y0 + s and y0 <= x0 + s:  # terminal: everything to diagonal
-                for e in ps:
-                    pairs.append(_diagonal_pair(e[0], e[1], e[2], True, level, metric))
-                    e[2] = 0
-                for e in qs:
-                    pairs.append(_diagonal_pair(e[0], e[1], e[2], False, level, metric))
-                    e[2] = 0
-                continue
-            i = j = 0
-            while i < len(ps) and j < len(qs):
-                a, b = ps[i], qs[j]
-                take = a[2] if a[2] < b[2] else b[2]
+    for level, _, ix, iy, terminal in tree.level_pass(coords):
+        to_diagonal(live[terminal[live]], level)
+        live = live[~terminal[live]]
+        # sort by cell; within a cell first's points precede second's, each
+        # side in lexicographic order
+        live = live[np.lexsort((live, iy[live], ix[live]))]
+        members = live.tolist()
+        left = mass[live].tolist()
+        for i, split, end in _mixed_cells(ix[live], iy[live], live < n_first):
+            j = split
+            while i < split and j < end:
+                a, b = members[i], members[j]
+                take = left[i] if left[i] < left[j] else left[j]
                 pairs.append(
                     MatchPair(
-                        (a[0], a[1]),
-                        (b[0], b[1]),
+                        (xs[a], ys[a]),
+                        (xs[b], ys[b]),
                         take,
                         KIND_CROSS,
                         level,
-                        metric.distance((a[0], a[1]), (b[0], b[1])),
+                        metric.distance((xs[a], ys[a]), (xs[b], ys[b])),
                     )
                 )
-                a[2] -= take
-                b[2] -= take
-                if a[2] == 0:
+                left[i] -= take
+                left[j] -= take
+                if left[i] == 0:
                     i += 1
-                if b[2] == 0:
+                if left[j] == 0:
                     j += 1
+        mass[live] = left
+        live = live[mass[live] > 0]
+        residuals.append((level, int(mass[live].sum())))
 
-        p_live = [e for e in p_live if e[2] > 0]
-        q_live = [e for e in q_live if e[2] > 0]
-        residuals.append(
-            (level, sum(e[2] for e in p_live) + sum(e[2] for e in q_live))
-        )
-
-    root_fallback = bool(p_live or q_live)
-    for e in p_live:
-        pairs.append(_diagonal_pair(e[0], e[1], e[2], True, tree.level_hi, metric))
-    for e in q_live:
-        pairs.append(_diagonal_pair(e[0], e[1], e[2], False, tree.level_hi, metric))
+    root_fallback = len(live) > 0
+    to_diagonal(live, tree.level_hi)
 
     cost = math.fsum(p.mass * p.distance for p in pairs)
     return AugmentedMatching(
@@ -173,7 +172,6 @@ def multi_tree_estimate(
     seeds: Sequence[int],
     reduce: str = "mean",
     method: str = "flowtree",
-    max_levels_cap: int = 40,
 ) -> float:
     """Distance estimate over several independently shifted trees.
 
@@ -191,10 +189,7 @@ def multi_tree_estimate(
     points = union_coords((first, second))
     values = []
     for seed in seeds:
-        config = TreeConfig(
-            seed=seed, max_levels_cap=max_levels_cap, ground_metric=metric
-        )
-        tree = build_tree(points, config)
+        tree = build_tree(points, TreeConfig(seed=seed, ground_metric=metric))
         if method == "flowtree":
             values.append(flowtree_distance(tree, first, second, metric))
         else:

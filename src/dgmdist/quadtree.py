@@ -11,12 +11,14 @@ Geometry conventions:
 - Cell membership is half-open, [x0, x0+s) x [y0, y0+s), via floor indexing.
 - The terminal test ("does the cell meet the diagonal y = x?") uses the
   closed square, so boundary contact counts as intersecting.
+- ShiftedQuadtree.level_pass is the one place that computes cell indices and
+  terminality; both estimators consume its per-level arrays.
 - The finest level is chosen so its side is strictly below half the minimum
   separation: each occupied finest cell then holds one distinct point and
   cannot be terminal. max_levels_cap guards near-duplicate inputs; when the
   cap binds, `truncated` is set and those guarantees lapse.
 
-Trees never materialize cells; only occupied cells are enumerated per level.
+Trees never materialize cells; a level pass addresses only the given points.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -48,13 +50,6 @@ class TreeConfig:
     def __post_init__(self):
         if self.max_levels_cap < 2:
             raise ValueError("max_levels_cap must be >= 2")
-
-
-@dataclass(frozen=True, order=True)
-class CellId:
-    level: int
-    ix: int
-    iy: int
 
 
 class ShiftedQuadtree:
@@ -127,69 +122,35 @@ class ShiftedQuadtree:
         self._check_level(level)
         return self.root_side / (1 << (self.level_hi - level))
 
-    def grid_cells(self, level: int) -> int:
-        """Cells per axis at a level."""
-        self._check_level(level)
-        return 1 << (self.level_hi - level)
+    def level_pass(
+        self, coords
+    ) -> Iterator[tuple[int, float, np.ndarray, np.ndarray, np.ndarray]]:
+        """Every point's cell at every level, finest first.
 
-    def contains(self, point: tuple[float, float]) -> bool:
-        x, y = point
-        ox, oy = self.origin
-        s = self.root_side
-        return ox <= x <= ox + s and oy <= y <= oy + s
-
-    def cell_of(self, point: tuple[float, float], level: int) -> CellId:
-        """Cell holding a point at a level; left/bottom edges inclusive."""
-        self._check_level(level)
-        if not self.contains(point):
-            raise OutsideRootError(f"point {point} outside root cell")
-        s = self.side(level)
-        n = self.grid_cells(level)
-        ix = min(int((point[0] - self.origin[0]) // s), n - 1)
-        iy = min(int((point[1] - self.origin[1]) // s), n - 1)
-        return CellId(level, ix, iy)
-
-    def cell_indices(
-        self, xs: np.ndarray, ys: np.ndarray, level: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized cell_of over coordinate arrays."""
-        self._check_level(level)
+        Yields (level, side, ix, iy, terminal) per level: int64 cell indices
+        of each row of the (n, 2) coords array and a mask of the points whose
+        cell is terminal. The finest index is floor((x - origin) / side),
+        clamped so the closed root's far edge falls in the last cell; the
+        cell at k levels up is that index shifted right by k, its dyadic
+        ancestor. Raises OutsideRootError if a point lies outside the closed
+        root square.
+        """
+        coords = np.asarray(coords, dtype=float).reshape(-1, 2)
+        xs, ys = coords[:, 0], coords[:, 1]
         ox, oy = self.origin
         hi = self.root_side
         if ((xs < ox) | (xs > ox + hi) | (ys < oy) | (ys > oy + hi)).any():
             raise OutsideRootError("point outside root cell")
-        s = self.side(level)
-        n = self.grid_cells(level)
-        ix = np.minimum(np.floor((xs - ox) / s).astype(np.int64), n - 1)
-        iy = np.minimum(np.floor((ys - oy) / s).astype(np.int64), n - 1)
-        return ix, iy
-
-    def cell_corner(self, cell: CellId) -> tuple[float, float]:
-        s = self.side(cell.level)
-        return (self.origin[0] + cell.ix * s, self.origin[1] + cell.iy * s)
-
-    def is_terminal(self, cell: CellId) -> bool:
-        """True iff the closed cell square intersects the line y = x."""
-        s = self.side(cell.level)
-        x0, y0 = self.cell_corner(cell)
-        return x0 <= y0 + s and y0 <= x0 + s
-
-    def root_cell(self) -> CellId:
-        return CellId(self.level_hi, 0, 0)
-
-    def occupied_cells(
-        self, diagram: PersistenceDiagram, level: int
-    ) -> dict[CellId, int]:
-        """Multiplicity-weighted point counts of the diagram's occupied cells."""
-        coords = diagram.coords()
-        if coords.size == 0:
-            return {}
-        ix, iy = self.cell_indices(coords[:, 0], coords[:, 1], level)
-        counts: dict[CellId, int] = {}
-        for cx, cy, m in zip(ix.tolist(), iy.tolist(), diagram.multiplicities().tolist()):
-            key = CellId(level, cx, cy)
-            counts[key] = counts.get(key, 0) + m
-        return counts
+        s = self.side(self.level_lo)
+        last = (1 << (self.level_hi - self.level_lo)) - 1
+        ix0 = np.minimum(np.floor((xs - ox) / s).astype(np.int64), last)
+        iy0 = np.minimum(np.floor((ys - oy) / s).astype(np.int64), last)
+        for k, level in enumerate(self.levels()):
+            s = self.side(level)
+            ix, iy = ix0 >> k, iy0 >> k
+            x0 = ox + ix * s
+            y0 = oy + iy * s
+            yield level, s, ix, iy, (x0 <= y0 + s) & (y0 <= x0 + s)
 
     def meta(self) -> dict:
         """Reproducibility metadata for reports."""

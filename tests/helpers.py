@@ -59,3 +59,11 @@ def pair_tree(first, second, seed: int, metric: GroundMetric = GroundMetric.L2):
     return build_tree(
         union_coords((first, second)), TreeConfig(seed=seed, ground_metric=metric)
     )
+
+
+def cells_at(tree, point):
+    """{level: (ix, iy, terminal)} for one point, from the tree's level pass."""
+    return {
+        level: (int(ix[0]), int(iy[0]), bool(terminal[0]))
+        for level, _, ix, iy, terminal in tree.level_pass([point])
+    }

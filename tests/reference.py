@@ -1,0 +1,146 @@
+"""Pure-Python reference copies of the embedding, its L1 distance and the
+greedy flowtree matching, kept as oracles for the columnar implementations.
+
+They address cells point by point with their own floor index formula and
+terminal test and read only ``tree.origin``, ``tree.side()`` and
+``tree.levels()``. The index is the floor of the rounded quotient
+(x - origin) / side, as in the library; Python's ``//`` on floats floors the
+exact quotient instead and can land one cell lower when the rounded quotient
+is an integer.
+
+Results use plain tuples: an embedding is a sorted list of
+((level, ix, iy), value) and a pair is
+(source, target, mass, kind, level, distance).
+"""
+
+from __future__ import annotations
+
+import math
+
+
+def _grid(tree, level):
+    """(side, cells per axis) at a level."""
+    side = tree.side(level)
+    return side, int(tree.side(max(tree.levels())) / side)
+
+
+def _cell(tree, x, y, side, n):
+    ox, oy = tree.origin
+    ix = min(int(math.floor((x - ox) / side)), n - 1)
+    iy = min(int(math.floor((y - oy) / side)), n - 1)
+    return ix, iy
+
+
+def _terminal(tree, ix, iy, side):
+    x0 = tree.origin[0] + ix * side
+    y0 = tree.origin[1] + iy * side
+    return x0 <= y0 + side and y0 <= x0 + side
+
+
+def _check_inside(tree, points):
+    ox, oy = tree.origin
+    hi = tree.side(max(tree.levels()))
+    for x, y in points:
+        if not (ox <= x <= ox + hi and oy <= y <= oy + hi):
+            raise ValueError(f"point ({x}, {y}) outside tree root")
+
+
+def embed(tree, diagram):
+    """Sorted ((level, ix, iy), side * count) entries of the clear cells."""
+    points = [(p.birth, p.death, p.multiplicity) for p in diagram.points]
+    _check_inside(tree, [(x, y) for x, y, _ in points])
+    entries = []
+    for level in tree.levels():
+        side, n = _grid(tree, level)
+        counts: dict[tuple[int, int], int] = {}
+        for x, y, m in points:
+            cell = _cell(tree, x, y, side, n)
+            counts[cell] = counts.get(cell, 0) + m
+        for (ix, iy), count in sorted(counts.items()):
+            if not _terminal(tree, ix, iy, side):
+                entries.append(((level, ix, iy), side * count))
+    return entries
+
+
+def l1_distance(ea, eb):
+    """Linear merge of two sorted entry lists."""
+    diffs = []
+    i = j = 0
+    while i < len(ea) and j < len(eb):
+        ka, va = ea[i]
+        kb, vb = eb[j]
+        if ka == kb:
+            diffs.append(abs(va - vb))
+            i += 1
+            j += 1
+        elif ka < kb:
+            diffs.append(abs(va))
+            i += 1
+        else:
+            diffs.append(abs(vb))
+            j += 1
+    diffs.extend(abs(v) for _, v in ea[i:])
+    diffs.extend(abs(v) for _, v in eb[j:])
+    return math.fsum(diffs)
+
+
+def _diagonal_pair(x, y, mass, from_first, level, metric):
+    mid = 0.5 * (x + y)
+    dist = abs(y - x) * metric.diagonal_factor
+    if from_first:
+        return ((x, y), (mid, mid), mass, "p_to_diagonal", level, dist)
+    return ((mid, mid), (x, y), mass, "q_to_diagonal", level, dist)
+
+
+def greedy_match(tree, first, second, metric):
+    """(pairs, cost, level_residuals, root_fallback) of the greedy matching.
+
+    Each level buckets the live points by cell. A terminal cell sends all of
+    them to the diagonal; any other cell pairs first's and second's points
+    cross-wise, both walked in lexicographic order, and forwards the surplus.
+    """
+    p_live = [[p.birth, p.death, p.multiplicity] for p in first.points]
+    q_live = [[p.birth, p.death, p.multiplicity] for p in second.points]
+    _check_inside(tree, [(e[0], e[1]) for e in p_live + q_live])
+    pairs = []
+    residuals = []
+    for level in tree.levels():
+        side, n = _grid(tree, level)
+        buckets: dict[tuple[int, int], tuple[list, list]] = {}
+        for side_idx, entries in enumerate((p_live, q_live)):
+            for e in entries:
+                cell = _cell(tree, e[0], e[1], side, n)
+                buckets.setdefault(cell, ([], []))[side_idx].append(e)
+        for (ix, iy), (ps, qs) in buckets.items():
+            if _terminal(tree, ix, iy, side):
+                for e in ps:
+                    pairs.append(_diagonal_pair(e[0], e[1], e[2], True, level, metric))
+                    e[2] = 0
+                for e in qs:
+                    pairs.append(_diagonal_pair(e[0], e[1], e[2], False, level, metric))
+                    e[2] = 0
+                continue
+            i = j = 0
+            while i < len(ps) and j < len(qs):
+                a, b = ps[i], qs[j]
+                take = min(a[2], b[2])
+                dist = metric.distance((a[0], a[1]), (b[0], b[1]))
+                pairs.append(((a[0], a[1]), (b[0], b[1]), take, "cross", level, dist))
+                a[2] -= take
+                b[2] -= take
+                if a[2] == 0:
+                    i += 1
+                if b[2] == 0:
+                    j += 1
+        p_live = [e for e in p_live if e[2] > 0]
+        q_live = [e for e in q_live if e[2] > 0]
+        residuals.append((level, sum(e[2] for e in p_live + q_live)))
+
+    root_fallback = bool(p_live or q_live)
+    top = max(tree.levels())
+    for e in p_live:
+        pairs.append(_diagonal_pair(e[0], e[1], e[2], True, top, metric))
+    for e in q_live:
+        pairs.append(_diagonal_pair(e[0], e[1], e[2], False, top, metric))
+    cost = math.fsum(mass * dist for _, _, mass, _, _, dist in pairs)
+    return pairs, cost, residuals, root_fallback

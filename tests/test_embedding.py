@@ -23,7 +23,7 @@ from dgmdist.embedding import (
     write_vector,
 )
 
-from helpers import pair_tree, random_pair
+from helpers import cells_at, pair_tree, random_pair
 
 
 class TestEmbed:
@@ -31,10 +31,9 @@ class TestEmbed:
         d = PersistenceDiagram([(0.0, 100.0, 3)])
         tree = build_tree(d.coords(), TreeConfig(seed=2))
         vec = embed(tree, d)
-        by_level = {c.level: v for c, v in vec.entries}
-        for level in tree.levels():
-            cell = tree.cell_of((0.0, 100.0), level)
-            if tree.is_terminal(cell):
+        by_level = dict(zip(vec.cells[:, 0].tolist(), vec.values.tolist()))
+        for level, (ix, iy, terminal) in cells_at(tree, (0.0, 100.0)).items():
+            if terminal:
                 assert level not in by_level
             else:
                 assert by_level[level] == pytest.approx(tree.side(level) * 3)
@@ -44,22 +43,32 @@ class TestEmbed:
         first, second = random_pair(6)
         tree = pair_tree(first, second, seed=3)
         vec = embed(tree, first)
-        levels_present = sorted({c.level for c, _ in vec.entries})
+        levels_present = sorted(set(vec.cells[:, 0].tolist()))
         assert levels_present == list(range(len(levels_present)))
 
     def test_deterministic(self):
         first, second = random_pair(2)
         tree = pair_tree(first, second, seed=1)
-        assert embed(tree, first).entries == embed(tree, first).entries
+        a, b = embed(tree, first), embed(tree, first)
+        assert a.cells.tolist() == b.cells.tolist()
+        assert a.values.tolist() == b.values.tolist()
 
     def test_entries_sorted_no_zero_no_terminal(self):
+        # the cells are exactly the occupied clear cells, sorted and unique
         first, second = random_pair(9)
         tree = pair_tree(first, second, seed=4)
         vec = embed(tree, first)
-        keys = [c for c, _ in vec.entries]
-        assert keys == sorted(keys)
-        assert all(v > 0 for _, v in vec.entries)
-        assert not any(tree.is_terminal(c) for c, _ in vec.entries)
+        keys = [tuple(c) for c in vec.cells.tolist()]
+        assert keys == sorted(set(keys))
+        assert (vec.values > 0).all()
+        clear = set()
+        for level, _, ix, iy, terminal in tree.level_pass(first.coords()):
+            clear.update(
+                (level, x, y)
+                for x, y, t in zip(ix.tolist(), iy.tolist(), terminal.tolist())
+                if not t
+            )
+        assert set(keys) == clear
 
     def test_total_mass_recorded(self):
         first, _ = random_pair(5)
@@ -76,7 +85,9 @@ class TestEmbed:
     def test_empty_diagram_embeds_to_nothing(self):
         d = PersistenceDiagram([(0, 4)])
         tree = build_tree(d.coords(), TreeConfig(seed=0))
-        assert embed(tree, PersistenceDiagram()).entries == []
+        vec = embed(tree, PersistenceDiagram())
+        assert len(vec) == 0
+        assert vec.cells.shape == (0, 3)
 
 
 class TestL1Distance:
@@ -109,8 +120,8 @@ class TestL1Distance:
         tree = build_tree([(0.0, 4.0)], TreeConfig(seed=8))
         expected = sum(
             tree.side(level)
-            for level in tree.levels()
-            if not tree.is_terminal(tree.cell_of((0.0, 4.0), level))
+            for level, (_, _, terminal) in cells_at(tree, (0.0, 4.0)).items()
+            if not terminal
         )
         d = l1_distance(embed(tree, heavy), embed(tree, light))
         assert d == pytest.approx(expected)

@@ -1,0 +1,180 @@
+"""The columnar embedding, L1 distance and greedy matching against the
+pure-Python reference oracles in reference.py, compared with exact ==."""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
+from dgmdist import (
+    GroundMetric,
+    PersistenceDiagram,
+    ShiftedQuadtree,
+    TreeConfig,
+    build_tree,
+    embed,
+    greedy_match,
+    l1_distance,
+    union_coords,
+    write_matching,
+    write_vector,
+)
+
+
+def pair_tuple(p):
+    return (p.source, p.target, p.mass, p.kind, p.level, p.distance)
+
+
+def assert_matches_reference(tree, first, second, metric):
+    va, vb = embed(tree, first), embed(tree, second)
+    ra, rb = reference.embed(tree, first), reference.embed(tree, second)
+    for vec, ref in ((va, ra), (vb, rb)):
+        assert vec.cells.tolist() == [list(cell) for cell, _ in ref]
+        assert vec.values.tolist() == [value for _, value in ref]
+    assert l1_distance(va, vb) == reference.l1_distance(ra, rb)
+
+    matching = greedy_match(tree, first, second, metric)
+    pairs, cost, residuals, root_fallback = reference.greedy_match(
+        tree, first, second, metric
+    )
+    assert matching.cost == cost
+    assert matching.level_residuals == residuals
+    assert matching.root_fallback == root_fallback
+    assert sorted(map(pair_tuple, matching.pairs)) == sorted(pairs)
+
+
+@st.composite
+def instances(draw):
+    """(tree, first, second, metric) over a shared pool of points.
+
+    The pool sits at an offset up to 1e11 and may contain a near-duplicate,
+    which with a small level cap truncates the tree. Diagrams draw pool
+    points with multiplicities and may be empty or hold a single point.
+    """
+    offset = draw(st.sampled_from([0.0, -250.0, 3e4, 1e11]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    raw = draw(
+        st.lists(
+            st.tuples(st.floats(-1.0, 1.0), st.floats(1e-3, 1.0)),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    pool = []
+    for b, life in raw:
+        birth = offset + scale * b
+        pool.append((birth, birth + scale * life + abs(birth) * 1e-9))
+    if draw(st.booleans()):
+        birth, death = pool[0]
+        pool.append((birth, math.nextafter(death, math.inf)))
+
+    def diagram():
+        picks = draw(
+            st.lists(
+                st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 3)),
+                max_size=12,
+            )
+        )
+        return PersistenceDiagram([(*pool[i], m) for i, m in picks])
+
+    first, second = diagram(), diagram()
+    metric = draw(st.sampled_from(list(GroundMetric)))
+    config = TreeConfig(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        max_levels_cap=draw(st.sampled_from([2, 3, 5, 12, 40])),
+        ground_metric=metric,
+    )
+    return build_tree(pool, config), first, second, metric
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(instances())
+def test_matches_reference(instance):
+    assert_matches_reference(*instance)
+
+
+@st.composite
+def aligned_instances(draw):
+    """(tree, first, second, metric) on an unshifted grid whose corners lie
+    on the diagonal, with points on a half-cell lattice: cells touch the
+    diagonal at corners, and points sit on cell edges and the root's far
+    edge."""
+    levels = draw(st.integers(2, 6))
+    side = 2.0 ** draw(st.integers(-3, 3))  # finest cell side
+    steps = 2**levels  # half-cell steps across the root
+    offset = draw(st.sampled_from([0.0, -8.0, 1e11]))
+    metric = draw(st.sampled_from(list(GroundMetric)))
+    tree = ShiftedQuadtree(
+        origin=(offset, offset),
+        root_side=steps * side / 2,
+        level_lo=0,
+        level_hi=levels - 1,
+        shift=(0.0, 0.0),
+        spread=1.0,
+        seed=0,
+        ground_metric=metric,
+        min_separation=side,
+    )
+
+    def diagram():
+        points = []
+        for _ in range(draw(st.integers(0, 10))):
+            i = draw(st.integers(0, steps - 1))
+            j = draw(st.integers(i + 1, steps))
+            m = draw(st.integers(1, 3))
+            points.append((offset + i * side / 2, offset + j * side / 2, m))
+        return PersistenceDiagram(points)
+
+    return tree, diagram(), diagram(), metric
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(aligned_instances())
+def test_matches_reference_on_aligned_grid(instance):
+    assert_matches_reference(*instance)
+
+
+def forty_level_instance(offset, metric):
+    """A near-duplicate pair under the default cap: 40 levels, 2^39 cells
+    per axis at the finest level."""
+    first = PersistenceDiagram(
+        [(offset, offset + 4.0, 2), (offset + 1e8, offset + 2e8)]
+    )
+    second = PersistenceDiagram(
+        [(offset, math.nextafter(offset + 4.0, math.inf)), (offset + 1.0, offset + 9.0, 3)]
+    )
+    tree = build_tree(
+        union_coords((first, second)), TreeConfig(seed=17, ground_metric=metric)
+    )
+    return tree, first, second
+
+
+@pytest.mark.parametrize("metric", list(GroundMetric))
+@pytest.mark.parametrize("offset", [0.0, 1e11])
+def test_forty_level_tree_matches_reference(offset, metric):
+    tree, first, second = forty_level_instance(offset, metric)
+    assert tree.num_levels == 40 and tree.truncated
+    assert_matches_reference(tree, first, second, metric)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e11])
+def test_export_files_match_reference(tmp_path, offset):
+    # vector files are byte-identical; matching files list the same lines
+    tree, first, second = forty_level_instance(offset, GroundMetric.L2)
+    write_vector(embed(tree, first), tmp_path / "a.vec")
+    expected = [tree.signature] + [
+        f"{level} {ix} {iy} {value!r}"
+        for (level, ix, iy), value in reference.embed(tree, first)
+    ]
+    assert (tmp_path / "a.vec").read_text() == "\n".join(expected) + "\n"
+
+    write_matching(greedy_match(tree, first, second), tmp_path / "m.match")
+    pairs = reference.greedy_match(tree, first, second, GroundMetric.L2)[0]
+    expected = [
+        f"{kind} {s[0]!r} {s[1]!r} {t[0]!r} {t[1]!r} {mass} {mass * dist!r}"
+        for s, t, mass, kind, _, dist in pairs
+    ]
+    lines = (tmp_path / "m.match").read_text().splitlines()
+    assert sorted(lines) == sorted(expected)
