@@ -68,7 +68,6 @@ from .quadtree import (
     ShiftedQuadtree,
     TreeConfig,
     build_tree,
-    build_tree_for_diagrams,
     union_coords,
 )
 
@@ -102,7 +101,6 @@ __all__ = [
     "brute_force_distance",
     "build_assignment",
     "build_tree",
-    "build_tree_for_diagrams",
     "diagonal_distance",
     "embed",
     "error_suite",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -31,7 +32,9 @@ from .diagram import (
 )
 from .embedding import embed, l1_distance, write_vector
 from .evaluate import (
-    TREE_METHODS,
+    BenchRow,
+    ErrorStats,
+    PairErrorRow,
     error_suite,
     knn_distances,
     ranking_table,
@@ -253,6 +256,17 @@ def cmd_knn(args) -> int:
     return EXIT_OK
 
 
+def _columns(row_type) -> list[str]:
+    """CSV header of a row dataclass, in field order."""
+    return [f.name for f in dataclasses.fields(row_type)]
+
+
+def _write_table(stem: Path, fieldnames, rows) -> None:
+    """One table as <stem>.csv and its <stem>.json mirror."""
+    write_csv(stem.with_suffix(".csv"), fieldnames, rows)
+    write_json(stem.with_suffix(".json"), rows)
+
+
 def cmd_eval(args) -> int:
     _, dataset = _load_dir(args.data)
     methods = args.methods.split(",")
@@ -269,21 +283,8 @@ def cmd_eval(args) -> int:
         tree_policy=args.tree_policy,
         workers=args.workers,
     )
-    pair_fields = [
-        "pair_index",
-        "left",
-        "right",
-        "method",
-        "ground_metric",
-        "d_true",
-        "d_approx",
-        "rel_error",
-    ]
-    stats_fields = ["method", "ground_metric", "mean_rel_error", "std_rel_error", "n_pairs"]
-    write_csv(out_dir / "pair_errors.csv", pair_fields, suite.rows)
-    write_json(out_dir / "pair_errors.json", suite.rows)
-    write_csv(out_dir / "error_stats.csv", stats_fields, suite.stats)
-    write_json(out_dir / "error_stats.json", suite.stats)
+    _write_table(out_dir / "pair_errors", _columns(PairErrorRow), suite.rows)
+    _write_table(out_dir / "error_stats", _columns(ErrorStats), suite.stats)
 
     # 10/90 query/candidate split, deterministic per seed
     rng = np.random.default_rng(args.seed)
@@ -295,18 +296,24 @@ def cmd_eval(args) -> int:
     candidates = [dataset[i] for i in cand_idx]
 
     primary_metric = metrics[0]
-    recall_rows = []
-    skipped_queries = 0
+    true_rows = knn_distances(
+        queries, candidates, "exact", primary_metric, workers=args.workers
+    )
+    rows_by_method = {"exact": true_rows}
     for method in methods:
-        curve, skipped = recall_at_m(
-            queries,
-            candidates,
-            method,
-            primary_metric,
-            seed=args.seed,
-            workers=args.workers,
-        )
-        skipped_queries = max(skipped_queries, skipped)
+        if method not in rows_by_method:
+            rows_by_method[method] = knn_distances(
+                queries,
+                candidates,
+                method,
+                primary_metric,
+                seed=args.seed,
+                workers=args.workers,
+            )
+
+    recall_rows = []
+    for method in methods:
+        curve, _ = recall_at_m(true_rows, rows_by_method[method], method)
         recall_rows.extend(
             {
                 "method": method,
@@ -316,22 +323,13 @@ def cmd_eval(args) -> int:
             }
             for m, r in zip(curve.m_values, curve.recall)
         )
-    write_csv(out_dir / "recall.csv", ["method", "ground_metric", "m", "recall"], recall_rows)
-    write_json(out_dir / "recall.json", recall_rows)
+    _write_table(out_dir / "recall", ["method", "ground_metric", "m", "recall"], recall_rows)
 
     ranking_rows = []
-    shared_tree = None
-    if any(m in TREE_METHODS for m in methods):
-        shared_tree = build_tree(
-            union_coords(dataset),
-            TreeConfig(seed=args.seed, ground_metric=primary_metric),
-        )
     for method in methods:
-        tree = shared_tree if method in TREE_METHODS else None
-        for qpos, query in zip(query_idx, queries):
-            table = ranking_table(
-                query, candidates, method, primary_metric, tree=tree, seed=args.seed
-            )
+        for qpos, true_d, approx_d in zip(query_idx, true_rows, rows_by_method[method]):
+            if true_d is None:  # no ground truth to rank against
+                raise SizeCapError(f"query {qpos} exceeds the oracle size cap")
             ranking_rows.extend(
                 {
                     "method": method,
@@ -341,34 +339,22 @@ def cmd_eval(args) -> int:
                     "true_rank": tr,
                     "approx_rank": ar,
                 }
-                for c, (tr, ar) in enumerate(table)
+                for c, (tr, ar) in enumerate(ranking_table(true_d, approx_d))
             )
-    write_csv(
-        out_dir / "ranking.csv",
+    _write_table(
+        out_dir / "ranking",
         ["method", "ground_metric", "query", "candidate", "true_rank", "approx_rank"],
         ranking_rows,
     )
-    write_json(out_dir / "ranking.json", ranking_rows)
 
     bench_sizes = [int(s) for s in args.bench_sizes.split(",")]
     bench_rows = runtime_bench(
         bench_sizes, methods, metric=primary_metric, seed=args.seed, reps=args.reps
     )
-    bench_fields = [
-        "size",
-        "method",
-        "ground_metric",
-        "reps",
-        "mean_seconds",
-        "median_seconds",
-        "tree_seconds",
-    ]
-    write_csv(out_dir / "runtime.csv", bench_fields, bench_rows)
-    write_json(out_dir / "runtime.json", bench_rows)
+    _write_table(out_dir / "runtime", _columns(BenchRow), bench_rows)
 
     print(f"wrote evaluation CSVs to {out_dir}")
-    skip_rate = suite.skipped_pairs / suite.total_pairs
-    if skip_rate > 0.5 or skipped_queries > 0.5 * len(queries):
+    if suite.skipped_pairs / suite.total_pairs > 0.5:
         log.error("skipped rate above 50%% (pairs: %d/%d)", suite.skipped_pairs, suite.total_pairs)
         return EXIT_SIZE_CAP
     return EXIT_OK
@@ -380,17 +366,8 @@ def cmd_bench(args) -> int:
     rows = runtime_bench(
         sizes, methods, metric=_metric(args.metric), seed=args.seed, reps=args.reps
     )
-    fields = [
-        "size",
-        "method",
-        "ground_metric",
-        "reps",
-        "mean_seconds",
-        "median_seconds",
-        "tree_seconds",
-    ]
     out = Path(args.out)
-    write_csv(out, fields, rows)
+    write_csv(out, _columns(BenchRow), rows)
     print(f"wrote {len(rows)} bench rows to {out}")
     return EXIT_OK
 

@@ -1,5 +1,10 @@
 """Evaluation harness: relative-error suites, recall@m, rank scatter, runtime.
 
+Queries take one path: knn_distances computes every query x candidate
+distance, on one shared tree for the tree methods. recall_at_m and
+ranking_table compute nothing themselves; they only reduce its rows, so the
+exact ground truth of a query set is solved once and shared by every method.
+
 All aggregates are pure functions of (dataset, seed); reruns with identical
 seeds reproduce CSV bodies byte-for-byte apart from timing columns. Pairs and
 queries can be evaluated concurrently with a configurable worker count;
@@ -252,24 +257,6 @@ def error_suite(
     )
 
 
-def _method_distances(
-    method: str,
-    tree: ShiftedQuadtree | None,
-    query: PersistenceDiagram,
-    candidates: Sequence[PersistenceDiagram],
-    metric: GroundMetric,
-    size_cap: int,
-    candidate_vectors=None,
-) -> list[float]:
-    if method == "embedding" and candidate_vectors is not None:
-        qv = embed(tree, query)
-        return [l1_distance(qv, cv) for cv in candidate_vectors]
-    return [
-        _approx_distance(method, tree, query, c, metric, size_cap)
-        for c in candidates
-    ]
-
-
 def _ranks(distances: Sequence[float]) -> list[int]:
     """1-based rank of each candidate, ties broken by candidate index."""
     order = sorted(range(len(distances)), key=lambda c: (distances[c], c))
@@ -279,8 +266,8 @@ def _ranks(distances: Sequence[float]) -> list[int]:
     return ranks
 
 
-def _recall_query_job(
-    job,
+def _query_job(
+    query: PersistenceDiagram,
     method: str,
     metric: GroundMetric,
     tree: ShiftedQuadtree | None,
@@ -288,35 +275,16 @@ def _recall_query_job(
     candidate_vectors,
     size_cap: int,
 ):
-    """Rank of the true nearest neighbor in the method's ordering, or None."""
-    query = job
+    """Distances from one query to every candidate, or None if the oracle cap
+    was exceeded."""
+    if candidate_vectors is not None:
+        qv = embed(tree, query)
+        return [l1_distance(qv, cv) for cv in candidate_vectors]
     try:
-        true_d = [exact_distance(query, c, metric, size_cap) for c in candidates]
-    except SizeCapError:
-        return None
-    true_nn = min(range(len(candidates)), key=lambda c: (true_d[c], c))
-    try:
-        approx_d = _method_distances(
-            method, tree, query, candidates, metric, size_cap, candidate_vectors
-        )
-    except SizeCapError:
-        return None
-    return _ranks(approx_d)[true_nn]
-
-
-def _knn_query_job(
-    job,
-    method: str,
-    metric: GroundMetric,
-    tree: ShiftedQuadtree | None,
-    candidates: tuple,
-    candidate_vectors,
-    size_cap: int,
-):
-    try:
-        return _method_distances(
-            method, tree, job, candidates, metric, size_cap, candidate_vectors
-        )
+        return [
+            _approx_distance(method, tree, query, c, metric, size_cap)
+            for c in candidates
+        ]
     except SizeCapError:
         return None
 
@@ -330,8 +298,12 @@ def knn_distances(
     size_cap: int = DEFAULT_SIZE_CAP,
     workers: int = 1,
 ) -> list[list[float] | None]:
-    """Per-query candidate distances on one shared tree; None marks a query
-    skipped because the oracle cap was exceeded."""
+    """One row of candidate distances per query; None marks a query skipped
+    because the oracle cap was exceeded.
+
+    Tree methods share one tree over queries and candidates, and the
+    embedding method embeds every candidate once.
+    """
     if not candidates:
         raise ValueError("candidates must be non-empty")
     _check_methods([method])
@@ -345,7 +317,7 @@ def knn_distances(
         if method == "embedding":
             candidate_vectors = tuple(embed(tree, c) for c in candidates)
     fn = partial(
-        _knn_query_job,
+        _query_job,
         method=method,
         metric=metric,
         tree=tree,
@@ -357,53 +329,33 @@ def knn_distances(
 
 
 def recall_at_m(
-    queries: Sequence[PersistenceDiagram],
-    candidates: Sequence[PersistenceDiagram],
+    true_rows: Sequence[Sequence[float] | None],
+    approx_rows: Sequence[Sequence[float] | None],
     method: str,
-    metric: GroundMetric,
     m_max: int | None = None,
-    seed: int = 0,
-    size_cap: int = DEFAULT_SIZE_CAP,
-    workers: int = 1,
 ) -> tuple[RecallCurve, int]:
     """Fraction of queries whose true nearest neighbor lands in the top m.
 
-    Ground truth comes from the exact solver; the approximate ranking uses a
-    single tree over the whole dataset. Returns the curve and the number of
-    queries skipped because the oracle cap was exceeded.
+    Both arguments are knn_distances rows for the same queries and
+    candidates: exact ground truth and the method's distances. Returns the
+    curve and the number of queries skipped because either row is None.
     """
-    if not candidates:
-        raise ValueError("candidates must be non-empty")
-    if not queries:
+    if not true_rows:
         raise ValueError("queries must be non-empty")
-    _check_methods([method])
-    if m_max is None:
-        m_max = len(candidates)
-
-    tree = None
-    candidate_vectors = None
-    if method in TREE_METHODS:
-        tree = build_tree(
-            union_coords(list(queries) + list(candidates)),
-            TreeConfig(seed=seed, ground_metric=metric),
-        )
-        if method == "embedding":
-            candidate_vectors = tuple(embed(tree, c) for c in candidates)
-
-    fn = partial(
-        _recall_query_job,
-        method=method,
-        metric=metric,
-        tree=tree,
-        candidates=tuple(candidates),
-        candidate_vectors=candidate_vectors,
-        size_cap=size_cap,
-    )
-    results = _run_jobs(fn, list(queries), workers)
-    ranks = [r for r in results if r is not None]
-    skipped = len(results) - len(ranks)
-    if not ranks:
+    kept = [
+        (true_d, approx_d)
+        for true_d, approx_d in zip(true_rows, approx_rows, strict=True)
+        if true_d is not None and approx_d is not None
+    ]
+    if not kept:
         raise SizeCapError("every query exceeded the oracle size cap")
+    if m_max is None:
+        m_max = len(kept[0][0])
+    ranks = []
+    for true_d, approx_d in kept:
+        true_nn = min(range(len(true_d)), key=lambda c: (true_d[c], c))
+        ranks.append(_ranks(approx_d)[true_nn])
+    skipped = len(true_rows) - len(ranks)
 
     m_values = list(range(1, m_max + 1))
     recall = [sum(1 for r in ranks if r <= m) / len(ranks) for m in m_values]
@@ -411,28 +363,15 @@ def recall_at_m(
 
 
 def ranking_table(
-    query: PersistenceDiagram,
-    candidates: Sequence[PersistenceDiagram],
-    method: str,
-    metric: GroundMetric,
-    tree: ShiftedQuadtree | None = None,
-    seed: int = 0,
-    size_cap: int = DEFAULT_SIZE_CAP,
+    true_d: Sequence[float], approx_d: Sequence[float]
 ) -> list[tuple[int, int]]:
-    """(true_rank, approx_rank) per candidate, ties broken by index."""
-    if not candidates:
+    """(true_rank, approx_rank) per candidate of one knn_distances row, ties
+    broken by index."""
+    if not true_d:
         raise ValueError("candidates must be non-empty")
-    _check_methods([method])
-    if method in TREE_METHODS and tree is None:
-        tree = build_tree(
-            union_coords([query] + list(candidates)),
-            TreeConfig(seed=seed, ground_metric=metric),
-        )
-    true_d = [exact_distance(query, c, metric, size_cap) for c in candidates]
-    approx_d = _method_distances(method, tree, query, candidates, metric, size_cap)
-    true_ranks = _ranks(true_d)
-    approx_ranks = _ranks(approx_d)
-    return list(zip(true_ranks, approx_ranks))
+    if len(true_d) != len(approx_d):
+        raise ValueError("true_d and approx_d must have one entry per candidate")
+    return list(zip(_ranks(true_d), _ranks(approx_d)))
 
 
 def runtime_bench(

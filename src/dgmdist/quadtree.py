@@ -266,9 +266,3 @@ def union_coords(diagrams: Iterable[PersistenceDiagram]) -> np.ndarray:
         return np.zeros((0, 2))
     return np.vstack(arrays)
 
-
-def build_tree_for_diagrams(
-    diagrams: Iterable[PersistenceDiagram], config: TreeConfig
-) -> ShiftedQuadtree:
-    """One shared tree over the union of several diagrams' points."""
-    return build_tree(union_coords(diagrams), config)

@@ -19,6 +19,7 @@ from dgmdist import (
     gen_gaussian,
     gen_uniform,
     greedy_match,
+    knn_distances,
     l1_distance,
     load_diagram,
     multi_tree_estimate,
@@ -190,14 +191,17 @@ def test_criterion_7_recall_on_gaussian_family():
     queries = [dataset[i] for i in order[:10]]
     candidates = [dataset[i] for i in order[10:]]
 
+    true_rows = knn_distances(queries, candidates, "exact", L2)
     for method in ("embedding", "flowtree"):
-        curve, skipped = recall_at_m(queries, candidates, method, L2, seed=5)
+        approx_rows = knn_distances(queries, candidates, method, L2, seed=5)
+        curve, skipped = recall_at_m(true_rows, approx_rows, method)
         assert skipped == 0
         assert curve.m_values[-1] == 90
         assert all(a <= b for a, b in zip(curve.recall, curve.recall[1:]))
         assert curve.recall[-1] == 1.0
 
-    exact_curve, _ = recall_at_m(queries, candidates, "exact", L2, seed=5)
+    exact_rows = knn_distances(queries, candidates, "exact", L2, seed=5)
+    exact_curve, _ = recall_at_m(true_rows, exact_rows, "exact")
     assert exact_curve.recall[0] == 1.0
 
     elapsed = time.perf_counter() - t0

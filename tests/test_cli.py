@@ -287,6 +287,63 @@ class TestEval:
             assert line_a.split(",")[:4] == line_b.split(",")[:4]
 
 
+    def test_each_exact_distance_computed_once(self, tmp_path, capsys, monkeypatch):
+        import dgmdist.evaluate
+
+        calls = []
+        exact = dgmdist.evaluate.exact_distance
+
+        def counting(*args, **kwargs):
+            calls.append(args[:2])
+            return exact(*args, **kwargs)
+
+        monkeypatch.setattr(dgmdist.evaluate, "exact_distance", counting)
+        data = tmp_path / "data"
+        run(capsys, "gen", "--kind", "uniform", "--count", "20",
+            "--max-size", "8", "--seed", "5", "--out", str(data))
+        code, _, _ = run(
+            capsys,
+            "eval", "--data", str(data), "--out", str(tmp_path / "report"),
+            "--methods", "embedding,flowtree", "--metrics", "l2,l1",
+            "--n-pairs", "4", "--bench-sizes", "20", "--reps", "1", "--seed", "2",
+        )
+        assert code == EXIT_OK
+        n_queries, n_candidates = 2, 18  # 10/90 split of 20 diagrams
+        assert len(calls) == 4 * 2 + n_queries * n_candidates
+
+    def test_capped_query_exits_after_recall(self, tmp_path, capsys, monkeypatch):
+        import dgmdist.cli
+
+        knn = dgmdist.cli.knn_distances
+
+        def first_query_capped(queries, candidates, method, *args, **kwargs):
+            rows = knn(queries, candidates, method, *args, **kwargs)
+            if method == "exact":
+                rows[0] = None
+            return rows
+
+        monkeypatch.setattr(dgmdist.cli, "knn_distances", first_query_capped)
+        data = tmp_path / "data"
+        run(capsys, "gen", "--kind", "uniform", "--count", "20",
+            "--max-size", "8", "--seed", "5", "--out", str(data))
+        out = tmp_path / "report"
+        code, _, err = run(
+            capsys,
+            "eval", "--data", str(data), "--out", str(out),
+            "--n-pairs", "4", "--bench-sizes", "20", "--reps", "1", "--seed", "2",
+        )
+        assert code == EXIT_SIZE_CAP
+        assert "cap" in err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "error_stats.csv",
+            "error_stats.json",
+            "pair_errors.csv",
+            "pair_errors.json",
+            "recall.csv",
+            "recall.json",
+        ]
+
+
 class TestBench:
     def test_row_per_size_and_method(self, tmp_path, capsys):
         out = tmp_path / "runtime.csv"

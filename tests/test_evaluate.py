@@ -4,10 +4,11 @@ import dataclasses
 
 import pytest
 
-from dgmdist import GroundMetric, gen_uniform
+from dgmdist import GroundMetric, SizeCapError, gen_uniform
 from dgmdist.evaluate import (
     ErrorStats,
     error_suite,
+    knn_distances,
     ranking_table,
     recall_at_m,
     relative_error,
@@ -103,61 +104,101 @@ class TestErrorSuite:
             error_suite(small_dataset, ["exact"], [L2], seed=0, n_pairs=1, tree_policy="no")
 
 
+def recall_curve(queries, candidates, method, seed=0, workers=1):
+    """recall_at_m over knn_distances rows; method exact reuses the truth."""
+    true_rows = knn_distances(queries, candidates, "exact", L2, workers=workers)
+    approx_rows = (
+        true_rows
+        if method == "exact"
+        else knn_distances(queries, candidates, method, L2, seed=seed, workers=workers)
+    )
+    return recall_at_m(true_rows, approx_rows, method)
+
+
+def ranking(query, candidates, method, seed=0):
+    """ranking_table of one query's exact and approximate knn_distances rows."""
+    (true_d,) = knn_distances([query], candidates, "exact", L2)
+    (approx_d,) = knn_distances([query], candidates, method, L2, seed=seed)
+    return ranking_table(true_d, approx_d)
+
+
 class TestRecall:
     def test_exact_method_perfect_at_one(self, small_dataset):
         queries, candidates = small_dataset[:3], small_dataset[3:]
-        curve, skipped = recall_at_m(queries, candidates, "exact", L2, seed=1)
+        curve, skipped = recall_curve(queries, candidates, "exact", seed=1)
         assert skipped == 0
         assert curve.recall[0] == 1.0
 
     def test_non_decreasing_and_full_at_end(self, small_dataset):
         queries, candidates = small_dataset[:3], small_dataset[3:]
         for method in ("embedding", "flowtree"):
-            curve, _ = recall_at_m(queries, candidates, method, L2, seed=2)
+            curve, _ = recall_curve(queries, candidates, method, seed=2)
             assert curve.m_values == list(range(1, len(candidates) + 1))
             assert all(a <= b for a, b in zip(curve.recall, curve.recall[1:]))
             assert curve.recall[-1] == 1.0
 
     def test_deterministic(self, small_dataset):
         queries, candidates = small_dataset[:2], small_dataset[2:]
-        a, _ = recall_at_m(queries, candidates, "flowtree", L2, seed=3)
-        b, _ = recall_at_m(queries, candidates, "flowtree", L2, seed=3)
+        a, _ = recall_curve(queries, candidates, "flowtree", seed=3)
+        b, _ = recall_curve(queries, candidates, "flowtree", seed=3)
         assert a == b
 
     def test_workers_match_sequential(self, small_dataset):
         queries, candidates = small_dataset[:2], small_dataset[2:]
-        seq, _ = recall_at_m(queries, candidates, "embedding", L2, seed=4)
-        par, _ = recall_at_m(queries, candidates, "embedding", L2, seed=4, workers=2)
+        seq, _ = recall_curve(queries, candidates, "embedding", seed=4)
+        par, _ = recall_curve(queries, candidates, "embedding", seed=4, workers=2)
         assert seq == par
 
     def test_empty_candidates_rejected(self, small_dataset):
         with pytest.raises(ValueError):
-            recall_at_m(small_dataset[:1], [], "exact", L2)
+            knn_distances(small_dataset[:1], [], "exact", L2)
+
+    def test_capped_queries_are_skipped(self, small_dataset):
+        queries, candidates = small_dataset[:4], small_dataset[4:]
+        # a query is capped when its largest pair exceeds the cap
+        largest = [
+            q.total_count + max(c.total_count for c in candidates) for q in queries
+        ]
+        cap = max(largest) - 1
+        true_rows = knn_distances(queries, candidates, "exact", L2, size_cap=cap)
+        approx_rows = knn_distances(queries, candidates, "flowtree", L2, seed=1)
+        curve, skipped = recall_at_m(true_rows, approx_rows, "flowtree")
+        capped = [n > cap for n in largest]
+        assert [row is None for row in true_rows] == capped
+        assert skipped == sum(capped)
+        assert 0 < skipped < len(queries)
+        assert curve.recall[-1] == 1.0
+
+    def test_every_query_capped_raises(self, small_dataset):
+        queries, candidates = small_dataset[:3], small_dataset[3:]
+        true_rows = knn_distances(queries, candidates, "exact", L2, size_cap=1)
+        approx_rows = knn_distances(queries, candidates, "embedding", L2, seed=1)
+        assert true_rows == [None] * len(queries)
+        with pytest.raises(SizeCapError, match="every query exceeded"):
+            recall_at_m(true_rows, approx_rows, "embedding")
 
 
 class TestRankingTable:
     def test_exact_ranks_agree(self, small_dataset):
-        table = ranking_table(small_dataset[0], small_dataset[1:], "exact", L2)
+        table = ranking(small_dataset[0], small_dataset[1:], "exact")
         assert len(table) == len(small_dataset) - 1
         assert all(true == approx for true, approx in table)
 
     def test_ranks_are_permutations(self, small_dataset):
-        table = ranking_table(
-            small_dataset[0], small_dataset[1:], "flowtree", L2, seed=5
-        )
+        table = ranking(small_dataset[0], small_dataset[1:], "flowtree", seed=5)
         n = len(table)
         assert sorted(t for t, _ in table) == list(range(1, n + 1))
         assert sorted(a for _, a in table) == list(range(1, n + 1))
 
     def test_deterministic(self, small_dataset):
-        args = (small_dataset[0], small_dataset[1:], "embedding", L2)
-        assert ranking_table(*args, seed=6) == ranking_table(*args, seed=6)
+        args = (small_dataset[0], small_dataset[1:], "embedding")
+        assert ranking(*args, seed=6) == ranking(*args, seed=6)
 
     def test_flowtree_mean_rank_displacement_small(self):
         # well-separated synthetic data: the flowtree ordering stays within
         # a few ranks of the truth on average
         dataset = [gen_uniform(10 + 2 * i, seed=50 + i) for i in range(31)]
-        table = ranking_table(dataset[0], dataset[1:], "flowtree", L2, seed=1)
+        table = ranking(dataset[0], dataset[1:], "flowtree", seed=1)
         displacement = sum(abs(t - a) for t, a in table) / len(table)
         assert displacement < 10.0
 

@@ -12,11 +12,10 @@ from dgmdist.quadtree import (
     ShiftedQuadtree,
     TreeConfig,
     build_tree,
-    build_tree_for_diagrams,
     union_coords,
 )
 
-from helpers import cells_at, random_pair
+from helpers import cells_at, pair_tree, random_pair
 
 
 def manual_tree(origin=(0.0, 0.0), root_side=8.0, levels=4):
@@ -79,7 +78,7 @@ class TestBuildTree:
     def test_root_contains_all_points(self):
         for seed in range(20):
             first, second = random_pair(seed)
-            tree = build_tree_for_diagrams((first, second), TreeConfig(seed=seed))
+            tree = pair_tree(first, second, seed=seed)
             for diagram in (first, second):
                 passes = list(tree.level_pass(diagram.coords()))  # no OutsideRootError
                 assert len(passes) == tree.num_levels
@@ -98,7 +97,7 @@ class TestBuildTree:
     def test_finest_side_below_half_separation(self):
         for seed in range(15):
             first, second = random_pair(seed)
-            tree = build_tree_for_diagrams((first, second), TreeConfig(seed=seed))
+            tree = pair_tree(first, second, seed=seed)
             if not tree.truncated:
                 assert tree.side(tree.level_lo) < 0.5 * tree.min_separation
 
@@ -128,7 +127,7 @@ class TestCellAddressing:
         # each level's cell is the half-open square holding the point, and
         # the parent's indices halve the child's
         first, second = random_pair(8)
-        tree = build_tree_for_diagrams((first, second), TreeConfig(seed=2))
+        tree = pair_tree(first, second, seed=2)
         coords = union_coords((first, second))
         ox, oy = tree.origin
         child = None
@@ -184,7 +183,7 @@ class TestTerminalCells:
     def test_terminality_monotone_up_the_tree(self):
         # a terminal cell's parent is terminal (cells nest)
         first, second = random_pair(4)
-        tree = build_tree_for_diagrams((first, second), TreeConfig(seed=9))
+        tree = pair_tree(first, second, seed=9)
         was_terminal = None
         for *_, terminal in tree.level_pass(union_coords((first, second))):
             if was_terminal is not None:
@@ -194,7 +193,7 @@ class TestTerminalCells:
     def test_root_terminal_for_synthetic_data(self):
         for seed in range(25):
             first, second = random_pair(seed)
-            tree = build_tree_for_diagrams((first, second), TreeConfig(seed=seed))
+            tree = pair_tree(first, second, seed=seed)
             *_, (level, _, ix, iy, terminal) = tree.level_pass(
                 union_coords((first, second))
             )
@@ -204,7 +203,7 @@ class TestTerminalCells:
     def test_occupied_finest_cells_hold_one_point_and_are_clear(self):
         for seed in range(10):
             first, second = random_pair(seed, max_points=15)
-            tree = build_tree_for_diagrams((first, second), TreeConfig(seed=seed))
+            tree = pair_tree(first, second, seed=seed)
             if tree.truncated:
                 continue
             coords = np.unique(union_coords((first, second)), axis=0)
