@@ -1,6 +1,10 @@
 """Command-line surface: generate, dist, embed, knn, eval, bench.
 
-Exit codes: 0 success, 2 usage, 3 diagram parse error, 4 oracle size cap,
+Each command parses its arguments, calls the library and formats the
+result; dist with a tree method prints what multi_tree_estimate returns.
+
+Exit codes: 0 success, 2 usage (including an invalid --trees and a
+non-integer DGMDIST_SEED), 3 diagram parse error, 4 oracle size cap,
 5 internal error. The first stderr line echoes the fully resolved arguments,
 so every run can be reproduced from its log. The default seed is 0 and can
 be overridden with the DGMDIST_SEED environment variable.
@@ -16,7 +20,6 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +33,7 @@ from .diagram import (
     load_diagram,
     save_diagram,
 )
-from .embedding import embed, l1_distance, write_vector
+from .embedding import embed, write_vector
 from .evaluate import (
     BenchRow,
     ErrorStats,
@@ -44,7 +47,7 @@ from .evaluate import (
     write_json,
 )
 from .exact import SizeCapError, exact_distance
-from .flowtree import greedy_match
+from .flowtree import multi_tree_estimate
 from .quadtree import TreeConfig, build_tree, union_coords
 
 EXIT_OK = 0
@@ -60,33 +63,12 @@ class UsageError(Exception):
     """Invalid argument values detected after parsing."""
 
 
-@dataclass
-class DistanceReport:
-    """Single-distance result printed as JSON by the dist command."""
-
-    method: str
-    metric: str
-    value: float
-    seeds: list[int] = field(default_factory=list)
-    tree_meta: list[dict] = field(default_factory=list)
-    elapsed: float = 0.0
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "method": self.method,
-                "metric": self.metric,
-                "value": self.value,
-                "seeds": self.seeds,
-                "tree_meta": self.tree_meta,
-                "elapsed": self.elapsed,
-            },
-            indent=2,
-        )
-
-
 def _default_seed() -> int:
-    return int(os.environ.get("DGMDIST_SEED", "0"))
+    value = os.environ.get("DGMDIST_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise UsageError(f"DGMDIST_SEED must be an integer, got {value!r}") from None
 
 
 def _metric(name: str) -> GroundMetric:
@@ -145,6 +127,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_dist(args) -> int:
+    if args.trees < 1:
+        raise UsageError("trees must be >= 1")
     for path in (args.first, args.second):
         if not Path(path).is_file():
             raise UsageError(f"no such file: {path}")
@@ -158,38 +142,19 @@ def cmd_dist(args) -> int:
         tree_meta: list[dict] = []
     else:
         seeds = _derived_seeds(args.seed, args.trees)
-        values = []
-        tree_meta = []
-        if first.total_count == 0 and second.total_count == 0:
-            values = [0.0]
-            seeds = []
-        else:
-            points = union_coords((first, second))
-            for tree_seed in seeds:
-                tree = build_tree(
-                    points, TreeConfig(seed=tree_seed, ground_metric=metric)
-                )
-                meta = tree.meta()
-                if args.method == "flowtree":
-                    matching = greedy_match(tree, first, second, metric)
-                    values.append(matching.cost)
-                    meta["root_fallback"] = matching.root_fallback
-                else:
-                    values.append(
-                        l1_distance(embed(tree, first), embed(tree, second))
-                    )
-                tree_meta.append(meta)
-        value = min(values) if args.reduce == "min" else sum(values) / len(values)
+        value, tree_meta = multi_tree_estimate(
+            first, second, metric, seeds, args.reduce, args.method
+        )
     elapsed = time.perf_counter() - t0
-    report = DistanceReport(
-        method=args.method,
-        metric=args.metric,
-        value=value,
-        seeds=seeds,
-        tree_meta=tree_meta,
-        elapsed=elapsed,
-    )
-    print(report.to_json())
+    report = {
+        "method": args.method,
+        "metric": args.metric,
+        "value": value,
+        "seeds": seeds if tree_meta else [],
+        "tree_meta": tree_meta,
+        "elapsed": elapsed,
+    }
+    print(json.dumps(report, indent=2))
     return EXIT_OK
 
 
@@ -454,10 +419,9 @@ def main(argv=None) -> int:
     logging.basicConfig(
         stream=sys.stderr, level=logging.WARNING, format="%(message)s", force=True
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _echo_args(args)
     try:
+        args = build_parser().parse_args(argv)
+        _echo_args(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .diagram import GroundMetric, PersistenceDiagram, gen_uniform
 from .embedding import embed, l1_distance
-from .exact import DEFAULT_SIZE_CAP, SizeCapError, exact_distance
+from .exact import SizeCapError, exact_distance
 from .flowtree import flowtree_distance
 from .quadtree import ShiftedQuadtree, TreeConfig, build_tree, union_coords
 
@@ -105,10 +105,9 @@ def _approx_distance(
     first: PersistenceDiagram,
     second: PersistenceDiagram,
     metric: GroundMetric,
-    size_cap: int,
 ) -> float:
     if method == "exact":
-        return exact_distance(first, second, metric, size_cap)
+        return exact_distance(first, second, metric)
     assert tree is not None
     if method == "embedding":
         return l1_distance(embed(tree, first), embed(tree, second))
@@ -128,7 +127,6 @@ def _error_pair_job(
     methods: tuple[str, ...],
     metrics: tuple[GroundMetric, ...],
     shared_trees: dict | None,
-    size_cap: int,
 ):
     """Evaluate one sampled pair; returns rows, or None if the oracle cap bit."""
     pair_index, left, right, a, b, tree_seed = job
@@ -137,7 +135,7 @@ def _error_pair_job(
     points = union_coords((a, b)) if (needs_tree and shared_trees is None) else None
     for metric in metrics:
         try:
-            d_true = exact_distance(a, b, metric, size_cap)
+            d_true = exact_distance(a, b, metric)
         except SizeCapError:
             return None
         if d_true == 0.0:
@@ -158,7 +156,7 @@ def _error_pair_job(
                     points, TreeConfig(seed=tree_seed, ground_metric=metric)
                 )
         for method in methods:
-            d_approx = _approx_distance(method, tree, a, b, metric, size_cap)
+            d_approx = _approx_distance(method, tree, a, b, metric)
             rows.append(
                 PairErrorRow(
                     pair_index=pair_index,
@@ -181,7 +179,6 @@ def error_suite(
     seed: int,
     n_pairs: int,
     tree_policy: str = "per_pair",
-    size_cap: int = DEFAULT_SIZE_CAP,
     workers: int = 1,
 ) -> ErrorSuiteResult:
     """Relative-error statistics of approximate methods over sampled pairs.
@@ -219,7 +216,6 @@ def error_suite(
         methods=tuple(methods),
         metrics=tuple(metrics),
         shared_trees=shared_trees,
-        size_cap=size_cap,
     )
     results = _run_jobs(fn, jobs, workers)
 
@@ -273,7 +269,6 @@ def _query_job(
     tree: ShiftedQuadtree | None,
     candidates: tuple,
     candidate_vectors,
-    size_cap: int,
 ):
     """Distances from one query to every candidate, or None if the oracle cap
     was exceeded."""
@@ -281,10 +276,7 @@ def _query_job(
         qv = embed(tree, query)
         return [l1_distance(qv, cv) for cv in candidate_vectors]
     try:
-        return [
-            _approx_distance(method, tree, query, c, metric, size_cap)
-            for c in candidates
-        ]
+        return [_approx_distance(method, tree, query, c, metric) for c in candidates]
     except SizeCapError:
         return None
 
@@ -295,7 +287,6 @@ def knn_distances(
     method: str,
     metric: GroundMetric,
     seed: int = 0,
-    size_cap: int = DEFAULT_SIZE_CAP,
     workers: int = 1,
 ) -> list[list[float] | None]:
     """One row of candidate distances per query; None marks a query skipped
@@ -323,7 +314,6 @@ def knn_distances(
         tree=tree,
         candidates=tuple(candidates),
         candidate_vectors=candidate_vectors,
-        size_cap=size_cap,
     )
     return _run_jobs(fn, list(queries), workers)
 
@@ -380,7 +370,6 @@ def runtime_bench(
     metric: GroundMetric = GroundMetric.L2,
     seed: int = 0,
     reps: int = 5,
-    size_cap: int = DEFAULT_SIZE_CAP,
 ) -> list[BenchRow]:
     """Wall-clock scaling of distance computation over synthetic diagrams.
 
@@ -412,7 +401,7 @@ def runtime_bench(
             times = []
             for _ in range(reps):
                 t0 = time.perf_counter()
-                _approx_distance(method, tree, first, second, metric, size_cap)
+                _approx_distance(method, tree, first, second, metric)
                 times.append(time.perf_counter() - t0)
             rows.append(
                 BenchRow(

@@ -172,11 +172,15 @@ def multi_tree_estimate(
     seeds: Sequence[int],
     reduce: str = "mean",
     method: str = "flowtree",
-) -> float:
+) -> tuple[float, list[dict]]:
     """Distance estimate over several independently shifted trees.
 
-    Builds one tree per seed over the union of both diagrams' points and
-    reduces the per-tree estimates by mean or min.
+    Builds one tree per seed over the union of both diagrams' points, runs
+    the tree method on each and reduces the per-tree estimates by mean
+    (math.fsum) or min. Returns the estimate and one tree.meta() dict per
+    seed; for flowtree each dict also records the matching's root_fallback.
+    Two empty diagrams give (0.0, []) without building a tree. `dgmdist
+    dist` prints exactly this result.
     """
     if not seeds:
         raise ValueError("at least one seed is required")
@@ -185,18 +189,23 @@ def multi_tree_estimate(
     if method not in ("flowtree", "embedding"):
         raise ValueError(f"method must be 'flowtree' or 'embedding', got {method!r}")
     if first.total_count == 0 and second.total_count == 0:
-        return 0.0
+        return 0.0, []
     points = union_coords((first, second))
     values = []
+    tree_meta = []
     for seed in seeds:
         tree = build_tree(points, TreeConfig(seed=seed, ground_metric=metric))
+        meta = tree.meta()
         if method == "flowtree":
-            values.append(flowtree_distance(tree, first, second, metric))
+            matching = greedy_match(tree, first, second, metric)
+            values.append(matching.cost)
+            meta["root_fallback"] = matching.root_fallback
         else:
             values.append(l1_distance(embed(tree, first), embed(tree, second)))
+        tree_meta.append(meta)
     if reduce == "mean":
-        return math.fsum(values) / len(values)
-    return min(values)
+        return math.fsum(values) / len(values), tree_meta
+    return min(values), tree_meta
 
 
 def write_matching(matching: AugmentedMatching, path) -> None:

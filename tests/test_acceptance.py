@@ -213,8 +213,8 @@ def test_criterion_8_determinism(tmp_path):
     first, second = random_pair(3, max_points=20)
 
     # distances
-    d1 = multi_tree_estimate(first, second, L2, seeds=[1, 2, 3], reduce="mean")
-    d2 = multi_tree_estimate(first, second, L2, seeds=[1, 2, 3], reduce="mean")
+    d1, _ = multi_tree_estimate(first, second, L2, seeds=[1, 2, 3], reduce="mean")
+    d2, _ = multi_tree_estimate(first, second, L2, seeds=[1, 2, 3], reduce="mean")
     assert d1 == d2
 
     # vector files

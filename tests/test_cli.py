@@ -4,12 +4,19 @@ import json
 
 import pytest
 
-from dgmdist import PersistenceDiagram, save_diagram
+from dgmdist import (
+    GroundMetric,
+    PersistenceDiagram,
+    gen_uniform,
+    multi_tree_estimate,
+    save_diagram,
+)
 from dgmdist.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_SIZE_CAP,
     EXIT_USAGE,
+    _derived_seeds,
     main,
 )
 
@@ -132,6 +139,37 @@ class TestDist:
         code, _, err = run(capsys, "dist", str(a), str(tmp_path / "nope.txt"))
         assert code == EXIT_USAGE
         assert "no such file" in err
+
+    @pytest.mark.parametrize("trees", ["0", "-1"])
+    @pytest.mark.parametrize("reduce", ["mean", "min"])
+    def test_nonpositive_trees_is_usage_error(self, tmp_path, capsys, trees, reduce):
+        a = tmp_path / "a.txt"
+        write_singleton(a, 0, 4)
+        code, out, err = run(
+            capsys, "dist", str(a), str(a), "--trees", trees, "--reduce", reduce
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "error: trees must be >= 1" in err
+
+    @pytest.mark.parametrize("method", ["embedding", "flowtree"])
+    def test_matches_multi_tree_estimate(self, tmp_path, capsys, method):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        for s in range(40):
+            first, second = gen_uniform(30, s), gen_uniform(30, s + 1000)
+            save_diagram(first, a)
+            save_diagram(second, b)
+            code, out, _ = run(
+                capsys, "dist", str(a), str(b), "--method", method,
+                "--trees", "5", "--reduce", "mean", "--seed", str(s),
+            )
+            assert code == EXIT_OK
+            report = json.loads(out)
+            value, tree_meta = multi_tree_estimate(
+                first, second, GroundMetric.L2, _derived_seeds(s, 5), "mean", method
+            )
+            assert report["value"] == value
+            assert report["tree_meta"] == tree_meta
 
 
 class TestEmbed:
@@ -379,3 +417,13 @@ class TestSeedEnvOverride:
             "--max-size", "4", "--out", str(out))
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 99
+
+    def test_non_integer_env_seed_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("DGMDIST_SEED", "abc")
+        a = tmp_path / "a.txt"
+        write_singleton(a, 0, 4)
+        code, out, err = run(capsys, "dist", str(a), str(a))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:")
+        assert "DGMDIST_SEED" in err

@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from dgmdist import GroundMetric, SizeCapError, gen_uniform
+import dgmdist.evaluate
+from dgmdist import GroundMetric, SizeCapError, exact_distance, gen_uniform
 from dgmdist.evaluate import (
     ErrorStats,
     error_suite,
@@ -23,6 +24,15 @@ L2 = GroundMetric.L2
 @pytest.fixture(scope="module")
 def small_dataset():
     return [gen_uniform(5 + i, seed=i) for i in range(12)]
+
+
+def cap_oracle(monkeypatch, cap):
+    """Make the harness's exact solver use a small size cap (workers=1 only)."""
+    monkeypatch.setattr(
+        dgmdist.evaluate,
+        "exact_distance",
+        lambda first, second, metric: exact_distance(first, second, metric, cap),
+    )
 
 
 class TestRelativeError:
@@ -84,9 +94,10 @@ class TestErrorSuite:
         )
         assert result.stats[0].n_pairs == 4
 
-    def test_oracle_cap_skips_and_counts(self, small_dataset):
+    def test_oracle_cap_skips_and_counts(self, small_dataset, monkeypatch):
+        cap_oracle(monkeypatch, 4)
         result = error_suite(
-            small_dataset, ["flowtree"], [L2], seed=6, n_pairs=5, size_cap=4
+            small_dataset, ["flowtree"], [L2], seed=6, n_pairs=5, workers=1
         )
         assert result.skipped_pairs > 0
         assert result.skipped_pairs + sum(
@@ -153,14 +164,15 @@ class TestRecall:
         with pytest.raises(ValueError):
             knn_distances(small_dataset[:1], [], "exact", L2)
 
-    def test_capped_queries_are_skipped(self, small_dataset):
+    def test_capped_queries_are_skipped(self, small_dataset, monkeypatch):
         queries, candidates = small_dataset[:4], small_dataset[4:]
         # a query is capped when its largest pair exceeds the cap
         largest = [
             q.total_count + max(c.total_count for c in candidates) for q in queries
         ]
         cap = max(largest) - 1
-        true_rows = knn_distances(queries, candidates, "exact", L2, size_cap=cap)
+        cap_oracle(monkeypatch, cap)
+        true_rows = knn_distances(queries, candidates, "exact", L2, workers=1)
         approx_rows = knn_distances(queries, candidates, "flowtree", L2, seed=1)
         curve, skipped = recall_at_m(true_rows, approx_rows, "flowtree")
         capped = [n > cap for n in largest]
@@ -169,9 +181,10 @@ class TestRecall:
         assert 0 < skipped < len(queries)
         assert curve.recall[-1] == 1.0
 
-    def test_every_query_capped_raises(self, small_dataset):
+    def test_every_query_capped_raises(self, small_dataset, monkeypatch):
         queries, candidates = small_dataset[:3], small_dataset[3:]
-        true_rows = knn_distances(queries, candidates, "exact", L2, size_cap=1)
+        cap_oracle(monkeypatch, 1)
+        true_rows = knn_distances(queries, candidates, "exact", L2, workers=1)
         approx_rows = knn_distances(queries, candidates, "embedding", L2, seed=1)
         assert true_rows == [None] * len(queries)
         with pytest.raises(SizeCapError, match="every query exceeded"):

@@ -202,7 +202,7 @@ class TestFlowtreeDistance:
 class TestMultiTree:
     def test_single_seed_matches_direct_call(self):
         first, second = random_pair(19, max_points=10)
-        value = multi_tree_estimate(
+        value, _ = multi_tree_estimate(
             first, second, GroundMetric.L2, seeds=[123], reduce="mean"
         )
         tree = pair_tree(first, second, seed=123)
@@ -211,22 +211,22 @@ class TestMultiTree:
     def test_min_below_mean(self):
         first, second = random_pair(23, max_points=10)
         seeds = list(range(10))
-        low = multi_tree_estimate(first, second, GroundMetric.L2, seeds, reduce="min")
-        mid = multi_tree_estimate(first, second, GroundMetric.L2, seeds, reduce="mean")
+        low, _ = multi_tree_estimate(first, second, GroundMetric.L2, seeds, reduce="min")
+        mid, _ = multi_tree_estimate(first, second, GroundMetric.L2, seeds, reduce="mean")
         assert low <= mid
 
     def test_min_still_upper_bounds_exact(self):
         for seed in range(10):
             first, second = random_pair(seed + 80, max_points=8)
             d_true = exact_distance(first, second, GroundMetric.L2)
-            low = multi_tree_estimate(
+            low, _ = multi_tree_estimate(
                 first, second, GroundMetric.L2, seeds=list(range(10)), reduce="min"
             )
             assert d_true <= low + 1e-9
 
     def test_embedding_method(self):
         first, second = random_pair(29, max_points=8)
-        value = multi_tree_estimate(
+        value, _ = multi_tree_estimate(
             first, second, GroundMetric.L2, seeds=[7], method="embedding"
         )
         tree = pair_tree(first, second, seed=7)
@@ -243,7 +243,7 @@ class TestMultiTree:
 
     def test_both_empty_is_zero(self):
         empty = PersistenceDiagram()
-        assert multi_tree_estimate(empty, empty, GroundMetric.L2, seeds=[1]) == 0.0
+        assert multi_tree_estimate(empty, empty, GroundMetric.L2, seeds=[1]) == (0.0, [])
 
 
 class TestMatchingDump:
