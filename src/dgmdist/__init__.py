@@ -64,6 +64,7 @@ from .flowtree import (
     write_matching,
 )
 from .quadtree import (
+    MAX_LEVELS,
     OutsideRootError,
     ShiftedQuadtree,
     TreeConfig,
@@ -88,6 +89,7 @@ __all__ = [
     "KIND_CROSS",
     "KIND_P_TO_DIAGONAL",
     "KIND_Q_TO_DIAGONAL",
+    "MAX_LEVELS",
     "MatchPair",
     "OutsideRootError",
     "PDPoint",

@@ -3,7 +3,8 @@
 Each command parses its arguments, calls the library and formats the
 result; dist with a tree method prints what multi_tree_estimate returns.
 
-Exit codes: 0 success, 2 usage (including an invalid --trees and a
+Exit codes: 0 success, 2 usage (including invalid option values, such as
+--trees 0, an unknown eval/bench method or metric, non-ascending sizes, and a
 non-integer DGMDIST_SEED), 3 diagram parse error, 4 oracle size cap,
 5 internal error. The first stderr line echoes the fully resolved arguments,
 so every run can be reproduced from its log. The default seed is 0 and can
@@ -35,6 +36,7 @@ from .diagram import (
 )
 from .embedding import embed, write_vector
 from .evaluate import (
+    METHODS,
     BenchRow,
     ErrorStats,
     PairErrorRow,
@@ -73,6 +75,37 @@ def _default_seed() -> int:
 
 def _metric(name: str) -> GroundMetric:
     return GroundMetric(name)
+
+
+def _methods(text: str) -> list[str]:
+    methods = text.split(",")
+    for method in methods:
+        if method not in METHODS:
+            raise UsageError(
+                f"unknown method {method!r}; expected one of {', '.join(METHODS)}"
+            )
+    return methods
+
+
+def _metrics(text: str) -> list[GroundMetric]:
+    names = text.split(",")
+    known = [m.value for m in GroundMetric]
+    for name in names:
+        if name not in known:
+            raise UsageError(
+                f"unknown metric {name!r}; expected one of {', '.join(known)}"
+            )
+    return [GroundMetric(name) for name in names]
+
+
+def _sizes(text: str, option: str) -> list[int]:
+    try:
+        sizes = [int(s) for s in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{option} must be comma-separated integers, got {text!r}") from None
+    if sizes[0] < 1 or sizes != sorted(sizes):
+        raise UsageError(f"{option} must be positive and ascending, got {text!r}")
+    return sizes
 
 
 def _derived_seeds(seed: int, count: int) -> list[int]:
@@ -233,9 +266,14 @@ def _write_table(stem: Path, fieldnames, rows) -> None:
 
 
 def cmd_eval(args) -> int:
+    methods = _methods(args.methods)
+    metrics = _metrics(args.metrics)
+    bench_sizes = _sizes(args.bench_sizes, "bench-sizes")
+    if args.n_pairs < 1:
+        raise UsageError("n-pairs must be >= 1")
+    if args.reps < 1:
+        raise UsageError("reps must be >= 1")
     _, dataset = _load_dir(args.data)
-    methods = args.methods.split(",")
-    metrics = [_metric(m) for m in args.metrics.split(",")]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -312,7 +350,6 @@ def cmd_eval(args) -> int:
         ranking_rows,
     )
 
-    bench_sizes = [int(s) for s in args.bench_sizes.split(",")]
     bench_rows = runtime_bench(
         bench_sizes, methods, metric=primary_metric, seed=args.seed, reps=args.reps
     )
@@ -326,8 +363,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    methods = args.methods.split(",")
+    sizes = _sizes(args.sizes, "sizes")
+    methods = _methods(args.methods)
+    if args.reps < 1:
+        raise UsageError("reps must be >= 1")
     rows = runtime_bench(
         sizes, methods, metric=_metric(args.metric), seed=args.seed, reps=args.reps
     )

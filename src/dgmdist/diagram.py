@@ -17,6 +17,8 @@ from typing import Iterable, Iterator
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from ._rows import group_rows
+
 
 class DiagramError(ValueError):
     """Base class for diagram construction and parsing failures."""
@@ -56,6 +58,17 @@ class GroundMetric(Enum):
             return math.hypot(dx, dy)
         return dx if dx > dy else dy
 
+    def rowwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """distance() of each row of one (n, 2) array to the same row of
+        another, with the same float operations, so equal bit for bit."""
+        dx = np.abs(a[:, 0] - b[:, 0])
+        dy = np.abs(a[:, 1] - b[:, 1])
+        if self is GroundMetric.L1:
+            return dx + dy
+        if self is GroundMetric.L2:
+            return np.array(list(map(math.hypot, dx.tolist(), dy.tolist())), dtype=float)
+        return np.where(dx > dy, dx, dy)
+
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Distance matrix between two (n, 2) coordinate arrays."""
         if a.size == 0 or b.size == 0:
@@ -68,6 +81,19 @@ _DIAG_FACTOR = {"l1": 1.0, "l2": 2.0 ** -0.5, "linf": 0.5}
 _CDIST_NAME = {"l1": "cityblock", "l2": "euclidean", "linf": "chebyshev"}
 
 
+def _checked(birth, death, multiplicity=1) -> tuple[float, float, int]:
+    """A point's (birth, death, multiplicity) as float, float, int, or
+    InvalidPointError if it is not a valid persistence point."""
+    birth, death, multiplicity = float(birth), float(death), int(multiplicity)
+    if not (math.isfinite(birth) and math.isfinite(death)):
+        raise InvalidPointError(f"non-finite coordinates ({birth}, {death})")
+    if death <= birth:
+        raise InvalidPointError(f"death <= birth for point ({birth}, {death})")
+    if multiplicity < 1:
+        raise InvalidPointError(f"multiplicity must be >= 1, got {multiplicity}")
+    return birth, death, multiplicity
+
+
 @dataclass(frozen=True)
 class PDPoint:
     """A persistence point: birth < death, with an integer multiplicity."""
@@ -77,19 +103,10 @@ class PDPoint:
     multiplicity: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "birth", float(self.birth))
-        object.__setattr__(self, "death", float(self.death))
-        object.__setattr__(self, "multiplicity", int(self.multiplicity))
-        if not (math.isfinite(self.birth) and math.isfinite(self.death)):
-            raise InvalidPointError(
-                f"non-finite coordinates ({self.birth}, {self.death})"
-            )
-        if self.death <= self.birth:
-            raise InvalidPointError(
-                f"death <= birth for point ({self.birth}, {self.death})"
-            )
-        if self.multiplicity < 1:
-            raise InvalidPointError(f"multiplicity must be >= 1, got {self.multiplicity}")
+        birth, death, multiplicity = _checked(self.birth, self.death, self.multiplicity)
+        object.__setattr__(self, "birth", birth)
+        object.__setattr__(self, "death", death)
+        object.__setattr__(self, "multiplicity", multiplicity)
 
     @property
     def lifetime(self) -> float:
@@ -110,31 +127,55 @@ def diagonal_distance(p: PDPoint, metric: GroundMetric) -> float:
 class PersistenceDiagram:
     """Immutable, canonically sorted multiset of persistence points.
 
-    Points are kept sorted lexicographically by (birth, death) and duplicates
-    are merged into multiplicities, so two diagrams describing the same
-    multiset compare equal regardless of input order.
+    The diagram is columnar: a read-only (n, 2) array of distinct points,
+    sorted lexicographically by (birth, death), and a parallel array of
+    multiplicities. Duplicates are merged at construction, so two diagrams
+    describing the same multiset compare equal regardless of input order.
+    PDPoint objects are built only when `points` or iteration asks for them.
     """
 
     __slots__ = ("_points", "_coords", "_mults", "_total")
 
     def __init__(self, points: Iterable = ()):
-        merged: dict[tuple[float, float], int] = {}
-        for item in points:
-            pt = item if isinstance(item, PDPoint) else PDPoint(*item)
-            key = (pt.birth, pt.death)
-            merged[key] = merged.get(key, 0) + pt.multiplicity
-        self._points = tuple(
-            PDPoint(b, d, m) for (b, d), m in sorted(merged.items())
-        )
-        coords = np.array([(p.birth, p.death) for p in self._points], dtype=float)
-        self._coords = coords.reshape(-1, 2)
+        rows = [
+            (p.birth, p.death, p.multiplicity) if isinstance(p, PDPoint) else _checked(*p)
+            for p in points
+        ]
+        births, deaths, mults = zip(*rows) if rows else ((), (), ())
+        self._set_columns(births, deaths, mults)
+
+    @classmethod
+    def _from_columns(cls, births, deaths, mults) -> PersistenceDiagram:
+        """Diagram of already validated points given as three columns."""
+        diagram = cls.__new__(cls)
+        diagram._set_columns(births, deaths, mults)
+        return diagram
+
+    def _set_columns(self, births, deaths, mults) -> None:
+        births = np.asarray(births, dtype=float)
+        deaths = np.asarray(deaths, dtype=float)
+        mults = np.asarray(mults, dtype=np.int64)
+        # summed as Python ints: merged multiplicities are int64 and must not wrap
+        total = sum(mults.tolist())
+        if total > np.iinfo(np.int64).max:
+            raise OverflowError(f"total multiplicity {total} does not fit in int64")
+        order, starts = group_rows(births, deaths)
+        first = order[starts]
+        self._coords = np.column_stack((births[first], deaths[first]))
         self._coords.setflags(write=False)
-        self._mults = np.array([p.multiplicity for p in self._points], dtype=np.int64)
+        self._mults = np.add.reduceat(mults[order], starts)
         self._mults.setflags(write=False)
-        self._total = int(self._mults.sum())
+        self._total = total
+        self._points = None
 
     @property
     def points(self) -> tuple[PDPoint, ...]:
+        """Distinct points in canonical order, built on first access."""
+        if self._points is None:
+            self._points = tuple(
+                PDPoint(b, d, m)
+                for (b, d), m in zip(self._coords.tolist(), self._mults.tolist())
+            )
         return self._points
 
     @property
@@ -150,24 +191,24 @@ class PersistenceDiagram:
         return self._mults
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._mults)
 
     def __iter__(self) -> Iterator[PDPoint]:
-        return iter(self._points)
+        return iter(self.points)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PersistenceDiagram):
             return NotImplemented
-        return self._points == other._points
+        return np.array_equal(self._coords, other._coords) and np.array_equal(
+            self._mults, other._mults
+        )
 
     def __hash__(self) -> int:
-        return hash(self._points)
+        # float hashing maps -0.0 and 0.0 alike, as equality does
+        return hash((tuple(self._coords.ravel().tolist()), tuple(self._mults.tolist())))
 
     def __repr__(self) -> str:
-        return (
-            f"PersistenceDiagram({len(self._points)} distinct, "
-            f"total {self._total})"
-        )
+        return f"PersistenceDiagram({len(self)} distinct, total {self._total})"
 
 
 def load_diagram(path) -> PersistenceDiagram:
@@ -179,7 +220,9 @@ def load_diagram(path) -> PersistenceDiagram:
     the offending line number.
     """
     path = Path(path)
-    points: list[PDPoint] = []
+    births: list[float] = []
+    deaths: list[float] = []
+    mults: list[int] = []
     with path.open() as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -213,19 +256,23 @@ def load_diagram(path) -> PersistenceDiagram:
                     raise InvalidPointError(
                         f"{path.name}: multiplicity < 1 at line {lineno}"
                     )
-            points.append(PDPoint(birth, death, mult))
-    return PersistenceDiagram(points)
+            births.append(birth)
+            deaths.append(death)
+            mults.append(mult)
+    return PersistenceDiagram._from_columns(births, deaths, mults)
 
 
 def save_diagram(diagram: PersistenceDiagram, path) -> None:
     """Write a diagram in the text format with full round-trip precision."""
     path = Path(path)
     lines = []
-    for p in diagram.points:
-        if p.multiplicity == 1:
-            lines.append(f"{p.birth!r} {p.death!r}")
+    for (birth, death), mult in zip(
+        diagram.coords().tolist(), diagram.multiplicities().tolist()
+    ):
+        if mult == 1:
+            lines.append(f"{birth!r} {death!r}")
         else:
-            lines.append(f"{p.birth!r} {p.death!r} {p.multiplicity}")
+            lines.append(f"{birth!r} {death!r} {mult}")
     path.write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -245,7 +292,7 @@ def gen_uniform(max_size: int, seed: int) -> PersistenceDiagram:
         births[bad] = rng.uniform(0.0, 200.0, int(bad.sum()))
         deaths[bad] = rng.uniform(births[bad], 300.0)
         bad = deaths <= births
-    return PersistenceDiagram(zip(births, deaths))
+    return PersistenceDiagram._from_columns(births, deaths, np.ones(max_size, np.int64))
 
 
 def gen_gaussian(max_size: int, seed: int) -> PersistenceDiagram:
@@ -265,4 +312,6 @@ def gen_gaussian(max_size: int, seed: int) -> PersistenceDiagram:
         births[bad] = rng.uniform(0.0, 200.0, n_bad)
         lifetimes[bad] = np.abs(rng.normal(0.0, 1.0, n_bad))
         bad = lifetimes < 1e-9
-    return PersistenceDiagram(zip(births, births + lifetimes))
+    return PersistenceDiagram._from_columns(
+        births, births + lifetimes, np.ones(max_size, np.int64)
+    )

@@ -17,8 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ._rows import group_rows
 from .diagram import PersistenceDiagram
-from .quadtree import ShiftedQuadtree
+from .quadtree import MAX_LEVELS, ShiftedQuadtree
 
 
 class TreeMismatchError(ValueError):
@@ -43,28 +44,19 @@ class EmbeddingVector:
         return len(self.values)
 
 
-def _sum_by_key(keys: np.ndarray, weights: np.ndarray):
-    """Distinct rows of keys in lexicographic order, with summed weights.
-
-    Rows with equal keys are summed in their input order.
-    """
-    if len(keys) == 0:
-        return keys, weights
-    order = np.lexsort(keys.T[::-1])
-    keys, weights = keys[order], weights[order]
-    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
-    return keys[starts], np.add.reduceat(weights, starts)
-
-
 def embed(tree: ShiftedQuadtree, diagram: PersistenceDiagram) -> EmbeddingVector:
     """Embed a diagram on a tree built over a superset of its points."""
     mults = diagram.multiplicities()
     cells, values = [], []
     for level, side, ix, iy, terminal in tree.level_pass(diagram.coords()):
         keep = ~terminal
-        cell, count = _sum_by_key(np.column_stack((ix[keep], iy[keep])), mults[keep])
-        cells.append(np.column_stack((np.full(len(cell), level, np.int64), cell)))
-        values.append(side * count)
+        ix, iy = ix[keep], iy[keep]
+        order, starts = group_rows(ix, iy)
+        first = order[starts]
+        cells.append(
+            np.column_stack((np.full(len(first), level, np.int64), ix[first], iy[first]))
+        )
+        values.append(side * np.add.reduceat(mults[keep][order], starts))
     return EmbeddingVector(
         tree_signature=tree.signature,
         cells=np.concatenate(cells),
@@ -80,9 +72,11 @@ def l1_distance(a: EmbeddingVector, b: EmbeddingVector) -> float:
             f"vectors come from different trees: "
             f"{a.tree_signature} vs {b.tree_signature}"
         )
-    _, diffs = _sum_by_key(
-        np.concatenate((a.cells, b.cells)), np.concatenate((a.values, -b.values))
-    )
+    cells = np.concatenate((a.cells, b.cells))
+    # (level, ix) packs into one exact integer since ix < 2**(MAX_LEVELS - 1)
+    order, starts = group_rows((cells[:, 0] << (MAX_LEVELS - 1)) + cells[:, 1], cells[:, 2])
+    values = np.concatenate((a.values, -b.values))
+    diffs = np.add.reduceat(values[order], starts)
     return math.fsum(np.abs(diffs).tolist())
 
 
@@ -98,7 +92,10 @@ def write_vector(vector: EmbeddingVector, path) -> None:
 
 
 def read_vector(path) -> EmbeddingVector:
+    """Parse a vector file; raises ValueError for a malformed line or a cell
+    no tree of at most MAX_LEVELS levels has."""
     path = Path(path)
+    limit = 1 << (MAX_LEVELS - 1)
     with path.open() as fh:
         signature = fh.readline().strip()
         if not signature:
@@ -112,7 +109,10 @@ def read_vector(path) -> EmbeddingVector:
             fields = line.split()
             if len(fields) != 4:
                 raise ValueError(f"{path.name}: malformed entry at line {lineno}")
-            cells.append((int(fields[0]), int(fields[1]), int(fields[2])))
+            level, ix, iy = int(fields[0]), int(fields[1]), int(fields[2])
+            if not (0 <= level < MAX_LEVELS and 0 <= ix < limit and 0 <= iy < limit):
+                raise ValueError(f"{path.name}: cell out of range at line {lineno}")
+            cells.append((level, ix, iy))
             values.append(float(fields[3]))
     return EmbeddingVector(
         tree_signature=signature,

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from ._rows import group_rows
 from .diagram import GroundMetric, PersistenceDiagram
 from .embedding import embed, l1_distance
 from .quadtree import ShiftedQuadtree, TreeConfig, build_tree, union_coords
@@ -42,43 +44,102 @@ class MatchPair:
     distance: float  # per unit of mass, under the matching's ground metric
 
 
-@dataclass
+@dataclass(eq=False)
 class AugmentedMatching:
     """Total matching of two diagrams with its cost and level accounting.
+
+    The pairs are parallel arrays in matching order. `point` indexes `coords`
+    (first's distinct points, then second's); `partner` is second's point of
+    a cross pair and -1 for a pair of `point` with its diagonal projection;
+    `mass`, `level` and `distance` (per unit of mass) complete each pair.
+    `pairs` builds the MatchPair list from them on first access.
 
     level_residuals[i] = (level, unmatched mass remaining after that level's
     cells were processed, before any root fallback).
     """
 
-    pairs: list[MatchPair]
     cost: float
     ground_metric: GroundMetric
     tree_signature: str
+    coords: np.ndarray
+    n_first: int
+    point: np.ndarray
+    partner: np.ndarray
+    mass: np.ndarray
+    level: np.ndarray
+    distance: np.ndarray
     level_residuals: list[tuple[int, int]] = field(default_factory=list)
     root_fallback: bool = False
 
+    @cached_property
+    def pairs(self) -> list[MatchPair]:
+        xy = [tuple(row) for row in self.coords.tolist()]
+        pairs = []
+        for i, j, mass, level, dist in zip(
+            self.point.tolist(),
+            self.partner.tolist(),
+            self.mass.tolist(),
+            self.level.tolist(),
+            self.distance.tolist(),
+        ):
+            if j >= 0:
+                pairs.append(MatchPair(xy[i], xy[j], mass, KIND_CROSS, level, dist))
+                continue
+            mid = 0.5 * (xy[i][0] + xy[i][1])
+            if i < self.n_first:
+                pair = MatchPair(xy[i], (mid, mid), mass, KIND_P_TO_DIAGONAL, level, dist)
+            else:
+                pair = MatchPair((mid, mid), xy[i], mass, KIND_Q_TO_DIAGONAL, level, dist)
+            pairs.append(pair)
+        return pairs
 
-def _diagonal_pair(
-    x: float, y: float, mass: int, from_first: bool, level: int, metric: GroundMetric
-) -> MatchPair:
-    mid = 0.5 * (x + y)
-    dist = abs(y - x) * metric.diagonal_factor
-    if from_first:
-        return MatchPair((x, y), (mid, mid), mass, KIND_P_TO_DIAGONAL, level, dist)
-    return MatchPair((mid, mid), (x, y), mass, KIND_Q_TO_DIAGONAL, level, dist)
 
+def _cross_walk(mass: np.ndarray, starts: np.ndarray, from_first: np.ndarray):
+    """Greedy cross pairing inside every cell holding points of both diagrams.
 
-def _mixed_cells(cx: np.ndarray, cy: np.ndarray, from_first: np.ndarray):
-    """(start, split, end) of each run of equal cells holding points of both
-    diagrams, with first's points in [start, split) and second's in
-    [split, end)."""
-    if len(cx) == 0:
-        return []
-    starts = np.flatnonzero(np.r_[True, (cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1])])
-    ends = np.r_[starts[1:], len(cx)]
+    `mass` holds the live masses in walk order, `starts` the position where
+    each cell begins and `from_first` marks first's points, which precede
+    second's inside a cell. Walking both sides of a cell in order and pairing
+    the smaller remaining mass is the north-west-corner rule, so it is
+    computed for all cells at once: each side's cumulative masses, clipped to
+    the cell's matched mass min(sum first, sum second) and offset by the mass
+    matched in earlier cells, are interval ends on one global axis, and every
+    interval between consecutive distinct ends is one pair. Returns the
+    positions of each pair's two points and its mass, in walk order, and the
+    mass each position has left.
+    """
+    ends = np.append(starts, len(mass))[1:]
     splits = starts + np.add.reduceat(from_first, starts, dtype=np.int64)
     mixed = (starts < splits) & (splits < ends)
-    return zip(starts[mixed].tolist(), splits[mixed].tolist(), ends[mixed].tolist())
+    if not mixed.any():
+        none = np.zeros(0, np.int64)
+        return none, none, none, mass
+    lo, mid, hi = starts[mixed], splits[mixed], ends[mixed]
+    cum = np.concatenate(([0], np.cumsum(mass)))
+    matched = np.minimum(cum[mid] - cum[lo], cum[hi] - cum[mid])
+    offset = np.cumsum(matched) - matched
+
+    def intervals(first, stop):
+        # positions first[c] .. stop[c]-1 of every mixed cell c, and the
+        # global [begin, end) of the mass each of them gets matched
+        counts = stop - first
+        cell = np.repeat(np.arange(len(first)), counts)
+        pos = np.arange(counts.sum()) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+        base, cap, shift = cum[first][cell], matched[cell], offset[cell]
+        begin = shift + np.minimum(cum[pos] - base, cap)
+        end = shift + np.minimum(cum[pos + 1] - base, cap)
+        return pos, begin, end
+
+    pos_a, begin_a, end_a = intervals(lo, mid)
+    pos_b, begin_b, end_b = intervals(mid, hi)
+    breaks = np.unique(np.concatenate((end_a, end_b)))
+    low = np.concatenate(([0], breaks))[:-1]
+    a = pos_a[np.searchsorted(end_a, low, side="right")]
+    b = pos_b[np.searchsorted(end_b, low, side="right")]
+    left = mass.copy()
+    left[pos_a] -= end_a - begin_a
+    left[pos_b] -= end_b - begin_b
+    return a, b, breaks - low, left
 
 
 def greedy_match(
@@ -91,65 +152,56 @@ def greedy_match(
 
     Deterministic given (tree, first, second); swapping the diagrams yields
     the mirrored pair multiset at identical cost. Runs in
-    O((|first| + |second|) * levels).
+    O((|first| + |second|) * levels) plus one sort per level.
     """
     metric = metric or tree.ground_metric
     # points of first, then of second, each in lexicographic order
     coords = np.vstack((first.coords(), second.coords()))
     mass = np.concatenate((first.multiplicities(), second.multiplicities()))
     n_first = len(first)
-    xs, ys = coords[:, 0].tolist(), coords[:, 1].tolist()
-    live = np.arange(len(mass))
-    pairs: list[MatchPair] = []
+    walk = np.arange(len(mass))  # live points in the previous level's walk order
+    pairs: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = []
     residuals: list[tuple[int, int]] = []
 
     def to_diagonal(points: np.ndarray, level: int) -> None:
-        for i, m in zip(points.tolist(), mass[points].tolist()):
-            pairs.append(_diagonal_pair(xs[i], ys[i], m, i < n_first, level, metric))
+        pairs.append((points, np.full(len(points), -1), mass[points], level))
         mass[points] = 0
 
     for level, _, ix, iy, terminal in tree.level_pass(coords):
-        to_diagonal(live[terminal[live]], level)
-        live = live[~terminal[live]]
+        if len(walk) == 0:
+            residuals.append((level, 0))
+            continue
+        to_diagonal(walk[terminal[walk]], level)
         # sort by cell; within a cell first's points precede second's, each
         # side in lexicographic order
-        live = live[np.lexsort((live, iy[live], ix[live]))]
-        members = live.tolist()
-        left = mass[live].tolist()
-        for i, split, end in _mixed_cells(ix[live], iy[live], live < n_first):
-            j = split
-            while i < split and j < end:
-                a, b = members[i], members[j]
-                take = left[i] if left[i] < left[j] else left[j]
-                pairs.append(
-                    MatchPair(
-                        (xs[a], ys[a]),
-                        (xs[b], ys[b]),
-                        take,
-                        KIND_CROSS,
-                        level,
-                        metric.distance((xs[a], ys[a]), (xs[b], ys[b])),
-                    )
-                )
-                left[i] -= take
-                left[j] -= take
-                if left[i] == 0:
-                    i += 1
-                if left[j] == 0:
-                    j += 1
+        live = np.flatnonzero(mass > 0)
+        order, starts = group_rows(ix[live], iy[live])
+        live = live[order]
+        a, b, take, left = _cross_walk(mass[live], starts, live < n_first)
+        pairs.append((live[a], live[b], take, level))
         mass[live] = left
-        live = live[mass[live] > 0]
-        residuals.append((level, int(mass[live].sum())))
+        walk = live[left > 0]
+        residuals.append((level, int(left.sum())))
 
-    root_fallback = len(live) > 0
-    to_diagonal(live, tree.level_hi)
+    root_fallback = len(walk) > 0
+    to_diagonal(walk, tree.level_hi)
 
-    cost = math.fsum(p.mass * p.distance for p in pairs)
+    point, partner, pair_mass, levels = zip(*pairs)
+    point, partner, pair_mass = (np.concatenate(c) for c in (point, partner, pair_mass))
+    distance = np.abs(coords[point, 1] - coords[point, 0]) * metric.diagonal_factor
+    cross = partner >= 0
+    distance[cross] = metric.rowwise(coords[point[cross]], coords[partner[cross]])
     return AugmentedMatching(
-        pairs=pairs,
-        cost=cost,
+        cost=math.fsum((pair_mass * distance).tolist()),
         ground_metric=metric,
         tree_signature=tree.signature,
+        coords=coords,
+        n_first=n_first,
+        point=point,
+        partner=partner,
+        mass=pair_mass,
+        level=np.repeat(levels, [len(p) for p, *_ in pairs]),
+        distance=distance,
         level_residuals=residuals,
         root_fallback=root_fallback,
     )

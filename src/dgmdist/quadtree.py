@@ -15,8 +15,9 @@ Geometry conventions:
   terminality; both estimators consume its per-level arrays.
 - The finest level is chosen so its side is strictly below half the minimum
   separation: each occupied finest cell then holds one distinct point and
-  cannot be terminal. max_levels_cap guards near-duplicate inputs; when the
-  cap binds, `truncated` is set and those guarantees lapse.
+  cannot be terminal. max_levels_cap, at most MAX_LEVELS, guards
+  near-duplicate inputs; when the cap binds, `truncated` is set and those
+  guarantees lapse.
 
 Trees never materialize cells; a level pass addresses only the given points.
 """
@@ -32,7 +33,13 @@ from typing import Iterable, Iterator
 import numpy as np
 from scipy.spatial import cKDTree
 
+from ._rows import group_rows
 from .diagram import GroundMetric, PersistenceDiagram
+
+# Deepest supported tree. Cell indices then stay below 2**(MAX_LEVELS - 1),
+# so a (level, ix) pair packs into level * 2**(MAX_LEVELS - 1) + ix < 2**53
+# and every cell sort key is exact in float64.
+MAX_LEVELS = 48
 
 
 class OutsideRootError(ValueError):
@@ -48,8 +55,8 @@ class TreeConfig:
     ground_metric: GroundMetric = GroundMetric.L2
 
     def __post_init__(self):
-        if self.max_levels_cap < 2:
-            raise ValueError("max_levels_cap must be >= 2")
+        if not 2 <= self.max_levels_cap <= MAX_LEVELS:
+            raise ValueError(f"max_levels_cap must lie in [2, {MAX_LEVELS}]")
 
 
 class ShiftedQuadtree:
@@ -86,6 +93,8 @@ class ShiftedQuadtree:
             raise ValueError("root_side must be positive")
         if level_hi < level_lo:
             raise ValueError("level_hi must be >= level_lo")
+        if level_lo < 0 or level_hi >= MAX_LEVELS:
+            raise ValueError(f"levels must lie in [0, {MAX_LEVELS - 1}]")
         self.origin = (float(origin[0]), float(origin[1]))
         self.root_side = float(root_side)
         self.level_lo = int(level_lo)
@@ -208,7 +217,8 @@ def build_tree(points, config: TreeConfig) -> ShiftedQuadtree:
     pts = pts.reshape(-1, 2)
     if not np.isfinite(pts).all():
         raise ValueError("input points must have finite coordinates")
-    distinct = np.unique(pts, axis=0)
+    order, starts = group_rows(pts[:, 0], pts[:, 1])
+    distinct = pts[order[starts]]
 
     metric = config.ground_metric
     delta_min = _min_separation(distinct, metric)

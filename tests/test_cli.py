@@ -382,6 +382,37 @@ class TestEval:
         ]
 
 
+class TestOptionValues:
+    @pytest.mark.parametrize(
+        "command,options",
+        [
+            ("eval", ["--n-pairs", "0"]),
+            ("eval", ["--methods", "magic"]),
+            ("eval", ["--metrics", "l3"]),
+            ("eval", ["--reps", "0"]),
+            ("eval", ["--bench-sizes", "5,x"]),
+            ("bench", ["--sizes", "20,10"]),
+            ("bench", ["--sizes", "10,x"]),
+            ("bench", ["--reps", "0"]),
+        ],
+    )
+    def test_bad_option_value_is_usage_error(self, tmp_path, capsys, command, options):
+        data = tmp_path / "data"
+        run(capsys, "gen", "--kind", "uniform", "--count", "4",
+            "--max-size", "10", "--seed", "4", "--out", str(data))
+        out = tmp_path / "report"
+        if command == "eval":
+            argv = ["eval", "--data", str(data), "--out", str(out), "--n-pairs", "2",
+                    "--bench-sizes", "20", "--reps", "1"]
+        else:
+            argv = ["bench", "--sizes", "10", "--reps", "1", "--out", str(out)]
+        code, stdout, err = run(capsys, *argv, *options)
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert err.splitlines()[-1].startswith("error:")
+        assert not out.exists()
+
+
 class TestBench:
     def test_row_per_size_and_method(self, tmp_path, capsys):
         out = tmp_path / "runtime.csv"

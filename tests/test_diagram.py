@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgmdist.diagram import (
     DiagramParseError,
@@ -117,6 +119,100 @@ class TestPersistenceDiagram:
             d.coords()[0, 0] = 99.0
 
 
+@st.composite
+def point_rows(draw):
+    """(birth, death, multiplicity) rows drawn from a small pool, so that
+    duplicates are common; births may be -0.0 or 0.0 for the same point."""
+    pool = draw(
+        st.lists(
+            st.tuples(st.sampled_from([0.0, 1.0, -2.5, 1e11]), st.floats(0.5, 9.0)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    rows = []
+    for _ in range(draw(st.integers(0, 15))):
+        birth, life = draw(st.sampled_from(pool))
+        if birth == 0.0 and draw(st.booleans()):
+            birth = -0.0
+        rows.append((birth, birth + life, draw(st.integers(1, 4))))
+    return rows
+
+
+def merged_reference(rows):
+    """The multiset as a sorted list of (birth, death, multiplicity), each
+    distinct point represented by its first occurrence."""
+    merged = {}
+    for birth, death, mult in rows:
+        merged[(birth, death)] = merged.get((birth, death), 0) + mult
+    return [(b, d, m) for (b, d), m in sorted(merged.items())]
+
+
+class TestColumnarDiagram:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(point_rows())
+    def test_array_and_point_construction_agree(self, rows):
+        from_points = PersistenceDiagram([PDPoint(*row) for row in rows])
+        from_arrays = PersistenceDiagram._from_columns(
+            [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
+        )
+        expected = merged_reference(rows)
+        for d in (from_points, from_arrays):
+            # repr keeps the sign of zero: the first occurrence is kept
+            assert [repr(x) for x in d.coords().ravel().tolist()] == [
+                repr(x) for b, dth, _ in expected for x in (b, dth)
+            ]
+            assert d.coords().shape == (len(expected), 2)
+            assert d.multiplicities().tolist() == [m for _, _, m in expected]
+            assert d.multiplicities().dtype == np.int64
+            assert d.points == tuple(PDPoint(*row) for row in expected)
+            assert list(d) == list(d.points)
+            assert d.total_count == sum(r[2] for r in rows)
+        assert from_points == from_arrays
+        assert hash(from_points) == hash(from_arrays)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(point_rows())
+    def test_sign_of_zero_does_not_matter(self, rows):
+        flipped = [(-b if b == 0.0 else b, d, m) for b, d, m in rows]
+        a, b = PersistenceDiagram(rows), PersistenceDiagram(flipped)
+        assert a == b
+        assert hash(a) == hash(b)
+
+    def test_unequal_diagrams(self):
+        a = PersistenceDiagram([(0, 4, 2)])
+        assert a != PersistenceDiagram([(0, 4)])
+        assert a != PersistenceDiagram([(0, 4, 2), (1, 5)])
+        assert a != PersistenceDiagram()
+
+    def test_loading_and_generating_build_no_points(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.txt"
+        save_diagram(gen_uniform(50, 1), path)
+
+        def refuse(self):
+            raise AssertionError("PDPoint built")
+
+        monkeypatch.setattr(PDPoint, "__post_init__", refuse)
+        load_diagram(path)
+        gen_uniform(50, 2)
+        gen_gaussian(50, 3)
+        with pytest.raises(AssertionError):
+            load_diagram(path).points
+
+    def test_merged_multiplicity_must_fit_int64(self):
+        top = 2**63 - 1
+        assert PersistenceDiagram([(0, 1, top - 5), (0, 1, 5)]).total_count == top
+        with pytest.raises(OverflowError):
+            PersistenceDiagram([(0, 1, top - 5), (0, 1, 6)])
+
+    def test_empty_input(self):
+        empty = PersistenceDiagram._from_columns([], [], [])
+        assert empty == PersistenceDiagram() and hash(empty) == hash(PersistenceDiagram())
+        assert empty.points == () and len(empty) == 0 and empty.total_count == 0
+        assert empty.coords().shape == (0, 2)
+        assert empty.multiplicities().shape == (0,)
+
+
 class TestFileIO:
     def test_basic_file(self, tmp_path):
         path = tmp_path / "d.txt"
@@ -148,6 +244,13 @@ class TestFileIO:
         path = tmp_path / "d.txt"
         path.write_text("0 4\nnot a point\n")
         with pytest.raises(DiagramParseError, match="line 2"):
+            load_diagram(path)
+
+    def test_first_bad_line_is_reported(self, tmp_path):
+        # an invalid point on line 2 precedes a malformed number on line 4
+        path = tmp_path / "d.txt"
+        path.write_text("0 4\n5 1\n1 5\n1 x\n")
+        with pytest.raises(InvalidPointError, match="death <= birth at line 2"):
             load_diagram(path)
 
     def test_wrong_field_count(self, tmp_path):

@@ -189,3 +189,13 @@ class TestVectorFiles:
         (tmp_path / "bad.vec").write_text("")
         with pytest.raises(ValueError):
             read_vector(tmp_path / "bad.vec")
+
+    @pytest.mark.parametrize(
+        "entry", ["-1 0 0 1.0", "48 0 0 1.0", "0 -1 0 1.0", "0 0 140737488355328 1.0"]
+    )
+    def test_cell_outside_every_tree_rejected(self, tmp_path, entry):
+        # the largest cell index of a MAX_LEVELS-level tree is 2**47 - 1
+        path = tmp_path / "bad.vec"
+        path.write_text(f"qt:0:abc\n0 140737488355327 0 2.0\n{entry}\n")
+        with pytest.raises(ValueError, match="out of range at line 3"):
+            read_vector(path)

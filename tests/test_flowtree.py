@@ -199,6 +199,24 @@ class TestFlowtreeDistance:
             assert cost >= exact_distance(first, second, metric) - 1e-9
 
 
+    def test_builds_no_pair_objects(self, monkeypatch):
+        # the cost comes from the pair arrays; MatchPairs are built only
+        # when .pairs is read
+        first, second = gen_uniform(200, 1), gen_uniform(200, 2)
+        tree = pair_tree(first, second, 3)
+        expected = greedy_match(tree, first, second).pairs
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("MatchPair built")
+
+        monkeypatch.setattr("dgmdist.flowtree.MatchPair", refuse)
+        flowtree_distance(tree, first, second)
+        multi_tree_estimate(first, second, GroundMetric.L2, [3, 4])
+        matching = greedy_match(tree, first, second)
+        monkeypatch.undo()
+        assert matching.pairs == expected
+
+
 class TestMultiTree:
     def test_single_seed_matches_direct_call(self):
         first, second = random_pair(19, max_points=10)

@@ -8,6 +8,7 @@ import pytest
 
 from dgmdist import GroundMetric, PersistenceDiagram, gen_gaussian, gen_uniform
 from dgmdist.quadtree import (
+    MAX_LEVELS,
     OutsideRootError,
     ShiftedQuadtree,
     TreeConfig,
@@ -37,6 +38,20 @@ class TestConfig:
     def test_cap_validated(self):
         with pytest.raises(ValueError):
             TreeConfig(seed=0, max_levels_cap=1)
+
+    def test_cap_bounded_by_deepest_indexable_tree(self):
+        # the default cap fits; a cap the cell keys cannot index is refused
+        # before any tree is built
+        assert MAX_LEVELS >= TreeConfig(seed=0).max_levels_cap == 40
+        TreeConfig(seed=0, max_levels_cap=MAX_LEVELS)
+        for cap in (MAX_LEVELS + 1, 70):
+            with pytest.raises(ValueError, match="max_levels_cap"):
+                TreeConfig(seed=0, max_levels_cap=cap)
+
+    def test_tree_levels_bounded(self):
+        manual_tree(levels=MAX_LEVELS)
+        with pytest.raises(ValueError, match="levels must lie"):
+            manual_tree(levels=MAX_LEVELS + 1)
 
 
 class TestBuildTree:

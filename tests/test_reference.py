@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import reference
 from dgmdist import (
+    MAX_LEVELS,
     GroundMetric,
     PersistenceDiagram,
     ShiftedQuadtree,
@@ -46,12 +47,13 @@ def assert_matches_reference(tree, first, second, metric):
 
 
 @st.composite
-def instances(draw):
+def instances(draw, max_mult=3):
     """(tree, first, second, metric) over a shared pool of points.
 
     The pool sits at an offset up to 1e11 and may contain a near-duplicate,
     which with a small level cap truncates the tree. Diagrams draw pool
-    points with multiplicities and may be empty or hold a single point.
+    points with multiplicities up to max_mult and may be empty or hold a
+    single point.
     """
     offset = draw(st.sampled_from([0.0, -250.0, 3e4, 1e11]))
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
@@ -73,7 +75,7 @@ def instances(draw):
     def diagram():
         picks = draw(
             st.lists(
-                st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 3)),
+                st.tuples(st.integers(0, len(pool) - 1), st.integers(1, max_mult)),
                 max_size=12,
             )
         )
@@ -92,6 +94,15 @@ def instances(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(instances())
 def test_matches_reference(instance):
+    assert_matches_reference(*instance)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(instances(max_mult=10**6))
+def test_matches_reference_with_large_multiplicities(instance):
+    # unequal masses up to 10^6 per point: a point's mass is split over
+    # several cross pairs and several levels, and the surplus side changes
+    # from cell to cell
     assert_matches_reference(*instance)
 
 
@@ -159,6 +170,18 @@ def test_forty_level_tree_matches_reference(offset, metric):
     assert_matches_reference(tree, first, second, metric)
 
 
+@pytest.mark.parametrize("metric", list(GroundMetric))
+def test_deepest_tree_matches_reference(metric):
+    # a point 1e-200 from the diagonal truncates the deepest tree a config
+    # allows: 2^(MAX_LEVELS - 1) cells per axis at the finest level
+    first = PersistenceDiagram([(0.0, 1e-200), (3.0, 5.0, 2), (1e-300, 4.0)])
+    second = PersistenceDiagram([(1e-100, 3e-100, 3), (2.0, 7.0)])
+    config = TreeConfig(seed=5, max_levels_cap=MAX_LEVELS, ground_metric=metric)
+    tree = build_tree(union_coords((first, second)), config)
+    assert tree.num_levels == MAX_LEVELS and tree.truncated
+    assert_matches_reference(tree, first, second, metric)
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e11])
 def test_export_files_match_reference(tmp_path, offset):
     # vector files are byte-identical; matching files list the same lines
@@ -178,3 +201,15 @@ def test_export_files_match_reference(tmp_path, offset):
     ]
     lines = (tmp_path / "m.match").read_text().splitlines()
     assert sorted(lines) == sorted(expected)
+
+
+def test_matching_file_is_byte_stable(tmp_path):
+    # the same seed writes the same matching file, line for line
+    first = PersistenceDiagram([(0.0, 4.0, 10**6), (1.0, 9.0, 3), (2.0, 2.5)])
+    second = PersistenceDiagram([(0.5, 4.5, 999_999), (1.0, 8.0, 7), (6.0, 6.25, 2)])
+    texts = []
+    for run in range(2):
+        tree = build_tree(union_coords((first, second)), TreeConfig(seed=23))
+        write_matching(greedy_match(tree, first, second), tmp_path / f"{run}.match")
+        texts.append((tmp_path / f"{run}.match").read_bytes())
+    assert texts[0] == texts[1] and texts[0]
