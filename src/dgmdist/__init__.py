@@ -59,6 +59,7 @@ from .flowtree import (
     AugmentedMatching,
     MatchPair,
     flowtree_distance,
+    flowtree_distances,
     greedy_match,
     multi_tree_estimate,
     write_matching,
@@ -68,7 +69,9 @@ from .quadtree import (
     OutsideRootError,
     ShiftedQuadtree,
     TreeConfig,
+    TreeGeometry,
     build_tree,
+    tree_geometry,
     union_coords,
 )
 
@@ -99,6 +102,7 @@ __all__ = [
     "ShiftedQuadtree",
     "SizeCapError",
     "TreeConfig",
+    "TreeGeometry",
     "TreeMismatchError",
     "brute_force_distance",
     "build_assignment",
@@ -108,6 +112,7 @@ __all__ = [
     "error_suite",
     "exact_distance",
     "flowtree_distance",
+    "flowtree_distances",
     "gen_gaussian",
     "gen_uniform",
     "greedy_match",
@@ -123,6 +128,7 @@ __all__ = [
     "relative_error",
     "runtime_bench",
     "save_diagram",
+    "tree_geometry",
     "union_coords",
     "write_matching",
     "write_vector",

@@ -274,6 +274,8 @@ def cmd_eval(args) -> int:
     if args.reps < 1:
         raise UsageError("reps must be >= 1")
     _, dataset = _load_dir(args.data)
+    if len(dataset) < 2:
+        raise UsageError("dataset must contain at least two diagrams")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -30,7 +30,7 @@ import numpy as np
 from .diagram import GroundMetric, PersistenceDiagram, gen_uniform
 from .embedding import embed, l1_distance
 from .exact import SizeCapError, exact_distance
-from .flowtree import flowtree_distance
+from .flowtree import flowtree_distance, flowtree_distances
 from .quadtree import ShiftedQuadtree, TreeConfig, build_tree, union_coords
 
 log = logging.getLogger(__name__)
@@ -272,11 +272,13 @@ def _query_job(
 ):
     """Distances from one query to every candidate, or None if the oracle cap
     was exceeded."""
-    if candidate_vectors is not None:
+    if method == "embedding":
         qv = embed(tree, query)
         return [l1_distance(qv, cv) for cv in candidate_vectors]
+    if method == "flowtree":
+        return flowtree_distances(tree, query, candidates, metric)
     try:
-        return [_approx_distance(method, tree, query, c, metric) for c in candidates]
+        return [exact_distance(query, c, metric) for c in candidates]
     except SizeCapError:
         return None
 
@@ -292,8 +294,9 @@ def knn_distances(
     """One row of candidate distances per query; None marks a query skipped
     because the oracle cap was exceeded.
 
-    Tree methods share one tree over queries and candidates, and the
-    embedding method embeds every candidate once.
+    Tree methods share one tree over queries and candidates; the embedding
+    method embeds every candidate once, and the flowtree method walks each
+    query against all candidates together (flowtree_distances).
     """
     if not candidates:
         raise ValueError("candidates must be non-empty")

@@ -10,6 +10,12 @@ anyway so the matching is always total; `root_fallback` records that.
 
 The distance is the ground-metric cost of this matching, an upper bound on
 the exact 1-Wasserstein distance for every tree.
+
+One private kernel, _walk, runs the level sweep for any number of diagram
+pairs at once: their points are stacked pair by pair and grouped by (pair,
+cell), so each level costs a fixed number of array operations however many
+pairs it carries. greedy_match walks one pair; flowtree_distances walks one
+query against all its candidates and returns the same costs, bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 from ._rows import group_rows
 from .diagram import GroundMetric, PersistenceDiagram
 from .embedding import embed, l1_distance
-from .quadtree import ShiftedQuadtree, TreeConfig, build_tree, union_coords
+from .quadtree import ShiftedQuadtree, TreeConfig, tree_geometry, union_coords
 
 KIND_CROSS = "cross"
 KIND_P_TO_DIAGONAL = "p_to_diagonal"
@@ -142,23 +148,27 @@ def _cross_walk(mass: np.ndarray, starts: np.ndarray, from_first: np.ndarray):
     return a, b, breaks - low, left
 
 
-def greedy_match(
+def _walk(
     tree: ShiftedQuadtree,
-    first: PersistenceDiagram,
-    second: PersistenceDiagram,
-    metric: GroundMetric | None = None,
-) -> AugmentedMatching:
-    """Bottom-up greedy augmented matching of two diagrams on one tree.
+    coords: np.ndarray,
+    mass: np.ndarray,
+    pair: np.ndarray,
+    from_first: np.ndarray,
+):
+    """The greedy matchings of several diagram pairs, one pass per level.
 
-    Deterministic given (tree, first, second); swapping the diagrams yields
-    the mirrored pair multiset at identical cost. Runs in
-    O((|first| + |second|) * levels) plus one sort per level.
+    Rows are stacked pair-major: pair p's first-diagram points, then its
+    second-diagram points, each side in lexicographic order. `pair` holds
+    each row's pair index (non-decreasing, below 2**(54 - tree.num_levels)),
+    `from_first` marks first's points and `mass` is used up in place. Each
+    pair is matched exactly as if walked alone: its points never share a
+    cell with another pair's.
+
+    Returns the matched pairs as (point, partner, mass, level) arrays in
+    matching order (partner -1 for a diagonal pair), the unmatched mass
+    after each level summed over the pairs, and whether any mass reached the
+    root fallback.
     """
-    metric = metric or tree.ground_metric
-    # points of first, then of second, each in lexicographic order
-    coords = np.vstack((first.coords(), second.coords()))
-    mass = np.concatenate((first.multiplicities(), second.multiplicities()))
-    n_first = len(first)
     walk = np.arange(len(mass))  # live points in the previous level's walk order
     pairs: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = []
     residuals: list[tuple[int, int]] = []
@@ -172,12 +182,15 @@ def greedy_match(
             residuals.append((level, 0))
             continue
         to_diagonal(walk[terminal[walk]], level)
-        # sort by cell; within a cell first's points precede second's, each
-        # side in lexicographic order
+        # sort by (pair, cell); within a cell first's points precede second's,
+        # each side in lexicographic order. ix < 2**(level_hi - level), so the
+        # packed (pair, ix) key orders like the tuple and stays below 2**53.
         live = np.flatnonzero(mass > 0)
-        order, starts = group_rows(ix[live], iy[live])
+        order, starts = group_rows(
+            (pair[live] << (tree.level_hi - level)) + ix[live], iy[live]
+        )
         live = live[order]
-        a, b, take, left = _cross_walk(mass[live], starts, live < n_first)
+        a, b, take, left = _cross_walk(mass[live], starts, from_first[live])
         pairs.append((live[a], live[b], take, level))
         mass[live] = left
         walk = live[left > 0]
@@ -185,12 +198,45 @@ def greedy_match(
 
     root_fallback = len(walk) > 0
     to_diagonal(walk, tree.level_hi)
-
     point, partner, pair_mass, levels = zip(*pairs)
-    point, partner, pair_mass = (np.concatenate(c) for c in (point, partner, pair_mass))
+    matched = (np.concatenate(point), np.concatenate(partner), np.concatenate(pair_mass))
+    return (*matched, np.repeat(levels, [len(p) for p in point])), residuals, root_fallback
+
+
+def _pair_distances(coords, point, partner, metric: GroundMetric) -> np.ndarray:
+    """Per-unit ground distance of every matched pair."""
     distance = np.abs(coords[point, 1] - coords[point, 0]) * metric.diagonal_factor
     cross = partner >= 0
     distance[cross] = metric.rowwise(coords[point[cross]], coords[partner[cross]])
+    return distance
+
+
+def greedy_match(
+    tree: ShiftedQuadtree,
+    first: PersistenceDiagram,
+    second: PersistenceDiagram,
+    metric: GroundMetric | None = None,
+) -> AugmentedMatching:
+    """Bottom-up greedy augmented matching of two diagrams on one tree.
+
+    Deterministic given (tree, first, second); swapping the diagrams yields
+    the mirrored pair multiset at identical cost. Runs in
+    O((|first| + |second|) * levels) plus one sort per level of the walk,
+    which flowtree_distances shares among many pairs.
+    """
+    metric = metric or tree.ground_metric
+    # points of first, then of second, each in lexicographic order
+    coords = np.vstack((first.coords(), second.coords()))
+    mass = np.concatenate((first.multiplicities(), second.multiplicities()))
+    n_first = len(first)
+    (point, partner, pair_mass, level), residuals, root_fallback = _walk(
+        tree,
+        coords,
+        mass,
+        np.zeros(len(mass), np.int64),
+        np.arange(len(mass)) < n_first,
+    )
+    distance = _pair_distances(coords, point, partner, metric)
     return AugmentedMatching(
         cost=math.fsum((pair_mass * distance).tolist()),
         ground_metric=metric,
@@ -200,7 +246,7 @@ def greedy_match(
         point=point,
         partner=partner,
         mass=pair_mass,
-        level=np.repeat(levels, [len(p) for p, *_ in pairs]),
+        level=level,
         distance=distance,
         level_residuals=residuals,
         root_fallback=root_fallback,
@@ -217,6 +263,42 @@ def flowtree_distance(
     return greedy_match(tree, first, second, metric).cost
 
 
+def flowtree_distances(
+    tree: ShiftedQuadtree,
+    query: PersistenceDiagram,
+    candidates: Sequence[PersistenceDiagram],
+    metric: GroundMetric | None = None,
+) -> list[float]:
+    """flowtree_distance from one query to every candidate, in order.
+
+    Equal (==) to [flowtree_distance(tree, query, c, metric) for c in
+    candidates]; the pairs are walked together, one pass per level for up to
+    2**(54 - tree.num_levels) candidates at a time, and each cost is one
+    math.fsum over its own pairs, as for a single pair.
+    """
+    metric = metric or tree.ground_metric
+    step = 1 << (54 - tree.num_levels)
+    costs: list[float] = []
+    for begin in range(0, len(candidates), step):
+        batch = candidates[begin : begin + step]
+        blocks = [d for c in batch for d in (query, c)]
+        coords = np.vstack([d.coords() for d in blocks])
+        mass = np.concatenate([d.multiplicities() for d in blocks])
+        sizes = np.array([len(query) + len(c) for c in batch])
+        pair = np.repeat(np.arange(len(batch)), sizes)
+        first_end = np.repeat(np.cumsum(sizes) - sizes + len(query), sizes)
+        from_first = np.arange(len(mass)) < first_end
+        (point, partner, pair_mass, _), _, _ = _walk(tree, coords, mass, pair, from_first)
+        products = pair_mass * _pair_distances(coords, point, partner, metric)
+        owner = pair[point]
+        products = products[np.argsort(owner, kind="stable")].tolist()
+        ends = np.cumsum(np.bincount(owner, minlength=len(batch))).tolist()
+        costs.extend(
+            math.fsum(products[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)
+        )
+    return costs
+
+
 def multi_tree_estimate(
     first: PersistenceDiagram,
     second: PersistenceDiagram,
@@ -227,10 +309,11 @@ def multi_tree_estimate(
 ) -> tuple[float, list[dict]]:
     """Distance estimate over several independently shifted trees.
 
-    Builds one tree per seed over the union of both diagrams' points, runs
-    the tree method on each and reduces the per-tree estimates by mean
-    (math.fsum) or min. Returns the estimate and one tree.meta() dict per
-    seed; for flowtree each dict also records the matching's root_fallback.
+    Shifts one tree per seed over the union of both diagrams' points, whose
+    seed-independent geometry is computed once, runs the tree method on each
+    and reduces the per-tree estimates by mean (math.fsum) or min. Returns
+    the estimate and one tree.meta() dict per seed; for flowtree each dict
+    also records the matching's root_fallback.
     Two empty diagrams give (0.0, []) without building a tree. `dgmdist
     dist` prints exactly this result.
     """
@@ -242,11 +325,11 @@ def multi_tree_estimate(
         raise ValueError(f"method must be 'flowtree' or 'embedding', got {method!r}")
     if first.total_count == 0 and second.total_count == 0:
         return 0.0, []
-    points = union_coords((first, second))
+    geometry = tree_geometry(union_coords((first, second)), metric)
     values = []
     tree_meta = []
     for seed in seeds:
-        tree = build_tree(points, TreeConfig(seed=seed, ground_metric=metric))
+        tree = geometry.tree(TreeConfig(seed=seed, ground_metric=metric))
         meta = tree.meta()
         if method == "flowtree":
             matching = greedy_match(tree, first, second, metric)

@@ -20,6 +20,9 @@ Geometry conventions:
   guarantees lapse.
 
 Trees never materialize cells; a level pass addresses only the given points.
+Only the shift depends on the seed: tree_geometry computes the rest once per
+point set, TreeGeometry.tree adds one seed's shift, and build_tree is the two
+in a row.
 """
 
 from __future__ import annotations
@@ -203,13 +206,46 @@ def _min_separation(points: np.ndarray, metric: GroundMetric) -> float:
     return smallest
 
 
-def build_tree(points, config: TreeConfig) -> ShiftedQuadtree:
-    """Build a randomly shifted quadtree over a non-empty planar point set.
+@dataclass(frozen=True, eq=False)
+class TreeGeometry:
+    """The seed-independent part of a tree over one point set: bounding box,
+    minimum separation, root span, depth before the cap, and spread. Every
+    seed's tree over the set is a cheap shift of it (see `tree`)."""
 
-    The shift is drawn from config.seed; identical (points, config) always
-    produce an identical tree. Depth adapts to the minimum separation so that
-    the finest cell side is strictly below half of it, unless
-    config.max_levels_cap binds (then `truncated` is set on the result).
+    ground_metric: GroundMetric
+    mins: np.ndarray
+    span: float
+    min_separation: float
+    levels: int
+    spread: float
+
+    def tree(self, config: TreeConfig) -> ShiftedQuadtree:
+        """The tree shifted by config.seed; equal to build_tree(points,
+        config) over the point set this geometry was computed from."""
+        if config.ground_metric is not self.ground_metric:
+            raise ValueError("config.ground_metric differs from the geometry's")
+        levels = min(self.levels, config.max_levels_cap)
+        mins, span = self.mins, self.span
+        shift = np.random.default_rng(config.seed).uniform(0.0, span, size=2)
+        return ShiftedQuadtree(
+            origin=(float(mins[0] - span + shift[0]), float(mins[1] - span + shift[1])),
+            root_side=2.0 * span,
+            level_lo=0,
+            level_hi=levels - 1,
+            shift=(float(shift[0]), float(shift[1])),
+            spread=self.spread,
+            seed=config.seed,
+            ground_metric=self.ground_metric,
+            min_separation=self.min_separation,
+            truncated=self.levels > config.max_levels_cap,
+        )
+
+
+def tree_geometry(points, metric: GroundMetric) -> TreeGeometry:
+    """Seed-independent geometry of a non-empty planar point set.
+
+    Depth adapts to the minimum separation so that the finest cell side is
+    strictly below half of it; a tree's max_levels_cap may cut it short.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -220,7 +256,6 @@ def build_tree(points, config: TreeConfig) -> ShiftedQuadtree:
     order, starts = group_rows(pts[:, 0], pts[:, 1])
     distinct = pts[order[starts]]
 
-    metric = config.ground_metric
     delta_min = _min_separation(distinct, metric)
     if delta_min <= 0.0:
         raise ValueError(
@@ -238,13 +273,6 @@ def build_tree(points, config: TreeConfig) -> ShiftedQuadtree:
     levels = max(2, int(math.floor(math.log2(root_side / delta_min))) + 3)
     while root_side / 2.0 ** (levels - 1) >= 0.5 * delta_min:
         levels += 1
-    truncated = levels > config.max_levels_cap
-    if truncated:
-        levels = config.max_levels_cap
-
-    rng = np.random.default_rng(config.seed)
-    shift = rng.uniform(0.0, span, size=2)
-    origin = (float(mins[0] - span + shift[0]), float(mins[1] - span + shift[1]))
 
     if metric is GroundMetric.L1:
         diameter = float(extent.sum())
@@ -252,20 +280,26 @@ def build_tree(points, config: TreeConfig) -> ShiftedQuadtree:
         diameter = float(math.hypot(*extent))
     else:
         diameter = float(extent.max())
-    spread = diameter / delta_min
-
-    return ShiftedQuadtree(
-        origin=origin,
-        root_side=root_side,
-        level_lo=0,
-        level_hi=levels - 1,
-        shift=(float(shift[0]), float(shift[1])),
-        spread=spread,
-        seed=config.seed,
+    return TreeGeometry(
         ground_metric=metric,
+        mins=mins,
+        span=span,
         min_separation=delta_min,
-        truncated=truncated,
+        levels=levels,
+        spread=diameter / delta_min,
     )
+
+
+def build_tree(points, config: TreeConfig) -> ShiftedQuadtree:
+    """Build a randomly shifted quadtree over a non-empty planar point set.
+
+    The shift is drawn from config.seed; identical (points, config) always
+    produce an identical tree. Depth adapts to the minimum separation so that
+    the finest cell side is strictly below half of it, unless
+    config.max_levels_cap binds (then `truncated` is set on the result).
+    Several seeds over one point set share tree_geometry(points, metric).
+    """
+    return tree_geometry(points, config.ground_metric).tree(config)
 
 
 def union_coords(diagrams: Iterable[PersistenceDiagram]) -> np.ndarray:

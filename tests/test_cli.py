@@ -271,8 +271,41 @@ class TestKnn:
             outputs.append(out_csv.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_flowtree_stdout_same_with_two_workers(self, tmp_path, capsys):
+        # each worker runs whole-query batches; the rows must not depend on
+        # how the queries are spread over the pool
+        queries, cands = tmp_path / "q", tmp_path / "c"
+        run(capsys, "gen", "--kind", "gaussian", "--count", "3",
+            "--max-size", "40", "--seed", "12", "--out", str(queries))
+        run(capsys, "gen", "--kind", "gaussian", "--count", "15",
+            "--max-size", "40", "--seed", "13", "--out", str(cands))
+        outputs = []
+        for workers in ("1", "2"):
+            code, out, _ = run(
+                capsys,
+                "knn", "--queries", str(queries), "--candidates", str(cands),
+                "--method", "flowtree", "-k", "15", "--seed", "6",
+                "--workers", workers,
+            )
+            assert code == EXIT_OK
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 1 + 3 * 15
+
 
 class TestEval:
+    def test_one_diagram_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run(capsys, "gen", "--kind", "uniform", "--count", "1",
+            "--max-size", "10", "--seed", "4", "--out", str(data))
+        out = tmp_path / "report"
+        code, _, err = run(
+            capsys, "eval", "--data", str(data), "--out", str(out), "--seed", "1"
+        )
+        assert code == EXIT_USAGE
+        assert "error: dataset must contain at least two diagrams" in err
+        assert not out.exists()
+
     def test_emits_five_csv_files(self, tmp_path, capsys):
         data = tmp_path / "data"
         run(capsys, "gen", "--kind", "uniform", "--count", "12",

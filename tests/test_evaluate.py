@@ -5,7 +5,18 @@ import dataclasses
 import pytest
 
 import dgmdist.evaluate
-from dgmdist import GroundMetric, SizeCapError, exact_distance, gen_uniform
+from dgmdist import (
+    GroundMetric,
+    PersistenceDiagram,
+    SizeCapError,
+    TreeConfig,
+    build_tree,
+    exact_distance,
+    flowtree_distance,
+    gen_gaussian,
+    gen_uniform,
+    union_coords,
+)
 from dgmdist.evaluate import (
     ErrorStats,
     error_suite,
@@ -189,6 +200,23 @@ class TestRecall:
         assert true_rows == [None] * len(queries)
         with pytest.raises(SizeCapError, match="every query exceeded"):
             recall_at_m(true_rows, approx_rows, "embedding")
+
+
+class TestKnnDistances:
+    @pytest.mark.parametrize("metric", list(GroundMetric))
+    def test_flowtree_rows_equal_per_candidate_distances(self, metric):
+        # one batched walk per query gives each pair's flowtree_distance
+        # exactly, empty diagrams included
+        dataset = [gen_gaussian(3 + 7 * i, seed=60 + i) for i in range(14)]
+        queries = dataset[:3] + [PersistenceDiagram()]
+        candidates = dataset[3:] + [PersistenceDiagram()]
+        rows = knn_distances(queries, candidates, "flowtree", metric, seed=8)
+        tree = build_tree(
+            union_coords(queries + candidates), TreeConfig(seed=8, ground_metric=metric)
+        )
+        assert rows == [
+            [flowtree_distance(tree, q, c, metric) for c in candidates] for q in queries
+        ]
 
 
 class TestRankingTable:

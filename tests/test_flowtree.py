@@ -4,14 +4,19 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dgmdist.quadtree
 from dgmdist import (
+    MAX_LEVELS,
     GroundMetric,
     PersistenceDiagram,
     TreeConfig,
     build_tree,
     exact_distance,
     gen_uniform,
+    union_coords,
 )
 from dgmdist.embedding import embed, l1_distance
 from dgmdist.flowtree import (
@@ -19,6 +24,7 @@ from dgmdist.flowtree import (
     KIND_P_TO_DIAGONAL,
     KIND_Q_TO_DIAGONAL,
     flowtree_distance,
+    flowtree_distances,
     greedy_match,
     multi_tree_estimate,
     write_matching,
@@ -217,7 +223,137 @@ class TestFlowtreeDistance:
         assert matching.pairs == expected
 
 
+def per_pair_costs(tree, query, candidates, metric):
+    return [greedy_match(tree, query, c, metric).cost for c in candidates]
+
+
+@st.composite
+def batches(draw):
+    """(tree, query, candidates, metric) over a shared pool of points.
+
+    As test_reference's instances: offsets up to 1e11, a possible
+    near-duplicate that truncates a small-cap tree, multiplicities up to 3 or
+    up to 10^6, and diagrams that may be empty.
+    """
+    offset = draw(st.sampled_from([0.0, -250.0, 3e4, 1e11]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    raw = draw(
+        st.lists(
+            st.tuples(st.floats(-1.0, 1.0), st.floats(1e-3, 1.0)),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    pool = []
+    for b, life in raw:
+        birth = offset + scale * b
+        pool.append((birth, birth + scale * life + abs(birth) * 1e-9))
+    if draw(st.booleans()):
+        birth, death = pool[0]
+        pool.append((birth, math.nextafter(death, math.inf)))
+    max_mult = draw(st.sampled_from([3, 10**6]))
+
+    def diagram():
+        picks = draw(
+            st.lists(
+                st.tuples(st.integers(0, len(pool) - 1), st.integers(1, max_mult)),
+                max_size=12,
+            )
+        )
+        return PersistenceDiagram([(*pool[i], m) for i, m in picks])
+
+    query = diagram()
+    candidates = [diagram() for _ in range(draw(st.integers(0, 8)))]
+    metric = draw(st.sampled_from(list(GroundMetric)))
+    config = TreeConfig(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        max_levels_cap=draw(st.sampled_from([2, 3, 5, 12, 40])),
+        ground_metric=metric,
+    )
+    return build_tree(pool, config), query, candidates, metric
+
+
+class TestFlowtreeDistances:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(batches())
+    def test_equals_per_pair_costs(self, batch):
+        tree, query, candidates, metric = batch
+        assert flowtree_distances(tree, query, candidates, metric) == per_pair_costs(
+            tree, query, candidates, metric
+        )
+
+    @pytest.mark.parametrize("metric", list(GroundMetric))
+    def test_empty_query_and_candidates(self, metric):
+        empty = PersistenceDiagram()
+        query, other = gen_uniform(30, 1), gen_uniform(25, 2)
+        tree = build_tree(
+            union_coords((query, other)), TreeConfig(seed=4, ground_metric=metric)
+        )
+        for q, cands in ((query, [empty, other, empty]), (empty, [other, empty, query])):
+            costs = flowtree_distances(tree, q, cands, metric)
+            assert costs == per_pair_costs(tree, q, cands, metric)
+        assert flowtree_distances(tree, empty, [empty], metric) == [0.0]
+        assert flowtree_distances(tree, query, [], metric) == []
+
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_deepest_tree_past_one_walk(self, data):
+        # more candidates than one walk packs on a 48-level tree: pair
+        # index · 2^47 + ix would exceed 2^53 at the finest level. The points
+        # lie on one row of finest cells at uneven gaps, so cells merged by
+        # an inexact key would change the matching and its cost.
+        metric = data.draw(st.sampled_from(list(GroundMetric)))
+        anchors = [(0.0, 1e-200), (0.0, 8.0), (8.0, 16.0)]
+        config = TreeConfig(seed=5, max_levels_cap=MAX_LEVELS, ground_metric=metric)
+        tree = build_tree(anchors, config)
+        assert tree.num_levels == MAX_LEVELS and tree.truncated
+        side = tree.side(0)
+        gaps = data.draw(st.lists(st.floats(0.0, 0.99), min_size=24, max_size=24))
+        row = [(3.0 + (i + gap) * side, 8.0) for i, gap in enumerate(gaps)]
+
+        def diagram():
+            picks = data.draw(
+                st.lists(
+                    st.tuples(st.integers(0, len(row) - 1), st.integers(1, 10**6)),
+                    max_size=8,
+                )
+            )
+            return PersistenceDiagram([(*row[i], m) for i, m in picks])
+
+        query = diagram()
+        candidates = [diagram() for _ in range(data.draw(st.integers(65, 140)))]
+        assert flowtree_distances(tree, query, candidates, metric) == per_pair_costs(
+            tree, query, candidates, metric
+        )
+
+
 class TestMultiTree:
+    def test_geometry_computed_once(self, monkeypatch):
+        # five seeds share one minimum-separation search; every tree equals
+        # the one build_tree makes for its seed
+        first, second = random_pair(41, max_points=20)
+        calls = []
+        separation = dgmdist.quadtree._min_separation
+
+        def counting(*args):
+            calls.append(args)
+            return separation(*args)
+
+        monkeypatch.setattr(dgmdist.quadtree, "_min_separation", counting)
+        seeds = [3, 1, 4, 1, 5]
+        for method in ("flowtree", "embedding"):
+            calls.clear()
+            _, metas = multi_tree_estimate(
+                first, second, GroundMetric.L1, seeds, method=method
+            )
+            assert len(calls) == 1
+            expected = [
+                pair_tree(first, second, seed, GroundMetric.L1).meta() for seed in seeds
+            ]
+            for meta in metas:
+                meta.pop("root_fallback", None)
+            assert metas == expected
+
     def test_single_seed_matches_direct_call(self):
         first, second = random_pair(19, max_points=10)
         value, _ = multi_tree_estimate(

@@ -13,6 +13,7 @@ from dgmdist.quadtree import (
     ShiftedQuadtree,
     TreeConfig,
     build_tree,
+    tree_geometry,
     union_coords,
 )
 
@@ -115,6 +116,23 @@ class TestBuildTree:
             tree = pair_tree(first, second, seed=seed)
             if not tree.truncated:
                 assert tree.side(tree.level_lo) < 0.5 * tree.min_separation
+
+    @pytest.mark.parametrize("metric", list(GroundMetric))
+    def test_shared_geometry_gives_build_tree(self, metric):
+        # every seed and cap shifts the same geometry into build_tree's tree
+        pts = union_coords(random_pair(7)).tolist() + [(0.0, 4.0), (0.0, 4.0 + 1e-13)]
+        geometry = tree_geometry(pts, metric)
+        for seed in range(5):
+            for cap in (2, 10, 40):
+                config = TreeConfig(seed=seed, max_levels_cap=cap, ground_metric=metric)
+                tree, expected = geometry.tree(config), build_tree(pts, config)
+                assert tree.meta() == expected.meta()
+                assert tree.signature == expected.signature
+
+    def test_geometry_metric_must_match(self):
+        geometry = tree_geometry([(0.0, 4.0), (1.0, 5.0)], GroundMetric.L2)
+        with pytest.raises(ValueError, match="ground_metric"):
+            geometry.tree(TreeConfig(seed=0, ground_metric=GroundMetric.L1))
 
 
 def occupied_cells(tree, diagram):
