@@ -2,10 +2,13 @@
 
 For each of two fixed-seed sets of near-diagonal (gaussian) diagrams, split
 into queries and candidates, times one `knn_distances` call per method (the
-shared tree, candidate embeddings and every query x candidate distance) and
-reports the median over the runs in milliseconds per pair. One untimed call
-per method and set runs first. The report also records the git commit, the
-processor count and the Python, numpy and scipy versions.
+shared tree, the embedding index or the flowtree walks, and every query x
+candidate distance) and reports the median over the runs in milliseconds per
+pair. One untimed call per method and set runs first. For the embedding
+method it also times the two stages on the shared tree apart: the
+`embed_all` index over queries and candidates, and one query's `l1_row`.
+The report also records the git commit, the processor count and the Python,
+numpy and scipy versions.
 
 Usage, from anywhere in the repository:
 
@@ -30,7 +33,15 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
-from dgmdist import GroundMetric, gen_gaussian, knn_distances  # noqa: E402
+from dgmdist import (  # noqa: E402
+    GroundMetric,
+    TreeConfig,
+    build_tree,
+    embed_all,
+    gen_gaussian,
+    knn_distances,
+    union_coords,
+)
 
 # the first set has the shape of perfbench's knn-gaussian rounds
 SETS = (
@@ -56,13 +67,32 @@ def split_dataset(spec):
 
 
 def ms_per_pair(queries, candidates, method, runs):
-    knn_distances(queries, candidates, method, GroundMetric.L2, seed=0)
+    def run():
+        knn_distances(queries, candidates, method, GroundMetric.L2, seed=0)
+
+    return median_ms(run, runs) / (len(queries) * len(candidates))
+
+
+def median_ms(fn, runs):
+    """Median wall time of fn() over the runs, after one untimed call."""
+    fn()
     seconds = []
     for _ in range(runs):
         start = time.perf_counter()
-        knn_distances(queries, candidates, method, GroundMetric.L2, seed=0)
+        fn()
         seconds.append(time.perf_counter() - start)
-    return statistics.median(seconds) * 1e3 / (len(queries) * len(candidates))
+    return statistics.median(seconds) * 1e3
+
+
+def embedding_stages(queries, candidates, runs):
+    """(index build ms, ms per query row) on the tree knn_distances builds."""
+    diagrams = list(queries) + list(candidates)
+    tree = build_tree(union_coords(diagrams), TreeConfig(seed=0, ground_metric=GroundMetric.L2))
+    index_ms = median_ms(lambda: embed_all(tree, diagrams), runs)
+    index = embed_all(tree, diagrams)
+    js = range(len(queries), len(diagrams))
+    rows_ms = median_ms(lambda: [index.l1_row(i, js) for i in range(len(queries))], runs)
+    return index_ms, rows_ms / len(queries)
 
 
 def git(*args):
@@ -88,6 +118,9 @@ def main(argv=None):
         row = {**spec, "points": sum(d.total_count for d in queries + candidates)}
         for method in METHODS:
             row[f"{method}_ms_per_pair"] = ms_per_pair(queries, candidates, method, args.runs)
+        row["embedding_index_ms"], row["embedding_row_ms"] = embedding_stages(
+            queries, candidates, args.runs
+        )
         results.append(row)
         print(json.dumps(row), file=sys.stderr)
 

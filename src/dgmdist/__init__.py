@@ -23,9 +23,11 @@ from .diagram import (
     save_diagram,
 )
 from .embedding import (
+    EmbeddingIndex,
     EmbeddingVector,
     TreeMismatchError,
     embed,
+    embed_all,
     l1_distance,
     read_vector,
     write_vector,
@@ -84,6 +86,7 @@ __all__ = [
     "DEFAULT_SIZE_CAP",
     "DiagramError",
     "DiagramParseError",
+    "EmbeddingIndex",
     "EmbeddingVector",
     "ErrorStats",
     "ErrorSuiteResult",
@@ -109,6 +112,7 @@ __all__ = [
     "build_tree",
     "diagonal_distance",
     "embed",
+    "embed_all",
     "error_suite",
     "exact_distance",
     "flowtree_distance",

@@ -34,7 +34,7 @@ from .diagram import (
     load_diagram,
     save_diagram,
 )
-from .embedding import embed, write_vector
+from .embedding import embed_all, write_vector
 from .evaluate import (
     METHODS,
     BenchRow,
@@ -199,8 +199,9 @@ def cmd_embed(args) -> int:
     tree = build_tree(
         union_coords(diagrams), TreeConfig(seed=args.seed, ground_metric=metric)
     )
-    for name, diagram in zip(names, diagrams):
-        write_vector(embed(tree, diagram), out_dir / f"{name}.vec")
+    index = embed_all(tree, diagrams)
+    for i, name in enumerate(names):
+        write_vector(index.vector(i), out_dir / f"{name}.vec")
     print(f"wrote {len(names)} vectors to {out_dir} (tree {tree.signature})")
     return EXIT_OK
 

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .diagram import GroundMetric, PersistenceDiagram, gen_uniform
-from .embedding import embed, l1_distance
+from .embedding import embed, embed_all, l1_distance
 from .exact import SizeCapError, exact_distance
 from .flowtree import flowtree_distance, flowtree_distances
 from .quadtree import ShiftedQuadtree, TreeConfig, build_tree, union_coords
@@ -199,10 +199,13 @@ def error_suite(
     shared_trees = None
     if tree_policy == "whole_dataset" and any(m in TREE_METHODS for m in methods):
         points = union_coords(dataset)
-        shared_trees = {
-            metric: build_tree(points, TreeConfig(seed=seed, ground_metric=metric))
-            for metric in metrics
-        }
+        # with no point at all, every pair has true distance 0 and is
+        # excluded before it needs a tree
+        if len(points):
+            shared_trees = {
+                metric: build_tree(points, TreeConfig(seed=seed, ground_metric=metric))
+                for metric in metrics
+            }
 
     rng = np.random.default_rng(seed)
     jobs = []
@@ -263,18 +266,20 @@ def _ranks(distances: Sequence[float]) -> list[int]:
 
 
 def _query_job(
-    query: PersistenceDiagram,
+    job,
     method: str,
     metric: GroundMetric,
     tree: ShiftedQuadtree | None,
     candidates: tuple,
-    candidate_vectors,
+    index,
 ):
-    """Distances from one query to every candidate, or None if the oracle cap
-    was exceeded."""
+    """Distances from job = (position, query), the query at that position of
+    the queries, to every candidate, or None if the oracle cap was exceeded."""
+    position, query = job
     if method == "embedding":
-        qv = embed(tree, query)
-        return [l1_distance(qv, cv) for cv in candidate_vectors]
+        # the index holds the queries, then the candidates
+        n = len(index) - len(candidates)
+        return index.l1_row(position, range(n, len(index)))
     if method == "flowtree":
         return flowtree_distances(tree, query, candidates, metric)
     try:
@@ -295,30 +300,34 @@ def knn_distances(
     because the oracle cap was exceeded.
 
     Tree methods share one tree over queries and candidates; the embedding
-    method embeds every candidate once, and the flowtree method walks each
-    query against all candidates together (flowtree_distances).
+    method embeds all of them in one embed_all index and reads each query's
+    row from it, and the flowtree method walks each query against all
+    candidates together (flowtree_distances). When no diagram holds a point,
+    the tree methods return 0.0 rows without building a tree.
     """
     if not candidates:
         raise ValueError("candidates must be non-empty")
     _check_methods([method])
     tree = None
-    candidate_vectors = None
+    index = None
     if method in TREE_METHODS:
+        diagrams = list(queries) + list(candidates)
+        if all(d.total_count == 0 for d in diagrams):
+            return [[0.0] * len(candidates) for _ in queries]
         tree = build_tree(
-            union_coords(list(queries) + list(candidates)),
-            TreeConfig(seed=seed, ground_metric=metric),
+            union_coords(diagrams), TreeConfig(seed=seed, ground_metric=metric)
         )
         if method == "embedding":
-            candidate_vectors = tuple(embed(tree, c) for c in candidates)
+            index = embed_all(tree, diagrams)
     fn = partial(
         _query_job,
         method=method,
         metric=metric,
         tree=tree,
         candidates=tuple(candidates),
-        candidate_vectors=candidate_vectors,
+        index=index,
     )
-    return _run_jobs(fn, list(queries), workers)
+    return _run_jobs(fn, list(enumerate(queries)), workers)
 
 
 def recall_at_m(

@@ -7,9 +7,15 @@ import pytest
 from dgmdist import (
     GroundMetric,
     PersistenceDiagram,
+    TreeConfig,
+    build_tree,
+    embed,
     gen_uniform,
+    load_diagram,
     multi_tree_estimate,
     save_diagram,
+    union_coords,
+    write_vector,
 )
 from dgmdist.cli import (
     EXIT_OK,
@@ -214,6 +220,28 @@ class TestEmbed:
         for path in sorted(va.glob("*.vec")):
             assert path.read_bytes() == (vb / path.name).read_bytes()
 
+    def test_vectors_match_per_diagram_write_vector(self, tmp_path, capsys):
+        # one embed_all index writes the bytes one embed per file would
+        data = tmp_path / "data"
+        run(capsys, "gen", "--kind", "gaussian", "--count", "5",
+            "--max-size", "30", "--seed", "2", "--out", str(data))
+        save_diagram(PersistenceDiagram(), data / "empty.txt")
+        vecs = tmp_path / "vecs"
+        code, _, _ = run(
+            capsys, "embed", "--in", str(data), "--out", str(vecs),
+            "--seed", "3", "--metric", "linf",
+        )
+        assert code == EXIT_OK
+        paths = sorted(data.glob("*.txt"))
+        diagrams = [load_diagram(p) for p in paths]
+        tree = build_tree(
+            union_coords(diagrams), TreeConfig(seed=3, ground_metric=GroundMetric.LINF)
+        )
+        for path, diagram in zip(paths, diagrams):
+            expected = tmp_path / f"{path.stem}.expected"
+            write_vector(embed(tree, diagram), expected)
+            assert (vecs / f"{path.stem}.vec").read_bytes() == expected.read_bytes()
+
 
 class TestKnn:
     def test_exact_top1_is_ground_truth(self, tmp_path, capsys):
@@ -292,6 +320,47 @@ class TestKnn:
         assert outputs[0] == outputs[1]
         assert len(outputs[0].splitlines()) == 1 + 3 * 15
 
+    def test_embedding_stdout_same_with_two_workers(self, tmp_path, capsys):
+        # every worker reads its queries' rows from the same pickled index
+        queries, cands = tmp_path / "q", tmp_path / "c"
+        run(capsys, "gen", "--kind", "gaussian", "--count", "3",
+            "--max-size", "40", "--seed", "14", "--out", str(queries))
+        run(capsys, "gen", "--kind", "gaussian", "--count", "15",
+            "--max-size", "40", "--seed", "15", "--out", str(cands))
+        outputs = []
+        for workers in ("1", "2"):
+            code, out, _ = run(
+                capsys,
+                "knn", "--queries", str(queries), "--candidates", str(cands),
+                "--method", "embedding", "-k", "15", "--seed", "6",
+                "--workers", workers,
+            )
+            assert code == EXIT_OK
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 1 + 3 * 15
+
+    def test_no_point_anywhere_prints_exact_rows(self, tmp_path, capsys):
+        # empty diagrams only: the tree methods print the exact method's
+        # 0.0 rows instead of failing to build a tree
+        queries, cands = tmp_path / "q", tmp_path / "c"
+        queries.mkdir()
+        cands.mkdir()
+        save_diagram(PersistenceDiagram(), queries / "a.txt")
+        for name in ("b", "c"):
+            save_diagram(PersistenceDiagram(), cands / f"{name}.txt")
+        outputs = {}
+        for method in ("exact", "embedding", "flowtree"):
+            code, out, _ = run(
+                capsys,
+                "knn", "--queries", str(queries), "--candidates", str(cands),
+                "--method", method, "-k", "2",
+            )
+            assert code == EXIT_OK
+            outputs[method] = out
+        assert outputs["exact"].splitlines()[1:] == ["a,1,b,0.0", "a,2,c,0.0"]
+        assert outputs["embedding"] == outputs["flowtree"] == outputs["exact"]
+
 
 class TestEval:
     def test_one_diagram_is_usage_error(self, tmp_path, capsys):
@@ -305,6 +374,23 @@ class TestEval:
         assert code == EXIT_USAGE
         assert "error: dataset must contain at least two diagrams" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("policy", ["per_pair", "whole_dataset"])
+    def test_no_point_anywhere_completes(self, tmp_path, capsys, policy):
+        # every pair has true distance 0 and is excluded; recall and ranking
+        # rank 0.0 rows and no tree is built
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("a", "b", "c"):
+            save_diagram(PersistenceDiagram(), data / f"{name}.txt")
+        out = tmp_path / "report"
+        code, _, err = run(
+            capsys,
+            "eval", "--data", str(data), "--out", str(out), "--n-pairs", "2",
+            "--bench-sizes", "10", "--reps", "1", "--tree-policy", policy,
+        )
+        assert code == EXIT_OK, err
+        assert (out / "recall.csv").is_file() and (out / "ranking.csv").is_file()
 
     def test_emits_five_csv_files(self, tmp_path, capsys):
         data = tmp_path / "data"

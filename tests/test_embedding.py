@@ -1,5 +1,7 @@
-"""Tests for the sparse cell-count embedding and its L1 distance."""
+"""Tests for the sparse cell-count embedding, its L1 distance and the
+embedding index."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +13,7 @@ from dgmdist import (
     TreeConfig,
     build_tree,
     exact_distance,
+    gen_gaussian,
     gen_uniform,
     greedy_match,
     union_coords,
@@ -18,6 +21,7 @@ from dgmdist import (
 from dgmdist.embedding import (
     TreeMismatchError,
     embed,
+    embed_all,
     l1_distance,
     read_vector,
     write_vector,
@@ -164,6 +168,60 @@ class TestStatisticalUpperBound:
         mean = sum(values) / len(values)
         bound = 4.0 * max(1.0, math.log2(max(2.0, max(spreads)))) * d_true
         assert mean <= bound
+
+
+class TestEmbeddingIndex:
+    def dataset(self):
+        diagrams = [gen_gaussian(4 + 9 * i, seed=80 + i) for i in range(6)]
+        diagrams += [PersistenceDiagram(), diagrams[2], gen_uniform(12, seed=3)]
+        return diagrams
+
+    @pytest.mark.parametrize("metric", list(GroundMetric))
+    def test_vectors_equal_embed(self, metric):
+        diagrams = self.dataset()
+        tree = build_tree(union_coords(diagrams), TreeConfig(seed=4, ground_metric=metric))
+        index = embed_all(tree, diagrams)
+        assert len(index) == len(diagrams)
+        for i, diagram in enumerate(diagrams):
+            assert index.vector(i) == embed(tree, diagram)
+
+    @pytest.mark.parametrize("metric", list(GroundMetric))
+    def test_rows_equal_l1_distance(self, metric):
+        # any order, repeats and the row's own diagram; identical diagrams
+        # (2 and 7, and each with itself) are at distance 0.0
+        diagrams = self.dataset()
+        tree = build_tree(union_coords(diagrams), TreeConfig(seed=5, ground_metric=metric))
+        index = embed_all(tree, diagrams)
+        vectors = [embed(tree, d) for d in diagrams]
+        js = [8, 0, 3, 3, 7, 1, 2, 6, 4, 5]
+        for i in range(len(diagrams)):
+            row = index.l1_row(i, js)
+            assert row == [l1_distance(vectors[i], vectors[j]) for j in js]
+            assert index.l1_row(i, [i]) == [0.0]
+        assert index.l1_row(2, [7]) == [0.0]
+        assert index.l1_row(0, []) == []
+        for bad in ([-1], [len(diagrams)]):
+            with pytest.raises(IndexError):
+                index.l1_row(0, bad)
+
+    def test_second_term_of_the_exact_sum_counts(self):
+        # the plain float sum of the query's values is not its fsum, and a
+        # row computed from the rounded sums alone misses l1_distance in the
+        # last bit: the second term of the expansion is what makes it exact
+        first, second = gen_gaussian(30, seed=2), gen_gaussian(30, seed=102)
+        tree = build_tree(union_coords((first, second)), TreeConfig(seed=2))
+        index = embed_all(tree, [first, second])
+        values = index.vector(0).values.tolist()
+        assert sum(values) != math.fsum(values)
+        assert len(index.sums[0]) == 2
+        expected = [l1_distance(embed(tree, first), embed(tree, second))]
+        assert index.l1_row(0, [1]) == expected
+        rounded = dataclasses.replace(index, sums=[terms[:1] for terms in index.sums])
+        assert rounded.l1_row(0, [1]) != expected
+
+    def test_no_diagrams(self):
+        tree = build_tree([(0.0, 1.0)], TreeConfig(seed=0))
+        assert len(embed_all(tree, [])) == 0
 
 
 class TestVectorFiles:

@@ -11,13 +11,16 @@ from dgmdist import (
     SizeCapError,
     TreeConfig,
     build_tree,
+    embed,
     exact_distance,
     flowtree_distance,
     gen_gaussian,
     gen_uniform,
+    l1_distance,
     union_coords,
 )
 from dgmdist.evaluate import (
+    METHODS,
     ErrorStats,
     error_suite,
     knn_distances,
@@ -217,6 +220,30 @@ class TestKnnDistances:
         assert rows == [
             [flowtree_distance(tree, q, c, metric) for c in candidates] for q in queries
         ]
+
+    @pytest.mark.parametrize("metric", list(GroundMetric))
+    def test_embedding_rows_equal_per_candidate_distances(self, metric):
+        # the embedding index gives each pair's l1_distance exactly, empty
+        # diagrams included
+        dataset = [gen_gaussian(3 + 7 * i, seed=60 + i) for i in range(14)]
+        queries = dataset[:3] + [PersistenceDiagram()]
+        candidates = dataset[3:] + [PersistenceDiagram()]
+        rows = knn_distances(queries, candidates, "embedding", metric, seed=8)
+        tree = build_tree(
+            union_coords(queries + candidates), TreeConfig(seed=8, ground_metric=metric)
+        )
+        assert rows == [
+            [l1_distance(embed(tree, q), embed(tree, c)) for c in candidates]
+            for q in queries
+        ]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_no_point_anywhere_gives_zero_rows(self, method):
+        # as for exact, and as multi_tree_estimate does for two empty
+        # diagrams, the tree methods need no tree to know every distance is 0
+        empty = PersistenceDiagram()
+        rows = knn_distances([empty, empty], [empty] * 3, method, L2, seed=1)
+        assert rows == [[0.0] * 3, [0.0] * 3]
 
 
 class TestRankingTable:

@@ -1,5 +1,6 @@
-"""The columnar embedding, L1 distance and greedy matching against the
-pure-Python reference oracles in reference.py, compared with exact ==."""
+"""The columnar embedding, L1 distance, embedding index and greedy matching
+against the pure-Python reference oracles in reference.py, compared with
+exact ==."""
 
 import math
 
@@ -16,6 +17,7 @@ from dgmdist import (
     TreeConfig,
     build_tree,
     embed,
+    embed_all,
     greedy_match,
     l1_distance,
     union_coords,
@@ -106,6 +108,59 @@ def test_matches_reference_with_large_multiplicities(instance):
     assert_matches_reference(*instance)
 
 
+def assert_index_matches_reference(tree, diagrams):
+    # every row of the index is l1_distance and the reference, bit for bit;
+    # equal diagrams are at distance 0.0
+    index = embed_all(tree, diagrams)
+    vectors = [embed(tree, d) for d in diagrams]
+    refs = [reference.embed(tree, d) for d in diagrams]
+    js = range(len(diagrams))
+    for i, diagram in enumerate(diagrams):
+        assert index.vector(i) == vectors[i]
+        row = index.l1_row(i, js)
+        assert row == [l1_distance(vectors[i], vectors[j]) for j in js]
+        assert row == [reference.l1_distance(refs[i], refs[j]) for j in js]
+        assert all(row[j] == 0.0 for j in js if diagrams[j] == diagram)
+
+
+@st.composite
+def index_instances(draw):
+    """(tree, diagrams): the pair of instances() and 0-8 candidates, each an
+    exact repeat of an earlier diagram or drawn from the pair's points, with
+    multiplicities up to 10^6. The tree is either the instance's or one
+    with MAX_LEVELS levels over the diagrams' points, truncated when they
+    hold the near-duplicate."""
+    max_mult = draw(st.sampled_from([3, 10**6]))
+    tree, first, second, metric = draw(instances(max_mult=max_mult))
+    diagrams = [first, second]
+    points = first.coords().tolist() + second.coords().tolist()
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()) or not points:
+            diagrams.append(draw(st.sampled_from(diagrams)))
+            continue
+        picks = draw(
+            st.lists(
+                st.tuples(st.sampled_from(points), st.integers(1, max_mult)),
+                max_size=12,
+            )
+        )
+        diagrams.append(PersistenceDiagram([(b, d, m) for (b, d), m in picks]))
+    if points and draw(st.booleans()):
+        config = TreeConfig(
+            seed=draw(st.integers(0, 2**32 - 1)),
+            max_levels_cap=MAX_LEVELS,
+            ground_metric=metric,
+        )
+        tree = build_tree(union_coords(diagrams), config)
+    return tree, diagrams
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(index_instances())
+def test_index_matches_reference(instance):
+    assert_index_matches_reference(*instance)
+
+
 @st.composite
 def aligned_instances(draw):
     """(tree, first, second, metric) on an unshifted grid whose corners lie
@@ -180,6 +235,25 @@ def test_deepest_tree_matches_reference(metric):
     tree = build_tree(union_coords((first, second)), config)
     assert tree.num_levels == MAX_LEVELS and tree.truncated
     assert_matches_reference(tree, first, second, metric)
+
+
+@pytest.mark.parametrize("metric", list(GroundMetric))
+def test_deep_tree_index_matches_reference(metric):
+    # the 40-level instances and the deepest tree, each with repeats, a
+    # merged diagram and an empty one
+    for offset in (0.0, 1e11):
+        tree, first, second = forty_level_instance(offset, metric)
+        merged = PersistenceDiagram(list(first) + list(second))
+        assert_index_matches_reference(
+            tree, [first, second, merged, PersistenceDiagram(), second, first]
+        )
+
+    first = PersistenceDiagram([(0.0, 1e-200), (3.0, 5.0, 2), (1e-300, 4.0)])
+    second = PersistenceDiagram([(1e-100, 3e-100, 10**6), (2.0, 7.0)])
+    config = TreeConfig(seed=5, max_levels_cap=MAX_LEVELS, ground_metric=metric)
+    tree = build_tree(union_coords((first, second)), config)
+    assert tree.num_levels == MAX_LEVELS and tree.truncated
+    assert_index_matches_reference(tree, [first, second, first, PersistenceDiagram()])
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e11])
