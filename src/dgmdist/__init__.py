@@ -4,8 +4,9 @@ Two near-linear estimators share a randomly shifted quadtree: a sparse
 level-weighted L1 embedding whose vector distance upper-approximates the
 transport cost, and a greedy bottom-up matching whose ground-metric cost
 ("flowtree" distance) upper-bounds the exact distance on every tree. An
-assignment-based exact solver provides ground truth, and an evaluation
-harness measures relative error, recall@m, ranking quality and runtime.
+exact solver, one reduced rectangular assignment, provides ground truth, and
+an evaluation harness measures relative error, recall@m, ranking quality and
+runtime.
 """
 
 from .diagram import (
@@ -45,15 +46,7 @@ from .evaluate import (
     relative_error,
     runtime_bench,
 )
-from .exact import (
-    DEFAULT_SIZE_CAP,
-    AssignmentProblem,
-    SizeCapError,
-    brute_force_distance,
-    build_assignment,
-    exact_distance,
-    ot_augmented,
-)
+from .exact import DEFAULT_SIZE_CAP, SizeCapError, exact_distance
 from .flowtree import (
     KIND_CROSS,
     KIND_P_TO_DIAGONAL,
@@ -80,7 +73,6 @@ from .quadtree import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssignmentProblem",
     "AugmentedMatching",
     "BenchRow",
     "DEFAULT_SIZE_CAP",
@@ -107,8 +99,6 @@ __all__ = [
     "TreeConfig",
     "TreeGeometry",
     "TreeMismatchError",
-    "brute_force_distance",
-    "build_assignment",
     "build_tree",
     "diagonal_distance",
     "embed",
@@ -124,7 +114,6 @@ __all__ = [
     "l1_distance",
     "load_diagram",
     "multi_tree_estimate",
-    "ot_augmented",
     "project_to_diagonal",
     "ranking_table",
     "read_vector",

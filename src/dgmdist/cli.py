@@ -193,6 +193,8 @@ def cmd_dist(args) -> int:
 
 def cmd_embed(args) -> int:
     names, diagrams = _load_dir(args.input)
+    if not any(d.total_count for d in diagrams):
+        raise UsageError("no diagram holds a point; there is nothing to embed")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     metric = _metric(args.metric)

@@ -1,22 +1,44 @@
-"""Exact 1-Wasserstein distance via assignment on projection-augmented sets.
+"""Exact 1-Wasserstein distance as one reduced rectangular assignment.
 
-Each diagram's points (expanded by multiplicity) face the other diagram's
-points plus one diagonal slot per opposite point; diagonal-to-diagonal mass
-moves for free. The minimum-cost perfect matching of that square problem is
-the exact distance. A brute-force enumerator over all augmented matchings
-serves as an independent oracle for tiny instances, and an unmodified
-optimal-transport variant between the augmented sets is provided for
-verification.
+A partial matching between diagrams P and Q pairs some points cross-wise,
+at their ground distance d, and sends every other point to the diagonal, at
+its diagonal distance δ. W1 is the least cost of such a matching.
+
+**Cancellation.** The multiset the two diagrams share (per coincident point,
+the smaller of its two multiplicities) is removed first. This keeps W1:
+given an optimal matching in which a copy a of a shared point is not matched
+to its twin b, say a goes to x and b comes from y, re-match a–b at cost 0
+and y–x instead. Then d(y, x) ≤ d(y, b) + d(a, x) by the triangle
+inequality, and δ(y) ≤ d(y, b) + δ(b) because the diagonal distance is
+1-Lipschitz, so no case costs more. It also makes exact_distance(a, a)
+exactly 0.0, where near-duplicate points could otherwise steer the solver to
+a different matching of equal float cost.
+
+**Reduction.** What is left is expanded by multiplicity into m ≤ n points
+p (the smaller side, as rows) and q (the larger side, as columns), and one
+m×n assignment is solved with cost
+
+    C[i, j] = min(d(p_i, q_j) − δ_q[j], δ_p[i]).
+
+Its minimum plus Σ δ_q is W1. Each row assignment is a partial matching of
+equal cost: a row at the δ_p entry goes to the diagonal, and so does every
+column not crossed. Each partial matching is a row assignment of equal cost,
+since m ≤ n leaves a free column for every row sent to the diagonal.
+
+**Value.** The assignment's objective carries the −Σ δ_q cancellation, so it
+is not returned. The matching is rebuilt instead: row i is crossed iff
+d − δ_q[j] < δ_p[i], the same float comparison the min made, and the result
+is the math.fsum of the crossed d, the diagonal δ_p and the uncrossed δ_q.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from ._rows import group_rows
 from .diagram import GroundMetric, PersistenceDiagram
 
 DEFAULT_SIZE_CAP = 4000
@@ -26,53 +48,32 @@ class SizeCapError(ValueError):
     """Instance too large for the exact solver; use an approximation."""
 
 
-@dataclass
-class AssignmentProblem:
-    """Square assignment instance; rows/cols are points then diagonal slots."""
-
-    size: int
-    cost: np.ndarray
-
-
-def _expanded(diagram: PersistenceDiagram) -> np.ndarray:
-    """Points repeated by multiplicity, as an (n, 2) array."""
-    if len(diagram) == 0:
-        return np.zeros((0, 2))
-    return np.repeat(diagram.coords(), diagram.multiplicities(), axis=0)
+def _unshared(
+    first: PersistenceDiagram, second: PersistenceDiagram
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each diagram's points, repeated by multiplicity, once the multiset the
+    two share is removed."""
+    coords = np.concatenate((first.coords(), second.coords()))
+    mults = np.concatenate((first.multiplicities(), second.multiplicities()))
+    order, starts = group_rows(coords[:, 0], coords[:, 1])
+    if len(starts) < len(coords):
+        # each diagram's points are distinct, so a run of two is one point of
+        # each diagram, first's ahead of second's in the stable order
+        shared = np.flatnonzero(np.diff(np.append(starts, len(coords))) == 2)
+        a, b = order[starts[shared]], order[starts[shared] + 1]
+        common = np.minimum(mults[a], mults[b])
+        mults = mults.copy()
+        mults[a] -= common
+        mults[b] -= common
+    split = len(first)
+    return (
+        np.repeat(coords[:split], mults[:split], axis=0),
+        np.repeat(coords[split:], mults[split:], axis=0),
+    )
 
 
 def _diagonal_distances(points: np.ndarray, metric: GroundMetric) -> np.ndarray:
     return np.abs(points[:, 1] - points[:, 0]) * metric.diagonal_factor
-
-
-def build_assignment(
-    first: PersistenceDiagram,
-    second: PersistenceDiagram,
-    metric: GroundMetric,
-    size_cap: int = DEFAULT_SIZE_CAP,
-) -> AssignmentProblem:
-    """Cost matrix of the projection-augmented assignment problem.
-
-    Rows: expanded first-diagram points, then one diagonal slot per expanded
-    second-diagram point. Columns: the mirror image. Point-to-diagonal cost
-    is the point's own diagonal distance; diagonal-to-diagonal is zero.
-    """
-    m = first.total_count
-    n = second.total_count
-    if m + n > size_cap:
-        raise SizeCapError(
-            f"expanded instance size {m + n} exceeds cap {size_cap}"
-        )
-    p = _expanded(first)
-    q = _expanded(second)
-    cost = np.zeros((m + n, m + n))
-    if m and n:
-        cost[:m, :n] = metric.pairwise(p, q)
-    if m:
-        cost[:m, n:] = _diagonal_distances(p, metric)[:, None]
-    if n:
-        cost[m:, :n] = _diagonal_distances(q, metric)[None, :]
-    return AssignmentProblem(size=m + n, cost=cost)
 
 
 def exact_distance(
@@ -81,88 +82,28 @@ def exact_distance(
     metric: GroundMetric,
     size_cap: int = DEFAULT_SIZE_CAP,
 ) -> float:
-    """Exact 1-Wasserstein distance (minimum over augmented matchings)."""
-    problem = build_assignment(first, second, metric, size_cap)
-    if problem.size == 0:
-        return 0.0
-    rows, cols = linear_sum_assignment(problem.cost)
-    return float(problem.cost[rows, cols].sum())
+    """Exact 1-Wasserstein distance (minimum over partial matchings).
 
-
-def brute_force_distance(
-    first: PersistenceDiagram,
-    second: PersistenceDiagram,
-    metric: GroundMetric,
-    max_units: int = 8,
-) -> float:
-    """Minimum cost over all augmented matchings, by direct enumeration.
-
-    Each first-diagram unit goes to an unused second-diagram unit or to its
-    own projection; leftover second-diagram units go to their projections.
-    Intentionally independent of the assignment solver.
+    Raises SizeCapError if the two diagrams hold more than size_cap points
+    together, counted with multiplicity.
     """
-    p = _expanded(first)
-    q = _expanded(second)
-    if len(p) + len(q) > max_units:
-        raise SizeCapError(
-            f"expanded instance size {len(p) + len(q)} exceeds brute-force bound {max_units}"
-        )
-    p_diag = _diagonal_distances(p, metric) if len(p) else np.zeros(0)
-    q_diag = _diagonal_distances(q, metric) if len(q) else np.zeros(0)
-    cross = metric.pairwise(p, q)
-
-    best = math.inf
-
-    def explore(i: int, used: int, acc: float) -> None:
-        nonlocal best
-        if acc >= best:
-            return
-        if i == len(p):
-            total = acc
-            for j in range(len(q)):
-                if not used & (1 << j):
-                    total += q_diag[j]
-            if total < best:
-                best = total
-            return
-        explore(i + 1, used, acc + p_diag[i])
-        for j in range(len(q)):
-            if not used & (1 << j):
-                explore(i + 1, used | (1 << j), acc + cross[i, j])
-
-    explore(0, 0, 0.0)
-    return float(best)
-
-
-def ot_augmented(
-    first: PersistenceDiagram,
-    second: PersistenceDiagram,
-    metric: GroundMetric,
-    size_cap: int = DEFAULT_SIZE_CAP,
-) -> float:
-    """Optimal transport between the projection-augmented multisets under the
-    unmodified ground metric (diagonal-to-diagonal pays its true distance).
-
-    Both augmented sets carry the same total mass, so with unit expansion the
-    transport reduces to an assignment.
-    """
-    m = first.total_count
-    n = second.total_count
-    if m + n > size_cap:
-        raise SizeCapError(
-            f"expanded instance size {m + n} exceeds cap {size_cap}"
-        )
-    if m + n == 0:
-        return 0.0
-    p = _expanded(first)
-    q = _expanded(second)
-
-    def project(points: np.ndarray) -> np.ndarray:
-        mid = 0.5 * (points[:, 0] + points[:, 1])
-        return np.stack([mid, mid], axis=1)
-
-    first_aug = np.vstack([p, project(q)]) if n else p
-    second_aug = np.vstack([q, project(p)]) if m else q
-    cost = metric.pairwise(first_aug, second_aug)
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum())
+    total = first.total_count + second.total_count
+    if total > size_cap:
+        raise SizeCapError(f"expanded instance size {total} exceeds cap {size_cap}")
+    p, q = _unshared(first, second)
+    if len(p) > len(q):
+        p, q = q, p
+    dp = _diagonal_distances(p, metric)
+    dq = _diagonal_distances(q, metric)
+    if len(p) == 0:
+        return math.fsum(dq.tolist())
+    d = metric.pairwise(p, q)
+    cost = d - dq
+    np.minimum(cost, dp[:, None], out=cost)
+    # m <= n assigns every row, so the row indices are 0..m-1 in order
+    _, cols = linear_sum_assignment(cost)
+    matched = d[np.arange(len(p)), cols]
+    cross = matched - dq[cols] < dp
+    uncrossed = np.ones(len(q), bool)
+    uncrossed[cols[cross]] = False
+    return math.fsum(np.where(cross, matched, dp).tolist() + dq[uncrossed].tolist())

@@ -1,21 +1,33 @@
-"""Pure-Python reference copies of the embedding, its L1 distance and the
-greedy flowtree matching, kept as oracles for the columnar implementations.
+"""Reference oracles for the columnar implementations and the exact solver.
 
-They address cells point by point with their own floor index formula and
-terminal test and read only ``tree.origin``, ``tree.side()`` and
-``tree.levels()``. The index is the floor of the rounded quotient
-(x - origin) / side, as in the library; Python's ``//`` on floats floors the
-exact quotient instead and can land one cell lower when the rounded quotient
-is an integer.
+The first half holds pure-Python copies of the embedding, its L1 distance
+and the greedy flowtree matching. They address cells point by point with
+their own floor index formula and terminal test and read only
+``tree.origin``, ``tree.side()`` and ``tree.levels()``. The index is the
+floor of the rounded quotient (x - origin) / side, as in the library;
+Python's ``//`` on floats floors the exact quotient instead and can land one
+cell lower when the rounded quotient is an integer.
 
 Results use plain tuples: an embedding is a sorted list of
 ((level, ix, iy), value) and a pair is
 (source, target, mass, kind, level, distance).
+
+The second half holds three exact-distance paths independent of
+``exact_distance``: the dense (m+n)² projection-augmented assignment, a
+brute-force enumerator over all partial matchings for tiny instances, and
+optimal transport between the augmented sets under the unmodified ground
+metric, which is within a factor 2 of the exact distance.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.optimize import linear_sum_assignment
+
+from dgmdist.exact import DEFAULT_SIZE_CAP, SizeCapError
 
 
 def _grid(tree, level):
@@ -144,3 +156,126 @@ def greedy_match(tree, first, second, metric):
         pairs.append(_diagonal_pair(e[0], e[1], e[2], False, top, metric))
     cost = math.fsum(mass * dist for _, _, mass, _, _, dist in pairs)
     return pairs, cost, residuals, root_fallback
+
+
+@dataclass
+class AssignmentProblem:
+    """Square assignment instance; rows/cols are points then diagonal slots."""
+
+    size: int
+    cost: np.ndarray
+
+
+def _expanded(diagram):
+    """Points repeated by multiplicity, as an (n, 2) array."""
+    if len(diagram) == 0:
+        return np.zeros((0, 2))
+    return np.repeat(diagram.coords(), diagram.multiplicities(), axis=0)
+
+
+def _diagonal_distances(points, metric):
+    return np.abs(points[:, 1] - points[:, 0]) * metric.diagonal_factor
+
+
+def build_assignment(first, second, metric, size_cap=DEFAULT_SIZE_CAP):
+    """Cost matrix of the projection-augmented assignment problem.
+
+    Rows: expanded first-diagram points, then one diagonal slot per expanded
+    second-diagram point. Columns: the mirror image. Point-to-diagonal cost
+    is the point's own diagonal distance; diagonal-to-diagonal is zero.
+    """
+    m = first.total_count
+    n = second.total_count
+    if m + n > size_cap:
+        raise SizeCapError(
+            f"expanded instance size {m + n} exceeds cap {size_cap}"
+        )
+    p = _expanded(first)
+    q = _expanded(second)
+    cost = np.zeros((m + n, m + n))
+    if m and n:
+        cost[:m, :n] = metric.pairwise(p, q)
+    if m:
+        cost[:m, n:] = _diagonal_distances(p, metric)[:, None]
+    if n:
+        cost[m:, :n] = _diagonal_distances(q, metric)[None, :]
+    return AssignmentProblem(size=m + n, cost=cost)
+
+
+def dense_distance(first, second, metric, size_cap=DEFAULT_SIZE_CAP):
+    """Exact distance as the minimum-cost perfect matching of the dense
+    (m+n)² augmented problem."""
+    problem = build_assignment(first, second, metric, size_cap)
+    if problem.size == 0:
+        return 0.0
+    rows, cols = linear_sum_assignment(problem.cost)
+    return float(problem.cost[rows, cols].sum())
+
+
+def brute_force_distance(first, second, metric, max_units=8):
+    """Minimum cost over all augmented matchings, by direct enumeration.
+
+    Each first-diagram unit goes to an unused second-diagram unit or to its
+    own projection; leftover second-diagram units go to their projections.
+    Intentionally independent of the assignment solver.
+    """
+    p = _expanded(first)
+    q = _expanded(second)
+    if len(p) + len(q) > max_units:
+        raise SizeCapError(
+            f"expanded instance size {len(p) + len(q)} exceeds brute-force bound {max_units}"
+        )
+    p_diag = _diagonal_distances(p, metric) if len(p) else np.zeros(0)
+    q_diag = _diagonal_distances(q, metric) if len(q) else np.zeros(0)
+    cross = metric.pairwise(p, q)
+
+    best = math.inf
+
+    def explore(i, used, acc):
+        nonlocal best
+        if acc >= best:
+            return
+        if i == len(p):
+            total = acc
+            for j in range(len(q)):
+                if not used & (1 << j):
+                    total += q_diag[j]
+            if total < best:
+                best = total
+            return
+        explore(i + 1, used, acc + p_diag[i])
+        for j in range(len(q)):
+            if not used & (1 << j):
+                explore(i + 1, used | (1 << j), acc + cross[i, j])
+
+    explore(0, 0, 0.0)
+    return float(best)
+
+
+def ot_augmented(first, second, metric, size_cap=DEFAULT_SIZE_CAP):
+    """Optimal transport between the projection-augmented multisets under the
+    unmodified ground metric (diagonal-to-diagonal pays its true distance).
+
+    Both augmented sets carry the same total mass, so with unit expansion the
+    transport reduces to an assignment.
+    """
+    m = first.total_count
+    n = second.total_count
+    if m + n > size_cap:
+        raise SizeCapError(
+            f"expanded instance size {m + n} exceeds cap {size_cap}"
+        )
+    if m + n == 0:
+        return 0.0
+    p = _expanded(first)
+    q = _expanded(second)
+
+    def project(points):
+        mid = 0.5 * (points[:, 0] + points[:, 1])
+        return np.stack([mid, mid], axis=1)
+
+    first_aug = np.vstack([p, project(q)]) if n else p
+    second_aug = np.vstack([q, project(p)]) if m else q
+    cost = metric.pairwise(first_aug, second_aug)
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum())

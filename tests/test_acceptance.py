@@ -11,7 +11,6 @@ import numpy as np
 
 from dgmdist import (
     GroundMetric,
-    brute_force_distance,
     embed,
     error_suite,
     exact_distance,
@@ -23,7 +22,6 @@ from dgmdist import (
     l1_distance,
     load_diagram,
     multi_tree_estimate,
-    ot_augmented,
     recall_at_m,
     runtime_bench,
     save_diagram,
@@ -32,6 +30,7 @@ from dgmdist import (
 )
 
 from helpers import pair_tree, random_pair, tiny_pair
+from reference import brute_force_distance, ot_augmented
 
 L2 = GroundMetric.L2
 SQRT2 = math.sqrt(2.0)

@@ -242,6 +242,17 @@ class TestEmbed:
             write_vector(embed(tree, diagram), expected)
             assert (vecs / f"{path.stem}.vec").read_bytes() == expected.read_bytes()
 
+    def test_no_point_anywhere_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("a", "b", "c"):
+            save_diagram(PersistenceDiagram(), data / f"{name}.txt")
+        out = tmp_path / "vecs"
+        code, _, err = run(capsys, "embed", "--in", str(data), "--out", str(out))
+        assert code == EXIT_USAGE
+        assert "error: no diagram holds a point" in err
+        assert not out.exists()
+
 
 class TestKnn:
     def test_exact_top1_is_ground_truth(self, tmp_path, capsys):

@@ -1,20 +1,23 @@
-"""Tests for the exact solver, brute-force oracle and augmented transport."""
+"""Tests for the exact solver, and for the brute-force, dense-assignment and
+augmented-transport oracles it is checked against."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from dgmdist import GroundMetric, PDPoint, PersistenceDiagram
-from dgmdist.exact import (
-    SizeCapError,
-    brute_force_distance,
-    build_assignment,
-    exact_distance,
-    ot_augmented,
-)
+from dgmdist import GroundMetric, PDPoint, PersistenceDiagram, gen_gaussian
+from dgmdist.exact import SizeCapError, exact_distance
 
 from helpers import tiny_pair
+from reference import (
+    brute_force_distance,
+    build_assignment,
+    dense_distance,
+    ot_augmented,
+)
 
 SQRT2 = math.sqrt(2.0)
 METRICS = list(GroundMetric)
@@ -158,3 +161,135 @@ class TestAugmentedTransport:
         assert ot_augmented(
             PersistenceDiagram(), PersistenceDiagram(), GroundMetric.L2
         ) == 0.0
+
+
+def _points(rng, kind, count, offset):
+    """count (birth, death) points of one kind at an offset: "uniform" with
+    lifetimes up to 100, "gaussian" with near-diagonal lifetimes |N(0, 1)|,
+    or "near", a cluster a few ulps apart with lifetimes above 2."""
+    if kind == "near":
+        birth = offset + float(rng.uniform(-8.0, -2.0))
+        death = offset + float(rng.uniform(0.0, 1.0))
+        points = []
+        for _ in range(count):
+            b, d = birth, death
+            for _ in range(int(rng.integers(0, 3))):
+                b = math.nextafter(b, -math.inf)
+            for _ in range(int(rng.integers(0, 3))):
+                d = math.nextafter(d, math.inf)
+            points.append((b, d))
+        return points
+    births = offset + rng.uniform(0.0, 200.0, count)
+    if kind == "uniform":
+        lifetimes = rng.uniform(1e-3, 100.0, count)
+    else:
+        lifetimes = np.abs(rng.normal(0.0, 1.0, count)) + 1e-6
+    return list(zip(births.tolist(), (births + lifetimes).tolist()))
+
+
+@st.composite
+def diagram_pairs(
+    draw, kinds=("uniform", "gaussian"), max_own=30, max_shared=8, max_mult=3
+):
+    """(first, second, metric) from a seeded generator at an offset up to 1e6.
+
+    Each diagram has up to max_own points of its own, with multiplicities up
+    to 3, and a pool of up to max_shared points enters both diagrams with
+    independent multiplicities up to max_mult, so part of it cancels and
+    part is left over. Either side may be empty.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(kinds))
+    offset = draw(st.sampled_from([0.0, -250.0, 1e6]))
+    shared = _points(rng, kind, draw(st.integers(0, max_shared)), offset)
+
+    def diagram():
+        own = _points(rng, kind, draw(st.integers(0, max_own)), offset)
+        mults = [int(m) for m in rng.integers(1, 4, len(own))]
+        mults += [int(m) for m in rng.integers(1, max_mult + 1, len(shared))]
+        return PersistenceDiagram(
+            [(b, d, m) for (b, d), m in zip(own + shared, mults)]
+        )
+
+    return diagram(), diagram(), draw(st.sampled_from(METRICS))
+
+
+def diagonal_sum(diagram, metric):
+    return math.fsum(
+        (p.death - p.birth) * metric.diagonal_factor
+        for p in diagram.points
+        for _ in range(p.multiplicity)
+    )
+
+
+class TestReducedAssignment:
+    """exact_distance against the dense (m+n)² augmented assignment, brute
+    force and its own invariants."""
+
+    @given(diagram_pairs())
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_equals_dense_reference(self, instance):
+        first, second, metric = instance
+        assert exact_distance(first, second, metric) == pytest.approx(
+            dense_distance(first, second, metric), rel=1e-12
+        )
+
+    @given(diagram_pairs(max_own=20, max_shared=1, max_mult=1000))
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    def test_equals_dense_reference_with_large_multiplicities(self, instance):
+        first, second, metric = instance
+        assert exact_distance(first, second, metric) == pytest.approx(
+            dense_distance(first, second, metric), rel=1e-12
+        )
+
+    @given(diagram_pairs(max_own=3, max_shared=2, max_mult=2))
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_equals_brute_force(self, instance):
+        first, second, metric = instance
+        assume(first.total_count + second.total_count <= 8)
+        assert exact_distance(first, second, metric) == pytest.approx(
+            brute_force_distance(first, second, metric), rel=1e-12
+        )
+
+    @given(diagram_pairs())
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_symmetric(self, instance):
+        first, second, metric = instance
+        assert exact_distance(first, second, metric) == pytest.approx(
+            exact_distance(second, first, metric), rel=1e-12
+        )
+
+    @given(diagram_pairs(kinds=("uniform", "gaussian", "near")))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_self_distance_is_exactly_zero(self, instance):
+        first, _, metric = instance
+        assert exact_distance(first, first, metric) == 0.0
+
+    @given(diagram_pairs(kinds=("uniform", "gaussian", "near")))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_added_points_cost_exactly_their_diagonal_distances(self, instance):
+        base, extra, metric = instance
+        grown = PersistenceDiagram(list(base.points) + list(extra.points))
+        expected = diagonal_sum(extra, metric)
+        assert exact_distance(base, grown, metric) == expected
+        assert exact_distance(grown, base, metric) == expected
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_near_duplicate_self_distance_pinned(self, metric):
+        # two points one ulp apart: d - δ rounds to -δ, so without the
+        # cancellation of the shared multiset the assignment may cross them
+        # and return one ulp of distance
+        diagram = PersistenceDiagram(
+            [
+                (-7.1828825199953386, 0.7944328371222267, 1),
+                (-7.1828825199953386, 0.7944328371222268, 2),
+            ]
+        )
+        assert exact_distance(diagram, diagram, metric) == 0.0
+
+    def test_gaussian_1600_pinned(self):
+        # value of the dense (m+n)² augmented assignment on this pair
+        first, second = gen_gaussian(1600, 1), gen_gaussian(1600, 2)
+        assert exact_distance(first, second, GroundMetric.L2) == pytest.approx(
+            598.1102246600467, rel=1e-12
+        )
