@@ -69,6 +69,11 @@ class GroundMetric(Enum):
             return np.array(list(map(math.hypot, dx.tolist(), dy.tolist())), dtype=float)
         return np.where(dx > dy, dx, dy)
 
+    def diagonal_distances(self, coords: np.ndarray) -> np.ndarray:
+        """Distance from each row of an (n, 2) coordinate array to the
+        diagonal: |death - birth| * diagonal_factor."""
+        return np.abs(coords[:, 1] - coords[:, 0]) * self.diagonal_factor
+
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Distance matrix between two (n, 2) coordinate arrays."""
         if a.size == 0 or b.size == 0:

@@ -1,9 +1,13 @@
 """Evaluation harness: relative-error suites, recall@m, rank scatter, runtime.
 
-Queries take one path: knn_distances computes every query x candidate
-distance, on one shared tree for the tree methods. recall_at_m and
-ranking_table compute nothing themselves; they only reduce its rows, so the
-exact ground truth of a query set is solved once and shared by every method.
+Distances take one path: _distance_row gives one query's distances to its
+candidates by a method, for the error suite, the runtime table and
+knn_distances alike, and _tree is the one rule for the tree the tree methods
+share. knn_distances reads its embedding rows from one embed_all index
+instead. The error suite's exact method reuses its pair's ground truth.
+recall_at_m and ranking_table compute nothing themselves; they only reduce
+knn_distances rows, so the exact ground truth of a query set is solved once
+and shared by every method.
 
 All aggregates are pure functions of (dataset, seed); reruns with identical
 seeds reproduce CSV bodies byte-for-byte apart from timing columns. Pairs and
@@ -30,7 +34,7 @@ import numpy as np
 from .diagram import GroundMetric, PersistenceDiagram, gen_uniform
 from .embedding import embed, embed_all, l1_distance
 from .exact import SizeCapError, exact_distance
-from .flowtree import flowtree_distance, flowtree_distances
+from .flowtree import flowtree_distances
 from .quadtree import ShiftedQuadtree, TreeConfig, build_tree, union_coords
 
 log = logging.getLogger(__name__)
@@ -99,19 +103,40 @@ def _check_methods(methods: Sequence[str]) -> None:
             raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
 
 
-def _approx_distance(
-    method: str,
-    tree: ShiftedQuadtree | None,
-    first: PersistenceDiagram,
-    second: PersistenceDiagram,
+def _tree(
+    methods: Sequence[str],
+    diagrams: Sequence[PersistenceDiagram],
+    seed: int,
     metric: GroundMetric,
-) -> float:
+) -> ShiftedQuadtree | None:
+    """The tree over the diagrams' points that the tree methods share; None
+    when no tree method is among methods or no diagram holds a point."""
+    if not any(m in TREE_METHODS for m in methods):
+        return None
+    points = union_coords(diagrams)
+    if not len(points):
+        return None
+    return build_tree(points, TreeConfig(seed=seed, ground_metric=metric))
+
+
+def _distance_row(
+    query: PersistenceDiagram,
+    method: str,
+    metric: GroundMetric,
+    tree: ShiftedQuadtree | None,
+    candidates: Sequence[PersistenceDiagram],
+) -> list[float]:
+    """Distances from query to every candidate by method. tree is _tree's
+    tree over query and candidates; with None the tree methods give 0.0, as
+    no diagram holds a point. The oracle's SizeCapError passes through."""
     if method == "exact":
-        return exact_distance(first, second, metric)
-    assert tree is not None
-    if method == "embedding":
-        return l1_distance(embed(tree, first), embed(tree, second))
-    return flowtree_distance(tree, first, second, metric)
+        return [exact_distance(query, c, metric) for c in candidates]
+    if tree is None:
+        return [0.0] * len(candidates)
+    if method == "flowtree":
+        return flowtree_distances(tree, query, candidates, metric)
+    vector = embed(tree, query)
+    return [l1_distance(vector, embed(tree, c)) for c in candidates]
 
 
 def _run_jobs(fn: Callable, jobs: list, workers: int) -> list:
@@ -131,8 +156,6 @@ def _error_pair_job(
     """Evaluate one sampled pair; returns rows, or None if the oracle cap bit."""
     pair_index, left, right, a, b, tree_seed = job
     rows: list[PairErrorRow] = []
-    needs_tree = any(m in TREE_METHODS for m in methods)
-    points = union_coords((a, b)) if (needs_tree and shared_trees is None) else None
     for metric in metrics:
         try:
             d_true = exact_distance(a, b, metric)
@@ -147,16 +170,15 @@ def _error_pair_job(
                 metric.value,
             )
             continue
-        tree = None
-        if needs_tree:
-            if shared_trees is not None:
-                tree = shared_trees[metric]
-            else:
-                tree = build_tree(
-                    points, TreeConfig(seed=tree_seed, ground_metric=metric)
-                )
+        if shared_trees is None:
+            tree = _tree(methods, (a, b), tree_seed, metric)
+        else:
+            tree = shared_trees[metric]
         for method in methods:
-            d_approx = _approx_distance(method, tree, a, b, metric)
+            if method == "exact":
+                d_approx = d_true
+            else:
+                d_approx = _distance_row(a, method, metric, tree, (b,))[0]
             rows.append(
                 PairErrorRow(
                     pair_index=pair_index,
@@ -197,15 +219,10 @@ def error_suite(
     _check_methods(methods)
 
     shared_trees = None
-    if tree_policy == "whole_dataset" and any(m in TREE_METHODS for m in methods):
-        points = union_coords(dataset)
-        # with no point at all, every pair has true distance 0 and is
-        # excluded before it needs a tree
-        if len(points):
-            shared_trees = {
-                metric: build_tree(points, TreeConfig(seed=seed, ground_metric=metric))
-                for metric in metrics
-            }
+    if tree_policy == "whole_dataset":
+        shared_trees = {
+            metric: _tree(methods, dataset, seed, metric) for metric in metrics
+        }
 
     rng = np.random.default_rng(seed)
     jobs = []
@@ -265,25 +282,10 @@ def _ranks(distances: Sequence[float]) -> list[int]:
     return ranks
 
 
-def _query_job(
-    job,
-    method: str,
-    metric: GroundMetric,
-    tree: ShiftedQuadtree | None,
-    candidates: tuple,
-    index,
-):
-    """Distances from job = (position, query), the query at that position of
-    the queries, to every candidate, or None if the oracle cap was exceeded."""
-    position, query = job
-    if method == "embedding":
-        # the index holds the queries, then the candidates
-        n = len(index) - len(candidates)
-        return index.l1_row(position, range(n, len(index)))
-    if method == "flowtree":
-        return flowtree_distances(tree, query, candidates, metric)
+def _query_row(query: PersistenceDiagram, **row_args) -> list[float] | None:
+    """_distance_row, or None if the oracle cap was exceeded."""
     try:
-        return [exact_distance(query, c, metric) for c in candidates]
+        return _distance_row(query, **row_args)
     except SizeCapError:
         return None
 
@@ -301,40 +303,29 @@ def knn_distances(
 
     Tree methods share one tree over queries and candidates; the embedding
     method embeds all of them in one embed_all index and reads each query's
-    row from it, and the flowtree method walks each query against all
-    candidates together (flowtree_distances). When no diagram holds a point,
-    the tree methods return 0.0 rows without building a tree.
+    row from it in this process, and the flowtree method walks each query
+    against all candidates together (flowtree_distances). When no diagram
+    holds a point, the tree methods return 0.0 rows without building a tree.
     """
     if not candidates:
         raise ValueError("candidates must be non-empty")
     _check_methods([method])
-    tree = None
-    index = None
-    if method in TREE_METHODS:
-        diagrams = list(queries) + list(candidates)
-        if all(d.total_count == 0 for d in diagrams):
-            return [[0.0] * len(candidates) for _ in queries]
-        tree = build_tree(
-            union_coords(diagrams), TreeConfig(seed=seed, ground_metric=metric)
-        )
-        if method == "embedding":
-            index = embed_all(tree, diagrams)
+    diagrams = [*queries, *candidates]
+    tree = _tree([method], diagrams, seed, metric)
+    if method == "embedding" and tree is not None:
+        index = embed_all(tree, diagrams)
+        n = len(queries)
+        return [index.l1_row(i, range(n, len(index))) for i in range(n)]
     fn = partial(
-        _query_job,
-        method=method,
-        metric=metric,
-        tree=tree,
-        candidates=tuple(candidates),
-        index=index,
+        _query_row, method=method, metric=metric, tree=tree, candidates=tuple(candidates)
     )
-    return _run_jobs(fn, list(enumerate(queries)), workers)
+    return _run_jobs(fn, list(queries), workers)
 
 
 def recall_at_m(
     true_rows: Sequence[Sequence[float] | None],
     approx_rows: Sequence[Sequence[float] | None],
     method: str,
-    m_max: int | None = None,
 ) -> tuple[RecallCurve, int]:
     """Fraction of queries whose true nearest neighbor lands in the top m.
 
@@ -351,15 +342,13 @@ def recall_at_m(
     ]
     if not kept:
         raise SizeCapError("every query exceeded the oracle size cap")
-    if m_max is None:
-        m_max = len(kept[0][0])
     ranks = []
     for true_d, approx_d in kept:
         true_nn = min(range(len(true_d)), key=lambda c: (true_d[c], c))
         ranks.append(_ranks(approx_d)[true_nn])
     skipped = len(true_rows) - len(ranks)
 
-    m_values = list(range(1, m_max + 1))
+    m_values = list(range(1, len(kept[0][0]) + 1))
     recall = [sum(1 for r in ranks if r <= m) / len(ranks) for m in m_values]
     return RecallCurve(method=method, m_values=m_values, recall=recall), skipped
 
@@ -401,19 +390,13 @@ def runtime_bench(
         second = gen_uniform(size, int(rng.integers(0, 2**31 - 1)))
         tree_seed = int(rng.integers(0, 2**31 - 1))
         for method in methods:
-            tree = None
-            tree_seconds = 0.0
-            if method in TREE_METHODS:
-                t0 = time.perf_counter()
-                tree = build_tree(
-                    union_coords((first, second)),
-                    TreeConfig(seed=tree_seed, ground_metric=metric),
-                )
-                tree_seconds = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            tree = _tree([method], (first, second), tree_seed, metric)
+            tree_seconds = 0.0 if tree is None else time.perf_counter() - t0
             times = []
             for _ in range(reps):
                 t0 = time.perf_counter()
-                _approx_distance(method, tree, first, second, metric)
+                _distance_row(first, method, metric, tree, (second,))
                 times.append(time.perf_counter() - t0)
             rows.append(
                 BenchRow(

@@ -72,10 +72,6 @@ def _unshared(
     )
 
 
-def _diagonal_distances(points: np.ndarray, metric: GroundMetric) -> np.ndarray:
-    return np.abs(points[:, 1] - points[:, 0]) * metric.diagonal_factor
-
-
 def exact_distance(
     first: PersistenceDiagram,
     second: PersistenceDiagram,
@@ -93,8 +89,8 @@ def exact_distance(
     p, q = _unshared(first, second)
     if len(p) > len(q):
         p, q = q, p
-    dp = _diagonal_distances(p, metric)
-    dq = _diagonal_distances(q, metric)
+    dp = metric.diagonal_distances(p)
+    dq = metric.diagonal_distances(q)
     if len(p) == 0:
         return math.fsum(dq.tolist())
     d = metric.pairwise(p, q)

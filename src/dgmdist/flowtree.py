@@ -205,7 +205,7 @@ def _walk(
 
 def _pair_distances(coords, point, partner, metric: GroundMetric) -> np.ndarray:
     """Per-unit ground distance of every matched pair."""
-    distance = np.abs(coords[point, 1] - coords[point, 0]) * metric.diagonal_factor
+    distance = metric.diagonal_distances(coords[point])
     cross = partner >= 0
     distance[cross] = metric.rowwise(coords[point[cross]], coords[partner[cross]])
     return distance

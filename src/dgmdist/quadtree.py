@@ -197,7 +197,7 @@ class ShiftedQuadtree:
 def _min_separation(points: np.ndarray, metric: GroundMetric) -> float:
     """Smallest of: pairwise distances between distinct points, and their
     distances to the diagonal, under the given metric."""
-    diag = np.abs(points[:, 1] - points[:, 0]) * metric.diagonal_factor
+    diag = metric.diagonal_distances(points)
     smallest = float(diag.min())
     if len(points) > 1:
         kd = cKDTree(points)

@@ -556,6 +556,17 @@ class TestBench:
         assert len(lines) == 3
         assert lines[0].startswith("size,method,ground_metric,reps,")
 
+    def test_oracle_size_cap_passes_through(self, tmp_path, capsys):
+        out = tmp_path / "runtime.csv"
+        code, _, err = run(
+            capsys,
+            "bench", "--sizes", "2001", "--methods", "exact",
+            "--reps", "1", "--out", str(out),
+        )
+        assert code == EXIT_SIZE_CAP
+        assert err.splitlines()[-1] == "error: expanded instance size 4002 exceeds cap 4000"
+        assert not out.exists()
+
 
 class TestInternalErrors:
     def test_unwritable_output_is_internal_error(self, tmp_path, capsys):

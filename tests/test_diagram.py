@@ -85,6 +85,15 @@ class TestDiagonalGeometry:
                 p.lifetime / SQRT2
             )
 
+    @pytest.mark.parametrize("metric", list(GroundMetric))
+    def test_rows_equal_diagonal_distance(self, metric):
+        d = gen_gaussian(300, 4)
+        rows = metric.diagonal_distances(d.coords())
+        assert rows.tolist() == [
+            diagonal_distance(PDPoint(b, e), metric) for b, e in d.coords().tolist()
+        ]
+        assert metric.diagonal_distances(np.zeros((0, 2))).shape == (0,)
+
 
 class TestPersistenceDiagram:
     def test_merges_duplicates(self):

@@ -118,6 +118,28 @@ class TestErrorSuite:
             1 for _ in {r.pair_index for r in result.rows}
         ) == result.total_pairs
 
+    def test_exact_method_reuses_ground_truth(self, small_dataset, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[:2])
+            return exact_distance(*args, **kwargs)
+
+        monkeypatch.setattr(dgmdist.evaluate, "exact_distance", counting)
+        result = error_suite(
+            small_dataset,
+            ["exact", "embedding", "flowtree"],
+            [L2, GroundMetric.L1],
+            seed=7,
+            n_pairs=4,
+            workers=1,
+        )
+        assert result.skipped_pairs == 0
+        assert len(calls) == 4 * 2  # one ground truth per pair and metric
+        for row in result.rows:
+            if row.method == "exact":
+                assert row.d_approx == row.d_true
+
     def test_validates_inputs(self, small_dataset):
         with pytest.raises(ValueError):
             error_suite(small_dataset[:1], ["exact"], [L2], seed=0, n_pairs=1)
