@@ -7,8 +7,12 @@ candidate distance) and reports the median over the runs in milliseconds per
 pair. One untimed call per method and set runs first. For the embedding
 method it also times the two stages on the shared tree apart: the
 `embed_all` index over queries and candidates, and one query's `l1_row`.
-The report also records the git commit, the processor count and the Python,
-numpy and scipy versions.
+For the flowtree method it times one query's `flowtree_distances` to all
+candidates on the shared tree, and counts the rows that one `knn_distances`
+call hands to the walk's per-level cell sort (`group_rows`, wrapped here;
+the rows sent to the diagonal at a level are ordered by a separate sort,
+once per row at most, and are not counted). The report also records the
+git commit, the processor count and the Python, numpy and scipy versions.
 
 Usage, from anywhere in the repository:
 
@@ -33,11 +37,13 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
+import dgmdist.flowtree  # noqa: E402
 from dgmdist import (  # noqa: E402
     GroundMetric,
     TreeConfig,
     build_tree,
     embed_all,
+    flowtree_distances,
     gen_gaussian,
     knn_distances,
     union_coords,
@@ -84,15 +90,43 @@ def median_ms(fn, runs):
     return statistics.median(seconds) * 1e3
 
 
+def shared_tree(diagrams):
+    """The tree knn_distances builds over queries and candidates."""
+    return build_tree(union_coords(diagrams), TreeConfig(seed=0, ground_metric=GroundMetric.L2))
+
+
 def embedding_stages(queries, candidates, runs):
     """(index build ms, ms per query row) on the tree knn_distances builds."""
     diagrams = list(queries) + list(candidates)
-    tree = build_tree(union_coords(diagrams), TreeConfig(seed=0, ground_metric=GroundMetric.L2))
+    tree = shared_tree(diagrams)
     index_ms = median_ms(lambda: embed_all(tree, diagrams), runs)
     index = embed_all(tree, diagrams)
     js = range(len(queries), len(diagrams))
     rows_ms = median_ms(lambda: [index.l1_row(i, js) for i in range(len(queries))], runs)
     return index_ms, rows_ms / len(queries)
+
+
+def flowtree_stages(queries, candidates, runs):
+    """(ms per query row, rows the per-level cell sort orders in one
+    knn_distances call) on the tree knn_distances builds."""
+    tree = shared_tree(list(queries) + list(candidates))
+    rows_ms = median_ms(
+        lambda: [flowtree_distances(tree, q, candidates) for q in queries], runs
+    )
+    sorted_rows = 0
+    group_rows = dgmdist.flowtree.group_rows
+
+    def counting(a, b):
+        nonlocal sorted_rows
+        sorted_rows += len(a)
+        return group_rows(a, b)
+
+    dgmdist.flowtree.group_rows = counting
+    try:
+        knn_distances(queries, candidates, "flowtree", GroundMetric.L2, seed=0)
+    finally:
+        dgmdist.flowtree.group_rows = group_rows
+    return rows_ms / len(queries), sorted_rows
 
 
 def git(*args):
@@ -119,6 +153,9 @@ def main(argv=None):
         for method in METHODS:
             row[f"{method}_ms_per_pair"] = ms_per_pair(queries, candidates, method, args.runs)
         row["embedding_index_ms"], row["embedding_row_ms"] = embedding_stages(
+            queries, candidates, args.runs
+        )
+        row["flowtree_row_ms"], row["flowtree_rows_sorted"] = flowtree_stages(
             queries, candidates, args.runs
         )
         results.append(row)

@@ -53,6 +53,7 @@ from .flowtree import (
     KIND_Q_TO_DIAGONAL,
     AugmentedMatching,
     MatchPair,
+    PlacedDiagrams,
     flowtree_distance,
     flowtree_distances,
     greedy_match,
@@ -93,6 +94,7 @@ __all__ = [
     "PDPoint",
     "PairErrorRow",
     "PersistenceDiagram",
+    "PlacedDiagrams",
     "RecallCurve",
     "ShiftedQuadtree",
     "SizeCapError",

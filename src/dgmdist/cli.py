@@ -208,9 +208,15 @@ def cmd_embed(args) -> int:
     return EXIT_OK
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise UsageError("workers must be >= 1")
+
+
 def cmd_knn(args) -> int:
     if args.k < 1:
         raise UsageError("k must be >= 1")
+    _check_workers(args.workers)
     query_names, queries = _load_dir(args.queries)
     cand_names, candidates = _load_dir(args.candidates)
     metric = _metric(args.metric)
@@ -276,6 +282,7 @@ def cmd_eval(args) -> int:
         raise UsageError("n-pairs must be >= 1")
     if args.reps < 1:
         raise UsageError("reps must be >= 1")
+    _check_workers(args.workers)
     _, dataset = _load_dir(args.data)
     if len(dataset) < 2:
         raise UsageError("dataset must contain at least two diagrams")

@@ -3,8 +3,9 @@
 Distances take one path: _distance_row gives one query's distances to its
 candidates by a method, for the error suite, the runtime table and
 knn_distances alike, and _tree is the one rule for the tree the tree methods
-share. knn_distances reads its embedding rows from one embed_all index
-instead. The error suite's exact method reuses its pair's ground truth.
+share. knn_distances reads its tree-method rows from one embed_all index or
+one PlacedDiagrams placement of all its diagrams instead. The error suite's
+exact method reuses its pair's ground truth.
 recall_at_m and ranking_table compute nothing themselves; they only reduce
 knn_distances rows, so the exact ground truth of a query set is solved once
 and shared by every method.
@@ -34,7 +35,7 @@ import numpy as np
 from .diagram import GroundMetric, PersistenceDiagram, gen_uniform
 from .embedding import embed, embed_all, l1_distance
 from .exact import SizeCapError, exact_distance
-from .flowtree import flowtree_distances
+from .flowtree import PlacedDiagrams, flowtree_distances
 from .quadtree import ShiftedQuadtree, TreeConfig, build_tree, union_coords
 
 log = logging.getLogger(__name__)
@@ -303,19 +304,24 @@ def knn_distances(
 
     Tree methods share one tree over queries and candidates; the embedding
     method embeds all of them in one embed_all index and reads each query's
-    row from it in this process, and the flowtree method walks each query
-    against all candidates together (flowtree_distances). When no diagram
-    holds a point, the tree methods return 0.0 rows without building a tree.
+    row from it in this process, and the flowtree method places all of them
+    once (PlacedDiagrams) and walks each query against all candidates
+    together. When no diagram holds a point, the tree methods return 0.0
+    rows without building a tree.
     """
     if not candidates:
         raise ValueError("candidates must be non-empty")
     _check_methods([method])
     diagrams = [*queries, *candidates]
     tree = _tree([method], diagrams, seed, metric)
+    n = len(queries)
+    js = range(n, len(diagrams))
     if method == "embedding" and tree is not None:
         index = embed_all(tree, diagrams)
-        n = len(queries)
-        return [index.l1_row(i, range(n, len(index))) for i in range(n)]
+        return [index.l1_row(i, js) for i in range(n)]
+    if method == "flowtree" and tree is not None:
+        row = partial(PlacedDiagrams(tree, diagrams).flowtree_row, js=js, metric=metric)
+        return _run_jobs(row, list(range(n)), workers)
     fn = partial(
         _query_row, method=method, metric=metric, tree=tree, candidates=tuple(candidates)
     )

@@ -14,8 +14,29 @@ the exact 1-Wasserstein distance for every tree.
 One private kernel, _walk, runs the level sweep for any number of diagram
 pairs at once: their points are stacked pair by pair and grouped by (pair,
 cell), so each level costs a fixed number of array operations however many
-pairs it carries. greedy_match walks one pair; flowtree_distances walks one
-query against all its candidates and returns the same costs, bit for bit.
+pairs it carries. greedy_match walks one pair; flowtree_distances and
+PlacedDiagrams.flowtree_row walk one diagram against many and return the
+same costs, bit for bit.
+
+Placement. PlacedDiagrams places every point of its diagrams once
+(ShiftedQuadtree.place: the finest cell, whose ancestor k levels up is the
+index shifted right by k, and the first terminal level), so a walk computes
+no cell formula. Before the sweep it also gives each row its meet level,
+the first level at which the row's cell holds any point of the other
+diagram of its pair, from the Morton order of the finest cells (see
+PlacedDiagrams._meet_levels). At each level the walk then
+- sends to the diagonal the live rows whose terminal level it is, in the
+  previous level's walk order (pair, cell, row), the order in which a sort
+  of every live row would have listed them;
+- sorts by (pair, cell) only the live rows at or past their meet level.
+
+This changes no matching. Cross pairs form only in a cell that holds live
+rows of both diagrams of a pair. Every live row of such a cell is at or
+past its meet level, since the cell holds a point of the other diagram. So
+each such cell is in the sort whole, with its rows in the same relative
+order, and the cross walk pairs them as it would in a sort of all live
+rows. The rows left out sit in cells holding no point of the other
+diagram; the cross walk would leave their mass unchanged.
 """
 
 from __future__ import annotations
@@ -31,7 +52,7 @@ import numpy as np
 from ._rows import group_rows
 from .diagram import GroundMetric, PersistenceDiagram
 from .embedding import embed, l1_distance
-from .quadtree import ShiftedQuadtree, TreeConfig, tree_geometry, union_coords
+from .quadtree import MAX_LEVELS, ShiftedQuadtree, TreeConfig, tree_geometry, union_coords
 
 KIND_CROSS = "cross"
 KIND_P_TO_DIAGONAL = "p_to_diagonal"
@@ -114,7 +135,7 @@ def _cross_walk(mass: np.ndarray, starts: np.ndarray, from_first: np.ndarray):
     positions of each pair's two points and its mass, in walk order, and the
     mass each position has left.
     """
-    ends = np.append(starts, len(mass))[1:]
+    ends = np.concatenate((starts[1:], [len(mass)]))
     splits = starts + np.add.reduceat(from_first, starts, dtype=np.int64)
     mixed = (starts < splits) & (splits < ends)
     if not mixed.any():
@@ -124,83 +145,220 @@ def _cross_walk(mass: np.ndarray, starts: np.ndarray, from_first: np.ndarray):
     cum = np.concatenate(([0], np.cumsum(mass)))
     matched = np.minimum(cum[mid] - cum[lo], cum[hi] - cum[mid])
     offset = np.cumsum(matched) - matched
-
-    def intervals(first, stop):
-        # positions first[c] .. stop[c]-1 of every mixed cell c, and the
-        # global [begin, end) of the mass each of them gets matched
-        counts = stop - first
-        cell = np.repeat(np.arange(len(first)), counts)
-        pos = np.arange(counts.sum()) + np.repeat(first - (np.cumsum(counts) - counts), counts)
-        base, cap, shift = cum[first][cell], matched[cell], offset[cell]
-        begin = shift + np.minimum(cum[pos] - base, cap)
-        end = shift + np.minimum(cum[pos + 1] - base, cap)
-        return pos, begin, end
-
-    pos_a, begin_a, end_a = intervals(lo, mid)
-    pos_b, begin_b, end_b = intervals(mid, hi)
-    breaks = np.unique(np.concatenate((end_a, end_b)))
-    low = np.concatenate(([0], breaks))[:-1]
-    a = pos_a[np.searchsorted(end_a, low, side="right")]
-    b = pos_b[np.searchsorted(end_b, low, side="right")]
+    # one segment per side of every mixed cell, all first's sides before
+    # all second's; each position of a segment gets the global interval of
+    # mass [offset + min(cum[pos] - base, matched), offset + min(cum[pos + 1]
+    # - base, matched)), base being the cumulative mass where its side begins
+    first = np.concatenate((lo, mid))
+    counts = np.concatenate((mid, hi)) - first
+    seg = np.repeat(np.arange(len(first)), counts)
+    pos = np.arange(len(seg)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    shift = np.concatenate((offset, offset))
+    rebase = (shift - cum[first])[seg]
+    cap = (shift + np.concatenate((matched, matched)))[seg]
+    begin = np.minimum(cum[pos] + rebase, cap)
+    end = np.minimum(cum[pos + 1] + rebase, cap)
     left = mass.copy()
-    left[pos_a] -= end_a - begin_a
-    left[pos_b] -= end_b - begin_b
+    left[pos] -= end - begin
+    n_first = len(seg) - (hi - mid).sum()
+    # each side's ends ascend, so a stable sort merges two runs
+    ends = np.sort(end, kind="stable")
+    breaks = ends[np.concatenate((ends[:-1] != ends[1:], [True]))]
+    low = np.concatenate(([0], breaks[:-1]))
+    a = pos[np.searchsorted(end[:n_first], low, side="right")]
+    b = pos[n_first + np.searchsorted(end[n_first:], low, side="right")]
     return a, b, breaks - low, left
 
 
+def _spread(v: np.ndarray) -> np.ndarray:
+    """Bits 0..23 of v moved to the even positions 0, 2, ..., 46."""
+    v = (v | (v << 16)) & 0x0000FFFF0000FFFF
+    v = (v | (v << 8)) & 0x00FF00FF00FF00FF
+    v = (v | (v << 4)) & 0x0F0F0F0F0F0F0F0F
+    v = (v | (v << 2)) & 0x3333333333333333
+    return (v | (v << 1)) & 0x5555555555555555
+
+
+class PlacedDiagrams:
+    """Diagrams placed once on one tree (built over a superset of their
+    points), for flowtree walks between any two of them.
+
+    Holds the diagrams' stacked coords and multiplicities, diagram d's
+    points at start[d]:start[d + 1]; tree.place of them; each point's rank
+    in the Morton (Z-) order of its finest cell; and every diagram's points
+    in that order as the sorted keys code_key = owner * n + rank, owner
+    being the diagram of a point and by_code the point behind each key.
+    """
+
+    def __init__(self, tree: ShiftedQuadtree, diagrams: Sequence[PersistenceDiagram]):
+        self.tree = tree
+        self.coords = np.concatenate([d.coords() for d in diagrams] + [np.zeros((0, 2))])
+        self.mass = np.concatenate(
+            [d.multiplicities() for d in diagrams] + [np.zeros(0, np.int64)]
+        )
+        sizes = [len(d) for d in diagrams]
+        self.start = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+        self.ix, self.iy, self.terminal_level = tree.place(self.coords)
+        # cell indices are below 2**(level_hi - level_lo) <= 2**47: their
+        # Morton codes rank through one 48-bit word per 24 bits of index,
+        # the high bits first
+        low = (1 << 24) - 1
+        shifts = range(24 * (max(tree.level_hi - tree.level_lo - 1, 0) // 24), -1, -24)
+        parts = _spread(np.stack([(c >> s) & low for s in shifts for c in (self.ix, self.iy)]))
+        n = len(self.mass)
+        self.rank = np.empty(n, np.int64)
+        self.rank[np.lexsort(((parts[0::2] << 1) | parts[1::2])[::-1])] = np.arange(n)
+        self.owner = np.repeat(np.arange(len(sizes)), sizes)
+        key = self.owner * n + self.rank
+        self.by_code = np.argsort(key)
+        self.code_key = key[self.by_code]
+
+    def __len__(self) -> int:
+        return len(self.start) - 1
+
+    def flowtree_row(
+        self, i: int, js: Sequence[int], metric: GroundMetric | None = None
+    ) -> list[float]:
+        """[flowtree_distance(tree, diagram i, diagram j, metric) for j in
+        js], bit for bit: the pairs are walked together, up to
+        2**(54 - tree.num_levels) of them at a time, and each cost is one
+        math.fsum over its own pairs, as for a single pair. Raises
+        IndexError unless i and every j lie in range(len(self))."""
+        js = np.asarray(js, dtype=np.int64).reshape(-1)
+        inside = 0 <= i < len(self) and (len(js) == 0 or 0 <= js.min() <= js.max() < len(self))
+        if not inside:
+            raise IndexError(f"diagram indices must lie in range({len(self)})")
+        metric = metric or self.tree.ground_metric
+        step = 1 << (54 - self.tree.num_levels)
+        costs: list[float] = []
+        for begin in range(0, len(js), step):
+            batch = js[begin : begin + step]
+            point, pair, ((row, partner, pair_mass, _), _, _) = self._walk_pairs(i, batch)
+            partner = np.where(partner >= 0, point[partner], -1)
+            products = pair_mass * _pair_distances(self.coords, point[row], partner, metric)
+            # the smallest unsigned type: a stable sort of it is a radix sort
+            owner = pair[row].astype(np.min_scalar_type(len(batch)))
+            products = products[np.argsort(owner, kind="stable")].tolist()
+            ends = np.cumsum(np.bincount(owner, minlength=len(batch))).tolist()
+            costs.extend(
+                math.fsum(products[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)
+            )
+        return costs
+
+    def _walk_pairs(self, i: int, js: np.ndarray):
+        """_walk of the pairs (diagram i, diagram j) for j in js; returns
+        each row's point and pair with it."""
+        n_first = self.start[i + 1] - self.start[i]
+        sizes = n_first + self.start[js + 1] - self.start[js]
+        pair = np.repeat(np.arange(len(js)), sizes)
+        within = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        from_first = within < n_first
+        point = within + np.where(from_first, self.start[i], self.start[js][pair] - n_first)
+        other = np.where(from_first, js[pair], i)
+        return point, pair, _walk(self, point, pair, from_first, other)
+
+    def _meet_levels(self, point: np.ndarray, other: np.ndarray) -> np.ndarray:
+        """How many levels above the finest the cell of each given point
+        first holds a point of diagram other[i]; MAX_LEVELS if none does.
+
+        Two cells share their ancestor k levels up exactly when k is at
+        least the bit length of (ix ^ ix') | (iy ^ iy'), half the length of
+        their Morton codes' differing suffix, rounded up. Among the other
+        diagram's codes, one with the longest prefix in common is next to
+        the point's code in sorted order, so one search finds it.
+        """
+        n = len(self.mass)
+        pos = np.searchsorted(self.code_key, other * n + self.rank[point])
+        partner = self.by_code[np.stack((np.maximum(pos - 1, 0), np.minimum(pos, n - 1)))]
+        apart = (self.ix[point] ^ self.ix[partner]) | (self.iy[point] ^ self.iy[partner])
+        levels = np.frexp(apart.astype(float))[1]
+        found = self.owner[partner] == other
+        return np.where(found, levels, MAX_LEVELS).min(axis=0, initial=MAX_LEVELS)
+
+
+def _by_level(values: np.ndarray, levels: int):
+    """Rows grouped by a per-row level index: rows[bounds[k]:bounds[k + 1]]
+    are those of value k, in row order."""
+    rows = np.argsort(values.astype(np.int8), kind="stable")
+    return rows, np.searchsorted(values[rows], np.arange(levels + 1))
+
+
 def _walk(
-    tree: ShiftedQuadtree,
-    coords: np.ndarray,
-    mass: np.ndarray,
+    placed: PlacedDiagrams,
+    point: np.ndarray,
     pair: np.ndarray,
     from_first: np.ndarray,
+    other: np.ndarray,
 ):
     """The greedy matchings of several diagram pairs, one pass per level.
 
-    Rows are stacked pair-major: pair p's first-diagram points, then its
-    second-diagram points, each side in lexicographic order. `pair` holds
-    each row's pair index (non-decreasing, below 2**(54 - tree.num_levels)),
-    `from_first` marks first's points and `mass` is used up in place. Each
-    pair is matched exactly as if walked alone: its points never share a
-    cell with another pair's.
+    Each row is placed point point[row] of one pair, with the point's
+    multiplicity as its mass. Rows are stacked pair-major: pair p's
+    first-diagram points, then its second-diagram points, each side in
+    lexicographic order. `pair` holds each row's pair index (non-decreasing,
+    below 2**(54 - tree.num_levels)), `from_first` marks first's points and
+    `other` is the diagram on the row's other side. Each pair is matched
+    exactly as if walked alone: its points never share a cell with another
+    pair's.
 
-    Returns the matched pairs as (point, partner, mass, level) arrays in
+    Returns the matched pairs as (row, partner row, mass, level) arrays in
     matching order (partner -1 for a diagonal pair), the unmatched mass
     after each level summed over the pairs, and whether any mass reached the
     root fallback.
     """
-    walk = np.arange(len(mass))  # live points in the previous level's walk order
+    tree = placed.tree
+    levels = tree.num_levels
+    mass = placed.mass[point]
+    # pair index above the x cell index: the packed (pair, x) key of a
+    # row's cell k levels up is cell_x >> k, below 2**53 and ordered like
+    # the tuple
+    cell_x = (pair << (levels - 1)) + placed.ix[point]
+    iy = placed.iy[point]
+    retiring, retire_at = _by_level(placed.terminal_level[point] - tree.level_lo, levels)
+    meet = np.minimum(placed._meet_levels(point, other), levels)
+    entering, enter_at = _by_level(meet, levels)
+    active = np.zeros(0, np.int64)  # live rows past their meet level, in row order
+    live_mass = int(mass.sum())
+    no_partner = np.full(len(mass), -1)
     pairs: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = []
     residuals: list[tuple[int, int]] = []
 
-    def to_diagonal(points: np.ndarray, level: int) -> None:
-        pairs.append((points, np.full(len(points), -1), mass[points], level))
-        mass[points] = 0
+    def to_diagonal(rows: np.ndarray, level: int) -> int:
+        sent = mass[rows]
+        pairs.append((rows, no_partner[: len(rows)], sent, level))
+        mass[rows] = 0
+        return int(sent.sum())
 
-    for level, _, ix, iy, terminal in tree.level_pass(coords):
-        if len(walk) == 0:
+    for k, level in enumerate(tree.levels()):
+        if live_mass == 0:
             residuals.append((level, 0))
             continue
-        to_diagonal(walk[terminal[walk]], level)
-        # sort by (pair, cell); within a cell first's points precede second's,
-        # each side in lexicographic order. ix < 2**(level_hi - level), so the
-        # packed (pair, ix) key orders like the tuple and stays below 2**53.
-        live = np.flatnonzero(mass > 0)
-        order, starts = group_rows(
-            (pair[live] << (tree.level_hi - level)) + ix[live], iy[live]
-        )
-        live = live[order]
-        a, b, take, left = _cross_walk(mass[live], starts, from_first[live])
-        pairs.append((live[a], live[b], take, level))
-        mass[live] = left
-        walk = live[left > 0]
-        residuals.append((level, int(left.sum())))
+        rows = retiring[retire_at[k] : retire_at[k + 1]]
+        rows = rows[mass[rows] > 0]
+        if len(rows):
+            if k:  # in the previous level's walk order: (pair, cell, row)
+                rows = rows[np.lexsort((iy[rows] >> (k - 1), cell_x[rows] >> (k - 1)))]
+            live_mass -= to_diagonal(rows, level)
+        if enter_at[k] < enter_at[k + 1]:
+            active = np.sort(np.concatenate((active, entering[enter_at[k] : enter_at[k + 1]])))
+        active = active[mass[active] > 0]
+        if len(active):
+            # sort by (pair, cell); within a cell first's points precede
+            # second's, each side in lexicographic order
+            order, starts = group_rows(cell_x[active] >> k, iy[active] >> k)
+            rows = active[order]
+            a, b, take, left = _cross_walk(mass[rows], starts, from_first[rows])
+            pairs.append((rows[a], rows[b], take, level))
+            mass[rows] = left
+            live_mass -= 2 * int(take.sum())
+        residuals.append((level, live_mass))
 
-    root_fallback = len(walk) > 0
-    to_diagonal(walk, tree.level_hi)
-    point, partner, pair_mass, levels = zip(*pairs)
-    matched = (np.concatenate(point), np.concatenate(partner), np.concatenate(pair_mass))
-    return (*matched, np.repeat(levels, [len(p) for p in point])), residuals, root_fallback
+    rows = np.flatnonzero(mass > 0)  # the root is one cell: walk order is row order
+    root_fallback = len(rows) > 0
+    to_diagonal(rows, tree.level_hi)
+    row, partner, pair_mass, levels_of = zip(*pairs)
+    matched = (np.concatenate(row), np.concatenate(partner), np.concatenate(pair_mass))
+    return (*matched, np.repeat(levels_of, [len(r) for r in row])), residuals, root_fallback
 
 
 def _pair_distances(coords, point, partner, metric: GroundMetric) -> np.ndarray:
@@ -221,21 +379,19 @@ def greedy_match(
 
     Deterministic given (tree, first, second); swapping the diagrams yields
     the mirrored pair multiset at identical cost. Runs in
-    O((|first| + |second|) * levels) plus one sort per level of the walk,
-    which flowtree_distances shares among many pairs.
+    O((|first| + |second|) * levels) plus, per level, a sort of the points
+    that can still be cross-matched there; flowtree_distances shares each
+    level's array operations among many pairs.
     """
     metric = metric or tree.ground_metric
-    # points of first, then of second, each in lexicographic order
-    coords = np.vstack((first.coords(), second.coords()))
-    mass = np.concatenate((first.multiplicities(), second.multiplicities()))
-    n_first = len(first)
-    (point, partner, pair_mass, level), residuals, root_fallback = _walk(
-        tree,
-        coords,
-        mass,
-        np.zeros(len(mass), np.int64),
-        np.arange(len(mass)) < n_first,
+    # points of first, then of second, each in lexicographic order: a
+    # single pair's rows are its points
+    placed = PlacedDiagrams(tree, (first, second))
+    _, _, ((point, partner, pair_mass, level), residuals, root_fallback) = placed._walk_pairs(
+        0, np.array([1])
     )
+    coords = placed.coords
+    n_first = len(first)
     distance = _pair_distances(coords, point, partner, metric)
     return AugmentedMatching(
         cost=math.fsum((pair_mass * distance).tolist()),
@@ -272,31 +428,13 @@ def flowtree_distances(
     """flowtree_distance from one query to every candidate, in order.
 
     Equal (==) to [flowtree_distance(tree, query, c, metric) for c in
-    candidates]; the pairs are walked together, one pass per level for up to
-    2**(54 - tree.num_levels) candidates at a time, and each cost is one
-    math.fsum over its own pairs, as for a single pair.
+    candidates]: PlacedDiagrams(tree, [query, *candidates]).flowtree_row of
+    the query against the rest.
     """
-    metric = metric or tree.ground_metric
-    step = 1 << (54 - tree.num_levels)
-    costs: list[float] = []
-    for begin in range(0, len(candidates), step):
-        batch = candidates[begin : begin + step]
-        blocks = [d for c in batch for d in (query, c)]
-        coords = np.vstack([d.coords() for d in blocks])
-        mass = np.concatenate([d.multiplicities() for d in blocks])
-        sizes = np.array([len(query) + len(c) for c in batch])
-        pair = np.repeat(np.arange(len(batch)), sizes)
-        first_end = np.repeat(np.cumsum(sizes) - sizes + len(query), sizes)
-        from_first = np.arange(len(mass)) < first_end
-        (point, partner, pair_mass, _), _, _ = _walk(tree, coords, mass, pair, from_first)
-        products = pair_mass * _pair_distances(coords, point, partner, metric)
-        owner = pair[point]
-        products = products[np.argsort(owner, kind="stable")].tolist()
-        ends = np.cumsum(np.bincount(owner, minlength=len(batch))).tolist()
-        costs.extend(
-            math.fsum(products[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)
-        )
-    return costs
+    if not candidates:
+        return []
+    placed = PlacedDiagrams(tree, [query, *candidates])
+    return placed.flowtree_row(0, range(1, len(candidates) + 1), metric)
 
 
 def multi_tree_estimate(

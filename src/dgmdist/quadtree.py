@@ -12,7 +12,10 @@ Geometry conventions:
 - The terminal test ("does the cell meet the diagonal y = x?") uses the
   closed square, so boundary contact counts as intersecting.
 - ShiftedQuadtree.level_pass is the one place that computes cell indices and
-  terminality; both estimators consume its per-level arrays.
+  terminality. The embedding consumes its per-level arrays;
+  ShiftedQuadtree.place condenses them into one placement per point (the
+  finest cell and the first terminal level), which the flowtree walk reads
+  instead of running the cell formula per level and per pair.
 - The finest level is chosen so its side is strictly below half the minimum
   separation: each occupied finest cell then holds one distinct point and
   cannot be terminal. max_levels_cap, at most MAX_LEVELS, guards
@@ -163,6 +166,22 @@ class ShiftedQuadtree:
             x0 = ox + ix * s
             y0 = oy + iy * s
             yield level, s, ix, iy, (x0 <= y0 + s) & (y0 <= x0 + s)
+
+    def place(self, coords) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every point's finest cell and the first level its cell is terminal.
+
+        Returns int64 arrays (ix, iy, terminal_level) over the rows of the
+        (n, 2) coords array: the level_lo cell indices, from which the cell
+        k levels up is (ix >> k, iy >> k), and the lowest level whose cell
+        meets the diagonal, or level_hi + 1 where none does. Both are read
+        off level_pass, so they agree with it exactly. Raises
+        OutsideRootError as level_pass does.
+        """
+        passes = self.level_pass(coords)
+        _, _, ix, iy, terminal = next(passes)
+        terminal = np.array([terminal, *(t for *_, t in passes)])  # levels x points
+        first = self.level_lo + terminal.argmax(axis=0)
+        return ix, iy, np.where(terminal.any(axis=0), first, self.level_hi + 1)
 
     def meta(self) -> dict:
         """Reproducibility metadata for reports."""

@@ -373,7 +373,39 @@ class TestKnn:
         assert outputs["embedding"] == outputs["flowtree"] == outputs["exact"]
 
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("out_file", [False, True])
+    def test_nonpositive_workers_is_usage_error(self, tmp_path, capsys, workers, out_file):
+        queries, cands = tmp_path / "q", tmp_path / "c"
+        run(capsys, "gen", "--kind", "uniform", "--count", "2",
+            "--max-size", "5", "--seed", "3", "--out", str(queries))
+        run(capsys, "gen", "--kind", "uniform", "--count", "3",
+            "--max-size", "5", "--seed", "8", "--out", str(cands))
+        out_csv = tmp_path / "knn.csv"
+        argv = ["knn", "--queries", str(queries), "--candidates", str(cands),
+                "--method", "flowtree", "-k", "2", "--workers", workers]
+        code, out, err = run(capsys, *argv, *(["--out", str(out_csv)] if out_file else []))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.splitlines()[-1] == "error: workers must be >= 1"
+        assert not out_csv.exists()
+
+
 class TestEval:
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_is_usage_error(self, tmp_path, capsys, workers):
+        data = tmp_path / "data"
+        run(capsys, "gen", "--kind", "uniform", "--count", "3",
+            "--max-size", "5", "--seed", "4", "--out", str(data))
+        out = tmp_path / "report"
+        code, stdout, err = run(
+            capsys, "eval", "--data", str(data), "--out", str(out), "--workers", workers
+        )
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert err.splitlines()[-1] == "error: workers must be >= 1"
+        assert not out.exists()
+
     def test_one_diagram_is_usage_error(self, tmp_path, capsys):
         data = tmp_path / "data"
         run(capsys, "gen", "--kind", "uniform", "--count", "1",

@@ -8,13 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dgmdist.quadtree
+import reference
 from dgmdist import (
     MAX_LEVELS,
     GroundMetric,
     PersistenceDiagram,
+    PlacedDiagrams,
+    ShiftedQuadtree,
     TreeConfig,
     build_tree,
     exact_distance,
+    gen_gaussian,
     gen_uniform,
     union_coords,
 )
@@ -282,6 +286,27 @@ class TestFlowtreeDistances:
             tree, query, candidates, metric
         )
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(batches(), st.data())
+    def test_placed_rows_equal_per_pair_costs(self, batch, data):
+        # any diagram against any list of them, itself and repeats included
+        tree, query, candidates, metric = batch
+        diagrams = [query, *candidates]
+        placed = PlacedDiagrams(tree, diagrams)
+        i = data.draw(st.integers(0, len(diagrams) - 1))
+        js = data.draw(st.lists(st.integers(0, len(diagrams) - 1), max_size=10))
+        expected = per_pair_costs(tree, diagrams[i], [diagrams[j] for j in js], metric)
+        assert placed.flowtree_row(i, js, metric) == expected
+
+    def test_placed_rows_check_indices(self):
+        first, second = gen_uniform(10, 1), gen_uniform(10, 2)
+        placed = PlacedDiagrams(pair_tree(first, second, 3), [first, second])
+        assert len(placed) == 2
+        assert placed.flowtree_row(1, []) == []
+        for i, js in ((2, [0]), (-1, [0]), (0, [2]), (0, [-1, 1])):
+            with pytest.raises(IndexError):
+                placed.flowtree_row(i, js)
+
     @pytest.mark.parametrize("metric", list(GroundMetric))
     def test_empty_query_and_candidates(self, metric):
         empty = PersistenceDiagram()
@@ -294,6 +319,61 @@ class TestFlowtreeDistances:
             assert costs == per_pair_costs(tree, q, cands, metric)
         assert flowtree_distances(tree, empty, [empty], metric) == [0.0]
         assert flowtree_distances(tree, query, [], metric) == []
+
+    @pytest.mark.parametrize("metric", list(GroundMetric))
+    def test_identical_and_repeated_candidates(self, metric):
+        # a candidate equal to the query meets it in every finest cell and
+        # costs exactly 0.0; repeats of one candidate cost the same each time
+        query, other = gen_uniform(30, 5), gen_gaussian(25, 6)
+        tree = build_tree(
+            union_coords((query, other)), TreeConfig(seed=8, ground_metric=metric)
+        )
+        candidates = [query, other, other, query, other]
+        costs = flowtree_distances(tree, query, candidates, metric)
+        assert costs == per_pair_costs(tree, query, candidates, metric)
+        assert costs[0] == costs[3] == 0.0
+        assert costs[1] == costs[2] == costs[4] == reference.greedy_match(
+            tree, query, other, metric
+        )[1]
+
+    @pytest.mark.parametrize("metric", list(GroundMetric))
+    def test_candidate_meeting_the_query_only_at_the_root(self, metric):
+        # the root lies far above the diagonal and the query and the
+        # candidate sit in different halves of it: they share no cell below
+        # the root, cross-match there, and the surplus reaches the fallback
+        tree = ShiftedQuadtree(
+            origin=(0.0, 100.0),
+            root_side=16.0,
+            level_lo=0,
+            level_hi=4,
+            shift=(0.0, 0.0),
+            spread=16.0,
+            seed=0,
+            ground_metric=metric,
+            min_separation=0.5,
+        )
+        query = PersistenceDiagram([(1.0, 101.0, 2), (3.0, 110.0)])
+        candidate = PersistenceDiagram([(9.0, 102.0), (15.0, 115.0, 4)])
+        shared = [
+            set(zip(ix.tolist(), iy.tolist()))
+            for diagram in (query, candidate)
+            for _, _, ix, iy, _ in tree.level_pass(diagram.coords())
+        ]
+        levels = tree.num_levels
+        assert all(not shared[k] & shared[levels + k] for k in range(levels - 1))
+        matching = greedy_match(tree, query, candidate, metric)
+        assert matching.root_fallback
+        assert set(matching.level.tolist()) == {tree.level_hi}
+        _, cost, residuals, root_fallback = reference.greedy_match(
+            tree, query, candidate, metric
+        )
+        assert (matching.cost, matching.level_residuals) == (cost, residuals)
+        assert root_fallback
+        assert flowtree_distances(tree, query, [candidate, query, candidate], metric) == [
+            cost,
+            0.0,
+            cost,
+        ]
 
     @settings(max_examples=6, deadline=None, derandomize=True, database=None)
     @given(st.data())
@@ -398,6 +478,118 @@ class TestMultiTree:
     def test_both_empty_is_zero(self):
         empty = PersistenceDiagram()
         assert multi_tree_estimate(empty, empty, GroundMetric.L2, seeds=[1]) == (0.0, [])
+
+
+def pinned_instances():
+    """name -> (first, second, tree config) of the pinned matching files: a
+    truncated 40-level tree, the deepest (48-level) tree under L1, a root
+    fallback under L-infinity, a near-diagonal gaussian pair and a uniform
+    pair under L1, with multiplicities up to 10^6."""
+    return {
+        "forty_levels": (
+            PersistenceDiagram([(0.0, 4.0, 2), (1e8, 2e8), (2.0, 6.0, 10**6)]),
+            PersistenceDiagram(
+                [(0.0, math.nextafter(4.0, math.inf)), (1.0, 9.0, 3), (2.5, 6.5, 999_999)]
+            ),
+            TreeConfig(seed=17),
+        ),
+        "deepest": (
+            PersistenceDiagram([(0.0, 1e-200), (3.0, 5.0, 2), (1e-300, 4.0)]),
+            PersistenceDiagram([(1e-100, 3e-100, 10**6), (2.0, 7.0)]),
+            TreeConfig(seed=5, max_levels_cap=MAX_LEVELS, ground_metric=GroundMetric.L1),
+        ),
+        "root_fallback": (
+            PersistenceDiagram([(0.0, 100.0, 3), (0.25, 100.5)]),
+            PersistenceDiagram([(1.0, 101.0)]),
+            TreeConfig(seed=3, ground_metric=GroundMetric.LINF),
+        ),
+        "gaussian": (gen_gaussian(14, 21), gen_gaussian(12, 22), TreeConfig(seed=7)),
+        "uniform": (
+            gen_uniform(9, 3),
+            gen_uniform(8, 4),
+            TreeConfig(seed=2, ground_metric=GroundMetric.L1),
+        ),
+    }
+
+
+# The matching files of pinned_instances, line for line and in order, as a
+# walk that sorts every live point at every level writes them: a walk that
+# sorts fewer rows must keep every line and the order of the lines.
+PINNED_MATCHINGS = {
+    'forty_levels': (
+        'cross 0.0 4.0 0.0 4.000000000000001 1 8.881784197001252e-16',
+        'cross 2.0 6.0 2.5 6.5 999999 707106.0740797664',
+        'p_to_diagonal 0.0 4.0 2.0 2.0 1 2.8284271247461903',
+        'p_to_diagonal 2.0 6.0 4.0 4.0 1 2.8284271247461903',
+        'q_to_diagonal 5.0 5.0 1.0 9.0 3 16.970562748477143',
+        'p_to_diagonal 100000000.0 200000000.0 150000000.0 150000000.0 1 70710678.11865476',
+    ),
+    'deepest': (
+        'p_to_diagonal 0.0 1e-200 5e-201 5e-201 1 1e-200',
+        'q_to_diagonal 2e-100 2e-100 1e-100 3e-100 1000000 2e-94',
+        'p_to_diagonal 3.0 5.0 4.0 4.0 2 4.0',
+        'p_to_diagonal 1e-300 4.0 2.0 2.0 1 4.0',
+        'q_to_diagonal 4.5 4.5 2.0 7.0 1 5.0',
+    ),
+    'root_fallback': (
+        'cross 0.25 100.5 1.0 101.0 1 0.75',
+        'p_to_diagonal 0.0 100.0 50.0 50.0 3 150.0',
+    ),
+    'gaussian': (
+        'p_to_diagonal 135.19643698434137 135.1992172061486 135.19782709524497 135.19782709524497 1 0.0019659136930937396',
+        'p_to_diagonal 39.43854718898911 39.58554589076954 39.51204653987932 39.51204653987932 1 0.10394377885455806',
+        'q_to_diagonal 10.07978348439947 10.07978348439947 10.02825901461659 10.13130795418235 1 0.07286660396103138',
+        'q_to_diagonal 10.384250856093944 10.384250856093944 10.287753495051867 10.480748217136021 1 0.13646787671891902',
+        'p_to_diagonal 22.480616669468457 22.695441597147376 22.588029133307916 22.588029133307916 1 0.15190416312967306',
+        'p_to_diagonal 198.54832554731857 198.67282249131728 198.61057401931794 198.61057401931794 1 0.08803263333848783',
+        'q_to_diagonal 40.304981621399406 40.304981621399406 39.85907587501658 40.75088736778223 1 0.6306059540746871',
+        'p_to_diagonal 84.68103447195121 85.30942873622153 84.99523160408637 84.99523160408637 1 0.4443418455242794',
+        'p_to_diagonal 121.1694059141936 122.13829127965026 121.65384859692193 121.65384859692193 1 0.6851054121068086',
+        'p_to_diagonal 126.14288317478086 127.16727450983542 126.65507884230814 126.65507884230814 1 0.7243540596058199',
+        'q_to_diagonal 130.8634833036866 130.8634833036866 130.638337520184 131.0886290871892 1 0.3184042205404899',
+        'p_to_diagonal 134.4118513053574 135.30438641697222 134.85811886116483 134.85811886116483 1 0.6311176298699308',
+        'q_to_diagonal 167.57398150566692 167.57398150566692 167.3922646474089 167.75569836392495 1 0.2569864454603325',
+        'cross 17.81957458444179 19.0293904193404 17.71167465225578 19.30551731800103 1 0.29645987844847066',
+        'p_to_diagonal 41.89709480129904 43.48184071563867 42.68946775846885 42.68946775846885 1 1.1205845824872265',
+        'q_to_diagonal 92.30451744064986 92.30451744064986 91.86740894878935 92.74162593251037 1 0.6181647574175878',
+        'q_to_diagonal 111.7255813603694 111.7255813603694 111.06903107230812 112.38213164843067 1 0.9285023217562182',
+        'q_to_diagonal 121.90094820249885 121.90094820249885 121.49290527053344 122.30899113446425 1 0.577059848415957',
+        'p_to_diagonal 141.96023808168502 144.14345208315765 143.05184508242132 143.05184508242132 1 1.5437654252227173',
+        'q_to_diagonal 170.89046526359914 170.89046526359914 170.31361397022616 171.46731655697215 1 0.8157909225605529',
+        'p_to_diagonal 191.65328907316848 192.47316239574036 192.06322573445442 192.06322573445442 1 0.5797379861045219',
+        'p_to_diagonal 196.16214044489055 197.44741289970284 196.8047766722967 196.8047766722967 1 0.9088248684700483',
+        'q_to_diagonal 74.34714872561587 74.34714872561587 73.26938308641522 75.42491436481652 1 1.524190784017266',
+        'p_to_diagonal 156.2235177634942 157.77732093778383 157.000419350639 157.000419350639 1 1.098704761169388',
+        'q_to_diagonal 198.39501040299837 198.39501040299837 197.53512377604034 199.2548970299564 1 1.2160633299473003',
+    ),
+    'uniform': (
+        'cross 116.43240721287356 195.48175630698972 121.47116639900592 198.32716473160764 1 7.884167610750282',
+        'cross 47.36210131921994 146.20116927072792 34.90556322880569 132.91781399178467 1 25.739893369357496',
+        'p_to_diagonal 17.129833428724872 49.284256638385564 33.20704503355522 33.20704503355522 1 32.15442320966069',
+        'p_to_diagonal 31.947782927415712 108.12853496488785 70.03815894615178 70.03815894615178 1 76.18075203747213',
+        'p_to_diagonal 146.9154302818429 246.19800041957046 196.55671535070667 196.55671535070667 1 99.28257013772756',
+        'p_to_diagonal 160.2548930412794 232.46680513157068 196.36084908642505 196.36084908642505 1 72.21191209029129',
+        'cross 18.825728448079836 183.81838931990646 16.167204779120436 151.59902319989493 1 34.87788978897093',
+        'cross 86.62538804729476 244.06123959480212 102.26551056287232 209.8214857265587 1 49.87987638382097',
+        'cross 95.8102596281668 291.0702221192354 160.38024139716146 297.787445675804 1 71.28720532556328',
+        'q_to_diagonal 237.1564155271306 237.1564155271306 188.61122111447352 285.70160993978766 1 97.09038882531414',
+        'q_to_diagonal 242.50282382220826 242.50282382220826 195.24874114154082 289.7569065028757 1 94.5081653613349',
+        'q_to_diagonal 163.9365390127114 163.9365390127114 75.29731687545451 252.5757611499683 1 177.2784442745138',
+    ),
+}
+
+
+class TestMatchingOrder:
+    @pytest.mark.parametrize("name", sorted(PINNED_MATCHINGS))
+    def test_matching_file_pinned(self, tmp_path, name):
+        first, second, config = pinned_instances()[name]
+        tree = build_tree(union_coords((first, second)), config)
+        matching = greedy_match(tree, first, second)
+        assert matching.root_fallback == (name == "root_fallback")
+        assert tree.truncated == (name in ("forty_levels", "deepest"))
+        write_matching(matching, tmp_path / "m.match")
+        expected = "".join(line + "\n" for line in PINNED_MATCHINGS[name])
+        assert (tmp_path / "m.match").read_bytes() == expected.encode()
 
 
 class TestMatchingDump:

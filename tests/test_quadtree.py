@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgmdist import GroundMetric, PersistenceDiagram, gen_gaussian, gen_uniform
 from dgmdist.quadtree import (
@@ -245,6 +247,90 @@ class TestTerminalCells:
             assert not terminal.any()
             cells = set(zip(ix.tolist(), iy.tolist()))
             assert len(cells) == len(coords), "two distinct points share a finest cell"
+
+
+@st.composite
+def placed_points(draw):
+    """(kind, tree, coords) under any ground metric, of one of three kinds:
+    random pools at offsets up to 1e11, possibly with a near-duplicate that
+    truncates a small-cap tree; pools with a point 1e-200 from the diagonal,
+    which truncate the deepest (48-level) tree; and an unshifted grid with
+    corners on the diagonal and points on a half-cell lattice, whose cells
+    touch the diagonal at corners."""
+    metric = draw(st.sampled_from(list(GroundMetric)))
+    kind = draw(st.sampled_from(["pool", "deepest", "grid"]))
+    if kind == "grid":
+        levels = draw(st.integers(2, 8))
+        side = 2.0 ** draw(st.integers(-3, 3))  # finest cell side
+        steps = 2**levels  # half-cell steps across the root
+        offset = draw(st.sampled_from([0.0, -8.0, 1e11]))
+        tree = ShiftedQuadtree(
+            origin=(offset, offset),
+            root_side=steps * side / 2,
+            level_lo=0,
+            level_hi=levels - 1,
+            shift=(0.0, 0.0),
+            spread=1.0,
+            seed=0,
+            ground_metric=metric,
+            min_separation=side,
+        )
+        lattice = st.tuples(st.integers(0, steps), st.integers(0, steps))
+        cells = draw(st.lists(lattice, min_size=1, max_size=20))
+        return kind, tree, [(offset + i * side / 2, offset + j * side / 2) for i, j in cells]
+    offset = 0.0 if kind == "deepest" else draw(st.sampled_from([0.0, -250.0, 3e4, 1e11]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    raw = draw(
+        st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(1e-3, 1.0)), min_size=1, max_size=20)
+    )
+    pool = []
+    for b, life in raw:
+        birth = offset + scale * b
+        pool.append((birth, birth + scale * life + abs(birth) * 1e-9))
+    if kind == "deepest":
+        pool.append((0.0, 1e-200))
+        cap = MAX_LEVELS
+    else:
+        if draw(st.booleans()):
+            birth, death = pool[0]
+            pool.append((birth, math.nextafter(death, math.inf)))
+        cap = draw(st.sampled_from([2, 3, 5, 12, 40, MAX_LEVELS]))
+    config = TreeConfig(
+        seed=draw(st.integers(0, 2**32 - 1)), max_levels_cap=cap, ground_metric=metric
+    )
+    return kind, build_tree(pool, config), pool
+
+
+class TestPlace:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(placed_points())
+    def test_agrees_with_level_pass(self, instance):
+        # the finest cells, and the first level at which level_pass calls a
+        # point's cell terminal (level_hi + 1 when it never does)
+        kind, tree, coords = instance
+        if kind == "deepest":
+            assert tree.num_levels == MAX_LEVELS and tree.truncated
+        ix, iy, terminal_level = tree.place(coords)
+        passes = list(tree.level_pass(coords))
+        level, _, finest_x, finest_y, _ = passes[0]
+        assert level == tree.level_lo
+        assert ix.tolist() == finest_x.tolist() and iy.tolist() == finest_y.tolist()
+        expected = [
+            next((lv for lv, *_, terminal in passes if terminal[i]), tree.level_hi + 1)
+            for i in range(len(coords))
+        ]
+        assert terminal_level.tolist() == expected
+
+    def test_cell_clear_of_the_diagonal_at_every_level(self):
+        # a root far above the diagonal: no level is terminal
+        tree = manual_tree(origin=(0.0, 20.0))
+        ix, iy, terminal_level = tree.place([(0.5, 27.5), (7.0, 20.0)])
+        assert ix.tolist() == [0, 7] and iy.tolist() == [7, 0]
+        assert terminal_level.tolist() == [tree.level_hi + 1] * 2
+
+    def test_outside_point_raises(self):
+        with pytest.raises(OutsideRootError):
+            manual_tree().place([(1.0, 2.0), (9.0, 9.5)])
 
 
 class TestOccupiedCells:

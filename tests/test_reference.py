@@ -13,6 +13,7 @@ from dgmdist import (
     MAX_LEVELS,
     GroundMetric,
     PersistenceDiagram,
+    PlacedDiagrams,
     ShiftedQuadtree,
     TreeConfig,
     build_tree,
@@ -235,6 +236,49 @@ def test_deepest_tree_matches_reference(metric):
     tree = build_tree(union_coords((first, second)), config)
     assert tree.num_levels == MAX_LEVELS and tree.truncated
     assert_matches_reference(tree, first, second, metric)
+
+
+@st.composite
+def deep_spread_instances(draw):
+    """(tree, first, second, metric) on the deepest tree a config allows,
+    truncated by a point 1e-200 from the diagonal, with the diagrams' points
+    spread far from the diagonal: they stay live into the coarse half of the
+    48 levels and meet the other diagram only there, where cells differ in
+    the high bits of their indices."""
+    metric = draw(st.sampled_from(list(GroundMetric)))
+    steps = st.integers(0, 512)  # a 1/64 lattice: no two points closer
+
+    def diagram():
+        points = []
+        for _ in range(draw(st.integers(0, 12))):
+            x = draw(steps) / 64
+            y = x + 2.0 + draw(steps) / 64
+            points.append((x, y, draw(st.integers(1, 10**6))))
+        return PersistenceDiagram(points)
+
+    first, second = diagram(), diagram()
+    pool = [(0.0, 1e-200), (0.0, 16.0), *union_coords((first, second)).tolist()]
+    config = TreeConfig(
+        seed=draw(st.integers(0, 2**32 - 1)), max_levels_cap=MAX_LEVELS, ground_metric=metric
+    )
+    tree = build_tree(pool, config)
+    assert tree.num_levels == MAX_LEVELS and tree.truncated
+    return tree, first, second, metric
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(deep_spread_instances())
+def test_deep_spread_matches_reference(instance):
+    assert_matches_reference(*instance)
+    tree, first, second, metric = instance
+    placed = PlacedDiagrams(tree, [first, second])
+    costs = [reference.greedy_match(tree, a, b, metric)[1] for a, b in
+             ((first, second), (second, first), (first, first))]
+    assert placed.flowtree_row(0, [1], metric) + placed.flowtree_row(1, [0, 1], metric) == [
+        costs[0],
+        costs[1],
+        0.0,
+    ]
 
 
 @pytest.mark.parametrize("metric", list(GroundMetric))
