@@ -4,15 +4,15 @@ For each of two fixed-seed sets of near-diagonal (gaussian) diagrams, split
 into queries and candidates, times one `knn_distances` call per method (the
 shared tree, the embedding index or the flowtree walks, and every query x
 candidate distance) and reports the median over the runs in milliseconds per
-pair. One untimed call per method and set runs first. For the embedding
-method it also times the two stages on the shared tree apart: the
-`embed_all` index over queries and candidates, and one query's `l1_row`.
-For the flowtree method it times one query's `flowtree_distances` to all
-candidates on the shared tree, and counts the rows that one `knn_distances`
-call hands to the walk's per-level cell sort (`group_rows`, wrapped here;
-the rows sent to the diagonal at a level are ordered by a separate sort,
-once per row at most, and are not counted). The report also records the
-git commit, the processor count and the Python, numpy and scipy versions.
+pair. One untimed call per method and set runs first. For each method it
+also times the two stages on the shared tree apart: the `embed_all` index
+or the `PlacedDiagrams` placement of queries and candidates, then one
+query's `l1_row` or `flowtree_row` against every candidate. For flowtree
+it also counts the rows that one `knn_distances` call hands to the walk's
+per-level cell sort (`group_rows`, wrapped here; the rows sent to the
+diagonal at a level are ordered by a separate sort, once per row at most,
+and are not counted). The report also records the git commit, the
+processor count and the Python, numpy and scipy versions.
 
 Usage, from anywhere in the repository:
 
@@ -40,10 +40,10 @@ import scipy  # noqa: E402
 import dgmdist.flowtree  # noqa: E402
 from dgmdist import (  # noqa: E402
     GroundMetric,
+    PlacedDiagrams,
     TreeConfig,
     build_tree,
     embed_all,
-    flowtree_distances,
     gen_gaussian,
     knn_distances,
     union_coords,
@@ -107,12 +107,14 @@ def embedding_stages(queries, candidates, runs):
 
 
 def flowtree_stages(queries, candidates, runs):
-    """(ms per query row, rows the per-level cell sort orders in one
-    knn_distances call) on the tree knn_distances builds."""
-    tree = shared_tree(list(queries) + list(candidates))
-    rows_ms = median_ms(
-        lambda: [flowtree_distances(tree, q, candidates) for q in queries], runs
-    )
+    """(placement ms, ms per query row, rows the per-level cell sort orders
+    in one knn_distances call) on the tree knn_distances builds."""
+    diagrams = list(queries) + list(candidates)
+    tree = shared_tree(diagrams)
+    place_ms = median_ms(lambda: PlacedDiagrams(tree, diagrams), runs)
+    placed = PlacedDiagrams(tree, diagrams)
+    js = range(len(queries), len(diagrams))
+    rows_ms = median_ms(lambda: [placed.flowtree_row(i, js) for i in range(len(queries))], runs)
     sorted_rows = 0
     group_rows = dgmdist.flowtree.group_rows
 
@@ -126,7 +128,7 @@ def flowtree_stages(queries, candidates, runs):
         knn_distances(queries, candidates, "flowtree", GroundMetric.L2, seed=0)
     finally:
         dgmdist.flowtree.group_rows = group_rows
-    return rows_ms / len(queries), sorted_rows
+    return place_ms, rows_ms / len(queries), sorted_rows
 
 
 def git(*args):
@@ -155,8 +157,8 @@ def main(argv=None):
         row["embedding_index_ms"], row["embedding_row_ms"] = embedding_stages(
             queries, candidates, args.runs
         )
-        row["flowtree_row_ms"], row["flowtree_rows_sorted"] = flowtree_stages(
-            queries, candidates, args.runs
+        row["flowtree_place_ms"], row["flowtree_row_ms"], row["flowtree_rows_sorted"] = (
+            flowtree_stages(queries, candidates, args.runs)
         )
         results.append(row)
         print(json.dumps(row), file=sys.stderr)

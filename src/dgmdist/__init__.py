@@ -16,11 +16,9 @@ from .diagram import (
     InvalidPointError,
     PDPoint,
     PersistenceDiagram,
-    diagonal_distance,
     gen_gaussian,
     gen_uniform,
     load_diagram,
-    project_to_diagonal,
     save_diagram,
 )
 from .embedding import (
@@ -55,7 +53,6 @@ from .flowtree import (
     MatchPair,
     PlacedDiagrams,
     flowtree_distance,
-    flowtree_distances,
     greedy_match,
     multi_tree_estimate,
     write_matching,
@@ -102,13 +99,11 @@ __all__ = [
     "TreeGeometry",
     "TreeMismatchError",
     "build_tree",
-    "diagonal_distance",
     "embed",
     "embed_all",
     "error_suite",
     "exact_distance",
     "flowtree_distance",
-    "flowtree_distances",
     "gen_gaussian",
     "gen_uniform",
     "greedy_match",
@@ -116,7 +111,6 @@ __all__ = [
     "l1_distance",
     "load_diagram",
     "multi_tree_estimate",
-    "project_to_diagonal",
     "ranking_table",
     "read_vector",
     "recall_at_m",

@@ -118,17 +118,6 @@ class PDPoint:
         return self.death - self.birth
 
 
-def project_to_diagonal(p: PDPoint) -> tuple[float, float]:
-    """Nearest point on the line y = x: ((birth+death)/2, (birth+death)/2)."""
-    mid = 0.5 * (p.birth + p.death)
-    return (mid, mid)
-
-
-def diagonal_distance(p: PDPoint, metric: GroundMetric) -> float:
-    """Cost of matching a point to its own diagonal projection."""
-    return p.lifetime * metric.diagonal_factor
-
-
 class PersistenceDiagram:
     """Immutable, canonically sorted multiset of persistence points.
 

@@ -1,11 +1,12 @@
 """Evaluation harness: relative-error suites, recall@m, rank scatter, runtime.
 
-Distances take one path: _distance_row gives one query's distances to its
-candidates by a method, for the error suite, the runtime table and
-knn_distances alike, and _tree is the one rule for the tree the tree methods
-share. knn_distances reads its tree-method rows from one embed_all index or
-one PlacedDiagrams placement of all its diagrams instead. The error suite's
-exact method reuses its pair's ground truth.
+Distances take one path: _rows gives every query's distances to its
+candidates by a method, for knn_distances, the error suite and the runtime
+table alike (the latter two as one query and one candidate), and _tree is the
+one rule for the tree the tree methods share. The tree methods read their
+rows from one embed_all index or one PlacedDiagrams placement of queries and
+candidates together. The error suite's exact method reuses its pair's ground
+truth.
 recall_at_m and ranking_table compute nothing themselves; they only reduce
 knn_distances rows, so the exact ground truth of a query set is solved once
 and shared by every method.
@@ -33,9 +34,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .diagram import GroundMetric, PersistenceDiagram, gen_uniform
-from .embedding import embed, embed_all, l1_distance
+from .embedding import embed_all
 from .exact import SizeCapError, exact_distance
-from .flowtree import PlacedDiagrams, flowtree_distances
+from .flowtree import PlacedDiagrams
 from .quadtree import ShiftedQuadtree, TreeConfig, build_tree, union_coords
 
 log = logging.getLogger(__name__)
@@ -120,32 +121,54 @@ def _tree(
     return build_tree(points, TreeConfig(seed=seed, ground_metric=metric))
 
 
-def _distance_row(
-    query: PersistenceDiagram,
-    method: str,
-    metric: GroundMetric,
-    tree: ShiftedQuadtree | None,
-    candidates: Sequence[PersistenceDiagram],
-) -> list[float]:
-    """Distances from query to every candidate by method. tree is _tree's
-    tree over query and candidates; with None the tree methods give 0.0, as
-    no diagram holds a point. The oracle's SizeCapError passes through."""
-    if method == "exact":
-        return [exact_distance(query, c, metric) for c in candidates]
-    if tree is None:
-        return [0.0] * len(candidates)
-    if method == "flowtree":
-        return flowtree_distances(tree, query, candidates, metric)
-    vector = embed(tree, query)
-    return [l1_distance(vector, embed(tree, c)) for c in candidates]
-
-
 def _run_jobs(fn: Callable, jobs: list, workers: int) -> list:
     if workers <= 1:
         return [fn(job) for job in jobs]
     chunk = max(1, len(jobs) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs, chunksize=chunk))
+
+
+def _exact_row(
+    query: PersistenceDiagram,
+    candidates: Sequence[PersistenceDiagram],
+    metric: GroundMetric,
+) -> list[float] | None:
+    """Exact distances from query to every candidate, or None if the oracle
+    cap was exceeded."""
+    try:
+        return [exact_distance(query, c, metric) for c in candidates]
+    except SizeCapError:
+        return None
+
+
+def _rows(
+    queries: Sequence[PersistenceDiagram],
+    candidates: Sequence[PersistenceDiagram],
+    method: str,
+    metric: GroundMetric,
+    tree: ShiftedQuadtree | None,
+    workers: int = 1,
+) -> list[list[float] | None]:
+    """One row of distances to every candidate per query, by method.
+
+    tree is _tree's tree over queries and candidates; with None the tree
+    methods give 0.0 rows, as no diagram holds a point. An exact row is None
+    when the oracle cap was exceeded. Exact and flowtree rows are computed
+    on up to `workers` processes, one query per job.
+    """
+    if method == "exact":
+        row = partial(_exact_row, candidates=tuple(candidates), metric=metric)
+        return _run_jobs(row, list(queries), workers)
+    if tree is None:
+        return [[0.0] * len(candidates) for _ in queries]
+    diagrams = [*queries, *candidates]
+    js = range(len(queries), len(diagrams))
+    if method == "embedding":
+        index = embed_all(tree, diagrams)
+        return [index.l1_row(i, js) for i in range(len(queries))]
+    row = partial(PlacedDiagrams(tree, diagrams).flowtree_row, js=js, metric=metric)
+    return _run_jobs(row, list(range(len(queries))), workers)
 
 
 def _error_pair_job(
@@ -179,7 +202,7 @@ def _error_pair_job(
             if method == "exact":
                 d_approx = d_true
             else:
-                d_approx = _distance_row(a, method, metric, tree, (b,))[0]
+                d_approx = _rows((a,), (b,), method, metric, tree)[0][0]
             rows.append(
                 PairErrorRow(
                     pair_index=pair_index,
@@ -283,14 +306,6 @@ def _ranks(distances: Sequence[float]) -> list[int]:
     return ranks
 
 
-def _query_row(query: PersistenceDiagram, **row_args) -> list[float] | None:
-    """_distance_row, or None if the oracle cap was exceeded."""
-    try:
-        return _distance_row(query, **row_args)
-    except SizeCapError:
-        return None
-
-
 def knn_distances(
     queries: Sequence[PersistenceDiagram],
     candidates: Sequence[PersistenceDiagram],
@@ -312,20 +327,8 @@ def knn_distances(
     if not candidates:
         raise ValueError("candidates must be non-empty")
     _check_methods([method])
-    diagrams = [*queries, *candidates]
-    tree = _tree([method], diagrams, seed, metric)
-    n = len(queries)
-    js = range(n, len(diagrams))
-    if method == "embedding" and tree is not None:
-        index = embed_all(tree, diagrams)
-        return [index.l1_row(i, js) for i in range(n)]
-    if method == "flowtree" and tree is not None:
-        row = partial(PlacedDiagrams(tree, diagrams).flowtree_row, js=js, metric=metric)
-        return _run_jobs(row, list(range(n)), workers)
-    fn = partial(
-        _query_row, method=method, metric=metric, tree=tree, candidates=tuple(candidates)
-    )
-    return _run_jobs(fn, list(queries), workers)
+    tree = _tree([method], [*queries, *candidates], seed, metric)
+    return _rows(queries, candidates, method, metric, tree, workers)
 
 
 def recall_at_m(
@@ -402,8 +405,10 @@ def runtime_bench(
             times = []
             for _ in range(reps):
                 t0 = time.perf_counter()
-                _distance_row(first, method, metric, tree, (second,))
+                (row,) = _rows((first,), (second,), method, metric, tree)
                 times.append(time.perf_counter() - t0)
+            if row is None:  # capped: raise the oracle's own SizeCapError
+                exact_distance(first, second, metric)
             rows.append(
                 BenchRow(
                     size=size,

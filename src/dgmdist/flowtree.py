@@ -14,9 +14,10 @@ the exact 1-Wasserstein distance for every tree.
 One private kernel, _walk, runs the level sweep for any number of diagram
 pairs at once: their points are stacked pair by pair and grouped by (pair,
 cell), so each level costs a fixed number of array operations however many
-pairs it carries. greedy_match walks one pair; flowtree_distances and
-PlacedDiagrams.flowtree_row walk one diagram against many and return the
-same costs, bit for bit.
+pairs it carries. greedy_match walks one pair; PlacedDiagrams.flowtree_row
+walks one diagram against many and returns the same costs, bit for bit. The
+evaluation harness reads every flowtree distance, single pairs included,
+from flowtree_row; greedy_match serves matchings (dist, .match files).
 
 Placement. PlacedDiagrams places every point of its diagrams once
 (ShiftedQuadtree.place: the finest cell, whose ancestor k levels up is the
@@ -380,8 +381,8 @@ def greedy_match(
     Deterministic given (tree, first, second); swapping the diagrams yields
     the mirrored pair multiset at identical cost. Runs in
     O((|first| + |second|) * levels) plus, per level, a sort of the points
-    that can still be cross-matched there; flowtree_distances shares each
-    level's array operations among many pairs.
+    that can still be cross-matched there; PlacedDiagrams.flowtree_row shares
+    each level's array operations among many pairs.
     """
     metric = metric or tree.ground_metric
     # points of first, then of second, each in lexicographic order: a
@@ -417,24 +418,6 @@ def flowtree_distance(
 ) -> float:
     """Ground-metric cost of the greedy augmented matching."""
     return greedy_match(tree, first, second, metric).cost
-
-
-def flowtree_distances(
-    tree: ShiftedQuadtree,
-    query: PersistenceDiagram,
-    candidates: Sequence[PersistenceDiagram],
-    metric: GroundMetric | None = None,
-) -> list[float]:
-    """flowtree_distance from one query to every candidate, in order.
-
-    Equal (==) to [flowtree_distance(tree, query, c, metric) for c in
-    candidates]: PlacedDiagrams(tree, [query, *candidates]).flowtree_row of
-    the query against the rest.
-    """
-    if not candidates:
-        return []
-    placed = PlacedDiagrams(tree, [query, *candidates])
-    return placed.flowtree_row(0, range(1, len(candidates) + 1), metric)
 
 
 def multi_tree_estimate(

@@ -289,9 +289,15 @@ def tree_geometry(points, metric: GroundMetric) -> TreeGeometry:
         span = delta_min
     root_side = 2.0 * span
 
-    levels = max(2, int(math.floor(math.log2(root_side / delta_min))) + 3)
-    while root_side / 2.0 ** (levels - 1) >= 0.5 * delta_min:
-        levels += 1
+    try:
+        levels = max(2, int(math.floor(math.log2(root_side / delta_min))) + 3)
+        while root_side / 2.0 ** (levels - 1) >= 0.5 * delta_min:
+            levels += 1
+    except OverflowError:
+        raise ValueError(
+            f"tree depth overflows: root side {root_side!r} over minimum "
+            f"separation {delta_min!r} is out of floating-point range"
+        ) from None
 
     if metric is GroundMetric.L1:
         diameter = float(extent.sum())

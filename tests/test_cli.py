@@ -18,6 +18,7 @@ from dgmdist import (
     write_vector,
 )
 from dgmdist.cli import (
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_SIZE_CAP,
@@ -130,6 +131,32 @@ class TestDist:
         code, _, err = run(capsys, "dist", str(a), str(b), "--method", "exact")
         assert code == EXIT_SIZE_CAP
         assert "cap" in err
+
+    @pytest.mark.parametrize("metric", ["l1", "l2", "linf"])
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            # a subnormal separation: root side / separation is infinite,
+            # except under L2, where the gap rounds to a zero separation
+            ([(0.0, 16.0), (5e-324, 16.0)], [(1.0, 9.0)]),
+            # a finite ratio whose depth needs 2.0 ** 1024
+            ([(0.0, 1e300), (3e-21, 1e300), (1e287, 1e300)], []),
+        ],
+    )
+    def test_depth_overflow_is_one_error_line(self, tmp_path, capsys, first, second, metric):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_diagram(PersistenceDiagram(first), a)
+        save_diagram(PersistenceDiagram(second), b)
+        code, out, err = run(
+            capsys, "dist", str(a), str(b), "--method", "flowtree", "--metric", metric
+        )
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        echo, message = err.splitlines()
+        assert echo.startswith("# dgmdist dist:")
+        subnormal_l2 = metric == "l2" and first[1][0] == 5e-324
+        expected = "minimum separation is zero" if subnormal_l2 else "tree depth overflows"
+        assert message.startswith(f"error: {expected}")
 
     def test_argument_echo_on_stderr(self, tmp_path, capsys):
         a = tmp_path / "a.txt"

@@ -7,21 +7,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgmdist import KIND_P_TO_DIAGONAL, TreeConfig, build_tree, greedy_match
 from dgmdist.diagram import (
     DiagramParseError,
     GroundMetric,
     InvalidPointError,
     PDPoint,
     PersistenceDiagram,
-    diagonal_distance,
     gen_gaussian,
     gen_uniform,
     load_diagram,
-    project_to_diagonal,
     save_diagram,
 )
 
 SQRT2 = math.sqrt(2.0)
+
+
+def diagonal_target(p: PDPoint) -> tuple[float, float]:
+    """Where greedy_match sends a lone point: the diagonal end of its pair."""
+    first = PersistenceDiagram([(p.birth, p.death)])
+    tree = build_tree(first.coords(), TreeConfig(seed=0))
+    (pair,) = greedy_match(tree, first, PersistenceDiagram()).pairs
+    assert pair.kind == KIND_P_TO_DIAGONAL and pair.source == (p.birth, p.death)
+    return pair.target
+
+
+def diagonal_distance(p: PDPoint, metric: GroundMetric) -> float:
+    """GroundMetric.diagonal_distances of the one point p."""
+    return metric.diagonal_distances(np.array([[p.birth, p.death]]))[0]
 
 
 class TestPDPoint:
@@ -49,17 +62,17 @@ class TestPDPoint:
 
 class TestDiagonalGeometry:
     def test_projection_is_midpoint(self):
-        assert project_to_diagonal(PDPoint(1, 5)) == (3.0, 3.0)
-        assert project_to_diagonal(PDPoint(0, 4)) == (2.0, 2.0)
+        assert diagonal_target(PDPoint(1, 5)) == (3.0, 3.0)
+        assert diagonal_target(PDPoint(0, 4)) == (2.0, 2.0)
 
     def test_projection_near_diagonal(self):
         eps = 1e-4
-        px, py = project_to_diagonal(PDPoint(0.0, eps))
+        px, py = diagonal_target(PDPoint(0.0, eps))
         assert px == py == pytest.approx(eps / 2)
 
     def test_projection_distance_l2(self):
         p = PDPoint(0, 4)
-        proj = project_to_diagonal(p)
+        proj = diagonal_target(p)
         assert GroundMetric.L2.distance((p.birth, p.death), proj) == pytest.approx(
             2 * SQRT2
         )
@@ -89,9 +102,7 @@ class TestDiagonalGeometry:
     def test_rows_equal_diagonal_distance(self, metric):
         d = gen_gaussian(300, 4)
         rows = metric.diagonal_distances(d.coords())
-        assert rows.tolist() == [
-            diagonal_distance(PDPoint(b, e), metric) for b, e in d.coords().tolist()
-        ]
+        assert rows.tolist() == [p.lifetime * metric.diagonal_factor for p in d.points]
         assert metric.diagonal_distances(np.zeros((0, 2))).shape == (0,)
 
 

@@ -16,6 +16,7 @@ from dgmdist import (
     flowtree_distance,
     gen_gaussian,
     gen_uniform,
+    greedy_match,
     l1_distance,
     union_coords,
 )
@@ -139,6 +140,38 @@ class TestErrorSuite:
         for row in result.rows:
             if row.method == "exact":
                 assert row.d_approx == row.d_true
+
+    @pytest.mark.parametrize("metric", list(GroundMetric))
+    @pytest.mark.parametrize("tree_policy", ["per_pair", "whole_dataset"])
+    def test_tree_methods_equal_pair_path(self, small_dataset, monkeypatch, tree_policy, metric):
+        # single pairs are read from two-diagram engines; each value is the
+        # per-pair path's, bit for bit, on the tree the suite built for it
+        trees = []
+        build = dgmdist.evaluate._tree
+
+        def recording(*args):
+            trees.append(build(*args))
+            return trees[-1]
+
+        monkeypatch.setattr(dgmdist.evaluate, "_tree", recording)
+        result = error_suite(
+            small_dataset,
+            ["embedding", "flowtree"],
+            [metric],
+            seed=9,
+            n_pairs=8,
+            tree_policy=tree_policy,
+        )
+        assert len(result.rows) == 16
+        assert len(trees) == (1 if tree_policy == "whole_dataset" else 8)
+        for k, row in enumerate(result.rows):
+            tree = trees[0 if tree_policy == "whole_dataset" else k // 2]
+            a, b = small_dataset[row.left], small_dataset[row.right]
+            if row.method == "embedding":
+                expected = l1_distance(embed(tree, a), embed(tree, b))
+            else:
+                expected = greedy_match(tree, a, b, metric).cost
+            assert row.d_approx == expected
 
     def test_validates_inputs(self, small_dataset):
         with pytest.raises(ValueError):

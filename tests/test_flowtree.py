@@ -28,7 +28,6 @@ from dgmdist.flowtree import (
     KIND_P_TO_DIAGONAL,
     KIND_Q_TO_DIAGONAL,
     flowtree_distance,
-    flowtree_distances,
     greedy_match,
     multi_tree_estimate,
     write_matching,
@@ -277,12 +276,18 @@ def batches(draw):
     return build_tree(pool, config), query, candidates, metric
 
 
+def query_row(tree, query, candidates, metric):
+    """flowtree_row of query against every candidate, placed together."""
+    placed = PlacedDiagrams(tree, [query, *candidates])
+    return placed.flowtree_row(0, range(1, len(candidates) + 1), metric)
+
+
 class TestFlowtreeDistances:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(batches())
     def test_equals_per_pair_costs(self, batch):
         tree, query, candidates, metric = batch
-        assert flowtree_distances(tree, query, candidates, metric) == per_pair_costs(
+        assert query_row(tree, query, candidates, metric) == per_pair_costs(
             tree, query, candidates, metric
         )
 
@@ -315,10 +320,10 @@ class TestFlowtreeDistances:
             union_coords((query, other)), TreeConfig(seed=4, ground_metric=metric)
         )
         for q, cands in ((query, [empty, other, empty]), (empty, [other, empty, query])):
-            costs = flowtree_distances(tree, q, cands, metric)
+            costs = query_row(tree, q, cands, metric)
             assert costs == per_pair_costs(tree, q, cands, metric)
-        assert flowtree_distances(tree, empty, [empty], metric) == [0.0]
-        assert flowtree_distances(tree, query, [], metric) == []
+        assert query_row(tree, empty, [empty], metric) == [0.0]
+        assert query_row(tree, query, [], metric) == []
 
     @pytest.mark.parametrize("metric", list(GroundMetric))
     def test_identical_and_repeated_candidates(self, metric):
@@ -329,7 +334,7 @@ class TestFlowtreeDistances:
             union_coords((query, other)), TreeConfig(seed=8, ground_metric=metric)
         )
         candidates = [query, other, other, query, other]
-        costs = flowtree_distances(tree, query, candidates, metric)
+        costs = query_row(tree, query, candidates, metric)
         assert costs == per_pair_costs(tree, query, candidates, metric)
         assert costs[0] == costs[3] == 0.0
         assert costs[1] == costs[2] == costs[4] == reference.greedy_match(
@@ -369,7 +374,7 @@ class TestFlowtreeDistances:
         )
         assert (matching.cost, matching.level_residuals) == (cost, residuals)
         assert root_fallback
-        assert flowtree_distances(tree, query, [candidate, query, candidate], metric) == [
+        assert query_row(tree, query, [candidate, query, candidate], metric) == [
             cost,
             0.0,
             cost,
@@ -402,7 +407,7 @@ class TestFlowtreeDistances:
 
         query = diagram()
         candidates = [diagram() for _ in range(data.draw(st.integers(65, 140)))]
-        assert flowtree_distances(tree, query, candidates, metric) == per_pair_costs(
+        assert query_row(tree, query, candidates, metric) == per_pair_costs(
             tree, query, candidates, metric
         )
 

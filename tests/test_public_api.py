@@ -1,0 +1,69 @@
+"""The public names of the dgmdist package, pinned.
+
+Adding or removing an export must edit PUBLIC here, and a removal also needs
+its line in CHANGES.md.
+"""
+
+import dgmdist
+
+PUBLIC = [
+    "AugmentedMatching",
+    "BenchRow",
+    "DEFAULT_SIZE_CAP",
+    "DiagramError",
+    "DiagramParseError",
+    "EmbeddingIndex",
+    "EmbeddingVector",
+    "ErrorStats",
+    "ErrorSuiteResult",
+    "GroundMetric",
+    "InvalidPointError",
+    "KIND_CROSS",
+    "KIND_P_TO_DIAGONAL",
+    "KIND_Q_TO_DIAGONAL",
+    "MAX_LEVELS",
+    "MatchPair",
+    "OutsideRootError",
+    "PDPoint",
+    "PairErrorRow",
+    "PersistenceDiagram",
+    "PlacedDiagrams",
+    "RecallCurve",
+    "ShiftedQuadtree",
+    "SizeCapError",
+    "TreeConfig",
+    "TreeGeometry",
+    "TreeMismatchError",
+    "build_tree",
+    "embed",
+    "embed_all",
+    "error_suite",
+    "exact_distance",
+    "flowtree_distance",
+    "gen_gaussian",
+    "gen_uniform",
+    "greedy_match",
+    "knn_distances",
+    "l1_distance",
+    "load_diagram",
+    "multi_tree_estimate",
+    "ranking_table",
+    "read_vector",
+    "recall_at_m",
+    "relative_error",
+    "runtime_bench",
+    "save_diagram",
+    "tree_geometry",
+    "union_coords",
+    "write_matching",
+    "write_vector",
+]
+
+
+def test_all_is_pinned():
+    assert sorted(dgmdist.__all__) == PUBLIC
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in PUBLIC if not hasattr(dgmdist, name)]
+    assert missing == []

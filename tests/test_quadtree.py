@@ -131,6 +131,21 @@ class TestBuildTree:
                 assert tree.meta() == expected.meta()
                 assert tree.signature == expected.signature
 
+    @pytest.mark.parametrize(
+        "pts,metrics",
+        [
+            # root side / separation is infinite: a subnormal separation
+            # (under L2 the gap rounds to zero and is refused as such)
+            ([(0.0, 16.0), (5e-324, 16.0), (1.0, 9.0)], [GroundMetric.L1, GroundMetric.LINF]),
+            # the ratio is finite but the depth needs 2.0 ** 1024
+            ([(0.0, 1e300), (3e-21, 1e300), (1e287, 1e300)], list(GroundMetric)),
+        ],
+    )
+    def test_depth_overflow_is_value_error(self, pts, metrics):
+        for metric in metrics:
+            with pytest.raises(ValueError, match="tree depth overflows"):
+                tree_geometry(pts, metric)
+
     def test_geometry_metric_must_match(self):
         geometry = tree_geometry([(0.0, 4.0), (1.0, 5.0)], GroundMetric.L2)
         with pytest.raises(ValueError, match="ground_metric"):
