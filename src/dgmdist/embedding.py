@@ -5,30 +5,28 @@ A diagram maps to one coordinate per occupied, non-terminal quadtree cell,
 valued at (cell side) * (point count with multiplicity). Cells meeting the
 diagonal are dropped, which makes the plain L1 distance between two such
 vectors the tree-metric transport cost with diagonal absorption. A vector is
-a sorted (level, ix, iy) int64 array with a parallel value array; the
-distance groups the two vectors' cells in one sort and sums the absolute
-differences exactly with math.fsum.
+a sorted (level, ix, iy) int64 array with a parallel value array.
 
 One private kernel, _cell_entries, embeds any number of stacked diagrams in
 one level pass: each level sorts the non-terminal points of all of them by
-cell once. embed runs it on one diagram; embed_all runs it on many and keeps
-the result as an EmbeddingIndex, stored cell by cell.
+cell once and keeps each (cell, diagram) entry's integer count. embed_all
+stores the result as an EmbeddingIndex, and embed is a one-diagram index's
+vector.
 
-EmbeddingIndex.l1_row(i, js) equals l1_distance(vector(i), vector(j)) for
-each j bit for bit, at a cost of the cells i and j share:
+EmbeddingIndex.l1_row gives the embedding distance of two diagrams from
+integer counts alone. On the level k above the finest, the L1 distance of
+their counts is N_k = S_i + S_j - 2 M_k, with S a diagram's count sum on
+the level and M_k the sum of min(count_i, count_j) over the cells both
+occupy there. The cell side there is root_side * 2**(k - top), top the
+root's k, so the distance is root_side * sum_k(2**k * N_k) / 2**top: one
+exact rational, formed in Python ints and rounded once by their correctly
+rounded true division. The index keeps each diagram's sum_k(2**k * S) as
+one int and gathers the M_k from the cells diagram i shares.
 
-- l1_distance returns math.fsum of the multiset M: q_j for each cell only q
-  holds, c_j for each cell only c holds, and |fl(q_j - c_j)| for each shared
-  cell. math.fsum rounds the exact sum of its inputs once, correctly.
-- The index keeps, per diagram, an exact expansion E of its value sum: floats
-  whose exact sum is the exact sum of the values. It is built by appending
-  math.fsum(values - terms) to the terms until that returns 0.0 (two terms on
-  typical inputs).
-- E_q + E_c + [|fl(q_j - c_j)|, -q_j, -c_j for each shared cell j] has the
-  exact sum of M: a shared cell's q_j and c_j, counted once in E_q and E_c,
-  cancel exactly against -q_j and -c_j. Its math.fsum is the same real
-  number rounded once, so the same float, and nothing is rounded before
-  that sum: the |q| + |c| - 2 sum(min) cancellation never occurs.
+l1_distance sums the absolute differences of two stored float vectors (as
+read from .vec files) with math.fsum. Each stored value is already the
+rounded product side * count, so it can differ from the index's value in
+the last bits.
 """
 
 from __future__ import annotations
@@ -108,89 +106,63 @@ class _Cells:
         return out
 
 
-def _cell_entries(tree: ShiftedQuadtree, coords, mults, owner=None):
+def _cell_entries(tree: ShiftedQuadtree, coords, mults, owner, n: int):
     """The embedding entries of stacked diagrams, in one level pass.
 
-    Rows of `coords` carry multiplicities `mults` and, for several diagrams,
-    their diagram index `owner`, non-decreasing (None: one diagram). Each
-    level groups its non-terminal points by cell in one stable sort, so the
-    points of a cell stay in diagram order and each (cell, diagram) run of
-    them is one entry, valued side * count.
+    Rows of `coords` carry multiplicities `mults` and their diagram index
+    `owner`, non-decreasing and below n. Each level groups its non-terminal
+    points by cell in one stable sort, so the points of a cell stay in
+    diagram order and each (cell, diagram) run of them is one entry, holding
+    the run's integer point count.
 
-    Returns the cells and each entry's value, cell by cell and in diagram
-    order within a cell. One diagram's entries are its cells, returned as
-    its vector's (level, ix, iy) rows, with None and None. Several diagrams'
-    cells are returned as _Cells, one point per cell, with each entry's
-    diagram and the position of each cell's first entry followed by the
-    entry count.
+    Returns the cells as _Cells, one point per cell; each entry's count and
+    diagram, cell by cell and in diagram order within a cell; the position
+    of each cell's first entry followed by the entry count; and each
+    diagram's count sum per level, as a levels x diagrams int64 array.
     """
     # a point adds at most one cell and one entry per level: arrays of that
     # bound are filled in place and cut to size at the end, so only pages
-    # written to are ever resident. One diagram's cell rows are joined from
-    # per-level pieces instead: spelling them out from _Cells afterwards
-    # measured about 1 MB more peak memory on perfbench's dist-uniform
+    # written to are ever resident
     bound = len(coords) * tree.num_levels
     position = np.int32 if bound < 2**31 else np.int64
-    values = np.empty(bound)
-    if owner is None:
-        rows = []
-    else:
-        reps, owners = np.empty(bound, position), np.empty(bound, owner.dtype)
-        firsts = np.empty(bound + 1, position)
+    counts = np.empty(bound, np.int64)
+    reps, owners = np.empty(bound, position), np.empty(bound, owner.dtype)
+    firsts = np.empty(bound + 1, position)
+    level_sums = np.zeros((tree.num_levels, n), np.int64)
     level_start = [0]
     count = 0
-    for level, side, ix, iy, terminal in tree.level_pass(coords):
-        if level == tree.level_lo:
+    for k, (_, _, ix, iy, terminal) in enumerate(tree.level_pass(coords)):
+        if k == 0:
             ix0, iy0 = ix, iy
         live = np.flatnonzero(~terminal)
         order, starts = group_rows(ix[live], iy[live])
         live = live[order]
         cell, end = level_start[-1], level_start[-1] + len(starts)
         level_start.append(end)
-        runs = starts
-        if owner is None:
-            first = live[starts]
-            rows.append(
-                np.column_stack((np.full(len(first), level, np.int64), ix[first], iy[first]))
-            )
-        else:
-            reps[cell:end] = live[starts]
-            own = owner[live]
-            split = np.zeros(len(own), bool)
-            split[starts] = True
-            split[1:] |= own[1:] != own[:-1]
-            runs = np.flatnonzero(split)
-            owners[count : count + len(runs)] = own[runs]
-            firsts[cell:end] = count + np.searchsorted(runs, starts)
-        values[count : count + len(runs)] = side * np.add.reduceat(mults[live], runs)
+        reps[cell:end] = live[starts]
+        own = owner[live]
+        split = np.zeros(len(own), bool)
+        split[starts] = True
+        split[1:] |= own[1:] != own[:-1]
+        runs = np.flatnonzero(split)
+        entries = slice(count, count + len(runs))
+        owners[entries] = own[runs]
+        counts[entries] = np.add.reduceat(mults[live], runs)
+        np.add.at(level_sums[k], owners[entries], counts[entries])
+        firsts[cell:end] = count + np.searchsorted(runs, starts)
         count += len(runs)
-    values.resize(count, refcheck=False)
-    if owner is None:
-        return np.concatenate(rows), values, None, None
+    counts.resize(count, refcheck=False)
     reps.resize(level_start[-1], refcheck=False)
     owners.resize(count, refcheck=False)
     firsts[level_start[-1]] = count
     firsts.resize(level_start[-1] + 1, refcheck=False)
-    return _Cells(tree.level_lo, level_start, reps, ix0, iy0), values, owners, firsts
+    cells = _Cells(tree.level_lo, level_start, reps, ix0, iy0)
+    return cells, counts, owners, firsts, level_sums
 
 
 def embed(tree: ShiftedQuadtree, diagram: PersistenceDiagram) -> EmbeddingVector:
     """Embed a diagram on a tree built over a superset of its points."""
-    cells, values, _, _ = _cell_entries(tree, diagram.coords(), diagram.multiplicities())
-    return EmbeddingVector(
-        tree_signature=tree.signature,
-        cells=cells,
-        values=values,
-        total_mass=diagram.total_count,
-    )
-
-
-def _exact_sum(values: list[float]) -> list[float]:
-    """Floats whose exact sum is the exact sum of values."""
-    terms: list[float] = []
-    while (rest := math.fsum(values + [-t for t in terms])) != 0.0:
-        terms.append(rest)
-    return terms
+    return embed_all(tree, [diagram]).vector(0)
 
 
 @dataclass(eq=False)
@@ -199,63 +171,81 @@ class EmbeddingIndex:
 
     `cells` numbers every occupied non-terminal cell once. The entries of
     cell c lie at positions cell_start[c]:cell_start[c + 1] of `owner`
-    (their diagram, increasing) and `values`. positions[i] lists diagram
-    i's entry positions in cell order, sums[i] is the exact expansion of
-    its value sum (see the module docstring) and total_masses[i] its total
-    multiplicity.
+    (their diagram, increasing) and `counts` (their point count with
+    multiplicity). positions[i] lists diagram i's entry positions in cell
+    order and total_masses[i] its total multiplicity. sides[k] is the cell
+    side k levels above the finest, and weights[i] the exact int
+    sum_k(2**k * S), S diagram i's count sum on that level.
     """
 
     tree_signature: str
     cells: _Cells
     cell_start: np.ndarray
     owner: np.ndarray
-    values: np.ndarray
+    counts: np.ndarray
     positions: list[np.ndarray]
-    sums: list[list[float]]
+    sides: np.ndarray
+    weights: list[int]
     total_masses: list[int]
 
     def __len__(self) -> int:
         return len(self.total_masses)
 
-    def _entries(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Diagram i's entry positions and their cell ids, in cell order."""
+    def _entries(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Diagram i's entry positions, their cell ids and the number of
+        levels those cells lie above the finest, in cell order."""
+        if not 0 <= i < len(self):
+            raise IndexError(f"diagram indices must lie in range({len(self)})")
         mine = self.positions[i]
-        return mine, np.searchsorted(self.cell_start, mine, side="right") - 1
+        cell = np.searchsorted(self.cell_start, mine, side="right") - 1
+        return mine, cell, np.searchsorted(self.cells.level_start, cell, side="right") - 1
 
     def vector(self, i: int) -> EmbeddingVector:
-        """Diagram i's embedding, == to embed(tree, diagram i)."""
-        mine, cell = self._entries(i)
+        """Diagram i's embedding: its cells, valued side * count."""
+        mine, cell, k = self._entries(i)
         return EmbeddingVector(
             tree_signature=self.tree_signature,
             cells=self.cells.rows(cell),
-            values=self.values[mine],
+            values=self.sides[k] * self.counts[mine],
             total_mass=self.total_masses[i],
         )
 
     def l1_row(self, i: int, js: Sequence[int]) -> list[float]:
-        """[l1_distance(self.vector(i), self.vector(j)) for j in js], bit for
-        bit, summed from the exact sums and the cells i shares with each j.
-        Raises IndexError unless every j lies in range(len(self))."""
+        """The embedding distance from diagram i to each diagram of js: the
+        exact tree cost of their counts (see the module docstring), rounded
+        once, at a cost of the cells i shares with each j. Raises IndexError
+        unless i and every j lie in range(len(self))."""
         js = np.asarray(js, dtype=np.int64).reshape(-1)
         if len(js) and not (0 <= js.min() and js.max() < len(self)):
             raise IndexError(f"diagram indices must lie in range({len(self)})")
-        mine, cell = self._entries(i)
+        mine, cell, level = self._entries(i)
         first = self.cell_start[cell]
-        counts = self.cell_start[cell + 1] - first
-        # every entry of every cell of diagram i, its own entries included
-        pos = np.arange(counts.sum()) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+        sizes = self.cell_start[cell + 1] - first
+        # every entry of every cell of diagram i, its own entries included,
+        # ordered by diagram and, as i's cells are, by level within one
+        pos = np.arange(sizes.sum()) + np.repeat(first - (np.cumsum(sizes) - sizes), sizes)
+        order = np.argsort(self.owner[pos], kind="stable")
+        pos = pos[order]
         owner = self.owner[pos]
-        order = np.argsort(owner, kind="stable")
-        owner = owner[order]
-        q = np.repeat(self.values[mine], counts)[order]
-        c = self.values[pos[order]]
-        terms = np.column_stack((np.abs(q - c), -q, -c))
-        lo = np.searchsorted(owner, js, side="left").tolist()
-        hi = np.searchsorted(owner, js, side="right").tolist()
-        own = self.sums[i]
+        level = np.repeat(level, sizes)[order]
+        shared = np.minimum(np.repeat(self.counts[mine], sizes)[order], self.counts[pos])
+        split = np.ones(len(pos), bool)
+        split[1:] = (owner[1:] != owner[:-1]) | (level[1:] != level[:-1])
+        runs = np.flatnonzero(split)
+        # overlap[j] = sum_k(2**k * M), M the sum of min(count_i, count_j)
+        # over the cells i and j share on level k: an int64 sum bounded by
+        # j's count sum, weighted exactly in Python ints
+        overlap: dict[int, int] = {}
+        for j, k, m in zip(
+            owner[runs].tolist(), level[runs].tolist(), np.add.reduceat(shared, runs).tolist()
+        ):
+            overlap[j] = overlap.get(j, 0) + (m << k)
+        p, q = float(self.sides[-1]).as_integer_ratio()
+        scale = q << (len(self.sides) - 1)
+        own = self.weights[i]
         return [
-            math.fsum(own + self.sums[j] + terms[a:b].ravel().tolist())
-            for j, a, b in zip(js.tolist(), lo, hi)
+            p * (own + self.weights[j] - 2 * overlap.get(j, 0)) / scale
+            for j in js.tolist()
         ]
 
 
@@ -270,16 +260,18 @@ def embed_all(tree: ShiftedQuadtree, diagrams: Sequence[PersistenceDiagram]) -> 
         np.arange(len(diagrams), dtype=np.min_scalar_type(len(diagrams))),
         [len(d) for d in diagrams],
     )
-    cells, values, entry_owner, cell_start = _cell_entries(tree, coords, mults, owner)
-    positions = _positions_by_owner(entry_owner, len(diagrams), cell_start.dtype)
+    cells, counts, entry_owner, cell_start, level_sums = _cell_entries(
+        tree, coords, mults, owner, len(diagrams)
+    )
     return EmbeddingIndex(
         tree_signature=tree.signature,
         cells=cells,
         cell_start=cell_start,
         owner=entry_owner,
-        values=values,
-        positions=positions,
-        sums=[_exact_sum(values[p].tolist()) for p in positions],
+        counts=counts,
+        positions=_positions_by_owner(entry_owner, len(diagrams), cell_start.dtype),
+        sides=np.array([tree.side(level) for level in tree.levels()]),
+        weights=[sum(s << k for k, s in enumerate(col)) for col in level_sums.T.tolist()],
         total_masses=[d.total_count for d in diagrams],
     )
 
@@ -300,7 +292,8 @@ def _positions_by_owner(owner: np.ndarray, n: int, position) -> list[np.ndarray]
 
 
 def l1_distance(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """L1 distance between two embeddings of the same tree."""
+    """L1 distance between two embeddings of the same tree: math.fsum of
+    the absolute differences of their stored values."""
     if a.tree_signature != b.tree_signature:
         raise TreeMismatchError(
             f"vectors come from different trees: "

@@ -5,8 +5,9 @@ candidates by a method, for knn_distances, the error suite and the runtime
 table alike (the latter two as one query and one candidate), and _tree is the
 one rule for the tree the tree methods share. The tree methods read their
 rows from one embed_all index or one PlacedDiagrams placement of queries and
-candidates together. The error suite's exact method reuses its pair's ground
-truth.
+candidates together, so an embedding distance here is the index's exactly
+rounded tree cost, as multi_tree_estimate gives it on the same tree. The
+error suite's exact method reuses its pair's ground truth.
 recall_at_m and ranking_table compute nothing themselves; they only reduce
 knn_distances rows, so the exact ground truth of a query set is solved once
 and shared by every method.
@@ -319,9 +320,9 @@ def knn_distances(
 
     Tree methods share one tree over queries and candidates; the embedding
     method embeds all of them in one embed_all index and reads each query's
-    row from it in this process, and the flowtree method places all of them
-    once (PlacedDiagrams) and walks each query against all candidates
-    together. When no diagram holds a point, the tree methods return 0.0
+    row (exact tree costs, each rounded once) from it in this process, and
+    the flowtree method places all of them once (PlacedDiagrams) and walks
+    each query against all candidates together. When no diagram holds a point, the tree methods return 0.0
     rows without building a tree.
     """
     if not candidates:

@@ -52,7 +52,7 @@ import numpy as np
 
 from ._rows import group_rows
 from .diagram import GroundMetric, PersistenceDiagram
-from .embedding import embed, l1_distance
+from .embedding import embed_all
 from .quadtree import MAX_LEVELS, ShiftedQuadtree, TreeConfig, tree_geometry, union_coords
 
 KIND_CROSS = "cross"
@@ -432,7 +432,9 @@ def multi_tree_estimate(
 
     Shifts one tree per seed over the union of both diagrams' points, whose
     seed-independent geometry is computed once, runs the tree method on each
-    and reduces the per-tree estimates by mean (math.fsum) or min. Returns
+    and reduces the per-tree estimates by mean (math.fsum) or min: flowtree
+    is greedy_match's cost, embedding the row of a two-diagram embed_all
+    index (the exact tree cost of the cell counts, rounded once). Returns
     the estimate and one tree.meta() dict per seed; for flowtree each dict
     also records the matching's root_fallback.
     Two empty diagrams give (0.0, []) without building a tree. `dgmdist
@@ -457,7 +459,7 @@ def multi_tree_estimate(
             values.append(matching.cost)
             meta["root_fallback"] = matching.root_fallback
         else:
-            values.append(l1_distance(embed(tree, first), embed(tree, second)))
+            values.append(embed_all(tree, (first, second)).l1_row(0, [1])[0])
         tree_meta.append(meta)
     if reduce == "mean":
         return math.fsum(values) / len(values), tree_meta

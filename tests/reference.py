@@ -1,15 +1,17 @@
 """Reference oracles for the columnar implementations and the exact solver.
 
-The first half holds pure-Python copies of the embedding, its L1 distance
-and the greedy flowtree matching. They address cells point by point with
-their own floor index formula and terminal test and read only
-``tree.origin``, ``tree.side()`` and ``tree.levels()``. The index is the
+The first half holds pure-Python copies of the embedding (cell counts and
+side * count values), the float L1 distance of two stored vectors, the
+exact embedding distance of two diagrams and the greedy flowtree matching.
+They address cells point by point with their own floor index formula and
+terminal test and read only ``tree.origin``, ``tree.side()`` and
+``tree.levels()``. The index is the
 floor of the rounded quotient (x - origin) / side, as in the library;
 Python's ``//`` on floats floors the exact quotient instead and can land one
 cell lower when the rounded quotient is an integer.
 
 Results use plain tuples: an embedding is a sorted list of
-((level, ix, iy), value) and a pair is
+((level, ix, iy), value) or ((level, ix, iy), count), and a pair is
 (source, target, mass, kind, level, distance).
 
 The second half holds three exact-distance paths independent of
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -57,21 +60,44 @@ def _check_inside(tree, points):
             raise ValueError(f"point ({x}, {y}) outside tree root")
 
 
-def embed(tree, diagram):
-    """Sorted ((level, ix, iy), side * count) entries of the clear cells."""
+def counts(tree, diagram):
+    """Sorted ((level, ix, iy), count) entries of the clear cells."""
     points = [(p.birth, p.death, p.multiplicity) for p in diagram.points]
     _check_inside(tree, [(x, y) for x, y, _ in points])
     entries = []
     for level in tree.levels():
         side, n = _grid(tree, level)
-        counts: dict[tuple[int, int], int] = {}
+        by_cell: dict[tuple[int, int], int] = {}
         for x, y, m in points:
             cell = _cell(tree, x, y, side, n)
-            counts[cell] = counts.get(cell, 0) + m
-        for (ix, iy), count in sorted(counts.items()):
+            by_cell[cell] = by_cell.get(cell, 0) + m
+        for (ix, iy), count in sorted(by_cell.items()):
             if not _terminal(tree, ix, iy, side):
-                entries.append(((level, ix, iy), side * count))
+                entries.append(((level, ix, iy), count))
     return entries
+
+
+def embed(tree, diagram):
+    """Sorted ((level, ix, iy), side * count) entries of the clear cells."""
+    return [(cell, tree.side(cell[0]) * count) for cell, count in counts(tree, diagram)]
+
+
+def count_distance(tree, ca, cb):
+    """Sum of side * |count difference| over the cells of two counts()
+    lists, in exact Fraction arithmetic, rounded to float once."""
+    diffs = dict(ca)
+    for cell, count in cb:
+        diffs[cell] = diffs.get(cell, 0) - count
+    per_level: dict[int, int] = {}
+    for (level, _, _), diff in diffs.items():
+        per_level[level] = per_level.get(level, 0) + abs(diff)
+    return float(sum(Fraction(tree.side(level)) * total for level, total in per_level.items()))
+
+
+def embedding_cost(tree, first, second):
+    """The embedding distance of two diagrams: side * |count difference|
+    over the clear cells, summed exactly and rounded once."""
+    return count_distance(tree, counts(tree, first), counts(tree, second))
 
 
 def l1_distance(ea, eb):

@@ -1,8 +1,8 @@
 """Tests for the sparse cell-count embedding, its L1 distance and the
 embedding index."""
 
-import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +27,7 @@ from dgmdist.embedding import (
     write_vector,
 )
 
+import reference
 from helpers import cells_at, pair_tree, random_pair
 
 
@@ -187,8 +188,10 @@ class TestEmbeddingIndex:
 
     @pytest.mark.parametrize("metric", list(GroundMetric))
     def test_rows_equal_l1_distance(self, metric):
-        # any order, repeats and the row's own diagram; identical diagrams
-        # (2 and 7, and each with itself) are at distance 0.0
+        # each row is the exact embedding distance, rounded once, which the
+        # float L1 of the stored vectors meets up to rounding; any order,
+        # repeats and the row's own diagram; identical diagrams (2 and 7,
+        # and each with itself) are at distance 0.0
         diagrams = self.dataset()
         tree = build_tree(union_coords(diagrams), TreeConfig(seed=5, ground_metric=metric))
         index = embed_all(tree, diagrams)
@@ -196,7 +199,10 @@ class TestEmbeddingIndex:
         js = [8, 0, 3, 3, 7, 1, 2, 6, 4, 5]
         for i in range(len(diagrams)):
             row = index.l1_row(i, js)
-            assert row == [l1_distance(vectors[i], vectors[j]) for j in js]
+            assert row == [reference.embedding_cost(tree, diagrams[i], diagrams[j]) for j in js]
+            assert row == pytest.approx(
+                [l1_distance(vectors[i], vectors[j]) for j in js], rel=1e-14, abs=0.0
+            )
             assert index.l1_row(i, [i]) == [0.0]
         assert index.l1_row(2, [7]) == [0.0]
         assert index.l1_row(0, []) == []
@@ -204,20 +210,25 @@ class TestEmbeddingIndex:
             with pytest.raises(IndexError):
                 index.l1_row(0, bad)
 
-    def test_second_term_of_the_exact_sum_counts(self):
-        # the plain float sum of the query's values is not its fsum, and a
-        # row computed from the rounded sums alone misses l1_distance in the
-        # last bit: the second term of the expansion is what makes it exact
-        first, second = gen_gaussian(30, seed=2), gen_gaussian(30, seed=102)
-        tree = build_tree(union_coords((first, second)), TreeConfig(seed=2))
-        index = embed_all(tree, [first, second])
-        values = index.vector(0).values.tolist()
-        assert sum(values) != math.fsum(values)
-        assert len(index.sums[0]) == 2
-        expected = [l1_distance(embed(tree, first), embed(tree, second))]
-        assert index.l1_row(0, [1]) == expected
-        rounded = dataclasses.replace(index, sums=[terms[:1] for terms in index.sums])
-        assert rounded.l1_row(0, [1]) != expected
+    def test_diagram_index_out_of_range_rejected(self):
+        diagrams = self.dataset()[:3]
+        tree = build_tree(union_coords(diagrams), TreeConfig(seed=5))
+        index = embed_all(tree, diagrams)
+        for bad in (-1, len(diagrams)):
+            with pytest.raises(IndexError, match=r"range\(3\)"):
+                index.l1_row(bad, [0])
+            with pytest.raises(IndexError, match=r"range\(3\)"):
+                index.vector(bad)
+
+    def test_rows_equal_exact_residual_cost(self):
+        # on criterion 3's instances a two-diagram row is the greedy
+        # matching's sum of side * residual over the levels, rounded once
+        for seed in range(200):
+            first, second = random_pair(seed, max_points=20)
+            tree = pair_tree(first, second, seed=1000 + seed)
+            residuals = greedy_match(tree, first, second).level_residuals
+            exact = sum(Fraction(tree.side(level)) * r for level, r in residuals)
+            assert embed_all(tree, [first, second]).l1_row(0, [1]) == [float(exact)], seed
 
     def test_no_diagrams(self):
         tree = build_tree([(0.0, 1.0)], TreeConfig(seed=0))

@@ -5,19 +5,18 @@ import dataclasses
 import pytest
 
 import dgmdist.evaluate
+import reference
 from dgmdist import (
     GroundMetric,
     PersistenceDiagram,
     SizeCapError,
     TreeConfig,
     build_tree,
-    embed,
     exact_distance,
     flowtree_distance,
     gen_gaussian,
     gen_uniform,
     greedy_match,
-    l1_distance,
     union_coords,
 )
 from dgmdist.evaluate import (
@@ -145,7 +144,8 @@ class TestErrorSuite:
     @pytest.mark.parametrize("tree_policy", ["per_pair", "whole_dataset"])
     def test_tree_methods_equal_pair_path(self, small_dataset, monkeypatch, tree_policy, metric):
         # single pairs are read from two-diagram engines; each value is the
-        # per-pair path's, bit for bit, on the tree the suite built for it
+        # exact embedding cost or greedy_match's cost, bit for bit, on the
+        # tree the suite built for it
         trees = []
         build = dgmdist.evaluate._tree
 
@@ -168,7 +168,7 @@ class TestErrorSuite:
             tree = trees[0 if tree_policy == "whole_dataset" else k // 2]
             a, b = small_dataset[row.left], small_dataset[row.right]
             if row.method == "embedding":
-                expected = l1_distance(embed(tree, a), embed(tree, b))
+                expected = reference.embedding_cost(tree, a, b)
             else:
                 expected = greedy_match(tree, a, b, metric).cost
             assert row.d_approx == expected
@@ -278,8 +278,8 @@ class TestKnnDistances:
 
     @pytest.mark.parametrize("metric", list(GroundMetric))
     def test_embedding_rows_equal_per_candidate_distances(self, metric):
-        # the embedding index gives each pair's l1_distance exactly, empty
-        # diagrams included
+        # the embedding index gives each pair's exact embedding cost,
+        # rounded once, empty diagrams included
         dataset = [gen_gaussian(3 + 7 * i, seed=60 + i) for i in range(14)]
         queries = dataset[:3] + [PersistenceDiagram()]
         candidates = dataset[3:] + [PersistenceDiagram()]
@@ -288,8 +288,7 @@ class TestKnnDistances:
             union_coords(queries + candidates), TreeConfig(seed=8, ground_metric=metric)
         )
         assert rows == [
-            [l1_distance(embed(tree, q), embed(tree, c)) for c in candidates]
-            for q in queries
+            [reference.embedding_cost(tree, q, c) for c in candidates] for q in queries
         ]
 
     @pytest.mark.parametrize("method", METHODS)

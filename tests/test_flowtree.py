@@ -469,7 +469,7 @@ class TestMultiTree:
             first, second, GroundMetric.L2, seeds=[7], method="embedding"
         )
         tree = pair_tree(first, second, seed=7)
-        assert value == l1_distance(embed(tree, first), embed(tree, second))
+        assert value == reference.embedding_cost(tree, first, second)
 
     def test_validates_arguments(self):
         first, second = random_pair(1)

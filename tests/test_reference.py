@@ -20,7 +20,9 @@ from dgmdist import (
     embed,
     embed_all,
     greedy_match,
+    knn_distances,
     l1_distance,
+    multi_tree_estimate,
     union_coords,
     write_matching,
     write_vector,
@@ -110,18 +112,57 @@ def test_matches_reference_with_large_multiplicities(instance):
 
 
 def assert_index_matches_reference(tree, diagrams):
-    # every row of the index is l1_distance and the reference, bit for bit;
+    # every row of the index is the exact reference cost, bit for bit;
     # equal diagrams are at distance 0.0
     index = embed_all(tree, diagrams)
     vectors = [embed(tree, d) for d in diagrams]
-    refs = [reference.embed(tree, d) for d in diagrams]
+    counts = [reference.counts(tree, d) for d in diagrams]
     js = range(len(diagrams))
     for i, diagram in enumerate(diagrams):
         assert index.vector(i) == vectors[i]
         row = index.l1_row(i, js)
-        assert row == [l1_distance(vectors[i], vectors[j]) for j in js]
-        assert row == [reference.l1_distance(refs[i], refs[j]) for j in js]
+        assert row == [reference.count_distance(tree, counts[i], counts[j]) for j in js]
         assert all(row[j] == 0.0 for j in js if diagrams[j] == diagram)
+
+
+def assert_embedding_distance_is_exact(tree, first, second, metric):
+    # the index row, dist's estimate on one tree and a knn row each equal the
+    # exact cost rounded once; the float L1 of the two stored vectors is
+    # within 2**-50 of their value norms of it
+    exact = reference.embedding_cost(tree, first, second)
+    assert embed_all(tree, [first, second]).l1_row(0, [1]) == [exact]
+    va, vb = embed(tree, first), embed(tree, second)
+    norms = math.fsum(va.values.tolist()) + math.fsum(vb.values.tolist())
+    assert abs(l1_distance(va, vb) - exact) <= 2**-50 * norms
+
+    if first.total_count == second.total_count == 0:
+        expected = 0.0
+    else:
+        config = TreeConfig(seed=tree.seed, ground_metric=metric)
+        own_tree = build_tree(union_coords((first, second)), config)
+        expected = reference.embedding_cost(own_tree, first, second)
+    value, _ = multi_tree_estimate(first, second, metric, [tree.seed], method="embedding")
+    assert value == expected
+    assert knn_distances([first], [second], "embedding", metric, seed=tree.seed) == [
+        [expected]
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([3, 10**6]).flatmap(lambda max_mult: instances(max_mult=max_mult)))
+def test_embedding_distance_is_exact(instance):
+    assert_embedding_distance_is_exact(*instance)
+
+
+@pytest.mark.parametrize("metric", list(GroundMetric))
+def test_embedding_distance_is_exact_past_int64_totals(metric):
+    # each diagram's total exceeds 2**62, so the sum of the two overflows an
+    # int64; the cells they share, and the ones they do not, still count
+    first = PersistenceDiagram([(0.0, 4.0, 2**62 + 7), (1.0, 9.0, 3), (2.0, 2.5)])
+    second = PersistenceDiagram([(0.5, 4.5, 2**62 + 1), (1.0, 9.0, 2**61), (6.0, 6.25, 2)])
+    assert first.total_count > 2**62 and second.total_count > 2**62
+    tree = build_tree(union_coords((first, second)), TreeConfig(seed=23, ground_metric=metric))
+    assert_embedding_distance_is_exact(tree, first, second, metric)
 
 
 @st.composite
