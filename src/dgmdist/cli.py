@@ -4,11 +4,12 @@ Each command parses its arguments, calls the library and formats the
 result; dist with a tree method prints what multi_tree_estimate returns.
 
 Exit codes: 0 success, 2 usage (including invalid option values, such as
---trees 0, an unknown eval/bench method or metric, non-ascending sizes, and a
-non-integer DGMDIST_SEED), 3 diagram parse error, 4 oracle size cap,
-5 internal error. The first stderr line echoes the fully resolved arguments,
-so every run can be reproduced from its log. The default seed is 0 and can
-be overridden with the DGMDIST_SEED environment variable.
+--trees 0, an unknown or repeated eval/bench method or metric, non-ascending
+sizes, a negative --seed and a non-integer or negative DGMDIST_SEED), 3
+diagram parse error, 4 oracle size cap, 5 internal error. The first stderr
+line echoes the fully resolved arguments, so every run can be reproduced
+from its log. The default seed is 0 and can be overridden with the
+DGMDIST_SEED environment variable.
 """
 
 from __future__ import annotations
@@ -68,33 +69,35 @@ class UsageError(Exception):
 def _default_seed() -> int:
     value = os.environ.get("DGMDIST_SEED", "0")
     try:
-        return int(value)
+        seed = int(value)
     except ValueError:
-        raise UsageError(f"DGMDIST_SEED must be an integer, got {value!r}") from None
+        seed = -1
+    if seed < 0:
+        raise UsageError(f"DGMDIST_SEED must be a non-negative integer, got {value!r}")
+    return seed
 
 
 def _metric(name: str) -> GroundMetric:
     return GroundMetric(name)
 
 
+def _names(text: str, kind: str, known) -> list[str]:
+    """A comma-separated list of distinct names, each one of known."""
+    names = text.split(",")
+    for i, name in enumerate(names):
+        if name not in known:
+            raise UsageError(f"unknown {kind} {name!r}; expected one of {', '.join(known)}")
+        if name in names[:i]:
+            raise UsageError(f"{kind} {name!r} given twice")
+    return names
+
+
 def _methods(text: str) -> list[str]:
-    methods = text.split(",")
-    for method in methods:
-        if method not in METHODS:
-            raise UsageError(
-                f"unknown method {method!r}; expected one of {', '.join(METHODS)}"
-            )
-    return methods
+    return _names(text, "method", METHODS)
 
 
 def _metrics(text: str) -> list[GroundMetric]:
-    names = text.split(",")
-    known = [m.value for m in GroundMetric]
-    for name in names:
-        if name not in known:
-            raise UsageError(
-                f"unknown metric {name!r}; expected one of {', '.join(known)}"
-            )
+    names = _names(text, "metric", [m.value for m in GroundMetric])
     return [GroundMetric(name) for name in names]
 
 
@@ -472,6 +475,8 @@ def main(argv=None) -> int:
     )
     try:
         args = build_parser().parse_args(argv)
+        if args.seed < 0:
+            raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
         _echo_args(args)
         return args.func(args)
     except UsageError as exc:

@@ -2,16 +2,18 @@
 for one-vs-many L1 queries.
 
 A diagram maps to one coordinate per occupied, non-terminal quadtree cell,
-valued at (cell side) * (point count with multiplicity). Cells meeting the
-diagonal are dropped, which makes the plain L1 distance between two such
-vectors the tree-metric transport cost with diagonal absorption. A vector is
-a sorted (level, ix, iy) int64 array with a parallel value array.
+valued at (cell side) * (point count with multiplicity). A point stops
+counting at its first cell meeting the diagonal, the level at which the
+flowtree walk retires it, which makes the plain L1 distance between two
+such vectors the tree-metric transport cost with diagonal absorption: on
+one tree, the walk's sum of side * residual. A vector is a sorted (level,
+ix, iy) int64 array with a parallel value array.
 
-One private kernel, _cell_entries, embeds any number of stacked diagrams in
-one level pass: each level sorts the non-terminal points of all of them by
-cell once and keeps each (cell, diagram) entry's integer count. embed_all
-stores the result as an EmbeddingIndex, and embed is a one-diagram index's
-vector.
+One private kernel, _cell_entries, embeds any number of stacked diagrams
+from one ShiftedQuadtree.place call: each level sorts the points of all of
+them still counted by cell once and keeps each (cell, diagram) entry's
+integer count. embed_all stores the result as an EmbeddingIndex, and embed
+is a one-diagram index's vector.
 
 EmbeddingIndex.l1_row gives the embedding distance of two diagrams from
 integer counts alone. On the level k above the finest, the L1 distance of
@@ -40,7 +42,7 @@ import numpy as np
 
 from ._rows import group_rows
 from .diagram import PersistenceDiagram
-from .quadtree import MAX_LEVELS, ShiftedQuadtree
+from .quadtree import MAX_LEVELS, ShiftedQuadtree, union_coords
 
 
 class TreeMismatchError(ValueError):
@@ -95,7 +97,7 @@ class _Cells:
     def rows(self, ids: np.ndarray) -> np.ndarray:
         """The (level, ix, iy) rows of increasing cell ids: the cell k levels
         above a point's finest cell is its finest index shifted right by k,
-        as ShiftedQuadtree.level_pass defines it."""
+        as ShiftedQuadtree.place defines it."""
         out = np.empty((len(ids), 3), np.int64)
         bounds = np.searchsorted(ids, self.level_start).tolist()
         for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
@@ -107,13 +109,13 @@ class _Cells:
 
 
 def _cell_entries(tree: ShiftedQuadtree, coords, mults, owner, n: int):
-    """The embedding entries of stacked diagrams, in one level pass.
+    """The embedding entries of stacked diagrams, from one placement.
 
     Rows of `coords` carry multiplicities `mults` and their diagram index
-    `owner`, non-decreasing and below n. Each level groups its non-terminal
-    points by cell in one stable sort, so the points of a cell stay in
-    diagram order and each (cell, diagram) run of them is one entry, holding
-    the run's integer point count.
+    `owner`, non-decreasing and below n. Each level groups the points whose
+    terminal level lies above it by cell in one stable sort, so the points
+    of a cell stay in diagram order and each (cell, diagram) run of them is
+    one entry, holding the run's integer point count.
 
     Returns the cells as _Cells, one point per cell; each entry's count and
     diagram, cell by cell and in diagram order within a cell; the position
@@ -131,23 +133,22 @@ def _cell_entries(tree: ShiftedQuadtree, coords, mults, owner, n: int):
     level_sums = np.zeros((tree.num_levels, n), np.int64)
     level_start = [0]
     count = 0
-    for k, (_, _, ix, iy, terminal) in enumerate(tree.level_pass(coords)):
-        if k == 0:
-            ix0, iy0 = ix, iy
-        live = np.flatnonzero(~terminal)
-        order, starts = group_rows(ix[live], iy[live])
-        live = live[order]
+    ix0, iy0, terminal_level = tree.place(coords)
+    for k, level in enumerate(tree.levels()):
+        live = np.flatnonzero(terminal_level > level)  # in row order
+        order, starts = group_rows(ix0[live] >> k, iy0[live] >> k)
+        rows = live[order]
         cell, end = level_start[-1], level_start[-1] + len(starts)
         level_start.append(end)
-        reps[cell:end] = live[starts]
-        own = owner[live]
+        reps[cell:end] = rows[starts]
+        own = owner[rows]
         split = np.zeros(len(own), bool)
         split[starts] = True
         split[1:] |= own[1:] != own[:-1]
         runs = np.flatnonzero(split)
         entries = slice(count, count + len(runs))
         owners[entries] = own[runs]
-        counts[entries] = np.add.reduceat(mults[live], runs)
+        counts[entries] = np.add.reduceat(mults[rows], runs)
         np.add.at(level_sums[k], owners[entries], counts[entries])
         firsts[cell:end] = count + np.searchsorted(runs, starts)
         count += len(runs)
@@ -251,9 +252,9 @@ class EmbeddingIndex:
 
 def embed_all(tree: ShiftedQuadtree, diagrams: Sequence[PersistenceDiagram]) -> EmbeddingIndex:
     """Embed several diagrams on one tree (built over a superset of their
-    points) in one level pass; index.vector(i) == embed(tree, diagrams[i])."""
+    points) from one placement; index.vector(i) == embed(tree, diagrams[i])."""
     diagrams = list(diagrams)
-    coords = np.concatenate([d.coords() for d in diagrams] + [np.zeros((0, 2))])
+    coords = union_coords(diagrams)
     mults = np.concatenate([d.multiplicities() for d in diagrams] + [np.zeros(0, np.int64)])
     # the smallest unsigned type: a stable sort of it is a radix sort
     owner = np.repeat(

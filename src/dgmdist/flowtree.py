@@ -193,7 +193,7 @@ class PlacedDiagrams:
 
     def __init__(self, tree: ShiftedQuadtree, diagrams: Sequence[PersistenceDiagram]):
         self.tree = tree
-        self.coords = np.concatenate([d.coords() for d in diagrams] + [np.zeros((0, 2))])
+        self.coords = union_coords(diagrams)
         self.mass = np.concatenate(
             [d.multiplicities() for d in diagrams] + [np.zeros(0, np.int64)]
         )

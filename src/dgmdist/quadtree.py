@@ -11,18 +11,18 @@ Geometry conventions:
 - Cell membership is half-open, [x0, x0+s) x [y0, y0+s), via floor indexing.
 - The terminal test ("does the cell meet the diagonal y = x?") uses the
   closed square, so boundary contact counts as intersecting.
-- ShiftedQuadtree.level_pass is the one place that computes cell indices and
-  terminality. The embedding consumes its per-level arrays;
-  ShiftedQuadtree.place condenses them into one placement per point (the
-  finest cell and the first terminal level), which the flowtree walk reads
-  instead of running the cell formula per level and per pair.
+- ShiftedQuadtree.place is the one place that computes cell indices and
+  terminality: one placement per point, its finest cell and the first level
+  whose cell is terminal. A point counts as terminal from that level up, so
+  the embedding and the flowtree walk, which both read the placement,
+  retire it at the same level.
 - The finest level is chosen so its side is strictly below half the minimum
   separation: each occupied finest cell then holds one distinct point and
   cannot be terminal. max_levels_cap, at most MAX_LEVELS, guards
   near-duplicate inputs; when the cap binds, `truncated` is set and those
   guarantees lapse.
 
-Trees never materialize cells; a level pass addresses only the given points.
+Trees never materialize cells; a placement addresses only the given points.
 Only the shift depends on the seed: tree_geometry computes the rest once per
 point set, TreeGeometry.tree adds one seed's shift, and build_tree is the two
 in a row.
@@ -34,7 +34,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -137,18 +137,17 @@ class ShiftedQuadtree:
         self._check_level(level)
         return self.root_side / (1 << (self.level_hi - level))
 
-    def level_pass(
-        self, coords
-    ) -> Iterator[tuple[int, float, np.ndarray, np.ndarray, np.ndarray]]:
-        """Every point's cell at every level, finest first.
+    def place(self, coords) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every point's finest cell and the first level its cell is terminal.
 
-        Yields (level, side, ix, iy, terminal) per level: int64 cell indices
-        of each row of the (n, 2) coords array and a mask of the points whose
-        cell is terminal. The finest index is floor((x - origin) / side),
+        Returns int64 arrays (ix, iy, terminal_level) over the rows of the
+        (n, 2) coords array. The finest index is floor((x - origin) / side),
         clamped so the closed root's far edge falls in the last cell; the
-        cell at k levels up is that index shifted right by k, its dyadic
-        ancestor. Raises OutsideRootError if a point lies outside the closed
-        root square.
+        cell k levels up is (ix >> k, iy >> k), its dyadic ancestor.
+        terminal_level is the lowest level whose cell meets the diagonal, or
+        level_hi + 1 where none does; from it on the point counts as
+        terminal, whatever the float test says higher up. Raises
+        OutsideRootError if a point lies outside the closed root square.
         """
         coords = np.asarray(coords, dtype=float).reshape(-1, 2)
         xs, ys = coords[:, 0], coords[:, 1]
@@ -158,30 +157,16 @@ class ShiftedQuadtree:
             raise OutsideRootError("point outside root cell")
         s = self.side(self.level_lo)
         last = (1 << (self.level_hi - self.level_lo)) - 1
-        ix0 = np.minimum(np.floor((xs - ox) / s).astype(np.int64), last)
-        iy0 = np.minimum(np.floor((ys - oy) / s).astype(np.int64), last)
-        for k, level in enumerate(self.levels()):
-            s = self.side(level)
-            ix, iy = ix0 >> k, iy0 >> k
-            x0 = ox + ix * s
-            y0 = oy + iy * s
-            yield level, s, ix, iy, (x0 <= y0 + s) & (y0 <= x0 + s)
-
-    def place(self, coords) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every point's finest cell and the first level its cell is terminal.
-
-        Returns int64 arrays (ix, iy, terminal_level) over the rows of the
-        (n, 2) coords array: the level_lo cell indices, from which the cell
-        k levels up is (ix >> k, iy >> k), and the lowest level whose cell
-        meets the diagonal, or level_hi + 1 where none does. Both are read
-        off level_pass, so they agree with it exactly. Raises
-        OutsideRootError as level_pass does.
-        """
-        passes = self.level_pass(coords)
-        _, _, ix, iy, terminal = next(passes)
-        terminal = np.array([terminal, *(t for *_, t in passes)])  # levels x points
-        first = self.level_lo + terminal.argmax(axis=0)
-        return ix, iy, np.where(terminal.any(axis=0), first, self.level_hi + 1)
+        ix = np.minimum(np.floor((xs - ox) / s).astype(np.int64), last)
+        iy = np.minimum(np.floor((ys - oy) / s).astype(np.int64), last)
+        terminal_level = np.full(len(ix), self.level_hi + 1, np.int64)
+        # from the root down, so that a point's lowest hit is written last
+        for k in reversed(range(self.num_levels)):
+            s = self.side(self.level_lo + k)
+            x0 = ox + (ix >> k) * s
+            y0 = oy + (iy >> k) * s
+            terminal_level[(x0 <= y0 + s) & (y0 <= x0 + s)] = self.level_lo + k
+        return ix, iy, terminal_level
 
     def meta(self) -> dict:
         """Reproducibility metadata for reports."""
@@ -328,8 +313,9 @@ def build_tree(points, config: TreeConfig) -> ShiftedQuadtree:
 
 
 def union_coords(diagrams: Iterable[PersistenceDiagram]) -> np.ndarray:
-    """Stacked distinct coordinates of several diagrams (may repeat across
-    diagrams; build_tree deduplicates)."""
+    """Stacked coordinates of several diagrams, in diagram order: distinct
+    within a diagram, but may repeat across diagrams (build_tree
+    deduplicates)."""
     arrays = [d.coords() for d in diagrams if len(d) > 0]
     if not arrays:
         return np.zeros((0, 2))

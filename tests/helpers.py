@@ -61,9 +61,20 @@ def pair_tree(first, second, seed: int, metric: GroundMetric = GroundMetric.L2):
     )
 
 
+def placed_levels(tree, coords):
+    """[(level, ix, iy, terminal)] per level, finest first, read off
+    tree.place: the cell k levels up is the finest index shifted right by
+    k, and a point is terminal from its first terminal level on."""
+    ix, iy, terminal_level = tree.place(coords)
+    return [
+        (level, ix >> k, iy >> k, terminal_level <= level)
+        for k, level in enumerate(tree.levels())
+    ]
+
+
 def cells_at(tree, point):
-    """{level: (ix, iy, terminal)} for one point, from the tree's level pass."""
+    """{level: (ix, iy, terminal)} for one point, read off tree.place."""
     return {
         level: (int(ix[0]), int(iy[0]), bool(terminal[0]))
-        for level, _, ix, iy, terminal in tree.level_pass([point])
+        for level, ix, iy, terminal in placed_levels(tree, [point])
     }

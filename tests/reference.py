@@ -61,19 +61,23 @@ def _check_inside(tree, points):
 
 
 def counts(tree, diagram):
-    """Sorted ((level, ix, iy), count) entries of the clear cells."""
+    """Sorted ((level, ix, iy), count) entries of the clear cells. A point
+    counts up to the level below its first cell that meets the diagonal;
+    greedy_match sends it to the diagonal there."""
     points = [(p.birth, p.death, p.multiplicity) for p in diagram.points]
     _check_inside(tree, [(x, y) for x, y, _ in points])
     entries = []
     for level in tree.levels():
         side, n = _grid(tree, level)
         by_cell: dict[tuple[int, int], int] = {}
+        live = []
         for x, y, m in points:
             cell = _cell(tree, x, y, side, n)
-            by_cell[cell] = by_cell.get(cell, 0) + m
-        for (ix, iy), count in sorted(by_cell.items()):
-            if not _terminal(tree, ix, iy, side):
-                entries.append(((level, ix, iy), count))
+            if not _terminal(tree, *cell, side):
+                by_cell[cell] = by_cell.get(cell, 0) + m
+                live.append((x, y, m))
+        points = live
+        entries.extend(((level, ix, iy), count) for (ix, iy), count in sorted(by_cell.items()))
     return entries
 
 

@@ -583,6 +583,9 @@ class TestOptionValues:
             ("bench", ["--sizes", "20,10"]),
             ("bench", ["--sizes", "10,x"]),
             ("bench", ["--reps", "0"]),
+            ("eval", ["--methods", "flowtree,flowtree"]),
+            ("eval", ["--metrics", "l2,l1,l2"]),
+            ("bench", ["--methods", "embedding,embedding"]),
         ],
     )
     def test_bad_option_value_is_usage_error(self, tmp_path, capsys, command, options):
@@ -658,3 +661,39 @@ class TestSeedEnvOverride:
         assert out == ""
         assert err.startswith("error:")
         assert "DGMDIST_SEED" in err
+
+
+class TestNegativeSeed:
+    def argv(self, tmp_path, command):
+        a = tmp_path / "a.txt"
+        write_singleton(a, 0, 4)
+        out = tmp_path / "out"
+        return out, {
+            "gen": ["gen", "--kind", "uniform", "--count", "2", "--max-size", "3",
+                    "--out", str(out)],
+            "dist": ["dist", str(a), str(a)],
+            "knn": ["knn", "--queries", str(tmp_path), "--candidates", str(tmp_path),
+                    "--out", str(out)],
+            "eval": ["eval", "--data", str(tmp_path), "--out", str(out)],
+            "embed": ["embed", "--in", str(tmp_path), "--out", str(out)],
+            "bench": ["bench", "--sizes", "10", "--out", str(out)],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["gen", "dist", "knn", "eval", "embed", "bench"])
+    def test_option_is_usage_error(self, tmp_path, capsys, command):
+        out, argv = self.argv(tmp_path, command)
+        code, stdout, err = run(capsys, *argv, "--seed", "-1")
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert err.splitlines() == ["error: --seed must be a non-negative integer, got -1"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen", "dist", "knn", "eval", "embed", "bench"])
+    def test_env_is_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv("DGMDIST_SEED", "-3")
+        out, argv = self.argv(tmp_path, command)
+        code, stdout, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert err.splitlines() == ["error: DGMDIST_SEED must be a non-negative integer, got '-3'"]
+        assert not out.exists()

@@ -28,7 +28,7 @@ from dgmdist.embedding import (
 )
 
 import reference
-from helpers import cells_at, pair_tree, random_pair
+from helpers import cells_at, pair_tree, placed_levels, random_pair
 
 
 class TestEmbed:
@@ -44,7 +44,7 @@ class TestEmbed:
                 assert by_level[level] == pytest.approx(tree.side(level) * 3)
 
     def test_entries_only_below_first_terminal_ancestor(self):
-        # once an ancestor cell meets the diagonal, all coarser ones do too
+        # a point counts no more from its first cell meeting the diagonal up
         first, second = random_pair(6)
         tree = pair_tree(first, second, seed=3)
         vec = embed(tree, first)
@@ -67,7 +67,7 @@ class TestEmbed:
         assert keys == sorted(set(keys))
         assert (vec.values > 0).all()
         clear = set()
-        for level, _, ix, iy, terminal in tree.level_pass(first.coords()):
+        for level, ix, iy, terminal in placed_levels(tree, first.coords()):
             clear.update(
                 (level, x, y)
                 for x, y, t in zip(ix.tolist(), iy.tolist(), terminal.tolist())

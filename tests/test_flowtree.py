@@ -33,7 +33,7 @@ from dgmdist.flowtree import (
     write_matching,
 )
 
-from helpers import pair_tree, random_pair
+from helpers import pair_tree, placed_levels, random_pair
 
 SQRT2 = math.sqrt(2.0)
 
@@ -362,7 +362,7 @@ class TestFlowtreeDistances:
         shared = [
             set(zip(ix.tolist(), iy.tolist()))
             for diagram in (query, candidate)
-            for _, _, ix, iy, _ in tree.level_pass(diagram.coords())
+            for _, ix, iy, _ in placed_levels(tree, diagram.coords())
         ]
         levels = tree.num_levels
         assert all(not shared[k] & shared[levels + k] for k in range(levels - 1))

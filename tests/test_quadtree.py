@@ -1,4 +1,4 @@
-"""Tests for shifted quadtree construction and its level pass: cell
+"""Tests for shifted quadtree construction and its placement: cell
 addressing and terminal classification."""
 
 import math
@@ -19,7 +19,8 @@ from dgmdist.quadtree import (
     union_coords,
 )
 
-from helpers import cells_at, pair_tree, random_pair
+import reference
+from helpers import cells_at, pair_tree, placed_levels, random_pair
 
 
 def manual_tree(origin=(0.0, 0.0), root_side=8.0, levels=4):
@@ -98,7 +99,7 @@ class TestBuildTree:
             first, second = random_pair(seed)
             tree = pair_tree(first, second, seed=seed)
             for diagram in (first, second):
-                passes = list(tree.level_pass(diagram.coords()))  # no OutsideRootError
+                passes = placed_levels(tree, diagram.coords())  # no OutsideRootError
                 assert len(passes) == tree.num_levels
 
     def test_cap_truncates_near_duplicates(self):
@@ -153,10 +154,10 @@ class TestBuildTree:
 
 
 def occupied_cells(tree, diagram):
-    """{level: {(ix, iy): multiplicity-weighted count}} from the level pass."""
+    """{level: {(ix, iy): multiplicity-weighted count}} from the placement."""
     mults = diagram.multiplicities().tolist()
     counts = {}
-    for level, _, ix, iy, _ in tree.level_pass(diagram.coords()):
+    for level, ix, iy, _ in placed_levels(tree, diagram.coords()):
         cells = counts.setdefault(level, {})
         for cell, m in zip(zip(ix.tolist(), iy.tolist()), mults):
             cells[cell] = cells.get(cell, 0) + m
@@ -181,7 +182,8 @@ class TestCellAddressing:
         coords = union_coords((first, second))
         ox, oy = tree.origin
         child = None
-        for level, side, ix, iy, _ in tree.level_pass(coords):
+        for level, ix, iy, _ in placed_levels(tree, coords):
+            side = tree.side(level)
             for x, y, cx, cy in zip(coords[:, 0], coords[:, 1], ix, iy):
                 assert ox + cx * side <= x < ox + (cx + 1) * side
                 assert oy + cy * side <= y < oy + (cy + 1) * side
@@ -206,8 +208,9 @@ class TestCellAddressing:
     def test_side_doubles_per_level(self):
         tree = manual_tree(root_side=8.0, levels=4)
         assert [tree.side(lv) for lv in tree.levels()] == [1.0, 2.0, 4.0, 8.0]
-        assert [side for _, side, *_ in tree.level_pass([(0.5, 1.5)])] == [
-            1.0, 2.0, 4.0, 8.0
+        # a point in the top-left finest cell: each doubling halves its row
+        assert [cells_at(tree, (0.5, 7.5))[lv][:2] for lv in tree.levels()] == [
+            (0, 7), (0, 3), (0, 1), (0, 0)
         ]
 
     def test_far_root_edge_in_last_cell(self):
@@ -230,22 +233,20 @@ class TestTerminalCells:
         assert cells_at(tree, (0.5, 1.5))[0][2]  # [0,1] x [1,2] touches at (1,1)
         assert not cells_at(tree, (0.5, 2.5))[0][2]  # [0,1] x [2,3] stays clear
 
-    def test_terminality_monotone_up_the_tree(self):
-        # a terminal cell's parent is terminal (cells nest)
+    def test_terminal_level_is_first_terminal_test(self):
+        # the float test need not be monotone up the tree (far from the
+        # origin its roundings differ per level); place keeps the first hit
         first, second = random_pair(4)
         tree = pair_tree(first, second, seed=9)
-        was_terminal = None
-        for *_, terminal in tree.level_pass(union_coords((first, second))):
-            if was_terminal is not None:
-                assert (terminal | ~was_terminal).all()
-            was_terminal = terminal
+        coords = union_coords((first, second))
+        assert tree.place(coords)[2].tolist() == first_terminal_levels(tree, coords)
 
     def test_root_terminal_for_synthetic_data(self):
         for seed in range(25):
             first, second = random_pair(seed)
             tree = pair_tree(first, second, seed=seed)
-            *_, (level, _, ix, iy, terminal) = tree.level_pass(
-                union_coords((first, second))
+            *_, (level, ix, iy, terminal) = placed_levels(
+                tree, union_coords((first, second))
             )
             assert level == tree.level_hi
             assert (ix == 0).all() and (iy == 0).all() and terminal.all()
@@ -257,11 +258,26 @@ class TestTerminalCells:
             if tree.truncated:
                 continue
             coords = np.unique(union_coords((first, second)), axis=0)
-            level, _, ix, iy, terminal = next(tree.level_pass(coords))
+            level, ix, iy, terminal = placed_levels(tree, coords)[0]
             assert level == tree.level_lo
             assert not terminal.any()
             cells = set(zip(ix.tolist(), iy.tolist()))
             assert len(cells) == len(coords), "two distinct points share a finest cell"
+
+
+def first_terminal_levels(tree, coords):
+    """Each point's first level whose cell meets the diagonal, by the
+    reference's cell formula and terminal test; level_hi + 1 for none."""
+    levels = []
+    for x, y in np.asarray(coords, dtype=float).tolist():
+        first = tree.level_hi + 1
+        for level in tree.levels():
+            side, n = reference._grid(tree, level)
+            if reference._terminal(tree, *reference._cell(tree, x, y, side, n), side):
+                first = level
+                break
+        levels.append(first)
+    return levels
 
 
 @st.composite
@@ -319,22 +335,19 @@ def placed_points(draw):
 class TestPlace:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(placed_points())
-    def test_agrees_with_level_pass(self, instance):
-        # the finest cells, and the first level at which level_pass calls a
-        # point's cell terminal (level_hi + 1 when it never does)
+    def test_agrees_with_reference_formula(self, instance):
+        # the finest cells, and the first level at which the reference's
+        # terminal test holds for a point's cell (level_hi + 1 when it never
+        # does), each cell addressed by the reference's own formula
         kind, tree, coords = instance
         if kind == "deepest":
             assert tree.num_levels == MAX_LEVELS and tree.truncated
         ix, iy, terminal_level = tree.place(coords)
-        passes = list(tree.level_pass(coords))
-        level, _, finest_x, finest_y, _ = passes[0]
-        assert level == tree.level_lo
-        assert ix.tolist() == finest_x.tolist() and iy.tolist() == finest_y.tolist()
-        expected = [
-            next((lv for lv, *_, terminal in passes if terminal[i]), tree.level_hi + 1)
-            for i in range(len(coords))
+        side, n = reference._grid(tree, tree.level_lo)
+        assert list(zip(ix.tolist(), iy.tolist())) == [
+            reference._cell(tree, x, y, side, n) for x, y in coords
         ]
-        assert terminal_level.tolist() == expected
+        assert terminal_level.tolist() == first_terminal_levels(tree, coords)
 
     def test_cell_clear_of_the_diagonal_at_every_level(self):
         # a root far above the diagonal: no level is terminal

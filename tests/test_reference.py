@@ -3,6 +3,7 @@ against the pure-Python reference oracles in reference.py, compared with
 exact ==."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -163,6 +164,79 @@ def test_embedding_distance_is_exact_past_int64_totals(metric):
     assert first.total_count > 2**62 and second.total_count > 2**62
     tree = build_tree(union_coords((first, second)), TreeConfig(seed=23, ground_metric=metric))
     assert_embedding_distance_is_exact(tree, first, second, metric)
+
+
+def assert_residual_identity(tree, first, second, metric):
+    # the two-diagram row is the greedy walk's sum of side * residual over
+    # the levels, rounded once, and the reference's embedding cost
+    residuals = greedy_match(tree, first, second, metric).level_residuals
+    walk = float(sum(Fraction(tree.side(level)) * r for level, r in residuals))
+    row = embed_all(tree, [first, second]).l1_row(0, [1])[0]
+    assert row == walk
+    assert row == reference.embedding_cost(tree, first, second)
+
+
+@pytest.mark.parametrize(
+    "metric,birth,death,seed",
+    [
+        (GroundMetric.L1, 1e11, 1e11 + 1e-4, 33),
+        (GroundMetric.L2, 1e9, 1e9 + 1e-6, 53),
+        (GroundMetric.LINF, 1e11, 1e11 + 1e-4, 136),
+    ],
+)
+def test_residual_identity_far_from_the_origin(metric, birth, death, seed):
+    # a point a few ulps above the diagonal: on these trees its cell is
+    # terminal at some level and clear again at the next by the float test,
+    # which must not count it again after the walk has retired it
+    first = PersistenceDiagram([(birth, death)])
+    second = PersistenceDiagram([(birth, death, 2)])
+    tree = build_tree(union_coords((first, second)), TreeConfig(seed, ground_metric=metric))
+    assert not tree.truncated
+    assert_residual_identity(tree, first, second, metric)
+
+
+@st.composite
+def far_offset_instances(draw):
+    """(tree, first, second, metric) at offsets 1e9 and +-1e11, where a
+    cell's float terminal test can fail above a level at which it held.
+    Lifetimes run from 1 ulp of the birth up to 16 times the pool's spread,
+    and the tree is built over the two diagrams, the first of which is
+    non-empty."""
+    offset = draw(st.sampled_from([1e9, 1e11, -1e11]))
+    scale = draw(st.sampled_from([1e-4, 1.0, 1e3]))
+    raw = draw(
+        st.lists(
+            st.tuples(st.floats(-1.0, 1.0), st.integers(1, 16), st.booleans()),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    pool = []
+    for b, steps, short in raw:
+        birth = offset + scale * b
+        life = steps * math.ulp(birth) if short else scale * steps
+        pool.append((birth, birth + life))
+
+    def diagram(min_size):
+        picks = draw(
+            st.lists(
+                st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 3)),
+                min_size=min_size,
+                max_size=6,
+            )
+        )
+        return PersistenceDiagram([(*pool[i], m) for i, m in picks])
+
+    first, second = diagram(1), diagram(0)
+    metric = draw(st.sampled_from(list(GroundMetric)))
+    config = TreeConfig(seed=draw(st.integers(0, 2**32 - 1)), ground_metric=metric)
+    return build_tree(union_coords((first, second)), config), first, second, metric
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(far_offset_instances())
+def test_residual_identity_at_any_offset(instance):
+    assert_residual_identity(*instance)
 
 
 @st.composite
