@@ -10,9 +10,8 @@ or the `PlacedDiagrams` placement of queries and candidates, then one
 query's `l1_row` or `flowtree_row` against every candidate. For flowtree
 it also counts the rows that one `knn_distances` call hands to the walk's
 per-level cell sort (`group_rows`, wrapped here; the rows sent to the
-diagonal at a level are ordered by a separate sort, once per row at most,
-and are not counted). The report also records the git commit, the
-processor count and the Python, numpy and scipy versions.
+diagonal at a level are not sorted). The report also records the git
+commit, the processor count and the Python, numpy and scipy versions.
 
 Usage, from anywhere in the repository:
 

@@ -6,10 +6,11 @@ result; dist with a tree method prints what multi_tree_estimate returns.
 Exit codes: 0 success, 2 usage (including invalid option values, such as
 --trees 0, an unknown or repeated eval/bench method or metric, non-ascending
 sizes, a negative --seed and a non-integer or negative DGMDIST_SEED), 3
-diagram parse error, 4 oracle size cap, 5 internal error. The first stderr
-line echoes the fully resolved arguments, so every run can be reproduced
-from its log. The default seed is 0 and can be overridden with the
-DGMDIST_SEED environment variable.
+diagram parse error (including a multiplicity, or a sum of them, past
+int64), 4 oracle size cap, 5 internal error. The first stderr line echoes
+the fully resolved arguments, so every run can be reproduced from its log.
+Without --seed the seed is read from the DGMDIST_SEED environment
+variable, else 0.
 """
 
 from __future__ import annotations
@@ -399,9 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_seed(p):
-        p.add_argument(
-            "--seed", type=int, default=_default_seed(), help="random seed (env DGMDIST_SEED)"
-        )
+        p.add_argument("--seed", type=int, help="random seed (env DGMDIST_SEED)")
 
     def add_metric(p):
         p.add_argument(
@@ -475,7 +474,9 @@ def main(argv=None) -> int:
     )
     try:
         args = build_parser().parse_args(argv)
-        if args.seed < 0:
+        if args.seed is None:
+            args.seed = _default_seed()
+        elif args.seed < 0:
             raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
         _echo_args(args)
         return args.func(args)

@@ -19,6 +19,8 @@ from scipy.spatial.distance import cdist
 
 from ._rows import group_rows
 
+_INT64_MAX = np.iinfo(np.int64).max
+
 
 class DiagramError(ValueError):
     """Base class for diagram construction and parsing failures."""
@@ -151,7 +153,7 @@ class PersistenceDiagram:
         mults = np.asarray(mults, dtype=np.int64)
         # summed as Python ints: merged multiplicities are int64 and must not wrap
         total = sum(mults.tolist())
-        if total > np.iinfo(np.int64).max:
+        if total > _INT64_MAX:
             raise OverflowError(f"total multiplicity {total} does not fit in int64")
         order, starts = group_rows(births, deaths)
         first = order[starts]
@@ -209,9 +211,10 @@ def load_diagram(path) -> PersistenceDiagram:
     """Parse a text diagram file: one "birth death [multiplicity]" per line.
 
     '#' starts a comment, blank lines are ignored. Raises InvalidPointError
-    for points with death <= birth, non-finite values or multiplicity < 1,
-    and DiagramParseError for anything that does not tokenize; both carry
-    the offending line number.
+    for points with death <= birth, non-finite values or multiplicity < 1 or
+    past int64, and DiagramParseError for anything that does not tokenize;
+    both carry the offending line number. Multiplicities that sum past int64
+    raise InvalidPointError too.
     """
     path = Path(path)
     births: list[float] = []
@@ -250,10 +253,17 @@ def load_diagram(path) -> PersistenceDiagram:
                     raise InvalidPointError(
                         f"{path.name}: multiplicity < 1 at line {lineno}"
                     )
+                if mult > _INT64_MAX:
+                    raise InvalidPointError(
+                        f"{path.name}: multiplicity does not fit in int64 at line {lineno}"
+                    )
             births.append(birth)
             deaths.append(death)
             mults.append(mult)
-    return PersistenceDiagram._from_columns(births, deaths, mults)
+    try:
+        return PersistenceDiagram._from_columns(births, deaths, mults)
+    except OverflowError as exc:
+        raise InvalidPointError(f"{path.name}: {exc}") from None
 
 
 def save_diagram(diagram: PersistenceDiagram, path) -> None:

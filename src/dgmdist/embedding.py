@@ -320,8 +320,10 @@ def write_vector(vector: EmbeddingVector, path) -> None:
 
 
 def read_vector(path) -> EmbeddingVector:
-    """Parse a vector file; raises ValueError for a malformed line or a cell
-    no tree of at most MAX_LEVELS levels has."""
+    """Parse a vector file; raises ValueError, naming the file and line, for
+    a malformed line, a cell no tree of at most MAX_LEVELS levels has, a
+    cell that repeats or breaks (level, ix, iy) order, or a value that is
+    not a finite non-negative number."""
     path = Path(path)
     limit = 1 << (MAX_LEVELS - 1)
     with path.open() as fh:
@@ -337,11 +339,22 @@ def read_vector(path) -> EmbeddingVector:
             fields = line.split()
             if len(fields) != 4:
                 raise ValueError(f"{path.name}: malformed entry at line {lineno}")
-            level, ix, iy = int(fields[0]), int(fields[1]), int(fields[2])
+            try:
+                cell = (int(fields[0]), int(fields[1]), int(fields[2]))
+                value = float(fields[3])
+            except ValueError:
+                raise ValueError(f"{path.name}: malformed entry at line {lineno}") from None
+            level, ix, iy = cell
             if not (0 <= level < MAX_LEVELS and 0 <= ix < limit and 0 <= iy < limit):
                 raise ValueError(f"{path.name}: cell out of range at line {lineno}")
-            cells.append((level, ix, iy))
-            values.append(float(fields[3]))
+            if cells and cell <= cells[-1]:
+                raise ValueError(f"{path.name}: cell repeated or out of order at line {lineno}")
+            if not 0.0 <= value < math.inf:  # nan fails both comparisons
+                raise ValueError(
+                    f"{path.name}: value not finite and non-negative at line {lineno}"
+                )
+            cells.append(cell)
+            values.append(value)
     return EmbeddingVector(
         tree_signature=signature,
         cells=np.array(cells, dtype=np.int64).reshape(-1, 3),

@@ -168,7 +168,7 @@ def _rows(
     if method == "embedding":
         index = embed_all(tree, diagrams)
         return [index.l1_row(i, js) for i in range(len(queries))]
-    row = partial(PlacedDiagrams(tree, diagrams).flowtree_row, js=js, metric=metric)
+    row = partial(PlacedDiagrams(tree, diagrams).flowtree_row, js=js)
     return _run_jobs(row, list(range(len(queries))), workers)
 
 

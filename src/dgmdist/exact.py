@@ -73,19 +73,16 @@ def _unshared(
 
 
 def exact_distance(
-    first: PersistenceDiagram,
-    second: PersistenceDiagram,
-    metric: GroundMetric,
-    size_cap: int = DEFAULT_SIZE_CAP,
+    first: PersistenceDiagram, second: PersistenceDiagram, metric: GroundMetric
 ) -> float:
     """Exact 1-Wasserstein distance (minimum over partial matchings).
 
-    Raises SizeCapError if the two diagrams hold more than size_cap points
-    together, counted with multiplicity.
+    Raises SizeCapError if the two diagrams hold more than DEFAULT_SIZE_CAP
+    points together, counted with multiplicity.
     """
     total = first.total_count + second.total_count
-    if total > size_cap:
-        raise SizeCapError(f"expanded instance size {total} exceeds cap {size_cap}")
+    if total > DEFAULT_SIZE_CAP:
+        raise SizeCapError(f"expanded instance size {total} exceeds cap {DEFAULT_SIZE_CAP}")
     p, q = _unshared(first, second)
     if len(p) > len(q):
         p, q = q, p

@@ -14,10 +14,14 @@ the exact 1-Wasserstein distance for every tree.
 One private kernel, _walk, runs the level sweep for any number of diagram
 pairs at once: their points are stacked pair by pair and grouped by (pair,
 cell), so each level costs a fixed number of array operations however many
-pairs it carries. greedy_match walks one pair; PlacedDiagrams.flowtree_row
-walks one diagram against many and returns the same costs, bit for bit. The
-evaluation harness reads every flowtree distance, single pairs included,
-from flowtree_row; greedy_match serves matchings (dist, .match files).
+pairs it carries. It returns what it matched at each level, the pairs it
+sends to the diagonal by row, not by cell; greedy_match, the one caller
+that lists pairs, sorts them once afterwards. PlacedDiagrams.flowtree_row
+walks one diagram against many and sums each pair's costs with math.fsum,
+which gives the same value in any order, so it returns greedy_match's
+costs bit for bit. The evaluation harness reads every flowtree distance,
+single pairs included, from flowtree_row; greedy_match serves matchings
+(dist, .match files). Every cost is taken under the tree's ground metric.
 
 Placement. PlacedDiagrams places every point of its diagrams once
 (ShiftedQuadtree.place: the finest cell, whose ancestor k levels up is the
@@ -26,9 +30,7 @@ no cell formula. Before the sweep it also gives each row its meet level,
 the first level at which the row's cell holds any point of the other
 diagram of its pair, from the Morton order of the finest cells (see
 PlacedDiagrams._meet_levels). At each level the walk then
-- sends to the diagonal the live rows whose terminal level it is, in the
-  previous level's walk order (pair, cell, row), the order in which a sort
-  of every live row would have listed them;
+- sends to the diagonal the live rows whose terminal level it is;
 - sorts by (pair, cell) only the live rows at or past their meet level.
 
 This changes no matching. Cross pairs form only in a cell that holds live
@@ -217,11 +219,9 @@ class PlacedDiagrams:
     def __len__(self) -> int:
         return len(self.start) - 1
 
-    def flowtree_row(
-        self, i: int, js: Sequence[int], metric: GroundMetric | None = None
-    ) -> list[float]:
-        """[flowtree_distance(tree, diagram i, diagram j, metric) for j in
-        js], bit for bit: the pairs are walked together, up to
+    def flowtree_row(self, i: int, js: Sequence[int]) -> list[float]:
+        """[flowtree_distance(tree, diagram i, diagram j) for j in js], bit
+        for bit: the pairs are walked together, up to
         2**(54 - tree.num_levels) of them at a time, and each cost is one
         math.fsum over its own pairs, as for a single pair. Raises
         IndexError unless i and every j lie in range(len(self))."""
@@ -229,34 +229,20 @@ class PlacedDiagrams:
         inside = 0 <= i < len(self) and (len(js) == 0 or 0 <= js.min() <= js.max() < len(self))
         if not inside:
             raise IndexError(f"diagram indices must lie in range({len(self)})")
-        metric = metric or self.tree.ground_metric
         step = 1 << (54 - self.tree.num_levels)
         costs: list[float] = []
         for begin in range(0, len(js), step):
             batch = js[begin : begin + step]
-            point, pair, ((row, partner, pair_mass, _), _, _) = self._walk_pairs(i, batch)
-            partner = np.where(partner >= 0, point[partner], -1)
-            products = pair_mass * _pair_distances(self.coords, point[row], partner, metric)
+            (point, partner, pair, pair_mass, _), _, _ = _walk(self, i, batch)
+            products = pair_mass * _pair_distances(self, point, partner)
             # the smallest unsigned type: a stable sort of it is a radix sort
-            owner = pair[row].astype(np.min_scalar_type(len(batch)))
+            owner = pair.astype(np.min_scalar_type(len(batch)))
             products = products[np.argsort(owner, kind="stable")].tolist()
             ends = np.cumsum(np.bincount(owner, minlength=len(batch))).tolist()
             costs.extend(
                 math.fsum(products[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)
             )
         return costs
-
-    def _walk_pairs(self, i: int, js: np.ndarray):
-        """_walk of the pairs (diagram i, diagram j) for j in js; returns
-        each row's point and pair with it."""
-        n_first = self.start[i + 1] - self.start[i]
-        sizes = n_first + self.start[js + 1] - self.start[js]
-        pair = np.repeat(np.arange(len(js)), sizes)
-        within = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        from_first = within < n_first
-        point = within + np.where(from_first, self.start[i], self.start[js][pair] - n_first)
-        other = np.where(from_first, js[pair], i)
-        return point, pair, _walk(self, point, pair, from_first, other)
 
     def _meet_levels(self, point: np.ndarray, other: np.ndarray) -> np.ndarray:
         """How many levels above the finest the cell of each given point
@@ -284,31 +270,32 @@ def _by_level(values: np.ndarray, levels: int):
     return rows, np.searchsorted(values[rows], np.arange(levels + 1))
 
 
-def _walk(
-    placed: PlacedDiagrams,
-    point: np.ndarray,
-    pair: np.ndarray,
-    from_first: np.ndarray,
-    other: np.ndarray,
-):
-    """The greedy matchings of several diagram pairs, one pass per level.
+def _walk(placed: PlacedDiagrams, i: int, js: np.ndarray):
+    """The greedy matchings of the pairs (diagram i, diagram j) for j in js,
+    one pass per level.
 
-    Each row is placed point point[row] of one pair, with the point's
-    multiplicity as its mass. Rows are stacked pair-major: pair p's
-    first-diagram points, then its second-diagram points, each side in
-    lexicographic order. `pair` holds each row's pair index (non-decreasing,
-    below 2**(54 - tree.num_levels)), `from_first` marks first's points and
-    `other` is the diagram on the row's other side. Each pair is matched
-    exactly as if walked alone: its points never share a cell with another
-    pair's.
+    Rows stack the pairs' points pair-major: pair p's points of diagram i,
+    then those of diagram js[p], each side in lexicographic order, each with
+    its multiplicity as mass. len(js) is below 2**(54 - tree.num_levels).
+    Each pair is matched exactly as if walked alone: its points never share
+    a cell with another pair's.
 
-    Returns the matched pairs as (row, partner row, mass, level) arrays in
-    matching order (partner -1 for a diagonal pair), the unmatched mass
-    after each level summed over the pairs, and whether any mass reached the
-    root fallback.
+    Returns the matched pairs as (point, partner, pair, mass, level) arrays
+    in the order the walk makes them: level by level, each level's diagonal
+    pairs by row, then its cross pairs in walk order, and the root fallback
+    last, by row. point and partner index placed's points (partner -1 for a
+    diagonal pair) and pair indexes js. Also returns the unmatched mass
+    after each level summed over the pairs, and whether any mass reached
+    the root fallback.
     """
     tree = placed.tree
     levels = tree.num_levels
+    n_first = placed.start[i + 1] - placed.start[i]
+    sizes = n_first + placed.start[js + 1] - placed.start[js]
+    pair = np.repeat(np.arange(len(js)), sizes)
+    within = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    from_first = within < n_first
+    point = within + np.where(from_first, placed.start[i], placed.start[js][pair] - n_first)
     mass = placed.mass[point]
     # pair index above the x cell index: the packed (pair, x) key of a
     # row's cell k levels up is cell_x >> k, below 2**53 and ordered like
@@ -316,7 +303,7 @@ def _walk(
     cell_x = (pair << (levels - 1)) + placed.ix[point]
     iy = placed.iy[point]
     retiring, retire_at = _by_level(placed.terminal_level[point] - tree.level_lo, levels)
-    meet = np.minimum(placed._meet_levels(point, other), levels)
+    meet = np.minimum(placed._meet_levels(point, np.where(from_first, js[pair], i)), levels)
     entering, enter_at = _by_level(meet, levels)
     active = np.zeros(0, np.int64)  # live rows past their meet level, in row order
     live_mass = int(mass.sum())
@@ -335,11 +322,7 @@ def _walk(
             residuals.append((level, 0))
             continue
         rows = retiring[retire_at[k] : retire_at[k + 1]]
-        rows = rows[mass[rows] > 0]
-        if len(rows):
-            if k:  # in the previous level's walk order: (pair, cell, row)
-                rows = rows[np.lexsort((iy[rows] >> (k - 1), cell_x[rows] >> (k - 1)))]
-            live_mass -= to_diagonal(rows, level)
+        live_mass -= to_diagonal(rows[mass[rows] > 0], level)
         if enter_at[k] < enter_at[k + 1]:
             active = np.sort(np.concatenate((active, entering[enter_at[k] : enter_at[k + 1]])))
         active = active[mass[active] > 0]
@@ -354,16 +337,20 @@ def _walk(
             live_mass -= 2 * int(take.sum())
         residuals.append((level, live_mass))
 
-    rows = np.flatnonzero(mass > 0)  # the root is one cell: walk order is row order
+    rows = np.flatnonzero(mass > 0)
     root_fallback = len(rows) > 0
     to_diagonal(rows, tree.level_hi)
-    row, partner, pair_mass, levels_of = zip(*pairs)
-    matched = (np.concatenate(row), np.concatenate(partner), np.concatenate(pair_mass))
-    return (*matched, np.repeat(levels_of, [len(r) for r in row])), residuals, root_fallback
+    rows, partners, masses, levels_of = zip(*pairs)
+    level = np.repeat(levels_of, [len(r) for r in rows])
+    row, partner = np.concatenate(rows), np.concatenate(partners)
+    partner = np.where(partner >= 0, point[partner], -1)
+    matched = (point[row], partner, pair[row], np.concatenate(masses), level)
+    return matched, residuals, root_fallback
 
 
-def _pair_distances(coords, point, partner, metric: GroundMetric) -> np.ndarray:
-    """Per-unit ground distance of every matched pair."""
+def _pair_distances(placed: PlacedDiagrams, point, partner) -> np.ndarray:
+    """Per-unit distance of every matched pair under the tree's metric."""
+    coords, metric = placed.coords, placed.tree.ground_metric
     distance = metric.diagonal_distances(coords[point])
     cross = partner >= 0
     distance[cross] = metric.rowwise(coords[point[cross]], coords[partner[cross]])
@@ -371,35 +358,48 @@ def _pair_distances(coords, point, partner, metric: GroundMetric) -> np.ndarray:
 
 
 def greedy_match(
-    tree: ShiftedQuadtree,
-    first: PersistenceDiagram,
-    second: PersistenceDiagram,
-    metric: GroundMetric | None = None,
+    tree: ShiftedQuadtree, first: PersistenceDiagram, second: PersistenceDiagram
 ) -> AugmentedMatching:
-    """Bottom-up greedy augmented matching of two diagrams on one tree.
+    """Bottom-up greedy augmented matching of two diagrams on one tree,
+    costed under tree.ground_metric.
 
     Deterministic given (tree, first, second); swapping the diagrams yields
     the mirrored pair multiset at identical cost. Runs in
     O((|first| + |second|) * levels) plus, per level, a sort of the points
     that can still be cross-matched there; PlacedDiagrams.flowtree_row shares
     each level's array operations among many pairs.
+
+    Pair order: level by level, finest first. Within the level k above the
+    finest come first the points sent to the diagonal at their terminal
+    level, by their cell one level down, (ix >> (k - 1), iy >> (k - 1)),
+    then by point (at the finest level by point alone); then the cross
+    pairs, in walk order; last, at the root, the fallback diagonal pairs, in
+    point order.
     """
-    metric = metric or tree.ground_metric
-    # points of first, then of second, each in lexicographic order: a
-    # single pair's rows are its points
     placed = PlacedDiagrams(tree, (first, second))
-    _, _, ((point, partner, pair_mass, level), residuals, root_fallback) = placed._walk_pairs(
-        0, np.array([1])
+    (point, partner, _, pair_mass, level), residuals, root_fallback = _walk(
+        placed, 0, np.array([1])
     )
-    coords = placed.coords
-    n_first = len(first)
-    distance = _pair_distances(coords, point, partner, metric)
+    # a stable sort: pairs with equal keys keep the order _walk made them
+    # in; a fallback point has no terminal level
+    terminal = (partner < 0) & (level > tree.level_lo) & (placed.terminal_level[point] == level)
+    down = np.maximum(level - tree.level_lo - 1, 0)
+    order = np.lexsort(
+        (
+            (placed.iy[point] >> down) * terminal,
+            (placed.ix[point] >> down) * terminal,
+            ~terminal,
+            level,
+        )
+    )
+    point, partner, pair_mass, level = point[order], partner[order], pair_mass[order], level[order]
+    distance = _pair_distances(placed, point, partner)
     return AugmentedMatching(
         cost=math.fsum((pair_mass * distance).tolist()),
-        ground_metric=metric,
+        ground_metric=tree.ground_metric,
         tree_signature=tree.signature,
-        coords=coords,
-        n_first=n_first,
+        coords=placed.coords,
+        n_first=len(first),
         point=point,
         partner=partner,
         mass=pair_mass,
@@ -411,13 +411,10 @@ def greedy_match(
 
 
 def flowtree_distance(
-    tree: ShiftedQuadtree,
-    first: PersistenceDiagram,
-    second: PersistenceDiagram,
-    metric: GroundMetric | None = None,
+    tree: ShiftedQuadtree, first: PersistenceDiagram, second: PersistenceDiagram
 ) -> float:
-    """Ground-metric cost of the greedy augmented matching."""
-    return greedy_match(tree, first, second, metric).cost
+    """Cost of the greedy augmented matching under tree.ground_metric."""
+    return greedy_match(tree, first, second).cost
 
 
 def multi_tree_estimate(
@@ -455,7 +452,7 @@ def multi_tree_estimate(
         tree = geometry.tree(TreeConfig(seed=seed, ground_metric=metric))
         meta = tree.meta()
         if method == "flowtree":
-            matching = greedy_match(tree, first, second, metric)
+            matching = greedy_match(tree, first, second)
             values.append(matching.cost)
             meta["root_fallback"] = matching.root_fallback
         else:

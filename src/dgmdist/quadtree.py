@@ -61,6 +61,8 @@ class TreeConfig:
     ground_metric: GroundMetric = GroundMetric.L2
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if not 2 <= self.max_levels_cap <= MAX_LEVELS:
             raise ValueError(f"max_levels_cap must lie in [2, {MAX_LEVELS}]")
 

@@ -77,7 +77,7 @@ def test_criterion_2_sandwich_inequalities():
         d_true = exact_distance(first, second, L2)
         for tree_offset in range(5):
             tree = pair_tree(first, second, seed=pair_seed * 5 + tree_offset)
-            d_flow = flowtree_distance(tree, first, second, L2)
+            d_flow = flowtree_distance(tree, first, second)
             d_embed = l1_distance(embed(tree, first), embed(tree, second))
             assert d_true <= d_flow + 1e-9, (pair_seed, tree_offset)
             assert d_flow <= 2 * SQRT2 * d_embed + 1e-9, (pair_seed, tree_offset)

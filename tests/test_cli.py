@@ -122,6 +122,28 @@ class TestDist:
         assert code == EXIT_PARSE
         assert "death <= birth" in err
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                "0 4 100000000000000000000\n",
+                "error: a.txt: multiplicity does not fit in int64 at line 1",
+            ),
+            (
+                "0 4 9223372036854775807\n1 5 1\n",
+                "error: a.txt: total multiplicity 9223372036854775808 does not fit in int64",
+            ),
+        ],
+    )
+    def test_multiplicity_past_int64_is_parse_error(self, tmp_path, capsys, text, message):
+        a, c = tmp_path / "a.txt", tmp_path / "c.txt"
+        a.write_text(text)
+        write_singleton(c, 0, 4)
+        code, out, err = run(capsys, "dist", str(a), str(c))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.splitlines()[1:] == [message]
+
     def test_oracle_cap_exit_code(self, tmp_path, capsys):
         # 2001 + 2001 expanded points exceed the default 4000 cap
         big = PersistenceDiagram([(0.0, 1.0 + i, 1) for i in range(2001)])
@@ -661,6 +683,16 @@ class TestSeedEnvOverride:
         assert out == ""
         assert err.startswith("error:")
         assert "DGMDIST_SEED" in err
+
+    def test_seed_option_overrides_invalid_env(self, tmp_path, capsys, monkeypatch):
+        # the environment is read only when --seed is absent
+        monkeypatch.setenv("DGMDIST_SEED", "abc")
+        a = tmp_path / "a.txt"
+        write_singleton(a, 0, 4)
+        code, out, err = run(capsys, "dist", str(a), str(a), "--seed", "3")
+        assert code == EXIT_OK
+        assert json.loads(out)["value"] == 0.0
+        assert '"seed": 3' in err.splitlines()[0]
 
 
 class TestNegativeSeed:

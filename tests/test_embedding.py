@@ -268,3 +268,22 @@ class TestVectorFiles:
         path.write_text(f"qt:0:abc\n0 140737488355327 0 2.0\n{entry}\n")
         with pytest.raises(ValueError, match="out of range at line 3"):
             read_vector(path)
+
+    @pytest.mark.parametrize(
+        "entry,problem",
+        [
+            ("0 1 2 nan", "value not finite and non-negative"),
+            ("0 1 2 inf", "value not finite and non-negative"),
+            ("0 1 2 -1.0", "value not finite and non-negative"),
+            ("0 1 1 1.0", "cell repeated or out of order"),
+            ("0 0 5 1.0", "cell repeated or out of order"),
+            ("0 1.5 2 3.0", "malformed entry"),
+            ("0 1 2 x", "malformed entry"),
+        ],
+    )
+    def test_malformed_entry_rejected(self, tmp_path, entry, problem):
+        # write_vector never writes these: read_vector names file and line
+        path = tmp_path / "bad.vec"
+        path.write_text(f"qt:0:abc\n0 1 1 2.0\n{entry}\n")
+        with pytest.raises(ValueError, match=f"^bad.vec: {problem} at line 3$"):
+            read_vector(path)

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 import dgmdist.evaluate
+import dgmdist.exact
 import reference
 from dgmdist import (
     GroundMetric,
@@ -41,12 +42,8 @@ def small_dataset():
 
 
 def cap_oracle(monkeypatch, cap):
-    """Make the harness's exact solver use a small size cap (workers=1 only)."""
-    monkeypatch.setattr(
-        dgmdist.evaluate,
-        "exact_distance",
-        lambda first, second, metric: exact_distance(first, second, metric, cap),
-    )
+    """Make the exact solver use a small size cap (workers=1 only)."""
+    monkeypatch.setattr(dgmdist.exact, "DEFAULT_SIZE_CAP", cap)
 
 
 class TestRelativeError:
@@ -170,7 +167,7 @@ class TestErrorSuite:
             if row.method == "embedding":
                 expected = reference.embedding_cost(tree, a, b)
             else:
-                expected = greedy_match(tree, a, b, metric).cost
+                expected = greedy_match(tree, a, b).cost
             assert row.d_approx == expected
 
     def test_validates_inputs(self, small_dataset):
@@ -273,7 +270,7 @@ class TestKnnDistances:
             union_coords(queries + candidates), TreeConfig(seed=8, ground_metric=metric)
         )
         assert rows == [
-            [flowtree_distance(tree, q, c, metric) for c in candidates] for q in queries
+            [flowtree_distance(tree, q, c) for c in candidates] for q in queries
         ]
 
     @pytest.mark.parametrize("metric", list(GroundMetric))

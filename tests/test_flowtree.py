@@ -204,7 +204,7 @@ class TestFlowtreeDistance:
         first, second = random_pair(3, max_points=8)
         for metric in GroundMetric:
             tree = pair_tree(first, second, seed=2, metric=metric)
-            cost = flowtree_distance(tree, first, second, metric)
+            cost = flowtree_distance(tree, first, second)
             assert cost >= exact_distance(first, second, metric) - 1e-9
 
 
@@ -226,13 +226,13 @@ class TestFlowtreeDistance:
         assert matching.pairs == expected
 
 
-def per_pair_costs(tree, query, candidates, metric):
-    return [greedy_match(tree, query, c, metric).cost for c in candidates]
+def per_pair_costs(tree, query, candidates):
+    return [greedy_match(tree, query, c).cost for c in candidates]
 
 
 @st.composite
 def batches(draw):
-    """(tree, query, candidates, metric) over a shared pool of points.
+    """(tree, query, candidates) over a shared pool of points.
 
     As test_reference's instances: offsets up to 1e11, a possible
     near-duplicate that truncates a small-cap tree, multiplicities up to 3 or
@@ -273,35 +273,33 @@ def batches(draw):
         max_levels_cap=draw(st.sampled_from([2, 3, 5, 12, 40])),
         ground_metric=metric,
     )
-    return build_tree(pool, config), query, candidates, metric
+    return build_tree(pool, config), query, candidates
 
 
-def query_row(tree, query, candidates, metric):
+def query_row(tree, query, candidates):
     """flowtree_row of query against every candidate, placed together."""
     placed = PlacedDiagrams(tree, [query, *candidates])
-    return placed.flowtree_row(0, range(1, len(candidates) + 1), metric)
+    return placed.flowtree_row(0, range(1, len(candidates) + 1))
 
 
 class TestFlowtreeDistances:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(batches())
     def test_equals_per_pair_costs(self, batch):
-        tree, query, candidates, metric = batch
-        assert query_row(tree, query, candidates, metric) == per_pair_costs(
-            tree, query, candidates, metric
-        )
+        tree, query, candidates = batch
+        assert query_row(tree, query, candidates) == per_pair_costs(tree, query, candidates)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(batches(), st.data())
     def test_placed_rows_equal_per_pair_costs(self, batch, data):
         # any diagram against any list of them, itself and repeats included
-        tree, query, candidates, metric = batch
+        tree, query, candidates = batch
         diagrams = [query, *candidates]
         placed = PlacedDiagrams(tree, diagrams)
         i = data.draw(st.integers(0, len(diagrams) - 1))
         js = data.draw(st.lists(st.integers(0, len(diagrams) - 1), max_size=10))
-        expected = per_pair_costs(tree, diagrams[i], [diagrams[j] for j in js], metric)
-        assert placed.flowtree_row(i, js, metric) == expected
+        expected = per_pair_costs(tree, diagrams[i], [diagrams[j] for j in js])
+        assert placed.flowtree_row(i, js) == expected
 
     def test_placed_rows_check_indices(self):
         first, second = gen_uniform(10, 1), gen_uniform(10, 2)
@@ -320,10 +318,10 @@ class TestFlowtreeDistances:
             union_coords((query, other)), TreeConfig(seed=4, ground_metric=metric)
         )
         for q, cands in ((query, [empty, other, empty]), (empty, [other, empty, query])):
-            costs = query_row(tree, q, cands, metric)
-            assert costs == per_pair_costs(tree, q, cands, metric)
-        assert query_row(tree, empty, [empty], metric) == [0.0]
-        assert query_row(tree, query, [], metric) == []
+            costs = query_row(tree, q, cands)
+            assert costs == per_pair_costs(tree, q, cands)
+        assert query_row(tree, empty, [empty]) == [0.0]
+        assert query_row(tree, query, []) == []
 
     @pytest.mark.parametrize("metric", list(GroundMetric))
     def test_identical_and_repeated_candidates(self, metric):
@@ -334,8 +332,8 @@ class TestFlowtreeDistances:
             union_coords((query, other)), TreeConfig(seed=8, ground_metric=metric)
         )
         candidates = [query, other, other, query, other]
-        costs = query_row(tree, query, candidates, metric)
-        assert costs == per_pair_costs(tree, query, candidates, metric)
+        costs = query_row(tree, query, candidates)
+        assert costs == per_pair_costs(tree, query, candidates)
         assert costs[0] == costs[3] == 0.0
         assert costs[1] == costs[2] == costs[4] == reference.greedy_match(
             tree, query, other, metric
@@ -366,7 +364,7 @@ class TestFlowtreeDistances:
         ]
         levels = tree.num_levels
         assert all(not shared[k] & shared[levels + k] for k in range(levels - 1))
-        matching = greedy_match(tree, query, candidate, metric)
+        matching = greedy_match(tree, query, candidate)
         assert matching.root_fallback
         assert set(matching.level.tolist()) == {tree.level_hi}
         _, cost, residuals, root_fallback = reference.greedy_match(
@@ -374,7 +372,7 @@ class TestFlowtreeDistances:
         )
         assert (matching.cost, matching.level_residuals) == (cost, residuals)
         assert root_fallback
-        assert query_row(tree, query, [candidate, query, candidate], metric) == [
+        assert query_row(tree, query, [candidate, query, candidate]) == [
             cost,
             0.0,
             cost,
@@ -407,9 +405,7 @@ class TestFlowtreeDistances:
 
         query = diagram()
         candidates = [diagram() for _ in range(data.draw(st.integers(65, 140)))]
-        assert query_row(tree, query, candidates, metric) == per_pair_costs(
-            tree, query, candidates, metric
-        )
+        assert query_row(tree, query, candidates) == per_pair_costs(tree, query, candidates)
 
 
 class TestMultiTree:

@@ -4,6 +4,10 @@ Adding or removing an export must edit PUBLIC here, and a removal also needs
 its line in CHANGES.md.
 """
 
+import inspect
+
+import pytest
+
 import dgmdist
 
 PUBLIC = [
@@ -67,3 +71,18 @@ def test_all_is_pinned():
 def test_every_public_name_resolves():
     missing = [name for name in PUBLIC if not hasattr(dgmdist, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    "function,parameters",
+    [
+        (dgmdist.greedy_match, ["tree", "first", "second"]),
+        (dgmdist.flowtree_distance, ["tree", "first", "second"]),
+        (dgmdist.PlacedDiagrams.flowtree_row, ["self", "i", "js"]),
+        (dgmdist.exact_distance, ["first", "second", "metric"]),
+    ],
+)
+def test_signature_is_pinned(function, parameters):
+    # flowtree costs use tree.ground_metric and the oracle cap is
+    # DEFAULT_SIZE_CAP: a knob added back must edit this list
+    assert list(inspect.signature(function).parameters) == parameters

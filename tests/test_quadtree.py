@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgmdist import GroundMetric, PersistenceDiagram, gen_gaussian, gen_uniform
+from dgmdist import (
+    GroundMetric,
+    PersistenceDiagram,
+    gen_gaussian,
+    gen_uniform,
+    multi_tree_estimate,
+)
 from dgmdist.quadtree import (
     MAX_LEVELS,
     OutsideRootError,
@@ -51,6 +57,13 @@ class TestConfig:
         for cap in (MAX_LEVELS + 1, 70):
             with pytest.raises(ValueError, match="max_levels_cap"):
                 TreeConfig(seed=0, max_levels_cap=cap)
+
+    def test_negative_seed_rejected(self):
+        first, second = gen_uniform(5, 1), gen_uniform(5, 2)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            build_tree(union_coords((first, second)), TreeConfig(seed=-1))
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            multi_tree_estimate(first, second, GroundMetric.L2, seeds=[-1])
 
     def test_tree_levels_bounded(self):
         manual_tree(levels=MAX_LEVELS)

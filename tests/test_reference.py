@@ -42,7 +42,7 @@ def assert_matches_reference(tree, first, second, metric):
         assert vec.values.tolist() == [value for _, value in ref]
     assert l1_distance(va, vb) == reference.l1_distance(ra, rb)
 
-    matching = greedy_match(tree, first, second, metric)
+    matching = greedy_match(tree, first, second)
     pairs, cost, residuals, root_fallback = reference.greedy_match(
         tree, first, second, metric
     )
@@ -169,7 +169,7 @@ def test_embedding_distance_is_exact_past_int64_totals(metric):
 def assert_residual_identity(tree, first, second, metric):
     # the two-diagram row is the greedy walk's sum of side * residual over
     # the levels, rounded once, and the reference's embedding cost
-    residuals = greedy_match(tree, first, second, metric).level_residuals
+    residuals = greedy_match(tree, first, second).level_residuals
     walk = float(sum(Fraction(tree.side(level)) * r for level, r in residuals))
     row = embed_all(tree, [first, second]).l1_row(0, [1])[0]
     assert row == walk
@@ -389,7 +389,7 @@ def test_deep_spread_matches_reference(instance):
     placed = PlacedDiagrams(tree, [first, second])
     costs = [reference.greedy_match(tree, a, b, metric)[1] for a, b in
              ((first, second), (second, first), (first, first))]
-    assert placed.flowtree_row(0, [1], metric) + placed.flowtree_row(1, [0, 1], metric) == [
+    assert placed.flowtree_row(0, [1]) + placed.flowtree_row(1, [0, 1]) == [
         costs[0],
         costs[1],
         0.0,
