@@ -38,6 +38,7 @@ from .evaluate import (
     PairErrorRow,
     RecallCurve,
     error_suite,
+    eval_report,
     knn_distances,
     ranking_table,
     recall_at_m,
@@ -102,6 +103,7 @@ __all__ = [
     "embed",
     "embed_all",
     "error_suite",
+    "eval_report",
     "exact_distance",
     "flowtree_distance",
     "gen_gaussian",

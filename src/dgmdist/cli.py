@@ -1,7 +1,8 @@
 """Command-line surface: generate, dist, embed, knn, eval, bench.
 
 Each command parses its arguments, calls the library and formats the
-result; dist with a tree method prints what multi_tree_estimate returns.
+result; dist with a tree method prints what multi_tree_estimate returns,
+and eval's tables are those evaluate.eval_report writes.
 
 Exit codes: 0 success, 2 usage (including invalid option values, such as
 --trees 0, an unknown or repeated eval/bench method or metric, non-ascending
@@ -37,19 +38,7 @@ from .diagram import (
     save_diagram,
 )
 from .embedding import embed_all, write_vector
-from .evaluate import (
-    METHODS,
-    BenchRow,
-    ErrorStats,
-    PairErrorRow,
-    error_suite,
-    knn_distances,
-    ranking_table,
-    recall_at_m,
-    runtime_bench,
-    write_csv,
-    write_json,
-)
+from .evaluate import METHODS, BenchRow, eval_report, knn_distances, runtime_bench, write_csv
 from .exact import SizeCapError, exact_distance
 from .flowtree import multi_tree_estimate
 from .quadtree import TreeConfig, build_tree, union_coords
@@ -59,6 +48,8 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_SIZE_CAP = 4
 EXIT_INTERNAL = 5
+
+METRIC_NAMES = [m.value for m in GroundMetric]
 
 log = logging.getLogger("dgmdist")
 
@@ -78,10 +69,6 @@ def _default_seed() -> int:
     return seed
 
 
-def _metric(name: str) -> GroundMetric:
-    return GroundMetric(name)
-
-
 def _names(text: str, kind: str, known) -> list[str]:
     """A comma-separated list of distinct names, each one of known."""
     names = text.split(",")
@@ -98,7 +85,7 @@ def _methods(text: str) -> list[str]:
 
 
 def _metrics(text: str) -> list[GroundMetric]:
-    names = _names(text, "metric", [m.value for m in GroundMetric])
+    names = _names(text, "metric", METRIC_NAMES)
     return [GroundMetric(name) for name in names]
 
 
@@ -171,7 +158,7 @@ def cmd_dist(args) -> int:
             raise UsageError(f"no such file: {path}")
     first = load_diagram(args.first)
     second = load_diagram(args.second)
-    metric = _metric(args.metric)
+    metric = GroundMetric(args.metric)
     t0 = time.perf_counter()
     if args.method == "exact":
         value = exact_distance(first, second, metric)
@@ -201,7 +188,7 @@ def cmd_embed(args) -> int:
         raise UsageError("no diagram holds a point; there is nothing to embed")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    metric = _metric(args.metric)
+    metric = GroundMetric(args.metric)
     tree = build_tree(
         union_coords(diagrams), TreeConfig(seed=args.seed, ground_metric=metric)
     )
@@ -223,7 +210,7 @@ def cmd_knn(args) -> int:
     _check_workers(args.workers)
     query_names, queries = _load_dir(args.queries)
     cand_names, candidates = _load_dir(args.candidates)
-    metric = _metric(args.metric)
+    metric = GroundMetric(args.metric)
     k = min(args.k, len(candidates))
 
     per_query = knn_distances(
@@ -267,17 +254,6 @@ def cmd_knn(args) -> int:
     return EXIT_OK
 
 
-def _columns(row_type) -> list[str]:
-    """CSV header of a row dataclass, in field order."""
-    return [f.name for f in dataclasses.fields(row_type)]
-
-
-def _write_table(stem: Path, fieldnames, rows) -> None:
-    """One table as <stem>.csv and its <stem>.json mirror."""
-    write_csv(stem.with_suffix(".csv"), fieldnames, rows)
-    write_json(stem.with_suffix(".json"), rows)
-
-
 def cmd_eval(args) -> int:
     methods = _methods(args.methods)
     metrics = _metrics(args.metrics)
@@ -292,85 +268,18 @@ def cmd_eval(args) -> int:
         raise UsageError("dataset must contain at least two diagrams")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    suite = error_suite(
+    suite = eval_report(
         dataset,
+        out_dir,
         methods,
         metrics,
         seed=args.seed,
         n_pairs=args.n_pairs,
         tree_policy=args.tree_policy,
+        bench_sizes=bench_sizes,
+        reps=args.reps,
         workers=args.workers,
     )
-    _write_table(out_dir / "pair_errors", _columns(PairErrorRow), suite.rows)
-    _write_table(out_dir / "error_stats", _columns(ErrorStats), suite.stats)
-
-    # 10/90 query/candidate split, deterministic per seed
-    rng = np.random.default_rng(args.seed)
-    order = rng.permutation(len(dataset))
-    n_queries = max(1, len(dataset) // 10)
-    query_idx = sorted(int(i) for i in order[:n_queries])
-    cand_idx = sorted(int(i) for i in order[n_queries:])
-    queries = [dataset[i] for i in query_idx]
-    candidates = [dataset[i] for i in cand_idx]
-
-    primary_metric = metrics[0]
-    true_rows = knn_distances(
-        queries, candidates, "exact", primary_metric, workers=args.workers
-    )
-    rows_by_method = {"exact": true_rows}
-    for method in methods:
-        if method not in rows_by_method:
-            rows_by_method[method] = knn_distances(
-                queries,
-                candidates,
-                method,
-                primary_metric,
-                seed=args.seed,
-                workers=args.workers,
-            )
-
-    recall_rows = []
-    for method in methods:
-        curve, _ = recall_at_m(true_rows, rows_by_method[method], method)
-        recall_rows.extend(
-            {
-                "method": method,
-                "ground_metric": primary_metric.value,
-                "m": m,
-                "recall": r,
-            }
-            for m, r in zip(curve.m_values, curve.recall)
-        )
-    _write_table(out_dir / "recall", ["method", "ground_metric", "m", "recall"], recall_rows)
-
-    ranking_rows = []
-    for method in methods:
-        for qpos, true_d, approx_d in zip(query_idx, true_rows, rows_by_method[method]):
-            if true_d is None:  # no ground truth to rank against
-                raise SizeCapError(f"query {qpos} exceeds the oracle size cap")
-            ranking_rows.extend(
-                {
-                    "method": method,
-                    "ground_metric": primary_metric.value,
-                    "query": qpos,
-                    "candidate": cand_idx[c],
-                    "true_rank": tr,
-                    "approx_rank": ar,
-                }
-                for c, (tr, ar) in enumerate(ranking_table(true_d, approx_d))
-            )
-    _write_table(
-        out_dir / "ranking",
-        ["method", "ground_metric", "query", "candidate", "true_rank", "approx_rank"],
-        ranking_rows,
-    )
-
-    bench_rows = runtime_bench(
-        bench_sizes, methods, metric=primary_metric, seed=args.seed, reps=args.reps
-    )
-    _write_table(out_dir / "runtime", _columns(BenchRow), bench_rows)
-
     print(f"wrote evaluation CSVs to {out_dir}")
     if suite.skipped_pairs / suite.total_pairs > 0.5:
         log.error("skipped rate above 50%% (pairs: %d/%d)", suite.skipped_pairs, suite.total_pairs)
@@ -384,10 +293,10 @@ def cmd_bench(args) -> int:
     if args.reps < 1:
         raise UsageError("reps must be >= 1")
     rows = runtime_bench(
-        sizes, methods, metric=_metric(args.metric), seed=args.seed, reps=args.reps
+        sizes, methods, metric=GroundMetric(args.metric), seed=args.seed, reps=args.reps
     )
     out = Path(args.out)
-    write_csv(out, _columns(BenchRow), rows)
+    write_csv(out, [f.name for f in dataclasses.fields(BenchRow)], rows)
     print(f"wrote {len(rows)} bench rows to {out}")
     return EXIT_OK
 
@@ -404,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_metric(p):
         p.add_argument(
-            "--metric", choices=["l1", "l2", "linf"], default="l2", help="ground metric"
+            "--metric", choices=METRIC_NAMES, default="l2", help="ground metric"
         )
 
     p = sub.add_parser("gen", help="generate synthetic diagram files")
@@ -418,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist", help="distance between two diagram files")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--method", choices=["exact", "embedding", "flowtree"], default="flowtree")
+    p.add_argument("--method", choices=METHODS, default="flowtree")
     add_metric(p)
     add_seed(p)
     p.add_argument("--trees", type=int, default=1, help="number of independent trees")
@@ -435,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("knn", help="rank candidates for each query diagram")
     p.add_argument("--queries", required=True)
     p.add_argument("--candidates", required=True)
-    p.add_argument("--method", choices=["exact", "embedding", "flowtree"], default="flowtree")
+    p.add_argument("--method", choices=METHODS, default="flowtree")
     add_metric(p)
     p.add_argument("-k", type=int, default=5)
     add_seed(p)

@@ -82,27 +82,26 @@ class _Cells:
     """The occupied non-terminal cells of several diagrams, numbered in
     (level, ix, iy) order.
 
-    Cells level_start[k]:level_start[k + 1] lie on level level_lo + k, cell
+    Cells level_start[k]:level_start[k + 1] lie on level k, cell
     c holds point rep[c], and point p lies in cell (ix0[p], iy0[p]) of the
     finest level. A cell costs one point index instead of a (level, ix, iy)
     row until rows() spells it out.
     """
 
-    level_lo: int
     level_start: list[int]
     rep: np.ndarray
     ix0: np.ndarray
     iy0: np.ndarray
 
     def rows(self, ids: np.ndarray) -> np.ndarray:
-        """The (level, ix, iy) rows of increasing cell ids: the cell k levels
-        above a point's finest cell is its finest index shifted right by k,
-        as ShiftedQuadtree.place defines it."""
+        """The (level, ix, iy) rows of increasing cell ids: a point's cell on
+        level k is its finest index shifted right by k, as
+        ShiftedQuadtree.place defines it."""
         out = np.empty((len(ids), 3), np.int64)
         bounds = np.searchsorted(ids, self.level_start).tolist()
         for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
             rep = self.rep[ids[a:b]]
-            out[a:b, 0] = self.level_lo + k
+            out[a:b, 0] = k
             out[a:b, 1] = self.ix0[rep] >> k
             out[a:b, 2] = self.iy0[rep] >> k
         return out
@@ -134,9 +133,9 @@ def _cell_entries(tree: ShiftedQuadtree, coords, mults, owner, n: int):
     level_start = [0]
     count = 0
     ix0, iy0, terminal_level = tree.place(coords)
-    for k, level in enumerate(tree.levels()):
+    for level in tree.levels():
         live = np.flatnonzero(terminal_level > level)  # in row order
-        order, starts = group_rows(ix0[live] >> k, iy0[live] >> k)
+        order, starts = group_rows(ix0[live] >> level, iy0[live] >> level)
         rows = live[order]
         cell, end = level_start[-1], level_start[-1] + len(starts)
         level_start.append(end)
@@ -149,7 +148,7 @@ def _cell_entries(tree: ShiftedQuadtree, coords, mults, owner, n: int):
         entries = slice(count, count + len(runs))
         owners[entries] = own[runs]
         counts[entries] = np.add.reduceat(mults[rows], runs)
-        np.add.at(level_sums[k], owners[entries], counts[entries])
+        np.add.at(level_sums[level], owners[entries], counts[entries])
         firsts[cell:end] = count + np.searchsorted(runs, starts)
         count += len(runs)
     counts.resize(count, refcheck=False)
@@ -157,7 +156,7 @@ def _cell_entries(tree: ShiftedQuadtree, coords, mults, owner, n: int):
     owners.resize(count, refcheck=False)
     firsts[level_start[-1]] = count
     firsts.resize(level_start[-1] + 1, refcheck=False)
-    cells = _Cells(tree.level_lo, level_start, reps, ix0, iy0)
+    cells = _Cells(level_start, reps, ix0, iy0)
     return cells, counts, owners, firsts, level_sums
 
 
@@ -175,7 +174,7 @@ class EmbeddingIndex:
     (their diagram, increasing) and `counts` (their point count with
     multiplicity). positions[i] lists diagram i's entry positions in cell
     order and total_masses[i] its total multiplicity. sides[k] is the cell
-    side k levels above the finest, and weights[i] the exact int
+    side on level k, and weights[i] the exact int
     sum_k(2**k * S), S diagram i's count sum on that level.
     """
 

@@ -10,7 +10,8 @@ rounded tree cost, as multi_tree_estimate gives it on the same tree. The
 error suite's exact method reuses its pair's ground truth.
 recall_at_m and ranking_table compute nothing themselves; they only reduce
 knn_distances rows, so the exact ground truth of a query set is solved once
-and shared by every method.
+and shared by every method. eval_report writes every table of `dgmdist
+eval`.
 
 All aggregates are pure functions of (dataset, seed); reruns with identical
 seeds reproduce CSV bodies byte-for-byte apart from timing columns. Pairs and
@@ -27,7 +28,7 @@ import math
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
@@ -422,6 +423,92 @@ def runtime_bench(
                 )
             )
     return rows
+
+
+def _columns(row_type) -> list[str]:
+    """CSV header of a row dataclass, in field order."""
+    return [f.name for f in fields(row_type)]
+
+
+def _write_table(stem: Path, fieldnames, rows) -> None:
+    """One table as <stem>.csv and its <stem>.json mirror."""
+    write_csv(stem.with_suffix(".csv"), fieldnames, rows)
+    write_json(stem.with_suffix(".json"), rows)
+
+
+def eval_report(
+    dataset: Sequence[PersistenceDiagram],
+    out_dir,
+    methods: Sequence[str],
+    metrics: Sequence[GroundMetric],
+    seed: int,
+    n_pairs: int,
+    tree_policy: str,
+    bench_sizes: Sequence[int],
+    reps: int,
+    workers: int,
+) -> ErrorSuiteResult:
+    """The evaluation tables of a dataset, written into the existing out_dir.
+
+    Writes pair_errors and error_stats (error_suite), then recall and
+    ranking over a seeded 10/90 query/candidate split under metrics[0], then
+    runtime (runtime_bench), each as .csv and .json, each as soon as it is
+    computed. The exact rows of the split are solved once and serve as
+    method exact's rows too. A query over the oracle cap raises SizeCapError
+    after recall is written and before ranking is. Arguments are checked by
+    the functions that use them, as they run. Returns the error suite, whose
+    skipped_pairs count the pairs over the oracle cap.
+    """
+    out_dir = Path(out_dir)
+    suite = error_suite(
+        dataset, methods, metrics, seed, n_pairs, tree_policy=tree_policy, workers=workers
+    )
+    _write_table(out_dir / "pair_errors", _columns(PairErrorRow), suite.rows)
+    _write_table(out_dir / "error_stats", _columns(ErrorStats), suite.stats)
+
+    # 10/90 query/candidate split, deterministic per seed
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(dataset))
+    n_queries = max(1, len(dataset) // 10)
+    query_idx = sorted(int(i) for i in order[:n_queries])
+    cand_idx = sorted(int(i) for i in order[n_queries:])
+    queries = [dataset[i] for i in query_idx]
+    candidates = [dataset[i] for i in cand_idx]
+
+    primary_metric = metrics[0]
+    true_rows = knn_distances(queries, candidates, "exact", primary_metric, workers=workers)
+    rows_by_method = {"exact": true_rows}
+    for method in methods:
+        if method not in rows_by_method:
+            rows_by_method[method] = knn_distances(
+                queries, candidates, method, primary_metric, seed=seed, workers=workers
+            )
+
+    columns = ["method", "ground_metric", "m", "recall"]
+    recall_rows = []
+    for method in methods:
+        curve, _ = recall_at_m(true_rows, rows_by_method[method], method)
+        recall_rows.extend(
+            dict(zip(columns, (method, primary_metric.value, m, r)))
+            for m, r in zip(curve.m_values, curve.recall)
+        )
+    _write_table(out_dir / "recall", columns, recall_rows)
+
+    columns = ["method", "ground_metric", "query", "candidate", "true_rank", "approx_rank"]
+    ranking_rows = []
+    for method in methods:
+        for qpos, true_d, approx_d in zip(query_idx, true_rows, rows_by_method[method]):
+            if true_d is None:  # no ground truth to rank against
+                raise SizeCapError(f"query {qpos} exceeds the oracle size cap")
+            ranking_rows.extend(
+                dict(zip(columns, (method, primary_metric.value, qpos, cand_idx[c], tr, ar)))
+                for c, (tr, ar) in enumerate(ranking_table(true_d, approx_d))
+            )
+    _write_table(out_dir / "ranking", columns, ranking_rows)
+
+    bench_rows = runtime_bench(bench_sizes, methods, metric=primary_metric, seed=seed, reps=reps)
+    _write_table(out_dir / "runtime", _columns(BenchRow), bench_rows)
+    return suite
 
 
 def write_csv(path, fieldnames: Sequence[str], rows) -> None:

@@ -202,11 +202,11 @@ class PlacedDiagrams:
         sizes = [len(d) for d in diagrams]
         self.start = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
         self.ix, self.iy, self.terminal_level = tree.place(self.coords)
-        # cell indices are below 2**(level_hi - level_lo) <= 2**47: their
+        # cell indices are below 2**level_hi <= 2**47: their
         # Morton codes rank through one 48-bit word per 24 bits of index,
         # the high bits first
         low = (1 << 24) - 1
-        shifts = range(24 * (max(tree.level_hi - tree.level_lo - 1, 0) // 24), -1, -24)
+        shifts = range(24 * (max(tree.level_hi - 1, 0) // 24), -1, -24)
         parts = _spread(np.stack([(c >> s) & low for s in shifts for c in (self.ix, self.iy)]))
         n = len(self.mass)
         self.rank = np.empty(n, np.int64)
@@ -298,11 +298,11 @@ def _walk(placed: PlacedDiagrams, i: int, js: np.ndarray):
     point = within + np.where(from_first, placed.start[i], placed.start[js][pair] - n_first)
     mass = placed.mass[point]
     # pair index above the x cell index: the packed (pair, x) key of a
-    # row's cell k levels up is cell_x >> k, below 2**53 and ordered like
+    # row's cell on level k is cell_x >> k, below 2**53 and ordered like
     # the tuple
     cell_x = (pair << (levels - 1)) + placed.ix[point]
     iy = placed.iy[point]
-    retiring, retire_at = _by_level(placed.terminal_level[point] - tree.level_lo, levels)
+    retiring, retire_at = _by_level(placed.terminal_level[point], levels)
     meet = np.minimum(placed._meet_levels(point, np.where(from_first, js[pair], i)), levels)
     entering, enter_at = _by_level(meet, levels)
     active = np.zeros(0, np.int64)  # live rows past their meet level, in row order
@@ -317,19 +317,20 @@ def _walk(placed: PlacedDiagrams, i: int, js: np.ndarray):
         mass[rows] = 0
         return int(sent.sum())
 
-    for k, level in enumerate(tree.levels()):
+    for level in tree.levels():
         if live_mass == 0:
             residuals.append((level, 0))
             continue
-        rows = retiring[retire_at[k] : retire_at[k + 1]]
+        rows = retiring[retire_at[level] : retire_at[level + 1]]
         live_mass -= to_diagonal(rows[mass[rows] > 0], level)
-        if enter_at[k] < enter_at[k + 1]:
-            active = np.sort(np.concatenate((active, entering[enter_at[k] : enter_at[k + 1]])))
+        entered = entering[enter_at[level] : enter_at[level + 1]]
+        if len(entered):
+            active = np.sort(np.concatenate((active, entered)))
         active = active[mass[active] > 0]
         if len(active):
             # sort by (pair, cell); within a cell first's points precede
             # second's, each side in lexicographic order
-            order, starts = group_rows(cell_x[active] >> k, iy[active] >> k)
+            order, starts = group_rows(cell_x[active] >> level, iy[active] >> level)
             rows = active[order]
             a, b, take, left = _cross_walk(mass[rows], starts, from_first[rows])
             pairs.append((rows[a], rows[b], take, level))
@@ -369,12 +370,11 @@ def greedy_match(
     that can still be cross-matched there; PlacedDiagrams.flowtree_row shares
     each level's array operations among many pairs.
 
-    Pair order: level by level, finest first. Within the level k above the
-    finest come first the points sent to the diagonal at their terminal
-    level, by their cell one level down, (ix >> (k - 1), iy >> (k - 1)),
-    then by point (at the finest level by point alone); then the cross
-    pairs, in walk order; last, at the root, the fallback diagonal pairs, in
-    point order.
+    Pair order: level by level, finest first. Within level k come first the
+    points sent to the diagonal at their terminal level, by their cell one
+    level down, (ix >> (k - 1), iy >> (k - 1)), then by point (at the finest
+    level by point alone); then the cross pairs, in walk order; last, at the
+    root, the fallback diagonal pairs, in point order.
     """
     placed = PlacedDiagrams(tree, (first, second))
     (point, partner, _, pair_mass, level), residuals, root_fallback = _walk(
@@ -382,8 +382,8 @@ def greedy_match(
     )
     # a stable sort: pairs with equal keys keep the order _walk made them
     # in; a fallback point has no terminal level
-    terminal = (partner < 0) & (level > tree.level_lo) & (placed.terminal_level[point] == level)
-    down = np.maximum(level - tree.level_lo - 1, 0)
+    terminal = (partner < 0) & (level > 0) & (placed.terminal_level[point] == level)
+    down = np.maximum(level - 1, 0)
     order = np.lexsort(
         (
             (placed.iy[point] >> down) * terminal,

@@ -6,8 +6,8 @@ Geometry conventions:
   the input (or the minimum separation for a single distinct point). It is
   placed with its lower-left corner at (min - D) and then translated by a
   uniform random shift in [0, D)^2, so it contains the input for every draw.
-- Levels are indexed level_lo = 0 (finest) through level_hi (the root);
-  the cell side doubles with each level.
+- Levels are indexed 0 (finest) through level_hi (the root); the cell side
+  doubles with each level.
 - Cell membership is half-open, [x0, x0+s) x [y0, y0+s), via floor indexing.
 - The terminal test ("does the cell meet the diagonal y = x?") uses the
   closed square, so boundary contact counts as intersecting.
@@ -73,7 +73,6 @@ class ShiftedQuadtree:
     __slots__ = (
         "origin",
         "root_side",
-        "level_lo",
         "level_hi",
         "shift",
         "spread",
@@ -88,7 +87,6 @@ class ShiftedQuadtree:
         self,
         origin: tuple[float, float],
         root_side: float,
-        level_lo: int,
         level_hi: int,
         shift: tuple[float, float],
         spread: float,
@@ -99,13 +97,10 @@ class ShiftedQuadtree:
     ):
         if root_side <= 0:
             raise ValueError("root_side must be positive")
-        if level_hi < level_lo:
-            raise ValueError("level_hi must be >= level_lo")
-        if level_lo < 0 or level_hi >= MAX_LEVELS:
+        if not 0 <= level_hi < MAX_LEVELS:
             raise ValueError(f"levels must lie in [0, {MAX_LEVELS - 1}]")
         self.origin = (float(origin[0]), float(origin[1]))
         self.root_side = float(root_side)
-        self.level_lo = int(level_lo)
         self.level_hi = int(level_hi)
         self.shift = (float(shift[0]), float(shift[1]))
         self.spread = float(spread)
@@ -119,7 +114,7 @@ class ShiftedQuadtree:
                 *self.origin,
                 self.root_side,
                 *self.shift,
-                self.level_lo,
+                0,  # the finest level
                 self.level_hi,
             )
             + ground_metric.value.encode(),
@@ -129,11 +124,11 @@ class ShiftedQuadtree:
 
     @property
     def num_levels(self) -> int:
-        return self.level_hi - self.level_lo + 1
+        return self.level_hi + 1
 
     def levels(self) -> range:
         """Level indices from finest to coarsest, inclusive."""
-        return range(self.level_lo, self.level_hi + 1)
+        return range(self.level_hi + 1)
 
     def side(self, level: int) -> float:
         self._check_level(level)
@@ -144,8 +139,8 @@ class ShiftedQuadtree:
 
         Returns int64 arrays (ix, iy, terminal_level) over the rows of the
         (n, 2) coords array. The finest index is floor((x - origin) / side),
-        clamped so the closed root's far edge falls in the last cell; the
-        cell k levels up is (ix >> k, iy >> k), its dyadic ancestor.
+        clamped so the closed root's far edge falls in the last cell; its
+        cell on level k is (ix >> k, iy >> k), its dyadic ancestor.
         terminal_level is the lowest level whose cell meets the diagonal, or
         level_hi + 1 where none does; from it on the point counts as
         terminal, whatever the float test says higher up. Raises
@@ -157,17 +152,17 @@ class ShiftedQuadtree:
         hi = self.root_side
         if ((xs < ox) | (xs > ox + hi) | (ys < oy) | (ys > oy + hi)).any():
             raise OutsideRootError("point outside root cell")
-        s = self.side(self.level_lo)
-        last = (1 << (self.level_hi - self.level_lo)) - 1
+        s = self.side(0)
+        last = (1 << self.level_hi) - 1
         ix = np.minimum(np.floor((xs - ox) / s).astype(np.int64), last)
         iy = np.minimum(np.floor((ys - oy) / s).astype(np.int64), last)
         terminal_level = np.full(len(ix), self.level_hi + 1, np.int64)
         # from the root down, so that a point's lowest hit is written last
-        for k in reversed(range(self.num_levels)):
-            s = self.side(self.level_lo + k)
-            x0 = ox + (ix >> k) * s
-            y0 = oy + (iy >> k) * s
-            terminal_level[(x0 <= y0 + s) & (y0 <= x0 + s)] = self.level_lo + k
+        for level in reversed(self.levels()):
+            s = self.side(level)
+            x0 = ox + (ix >> level) * s
+            y0 = oy + (iy >> level) * s
+            terminal_level[(x0 <= y0 + s) & (y0 <= x0 + s)] = level
         return ix, iy, terminal_level
 
     def meta(self) -> dict:
@@ -179,7 +174,7 @@ class ShiftedQuadtree:
             "root_side": self.root_side,
             "shift": list(self.shift),
             "levels": self.num_levels,
-            "level_lo": self.level_lo,
+            "level_lo": 0,
             "level_hi": self.level_hi,
             "spread": self.spread,
             "min_separation": self.min_separation,
@@ -188,10 +183,8 @@ class ShiftedQuadtree:
         }
 
     def _check_level(self, level: int) -> None:
-        if not (self.level_lo <= level <= self.level_hi):
-            raise ValueError(
-                f"level {level} outside [{self.level_lo}, {self.level_hi}]"
-            )
+        if not (0 <= level <= self.level_hi):
+            raise ValueError(f"level {level} outside [0, {self.level_hi}]")
 
     def __repr__(self) -> str:
         return (
@@ -236,7 +229,6 @@ class TreeGeometry:
         return ShiftedQuadtree(
             origin=(float(mins[0] - span + shift[0]), float(mins[1] - span + shift[1])),
             root_side=2.0 * span,
-            level_lo=0,
             level_hi=levels - 1,
             shift=(float(shift[0]), float(shift[1])),
             spread=self.spread,

@@ -561,9 +561,9 @@ class TestEval:
         assert len(calls) == 4 * 2 + n_queries * n_candidates
 
     def test_capped_query_exits_after_recall(self, tmp_path, capsys, monkeypatch):
-        import dgmdist.cli
+        import dgmdist.evaluate
 
-        knn = dgmdist.cli.knn_distances
+        knn = dgmdist.evaluate.knn_distances
 
         def first_query_capped(queries, candidates, method, *args, **kwargs):
             rows = knn(queries, candidates, method, *args, **kwargs)
@@ -571,7 +571,7 @@ class TestEval:
                 rows[0] = None
             return rows
 
-        monkeypatch.setattr(dgmdist.cli, "knn_distances", first_query_capped)
+        monkeypatch.setattr(dgmdist.evaluate, "knn_distances", first_query_capped)
         data = tmp_path / "data"
         run(capsys, "gen", "--kind", "uniform", "--count", "20",
             "--max-size", "8", "--seed", "5", "--out", str(data))

@@ -2,9 +2,10 @@
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dgmdist.quadtree
@@ -22,7 +23,7 @@ from dgmdist import (
     gen_uniform,
     union_coords,
 )
-from dgmdist.embedding import embed, l1_distance
+from dgmdist.embedding import embed, embed_all, l1_distance
 from dgmdist.flowtree import (
     KIND_CROSS,
     KIND_P_TO_DIAGONAL,
@@ -226,6 +227,55 @@ class TestFlowtreeDistance:
         assert matching.pairs == expected
 
 
+@st.composite
+def l2_pairs(draw):
+    """(tree, first, second): an L2 pair on an untruncated tree over its own
+    points. The points come from a shared pool on a grid of 1/1000 of the
+    scale, at offsets up to 1e11; multiplicities run up to 3 or up to 10^6,
+    and the second diagram may be empty."""
+    offset = draw(st.sampled_from([0.0, -250.0, 3e4, 1e11]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    raw = draw(
+        st.lists(st.tuples(st.integers(-1000, 1000), st.integers(1, 1000)), min_size=1, max_size=10)
+    )
+    pool = []
+    for b, life in raw:
+        birth = offset + scale * b / 1000
+        pool.append((birth, birth + scale * life / 1000 + abs(birth) * 1e-9))
+    max_mult = draw(st.sampled_from([3, 10**6]))
+
+    def diagram(min_size):
+        picks = draw(
+            st.lists(
+                st.tuples(st.integers(0, len(pool) - 1), st.integers(1, max_mult)),
+                min_size=min_size,
+                max_size=12,
+            )
+        )
+        return PersistenceDiagram([(*pool[i], m) for i, m in picks])
+
+    first, second = diagram(1), diagram(0)
+    config = TreeConfig(seed=draw(st.integers(0, 2**32 - 1)), ground_metric=GroundMetric.L2)
+    return build_tree(union_coords((first, second)), config), first, second
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(l2_pairs())
+def test_flowtree_within_sqrt8_of_embedding_exactly(instance):
+    # the sandwich's upper half, flowtree <= sqrt(8) * embedding, compared
+    # in exact arithmetic with no tolerance. It needs the diagonal under
+    # the root: a root cell that misses it sends the leftover mass to the
+    # diagonal at its full distance, while the embedding charges at most
+    # the root's side for it, so root fallback cases are left out
+    tree, first, second = instance
+    assert not tree.truncated
+    matching = greedy_match(tree, first, second)
+    assume(not matching.root_fallback)
+    flowtree = Fraction(matching.cost)  # flowtree_distance(tree, first, second)
+    embedding = Fraction(embed_all(tree, [first, second]).l1_row(0, [1])[0])
+    assert flowtree**2 <= 8 * embedding**2
+
+
 def per_pair_costs(tree, query, candidates):
     return [greedy_match(tree, query, c).cost for c in candidates]
 
@@ -347,7 +397,6 @@ class TestFlowtreeDistances:
         tree = ShiftedQuadtree(
             origin=(0.0, 100.0),
             root_side=16.0,
-            level_lo=0,
             level_hi=4,
             shift=(0.0, 0.0),
             spread=16.0,

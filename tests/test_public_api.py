@@ -42,6 +42,7 @@ PUBLIC = [
     "embed",
     "embed_all",
     "error_suite",
+    "eval_report",
     "exact_distance",
     "flowtree_distance",
     "gen_gaussian",
@@ -80,9 +81,15 @@ def test_every_public_name_resolves():
         (dgmdist.flowtree_distance, ["tree", "first", "second"]),
         (dgmdist.PlacedDiagrams.flowtree_row, ["self", "i", "js"]),
         (dgmdist.exact_distance, ["first", "second", "metric"]),
+        (
+            dgmdist.eval_report,
+            ["dataset", "out_dir", "methods", "metrics", "seed", "n_pairs",
+             "tree_policy", "bench_sizes", "reps", "workers"],
+        ),
     ],
 )
 def test_signature_is_pinned(function, parameters):
-    # flowtree costs use tree.ground_metric and the oracle cap is
-    # DEFAULT_SIZE_CAP: a knob added back must edit this list
+    # flowtree costs use tree.ground_metric, the oracle cap is
+    # DEFAULT_SIZE_CAP and eval_report takes eval's options only: a knob
+    # added must edit this list
     assert list(inspect.signature(function).parameters) == parameters

@@ -34,7 +34,6 @@ def manual_tree(origin=(0.0, 0.0), root_side=8.0, levels=4):
     return ShiftedQuadtree(
         origin=origin,
         root_side=root_side,
-        level_lo=0,
         level_hi=levels - 1,
         shift=(0.0, 0.0),
         spread=root_side,
@@ -93,7 +92,7 @@ class TestBuildTree:
         # pairwise distance 2 beats both diagonal distances under L2
         tree = build_tree([(0.0, 4.0), (0.0, 6.0)], TreeConfig(seed=5))
         assert tree.min_separation == pytest.approx(2.0)
-        assert tree.side(tree.level_lo) < 1.0
+        assert tree.side(0) < 1.0
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -131,7 +130,7 @@ class TestBuildTree:
             first, second = random_pair(seed)
             tree = pair_tree(first, second, seed=seed)
             if not tree.truncated:
-                assert tree.side(tree.level_lo) < 0.5 * tree.min_separation
+                assert tree.side(0) < 0.5 * tree.min_separation
 
     @pytest.mark.parametrize("metric", list(GroundMetric))
     def test_shared_geometry_gives_build_tree(self, metric):
@@ -272,7 +271,7 @@ class TestTerminalCells:
                 continue
             coords = np.unique(union_coords((first, second)), axis=0)
             level, ix, iy, terminal = placed_levels(tree, coords)[0]
-            assert level == tree.level_lo
+            assert level == 0
             assert not terminal.any()
             cells = set(zip(ix.tolist(), iy.tolist()))
             assert len(cells) == len(coords), "two distinct points share a finest cell"
@@ -311,7 +310,6 @@ def placed_points(draw):
         tree = ShiftedQuadtree(
             origin=(offset, offset),
             root_side=steps * side / 2,
-            level_lo=0,
             level_hi=levels - 1,
             shift=(0.0, 0.0),
             spread=1.0,
@@ -356,7 +354,7 @@ class TestPlace:
         if kind == "deepest":
             assert tree.num_levels == MAX_LEVELS and tree.truncated
         ix, iy, terminal_level = tree.place(coords)
-        side, n = reference._grid(tree, tree.level_lo)
+        side, n = reference._grid(tree, 0)
         assert list(zip(ix.tolist(), iy.tolist())) == [
             reference._cell(tree, x, y, side, n) for x, y in coords
         ]

@@ -291,7 +291,6 @@ def aligned_instances(draw):
     tree = ShiftedQuadtree(
         origin=(offset, offset),
         root_side=steps * side / 2,
-        level_lo=0,
         level_hi=levels - 1,
         shift=(0.0, 0.0),
         spread=1.0,
