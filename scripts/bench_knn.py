@@ -2,12 +2,12 @@
 
 For each of two fixed-seed sets of near-diagonal (gaussian) diagrams, split
 into queries and candidates, times one `knn_distances` call per method (the
-shared tree, the embedding index or the flowtree walks, and every query x
+shared tree, the `PlacedDiagrams` placement and the walks, and every query x
 candidate distance) and reports the median over the runs in milliseconds per
-pair. One untimed call per method and set runs first. For each method it
-also times the two stages on the shared tree apart: the `embed_all` index
-or the `PlacedDiagrams` placement of queries and candidates, then one
-query's `l1_row` or `flowtree_row` against every candidate. For flowtree
+pair. One untimed call per method and set runs first. It also times the
+stages on the shared tree apart: the placement of queries and candidates,
+which both methods share, then one query's `flowtree_row` or
+`embedding_row` against every candidate. For flowtree
 it also counts the rows that one `knn_distances` call hands to the walk's
 per-level cell sort (`group_rows`, wrapped here; the rows sent to the
 diagonal at a level are not sorted). The report also records the git
@@ -42,7 +42,6 @@ from dgmdist import (  # noqa: E402
     PlacedDiagrams,
     TreeConfig,
     build_tree,
-    embed_all,
     gen_gaussian,
     knn_distances,
     union_coords,
@@ -95,14 +94,13 @@ def shared_tree(diagrams):
 
 
 def embedding_stages(queries, candidates, runs):
-    """(index build ms, ms per query row) on the tree knn_distances builds."""
+    """ms per query row of embedding_row on the tree and placement
+    knn_distances builds."""
     diagrams = list(queries) + list(candidates)
-    tree = shared_tree(diagrams)
-    index_ms = median_ms(lambda: embed_all(tree, diagrams), runs)
-    index = embed_all(tree, diagrams)
+    placed = PlacedDiagrams(shared_tree(diagrams), diagrams)
     js = range(len(queries), len(diagrams))
-    rows_ms = median_ms(lambda: [index.l1_row(i, js) for i in range(len(queries))], runs)
-    return index_ms, rows_ms / len(queries)
+    rows_ms = median_ms(lambda: [placed.embedding_row(i, js) for i in range(len(queries))], runs)
+    return rows_ms / len(queries)
 
 
 def flowtree_stages(queries, candidates, runs):
@@ -153,9 +151,7 @@ def main(argv=None):
         row = {**spec, "points": sum(d.total_count for d in queries + candidates)}
         for method in METHODS:
             row[f"{method}_ms_per_pair"] = ms_per_pair(queries, candidates, method, args.runs)
-        row["embedding_index_ms"], row["embedding_row_ms"] = embedding_stages(
-            queries, candidates, args.runs
-        )
+        row["embedding_row_ms"] = embedding_stages(queries, candidates, args.runs)
         row["flowtree_place_ms"], row["flowtree_row_ms"], row["flowtree_rows_sorted"] = (
             flowtree_stages(queries, candidates, args.runs)
         )

@@ -22,11 +22,9 @@ from .diagram import (
     save_diagram,
 )
 from .embedding import (
-    EmbeddingIndex,
     EmbeddingVector,
     TreeMismatchError,
     embed,
-    embed_all,
     l1_distance,
     read_vector,
     write_vector,
@@ -77,7 +75,6 @@ __all__ = [
     "DEFAULT_SIZE_CAP",
     "DiagramError",
     "DiagramParseError",
-    "EmbeddingIndex",
     "EmbeddingVector",
     "ErrorStats",
     "ErrorSuiteResult",
@@ -101,7 +98,6 @@ __all__ = [
     "TreeMismatchError",
     "build_tree",
     "embed",
-    "embed_all",
     "error_suite",
     "eval_report",
     "exact_distance",

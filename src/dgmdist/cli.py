@@ -37,7 +37,7 @@ from .diagram import (
     load_diagram,
     save_diagram,
 )
-from .embedding import embed_all, write_vector
+from .embedding import embed, write_vector
 from .evaluate import METHODS, BenchRow, eval_report, knn_distances, runtime_bench, write_csv
 from .exact import SizeCapError, exact_distance
 from .flowtree import multi_tree_estimate
@@ -192,9 +192,8 @@ def cmd_embed(args) -> int:
     tree = build_tree(
         union_coords(diagrams), TreeConfig(seed=args.seed, ground_metric=metric)
     )
-    index = embed_all(tree, diagrams)
-    for i, name in enumerate(names):
-        write_vector(index.vector(i), out_dir / f"{name}.vec")
+    for name, diagram in zip(names, diagrams):
+        write_vector(embed(tree, diagram), out_dir / f"{name}.vec")
     print(f"wrote {len(names)} vectors to {out_dir} (tree {tree.signature})")
     return EXIT_OK
 

@@ -3,11 +3,14 @@
 Distances take one path: _rows gives every query's distances to its
 candidates by a method, for knn_distances, the error suite and the runtime
 table alike (the latter two as one query and one candidate), and _tree is the
-one rule for the tree the tree methods share. The tree methods read their
-rows from one embed_all index or one PlacedDiagrams placement of queries and
-candidates together, so an embedding distance here is the index's exactly
-rounded tree cost, as multi_tree_estimate gives it on the same tree. The
-error suite's exact method reuses its pair's ground truth.
+one rule for the tree the tree methods share. Both tree methods place
+queries and candidates together once (PlacedDiagrams) and read each query's
+row from the same flowtree walk: flowtree_row costs its matching in the
+ground metric, embedding_row in the tree metric, where a unit matched at
+level e costs side(e) - side(0) and a root-fallback unit the whole path.
+So an embedding distance here is the exactly rounded tree cost that
+multi_tree_estimate gives on the same tree. The error suite's exact method
+reuses its pair's ground truth.
 recall_at_m and ranking_table compute nothing themselves; they only reduce
 knn_distances rows, so the exact ground truth of a query set is solved once
 and shared by every method. eval_report writes every table of `dgmdist
@@ -36,7 +39,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .diagram import GroundMetric, PersistenceDiagram, gen_uniform
-from .embedding import embed_all
 from .exact import SizeCapError, exact_distance
 from .flowtree import PlacedDiagrams
 from .quadtree import ShiftedQuadtree, TreeConfig, build_tree, union_coords
@@ -156,8 +158,8 @@ def _rows(
 
     tree is _tree's tree over queries and candidates; with None the tree
     methods give 0.0 rows, as no diagram holds a point. An exact row is None
-    when the oracle cap was exceeded. Exact and flowtree rows are computed
-    on up to `workers` processes, one query per job.
+    when the oracle cap was exceeded. Rows are computed on up to `workers`
+    processes, one query per job.
     """
     if method == "exact":
         row = partial(_exact_row, candidates=tuple(candidates), metric=metric)
@@ -165,12 +167,10 @@ def _rows(
     if tree is None:
         return [[0.0] * len(candidates) for _ in queries]
     diagrams = [*queries, *candidates]
+    placed = PlacedDiagrams(tree, diagrams)
+    row = placed.embedding_row if method == "embedding" else placed.flowtree_row
     js = range(len(queries), len(diagrams))
-    if method == "embedding":
-        index = embed_all(tree, diagrams)
-        return [index.l1_row(i, js) for i in range(len(queries))]
-    row = partial(PlacedDiagrams(tree, diagrams).flowtree_row, js=js)
-    return _run_jobs(row, list(range(len(queries))), workers)
+    return _run_jobs(partial(row, js=js), list(range(len(queries))), workers)
 
 
 def _error_pair_job(
@@ -319,12 +319,12 @@ def knn_distances(
     """One row of candidate distances per query; None marks a query skipped
     because the oracle cap was exceeded.
 
-    Tree methods share one tree over queries and candidates; the embedding
-    method embeds all of them in one embed_all index and reads each query's
-    row (exact tree costs, each rounded once) from it in this process, and
-    the flowtree method places all of them once (PlacedDiagrams) and walks
-    each query against all candidates together. When no diagram holds a point, the tree methods return 0.0
-    rows without building a tree.
+    Tree methods share one tree over queries and candidates, place all of
+    them once (PlacedDiagrams) and walk each query against all candidates
+    together, the embedding method costing each walk in the tree metric
+    (exact, rounded once) and the flowtree method in the ground metric.
+    When no diagram holds a point, the tree methods return 0.0 rows without
+    building a tree.
     """
     if not candidates:
         raise ValueError("candidates must be non-empty")

@@ -1,4 +1,5 @@
-"""Greedy augmented matching on a shifted quadtree and the flowtree distance.
+"""Greedy augmented matching on a shifted quadtree, and the two distances
+read from it: the flowtree distance and the embedding distance.
 
 The matching sweeps levels finest to coarsest. Inside a non-terminal cell,
 unmatched points from the two diagrams pair up cross-wise, walking both sides
@@ -8,8 +9,17 @@ own diagonal projection. If mass survives a non-terminal root (possible when a
 tight bounding box sits far from the diagonal), it is diagonal-matched there
 anyway so the matching is always total; `root_fallback` records that.
 
-The distance is the ground-metric cost of this matching, an upper bound on
-the exact 1-Wasserstein distance for every tree.
+One walk, two costs. The flowtree distance is the matching's cost in the
+ground metric, an upper bound on the exact 1-Wasserstein distance for every
+tree. The embedding distance is the same matching's cost in the tree metric:
+a unit stays unmatched, and costs the side of its cell, on every level below
+the one that matches it. A unit matched at level e thus costs side(0) + ...
++ side(e - 1) = side(e) - side(0), with side(k) = root_side * 2**(k -
+level_hi); a root-fallback unit costs the whole path, side(level_hi + 1) -
+side(0). A cross pair carries two units, one of each diagram, and a diagonal
+pair one. Summed over the pairs this is the sum over levels of side *
+unmatched mass, the L1 distance of the two diagrams' embedding vectors (see
+embedding.py), formed exactly in Python ints and rounded once.
 
 One private kernel, _walk, runs the level sweep for any number of diagram
 pairs at once: their points are stacked pair by pair and grouped by (pair,
@@ -17,11 +27,13 @@ cell), so each level costs a fixed number of array operations however many
 pairs it carries. It returns what it matched at each level, the pairs it
 sends to the diagonal by row, not by cell; greedy_match, the one caller
 that lists pairs, sorts them once afterwards. PlacedDiagrams.flowtree_row
-walks one diagram against many and sums each pair's costs with math.fsum,
-which gives the same value in any order, so it returns greedy_match's
-costs bit for bit. The evaluation harness reads every flowtree distance,
-single pairs included, from flowtree_row; greedy_match serves matchings
-(dist, .match files). Every cost is taken under the tree's ground metric.
+and PlacedDiagrams.embedding_row walk one diagram against many, in the
+batches of one helper, _walks. flowtree_row sums each pair's costs with
+math.fsum, which gives the same value in any order, so it returns
+greedy_match's costs bit for bit. The evaluation harness reads every tree
+distance from these rows, and dist its embedding distance; greedy_match
+serves matchings (dist's flowtree distance, .match files). Every flowtree
+cost is taken under the tree's ground metric.
 
 Placement. PlacedDiagrams places every point of its diagrams once
 (ShiftedQuadtree.place: the finest cell, whose ancestor k levels up is the
@@ -54,7 +66,6 @@ import numpy as np
 
 from ._rows import group_rows
 from .diagram import GroundMetric, PersistenceDiagram
-from .embedding import embed_all
 from .quadtree import MAX_LEVELS, ShiftedQuadtree, TreeConfig, tree_geometry, union_coords
 
 KIND_CROSS = "cross"
@@ -187,7 +198,8 @@ class PlacedDiagrams:
     points), for flowtree walks between any two of them.
 
     Holds the diagrams' stacked coords and multiplicities, diagram d's
-    points at start[d]:start[d + 1]; tree.place of them; each point's rank
+    points at start[d]:start[d + 1] and its total multiplicity totals[d], a
+    Python int; tree.place of them; each point's rank
     in the Morton (Z-) order of its finest cell; and every diagram's points
     in that order as the sorted keys code_key = owner * n + rank, owner
     being the diagram of a point and by_code the point behind each key.
@@ -200,6 +212,7 @@ class PlacedDiagrams:
             [d.multiplicities() for d in diagrams] + [np.zeros(0, np.int64)]
         )
         sizes = [len(d) for d in diagrams]
+        self.totals = [d.total_count for d in diagrams]
         self.start = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
         self.ix, self.iy, self.terminal_level = tree.place(self.coords)
         # cell indices are below 2**level_hi <= 2**47: their
@@ -219,29 +232,84 @@ class PlacedDiagrams:
     def __len__(self) -> int:
         return len(self.start) - 1
 
-    def flowtree_row(self, i: int, js: Sequence[int]) -> list[float]:
-        """[flowtree_distance(tree, diagram i, diagram j) for j in js], bit
-        for bit: the pairs are walked together, up to
-        2**(54 - tree.num_levels) of them at a time, and each cost is one
-        math.fsum over its own pairs, as for a single pair. Raises
-        IndexError unless i and every j lie in range(len(self))."""
+    def _walks(self, i: int, js: Sequence[int]):
+        """_walk of diagram i against each diagram of js, in batches:
+        yields each batch's length and its walk. A batch holds at most
+        2**(54 - tree.num_levels) pairs, for _walk's packed cell keys, and,
+        unless it is a single pair, less than 2**63 multiplicity in all, so
+        that its int64 cumulative masses cannot wrap (a single pair's wrapped
+        differences cancel). Raises IndexError unless i and every j lie in
+        range(len(self))."""
         js = np.asarray(js, dtype=np.int64).reshape(-1)
         inside = 0 <= i < len(self) and (len(js) == 0 or 0 <= js.min() <= js.max() < len(self))
         if not inside:
             raise IndexError(f"diagram indices must lie in range({len(self)})")
-        step = 1 << (54 - self.tree.num_levels)
+        most = 1 << (54 - self.tree.num_levels)
+        batch: list[int] = []
+        mass = 0
+        for j in js.tolist():
+            pair_mass = self.totals[i] + self.totals[j]
+            if batch and (len(batch) == most or mass + pair_mass >= 1 << 63):
+                yield len(batch), _walk(self, i, np.array(batch))
+                batch, mass = [], 0
+            batch.append(j)
+            mass += pair_mass
+        if batch:
+            yield len(batch), _walk(self, i, np.array(batch))
+
+    def flowtree_row(self, i: int, js: Sequence[int]) -> list[float]:
+        """[flowtree_distance(tree, diagram i, diagram j) for j in js], bit
+        for bit: the pairs are walked together in _walks' batches, and each
+        cost is one math.fsum over its own pairs, as for a single pair.
+        Raises IndexError unless i and every j lie in range(len(self))."""
         costs: list[float] = []
-        for begin in range(0, len(js), step):
-            batch = js[begin : begin + step]
-            (point, partner, pair, pair_mass, _), _, _ = _walk(self, i, batch)
+        for n, ((point, partner, pair, pair_mass, _), _, _) in self._walks(i, js):
             products = pair_mass * _pair_distances(self, point, partner)
             # the smallest unsigned type: a stable sort of it is a radix sort
-            owner = pair.astype(np.min_scalar_type(len(batch)))
+            owner = pair.astype(np.min_scalar_type(n))
             products = products[np.argsort(owner, kind="stable")].tolist()
-            ends = np.cumsum(np.bincount(owner, minlength=len(batch))).tolist()
+            ends = np.cumsum(np.bincount(owner, minlength=n)).tolist()
             costs.extend(
                 math.fsum(products[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)
             )
+        return costs
+
+    def embedding_row(self, i: int, js: Sequence[int]) -> list[float]:
+        """The embedding distance from diagram i to each diagram of js: the
+        tree-metric cost of the walk's matching (see the module docstring),
+        root_side * sum(units * mass * (2**e - 1)) / 2**level_hi over the
+        matched pairs, formed in Python ints and rounded once. Raises
+        IndexError unless i and every j lie in range(len(self))."""
+        levels = self.tree.num_levels
+        p, q = float(self.tree.root_side).as_integer_ratio()
+        scale = q << self.tree.level_hi
+        costs: list[float] = []
+        for n, ((point, partner, pair, pair_mass, level), _, _) in self._walks(i, js):
+            cross = partner >= 0
+            # e, the level at which a unit stops counting: its pair's level,
+            # or a diagonal pair's terminal level, level_hi + 1 for a unit of
+            # the root fallback
+            e = np.where(cross, level, self.terminal_level[point])
+            weight = np.where(cross, 2, 1) * ((1 << e) - 1)
+            # groups of one pair, e and kind (cross, diagonal of diagram i,
+            # diagonal of diagram j), so that each group's int64 mass sum is
+            # bounded by one diagram's total; with i among js, the pair (i, i)
+            # matches every unit at level 0, at weight 0
+            own = (self.start[i] <= point) & (point < self.start[i + 1])
+            kind = np.where(cross, 0, np.where(own, 1, 2))
+            key = (pair * (levels + 1) + e) * 3 + kind
+            order = np.argsort(key)
+            key = key[order]
+            starts = np.flatnonzero(np.concatenate(([len(key) > 0], key[1:] != key[:-1])))
+            first = order[starts]
+            totals = [0] * n
+            for j, w, m in zip(
+                pair[first].tolist(),
+                weight[first].tolist(),
+                np.add.reduceat(pair_mass[order], starts).tolist(),
+            ):
+                totals[j] += w * m
+            costs.extend(p * total / scale for total in totals)
         return costs
 
     def _meet_levels(self, point: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -276,7 +344,7 @@ def _walk(placed: PlacedDiagrams, i: int, js: np.ndarray):
 
     Rows stack the pairs' points pair-major: pair p's points of diagram i,
     then those of diagram js[p], each side in lexicographic order, each with
-    its multiplicity as mass. len(js) is below 2**(54 - tree.num_levels).
+    its multiplicity as mass. js is one batch of PlacedDiagrams._walks.
     Each pair is matched exactly as if walked alone: its points never share
     a cell with another pair's.
 
@@ -306,7 +374,9 @@ def _walk(placed: PlacedDiagrams, i: int, js: np.ndarray):
     meet = np.minimum(placed._meet_levels(point, np.where(from_first, js[pair], i)), levels)
     entering, enter_at = _by_level(meet, levels)
     active = np.zeros(0, np.int64)  # live rows past their meet level, in row order
-    live_mass = int(mass.sum())
+    # live mass is counted in Python ints from uint64 sums, which are exact:
+    # a batch holds less than 2**63 mass, or one pair of less than 2**64
+    live_mass = int(mass.sum(dtype=np.uint64))
     no_partner = np.full(len(mass), -1)
     pairs: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = []
     residuals: list[tuple[int, int]] = []
@@ -315,7 +385,7 @@ def _walk(placed: PlacedDiagrams, i: int, js: np.ndarray):
         sent = mass[rows]
         pairs.append((rows, no_partner[: len(rows)], sent, level))
         mass[rows] = 0
-        return int(sent.sum())
+        return int(sent.sum(dtype=np.uint64))
 
     for level in tree.levels():
         if live_mass == 0:
@@ -335,7 +405,7 @@ def _walk(placed: PlacedDiagrams, i: int, js: np.ndarray):
             a, b, take, left = _cross_walk(mass[rows], starts, from_first[rows])
             pairs.append((rows[a], rows[b], take, level))
             mass[rows] = left
-            live_mass -= 2 * int(take.sum())
+            live_mass -= 2 * int(take.sum(dtype=np.uint64))
         residuals.append((level, live_mass))
 
     rows = np.flatnonzero(mass > 0)
@@ -430,8 +500,8 @@ def multi_tree_estimate(
     Shifts one tree per seed over the union of both diagrams' points, whose
     seed-independent geometry is computed once, runs the tree method on each
     and reduces the per-tree estimates by mean (math.fsum) or min: flowtree
-    is greedy_match's cost, embedding the row of a two-diagram embed_all
-    index (the exact tree cost of the cell counts, rounded once). Returns
+    is greedy_match's cost, embedding PlacedDiagrams.embedding_row (the
+    same walk's exact tree-metric cost, rounded once). Returns
     the estimate and one tree.meta() dict per seed; for flowtree each dict
     also records the matching's root_fallback.
     Two empty diagrams give (0.0, []) without building a tree. `dgmdist
@@ -456,7 +526,7 @@ def multi_tree_estimate(
             values.append(matching.cost)
             meta["root_fallback"] = matching.root_fallback
         else:
-            values.append(embed_all(tree, (first, second)).l1_row(0, [1])[0])
+            values.append(PlacedDiagrams(tree, (first, second)).embedding_row(0, [1])[0])
         tree_meta.append(meta)
     if reduce == "mean":
         return math.fsum(values) / len(values), tree_meta

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -269,8 +270,20 @@ class TestEmbed:
         for path in sorted(va.glob("*.vec")):
             assert path.read_bytes() == (vb / path.name).read_bytes()
 
+    # sha256 of each .vec file the command below writes, pinned so that no
+    # change to embed moves their bytes unseen
+    VEC_DIGESTS = {
+        "dgm_0000.vec": "8379061744e732f2332438b6848577fb8bde01cae7b1d0aa4ba2b80a48c44092",
+        "dgm_0001.vec": "37430371d49ac2ef6cc10ee2291bdadb07c59883541836f8fe47d6457726b4f7",
+        "dgm_0002.vec": "d8694f4ee64b90a7db7b856c6025f6f515eb413b1406b2215ba05333c7cad821",
+        "dgm_0003.vec": "0427086b117ba6c227daa1b632fda25e3ffd55c53a2c0264f0fed3d852e22af8",
+        "dgm_0004.vec": "40d879926bc0a09a073f479bd6c5cdc9f0bc7143f21933b7765df3c83a8fb706",
+        "empty.vec": "ab1ee021007f3357cffa3211a7d7a8db82ab63f948602fe950a583dc30c99a52",
+    }
+
     def test_vectors_match_per_diagram_write_vector(self, tmp_path, capsys):
-        # one embed_all index writes the bytes one embed per file would
+        # the command writes the bytes one embed per file would, and the
+        # bytes pinned in VEC_DIGESTS
         data = tmp_path / "data"
         run(capsys, "gen", "--kind", "gaussian", "--count", "5",
             "--max-size", "30", "--seed", "2", "--out", str(data))
@@ -290,6 +303,11 @@ class TestEmbed:
             expected = tmp_path / f"{path.stem}.expected"
             write_vector(embed(tree, diagram), expected)
             assert (vecs / f"{path.stem}.vec").read_bytes() == expected.read_bytes()
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(vecs.glob("*.vec"))
+        }
+        assert digests == self.VEC_DIGESTS
 
     def test_no_point_anywhere_is_usage_error(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -381,7 +399,7 @@ class TestKnn:
         assert len(outputs[0].splitlines()) == 1 + 3 * 15
 
     def test_embedding_stdout_same_with_two_workers(self, tmp_path, capsys):
-        # every worker reads its queries' rows from the same pickled index
+        # every worker walks its queries against the same pickled placement
         queries, cands = tmp_path / "q", tmp_path / "c"
         run(capsys, "gen", "--kind", "gaussian", "--count", "3",
             "--max-size", "40", "--seed", "14", "--out", str(queries))

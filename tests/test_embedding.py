@@ -1,5 +1,5 @@
 """Tests for the sparse cell-count embedding, its L1 distance and the
-embedding index."""
+embedding distance rows of PlacedDiagrams."""
 
 import math
 from fractions import Fraction
@@ -10,6 +10,7 @@ import pytest
 from dgmdist import (
     GroundMetric,
     PersistenceDiagram,
+    PlacedDiagrams,
     TreeConfig,
     build_tree,
     exact_distance,
@@ -21,7 +22,6 @@ from dgmdist import (
 from dgmdist.embedding import (
     TreeMismatchError,
     embed,
-    embed_all,
     l1_distance,
     read_vector,
     write_vector,
@@ -172,6 +172,9 @@ class TestStatisticalUpperBound:
 
 
 class TestEmbeddingIndex:
+    """PlacedDiagrams.embedding_row: the embedding distances of one placement
+    of several diagrams, read from the flowtree walk."""
+
     def dataset(self):
         diagrams = [gen_gaussian(4 + 9 * i, seed=80 + i) for i in range(6)]
         diagrams += [PersistenceDiagram(), diagrams[2], gen_uniform(12, seed=3)]
@@ -179,12 +182,17 @@ class TestEmbeddingIndex:
 
     @pytest.mark.parametrize("metric", list(GroundMetric))
     def test_vectors_equal_embed(self, metric):
+        # embed's vector of every diagram of the set, the empty one
+        # included, is the reference embedding on the shared tree
         diagrams = self.dataset()
         tree = build_tree(union_coords(diagrams), TreeConfig(seed=4, ground_metric=metric))
-        index = embed_all(tree, diagrams)
-        assert len(index) == len(diagrams)
-        for i, diagram in enumerate(diagrams):
-            assert index.vector(i) == embed(tree, diagram)
+        assert len(PlacedDiagrams(tree, diagrams)) == len(diagrams)
+        for diagram in diagrams:
+            vector = embed(tree, diagram)
+            expected = reference.embed(tree, diagram)
+            assert vector.cells.tolist() == [list(cell) for cell, _ in expected]
+            assert vector.values.tolist() == [value for _, value in expected]
+            assert vector.total_mass == diagram.total_count
 
     @pytest.mark.parametrize("metric", list(GroundMetric))
     def test_rows_equal_l1_distance(self, metric):
@@ -194,31 +202,31 @@ class TestEmbeddingIndex:
         # and each with itself) are at distance 0.0
         diagrams = self.dataset()
         tree = build_tree(union_coords(diagrams), TreeConfig(seed=5, ground_metric=metric))
-        index = embed_all(tree, diagrams)
+        placed = PlacedDiagrams(tree, diagrams)
         vectors = [embed(tree, d) for d in diagrams]
         js = [8, 0, 3, 3, 7, 1, 2, 6, 4, 5]
         for i in range(len(diagrams)):
-            row = index.l1_row(i, js)
+            row = placed.embedding_row(i, js)
             assert row == [reference.embedding_cost(tree, diagrams[i], diagrams[j]) for j in js]
             assert row == pytest.approx(
                 [l1_distance(vectors[i], vectors[j]) for j in js], rel=1e-14, abs=0.0
             )
-            assert index.l1_row(i, [i]) == [0.0]
-        assert index.l1_row(2, [7]) == [0.0]
-        assert index.l1_row(0, []) == []
+            assert placed.embedding_row(i, [i]) == [0.0]
+        assert placed.embedding_row(2, [7]) == [0.0]
+        assert placed.embedding_row(0, []) == []
         for bad in ([-1], [len(diagrams)]):
             with pytest.raises(IndexError):
-                index.l1_row(0, bad)
+                placed.embedding_row(0, bad)
 
     def test_diagram_index_out_of_range_rejected(self):
         diagrams = self.dataset()[:3]
         tree = build_tree(union_coords(diagrams), TreeConfig(seed=5))
-        index = embed_all(tree, diagrams)
+        placed = PlacedDiagrams(tree, diagrams)
         for bad in (-1, len(diagrams)):
             with pytest.raises(IndexError, match=r"range\(3\)"):
-                index.l1_row(bad, [0])
+                placed.embedding_row(bad, [0])
             with pytest.raises(IndexError, match=r"range\(3\)"):
-                index.vector(bad)
+                placed.embedding_row(0, [bad])
 
     def test_rows_equal_exact_residual_cost(self):
         # on criterion 3's instances a two-diagram row is the greedy
@@ -228,11 +236,15 @@ class TestEmbeddingIndex:
             tree = pair_tree(first, second, seed=1000 + seed)
             residuals = greedy_match(tree, first, second).level_residuals
             exact = sum(Fraction(tree.side(level)) * r for level, r in residuals)
-            assert embed_all(tree, [first, second]).l1_row(0, [1]) == [float(exact)], seed
+            row = PlacedDiagrams(tree, [first, second]).embedding_row(0, [1])
+            assert row == [float(exact)], seed
 
     def test_no_diagrams(self):
         tree = build_tree([(0.0, 1.0)], TreeConfig(seed=0))
-        assert len(embed_all(tree, [])) == 0
+        placed = PlacedDiagrams(tree, [])
+        assert len(placed) == 0
+        with pytest.raises(IndexError, match=r"range\(0\)"):
+            placed.embedding_row(0, [])
 
 
 class TestVectorFiles:

@@ -23,7 +23,7 @@ from dgmdist import (
     gen_uniform,
     union_coords,
 )
-from dgmdist.embedding import embed, embed_all, l1_distance
+from dgmdist.embedding import embed, l1_distance
 from dgmdist.flowtree import (
     KIND_CROSS,
     KIND_P_TO_DIAGONAL,
@@ -147,6 +147,17 @@ class TestGreedyMatch:
         tree = pair_tree(first, second, seed=6)
         residuals = [r for _, r in greedy_match(tree, first, second).level_residuals]
         assert all(a >= b for a, b in zip(residuals, residuals[1:]))
+
+    def test_residuals_past_int64_totals(self):
+        # the two diagrams' summed multiplicity passes 2**63: the residuals
+        # are counted in Python ints, not wrapped int64 sums
+        first = PersistenceDiagram([(0.0, 100.0, 2**63 - 1)])
+        second = PersistenceDiagram([(0.5, 100.0, 2**63 - 1)])
+        tree = build_tree(union_coords((first, second)), TreeConfig(seed=0))
+        matching = greedy_match(tree, first, second)
+        _, cost, residuals, _ = reference.greedy_match(tree, first, second, GroundMetric.L2)
+        assert matching.level_residuals[0] == (0, 2 * (2**63 - 1))
+        assert (matching.cost, matching.level_residuals) == (cost, residuals)
 
     def test_outside_point_rejected(self):
         d = PersistenceDiagram([(0, 4)])
@@ -272,7 +283,7 @@ def test_flowtree_within_sqrt8_of_embedding_exactly(instance):
     matching = greedy_match(tree, first, second)
     assume(not matching.root_fallback)
     flowtree = Fraction(matching.cost)  # flowtree_distance(tree, first, second)
-    embedding = Fraction(embed_all(tree, [first, second]).l1_row(0, [1])[0])
+    embedding = Fraction(PlacedDiagrams(tree, [first, second]).embedding_row(0, [1])[0])
     assert flowtree**2 <= 8 * embedding**2
 
 
@@ -359,6 +370,23 @@ class TestFlowtreeDistances:
         for i, js in ((2, [0]), (-1, [0]), (0, [2]), (0, [-1, 1])):
             with pytest.raises(IndexError):
                 placed.flowtree_row(i, js)
+
+    def test_batched_rows_past_int64_totals(self):
+        # the query and the two candidates each carry about 2**62 points, so
+        # one batch of both pairs would hold more than 2**63 mass
+        query = PersistenceDiagram([(0.0, 100.0, 2**62), (50.0, 60.0)])
+        candidates = [
+            PersistenceDiagram([(0.5, 100.0, 2**62), (50.0, 60.0)]),
+            PersistenceDiagram([(0.25, 100.0, 2**62 - 2), (50.0, 60.0)]),
+        ]
+        diagrams = [query, *candidates]
+        tree = build_tree(union_coords(diagrams), TreeConfig(seed=0))
+        placed = PlacedDiagrams(tree, diagrams)
+        costs = [reference.greedy_match(tree, query, c, GroundMetric.L2)[1] for c in candidates]
+        assert placed.flowtree_row(0, [1, 2]) == per_pair_costs(tree, query, candidates) == costs
+        assert placed.embedding_row(0, [1, 2]) == [
+            reference.embedding_cost(tree, query, c) for c in candidates
+        ]
 
     @pytest.mark.parametrize("metric", list(GroundMetric))
     def test_empty_query_and_candidates(self, metric):
@@ -455,6 +483,10 @@ class TestFlowtreeDistances:
         query = diagram()
         candidates = [diagram() for _ in range(data.draw(st.integers(65, 140)))]
         assert query_row(tree, query, candidates) == per_pair_costs(tree, query, candidates)
+        placed = PlacedDiagrams(tree, [query, *candidates])
+        assert placed.embedding_row(0, range(1, len(candidates) + 1)) == [
+            reference.embedding_cost(tree, query, c) for c in candidates
+        ]
 
 
 class TestMultiTree:

@@ -16,7 +16,6 @@ PUBLIC = [
     "DEFAULT_SIZE_CAP",
     "DiagramError",
     "DiagramParseError",
-    "EmbeddingIndex",
     "EmbeddingVector",
     "ErrorStats",
     "ErrorSuiteResult",
@@ -40,7 +39,6 @@ PUBLIC = [
     "TreeMismatchError",
     "build_tree",
     "embed",
-    "embed_all",
     "error_suite",
     "eval_report",
     "exact_distance",
@@ -86,6 +84,7 @@ def test_every_public_name_resolves():
             ["dataset", "out_dir", "methods", "metrics", "seed", "n_pairs",
              "tree_policy", "bench_sizes", "reps", "workers"],
         ),
+        (dgmdist.PlacedDiagrams.embedding_row, ["self", "i", "js"]),
     ],
 )
 def test_signature_is_pinned(function, parameters):

@@ -1,6 +1,6 @@
-"""The columnar embedding, L1 distance, embedding index and greedy matching
-against the pure-Python reference oracles in reference.py, compared with
-exact ==."""
+"""The columnar embedding, L1 distance, embedding distance rows and greedy
+matching against the pure-Python reference oracles in reference.py,
+compared with exact ==."""
 
 import math
 from fractions import Fraction
@@ -19,7 +19,6 @@ from dgmdist import (
     TreeConfig,
     build_tree,
     embed,
-    embed_all,
     greedy_match,
     knn_distances,
     l1_distance,
@@ -113,25 +112,27 @@ def test_matches_reference_with_large_multiplicities(instance):
 
 
 def assert_index_matches_reference(tree, diagrams):
-    # every row of the index is the exact reference cost, bit for bit;
-    # equal diagrams are at distance 0.0
-    index = embed_all(tree, diagrams)
-    vectors = [embed(tree, d) for d in diagrams]
+    # every embedding row of one placement is the exact reference cost, bit
+    # for bit, and every vector the reference's; equal diagrams are at
+    # distance 0.0
+    placed = PlacedDiagrams(tree, diagrams)
     counts = [reference.counts(tree, d) for d in diagrams]
     js = range(len(diagrams))
     for i, diagram in enumerate(diagrams):
-        assert index.vector(i) == vectors[i]
-        row = index.l1_row(i, js)
+        vector, expected = embed(tree, diagram), reference.embed(tree, diagram)
+        assert vector.cells.tolist() == [list(cell) for cell, _ in expected]
+        assert vector.values.tolist() == [value for _, value in expected]
+        row = placed.embedding_row(i, js)
         assert row == [reference.count_distance(tree, counts[i], counts[j]) for j in js]
         assert all(row[j] == 0.0 for j in js if diagrams[j] == diagram)
 
 
 def assert_embedding_distance_is_exact(tree, first, second, metric):
-    # the index row, dist's estimate on one tree and a knn row each equal the
-    # exact cost rounded once; the float L1 of the two stored vectors is
-    # within 2**-50 of their value norms of it
+    # the embedding row, dist's estimate on one tree and a knn row each
+    # equal the exact cost rounded once; the float L1 of the two stored
+    # vectors is within 2**-50 of their value norms of it
     exact = reference.embedding_cost(tree, first, second)
-    assert embed_all(tree, [first, second]).l1_row(0, [1]) == [exact]
+    assert PlacedDiagrams(tree, [first, second]).embedding_row(0, [1]) == [exact]
     va, vb = embed(tree, first), embed(tree, second)
     norms = math.fsum(va.values.tolist()) + math.fsum(vb.values.tolist())
     assert abs(l1_distance(va, vb) - exact) <= 2**-50 * norms
@@ -171,7 +172,7 @@ def assert_residual_identity(tree, first, second, metric):
     # the levels, rounded once, and the reference's embedding cost
     residuals = greedy_match(tree, first, second).level_residuals
     walk = float(sum(Fraction(tree.side(level)) * r for level, r in residuals))
-    row = embed_all(tree, [first, second]).l1_row(0, [1])[0]
+    row = PlacedDiagrams(tree, [first, second]).embedding_row(0, [1])[0]
     assert row == walk
     assert row == reference.embedding_cost(tree, first, second)
 

@@ -31,7 +31,6 @@ def test_bench_knn_report(tmp_path, monkeypatch, scripts):
     keys = {
         "flowtree_ms_per_pair",
         "embedding_ms_per_pair",
-        "embedding_index_ms",
         "embedding_row_ms",
         "flowtree_place_ms",
         "flowtree_row_ms",
