@@ -12,9 +12,9 @@ level, from one ShiftedQuadtree.place call.
 The embedding distance itself is not read from vectors:
 PlacedDiagrams.embedding_row (flowtree.py) costs the flowtree walk's
 matching in the tree metric, where a unit matched at level e contributes
-side(e) - side(0), the sides of the levels it stayed unmatched on, and a
-root-fallback unit the whole path, side(level_hi + 1) - side(0). That sum
-is exact in Python ints and rounded once.
+side(e) - side(0), the sides of the levels it stayed unmatched on. Every
+unit is matched by the root, which meets the diagonal. That sum is exact
+in Python ints and rounded once.
 
 l1_distance sums the absolute differences of two stored float vectors (as
 read from .vec files) with math.fsum. Each stored value is already the

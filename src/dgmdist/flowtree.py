@@ -5,9 +5,9 @@ The matching sweeps levels finest to coarsest. Inside a non-terminal cell,
 unmatched points from the two diagrams pair up cross-wise, walking both sides
 in lexicographic (birth, death) order; the surplus side forwards to the parent
 cell. Inside a terminal cell, every unmatched point immediately pairs with its
-own diagonal projection. If mass survives a non-terminal root (possible when a
-tight bounding box sits far from the diagonal), it is diagonal-matched there
-anyway so the matching is always total; `root_fallback` records that.
+own diagonal projection. The root meets the diagonal (see quadtree.py), so
+every point is sent to the diagonal at the latest there and the matching is
+always total.
 
 One walk, two costs. The flowtree distance is the matching's cost in the
 ground metric, an upper bound on the exact 1-Wasserstein distance for every
@@ -15,9 +15,8 @@ tree. The embedding distance is the same matching's cost in the tree metric:
 a unit stays unmatched, and costs the side of its cell, on every level below
 the one that matches it. A unit matched at level e thus costs side(0) + ...
 + side(e - 1) = side(e) - side(0), with side(k) = root_side * 2**(k -
-level_hi); a root-fallback unit costs the whole path, side(level_hi + 1) -
-side(0). A cross pair carries two units, one of each diagram, and a diagonal
-pair one. Summed over the pairs this is the sum over levels of side *
+level_hi). A cross pair carries two units, one of each diagram, and a
+diagonal pair one. Summed over the pairs this is the sum over levels of side *
 unmatched mass, the L1 distance of the two diagrams' embedding vectors (see
 embedding.py), formed exactly in Python ints and rounded once.
 
@@ -96,8 +95,13 @@ class AugmentedMatching:
     `pairs` builds the MatchPair list from them on first access.
 
     level_residuals[i] = (level, unmatched mass remaining after that level's
-    cells were processed, before any root fallback).
+    cells were processed).
     """
+
+    # no mass survives the root, which meets the diagonal; read by
+    # perfbench/spans.py until its per-layer names are re-pointed (ROADMAP
+    # item 7)
+    root_fallback = False
 
     cost: float
     ground_metric: GroundMetric
@@ -110,7 +114,6 @@ class AugmentedMatching:
     level: np.ndarray
     distance: np.ndarray
     level_residuals: list[tuple[int, int]] = field(default_factory=list)
-    root_fallback: bool = False
 
     @cached_property
     def pairs(self) -> list[MatchPair]:
@@ -263,7 +266,7 @@ class PlacedDiagrams:
         cost is one math.fsum over its own pairs, as for a single pair.
         Raises IndexError unless i and every j lie in range(len(self))."""
         costs: list[float] = []
-        for n, ((point, partner, pair, pair_mass, _), _, _) in self._walks(i, js):
+        for n, ((point, partner, pair, pair_mass, _), _) in self._walks(i, js):
             products = pair_mass * _pair_distances(self, point, partner)
             # the smallest unsigned type: a stable sort of it is a radix sort
             owner = pair.astype(np.min_scalar_type(n))
@@ -284,20 +287,17 @@ class PlacedDiagrams:
         p, q = float(self.tree.root_side).as_integer_ratio()
         scale = q << self.tree.level_hi
         costs: list[float] = []
-        for n, ((point, partner, pair, pair_mass, level), _, _) in self._walks(i, js):
+        for n, ((point, partner, pair, pair_mass, level), _) in self._walks(i, js):
             cross = partner >= 0
-            # e, the level at which a unit stops counting: its pair's level,
-            # or a diagonal pair's terminal level, level_hi + 1 for a unit of
-            # the root fallback
-            e = np.where(cross, level, self.terminal_level[point])
-            weight = np.where(cross, 2, 1) * ((1 << e) - 1)
-            # groups of one pair, e and kind (cross, diagonal of diagram i,
-            # diagonal of diagram j), so that each group's int64 mass sum is
-            # bounded by one diagram's total; with i among js, the pair (i, i)
-            # matches every unit at level 0, at weight 0
+            # a unit stops counting at its pair's level
+            weight = np.where(cross, 2, 1) * ((1 << level) - 1)
+            # groups of one pair, level and kind (cross, diagonal of diagram
+            # i, diagonal of diagram j), so that each group's int64 mass sum
+            # is bounded by one diagram's total; with i among js, the pair
+            # (i, i) matches every unit at level 0, at weight 0
             own = (self.start[i] <= point) & (point < self.start[i + 1])
             kind = np.where(cross, 0, np.where(own, 1, 2))
-            key = (pair * (levels + 1) + e) * 3 + kind
+            key = (pair * levels + level) * 3 + kind
             order = np.argsort(key)
             key = key[order]
             starts = np.flatnonzero(np.concatenate(([len(key) > 0], key[1:] != key[:-1])))
@@ -350,11 +350,10 @@ def _walk(placed: PlacedDiagrams, i: int, js: np.ndarray):
 
     Returns the matched pairs as (point, partner, pair, mass, level) arrays
     in the order the walk makes them: level by level, each level's diagonal
-    pairs by row, then its cross pairs in walk order, and the root fallback
-    last, by row. point and partner index placed's points (partner -1 for a
-    diagonal pair) and pair indexes js. Also returns the unmatched mass
-    after each level summed over the pairs, and whether any mass reached
-    the root fallback.
+    pairs by row, then its cross pairs in walk order. point and partner
+    index placed's points (partner -1 for a diagonal pair) and pair indexes
+    js. Also returns the unmatched mass after each level summed over the
+    pairs; it is 0 after the root, where every row is terminal.
     """
     tree = placed.tree
     levels = tree.num_levels
@@ -378,21 +377,19 @@ def _walk(placed: PlacedDiagrams, i: int, js: np.ndarray):
     # a batch holds less than 2**63 mass, or one pair of less than 2**64
     live_mass = int(mass.sum(dtype=np.uint64))
     no_partner = np.full(len(mass), -1)
-    pairs: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = []
+    # an empty first entry, for pairs of diagrams that hold no point
+    pairs = [(no_partner[:0], no_partner[:0], mass[:0], 0)]
     residuals: list[tuple[int, int]] = []
-
-    def to_diagonal(rows: np.ndarray, level: int) -> int:
-        sent = mass[rows]
-        pairs.append((rows, no_partner[: len(rows)], sent, level))
-        mass[rows] = 0
-        return int(sent.sum(dtype=np.uint64))
-
     for level in tree.levels():
         if live_mass == 0:
             residuals.append((level, 0))
             continue
         rows = retiring[retire_at[level] : retire_at[level + 1]]
-        live_mass -= to_diagonal(rows[mass[rows] > 0], level)
+        rows = rows[mass[rows] > 0]
+        sent = mass[rows]
+        pairs.append((rows, no_partner[: len(rows)], sent, level))
+        mass[rows] = 0
+        live_mass -= int(sent.sum(dtype=np.uint64))
         entered = entering[enter_at[level] : enter_at[level + 1]]
         if len(entered):
             active = np.sort(np.concatenate((active, entered)))
@@ -408,15 +405,12 @@ def _walk(placed: PlacedDiagrams, i: int, js: np.ndarray):
             live_mass -= 2 * int(take.sum(dtype=np.uint64))
         residuals.append((level, live_mass))
 
-    rows = np.flatnonzero(mass > 0)
-    root_fallback = len(rows) > 0
-    to_diagonal(rows, tree.level_hi)
     rows, partners, masses, levels_of = zip(*pairs)
     level = np.repeat(levels_of, [len(r) for r in rows])
     row, partner = np.concatenate(rows), np.concatenate(partners)
     partner = np.where(partner >= 0, point[partner], -1)
     matched = (point[row], partner, pair[row], np.concatenate(masses), level)
-    return matched, residuals, root_fallback
+    return matched, residuals
 
 
 def _pair_distances(placed: PlacedDiagrams, point, partner) -> np.ndarray:
@@ -443,16 +437,12 @@ def greedy_match(
     Pair order: level by level, finest first. Within level k come first the
     points sent to the diagonal at their terminal level, by their cell one
     level down, (ix >> (k - 1), iy >> (k - 1)), then by point (at the finest
-    level by point alone); then the cross pairs, in walk order; last, at the
-    root, the fallback diagonal pairs, in point order.
+    level by point alone); then the cross pairs, in walk order.
     """
     placed = PlacedDiagrams(tree, (first, second))
-    (point, partner, _, pair_mass, level), residuals, root_fallback = _walk(
-        placed, 0, np.array([1])
-    )
-    # a stable sort: pairs with equal keys keep the order _walk made them
-    # in; a fallback point has no terminal level
-    terminal = (partner < 0) & (level > 0) & (placed.terminal_level[point] == level)
+    (point, partner, _, pair_mass, level), residuals = _walk(placed, 0, np.array([1]))
+    # a stable sort: pairs with equal keys keep the order _walk made them in
+    terminal = (partner < 0) & (level > 0)
     down = np.maximum(level - 1, 0)
     order = np.lexsort(
         (
@@ -476,7 +466,6 @@ def greedy_match(
         level=level,
         distance=distance,
         level_residuals=residuals,
-        root_fallback=root_fallback,
     )
 
 
@@ -499,13 +488,12 @@ def multi_tree_estimate(
 
     Shifts one tree per seed over the union of both diagrams' points, whose
     seed-independent geometry is computed once, runs the tree method on each
-    and reduces the per-tree estimates by mean (math.fsum) or min: flowtree
-    is greedy_match's cost, embedding PlacedDiagrams.embedding_row (the
-    same walk's exact tree-metric cost, rounded once). Returns
-    the estimate and one tree.meta() dict per seed; for flowtree each dict
-    also records the matching's root_fallback.
-    Two empty diagrams give (0.0, []) without building a tree. `dgmdist
-    dist` prints exactly this result.
+    and reduces the per-tree estimates by mean (math.fsum) or min. Both
+    methods read one PlacedDiagrams of the pair: flowtree its flowtree_row
+    (greedy_match's cost, bit for bit), embedding its embedding_row (the
+    same walk's exact tree-metric cost, rounded once). Returns the estimate
+    and one tree.meta() dict per seed. Two empty diagrams give (0.0, [])
+    without building a tree. `dgmdist dist` prints exactly this result.
     """
     if not seeds:
         raise ValueError("at least one seed is required")
@@ -520,14 +508,10 @@ def multi_tree_estimate(
     tree_meta = []
     for seed in seeds:
         tree = geometry.tree(TreeConfig(seed=seed, ground_metric=metric))
-        meta = tree.meta()
-        if method == "flowtree":
-            matching = greedy_match(tree, first, second)
-            values.append(matching.cost)
-            meta["root_fallback"] = matching.root_fallback
-        else:
-            values.append(PlacedDiagrams(tree, (first, second)).embedding_row(0, [1])[0])
-        tree_meta.append(meta)
+        placed = PlacedDiagrams(tree, (first, second))
+        row = placed.flowtree_row if method == "flowtree" else placed.embedding_row
+        values.append(row(0, [1])[0])
+        tree_meta.append(tree.meta())
     if reduce == "mean":
         return math.fsum(values) / len(values), tree_meta
     return min(values), tree_meta

@@ -2,20 +2,23 @@
 
 Geometry conventions:
 
-- The root square has side 2*D, where D is the larger bounding-box side of
-  the input (or the minimum separation for a single distinct point). It is
-  placed with its lower-left corner at (min - D) and then translated by a
-  uniform random shift in [0, D)^2, so it contains the input for every draw.
+- The root square has side 2*D, where D is the larger side of the box of
+  the input and the diagonal point (t, t), t the midpoint of the largest
+  birth and the smallest death: the input's own box if that meets the
+  diagonal. It is placed with its lower-left corner at (min - D) and then
+  translated by a uniform random shift in [0, D)^2, so it contains the box,
+  and meets the diagonal, for every draw.
 - Levels are indexed 0 (finest) through level_hi (the root); the cell side
   doubles with each level.
 - Cell membership is half-open, [x0, x0+s) x [y0, y0+s), via floor indexing.
 - The terminal test ("does the cell meet the diagonal y = x?") uses the
-  closed square, so boundary contact counts as intersecting.
+  closed square, so boundary contact counts as intersecting. The root is
+  terminal: ShiftedQuadtree refuses a root that fails the test.
 - ShiftedQuadtree.place is the one place that computes cell indices and
   terminality: one placement per point, its finest cell and the first level
-  whose cell is terminal. A point counts as terminal from that level up, so
-  the embedding and the flowtree walk, which both read the placement,
-  retire it at the same level.
+  whose cell is terminal, level_hi at the latest. A point counts as terminal
+  from that level up, so the embedding and the flowtree walk, which both
+  read the placement, retire it at the same level.
 - The finest level is chosen so its side is strictly below half the minimum
   separation: each occupied finest cell then holds one distinct point and
   cannot be terminal. max_levels_cap, at most MAX_LEVELS, guards
@@ -101,6 +104,9 @@ class ShiftedQuadtree:
             raise ValueError(f"levels must lie in [0, {MAX_LEVELS - 1}]")
         self.origin = (float(origin[0]), float(origin[1]))
         self.root_side = float(root_side)
+        # place's terminal test of the root cell, the whole square
+        if not _meets_diagonal(*self.origin, self.root_side):
+            raise ValueError("the root square must meet the diagonal")
         self.level_hi = int(level_hi)
         self.shift = (float(shift[0]), float(shift[1]))
         self.spread = float(spread)
@@ -141,9 +147,9 @@ class ShiftedQuadtree:
         (n, 2) coords array. The finest index is floor((x - origin) / side),
         clamped so the closed root's far edge falls in the last cell; its
         cell on level k is (ix >> k, iy >> k), its dyadic ancestor.
-        terminal_level is the lowest level whose cell meets the diagonal, or
-        level_hi + 1 where none does; from it on the point counts as
-        terminal, whatever the float test says higher up. Raises
+        terminal_level is the lowest level whose cell meets the diagonal,
+        level_hi at the latest, since the root meets it; from it on the point
+        counts as terminal, whatever the float test says higher up. Raises
         OutsideRootError if a point lies outside the closed root square.
         """
         coords = np.asarray(coords, dtype=float).reshape(-1, 2)
@@ -156,13 +162,12 @@ class ShiftedQuadtree:
         last = (1 << self.level_hi) - 1
         ix = np.minimum(np.floor((xs - ox) / s).astype(np.int64), last)
         iy = np.minimum(np.floor((ys - oy) / s).astype(np.int64), last)
-        terminal_level = np.full(len(ix), self.level_hi + 1, np.int64)
-        # from the root down, so that a point's lowest hit is written last
-        for level in reversed(self.levels()):
+        terminal_level = np.full(len(ix), self.level_hi, np.int64)
+        # from below the root down, so that a point's lowest hit is written last
+        for level in range(self.level_hi - 1, -1, -1):
             s = self.side(level)
-            x0 = ox + (ix >> level) * s
-            y0 = oy + (iy >> level) * s
-            terminal_level[(x0 <= y0 + s) & (y0 <= x0 + s)] = level
+            hit = _meets_diagonal(ox + (ix >> level) * s, oy + (iy >> level) * s, s)
+            terminal_level[hit] = level
         return ix, iy, terminal_level
 
     def meta(self) -> dict:
@@ -193,6 +198,12 @@ class ShiftedQuadtree:
         )
 
 
+def _meets_diagonal(x0, y0, side):
+    """Whether the closed square [x0, x0 + side] x [y0, y0 + side] meets
+    the diagonal y = x; elementwise over arrays."""
+    return (x0 <= y0 + side) & (y0 <= x0 + side)
+
+
 def _min_separation(points: np.ndarray, metric: GroundMetric) -> float:
     """Smallest of: pairwise distances between distinct points, and their
     distances to the diagonal, under the given metric."""
@@ -207,9 +218,9 @@ def _min_separation(points: np.ndarray, metric: GroundMetric) -> float:
 
 @dataclass(frozen=True, eq=False)
 class TreeGeometry:
-    """The seed-independent part of a tree over one point set: bounding box,
-    minimum separation, root span, depth before the cap, and spread. Every
-    seed's tree over the set is a cheap shift of it (see `tree`)."""
+    """The seed-independent part of a tree over one point set: box (with
+    the diagonal point), minimum separation, root span, depth before the
+    cap, and spread. Every seed's tree over the set is a cheap shift of it."""
 
     ground_metric: GroundMetric
     mins: np.ndarray
@@ -260,12 +271,14 @@ def tree_geometry(points, metric: GroundMetric) -> TreeGeometry:
             "minimum separation is zero (a point lies on the diagonal)"
         )
 
-    mins = distinct.min(axis=0)
-    extent = distinct.max(axis=0) - mins
-    span = float(extent.max())
-    if span == 0.0:
-        # single distinct point: scale the root to the diagonal distance
-        span = delta_min
+    mins, maxs = distinct.min(axis=0), distinct.max(axis=0)
+    extent = maxs - mins
+    # the box holds the diagonal point (t, t) so that the root meets the
+    # diagonal; the clip keeps a rounded midpoint of subnormals inside
+    lo, hi = sorted((float(maxs[0]), float(mins[1])))
+    t = min(max(0.5 * lo + 0.5 * hi, lo), hi)
+    box_mins = np.minimum(mins, t)
+    span = float((np.maximum(maxs, t) - box_mins).max())
     root_side = 2.0 * span
 
     try:
@@ -286,7 +299,7 @@ def tree_geometry(points, metric: GroundMetric) -> TreeGeometry:
         diameter = float(extent.max())
     return TreeGeometry(
         ground_metric=metric,
-        mins=mins,
+        mins=box_mins,
         span=span,
         min_separation=delta_min,
         levels=levels,

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -96,7 +97,25 @@ class TestDist:
         report = json.loads(out)
         assert report["value"] == 0.0
         assert len(report["tree_meta"]) == 1
-        assert "root_fallback" in report["tree_meta"][0]
+        assert "root_fallback" not in report["tree_meta"][0]
+
+    def test_pair_far_from_the_diagonal_within_sqrt8(self, tmp_path, capsys):
+        # points far from the diagonal compared with their spread: the root
+        # still meets the diagonal, so the flowtree matching is the exact
+        # one and exact <= sqrt(8) * embedding, compared exactly
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_diagram(PersistenceDiagram([(0, 100), (1, 101)]), a)
+        write_singleton(b, 0, 100)
+        values = {}
+        for method in ("exact", "flowtree", "embedding"):
+            code, out, _ = run(
+                capsys, "dist", str(a), str(b), "--method", method, "--metric", "l2",
+                "--seed", "0",
+            )
+            assert code == EXIT_OK
+            values[method] = json.loads(out)["value"]
+        assert values["flowtree"] == values["exact"]
+        assert Fraction(values["exact"]) ** 2 <= 8 * Fraction(values["embedding"]) ** 2
 
     def test_min_reduce_below_mean_reduce(self, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dgmdist.quadtree
@@ -137,8 +137,6 @@ class TestGreedyMatch:
             first, second = random_pair(seed + 40, max_points=10)
             tree = pair_tree(first, second, seed=seed)
             matching = greedy_match(tree, first, second)
-            if matching.root_fallback:
-                continue
             for pair in matching.pairs:
                 assert pair.distance <= tree.side(pair.level) * SQRT2 * (1 + 1e-12)
 
@@ -207,7 +205,7 @@ class TestFlowtreeDistance:
             first, second = random_pair(seed + 60, max_points=15)
             tree = pair_tree(first, second, seed=seed)
             matching = greedy_match(tree, first, second)
-            if matching.root_fallback or tree.truncated:
+            if tree.truncated:
                 continue
             d_embed = l1_distance(embed(tree, first), embed(tree, second))
             assert matching.cost <= 2 * SQRT2 * d_embed + 1e-9
@@ -274,15 +272,12 @@ def l2_pairs(draw):
 @given(l2_pairs())
 def test_flowtree_within_sqrt8_of_embedding_exactly(instance):
     # the sandwich's upper half, flowtree <= sqrt(8) * embedding, compared
-    # in exact arithmetic with no tolerance. It needs the diagonal under
-    # the root: a root cell that misses it sends the leftover mass to the
-    # diagonal at its full distance, while the embedding charges at most
-    # the root's side for it, so root fallback cases are left out
+    # in exact arithmetic with no tolerance, on every drawn pair: clusters
+    # far from the diagonal compared with their spread included, since the
+    # root meets the diagonal
     tree, first, second = instance
     assert not tree.truncated
-    matching = greedy_match(tree, first, second)
-    assume(not matching.root_fallback)
-    flowtree = Fraction(matching.cost)  # flowtree_distance(tree, first, second)
+    flowtree = Fraction(flowtree_distance(tree, first, second))
     embedding = Fraction(PlacedDiagrams(tree, [first, second]).embedding_row(0, [1])[0])
     assert flowtree**2 <= 8 * embedding**2
 
@@ -419,11 +414,12 @@ class TestFlowtreeDistances:
 
     @pytest.mark.parametrize("metric", list(GroundMetric))
     def test_candidate_meeting_the_query_only_at_the_root(self, metric):
-        # the root lies far above the diagonal and the query and the
-        # candidate sit in different halves of it: they share no cell below
-        # the root, cross-match there, and the surplus reaches the fallback
+        # the root touches the diagonal at its lower right corner, and the
+        # query and the candidate sit in its two upper quarters, clear of
+        # the diagonal: they share no cell below the root, and the root
+        # sends every point to the diagonal before any cross match
         tree = ShiftedQuadtree(
-            origin=(0.0, 100.0),
+            origin=(0.0, 16.0),
             root_side=16.0,
             level_hi=4,
             shift=(0.0, 0.0),
@@ -432,8 +428,8 @@ class TestFlowtreeDistances:
             ground_metric=metric,
             min_separation=0.5,
         )
-        query = PersistenceDiagram([(1.0, 101.0, 2), (3.0, 110.0)])
-        candidate = PersistenceDiagram([(9.0, 102.0), (15.0, 115.0, 4)])
+        query = PersistenceDiagram([(1.0, 25.0, 2), (3.0, 30.0)])
+        candidate = PersistenceDiagram([(9.0, 26.0), (15.0, 31.0, 4)])
         shared = [
             set(zip(ix.tolist(), iy.tolist()))
             for diagram in (query, candidate)
@@ -442,13 +438,13 @@ class TestFlowtreeDistances:
         levels = tree.num_levels
         assert all(not shared[k] & shared[levels + k] for k in range(levels - 1))
         matching = greedy_match(tree, query, candidate)
-        assert matching.root_fallback
         assert set(matching.level.tolist()) == {tree.level_hi}
+        assert (matching.partner == -1).all()
         _, cost, residuals, root_fallback = reference.greedy_match(
             tree, query, candidate, metric
         )
         assert (matching.cost, matching.level_residuals) == (cost, residuals)
-        assert root_fallback
+        assert not root_fallback
         assert query_row(tree, query, [candidate, query, candidate]) == [
             cost,
             0.0,
@@ -512,8 +508,6 @@ class TestMultiTree:
             expected = [
                 pair_tree(first, second, seed, GroundMetric.L1).meta() for seed in seeds
             ]
-            for meta in metas:
-                meta.pop("root_fallback", None)
             assert metas == expected
 
     def test_single_seed_matches_direct_call(self):
@@ -557,6 +551,21 @@ class TestMultiTree:
         with pytest.raises(ValueError):
             multi_tree_estimate(first, second, GroundMetric.L2, [1], method="magic")
 
+    def test_single_point_embedding_same_on_every_seed(self):
+        # the root over one point meets the diagonal on every shift: the
+        # point retires there on every seed, its cell clear of the diagonal
+        # on the three levels below, of sides 1/8, 1/4 and 1/2
+        first, empty = PersistenceDiagram([(0.0, 1.0)]), PersistenceDiagram()
+        values = set()
+        for seed in range(8):
+            value, _ = multi_tree_estimate(
+                first, empty, GroundMetric.LINF, [seed], method="embedding"
+            )
+            values.add(value)
+            tree = pair_tree(first, empty, seed, GroundMetric.LINF)
+            assert reference.greedy_match(tree, first, empty, GroundMetric.LINF)[3] is False
+        assert values == {0.875}
+
     def test_both_empty_is_zero(self):
         empty = PersistenceDiagram()
         assert multi_tree_estimate(empty, empty, GroundMetric.L2, seeds=[1]) == (0.0, [])
@@ -564,9 +573,10 @@ class TestMultiTree:
 
 def pinned_instances():
     """name -> (first, second, tree config) of the pinned matching files: a
-    truncated 40-level tree, the deepest (48-level) tree under L1, a root
-    fallback under L-infinity, a near-diagonal gaussian pair and a uniform
-    pair under L1, with multiplicities up to 10^6."""
+    truncated 40-level tree, the deepest (48-level) tree under L1, a pair
+    far from the diagonal compared with its spread under L-infinity, a
+    near-diagonal gaussian pair and a uniform pair under L1, with
+    multiplicities up to 10^6."""
     return {
         "forty_levels": (
             PersistenceDiagram([(0.0, 4.0, 2), (1e8, 2e8), (2.0, 6.0, 10**6)]),
@@ -580,7 +590,7 @@ def pinned_instances():
             PersistenceDiagram([(1e-100, 3e-100, 10**6), (2.0, 7.0)]),
             TreeConfig(seed=5, max_levels_cap=MAX_LEVELS, ground_metric=GroundMetric.L1),
         ),
-        "root_fallback": (
+        "far_from_diagonal": (
             PersistenceDiagram([(0.0, 100.0, 3), (0.25, 100.5)]),
             PersistenceDiagram([(1.0, 101.0)]),
             TreeConfig(seed=3, ground_metric=GroundMetric.LINF),
@@ -613,7 +623,7 @@ PINNED_MATCHINGS = {
         'p_to_diagonal 1e-300 4.0 2.0 2.0 1 4.0',
         'q_to_diagonal 4.5 4.5 2.0 7.0 1 5.0',
     ),
-    'root_fallback': (
+    'far_from_diagonal': (
         'cross 0.25 100.5 1.0 101.0 1 0.75',
         'p_to_diagonal 0.0 100.0 50.0 50.0 3 150.0',
     ),
@@ -667,7 +677,6 @@ class TestMatchingOrder:
         first, second, config = pinned_instances()[name]
         tree = build_tree(union_coords((first, second)), config)
         matching = greedy_match(tree, first, second)
-        assert matching.root_fallback == (name == "root_fallback")
         assert tree.truncated == (name in ("forty_levels", "deepest"))
         write_matching(matching, tmp_path / "m.match")
         expected = "".join(line + "\n" for line in PINNED_MATCHINGS[name])

@@ -361,15 +361,64 @@ class TestPlace:
         assert terminal_level.tolist() == first_terminal_levels(tree, coords)
 
     def test_cell_clear_of_the_diagonal_at_every_level(self):
-        # a root far above the diagonal: no level is terminal
-        tree = manual_tree(origin=(0.0, 20.0))
-        ix, iy, terminal_level = tree.place([(0.5, 27.5), (7.0, 20.0)])
-        assert ix.tolist() == [0, 7] and iy.tolist() == [7, 0]
-        assert terminal_level.tolist() == [tree.level_hi + 1] * 2
+        # a root far above the diagonal is refused; under a root that
+        # touches it at one corner, cells clear of it below the root retire
+        # their points at the root, and a cell at the corner at once
+        with pytest.raises(ValueError, match="root square must meet the diagonal"):
+            manual_tree(origin=(0.0, 20.0))
+        tree = manual_tree(origin=(0.0, 8.0))
+        ix, iy, terminal_level = tree.place([(0.5, 15.5), (3.0, 12.0), (7.0, 8.5)])
+        assert ix.tolist() == [0, 3, 7] and iy.tolist() == [7, 4, 0]
+        assert terminal_level.tolist() == [tree.level_hi, tree.level_hi, 0]
 
     def test_outside_point_raises(self):
         with pytest.raises(OutsideRootError):
             manual_tree().place([(1.0, 2.0), (9.0, 9.5)])
+
+
+@st.composite
+def off_diagonal_sets(draw):
+    """(points, config): a single point or a cluster of up to 8, whose
+    lifetimes may be far longer than its spread (so that its box misses the
+    diagonal) or far shorter, at offsets up to 1e11, under any metric."""
+    offset = draw(st.sampled_from([0.0, -250.0, 3e4, 1e11]))
+    spread = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    lifetime = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e6]))
+    raw = draw(
+        st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(1e-3, 1.0)), min_size=1, max_size=8)
+    )
+    points = []
+    for u, w in raw:
+        birth = offset + spread * u
+        points.append((birth, birth + lifetime * w + abs(birth) * 1e-9))
+    config = TreeConfig(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        ground_metric=draw(st.sampled_from(list(GroundMetric))),
+    )
+    return points, config
+
+
+class TestRootMeetsDiagonal:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(off_diagonal_sets())
+    def test_every_point_retires_by_the_root(self, instance):
+        # the tree builds, every point is terminal at the root at the latest,
+        # and the reference walk leaves no mass for a fallback; a box that
+        # meets the diagonal is the points' own
+        points, config = instance
+        tree = build_tree(points, config)
+        assert (tree.place(points)[2] <= tree.level_hi).all()
+        first = PersistenceDiagram(points[::2])
+        second = PersistenceDiagram(points[1::2])
+        _, _, residuals, root_fallback = reference.greedy_match(
+            tree, first, second, config.ground_metric
+        )
+        assert residuals[-1] == (tree.level_hi, 0) and root_fallback is False
+        pts = np.unique(np.asarray(points), axis=0)
+        if pts[:, 1].min() <= pts[:, 0].max():
+            geometry = tree_geometry(points, config.ground_metric)
+            assert geometry.mins.tolist() == pts.min(axis=0).tolist()
+            assert geometry.span == float((pts.max(axis=0) - pts.min(axis=0)).max())
 
 
 class TestOccupiedCells:
@@ -407,7 +456,8 @@ class TestShiftDistribution:
     def test_boundary_separation_probability(self):
         # Two points 0.5 apart horizontally; at the level with cell side 2
         # a vertical grid line falls between them with probability 0.5/2.
-        pts = [(0.0, 10.0), (0.5, 10.0), (4.0, 10.0), (0.0, 14.0)]
+        # Their box [0, 4] x [3, 7] meets the diagonal, so it sets the root.
+        pts = [(0.0, 3.0), (0.5, 3.0), (4.0, 7.0), (0.0, 7.0)]
         separated = 0
         trials = 2000
         level = None

@@ -47,7 +47,7 @@ def assert_matches_reference(tree, first, second, metric):
     )
     assert matching.cost == cost
     assert matching.level_residuals == residuals
-    assert matching.root_fallback == root_fallback
+    assert root_fallback is False
     assert sorted(map(pair_tuple, matching.pairs)) == sorted(pairs)
 
 

@@ -58,3 +58,26 @@ def test_bench_exact_report(tmp_path, scripts):
     assert all(t["exact_ms"] >= 0 for t in report["timings"])
     slope = report["criterion_6_exact_slope"]
     assert len(slope["runs"]) == 1 and slope["min"] == slope["median"] == slope["max"]
+
+
+def test_output_digests_listing(monkeypatch, capsys):
+    # one tiny set with every command: two runs print the same digests, one
+    # sha256 per output
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import output_digests
+
+    spec = {
+        "name": "tiny", "kind": "gaussian", "count": 4, "max_size": 12, "seed": 2, "tables": True
+    }
+    monkeypatch.setattr(output_digests, "SETS", (spec,))
+    listings = []
+    for _ in range(2):
+        assert output_digests.main([]) == 0
+        listings.append(capsys.readouterr().out.splitlines())
+    assert listings[0] == listings[1]
+    names = [line.split("  ")[1] for line in listings[0]]
+    assert all(len(line.split("  ")[0]) == 64 for line in listings[0])
+    assert len(names) == len(set(names))
+    for name in ("tiny/dist_0_1_l2_flowtree.json", "tiny/match_0_3_l1.match",
+                 "tiny/embed_linf", "tiny/knn_l2_embedding.csv", "tiny/eval_whole_dataset"):
+        assert name in names
