@@ -1,14 +1,16 @@
-"""sha256 digests of the outputs the CLI writes on fixed `gen` sets, for
+"""sha256 digests of the outputs the CLI writes on fixed diagram sets, for
 checking that a change keeps every output byte-identical.
 
-For each set it runs `dgmdist gen`, then
+A set is made by `dgmdist gen` or written out from points given here (the
+int64-edge set: multiplicities up to 2**62 + 7, a near-duplicate pair whose
+tree hits the 40-level cap, an empty diagram). On each set it runs
 - `dist` on fixed file pairs, flowtree and embedding, all three metrics,
   `--trees 2`;
 - `write_matching` of `greedy_match` on the same pairs and metrics, seed 0;
 - `embed` of the whole set, all three metrics;
-- on the smaller sets, `knn` (both tree methods, all three metrics, the
-  first two files as queries) and `eval` (exact, embedding and flowtree
-  under l2 and l1, both tree policies).
+- the set's tables: `knn` (both tree methods, all three metrics, the first
+  two files as queries) and `eval` (exact, embedding and flowtree under l2
+  and l1, both tree policies).
 
 It prints one line per output, "<sha256>  <set>/<output>". `dist`'s
 `elapsed` and the runtime table's timing columns are dropped before hashing;
@@ -39,24 +41,34 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from dgmdist import (  # noqa: E402
     GroundMetric,
+    PersistenceDiagram,
     TreeConfig,
     build_tree,
     greedy_match,
     load_diagram,
+    save_diagram,
     union_coords,
     write_matching,
 )
 from dgmdist.cli import main as cli  # noqa: E402
 
-# tables: whether knn and eval run on the set (the oracle would skip the
-# large pair)
+# a set is `gen` arguments or its diagrams' points; tables: the table
+# commands run on it (the exact oracle of eval would skip the large pair and
+# cannot take the int64-edge multiplicities)
 SETS = (
     {"name": "uniform-1", "kind": "uniform", "count": 20, "max_size": 120, "seed": 1,
-     "tables": True},
+     "tables": ("knn", "eval")},
     {"name": "gaussian-4", "kind": "gaussian", "count": 20, "max_size": 150, "seed": 4,
-     "tables": True},
+     "tables": ("knn", "eval")},
     {"name": "uniform-3000", "kind": "uniform", "count": 2, "max_size": 3000, "seed": 7,
-     "tables": False},
+     "tables": ()},
+    {"name": "int64-edge", "tables": ("knn",), "diagrams": (
+        [(0.0, 1.0, 2**62 + 7), (0.5, 3.0, 3), (1.0, 4.0, 2**40), (2.0, 2.5)],
+        [(0.0, 1.0, 2**62), (0.5, 3.0 + 1e-13, 2**61), (1.5, 2.0, 9)],
+        [],
+        [(0.25, 0.75, 2**62 - 1), (0.5, 3.0, 2**61 + 3), (3.0, 3.5)],
+        [(0.0, 2.0), (1.0, 4.0, 2**62 + 7)],
+    )},
 )
 METRICS = [m.value for m in GroundMetric]
 TREE_METHODS = ("flowtree", "embedding")
@@ -105,9 +117,14 @@ def drop_timings(table: Path) -> None:
 def set_outputs(spec: dict, work: Path) -> list[Path]:
     """Runs every command on one set; returns the outputs in a fixed order."""
     data = work / "data"
-    run(["gen", "--kind", spec["kind"], "--count", str(spec["count"]),
-         "--max-size", str(spec["max_size"]), "--seed", str(spec["seed"]),
-         "--out", str(data)])
+    if "diagrams" in spec:
+        data.mkdir()
+        for i, points in enumerate(spec["diagrams"]):
+            save_diagram(PersistenceDiagram(points), data / f"dgm_{i:04d}.txt")
+    else:
+        run(["gen", "--kind", spec["kind"], "--count", str(spec["count"]),
+             "--max-size", str(spec["max_size"]), "--seed", str(spec["seed"]),
+             "--out", str(data)])
     files = sorted(data.glob("dgm_*.txt"))
     last = len(files) - 1
     pairs = sorted({(0, 1), (0, last), (last // 2, last)} - {(last, last)})
@@ -132,7 +149,7 @@ def set_outputs(spec: dict, work: Path) -> list[Path]:
         out = work / f"embed_{metric}"
         run(["embed", "--in", str(data), "--out", str(out), "--metric", metric, "--seed", "0"])
         outputs.append(out)
-    if not spec["tables"]:
+    if "knn" not in spec["tables"]:
         return outputs
     queries, candidates = work / "queries", work / "candidates"
     for i, path in enumerate(files):
@@ -146,6 +163,8 @@ def set_outputs(spec: dict, work: Path) -> list[Path]:
                  "--method", method, "--metric", metric, "-k", "5", "--seed", "0",
                  "--out", str(out)])
             outputs.append(out)
+    if "eval" not in spec["tables"]:
+        return outputs
     for policy in ("per_pair", "whole_dataset"):
         out = work / f"eval_{policy}"
         run(["eval", "--data", str(data), "--methods", "exact,embedding,flowtree",

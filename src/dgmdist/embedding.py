@@ -10,11 +10,11 @@ ix, iy) int64 array with a parallel value array; embed builds one, level by
 level, from one ShiftedQuadtree.place call.
 
 The embedding distance itself is not read from vectors:
-PlacedDiagrams.embedding_row (flowtree.py) costs the flowtree walk's
-matching in the tree metric, where a unit matched at level e contributes
-side(e) - side(0), the sides of the levels it stayed unmatched on. Every
-unit is matched by the root, which meets the diagonal. That sum is exact
-in Python ints and rounded once.
+PlacedDiagrams.embedding_row (flowtree.py) reads it from the flowtree walk,
+which keeps each pair's residual, the mass it leaves unmatched after every
+level. Every unit is matched by the root, which meets the diagonal, so the
+sum of side * residual is finite; it is formed exactly in Python ints and
+rounded once.
 
 l1_distance sums the absolute differences of two stored float vectors (as
 read from .vec files) with math.fsum. Each stored value is already the

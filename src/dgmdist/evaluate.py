@@ -6,9 +6,9 @@ table alike (the latter two as one query and one candidate), and _tree is the
 one rule for the tree the tree methods share. Both tree methods place
 queries and candidates together once (PlacedDiagrams) and read each query's
 row from the same flowtree walk: flowtree_row costs its matching in the
-ground metric, embedding_row in the tree metric, where a unit matched at
-level e costs side(e) - side(0). So an embedding distance here is the
-exactly rounded tree cost that multi_tree_estimate gives on the same tree.
+ground metric, embedding_row sums side * residual, each pair's mass left
+unmatched after every level. So an embedding distance here is the exactly
+rounded value that multi_tree_estimate gives on the same tree.
 The error suite's exact method reuses its pair's ground truth.
 recall_at_m and ranking_table compute nothing themselves; they only reduce
 knn_distances rows, so the exact ground truth of a query set is solved once

@@ -11,28 +11,28 @@ always total.
 
 One walk, two costs. The flowtree distance is the matching's cost in the
 ground metric, an upper bound on the exact 1-Wasserstein distance for every
-tree. The embedding distance is the same matching's cost in the tree metric:
-a unit stays unmatched, and costs the side of its cell, on every level below
-the one that matches it. A unit matched at level e thus costs side(0) + ...
-+ side(e - 1) = side(e) - side(0), with side(k) = root_side * 2**(k -
-level_hi). A cross pair carries two units, one of each diagram, and a
-diagonal pair one. Summed over the pairs this is the sum over levels of side *
-unmatched mass, the L1 distance of the two diagrams' embedding vectors (see
-embedding.py), formed exactly in Python ints and rounded once.
+tree. The embedding distance is the sum over levels of side * residual: the
+cell side side(k) = root_side * 2**(k - level_hi) times the pair's mass the
+walk leaves unmatched after level k. It is the L1 distance of the two
+diagrams' embedding vectors (see embedding.py), and also the matching's
+cost in the tree metric, since a unit matched at level e is residual on
+levels 0..e-1. The walk keeps each pair's residuals, so the sum is formed
+exactly in Python ints and rounded once.
 
 One private kernel, _walk, runs the level sweep for any number of diagram
 pairs at once: their points are stacked pair by pair and grouped by (pair,
 cell), so each level costs a fixed number of array operations however many
 pairs it carries. It returns what it matched at each level, the pairs it
-sends to the diagonal by row, not by cell; greedy_match, the one caller
-that lists pairs, sorts them once afterwards. PlacedDiagrams.flowtree_row
-and PlacedDiagrams.embedding_row walk one diagram against many, in the
-batches of one helper, _walks. flowtree_row sums each pair's costs with
-math.fsum, which gives the same value in any order, so it returns
-greedy_match's costs bit for bit. The evaluation harness reads every tree
-distance from these rows, and dist its embedding distance; greedy_match
-serves matchings (dist's flowtree distance, .match files). Every flowtree
-cost is taken under the tree's ground metric.
+sends to the diagonal by row, not by cell, and each pair's residual after
+every level; greedy_match, the one caller that lists pairs, sorts them once
+afterwards. PlacedDiagrams.flowtree_row and PlacedDiagrams.embedding_row
+walk one diagram against many, in the batches of one helper, _walks.
+flowtree_row sums each pair's costs with math.fsum, which gives the same
+value in any order, so it returns greedy_match's costs bit for bit;
+embedding_row reads each pair's residuals. The evaluation harness reads
+every tree distance from these rows, and dist its embedding distance;
+greedy_match serves matchings (dist's flowtree distance, .match files).
+Every flowtree cost is taken under the tree's ground metric.
 
 Placement. PlacedDiagrams places every point of its diagrams once
 (ShiftedQuadtree.place: the finest cell, whose ancestor k levels up is the
@@ -40,7 +40,8 @@ index shifted right by k, and the first terminal level), so a walk computes
 no cell formula. Before the sweep it also gives each row its meet level,
 the first level at which the row's cell holds any point of the other
 diagram of its pair, from the Morton order of the finest cells (see
-PlacedDiagrams._meet_levels). At each level the walk then
+PlacedDiagrams._meet_levels). At each level the walk then, picking rows by
+mask in row order,
 - sends to the diagonal the live rows whose terminal level it is;
 - sorts by (pair, cell) only the live rows at or past their meet level.
 
@@ -56,6 +57,7 @@ diagram; the cross walk would leave their mass unchanged.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -94,8 +96,10 @@ class AugmentedMatching:
     `mass`, `level` and `distance` (per unit of mass) complete each pair.
     `pairs` builds the MatchPair list from them on first access.
 
-    level_residuals[i] = (level, unmatched mass remaining after that level's
-    cells were processed).
+    level_residuals[k] = (level k, unmatched mass remaining after that
+    level's cells were processed): this pair's column of the walk's
+    residual array. The sum of side * residual over them is the embedding
+    distance.
     """
 
     # no mass survives the root, which meets the diagonal; read by
@@ -241,9 +245,13 @@ class PlacedDiagrams:
         2**(54 - tree.num_levels) pairs, for _walk's packed cell keys, and,
         unless it is a single pair, less than 2**63 multiplicity in all, so
         that its int64 cumulative masses cannot wrap (a single pair's wrapped
-        differences cancel). Raises IndexError unless i and every j lie in
-        range(len(self))."""
-        js = np.asarray(js, dtype=np.int64).reshape(-1)
+        differences cancel). Raises TypeError unless i and every j are
+        integers, and IndexError unless they lie in range(len(self))."""
+        i = operator.index(i)
+        js = np.asarray(js).reshape(-1)
+        if len(js) and js.dtype.kind not in "iu":
+            raise TypeError(f"diagram indices must be integers, got {js.dtype}")
+        js = js.astype(np.int64)
         inside = 0 <= i < len(self) and (len(js) == 0 or 0 <= js.min() <= js.max() < len(self))
         if not inside:
             raise IndexError(f"diagram indices must lie in range({len(self)})")
@@ -279,37 +287,17 @@ class PlacedDiagrams:
 
     def embedding_row(self, i: int, js: Sequence[int]) -> list[float]:
         """The embedding distance from diagram i to each diagram of js: the
-        tree-metric cost of the walk's matching (see the module docstring),
-        root_side * sum(units * mass * (2**e - 1)) / 2**level_hi over the
-        matched pairs, formed in Python ints and rounded once. Raises
-        IndexError unless i and every j lie in range(len(self))."""
-        levels = self.tree.num_levels
+        sum over levels k of side(k) * r_k, r_k being the pair's mass the
+        walk leaves unmatched after level k (see the module docstring),
+        formed as root_side * sum(r_k * 2**k) / 2**level_hi in Python ints
+        and rounded once. Raises TypeError unless i and every j are
+        integers, and IndexError unless they lie in range(len(self))."""
         p, q = float(self.tree.root_side).as_integer_ratio()
         scale = q << self.tree.level_hi
         costs: list[float] = []
-        for n, ((point, partner, pair, pair_mass, level), _) in self._walks(i, js):
-            cross = partner >= 0
-            # a unit stops counting at its pair's level
-            weight = np.where(cross, 2, 1) * ((1 << level) - 1)
-            # groups of one pair, level and kind (cross, diagonal of diagram
-            # i, diagonal of diagram j), so that each group's int64 mass sum
-            # is bounded by one diagram's total; with i among js, the pair
-            # (i, i) matches every unit at level 0, at weight 0
-            own = (self.start[i] <= point) & (point < self.start[i + 1])
-            kind = np.where(cross, 0, np.where(own, 1, 2))
-            key = (pair * levels + level) * 3 + kind
-            order = np.argsort(key)
-            key = key[order]
-            starts = np.flatnonzero(np.concatenate(([len(key) > 0], key[1:] != key[:-1])))
-            first = order[starts]
-            totals = [0] * n
-            for j, w, m in zip(
-                pair[first].tolist(),
-                weight[first].tolist(),
-                np.add.reduceat(pair_mass[order], starts).tolist(),
-            ):
-                totals[j] += w * m
-            costs.extend(p * total / scale for total in totals)
+        for _, (_, residual) in self._walks(i, js):
+            for column in residual.T.tolist():
+                costs.append(p * sum(r << k for k, r in enumerate(column)) / scale)
         return costs
 
     def _meet_levels(self, point: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -331,13 +319,6 @@ class PlacedDiagrams:
         return np.where(found, levels, MAX_LEVELS).min(axis=0, initial=MAX_LEVELS)
 
 
-def _by_level(values: np.ndarray, levels: int):
-    """Rows grouped by a per-row level index: rows[bounds[k]:bounds[k + 1]]
-    are those of value k, in row order."""
-    rows = np.argsort(values.astype(np.int8), kind="stable")
-    return rows, np.searchsorted(values[rows], np.arange(levels + 1))
-
-
 def _walk(placed: PlacedDiagrams, i: int, js: np.ndarray):
     """The greedy matchings of the pairs (diagram i, diagram j) for j in js,
     one pass per level.
@@ -352,8 +333,10 @@ def _walk(placed: PlacedDiagrams, i: int, js: np.ndarray):
     in the order the walk makes them: level by level, each level's diagonal
     pairs by row, then its cross pairs in walk order. point and partner
     index placed's points (partner -1 for a diagonal pair) and pair indexes
-    js. Also returns the unmatched mass after each level summed over the
-    pairs; it is 0 after the root, where every row is terminal.
+    js. Also returns the residuals, a (levels, len(js)) uint64 array: entry
+    [k, p] is pair p's mass left unmatched after level k, exact since one
+    pair holds less than 2**64. Every entry is 0 from the root on, where
+    every row is terminal.
     """
     tree = placed.tree
     levels = tree.num_levels
@@ -369,48 +352,41 @@ def _walk(placed: PlacedDiagrams, i: int, js: np.ndarray):
     # the tuple
     cell_x = (pair << (levels - 1)) + placed.ix[point]
     iy = placed.iy[point]
-    retiring, retire_at = _by_level(placed.terminal_level[point], levels)
-    meet = np.minimum(placed._meet_levels(point, np.where(from_first, js[pair], i)), levels)
-    entering, enter_at = _by_level(meet, levels)
-    active = np.zeros(0, np.int64)  # live rows past their meet level, in row order
-    # live mass is counted in Python ints from uint64 sums, which are exact:
-    # a batch holds less than 2**63 mass, or one pair of less than 2**64
-    live_mass = int(mass.sum(dtype=np.uint64))
+    terminal = placed.terminal_level[point]
+    meet = placed._meet_levels(point, np.where(from_first, js[pair], i))
+    # each pair's unmatched mass, below 2**64, so exact in uint64
+    live = np.array([placed.totals[i] + placed.totals[j] for j in js.tolist()], np.uint64)
+    residual = np.zeros((levels, len(js)), np.uint64)
     no_partner = np.full(len(mass), -1)
     # an empty first entry, for pairs of diagrams that hold no point
     pairs = [(no_partner[:0], no_partner[:0], mass[:0], 0)]
-    residuals: list[tuple[int, int]] = []
     for level in tree.levels():
-        if live_mass == 0:
-            residuals.append((level, 0))
-            continue
-        rows = retiring[retire_at[level] : retire_at[level + 1]]
-        rows = rows[mass[rows] > 0]
+        if not live.any():
+            break
+        rows = np.flatnonzero((terminal == level) & (mass > 0))
         sent = mass[rows]
         pairs.append((rows, no_partner[: len(rows)], sent, level))
         mass[rows] = 0
-        live_mass -= int(sent.sum(dtype=np.uint64))
-        entered = entering[enter_at[level] : enter_at[level + 1]]
-        if len(entered):
-            active = np.sort(np.concatenate((active, entered)))
-        active = active[mass[active] > 0]
-        if len(active):
+        np.subtract.at(live, pair[rows], sent.astype(np.uint64))
+        # the live rows at or past their meet level, in row order
+        rows = np.flatnonzero((meet <= level) & (mass > 0))
+        if len(rows):
             # sort by (pair, cell); within a cell first's points precede
             # second's, each side in lexicographic order
-            order, starts = group_rows(cell_x[active] >> level, iy[active] >> level)
-            rows = active[order]
+            order, starts = group_rows(cell_x[rows] >> level, iy[rows] >> level)
+            rows = rows[order]
             a, b, take, left = _cross_walk(mass[rows], starts, from_first[rows])
             pairs.append((rows[a], rows[b], take, level))
             mass[rows] = left
-            live_mass -= 2 * int(take.sum(dtype=np.uint64))
-        residuals.append((level, live_mass))
+            np.subtract.at(live, pair[rows[a]], 2 * take.astype(np.uint64))
+        residual[level] = live
 
     rows, partners, masses, levels_of = zip(*pairs)
     level = np.repeat(levels_of, [len(r) for r in rows])
     row, partner = np.concatenate(rows), np.concatenate(partners)
     partner = np.where(partner >= 0, point[partner], -1)
     matched = (point[row], partner, pair[row], np.concatenate(masses), level)
-    return matched, residuals
+    return matched, residual
 
 
 def _pair_distances(placed: PlacedDiagrams, point, partner) -> np.ndarray:
@@ -440,7 +416,7 @@ def greedy_match(
     level by point alone); then the cross pairs, in walk order.
     """
     placed = PlacedDiagrams(tree, (first, second))
-    (point, partner, _, pair_mass, level), residuals = _walk(placed, 0, np.array([1]))
+    (point, partner, _, pair_mass, level), residual = _walk(placed, 0, np.array([1]))
     # a stable sort: pairs with equal keys keep the order _walk made them in
     terminal = (partner < 0) & (level > 0)
     down = np.maximum(level - 1, 0)
@@ -465,7 +441,7 @@ def greedy_match(
         mass=pair_mass,
         level=level,
         distance=distance,
-        level_residuals=residuals,
+        level_residuals=list(zip(tree.levels(), residual[:, 0].tolist())),
     )
 
 
@@ -491,8 +467,8 @@ def multi_tree_estimate(
     and reduces the per-tree estimates by mean (math.fsum) or min. Both
     methods read one PlacedDiagrams of the pair: flowtree its flowtree_row
     (greedy_match's cost, bit for bit), embedding its embedding_row (the
-    same walk's exact tree-metric cost, rounded once). Returns the estimate
-    and one tree.meta() dict per seed. Two empty diagrams give (0.0, [])
+    same walk's exact sum of side * residual, rounded once). Returns the
+    estimate and one tree.meta() dict per seed. Two empty diagrams give (0.0, [])
     without building a tree. `dgmdist dist` prints exactly this result.
     """
     if not seeds:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dgmdist.flowtree
 from dgmdist import (
     GroundMetric,
     PersistenceDiagram,
@@ -26,6 +27,7 @@ from dgmdist.embedding import (
     read_vector,
     write_vector,
 )
+from dgmdist.quadtree import MAX_LEVELS
 
 import reference
 from helpers import cells_at, pair_tree, placed_levels, random_pair
@@ -227,8 +229,16 @@ class TestEmbeddingIndex:
                 placed.embedding_row(bad, [0])
             with pytest.raises(IndexError, match=r"range\(3\)"):
                 placed.embedding_row(0, [bad])
+        # a non-integral index is rejected, not truncated to a neighbour
+        with pytest.raises(TypeError):
+            placed.flowtree_row(0, [1.7])
+        with pytest.raises(TypeError):
+            placed.embedding_row(0, [2.9])
+        with pytest.raises(TypeError):
+            placed.flowtree_row(1.5, [2])
+        assert placed.flowtree_row(True, [2]) == placed.flowtree_row(1, [2])
 
-    def test_rows_equal_exact_residual_cost(self):
+    def test_rows_equal_exact_residual_cost(self, monkeypatch):
         # on criterion 3's instances a two-diagram row is the greedy
         # matching's sum of side * residual over the levels, rounded once
         for seed in range(200):
@@ -238,6 +248,35 @@ class TestEmbeddingIndex:
             exact = sum(Fraction(tree.side(level)) * r for level, r in residuals)
             row = PlacedDiagrams(tree, [first, second]).embedding_row(0, [1])
             assert row == [float(exact)], seed
+        # and so is every entry of a row over more pairs than one walk
+        # batch holds on a 48-level tree, the row's own diagram, repeats
+        # and an empty diagram among them
+        diagrams = [
+            gen_gaussian(12, seed=5),
+            gen_uniform(9, seed=6),
+            PersistenceDiagram(),
+            PersistenceDiagram([(0.0, 1e-200), (1.0, 3.0, 2)]),
+            gen_gaussian(7, seed=8),
+        ]
+        config = TreeConfig(seed=3, max_levels_cap=MAX_LEVELS)
+        tree = build_tree(union_coords(diagrams), config)
+        assert tree.num_levels == MAX_LEVELS
+        walks = []
+        walk = dgmdist.flowtree._walk
+
+        def counting(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(dgmdist.flowtree, "_walk", counting)
+        js = [0, 1, 2, 3, 4, 1, 3] * 10
+        row = PlacedDiagrams(tree, diagrams).embedding_row(0, js)
+        assert len(walks) > 1
+        expected = {}
+        for j in set(js):
+            residuals = greedy_match(tree, diagrams[0], diagrams[j]).level_residuals
+            expected[j] = float(sum(Fraction(tree.side(level)) * r for level, r in residuals))
+        assert row == [expected[j] for j in js]
 
     def test_no_diagrams(self):
         tree = build_tree([(0.0, 1.0)], TreeConfig(seed=0))

@@ -61,15 +61,20 @@ def test_bench_exact_report(tmp_path, scripts):
 
 
 def test_output_digests_listing(monkeypatch, capsys):
-    # one tiny set with every command: two runs print the same digests, one
-    # sha256 per output
+    # one tiny `gen` set with every command and one tiny written set: two
+    # runs print the same digests, one sha256 per output
     monkeypatch.syspath_prepend(str(SCRIPTS))
     import output_digests
 
     spec = {
-        "name": "tiny", "kind": "gaussian", "count": 4, "max_size": 12, "seed": 2, "tables": True
+        "name": "tiny", "kind": "gaussian", "count": 4, "max_size": 12, "seed": 2,
+        "tables": ("knn", "eval"),
     }
-    monkeypatch.setattr(output_digests, "SETS", (spec,))
+    written = {
+        "name": "written", "tables": ("knn",),
+        "diagrams": ([(0.0, 1.0, 2**62)], [], [(0.5, 2.0), (0.0, 1.0, 3)]),
+    }
+    monkeypatch.setattr(output_digests, "SETS", (spec, written))
     listings = []
     for _ in range(2):
         assert output_digests.main([]) == 0
@@ -79,5 +84,7 @@ def test_output_digests_listing(monkeypatch, capsys):
     assert all(len(line.split("  ")[0]) == 64 for line in listings[0])
     assert len(names) == len(set(names))
     for name in ("tiny/dist_0_1_l2_flowtree.json", "tiny/match_0_3_l1.match",
-                 "tiny/embed_linf", "tiny/knn_l2_embedding.csv", "tiny/eval_whole_dataset"):
+                 "tiny/embed_linf", "tiny/knn_l2_embedding.csv", "tiny/eval_whole_dataset",
+                 "written/dist_1_2_linf_embedding.json", "written/knn_l1_flowtree.csv"):
         assert name in names
+    assert not any(name.startswith("written/eval") for name in names)
