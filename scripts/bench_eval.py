@@ -1,0 +1,113 @@
+"""Cost of the evaluation harness on the eval-uniform shape: a `gen uniform`
+set of 20 diagrams of up to 150 points.
+
+Times, in process and after one untimed call, the median over the runs in
+milliseconds of
+- `error_suite` with methods embedding and flowtree under l2, 15 pairs, once
+  per tree policy (per_pair, whole_dataset);
+- the whole `eval_report` of `dgmdist eval --methods embedding,flowtree
+  --metrics l2 --n-pairs 15 --bench-sizes 100,200 --reps 3 --workers 1`,
+  written into a temporary directory.
+
+The set is written by the CLI's `gen` command at a fixed seed, and every
+call uses the seed given. The report also records the git commit, the
+processor count and the Python, numpy and scipy versions.
+
+Usage, from anywhere in the repository:
+
+    python3 scripts/bench_eval.py [--out BENCH_eval.json] [--runs 15]
+        [--count 20] [--max-size 150] [--pairs 15] [--bench-sizes 100,200]
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "scripts"))
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+from bench_knn import git, median_ms  # noqa: E402
+from dgmdist import GroundMetric, error_suite, eval_report, load_diagram  # noqa: E402
+from dgmdist.cli import main as cli  # noqa: E402
+
+METHODS = ["embedding", "flowtree"]
+METRICS = [GroundMetric.L2]
+POLICIES = ("per_pair", "whole_dataset")
+
+
+def dataset(directory: Path, count: int, max_size: int, seed: int):
+    """The diagrams `dgmdist gen --kind uniform` writes, in file order."""
+    with redirect_stdout(io.StringIO()):
+        code = cli(["gen", "--kind", "uniform", "--count", str(count), "--max-size",
+                    str(max_size), "--seed", str(seed), "--out", str(directory)])
+    if code != 0:
+        raise SystemExit(f"gen exited with {code}")
+    return [load_diagram(path) for path in sorted(directory.glob("dgm_*.txt"))]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default="BENCH_eval.json", help="report path")
+    parser.add_argument("--runs", type=int, default=15, help="timed runs per entry")
+    parser.add_argument("--count", type=int, default=20, help="diagrams in the set")
+    parser.add_argument("--max-size", type=int, default=150, help="largest diagram size")
+    parser.add_argument("--pairs", type=int, default=15, help="error-suite pairs")
+    parser.add_argument("--bench-sizes", default="100,200", help="eval's runtime table sizes")
+    parser.add_argument("--seed", type=int, default=5, help="set and evaluation seed")
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be >= 1")
+    sizes = [int(s) for s in args.bench_sizes.split(",")]
+
+    timings = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        data = dataset(Path(tmp) / "data", args.count, args.max_size, args.seed)
+        for policy in POLICIES:
+            timings[f"error_suite_{policy}_ms"] = median_ms(
+                lambda: error_suite(
+                    data, METHODS, METRICS, args.seed, args.pairs, tree_policy=policy
+                ),
+                args.runs,
+            )
+        out = Path(tmp) / "report"
+        out.mkdir()
+        timings["eval_report_ms"] = median_ms(
+            lambda: eval_report(
+                data, out, METHODS, METRICS, args.seed, args.pairs, "per_pair",
+                sizes, 3, 1,
+            ),
+            args.runs,
+        )
+    print(json.dumps(timings), file=sys.stderr)
+
+    status = git("status", "--porcelain", "--untracked-files=no")
+    report = {
+        "benchmark": f"error_suite and eval_report on gen uniform {args.count} x "
+        f"<= {args.max_size} (seed {args.seed}), methods embedding,flowtree, "
+        f"ground metric l2, {args.pairs} pairs, workers 1",
+        "statistic": f"median of {args.runs} runs after one untimed call, ms",
+        "git_sha": git("rev-parse", "HEAD"),
+        "git_dirty": bool(status) if status is not None else None,
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "timings": timings,
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

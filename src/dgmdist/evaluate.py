@@ -1,24 +1,29 @@
 """Evaluation harness: relative-error suites, recall@m, rank scatter, runtime.
 
-Distances take one path: _rows gives every query's distances to its
-candidates by a method, for knn_distances, the error suite and the runtime
-table alike (the latter two as one query and one candidate), and _tree is the
-one rule for the tree the tree methods share. Both tree methods place
-queries and candidates together once (PlacedDiagrams) and read each query's
-row from the same flowtree walk: flowtree_row costs its matching in the
-ground metric, embedding_row sums side * residual, each pair's mass left
+The tree methods read their distances from flowtree walks of many pairs at
+once (PlacedDiagrams.distances): flowtree costs each pair's matching in the
+ground metric, embedding sums side * residual, the pair's mass left
 unmatched after every level. So an embedding distance here is the exactly
-rounded value that multi_tree_estimate gives on the same tree.
-The error suite's exact method reuses its pair's ground truth.
+rounded value that multi_tree_estimate gives on the same tree. _tree is the
+one rule for the tree the tree methods share.
+- _rows gives every query's distances to its candidates by each method, for
+  knn_distances, eval_report's recall and ranking tables and the runtime
+  table (one query, one candidate). Its tree methods place queries and
+  candidates once and walk all query-candidate pairs together.
+- error_suite solves the exact ground truth of its sampled pairs first, then
+  walks all kept pairs together, one PlacedDiagrams.distances call per
+  metric, each pair on its own tree or on the shared one. Its exact method
+  reuses the truth.
 recall_at_m and ranking_table compute nothing themselves; they only reduce
 knn_distances rows, so the exact ground truth of a query set is solved once
 and shared by every method. eval_report writes every table of `dgmdist
 eval`.
 
 All aggregates are pure functions of (dataset, seed); reruns with identical
-seeds reproduce CSV bodies byte-for-byte apart from timing columns. Pairs and
-queries can be evaluated concurrently with a configurable worker count;
-aggregation is order-independent.
+seeds reproduce CSV bodies byte-for-byte apart from timing columns. `workers`
+runs the exact oracle on that many processes, one pair or query per job; a
+knn call with more than one worker also walks each query on its own, on the
+same processes. Aggregation is order-independent.
 """
 
 from __future__ import annotations
@@ -148,75 +153,65 @@ def _exact_row(
 def _rows(
     queries: Sequence[PersistenceDiagram],
     candidates: Sequence[PersistenceDiagram],
-    method: str,
+    methods: Sequence[str],
     metric: GroundMetric,
     tree: ShiftedQuadtree | None,
     workers: int = 1,
-) -> list[list[float] | None]:
-    """One row of distances to every candidate per query, by method.
+) -> dict[str, list[list[float] | None]]:
+    """Each method's rows, one row of distances to every candidate per query.
 
     tree is _tree's tree over queries and candidates; with None the tree
     methods give 0.0 rows, as no diagram holds a point. An exact row is None
-    when the oracle cap was exceeded. Rows are computed on up to `workers`
-    processes, one query per job.
+    when the oracle cap was exceeded. Exact rows are solved on up to
+    `workers` processes, one query per job. The tree methods place queries
+    and candidates together once and read every row from one
+    PlacedDiagrams.distances call over all query-candidate pairs; with more
+    than one worker, from one call per query, on up to `workers` processes.
     """
-    if method == "exact":
+    rows: dict[str, list[list[float] | None]] = {}
+    if "exact" in methods:
         row = partial(_exact_row, candidates=tuple(candidates), metric=metric)
-        return _run_jobs(row, list(queries), workers)
+        rows["exact"] = _run_jobs(row, list(queries), workers)
+    tree_methods = tuple(m for m in TREE_METHODS if m in methods)
+    if not tree_methods:
+        return rows
     if tree is None:
-        return [[0.0] * len(candidates) for _ in queries]
-    diagrams = [*queries, *candidates]
-    placed = PlacedDiagrams(tree, diagrams)
-    row = placed.embedding_row if method == "embedding" else placed.flowtree_row
-    js = range(len(queries), len(diagrams))
-    return _run_jobs(partial(row, js=js), list(range(len(queries))), workers)
-
-
-def _error_pair_job(
-    job,
-    methods: tuple[str, ...],
-    metrics: tuple[GroundMetric, ...],
-    shared_trees: dict | None,
-):
-    """Evaluate one sampled pair; returns rows, or None if the oracle cap bit."""
-    pair_index, left, right, a, b, tree_seed = job
-    rows: list[PairErrorRow] = []
-    for metric in metrics:
-        try:
-            d_true = exact_distance(a, b, metric)
-        except SizeCapError:
-            return None
-        if d_true == 0.0:
-            log.warning(
-                "pair (%d, %d) has zero true distance under %s; "
-                "relative error undefined, excluded",
-                left,
-                right,
-                metric.value,
-            )
-            continue
-        if shared_trees is None:
-            tree = _tree(methods, (a, b), tree_seed, metric)
-        else:
-            tree = shared_trees[metric]
-        for method in methods:
-            if method == "exact":
-                d_approx = d_true
-            else:
-                d_approx = _rows((a,), (b,), method, metric, tree)[0][0]
-            rows.append(
-                PairErrorRow(
-                    pair_index=pair_index,
-                    left=left,
-                    right=right,
-                    method=method,
-                    ground_metric=metric.value,
-                    d_true=d_true,
-                    d_approx=d_approx,
-                    rel_error=relative_error(d_true, d_approx),
-                )
-            )
+        rows.update((m, [[0.0] * len(candidates) for _ in queries]) for m in tree_methods)
+        return rows
+    placed = PlacedDiagrams(tree, [*queries, *candidates])
+    n = len(queries)
+    jobs = [range(n)] if workers <= 1 else [range(q, q + 1) for q in range(n)]
+    walk = partial(
+        _query_rows, placed=placed, candidates=range(n, len(placed)), methods=tree_methods
+    )
+    parts = _run_jobs(walk, jobs, workers)
+    rows.update((m, [row for part in parts for row in part[m]]) for m in tree_methods)
     return rows
+
+
+def _query_rows(
+    queries: range, placed: PlacedDiagrams, candidates: range, methods: tuple[str, ...]
+) -> dict[str, list[list[float]]]:
+    """Rows of each tree method's distances from each of placed's diagrams
+    in queries to all of its diagrams in candidates, from one
+    PlacedDiagrams.distances call."""
+    m = len(candidates)
+    flat = placed.distances(np.repeat(queries, m), np.tile(candidates, len(queries)), methods)
+    return {
+        method: [values[k : k + m] for k in range(0, len(values), m)]
+        for method, values in flat.items()
+    }
+
+
+def _pair_truths(
+    pair: tuple[PersistenceDiagram, PersistenceDiagram], metrics: tuple[GroundMetric, ...]
+) -> list[float] | None:
+    """Exact distances of one sampled pair under each metric, or None if the
+    oracle cap bit."""
+    try:
+        return [exact_distance(*pair, metric) for metric in metrics]
+    except SizeCapError:
+        return None
 
 
 def error_suite(
@@ -234,6 +229,13 @@ def error_suite(
     solver, and aggregates mean/std of the relative error per (method,
     metric). tree_policy chooses between one fresh tree per pair
     ("per_pair") and one tree over the whole dataset ("whole_dataset").
+
+    The ground truths are solved first, on up to `workers` processes, one
+    pair per job. A pair over the oracle cap is skipped; a pair and metric
+    with zero truth are excluded, as the relative error is undefined. The
+    kept pairs are then walked together, one PlacedDiagrams.distances call
+    per metric, each pair on its tree, and both tree methods are read from
+    the same walks.
     """
     if len(dataset) < 2:
         raise ValueError("dataset must contain at least two diagrams")
@@ -250,27 +252,73 @@ def error_suite(
         }
 
     rng = np.random.default_rng(seed)
-    jobs = []
+    sampled = []
     for k in range(n_pairs):
         i, j = rng.choice(len(dataset), size=2, replace=False)
         tree_seed = int(rng.integers(0, 2**31 - 1))
-        jobs.append((k, int(i), int(j), dataset[i], dataset[j], tree_seed))
+        sampled.append((k, int(i), int(j), tree_seed))
 
-    fn = partial(
-        _error_pair_job,
-        methods=tuple(methods),
-        metrics=tuple(metrics),
-        shared_trees=shared_trees,
+    truths = _run_jobs(
+        partial(_pair_truths, metrics=tuple(metrics)),
+        [(dataset[i], dataset[j]) for _, i, j, _ in sampled],
+        workers,
     )
-    results = _run_jobs(fn, jobs, workers)
+
+    # the kept (pair, metric) jobs in row order, and the tree of each
+    kept, trees = [], []
+    for (k, i, j, tree_seed), pair_truths in zip(sampled, truths):
+        if pair_truths is None:
+            continue
+        for metric, d_true in zip(metrics, pair_truths):
+            if d_true == 0.0:
+                log.warning(
+                    "pair (%d, %d) has zero true distance under %s; "
+                    "relative error undefined, excluded",
+                    i,
+                    j,
+                    metric.value,
+                )
+                continue
+            if shared_trees is None:
+                tree = _tree(methods, (dataset[i], dataset[j]), tree_seed, metric)
+            else:
+                tree = shared_trees[metric]
+            kept.append((k, i, j, metric, d_true))
+            trees.append(tree)
+
+    # one distances call per metric over its kept jobs, job p's diagrams
+    # being diagrams 2p and 2p + 1 of the placement
+    approx: dict[tuple[int, str], float] = {}
+    tree_methods = [m for m in TREE_METHODS if m in methods]
+    for metric in metrics:
+        positions = [p for p, job in enumerate(kept) if job[3] is metric]
+        if not positions or not tree_methods:
+            continue
+        placed = PlacedDiagrams(
+            [trees[p] for p in positions for _ in "ab"],
+            [dataset[side] for p in positions for side in kept[p][1:3]],
+        )
+        pairs = 2 * np.arange(len(positions))
+        for method, values in placed.distances(pairs, pairs + 1, tree_methods).items():
+            approx.update(((p, method), value) for p, value in zip(positions, values))
 
     rows: list[PairErrorRow] = []
-    skipped = 0
-    for result in results:
-        if result is None:
-            skipped += 1
-        else:
-            rows.extend(result)
+    for p, (k, i, j, metric, d_true) in enumerate(kept):
+        for method in methods:
+            d_approx = d_true if method == "exact" else approx[p, method]
+            rows.append(
+                PairErrorRow(
+                    pair_index=k,
+                    left=i,
+                    right=j,
+                    method=method,
+                    ground_metric=metric.value,
+                    d_true=d_true,
+                    d_approx=d_approx,
+                    rel_error=relative_error(d_true, d_approx),
+                )
+            )
+    skipped = sum(t is None for t in truths)
 
     stats: list[ErrorStats] = []
     for method in methods:
@@ -319,9 +367,10 @@ def knn_distances(
     because the oracle cap was exceeded.
 
     Tree methods share one tree over queries and candidates, place all of
-    them once (PlacedDiagrams) and walk each query against all candidates
-    together, the embedding method costing each walk in the tree metric
-    (exact, rounded once) and the flowtree method in the ground metric.
+    them once (PlacedDiagrams) and walk all query-candidate pairs together
+    (with more than one worker, each query's pairs on their own), the
+    embedding method costing the matchings in the tree metric (exact,
+    rounded once) and the flowtree method in the ground metric.
     When no diagram holds a point, the tree methods return 0.0 rows without
     building a tree.
     """
@@ -329,7 +378,7 @@ def knn_distances(
         raise ValueError("candidates must be non-empty")
     _check_methods([method])
     tree = _tree([method], [*queries, *candidates], seed, metric)
-    return _rows(queries, candidates, method, metric, tree, workers)
+    return _rows(queries, candidates, [method], metric, tree, workers)[method]
 
 
 def recall_at_m(
@@ -406,7 +455,7 @@ def runtime_bench(
             times = []
             for _ in range(reps):
                 t0 = time.perf_counter()
-                (row,) = _rows((first,), (second,), method, metric, tree)
+                (row,) = _rows((first,), (second,), [method], metric, tree)[method]
                 times.append(time.perf_counter() - t0)
             if row is None:  # capped: raise the oracle's own SizeCapError
                 exact_distance(first, second, metric)
@@ -476,12 +525,13 @@ def eval_report(
 
     primary_metric = metrics[0]
     true_rows = knn_distances(queries, candidates, "exact", primary_metric, workers=workers)
-    rows_by_method = {"exact": true_rows}
-    for method in methods:
-        if method not in rows_by_method:
-            rows_by_method[method] = knn_distances(
-                queries, candidates, method, primary_metric, seed=seed, workers=workers
-            )
+    # knn_distances' tree for seed: both tree methods read the same walks
+    tree_methods = [m for m in methods if m in TREE_METHODS]
+    tree = _tree(tree_methods, [*queries, *candidates], seed, primary_metric)
+    rows_by_method = {
+        "exact": true_rows,
+        **_rows(queries, candidates, tree_methods, primary_metric, tree, workers),
+    }
 
     columns = ["method", "ground_metric", "m", "recall"]
     recall_rows = []

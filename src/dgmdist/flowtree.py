@@ -19,34 +19,37 @@ cost in the tree metric, since a unit matched at level e is residual on
 levels 0..e-1. The walk keeps each pair's residuals, so the sum is formed
 exactly in Python ints and rounded once.
 
-One private kernel, _walk, runs the level sweep for any number of diagram
-pairs at once: their points are stacked pair by pair and grouped by (pair,
-cell), so each level costs a fixed number of array operations however many
-pairs it carries. It returns what it matched at each level, the pairs it
-sends to the diagonal by row, not by cell, and each pair's residual after
-every level; greedy_match, the one caller that lists pairs, sorts them once
-afterwards. PlacedDiagrams.flowtree_row and PlacedDiagrams.embedding_row
-walk one diagram against many, in the batches of one helper, _walks.
-flowtree_row sums each pair's costs with math.fsum, which gives the same
-value in any order, so it returns greedy_match's costs bit for bit;
-embedding_row reads each pair's residuals. The evaluation harness reads
-every tree distance from these rows, and dist its embedding distance;
-greedy_match serves matchings (dist's flowtree distance, .match files).
-Every flowtree cost is taken under the tree's ground metric.
+One private kernel, _walk, runs the level sweep for any number of jobs at
+once, a job being a pair of diagrams on one tree, and the jobs of one sweep
+may lie on different trees: their points are stacked job by job and grouped
+by (job, cell), so each level costs a fixed number of array operations
+however many jobs it carries, and a job on a shallower tree is done at its
+own root. It returns what it matched at each level, the pairs it sends to
+the diagonal by row, not by cell, and each job's residual after every level;
+greedy_match, the one caller that lists pairs, walks one job and sorts its
+pairs once afterwards. PlacedDiagrams.distances reads both costs of any list
+of jobs from the same sweeps, in batches that keep _walk's keys and masses
+exact and its memory bounded: the flowtree cost is one math.fsum over the
+job's own pairs, which gives the same value in any order, so greedy_match's
+cost bit for bit; the embedding cost reads the job's residuals with its own
+tree's side. flowtree_row and embedding_row are one diagram against many on
+one tree, multi_tree_estimate (dist) is one job per tree, and the evaluation
+harness reads every tree distance of a call from one distances call. Every
+flowtree cost is taken under the trees' one ground metric.
 
-Placement. PlacedDiagrams places every point of its diagrams once
-(ShiftedQuadtree.place: the finest cell, whose ancestor k levels up is the
-index shifted right by k, and the first terminal level), so a walk computes
-no cell formula. Before the sweep it also gives each row its meet level,
-the first level at which the row's cell holds any point of the other
-diagram of its pair, from the Morton order of the finest cells (see
-PlacedDiagrams._meet_levels). At each level the walk then, picking rows by
-mask in row order,
+Placement. PlacedDiagrams places every point of its diagrams once, each
+diagram on its tree (ShiftedQuadtree.place: the finest cell, whose
+ancestor k levels up is the index shifted right by k, and the first
+terminal level), so a walk computes no cell formula. Before the sweep it
+also gives each row its meet level, the first level at which the row's cell
+holds any point of the other diagram of its job, from the Morton order of
+the finest cells (see PlacedDiagrams._meet_levels). At each level the walk
+then, picking rows by mask in row order,
 - sends to the diagonal the live rows whose terminal level it is;
-- sorts by (pair, cell) only the live rows at or past their meet level.
+- sorts by (job, cell) only the live rows at or past their meet level.
 
 This changes no matching. Cross pairs form only in a cell that holds live
-rows of both diagrams of a pair. Every live row of such a cell is at or
+rows of both diagrams of a job. Every live row of such a cell is at or
 past its meet level, since the cell holds a point of the other diagram. So
 each such cell is in the sort whole, with its rows in the same relative
 order, and the cross walk pairs them as it would in a sort of all live
@@ -72,6 +75,10 @@ from .quadtree import MAX_LEVELS, ShiftedQuadtree, TreeConfig, tree_geometry, un
 KIND_CROSS = "cross"
 KIND_P_TO_DIAGONAL = "p_to_diagonal"
 KIND_Q_TO_DIAGONAL = "q_to_diagonal"
+
+# rows one walk takes, unless a single job holds more: a walk keeps about a
+# hundred bytes per row, and more rows amortize its per-level costs no further
+_BATCH_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -201,19 +208,42 @@ def _spread(v: np.ndarray) -> np.ndarray:
 
 
 class PlacedDiagrams:
-    """Diagrams placed once on one tree (built over a superset of their
-    points), for flowtree walks between any two of them.
+    """Diagrams placed once, each on its tree, for flowtree walks between any
+    two diagrams on one tree.
+
+    tree is one ShiftedQuadtree for every diagram, or a sequence of one tree
+    per diagram, the same object for diagrams that share a tree; each tree
+    is built over a superset of its diagrams' points, and all of them share
+    one ground metric. trees lists the distinct trees in order of first use
+    and tree_of[d] is diagram d's.
 
     Holds the diagrams' stacked coords and multiplicities, diagram d's
     points at start[d]:start[d + 1] and its total multiplicity totals[d], a
-    Python int; tree.place of them; each point's rank
-    in the Morton (Z-) order of its finest cell; and every diagram's points
-    in that order as the sorted keys code_key = owner * n + rank, owner
-    being the diagram of a point and by_code the point behind each key.
+    Python int; ShiftedQuadtree.place of them, each point on its diagram's
+    tree; each point's rank in the Morton (Z-) order of its finest cell,
+    which orders the points of any one tree as their codes; and every
+    diagram's points in that order as the sorted keys code_key = owner * n
+    + rank, owner being the diagram of a point and by_code the point behind
+    each key.
     """
 
-    def __init__(self, tree: ShiftedQuadtree, diagrams: Sequence[PersistenceDiagram]):
-        self.tree = tree
+    def __init__(
+        self,
+        tree: ShiftedQuadtree | Sequence[ShiftedQuadtree],
+        diagrams: Sequence[PersistenceDiagram],
+    ):
+        trees = [tree] * len(diagrams) if isinstance(tree, ShiftedQuadtree) else list(tree)
+        if len(trees) != len(diagrams):
+            raise ValueError("give one tree per diagram")
+        index: dict[int, int] = {}
+        tree_of = [index.setdefault(id(t), len(index)) for t in trees]
+        self.tree_of = np.array(tree_of, np.int64)
+        self.trees = list({id(t): t for t in trees}.values())
+        if len({t.ground_metric for t in self.trees}) > 1:
+            raise ValueError("the trees must share one ground metric")
+        # the deepest tree's levels: every walk runs them, a job on a
+        # shallower tree retiring at its own root
+        self.levels = max((t.num_levels for t in self.trees), default=1)
         self.coords = union_coords(diagrams)
         self.mass = np.concatenate(
             [d.multiplicities() for d in diagrams] + [np.zeros(0, np.int64)]
@@ -221,14 +251,21 @@ class PlacedDiagrams:
         sizes = [len(d) for d in diagrams]
         self.totals = [d.total_count for d in diagrams]
         self.start = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
-        self.ix, self.iy, self.terminal_level = tree.place(self.coords)
+        # each run of consecutive diagrams on one tree is placed at once
+        n = len(self.mass)
+        self.ix, self.iy, self.terminal_level = (np.empty(n, np.int64) for _ in range(3))
+        last = len(trees)
+        ends = [d for d in range(1, last + 1) if d == last or tree_of[d] != tree_of[d - 1]]
+        for lo, hi in zip([0, *ends], ends):
+            rows = slice(self.start[lo], self.start[hi])
+            cells = self.trees[tree_of[lo]].place(self.coords[rows])
+            self.ix[rows], self.iy[rows], self.terminal_level[rows] = cells
         # cell indices are below 2**level_hi <= 2**47: their
         # Morton codes rank through one 48-bit word per 24 bits of index,
         # the high bits first
         low = (1 << 24) - 1
-        shifts = range(24 * (max(tree.level_hi - 1, 0) // 24), -1, -24)
+        shifts = range(24 * (max(self.levels - 2, 0) // 24), -1, -24)
         parts = _spread(np.stack([(c >> s) & low for s in shifts for c in (self.ix, self.iy)]))
-        n = len(self.mass)
         self.rank = np.empty(n, np.int64)
         self.rank[np.lexsort(((parts[0::2] << 1) | parts[1::2])[::-1])] = np.arange(n)
         self.owner = np.repeat(np.arange(len(sizes)), sizes)
@@ -239,70 +276,115 @@ class PlacedDiagrams:
     def __len__(self) -> int:
         return len(self.start) - 1
 
-    def _walks(self, i: int, js: Sequence[int]):
-        """_walk of diagram i against each diagram of js, in batches:
-        yields each batch's length and its walk. A batch holds at most
-        2**(54 - tree.num_levels) pairs, for _walk's packed cell keys, and,
-        unless it is a single pair, less than 2**63 multiplicity in all, so
-        that its int64 cumulative masses cannot wrap (a single pair's wrapped
-        differences cancel). Raises TypeError unless i and every j are
-        integers, and IndexError unless they lie in range(len(self))."""
-        i = operator.index(i)
-        js = np.asarray(js).reshape(-1)
-        if len(js) and js.dtype.kind not in "iu":
-            raise TypeError(f"diagram indices must be integers, got {js.dtype}")
-        js = js.astype(np.int64)
-        inside = 0 <= i < len(self) and (len(js) == 0 or 0 <= js.min() <= js.max() < len(self))
-        if not inside:
+    def distances(
+        self, first, second, methods: Sequence[str] = ("flowtree", "embedding")
+    ) -> dict[str, list[float]]:
+        """The tree distances of the pairs (diagram first[p], diagram
+        second[p]), by each method, from walks of many pairs at once.
+
+        Each pair's flowtree distance is its matching's cost in the ground
+        metric, one math.fsum over its own pairs: flowtree_distance on its
+        tree, bit for bit. Its embedding distance is the sum over levels k
+        of side(k) * r_k, r_k being the pair's mass the walk leaves
+        unmatched after level k (see the module docstring), formed on its
+        tree as root_side * sum(r_k * 2**k) / 2**level_hi in Python ints
+        and rounded once. The pairs are walked in the batches of _batches,
+        and both costs are read from the same walk.
+
+        Raises TypeError unless every index is an integer, IndexError unless
+        it lies in range(len(self)), and ValueError if a pair's diagrams lie
+        on different trees or a method is not flowtree or embedding.
+        """
+        unknown = set(methods) - {"flowtree", "embedding"}
+        if unknown:
+            raise ValueError(f"unknown tree method {sorted(unknown)[0]!r}")
+        first, second = (np.asarray(a).reshape(-1) for a in (first, second))
+        if len(first) != len(second):
+            raise ValueError("first and second must hold one index per pair")
+        if len(first) and {first.dtype.kind, second.dtype.kind} - {"i", "u"}:
+            raise TypeError(f"diagram indices must be integers, got {first.dtype}, {second.dtype}")
+        first, second = first.astype(np.int64), second.astype(np.int64)
+        both = np.concatenate((first, second))
+        if len(both) and not 0 <= both.min() <= both.max() < len(self):
             raise IndexError(f"diagram indices must lie in range({len(self)})")
-        most = 1 << (54 - self.tree.num_levels)
-        batch: list[int] = []
-        mass = 0
-        for j in js.tolist():
-            pair_mass = self.totals[i] + self.totals[j]
-            if batch and (len(batch) == most or mass + pair_mass >= 1 << 63):
-                yield len(batch), _walk(self, i, np.array(batch))
-                batch, mass = [], 0
-            batch.append(j)
-            mass += pair_mass
-        if batch:
-            yield len(batch), _walk(self, i, np.array(batch))
+        if (self.tree_of[first] != self.tree_of[second]).any():
+            raise ValueError("the diagrams of a pair must share a tree")
+
+        costs: dict[str, list[float]] = {method: [] for method in methods}
+        scales = []
+        for tree in self.trees:
+            p, q = float(tree.root_side).as_integer_ratio()
+            scales.append((p, q << tree.level_hi))
+        for lo, hi in self._batches(first, second):
+            (point, partner, job, pair_mass, _), residual = _walk(
+                self, first[lo:hi], second[lo:hi]
+            )
+            if "flowtree" in costs:
+                products = pair_mass * _pair_distances(self, point, partner)
+                # the smallest unsigned type: a stable sort of it is a radix sort
+                owner = job.astype(np.min_scalar_type(hi - lo))
+                products = products[np.argsort(owner, kind="stable")].tolist()
+                ends = np.cumsum(np.bincount(owner, minlength=hi - lo)).tolist()
+                costs["flowtree"].extend(
+                    math.fsum(products[a:b]) for a, b in zip([0] + ends[:-1], ends)
+                )
+            if "embedding" in costs:
+                job_trees = self.tree_of[first[lo:hi]].tolist()
+                for t, column in zip(job_trees, residual.T.tolist()):
+                    p, scale = scales[t]
+                    costs["embedding"].append(
+                        p * sum(r << k for k, r in enumerate(column)) / scale
+                    )
+        return costs
 
     def flowtree_row(self, i: int, js: Sequence[int]) -> list[float]:
         """[flowtree_distance(tree, diagram i, diagram j) for j in js], bit
-        for bit: the pairs are walked together in _walks' batches, and each
-        cost is one math.fsum over its own pairs, as for a single pair.
-        Raises IndexError unless i and every j lie in range(len(self))."""
-        costs: list[float] = []
-        for n, ((point, partner, pair, pair_mass, _), _) in self._walks(i, js):
-            products = pair_mass * _pair_distances(self, point, partner)
-            # the smallest unsigned type: a stable sort of it is a radix sort
-            owner = pair.astype(np.min_scalar_type(n))
-            products = products[np.argsort(owner, kind="stable")].tolist()
-            ends = np.cumsum(np.bincount(owner, minlength=n)).tolist()
-            costs.extend(
-                math.fsum(products[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)
-            )
-        return costs
+        for bit: distances of the pairs (i, j). Raises TypeError unless i
+        and every j are integers, IndexError unless they lie in
+        range(len(self)), and ValueError unless they share i's tree."""
+        return self.distances(*self._row(i, js), ("flowtree",))["flowtree"]
 
     def embedding_row(self, i: int, js: Sequence[int]) -> list[float]:
-        """The embedding distance from diagram i to each diagram of js: the
-        sum over levels k of side(k) * r_k, r_k being the pair's mass the
-        walk leaves unmatched after level k (see the module docstring),
-        formed as root_side * sum(r_k * 2**k) / 2**level_hi in Python ints
-        and rounded once. Raises TypeError unless i and every j are
-        integers, and IndexError unless they lie in range(len(self))."""
-        p, q = float(self.tree.root_side).as_integer_ratio()
-        scale = q << self.tree.level_hi
-        costs: list[float] = []
-        for _, (_, residual) in self._walks(i, js):
-            for column in residual.T.tolist():
-                costs.append(p * sum(r << k for k, r in enumerate(column)) / scale)
-        return costs
+        """The embedding distance from diagram i to each diagram of js:
+        distances of the pairs (i, j). Raises as flowtree_row does."""
+        return self.distances(*self._row(i, js), ("embedding",))["embedding"]
+
+    def _row(self, i: int, js: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs (i, j) for j in js, as distances takes them."""
+        i = operator.index(i)
+        if not 0 <= i < len(self):
+            raise IndexError(f"diagram indices must lie in range({len(self)})")
+        js = np.asarray(js).reshape(-1)
+        return np.full(len(js), i), js
+
+    def _batches(self, first: np.ndarray, second: np.ndarray) -> list[tuple[int, int]]:
+        """The jobs (first[p], second[p]) cut into consecutive batches
+        [lo, hi) for _walk. A batch holds at most 2**(54 - levels) jobs, for
+        _walk's packed cell keys, and, unless it is a single job, less than
+        2**63 multiplicity, so that its int64 cumulative masses cannot wrap
+        (a single job's wrapped differences cancel), and at most _BATCH_ROWS
+        rows."""
+        start, most = self.start, 1 << (54 - self.levels)
+        rows = (start[first + 1] - start[first] + start[second + 1] - start[second]).tolist()
+        bounds, mass, size = [0], 0, 0
+        for k, (job_mass, job_rows) in enumerate(zip(self._pair_totals(first, second), rows)):
+            full = mass + job_mass >= 1 << 63 or size + job_rows > _BATCH_ROWS
+            if k > bounds[-1] and (full or k - bounds[-1] == most):
+                bounds.append(k)
+                mass = size = 0
+            mass += job_mass
+            size += job_rows
+        return list(zip(bounds, bounds[1:] + [len(first)])) if len(first) else []
+
+    def _pair_totals(self, first: np.ndarray, second: np.ndarray) -> list[int]:
+        """Each pair's total multiplicity, a Python int below 2**64."""
+        totals = self.totals
+        return [totals[a] + totals[b] for a, b in zip(first.tolist(), second.tolist())]
 
     def _meet_levels(self, point: np.ndarray, other: np.ndarray) -> np.ndarray:
         """How many levels above the finest the cell of each given point
-        first holds a point of diagram other[i]; MAX_LEVELS if none does.
+        first holds a point of diagram other[i], on the same tree; MAX_LEVELS
+        if none does.
 
         Two cells share their ancestor k levels up exactly when k is at
         least the bit length of (ix ^ ix') | (iy ^ iy'), half the length of
@@ -319,79 +401,79 @@ class PlacedDiagrams:
         return np.where(found, levels, MAX_LEVELS).min(axis=0, initial=MAX_LEVELS)
 
 
-def _walk(placed: PlacedDiagrams, i: int, js: np.ndarray):
-    """The greedy matchings of the pairs (diagram i, diagram j) for j in js,
-    one pass per level.
+def _walk(placed: PlacedDiagrams, first: np.ndarray, second: np.ndarray):
+    """The greedy matchings of the jobs (diagram first[p], diagram
+    second[p]), each on its diagrams' tree, one pass per level.
 
-    Rows stack the pairs' points pair-major: pair p's points of diagram i,
-    then those of diagram js[p], each side in lexicographic order, each with
-    its multiplicity as mass. js is one batch of PlacedDiagrams._walks.
-    Each pair is matched exactly as if walked alone: its points never share
-    a cell with another pair's.
+    Rows stack the jobs' points job-major: job p's points of diagram
+    first[p], then those of diagram second[p], each side in lexicographic
+    order, each with its multiplicity as mass. The jobs are one batch of
+    PlacedDiagrams.distances. Each job is matched exactly as if walked
+    alone: its points never share a cell with another job's, and a job on a
+    tree shallower than placed.levels is done at its own root.
 
-    Returns the matched pairs as (point, partner, pair, mass, level) arrays
+    Returns the matched pairs as (point, partner, job, mass, level) arrays
     in the order the walk makes them: level by level, each level's diagonal
     pairs by row, then its cross pairs in walk order. point and partner
-    index placed's points (partner -1 for a diagonal pair) and pair indexes
-    js. Also returns the residuals, a (levels, len(js)) uint64 array: entry
-    [k, p] is pair p's mass left unmatched after level k, exact since one
-    pair holds less than 2**64. Every entry is 0 from the root on, where
-    every row is terminal.
+    index placed's points (partner -1 for a diagonal pair) and job indexes
+    the batch. Also returns the residuals, a (placed.levels, jobs) uint64
+    array: entry [k, p] is job p's mass left unmatched after level k, exact
+    since one job holds less than 2**64. Every entry is 0 from the job's
+    root on, where every row is terminal.
     """
-    tree = placed.tree
-    levels = tree.num_levels
-    n_first = placed.start[i + 1] - placed.start[i]
-    sizes = n_first + placed.start[js + 1] - placed.start[js]
-    pair = np.repeat(np.arange(len(js)), sizes)
+    levels = placed.levels
+    start = placed.start
+    n_first = start[first + 1] - start[first]
+    sizes = n_first + start[second + 1] - start[second]
+    job = np.repeat(np.arange(len(first)), sizes)
     within = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    from_first = within < n_first
-    point = within + np.where(from_first, placed.start[i], placed.start[js][pair] - n_first)
+    from_first = within < n_first[job]
+    point = within + np.where(from_first, start[first][job], (start[second] - n_first)[job])
     mass = placed.mass[point]
-    # pair index above the x cell index: the packed (pair, x) key of a
-    # row's cell on level k is cell_x >> k, below 2**53 and ordered like
-    # the tuple
-    cell_x = (pair << (levels - 1)) + placed.ix[point]
+    # job index above the x cell index: the packed (job, x) key of a row's
+    # cell on level k is cell_x >> k, below 2**53 and ordered like the tuple
+    cell_x = (job << (levels - 1)) + placed.ix[point]
     iy = placed.iy[point]
     terminal = placed.terminal_level[point]
-    meet = placed._meet_levels(point, np.where(from_first, js[pair], i))
-    # each pair's unmatched mass, below 2**64, so exact in uint64
-    live = np.array([placed.totals[i] + placed.totals[j] for j in js.tolist()], np.uint64)
-    residual = np.zeros((levels, len(js)), np.uint64)
+    meet = placed._meet_levels(point, np.where(from_first, second[job], first[job]))
+    # each job's unmatched mass, below 2**64, so exact in uint64
+    live = np.array(placed._pair_totals(first, second), np.uint64)
+    residual = np.zeros((levels, len(first)), np.uint64)
     no_partner = np.full(len(mass), -1)
-    # an empty first entry, for pairs of diagrams that hold no point
+    # an empty first entry, for jobs of diagrams that hold no point
     pairs = [(no_partner[:0], no_partner[:0], mass[:0], 0)]
-    for level in tree.levels():
+    for level in range(levels):
         if not live.any():
             break
         rows = np.flatnonzero((terminal == level) & (mass > 0))
         sent = mass[rows]
         pairs.append((rows, no_partner[: len(rows)], sent, level))
         mass[rows] = 0
-        np.subtract.at(live, pair[rows], sent.astype(np.uint64))
+        np.subtract.at(live, job[rows], sent.astype(np.uint64))
         # the live rows at or past their meet level, in row order
         rows = np.flatnonzero((meet <= level) & (mass > 0))
         if len(rows):
-            # sort by (pair, cell); within a cell first's points precede
+            # sort by (job, cell); within a cell first's points precede
             # second's, each side in lexicographic order
             order, starts = group_rows(cell_x[rows] >> level, iy[rows] >> level)
             rows = rows[order]
             a, b, take, left = _cross_walk(mass[rows], starts, from_first[rows])
             pairs.append((rows[a], rows[b], take, level))
             mass[rows] = left
-            np.subtract.at(live, pair[rows[a]], 2 * take.astype(np.uint64))
+            np.subtract.at(live, job[rows[a]], 2 * take.astype(np.uint64))
         residual[level] = live
 
     rows, partners, masses, levels_of = zip(*pairs)
     level = np.repeat(levels_of, [len(r) for r in rows])
     row, partner = np.concatenate(rows), np.concatenate(partners)
     partner = np.where(partner >= 0, point[partner], -1)
-    matched = (point[row], partner, pair[row], np.concatenate(masses), level)
+    matched = (point[row], partner, job[row], np.concatenate(masses), level)
     return matched, residual
 
 
 def _pair_distances(placed: PlacedDiagrams, point, partner) -> np.ndarray:
-    """Per-unit distance of every matched pair under the tree's metric."""
-    coords, metric = placed.coords, placed.tree.ground_metric
+    """Per-unit distance of every matched pair under the trees' metric."""
+    coords, metric = placed.coords, placed.trees[0].ground_metric
     distance = metric.diagonal_distances(coords[point])
     cross = partner >= 0
     distance[cross] = metric.rowwise(coords[point[cross]], coords[partner[cross]])
@@ -407,8 +489,8 @@ def greedy_match(
     Deterministic given (tree, first, second); swapping the diagrams yields
     the mirrored pair multiset at identical cost. Runs in
     O((|first| + |second|) * levels) plus, per level, a sort of the points
-    that can still be cross-matched there; PlacedDiagrams.flowtree_row shares
-    each level's array operations among many pairs.
+    that can still be cross-matched there; PlacedDiagrams.distances shares
+    each level's array operations among many jobs.
 
     Pair order: level by level, finest first. Within level k come first the
     points sent to the diagonal at their terminal level, by their cell one
@@ -416,7 +498,7 @@ def greedy_match(
     level by point alone); then the cross pairs, in walk order.
     """
     placed = PlacedDiagrams(tree, (first, second))
-    (point, partner, _, pair_mass, level), residual = _walk(placed, 0, np.array([1]))
+    (point, partner, _, pair_mass, level), residual = _walk(placed, np.array([0]), np.array([1]))
     # a stable sort: pairs with equal keys keep the order _walk made them in
     terminal = (partner < 0) & (level > 0)
     down = np.maximum(level - 1, 0)
@@ -464,10 +546,11 @@ def multi_tree_estimate(
 
     Shifts one tree per seed over the union of both diagrams' points, whose
     seed-independent geometry is computed once, runs the tree method on each
-    and reduces the per-tree estimates by mean (math.fsum) or min. Both
-    methods read one PlacedDiagrams of the pair: flowtree its flowtree_row
-    (greedy_match's cost, bit for bit), embedding its embedding_row (the
-    same walk's exact sum of side * residual, rounded once). Returns the
+    and reduces the per-tree estimates by mean (math.fsum) or min. The pair
+    is placed on every tree and walked once per tree in one sweep
+    (PlacedDiagrams.distances): flowtree reads each tree's greedy_match
+    cost, bit for bit, embedding the same walk's exact sum of side *
+    residual, rounded once. Returns the
     estimate and one tree.meta() dict per seed. Two empty diagrams give (0.0, [])
     without building a tree. `dgmdist dist` prints exactly this result.
     """
@@ -480,14 +563,11 @@ def multi_tree_estimate(
     if first.total_count == 0 and second.total_count == 0:
         return 0.0, []
     geometry = tree_geometry(union_coords((first, second)), metric)
-    values = []
-    tree_meta = []
-    for seed in seeds:
-        tree = geometry.tree(TreeConfig(seed=seed, ground_metric=metric))
-        placed = PlacedDiagrams(tree, (first, second))
-        row = placed.flowtree_row if method == "flowtree" else placed.embedding_row
-        values.append(row(0, [1])[0])
-        tree_meta.append(tree.meta())
+    trees = [geometry.tree(TreeConfig(seed=seed, ground_metric=metric)) for seed in seeds]
+    placed = PlacedDiagrams([t for t in trees for _ in "ab"], [first, second] * len(trees))
+    pairs = 2 * np.arange(len(trees))
+    values = placed.distances(pairs, pairs + 1, (method,))[method]
+    tree_meta = [tree.meta() for tree in trees]
     if reduce == "mean":
         return math.fsum(values) / len(values), tree_meta
     return min(values), tree_meta

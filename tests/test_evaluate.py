@@ -94,6 +94,28 @@ class TestErrorSuite:
         )
         assert seq.rows == par.rows
 
+    @pytest.mark.parametrize("tree_policy", ["per_pair", "whole_dataset"])
+    def test_all_methods_match_across_workers(self, small_dataset, tree_policy):
+        # the truths on two processes, then one walk per metric: every row
+        # is the one sequential run gives; diagrams 0 and 3 are identical,
+        # so their pairs have zero truth and are excluded
+        dataset = [small_dataset[0], gen_gaussian(9, 1), gen_uniform(7, 5), small_dataset[0]]
+        methods = ["exact", "embedding", "flowtree"]
+        metrics = [L2, GroundMetric.L1]
+        runs = [
+            error_suite(
+                dataset, methods, metrics, seed=3, n_pairs=8,
+                tree_policy=tree_policy, workers=workers,
+            )
+            for workers in (1, 2)
+        ]
+        assert runs[0].rows == runs[1].rows and runs[0].stats == runs[1].stats
+        kept = {(r.left, r.right) for r in runs[0].rows}
+        assert runs[0].skipped_pairs == 0
+        assert len({r.pair_index for r in runs[0].rows}) < 8
+        assert (0, 3) not in kept and (3, 0) not in kept
+        assert len(runs[0].rows) % (len(methods) * len(metrics)) == 0
+
     def test_whole_dataset_policy(self, small_dataset):
         result = error_suite(
             small_dataset,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dgmdist.flowtree
 import dgmdist.quadtree
 import reference
 from dgmdist import (
@@ -483,6 +484,166 @@ class TestFlowtreeDistances:
         assert placed.embedding_row(0, range(1, len(candidates) + 1)) == [
             reference.embedding_cost(tree, query, c) for c in candidates
         ]
+
+
+@st.composite
+def stacked_jobs(draw):
+    """(trees, diagrams, jobs) for one stacked walk: every diagram placed on
+    every tree, and (tree, first, second) jobs among them.
+
+    The trees share a ground metric and span 2 to 48 levels: a 48-level tree
+    truncated by a near-diagonal anchor point, a 2-level tree and up to two
+    more of other seeds and caps, each built over a superset of the
+    diagrams' points. A diagram may be empty or carry one multiplicity near
+    2**62, so that large batches pass 2**63 mass; up to 70 jobs pass the 64
+    that one walk packs on a 48-level tree. Jobs repeat and swap pairs.
+    """
+    metric = draw(st.sampled_from(list(GroundMetric)))
+    offset = draw(st.sampled_from([0.0, -250.0, 3e4]))
+    raw = draw(
+        st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(1e-3, 1.0)), min_size=1, max_size=8)
+    )
+    pool = [(offset + b, offset + b + life) for b, life in raw]
+
+    def tree(points, cap):
+        seed = draw(st.integers(0, 2**32 - 1))
+        return build_tree(points, TreeConfig(seed=seed, max_levels_cap=cap, ground_metric=metric))
+
+    trees = [tree(pool + [(0.0, 1e-200)], MAX_LEVELS), tree(pool, 2)]
+    for _ in range(draw(st.integers(0, 2))):
+        trees.append(tree(pool, draw(st.sampled_from([3, 5, 12, 40]))))
+
+    def diagram():
+        picks = draw(
+            st.lists(st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 10)), max_size=6)
+        )
+        points = [(*pool[i], m) for i, m in picks]
+        if points and draw(st.booleans()):
+            points[0] = (*pool[picks[0][0]], draw(st.integers(2**61, 2**62)))
+        return PersistenceDiagram(points)
+
+    diagrams = [PersistenceDiagram()] + [diagram() for _ in range(draw(st.integers(1, 4)))]
+    job = st.tuples(
+        st.integers(0, len(trees) - 1),
+        st.integers(0, len(diagrams) - 1),
+        st.integers(0, len(diagrams) - 1),
+    )
+    jobs = draw(st.lists(job, min_size=1, max_size=70))
+    jobs += [(t, b, a) for t, a, b in jobs[:3]] + jobs[:2]
+    return trees, diagrams, jobs
+
+
+def stacked_walk(trees, diagrams, jobs):
+    """PlacedDiagrams.distances of the jobs, diagram d on tree t being
+    diagram t * len(diagrams) + d of one placement, with the residual column
+    of every job and the number of walks that made them."""
+    placed = PlacedDiagrams([t for t in trees for _ in diagrams], diagrams * len(trees))
+    first = [t * len(diagrams) + a for t, a, _ in jobs]
+    second = [t * len(diagrams) + b for t, _, b in jobs]
+    columns = []
+    walk = dgmdist.flowtree._walk
+
+    def recording(*args):
+        result = walk(*args)
+        columns.extend(result[1].T.tolist())
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dgmdist.flowtree, "_walk", recording)
+        costs = placed.distances(first, second)
+    return placed, costs, columns
+
+
+class TestStackedJobs:
+    """PlacedDiagrams.distances over jobs on different trees: each job is
+    walked exactly as greedy_match walks its pair on its own tree."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(stacked_jobs())
+    def test_every_job_equals_its_own_tree(self, case):
+        trees, diagrams, jobs = case
+        placed, costs, columns = stacked_walk(trees, diagrams, jobs)
+        assert placed.levels == MAX_LEVELS and len(columns) == len(jobs)
+        expected = {}
+        for p, job in enumerate(jobs):
+            if job not in expected:
+                tree, a, b = trees[job[0]], diagrams[job[1]], diagrams[job[2]]
+                expected[job] = (greedy_match(tree, a, b), reference.embedding_cost(tree, a, b))
+            matching, embedding = expected[job]
+            assert costs["flowtree"][p] == matching.cost
+            assert costs["embedding"][p] == embedding
+            residuals = [r for _, r in matching.level_residuals]
+            assert columns[p] == residuals + [0] * (MAX_LEVELS - len(residuals))
+
+    def test_limits_split_the_batch(self):
+        # 70 jobs on a 48-level and a 2-level tree: more than the 64 pairs
+        # one walk packs, and pairs near 2**62 + 2**62 mass each
+        heavy = PersistenceDiagram([(0.0, 2.0, 2**62), (1.0, 3.0)])
+        other = PersistenceDiagram([(0.5, 2.0, 2**62 - 5), (1.0, 4.0, 3)])
+        diagrams = [heavy, other, PersistenceDiagram(), gen_uniform(6, 2)]
+        points = union_coords(diagrams)
+        trees = [
+            build_tree([*points, (0.0, 1e-200)], TreeConfig(seed=1, max_levels_cap=MAX_LEVELS)),
+            build_tree(points, TreeConfig(seed=2, max_levels_cap=2)),
+        ]
+        assert trees[0].truncated and trees[1].num_levels == 2
+        jobs = [(k % 2, k % 4, (k // 2) % 4) for k in range(70)]
+        walks = []
+        walk = dgmdist.flowtree._walk
+
+        def counting(*args):
+            walks.append(len(args[1]))
+            return walk(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dgmdist.flowtree, "_walk", counting)
+            _, costs, _ = stacked_walk(trees, diagrams, jobs)
+        assert len(walks) > 2 and sum(walks) == len(jobs)
+        for p, (t, a, b) in enumerate(jobs):
+            assert costs["flowtree"][p] == greedy_match(trees[t], diagrams[a], diagrams[b]).cost
+            assert costs["embedding"][p] == reference.embedding_cost(
+                trees[t], diagrams[a], diagrams[b]
+            )
+
+    def test_row_budget_splits_the_batch(self):
+        # three jobs of about 2/3 of the row budget each: one walk per job;
+        # a job over the whole budget is walked alone
+        big = [gen_uniform(dgmdist.flowtree._BATCH_ROWS // 3, seed) for seed in (1, 2, 3)]
+        huge = gen_uniform(dgmdist.flowtree._BATCH_ROWS, 4)
+        diagrams = [*big, huge]
+        tree = build_tree(union_coords(diagrams), TreeConfig(seed=5))
+        placed = PlacedDiagrams(tree, diagrams)
+        walks = []
+        walk = dgmdist.flowtree._walk
+
+        def counting(*args):
+            walks.append(len(args[1]))
+            return walk(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dgmdist.flowtree, "_walk", counting)
+            row = placed.flowtree_row(0, [1, 2, 3, 0])
+        assert walks == [1, 1, 1, 1]
+        assert row == per_pair_costs(tree, big[0], [big[1], big[2], huge, big[0]])
+
+    def test_pairs_across_trees_rejected(self):
+        first, second = gen_uniform(8, 1), gen_uniform(8, 2)
+        points = union_coords((first, second))
+        trees = [build_tree(points, TreeConfig(seed=s)) for s in (1, 2)]
+        placed = PlacedDiagrams(trees, [first, second])
+        assert placed.trees == trees and placed.distances([0], [0]) == {
+            "flowtree": [0.0],
+            "embedding": [0.0],
+        }
+        with pytest.raises(ValueError, match="share a tree"):
+            placed.distances([0], [1])
+        with pytest.raises(ValueError, match="one tree per diagram"):
+            PlacedDiagrams(trees, [first])
+        with pytest.raises(ValueError, match="unknown tree method"):
+            placed.distances([0], [0], ("exact",))
+        l1 = build_tree(points, TreeConfig(seed=1, ground_metric=GroundMetric.L1))
+        with pytest.raises(ValueError, match="one ground metric"):
+            PlacedDiagrams([trees[0], l1], [first, second])
 
 
 class TestMultiTree:

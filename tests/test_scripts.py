@@ -60,6 +60,27 @@ def test_bench_exact_report(tmp_path, scripts):
     assert len(slope["runs"]) == 1 and slope["min"] == slope["median"] == slope["max"]
 
 
+def test_bench_eval_report(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench_eval
+
+    out = tmp_path / "eval.json"
+    bench_eval.main(
+        ["--out", str(out), "--runs", "1", "--count", "4", "--max-size", "12",
+         "--pairs", "3", "--bench-sizes", "10"]
+    )
+    report = json.loads(out.read_text())
+    assert {"benchmark", "statistic", "git_sha", "nproc", "python", "numpy", "scipy"} <= set(
+        report
+    )
+    assert set(report["timings"]) == {
+        "error_suite_per_pair_ms",
+        "error_suite_whole_dataset_ms",
+        "eval_report_ms",
+    }
+    assert all(ms > 0 for ms in report["timings"].values())
+
+
 def test_output_digests_listing(monkeypatch, capsys):
     # one tiny `gen` set with every command and one tiny written set: two
     # runs print the same digests, one sha256 per output
