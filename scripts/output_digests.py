@@ -10,7 +10,12 @@ tree hits the 40-level cap, an empty diagram). On each set it runs
 - `embed` of the whole set, all three metrics;
 - the set's tables: `knn` (both tree methods, all three metrics, the first
   two files as queries) and `eval` (exact, embedding and flowtree under l2
-  and l1, both tree policies).
+  and l1, both tree policies);
+- on a set that runs `eval`, the `--workers` twins: `knn --method exact`
+  under l2 at `--workers` 1 and 2, and at `--workers 2` the l2 `knn` of
+  both tree methods and the per_pair `eval` (output names ending `_w2`).
+  `--workers` spreads only the exact oracle, so each twin's digest equals
+  that of its `--workers 1` output.
 
 It prints one line per output, "<sha256>  <set>/<output>". `dist`'s
 `elapsed` and the runtime table's timing columns are dropped before hashing;
@@ -53,8 +58,9 @@ from dgmdist import (  # noqa: E402
 from dgmdist.cli import main as cli  # noqa: E402
 
 # a set is `gen` arguments or its diagrams' points; tables: the table
-# commands run on it (the exact oracle of eval would skip the large pair and
-# cannot take the int64-edge multiplicities)
+# commands run on it (the exact oracle, which eval and the `--workers` twins
+# run, would skip the large pair and cannot take the int64-edge
+# multiplicities)
 SETS = (
     {"name": "uniform-1", "kind": "uniform", "count": 20, "max_size": 120, "seed": 1,
      "tables": ("knn", "eval")},
@@ -156,23 +162,33 @@ def set_outputs(spec: dict, work: Path) -> list[Path]:
         target = queries if i < 2 else candidates
         target.mkdir(exist_ok=True)
         shutil.copy(path, target / path.name)
-    for metric in METRICS:
-        for method in TREE_METHODS:
-            out = work / f"knn_{metric}_{method}.csv"
-            run(["knn", "--queries", str(queries), "--candidates", str(candidates),
-                 "--method", method, "--metric", metric, "-k", "5", "--seed", "0",
-                 "--out", str(out)])
-            outputs.append(out)
-    if "eval" not in spec["tables"]:
-        return outputs
-    for policy in ("per_pair", "whole_dataset"):
-        out = work / f"eval_{policy}"
+
+    def knn(metric: str, method: str, workers: str = "1") -> Path:
+        suffix = "" if workers == "1" else f"_w{workers}"
+        out = work / f"knn_{metric}_{method}{suffix}.csv"
+        run(["knn", "--queries", str(queries), "--candidates", str(candidates),
+             "--method", method, "--metric", metric, "-k", "5", "--seed", "0",
+             "--workers", workers, "--out", str(out)])
+        return out
+
+    def evaluate(policy: str, workers: str = "1") -> Path:
+        suffix = "" if workers == "1" else f"_w{workers}"
+        out = work / f"eval_{policy}{suffix}"
         run(["eval", "--data", str(data), "--methods", "exact,embedding,flowtree",
              "--metrics", "l2,l1", "--out", str(out), "--seed", "0", "--n-pairs", "10",
-             "--tree-policy", policy, "--bench-sizes", "20", "--reps", "1"])
+             "--tree-policy", policy, "--bench-sizes", "20", "--reps", "1",
+             "--workers", workers])
         for table in ("runtime.csv", "runtime.json"):
             drop_timings(out / table)
-        outputs.append(out)
+        return out
+
+    outputs += [knn(metric, method) for metric in METRICS for method in TREE_METHODS]
+    if "eval" not in spec["tables"]:
+        return outputs
+    outputs += [evaluate(policy) for policy in ("per_pair", "whole_dataset")]
+    outputs += [knn("l2", "exact", workers) for workers in ("1", "2")]
+    outputs += [knn("l2", method, "2") for method in TREE_METHODS]
+    outputs.append(evaluate("per_pair", "2"))
     return outputs
 
 

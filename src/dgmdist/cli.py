@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_metric(p)
     p.add_argument("-k", type=int, default=5)
     add_seed(p)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="processes for the exact oracle")
     p.add_argument("--out", default=None, help="output CSV (default stdout)")
     p.set_defaults(func=cmd_knn)
 
@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree-policy", choices=["per_pair", "whole_dataset"], default="per_pair")
     p.add_argument("--bench-sizes", default="100,200", help="sizes for the runtime table")
     p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="processes for the exact oracle")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="runtime scaling table")

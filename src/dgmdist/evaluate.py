@@ -21,9 +21,9 @@ eval`.
 
 All aggregates are pure functions of (dataset, seed); reruns with identical
 seeds reproduce CSV bodies byte-for-byte apart from timing columns. `workers`
-runs the exact oracle on that many processes, one pair or query per job; a
-knn call with more than one worker also walks each query on its own, on the
-same processes. Aggregation is order-independent.
+runs the exact oracle on that many processes, one pair or query per job; the
+tree methods ignore it and walk in the calling process. Aggregation is
+order-independent.
 """
 
 from __future__ import annotations
@@ -35,10 +35,9 @@ import math
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
-from functools import partial
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -129,25 +128,24 @@ def _tree(
     return build_tree(points, TreeConfig(seed=seed, ground_metric=metric))
 
 
-def _run_jobs(fn: Callable, jobs: list, workers: int) -> list:
-    if workers <= 1:
-        return [fn(job) for job in jobs]
-    chunk = max(1, len(jobs) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs, chunksize=chunk))
-
-
-def _exact_row(
-    query: PersistenceDiagram,
-    candidates: Sequence[PersistenceDiagram],
-    metric: GroundMetric,
+def _exact_or_none(
+    triples: Sequence[tuple[PersistenceDiagram, PersistenceDiagram, GroundMetric]],
 ) -> list[float] | None:
-    """Exact distances from query to every candidate, or None if the oracle
-    cap was exceeded."""
+    """Exact distances of (first, second, metric) triples, or None if the
+    oracle cap was exceeded."""
     try:
-        return [exact_distance(query, c, metric) for c in candidates]
+        return [exact_distance(a, b, metric) for a, b, metric in triples]
     except SizeCapError:
         return None
+
+
+def _exact_rows(jobs: list, workers: int) -> list[list[float] | None]:
+    """_exact_or_none of each job, on up to `workers` processes."""
+    if workers <= 1:
+        return [_exact_or_none(job) for job in jobs]
+    chunk = max(1, len(jobs) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_exact_or_none, jobs, chunksize=chunk))
 
 
 def _rows(
@@ -165,13 +163,12 @@ def _rows(
     when the oracle cap was exceeded. Exact rows are solved on up to
     `workers` processes, one query per job. The tree methods place queries
     and candidates together once and read every row from one
-    PlacedDiagrams.distances call over all query-candidate pairs; with more
-    than one worker, from one call per query, on up to `workers` processes.
+    PlacedDiagrams.distances call over all query-candidate pairs.
     """
     rows: dict[str, list[list[float] | None]] = {}
     if "exact" in methods:
-        row = partial(_exact_row, candidates=tuple(candidates), metric=metric)
-        rows["exact"] = _run_jobs(row, list(queries), workers)
+        jobs = [[(query, c, metric) for c in candidates] for query in queries]
+        rows["exact"] = _exact_rows(jobs, workers)
     tree_methods = tuple(m for m in TREE_METHODS if m in methods)
     if not tree_methods:
         return rows
@@ -179,39 +176,15 @@ def _rows(
         rows.update((m, [[0.0] * len(candidates) for _ in queries]) for m in tree_methods)
         return rows
     placed = PlacedDiagrams(tree, [*queries, *candidates])
-    n = len(queries)
-    jobs = [range(n)] if workers <= 1 else [range(q, q + 1) for q in range(n)]
-    walk = partial(
-        _query_rows, placed=placed, candidates=range(n, len(placed)), methods=tree_methods
+    n, m = len(queries), len(candidates)
+    flat = placed.distances(
+        np.repeat(np.arange(n), m), np.tile(np.arange(n, n + m), n), tree_methods
     )
-    parts = _run_jobs(walk, jobs, workers)
-    rows.update((m, [row for part in parts for row in part[m]]) for m in tree_methods)
-    return rows
-
-
-def _query_rows(
-    queries: range, placed: PlacedDiagrams, candidates: range, methods: tuple[str, ...]
-) -> dict[str, list[list[float]]]:
-    """Rows of each tree method's distances from each of placed's diagrams
-    in queries to all of its diagrams in candidates, from one
-    PlacedDiagrams.distances call."""
-    m = len(candidates)
-    flat = placed.distances(np.repeat(queries, m), np.tile(candidates, len(queries)), methods)
-    return {
-        method: [values[k : k + m] for k in range(0, len(values), m)]
+    rows.update(
+        (method, [values[k : k + m] for k in range(0, n * m, m)])
         for method, values in flat.items()
-    }
-
-
-def _pair_truths(
-    pair: tuple[PersistenceDiagram, PersistenceDiagram], metrics: tuple[GroundMetric, ...]
-) -> list[float] | None:
-    """Exact distances of one sampled pair under each metric, or None if the
-    oracle cap bit."""
-    try:
-        return [exact_distance(*pair, metric) for metric in metrics]
-    except SizeCapError:
-        return None
+    )
+    return rows
 
 
 def error_suite(
@@ -258,9 +231,8 @@ def error_suite(
         tree_seed = int(rng.integers(0, 2**31 - 1))
         sampled.append((k, int(i), int(j), tree_seed))
 
-    truths = _run_jobs(
-        partial(_pair_truths, metrics=tuple(metrics)),
-        [(dataset[i], dataset[j]) for _, i, j, _ in sampled],
+    truths = _exact_rows(
+        [[(dataset[i], dataset[j], metric) for metric in metrics] for _, i, j, _ in sampled],
         workers,
     )
 
@@ -367,12 +339,12 @@ def knn_distances(
     because the oracle cap was exceeded.
 
     Tree methods share one tree over queries and candidates, place all of
-    them once (PlacedDiagrams) and walk all query-candidate pairs together
-    (with more than one worker, each query's pairs on their own), the
-    embedding method costing the matchings in the tree metric (exact,
+    them once (PlacedDiagrams) and walk all query-candidate pairs together,
+    the embedding method costing the matchings in the tree metric (exact,
     rounded once) and the flowtree method in the ground metric.
     When no diagram holds a point, the tree methods return 0.0 rows without
-    building a tree.
+    building a tree. `workers` is the number of processes for the exact
+    method, one query per job; the tree methods ignore it.
     """
     if not candidates:
         raise ValueError("candidates must be non-empty")
@@ -530,7 +502,7 @@ def eval_report(
     tree = _tree(tree_methods, [*queries, *candidates], seed, primary_metric)
     rows_by_method = {
         "exact": true_rows,
-        **_rows(queries, candidates, tree_methods, primary_metric, tree, workers),
+        **_rows(queries, candidates, tree_methods, primary_metric, tree),
     }
 
     columns = ["method", "ground_metric", "m", "recall"]
@@ -560,20 +532,24 @@ def eval_report(
     return suite
 
 
+def _record(row) -> dict:
+    """A table row as a dict: the row itself, or a dataclass row's fields,
+    not copied, as every table row holds only scalars."""
+    return row if isinstance(row, dict) else vars(row)
+
+
 def write_csv(path, fieldnames: Sequence[str], rows) -> None:
-    """Stable-ordered CSV; rows are dicts or dataclasses."""
+    """Stable-ordered CSV; rows are dicts or dataclasses of scalars."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(fieldnames))
         writer.writeheader()
         for row in rows:
-            if not isinstance(row, dict):
-                row = asdict(row)
-            writer.writerow(row)
+            writer.writerow(_record(row))
 
 
 def write_json(path, rows) -> None:
     """JSON mirror of a CSV table: a list of records with the same fields."""
     path = Path(path)
-    records = [row if isinstance(row, dict) else asdict(row) for row in rows]
+    records = [_record(row) for row in rows]
     path.write_text(json.dumps(records, indent=2) + "\n")

@@ -377,7 +377,9 @@ class TestKnn:
             ]
             assert top1[0][2] == best
 
-    def test_workers_reproduce_sequential_output(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method", ["flowtree", "exact"])
+    def test_workers_reproduce_sequential_output(self, tmp_path, capsys, method):
+        # exact rows are solved on the pool, one query per job
         queries, cands = tmp_path / "q", tmp_path / "c"
         run(capsys, "gen", "--kind", "uniform", "--count", "2",
             "--max-size", "5", "--seed", "3", "--out", str(queries))
@@ -389,7 +391,7 @@ class TestKnn:
             code, _, _ = run(
                 capsys,
                 "knn", "--queries", str(queries), "--candidates", str(cands),
-                "--method", "flowtree", "-k", "2", "--seed", "4",
+                "--method", method, "-k", "2", "--seed", "4",
                 "--workers", workers, "--out", str(out_csv),
             )
             assert code == EXIT_OK
@@ -397,8 +399,8 @@ class TestKnn:
         assert outputs[0] == outputs[1]
 
     def test_flowtree_stdout_same_with_two_workers(self, tmp_path, capsys):
-        # each worker runs whole-query batches; the rows must not depend on
-        # how the queries are spread over the pool
+        # --workers spreads only the exact oracle: the flowtree rows come
+        # from one walk in the calling process, whatever its value
         queries, cands = tmp_path / "q", tmp_path / "c"
         run(capsys, "gen", "--kind", "gaussian", "--count", "3",
             "--max-size", "40", "--seed", "12", "--out", str(queries))
@@ -418,7 +420,8 @@ class TestKnn:
         assert len(outputs[0].splitlines()) == 1 + 3 * 15
 
     def test_embedding_stdout_same_with_two_workers(self, tmp_path, capsys):
-        # every worker walks its queries against the same pickled placement
+        # --workers spreads only the exact oracle: the embedding rows come
+        # from one walk in the calling process, whatever its value
         queries, cands = tmp_path / "q", tmp_path / "c"
         run(capsys, "gen", "--kind", "gaussian", "--count", "3",
             "--max-size", "40", "--seed", "14", "--out", str(queries))

@@ -22,8 +22,10 @@ from dgmdist import (
 )
 from dgmdist.evaluate import (
     METHODS,
+    TREE_METHODS,
     ErrorStats,
     error_suite,
+    eval_report,
     knn_distances,
     ranking_table,
     recall_at_m,
@@ -310,6 +312,32 @@ class TestKnnDistances:
             [reference.embedding_cost(tree, q, c) for c in candidates] for q in queries
         ]
 
+    def test_only_exact_rows_start_a_pool(self, small_dataset, monkeypatch, tmp_path):
+        # workers spreads the exact oracle only: the tree rows are one walk
+        # in the calling process, whatever workers is
+        pools = []
+        real = dgmdist.evaluate.ProcessPoolExecutor
+
+        def counting(*args, **kwargs):
+            pools.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dgmdist.evaluate, "ProcessPoolExecutor", counting)
+        queries, candidates = small_dataset[:3], small_dataset[3:]
+        for method in TREE_METHODS:
+            rows = knn_distances(queries, candidates, method, L2, seed=2, workers=2)
+            assert rows == knn_distances(queries, candidates, method, L2, seed=2)
+        assert pools == []
+        rows = knn_distances(queries, candidates, "exact", L2, workers=2)
+        assert rows == knn_distances(queries, candidates, "exact", L2)
+        assert len(pools) == 1
+        pools.clear()
+        eval_report(
+            small_dataset, tmp_path, ["embedding", "flowtree"], [L2], seed=3, n_pairs=4,
+            tree_policy="per_pair", bench_sizes=[10], reps=1, workers=2,
+        )
+        assert len(pools) == 2  # the error suite's truths and the exact knn rows
+
     @pytest.mark.parametrize("method", METHODS)
     def test_no_point_anywhere_gives_zero_rows(self, method):
         # as for exact, and as multi_tree_estimate does for two empty
@@ -378,3 +406,9 @@ class TestWriters:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         header = (tmp_path / "a.csv").read_text().splitlines()[0]
         assert header == "method,ground_metric,mean_rel_error,std_rel_error,n_pairs"
+        # dict rows write the same bytes as the equal dataclass rows
+        records = [dataclasses.asdict(row) for row in rows]
+        write_csv(tmp_path / "c.csv", fields, records)
+        write_json(tmp_path / "c.json", records)
+        assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+        assert (tmp_path / "c.json").read_bytes() == (tmp_path / "a.json").read_bytes()

@@ -106,6 +106,14 @@ def test_output_digests_listing(monkeypatch, capsys):
     assert len(names) == len(set(names))
     for name in ("tiny/dist_0_1_l2_flowtree.json", "tiny/match_0_3_l1.match",
                  "tiny/embed_linf", "tiny/knn_l2_embedding.csv", "tiny/eval_whole_dataset",
+                 "tiny/knn_l2_exact.csv", "tiny/knn_l2_exact_w2.csv",
+                 "tiny/knn_l2_flowtree_w2.csv", "tiny/knn_l2_embedding_w2.csv",
+                 "tiny/eval_per_pair_w2",
                  "written/dist_1_2_linf_embedding.json", "written/knn_l1_flowtree.csv"):
         assert name in names
-    assert not any(name.startswith("written/eval") for name in names)
+    assert not any(name.startswith(("written/eval", "written/knn_l2_exact")) for name in names)
+    # --workers 2 changes no byte
+    digests = {name: line.split("  ")[0] for name, line in zip(names, listings[0])}
+    for name in ("knn_l2_exact", "knn_l2_flowtree", "knn_l2_embedding", "eval_per_pair"):
+        suffix = "" if name.startswith("eval") else ".csv"
+        assert digests[f"tiny/{name}_w2{suffix}"] == digests[f"tiny/{name}{suffix}"]
