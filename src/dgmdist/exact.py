@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ._rows import group_rows
 from .diagram import GroundMetric, PersistenceDiagram
@@ -90,6 +89,9 @@ def exact_distance(
     dq = metric.diagonal_distances(q)
     if len(p) == 0:
         return math.fsum(dq.tolist())
+    # imported here, so that only exact callers load scipy
+    from scipy.optimize import linear_sum_assignment
+
     d = metric.pairwise(p, q)
     cost = d - dq
     np.minimum(cost, dp[:, None], out=cost)

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ._rows import group_rows
 from .diagram import GroundMetric, PersistenceDiagram
@@ -207,13 +206,150 @@ def _meets_diagonal(x0, y0, side):
 def _min_separation(points: np.ndarray, metric: GroundMetric) -> float:
     """Smallest of: pairwise distances between distinct points, and their
     distances to the diagonal, under the given metric."""
-    diag = metric.diagonal_distances(points)
-    smallest = float(diag.min())
-    if len(points) > 1:
-        kd = cKDTree(points)
-        dists, _ = kd.query(points, k=2, p=metric.q)
-        smallest = min(smallest, float(dists[:, 1].min()))
-    return smallest
+    smallest = float(metric.diagonal_distances(points).min())
+    with np.errstate(over="ignore"):  # far points differ by inf
+        return _closest_pair(points, metric, smallest)[0]
+
+
+# Candidate pairs per point that the grid of _closest_pair may compare; the
+# packing bound in its docstring
+_PAIRS_PER_POINT = 112
+_NO_CELL = np.iinfo(np.int64).max  # a key past every cell
+
+
+def _reach(metric: GroundMetric, u: float) -> float:
+    """An upper bound on the gap max(|x - x'|, |y - y'|) of two points whose
+    distance, computed by metric.combine, is finite and at most u."""
+    if metric is not GroundMetric.L2:
+        return u * (1.0 + 2.0**-30)
+    # squares below 2**-1022 are subnormal, a gap below 2**-537.5 squares to
+    # 0, and a finite distance has gaps below 2**512
+    return min(max(u * (1.0 + 2.0**-30), min(1.23 * u, 2.0**-499), 2.0**-537), 2.0**513)
+
+
+def _axis_cells(v: np.ndarray, s: float) -> np.ndarray:
+    """Grid indices of ascending values v for cells of side s.
+
+    The values are cut into runs wherever two neighbours lie more than s
+    apart. A run is indexed by floor((v - first) / s) from its first value,
+    and the next run starts 2 past the last index of the one before, so
+    cells of two runs are never adjacent. Every run index stays below its
+    length, so the largest index is below 2 len(v).
+    """
+    cut = (v[1:] - v[:-1] > s).nonzero()[0] + 1
+    # above side 1 the values are halved, so that v - first cannot overflow;
+    # that is exact but for subnormal values, off by far less than s
+    scale = 0.5 if s > 1.0 else 1.0
+    w = v * scale
+    first = np.zeros(len(v), np.intp)
+    first[cut] = cut
+    np.maximum.accumulate(first, out=first)
+    q = np.floor((w - w[first]) / (s * scale))
+    offset = np.zeros(len(v))
+    offset[cut] = q[cut - 1] + 2.0
+    np.cumsum(offset, out=offset)
+    return (q + offset).astype(np.int64)
+
+
+def _closest_pair(points: np.ndarray, metric: GroundMetric, bound: float = math.inf):
+    """min(bound, the least distance between two rows of points) under the
+    metric's combine(), exactly, and the number of grid pairs compared.
+
+    **Search.** u, the smaller of bound and the least distance between
+    consecutive rows, bounds the answer. The points are bucketed on a grid
+    of side s, found per axis by _axis_cells, and each point is compared with
+    the points of its own cell and of the four forward neighbour cells. s
+    starts where every pair within distance u lies in adjacent cells, and is
+    halved while the grid holds more than C n candidate pairs
+    (C = _PAIRS_PER_POINT).
+
+    **Cover.** A pair at distance d <= u has its gap t (the larger
+    coordinate difference) at most its reach _reach(d) <= _reach(u):
+    metric.combine never reads below the rounded gap, except that an L2
+    square can underflow. A pair with t <= s (1 - 2**-20) lies in the same
+    run of each axis (a cut gap exceeds s) and in adjacent cells (each
+    quotient is at most n and carries two roundings), so the starting grid
+    holds the closest pair.
+
+    **Packing.** Suppose a grid of side s holds more than C n candidate
+    pairs, but the closest pair's reach is beyond s/2 (halving would lose
+    it). Then every pair's gap is beyond s / (2 k): a distance is at most k
+    times its gap, and the reach at most 1.23 times the distance, with k = 2
+    (L1), 1 (Linf), sqrt 2 (L2), or k = 2 and factor 1.23 together where L2
+    squares are subnormal (below 2**-499). A cell's true width is below
+    s (1 + 2**-20), so it then holds at most 5 x 5 points, and its n points
+    make at most n (24 / 2 + 4 * 25) = C n candidate pairs: a contradiction.
+    So halving keeps the closest pair, and the minimum over the final grid's
+    candidates is exact. The one exception is a closest pair at distance 0,
+    whose gap can reach 2**-537.5 under L2 (an underflowing square), so
+    halving stops at 1.125 * 2**-537 (2**-1074 under L1 and Linf); a grid
+    there with more than C n candidates has, by the same count, a pair at
+    distance 0, and 0 is returned.
+
+    **Cost.** At most C n pairs are compared, after at most
+    2 + log2(s / max(answer, 2**-537)) passes of O(n log n) each, s the
+    starting side. Indices stay below 2 n per axis for any finite
+    coordinates. The result is exact whenever it is below 2**1022 or
+    infinite, for fewer than 2**29 rows.
+    """
+    n = len(points)
+    if n < 2:
+        return bound, 0
+    if (points[1:, 0] < points[:-1, 0]).any():  # tree_geometry's rows are sorted
+        points = points[np.argsort(points[:, 0], kind="stable")]
+    xs, ys = points[:, 0], points[:, 1]
+    gaps = metric.combine(xs[1:] - xs[:-1], ys[1:] - ys[:-1])
+    u = min(bound, float(gaps.min()))
+    floor = 1.125 * 2.0**-537 if metric is GroundMetric.L2 else 2.0**-1074
+    s = max(min(_reach(metric, u) * (1.0 + 2.0**-19), 2.0**1023), 2.0**-1022)
+    y_order = np.argsort(ys)
+    yv = ys[y_order]
+    iy = np.empty(n, np.int64)
+    while True:
+        # rows are sorted by x, so the keys are sorted by ix
+        ix = _axis_cells(xs, s)
+        iy[y_order] = _axis_cells(yv, s)
+        stride = int(iy.max()) + 2  # (ix + 1, -1) and (ix, max + 1) hold no point
+        key = ix * stride + iy
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new_cell = np.concatenate(([True], key[1:] != key[:-1]))
+        cells = key[new_cell]
+        bounds = np.append(new_cell.nonzero()[0], n)  # each cell's first rank
+        size = bounds[1:] - bounds[:-1]
+        # in key order, a point's candidates are two runs of ranks: the later
+        # points of its cell and of the forward neighbour (ix, iy + 1), which
+        # follows it; and the points of the cells (ix + 1, iy - 1 .. iy + 1),
+        # the up to three cells from the first at or past (ix + 1, iy - 1)
+        near = bounds[1:].copy()
+        up = (cells[1:] == cells[:-1] + 1).nonzero()[0]
+        near[up] = bounds[up + 2]
+        right = np.searchsorted(cells, cells + (stride - 1))
+        padded = np.append(cells, [_NO_CELL] * 3)
+        last = cells + (stride + 1)
+        right_end = right + (padded[right] <= last)
+        right_end += (padded[right + 1] <= last) + (padded[right + 2] <= last)
+        right, right_end = bounds[right], bounds[right_end]
+        count = int((size * (size - 1)).sum()) // 2 + int(
+            (size * (near - bounds[1:] + right_end - right)).sum()
+        )
+        if count <= _PAIRS_PER_POINT * n:
+            break
+        half = s * 0.5
+        if half * 2.0 != s:  # a subnormal side rounds up, never down
+            half = float(np.nextafter(half, math.inf))
+        if half < floor:
+            return 0.0, 0
+        s = half
+    # every rank of each run, against the point that owns the run
+    rank = np.arange(n)
+    cell_of = np.cumsum(new_cell) - 1
+    starts = np.concatenate((rank + 1, right[cell_of]))
+    counts = np.concatenate((near[cell_of] - starts[:n], right_end[cell_of] - starts[n:]))
+    a = order[np.repeat(np.concatenate((rank, rank)), counts)]
+    b = order[np.arange(count) + np.repeat(starts - (np.cumsum(counts) - counts), counts)]
+    dist = metric.combine(xs[a] - xs[b], ys[a] - ys[b])
+    return float(dist.min(initial=u)), count
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,6 +19,10 @@ The second half holds three exact-distance paths independent of
 brute-force enumerator over all partial matchings for tiny instances, and
 optimal transport between the augmented sets under the unmodified ground
 metric, which is within a factor 2 of the exact distance.
+
+The last part holds two independent minimum separations for the tree's
+depth: a brute force over every pair by scipy's ``cdist``, and the scipy
+``cKDTree`` query the library used before its own search.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from dgmdist.exact import DEFAULT_SIZE_CAP, SizeCapError
 
@@ -309,3 +315,38 @@ def ot_augmented(first, second, metric, size_cap=DEFAULT_SIZE_CAP):
     cost = metric.pairwise(first_aug, second_aug)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum())
+
+
+_CDIST_NAME = {"l1": "cityblock", "l2": "euclidean", "linf": "chebyshev"}
+_KD_P = {"l1": 1.0, "l2": 2.0, "linf": math.inf}
+
+
+def cdist_matrix(a, b, metric):
+    """scipy's cdist distance matrix under the metric."""
+    return cdist(a, b, metric=_CDIST_NAME[metric.value])
+
+
+def closest_pair(points, metric):
+    """Least distance between two rows of an (n, 2) array, over every pair;
+    inf with fewer than two rows."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    if len(points) < 2:
+        return math.inf
+    d = cdist_matrix(points, points, metric)
+    return float(d[np.triu_indices(len(points), 1)].min())
+
+
+def min_separation(points, metric):
+    """Smallest diagonal distance and distance between two rows, brute force."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    return min(float(_diagonal_distances(points, metric).min()), closest_pair(points, metric))
+
+
+def kd_min_separation(points, metric):
+    """The same minimum by a cKDTree query of each row's second neighbour."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    smallest = float(_diagonal_distances(points, metric).min())
+    if len(points) > 1:
+        dists, _ = cKDTree(points).query(points, k=2, p=_KD_P[metric.value])
+        smallest = min(smallest, float(dists[:, 1].min()))
+    return smallest

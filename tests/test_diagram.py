@@ -20,6 +20,8 @@ from dgmdist.diagram import (
     save_diagram,
 )
 
+import reference
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -104,6 +106,23 @@ class TestDiagonalGeometry:
         rows = metric.diagonal_distances(d.coords())
         assert rows.tolist() == [p.lifetime * metric.diagonal_factor for p in d.points]
         assert metric.diagonal_distances(np.zeros((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("metric", list(GroundMetric))
+    def test_pairwise_equals_cdist(self, metric):
+        # the numpy matrix is scipy's cdist bit for bit, scales 1e-8 to 1e8,
+        # offsets to 1e3, plus squares that overflow (1e200) or underflow
+        rng = np.random.default_rng(11)
+        for trial in range(60):
+            scale = 10.0 ** rng.integers(-8, 9)
+            offset = rng.uniform(-1e3, 1e3)
+            a = offset + scale * rng.normal(size=(int(rng.integers(0, 40)), 2))
+            b = offset + scale * rng.normal(size=(int(rng.integers(1, 40)), 2))
+            if trial % 10 == 0:
+                a = np.vstack([a, [(1e200, -1e200), (5e-324, 1e-310)]])
+                b = np.vstack([b, [(0.0, 0.0), (1e-320, 1e-311)]])
+            got = metric.pairwise(a, b)
+            assert got.shape == (len(a), len(b))
+            assert got.tobytes() == reference.cdist_matrix(a, b, metric).tobytes()
 
 
 class TestPersistenceDiagram:

@@ -390,6 +390,30 @@ class TestRuntimeBench:
         with pytest.raises(ValueError):
             runtime_bench([100, 50], ["flowtree"], seed=0, reps=1)
 
+    def test_exact_cells_solve_once_untimed(self, monkeypatch):
+        # an exact cell makes one untimed call before its reps, so that no
+        # timed rep pays the solver's first import; a tree-method cell
+        # imports nothing and runs its reps only
+        rows_fn = dgmdist.evaluate._rows
+        calls = []
+
+        def counting(first, second, methods, metric, tree):
+            calls.append(tuple(methods))
+            return rows_fn(first, second, methods, metric, tree)
+
+        monkeypatch.setattr(dgmdist.evaluate, "_rows", counting)
+        methods = ["exact", "embedding", "flowtree"]
+        rows = runtime_bench([10, 20], methods, seed=3, reps=3)
+        assert [(row.size, row.method, row.reps) for row in rows] == [
+            (size, method, 3) for size in (10, 20) for method in methods
+        ]
+        assert calls == [
+            (method,)
+            for _ in (10, 20)
+            for method in methods
+            for _ in range(3 + (method == "exact"))
+        ]
+
 
 class TestWriters:
     def test_csv_and_json_deterministic(self, tmp_path):

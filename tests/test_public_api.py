@@ -5,6 +5,10 @@ its line in CHANGES.md.
 """
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,3 +96,60 @@ def test_signature_is_pinned(function, parameters):
     # DEFAULT_SIZE_CAP and eval_report takes eval's options only: a knob
     # added must edit this list
     assert list(inspect.signature(function).parameters) == parameters
+
+
+# Run in a fresh interpreter: the tree path, from the CLI and the library,
+# must leave scipy unloaded; the exact oracle then loads its solver.
+TREE_PATH_SCRIPT = """
+import contextlib, io, sys, tempfile
+from pathlib import Path
+
+from dgmdist import (
+    GroundMetric, TreeConfig, build_tree, exact_distance, knn_distances,
+    load_diagram, multi_tree_estimate, union_coords,
+)
+from dgmdist.cli import main
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    tmp = Path(tmp)
+    for kind, sub in (("uniform", "q"), ("gaussian", "c")):
+        code = main(["gen", "--kind", kind, "--count", "4", "--max-size", "40",
+                     "--seed", "3", "--out", str(tmp / sub)])
+        assert code == 0, code
+    files = sorted(str(p) for p in (tmp / "q").glob("dgm_*.txt"))
+    for method in ("flowtree", "embedding"):
+        for metric in ("l1", "l2", "linf"):
+            argv = ["dist", files[0], files[1], "--method", method,
+                    "--metric", metric, "--trees", "2"]
+            assert main(argv) == 0, argv
+        argv = ["knn", "--queries", str(tmp / "q"), "--candidates", str(tmp / "c"),
+                "--method", method, "-k", "2"]
+        assert main(argv) == 0, argv
+    assert main(["embed", "--in", str(tmp / "q"), "--out", str(tmp / "v")]) == 0
+    dgms = [load_diagram(f) for f in files]
+    for method in ("flowtree", "embedding"):
+        multi_tree_estimate(dgms[0], dgms[1], GroundMetric.L2, [0, 1], method=method)
+        knn_distances(dgms[:1], dgms[1:], method, GroundMetric.L2, seed=1)
+    build_tree(union_coords(dgms), TreeConfig(seed=0, ground_metric=GroundMetric.L1))
+assert scipy_modules() == [], scipy_modules()
+assert exact_distance(dgms[0], dgms[1], GroundMetric.L2) > 0.0
+assert "scipy.optimize" in sys.modules, scipy_modules()
+print("ok")
+"""
+
+
+def test_tree_path_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("DGMDIST_SEED", None)
+    done = subprocess.run(
+        [sys.executable, "-c", TREE_PATH_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["ok"]

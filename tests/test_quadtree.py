@@ -15,11 +15,16 @@ from dgmdist import (
     gen_uniform,
     multi_tree_estimate,
 )
+from dgmdist._rows import group_rows
 from dgmdist.quadtree import (
+    _PAIRS_PER_POINT,
     MAX_LEVELS,
     OutsideRootError,
     ShiftedQuadtree,
     TreeConfig,
+    _closest_pair,
+    _min_separation,
+    _reach,
     build_tree,
     tree_geometry,
     union_coords,
@@ -470,3 +475,142 @@ class TestShiftDistribution:
             if cells_at(tree, pts[0])[level][0] != cells_at(tree, pts[1])[level][0]:
                 separated += 1
         assert abs(separated / trials - 0.25) < 0.05
+
+
+def distinct_sorted(points):
+    """The rows tree_geometry hands to _min_separation: distinct, sorted
+    lexicographically."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    order, starts = group_rows(points[:, 0], points[:, 1])
+    return points[order[starts]]
+
+
+TINY = 5e-324
+
+
+@st.composite
+def separation_sets(draw):
+    """Point sets that stress the closest-pair search: clusters, vertical
+    and horizontal lines, nextafter near-duplicates, huge offsets and
+    subnormal gaps, from 1 point up."""
+    kind = draw(
+        st.sampled_from(
+            ["uniform", "clustered", "vertical", "horizontal", "near_duplicate",
+             "offset", "subnormal", "interleaved"]
+        )
+    )
+    n = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "uniform":
+        pts = rng.uniform(0.0, 10.0, (n, 2))
+    elif kind == "clustered":
+        centres = rng.uniform(0.0, 100.0, (3, 2))
+        spread = 10.0 ** draw(st.integers(-12, 0))
+        pts = centres[rng.integers(0, 3, n)] + rng.normal(0.0, spread, (n, 2))
+    elif kind in ("vertical", "horizontal"):
+        lines = rng.choice([0.0, 1.0, 1e9], n)
+        along = rng.uniform(0.0, 5.0, n)
+        pts = np.c_[lines, along] if kind == "vertical" else np.c_[along, lines]
+    elif kind == "near_duplicate":
+        base = rng.uniform(0.0, 10.0, (n, 2))
+        twin = base.copy()
+        axis = draw(st.integers(0, 1))
+        twin[:, axis] = np.nextafter(twin[:, axis], math.inf)
+        pts = np.vstack([base, twin[: draw(st.integers(1, n))]])
+    elif kind == "offset":
+        offset = draw(st.sampled_from([1e11, 1e300, -1e300]))
+        pts = offset + rng.uniform(0.0, 1.0, (n, 2)) * abs(offset) * 1e-6
+        pts = np.vstack([pts, rng.uniform(0.0, 1.0, (draw(st.integers(0, 3)), 2))])
+    elif kind == "subnormal":
+        units = rng.integers(0, 40, (n, 2)).astype(float)
+        pts = units * TINY * draw(st.sampled_from([1.0, 2.0**30, 2.0**537, 2.0**560]))
+    else:
+        # consecutive rows alternate between two far rows, so the first
+        # bound is far above the answer
+        xs = np.arange(n) * 10.0 ** draw(st.integers(-12, -3))
+        pts = np.c_[xs, (np.arange(n) % 2) * rng.uniform(1.0, 1e6)]
+    return distinct_sorted(pts)
+
+
+class TestMinSeparation:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(separation_sets())
+    def test_equals_brute_force(self, points):
+        shuffled = points[np.random.default_rng(0).permutation(len(points))]
+        for metric in GroundMetric:
+            expected = reference.min_separation(points, metric)
+            assert _min_separation(points, metric) == expected
+            assert reference.kd_min_separation(points, metric) == expected
+            assert _closest_pair(points, metric)[0] == reference.closest_pair(points, metric)
+            assert _closest_pair(shuffled, metric)[0] == reference.closest_pair(points, metric)
+
+    @pytest.mark.parametrize("metric", list(GroundMetric))
+    def test_one_and_two_points(self, metric):
+        for pts in ([(0.0, 4.0)], [(0.0, 4.0), (0.0, 6.0)], [(0.0, 4.0), (TINY, 4.0)]):
+            points = distinct_sorted(pts)
+            assert _min_separation(points, metric) == reference.min_separation(points, metric)
+
+    @pytest.mark.parametrize("metric", list(GroundMetric))
+    def test_reach_bounds_the_gap(self, metric):
+        # the cover lemma: a pair's larger coordinate difference is within
+        # the reach of its computed distance, at every scale, including L2
+        # squares that are subnormal or underflow to 0
+        rng = np.random.default_rng(2)
+        dx = rng.uniform(1.0, 2.0, 20000) * 2.0 ** rng.integers(-1074, 1000, 20000)
+        dy = dx * rng.choice([0.0, 1e-9, 0.5, 1.0], 20000)
+        dist = metric.combine(dx.copy(), dy.copy())
+        for gap, d in zip(np.maximum(dx, dy).tolist(), dist.tolist()):
+            # an infinite distance needs no cover: it is never below a bound
+            assert gap <= _reach(metric, d) or d == math.inf
+
+    def test_run_wider_than_the_float_range(self):
+        # consecutive values 4e307 apart make one run that spans 2.4e308
+        xs = np.arange(-3.0, 4.0) * 4e307
+        points = distinct_sorted(np.c_[xs, np.arange(7.0)])
+        for metric in GroundMetric:
+            assert _closest_pair(points, metric)[0] == reference.closest_pair(points, metric)
+
+    def test_subnormal_l2_gap_reads_zero(self):
+        # the square of a subnormal gap underflows, as in cdist and cKDTree
+        points = distinct_sorted([(0.0, 16.0), (TINY, 16.0), (1.0, 9.0)])
+        assert _min_separation(points, GroundMetric.L2) == 0.0
+        assert _min_separation(points, GroundMetric.L1) == TINY
+
+
+def adversarial_sets():
+    rng = np.random.default_rng(5)
+    lattice = np.array([(1e3 * i, 1e3 * j) for i in range(30) for j in range(30)])
+    # a near-duplicate that sorts far from its twin
+    lattice = np.vstack([lattice, [(np.nextafter(1e4, math.inf), 2e4)]])
+    cluster = np.vstack([rng.uniform(0.0, 1e-6, (800, 2)), [(1e6, 2e6)]])
+    lines = np.c_[np.repeat([0.0, 1e9], 400), rng.uniform(0.0, 1.0, 800)]
+    interleaved = np.c_[np.arange(800) * 1e-9, (np.arange(800) % 2) * 1e3]
+    # under L2 every gap of the y = 5 row squares to 0, far below the first
+    # bound set by the rows alternating with y = 7
+    subnormal = np.c_[np.arange(600) * TINY, np.where(np.arange(600) % 2, 7.0, 5.0)]
+    return {
+        "lattice": lattice,
+        "cluster": cluster,
+        "lines": lines,
+        "interleaved": interleaved,
+        "subnormal": subnormal,
+    }
+
+
+class TestCandidateBound:
+    @pytest.mark.parametrize("metric", list(GroundMetric))
+    @pytest.mark.parametrize("name", sorted(adversarial_sets()))
+    def test_candidates_within_packing_bound(self, name, metric):
+        points = distinct_sorted(adversarial_sets()[name])
+        value, candidates = _closest_pair(points, metric)
+        assert value == reference.closest_pair(points, metric)
+        assert candidates <= _PAIRS_PER_POINT * len(points)
+
+    def test_bound_binds_on_interleaved_rows(self):
+        # the first grid holds every pair; the search halves its way down
+        points = distinct_sorted(adversarial_sets()["interleaved"])
+        n = len(points)
+        assert n * (n - 1) // 2 > _PAIRS_PER_POINT * n
+        value, candidates = _closest_pair(points, GroundMetric.L2)
+        assert value == reference.closest_pair(points, GroundMetric.L2)
+        assert 0 < candidates <= _PAIRS_PER_POINT * n

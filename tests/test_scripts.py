@@ -81,6 +81,32 @@ def test_bench_eval_report(tmp_path, monkeypatch):
     assert all(ms > 0 for ms in report["timings"].values())
 
 
+def test_bench_tree_report(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench_tree
+
+    out = tmp_path / "tree.json"
+    bench_tree.main(
+        ["--out", str(out), "--runs", "1", "--sizes", "20,40", "--import-runs", "1"]
+    )
+    report = json.loads(out.read_text())
+    assert {"benchmark", "statistic", "git_sha", "nproc", "python", "numpy", "scipy"} <= set(
+        report
+    )
+    assert [(t["generator"], t["n_per_side"]) for t in report["timings"]] == [
+        ("uniform", 20),
+        ("uniform", 40),
+        ("gaussian", 20),
+        ("gaussian", 40),
+    ]
+    keys = {"tree_geometry_ms", "min_separation_l1_ms", "min_separation_l2_ms",
+            "min_separation_linf_ms"}
+    assert all(keys <= set(t) and all(t[k] > 0 for k in keys) for t in report["timings"])
+    imports = report["fresh_import"]
+    assert imports["import_ms"] > 0 and imports["ru_maxrss_mb"] > 0
+    assert imports["scipy_loaded"] is False
+
+
 def test_output_digests_listing(monkeypatch, capsys):
     # one tiny `gen` set with every command and one tiny written set: two
     # runs print the same digests, one sha256 per output
