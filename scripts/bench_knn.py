@@ -4,14 +4,18 @@ For each of two fixed-seed sets of near-diagonal (gaussian) diagrams, split
 into queries and candidates, times one `knn_distances` call per method (the
 shared tree, the `PlacedDiagrams` placement and the walks, and every query x
 candidate distance) and reports the median over the runs in milliseconds per
-pair. One untimed call per method and set runs first. It also times the
+pair. One untimed call per method and set runs first. Per method it also
+counts, in one more call, the rows the walks take, the rows retired to the
+diagonal without walking and the walks (`_chunk` and `_walk`, wrapped
+here), and it reads one call's `tracemalloc` peak. It also times the
 stages on the shared tree apart: the placement of queries and candidates,
 which both methods share, then one query's `flowtree_row` or
 `embedding_row` against every candidate. For flowtree
 it also counts the rows that one `knn_distances` call hands to the walk's
-per-level cell sort (`group_rows`, wrapped here; the rows sent to the
-diagonal at a level are not sorted). The report also records the git
-commit, the processor count and the Python, numpy and scipy versions.
+per-level cell sort, summed over the levels (`group_rows`, wrapped here;
+the rows sent to the diagonal at a level are not sorted). The report also
+records the git commit, the processor count and the Python, numpy and
+scipy versions.
 
 Usage, from anywhere in the repository:
 
@@ -28,6 +32,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,6 +80,39 @@ def ms_per_pair(queries, candidates, method, runs):
         knn_distances(queries, candidates, method, GroundMetric.L2, seed=0)
 
     return median_ms(run, runs) / (len(queries) * len(candidates))
+
+
+def walk_counts(queries, candidates, method):
+    """(rows walked, rows retired without walking, walks, traced peak in
+    MB) of one knn_distances call."""
+    flowtree = dgmdist.flowtree
+    chunk, walk = flowtree._chunk, flowtree._walk
+    walked = retired = walks = 0
+
+    def counting_chunk(*args):
+        nonlocal walked, retired
+        retired_rows, walked_rows = chunk(*args)
+        walked += len(walked_rows.point)
+        retired += len(retired_rows.retired)
+        return retired_rows, walked_rows
+
+    def counting_walk(*args):
+        nonlocal walks
+        walks += 1
+        return walk(*args)
+
+    flowtree._chunk, flowtree._walk = counting_chunk, counting_walk
+    try:
+        knn_distances(queries, candidates, method, GroundMetric.L2, seed=0)
+    finally:
+        flowtree._chunk, flowtree._walk = chunk, walk
+    tracemalloc.start()
+    try:
+        knn_distances(queries, candidates, method, GroundMetric.L2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return walked, retired, walks, peak / 1e6
 
 
 def median_ms(fn, runs):
@@ -151,6 +189,12 @@ def main(argv=None):
         row = {**spec, "points": sum(d.total_count for d in queries + candidates)}
         for method in METHODS:
             row[f"{method}_ms_per_pair"] = ms_per_pair(queries, candidates, method, args.runs)
+            (
+                row[f"{method}_rows_walked"],
+                row[f"{method}_rows_retired"],
+                row[f"{method}_walks"],
+                row[f"{method}_traced_peak_mb"],
+            ) = walk_counts(queries, candidates, method)
         row["embedding_row_ms"] = embedding_stages(queries, candidates, args.runs)
         row["flowtree_place_ms"], row["flowtree_row_ms"], row["flowtree_rows_sorted"] = (
             flowtree_stages(queries, candidates, args.runs)

@@ -9,6 +9,7 @@ than expanded copies.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -241,20 +242,39 @@ class PersistenceDiagram:
         return f"PersistenceDiagram({len(self)} distinct, total {self._total})"
 
 
+@contextmanager
+def _open_utf8(path: Path, error: type[Exception]):
+    """path opened as UTF-8 text, whatever the locale. A byte sequence that
+    is not UTF-8 raises error, naming the file and the line it sits on."""
+    try:
+        with path.open(encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        # the decoder reads ahead, so find the line in the file's bytes
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise error(f"{path.name}: not UTF-8 text at line {lineno}") from None
+        raise error(f"{path.name}: not UTF-8 text") from None
+
+
 def load_diagram(path) -> PersistenceDiagram:
     """Parse a text diagram file: one "birth death [multiplicity]" per line.
 
-    '#' starts a comment, blank lines are ignored. Raises InvalidPointError
-    for points with death <= birth, non-finite values or multiplicity < 1 or
-    past int64, and DiagramParseError for anything that does not tokenize;
-    both carry the offending line number. Multiplicities that sum past int64
+    The file is read as UTF-8, whatever the locale. '#' starts a comment,
+    blank lines are ignored. Raises InvalidPointError for points with death
+    <= birth, non-finite values or multiplicity < 1 or past int64, and
+    DiagramParseError for anything that does not tokenize or decode; both
+    carry the offending line number. Multiplicities that sum past int64
     raise InvalidPointError too.
     """
     path = Path(path)
     births: list[float] = []
     deaths: list[float] = []
     mults: list[int] = []
-    with path.open() as fh:
+    with _open_utf8(path, DiagramParseError) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from ._rows import group_rows
-from .diagram import PersistenceDiagram
+from .diagram import PersistenceDiagram, _open_utf8
 from .quadtree import MAX_LEVELS, ShiftedQuadtree
 
 
@@ -122,10 +122,10 @@ def read_vector(path) -> EmbeddingVector:
     """Parse a vector file; raises ValueError, naming the file and line, for
     a malformed line, a cell no tree of at most MAX_LEVELS levels has, a
     cell that repeats or breaks (level, ix, iy) order, or a value that is
-    not a finite non-negative number."""
+    not a finite non-negative number, or a file that is not UTF-8 text."""
     path = Path(path)
     limit = 1 << (MAX_LEVELS - 1)
-    with path.open() as fh:
+    with _open_utf8(path, ValueError) as fh:
         signature = fh.readline().strip()
         if not signature:
             raise ValueError(f"{path.name}: missing tree signature header")

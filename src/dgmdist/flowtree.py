@@ -24,27 +24,34 @@ once, a job being a pair of diagrams on one tree, and the jobs of one sweep
 may lie on different trees: their points are stacked job by job and grouped
 by (job, cell), so each level costs a fixed number of array operations
 however many jobs it carries, and a job on a shallower tree is done at its
-own root. It returns what it matched at each level, the pairs it sends to
-the diagonal by row, not by cell, and each job's residual after every level;
-greedy_match, the one caller that lists pairs, walks one job and sorts its
-pairs once afterwards. PlacedDiagrams.distances reads both costs of any list
-of jobs from the same sweeps, in batches that keep _walk's keys and masses
-exact and its memory bounded: the flowtree cost is one math.fsum over the
-job's own pairs, which gives the same value in any order, so greedy_match's
-cost bit for bit; the embedding cost reads the job's residuals with its own
-tree's side. flowtree_row and embedding_row are one diagram against many on
-one tree, multi_tree_estimate (dist) is one job per tree, and the evaluation
+own root. _matchings feeds it: it stacks the jobs' rows in setup chunks
+(_batches), retires in closed form every row that cannot cross-match (see
+Placement), and walks the other rows of whole jobs, up to _BATCH_ROWS of
+them per walk. It yields, chunk by chunk, what each job matched: its
+retired rows' diagonal pairs, the pairs the walk made, and the job's
+residual after every level. greedy_match, the one caller that lists pairs,
+matches one job and sorts its pairs once afterwards.
+PlacedDiagrams.distances reads both costs of any list of jobs from the
+same matchings, within limits that keep _walk's keys and masses exact and
+its memory bounded: the flowtree cost is one math.fsum over the job's own
+pairs, which gives the same value in any order, so greedy_match's cost bit
+for bit; the embedding cost reads the job's residuals with its own tree's
+side. flowtree_row and embedding_row are one diagram against many on one
+tree, multi_tree_estimate (dist) is one job per tree, and the evaluation
 harness reads every tree distance of a call from one distances call. Every
 flowtree cost is taken under the trees' one ground metric.
 
 Placement. PlacedDiagrams places every point of its diagrams once, each
 diagram on its tree (ShiftedQuadtree.place: the finest cell, whose
 ancestor k levels up is the index shifted right by k, and the first
-terminal level), so a walk computes no cell formula. Before the sweep it
-also gives each row its meet level, the first level at which the row's cell
-holds any point of the other diagram of its job, from the Morton order of
-the finest cells (see PlacedDiagrams._meet_levels). At each level the walk
-then, picking rows by mask in row order,
+terminal level), so a walk computes no cell formula. Before the sweep each
+row gets its meet level, the first level at which the row's cell holds any
+point of the other diagram of its job, from the Morton order of the finest
+cells (see PlacedDiagrams._meet_levels). A row whose terminal level comes
+at or before its meet level is retired: it goes to the diagonal whole, at
+its terminal level, and counts as its job's residual on every level below
+that. Only the other rows are walked. At each level the walk then, picking
+rows by mask in row order,
 - sends to the diagonal the live rows whose terminal level it is;
 - sorts by (job, cell) only the live rows at or past their meet level.
 
@@ -54,7 +61,11 @@ past its meet level, since the cell holds a point of the other diagram. So
 each such cell is in the sort whole, with its rows in the same relative
 order, and the cross walk pairs them as it would in a sort of all live
 rows. The rows left out sit in cells holding no point of the other
-diagram; the cross walk would leave their mass unchanged.
+diagram; the cross walk would leave their mass unchanged. A retired row is
+one of them on every level below its terminal level, and at that level it
+goes to the diagonal before the level's cross walk, as every terminal row
+does; so it never meets the cross walk, and its whole mass goes to the
+diagonal there.
 """
 
 from __future__ import annotations
@@ -63,8 +74,9 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,8 +88,9 @@ KIND_CROSS = "cross"
 KIND_P_TO_DIAGONAL = "p_to_diagonal"
 KIND_Q_TO_DIAGONAL = "q_to_diagonal"
 
-# rows one walk takes, unless a single job holds more: a walk keeps about a
-# hundred bytes per row, and more rows amortize its per-level costs no further
+# walked rows one walk takes, and rows one setup chunk stacks, unless a single
+# job holds more: a walk keeps about a hundred bytes per walked row, and more
+# rows amortize its per-level costs no further
 _BATCH_ROWS = 1 << 13
 
 
@@ -288,8 +301,8 @@ class PlacedDiagrams:
         of side(k) * r_k, r_k being the pair's mass the walk leaves
         unmatched after level k (see the module docstring), formed on its
         tree as root_side * sum(r_k * 2**k) / 2**level_hi in Python ints
-        and rounded once. The pairs are walked in the batches of _batches,
-        and both costs are read from the same walk.
+        and rounded once. Both costs are read from the same matchings
+        (_matchings).
 
         Raises TypeError unless every index is an integer, IndexError unless
         it lies in range(len(self)), and ValueError if a pair's diagrams lie
@@ -315,21 +328,24 @@ class PlacedDiagrams:
         for tree in self.trees:
             p, q = float(tree.root_side).as_integer_ratio()
             scales.append((p, q << tree.level_hi))
-        for lo, hi in self._batches(first, second):
-            (point, partner, job, pair_mass, _), residual = _walk(
-                self, first[lo:hi], second[lo:hi]
-            )
+        metric = self.trees[0].ground_metric
+        for chunk, (point, partner, job, pair_mass, _), residual in _matchings(
+            self, first, second
+        ):
             if "flowtree" in costs:
-                products = pair_mass * _pair_distances(self, point, partner)
-                # the smallest unsigned type: a stable sort of it is a radix sort
-                owner = job.astype(np.min_scalar_type(hi - lo))
-                products = products[np.argsort(owner, kind="stable")].tolist()
-                ends = np.cumsum(np.bincount(owner, minlength=hi - lo)).tolist()
+                # each job's products: its retired rows', then its walked pairs'
+                retired = chunk.retired
+                distance = metric.diagonal_distances(self.coords[retired])
+                products = self.mass[retired] * distance
+                walked = pair_mass * _pair_distances(self, point, partner)
+                ends = np.cumsum(chunk.retired_count).tolist()
+                walked_ends = np.cumsum(np.bincount(job, minlength=chunk.hi - chunk.lo)).tolist()
                 costs["flowtree"].extend(
-                    math.fsum(products[a:b]) for a, b in zip([0] + ends[:-1], ends)
+                    math.fsum(chain(products[a:b].tolist(), walked[c:d].tolist()))
+                    for a, b, c, d in zip([0, *ends], ends, [0, *walked_ends], walked_ends)
                 )
             if "embedding" in costs:
-                job_trees = self.tree_of[first[lo:hi]].tolist()
+                job_trees = self.tree_of[first[chunk.lo : chunk.hi]].tolist()
                 for t, column in zip(job_trees, residual.T.tolist()):
                     p, scale = scales[t]
                     costs["embedding"].append(
@@ -358,12 +374,13 @@ class PlacedDiagrams:
         return np.full(len(js), i), js
 
     def _batches(self, first: np.ndarray, second: np.ndarray) -> list[tuple[int, int]]:
-        """The jobs (first[p], second[p]) cut into consecutive batches
-        [lo, hi) for _walk. A batch holds at most 2**(54 - levels) jobs, for
-        _walk's packed cell keys, and, unless it is a single job, less than
-        2**63 multiplicity, so that its int64 cumulative masses cannot wrap
-        (a single job's wrapped differences cancel), and at most _BATCH_ROWS
-        rows."""
+        """The jobs (first[p], second[p]) cut into consecutive setup chunks
+        [lo, hi) for _matchings. A chunk holds at most 2**(54 - levels)
+        jobs, for _walk's packed cell keys, and, unless it is a single job,
+        less than 2**63 multiplicity, so that its int64 cumulative masses
+        cannot wrap (a single job's wrapped differences cancel), and at most
+        _BATCH_ROWS rows. A walk keeps the first two limits on the jobs of
+        the chunks it joins."""
         start, most = self.start, 1 << (54 - self.levels)
         rows = (start[first + 1] - start[first] + start[second + 1] - start[second]).tolist()
         bounds, mass, size = [0], 0, 0
@@ -401,46 +418,181 @@ class PlacedDiagrams:
         return np.where(found, levels, MAX_LEVELS).min(axis=0, initial=MAX_LEVELS)
 
 
-def _walk(placed: PlacedDiagrams, first: np.ndarray, second: np.ndarray):
-    """The greedy matchings of the jobs (diagram first[p], diagram
-    second[p]), each on its diagrams' tree, one pass per level.
+class _Rows(NamedTuple):
+    """Rows of a walk, in row order: each row's job, its point in the
+    placement, whether it is a point of the job's first diagram, and its
+    meet level."""
+
+    job: np.ndarray
+    point: np.ndarray
+    from_first: np.ndarray
+    meet: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Chunk:
+    """The jobs [lo, hi) and their retired rows.
+
+    mass is the jobs' total multiplicity, a Python int. retired holds the
+    points of the retired rows in row order and retired_count each job's
+    number of them; retiring[k, p] is the mass job lo + p retires at level
+    k, exact in uint64.
+    """
+
+    lo: int
+    hi: int
+    mass: int
+    retired: np.ndarray
+    retired_count: np.ndarray
+    retiring: np.ndarray
+
+
+def _chunk(placed: PlacedDiagrams, first: np.ndarray, second: np.ndarray, lo: int, hi: int):
+    """Stack the rows of the jobs (diagram first[p], diagram second[p]) for
+    p in [lo, hi) and split them: the _Chunk of the retired ones, and the
+    walked ones, job being the index of the job among all jobs.
 
     Rows stack the jobs' points job-major: job p's points of diagram
     first[p], then those of diagram second[p], each side in lexicographic
-    order, each with its multiplicity as mass. The jobs are one batch of
-    PlacedDiagrams.distances. Each job is matched exactly as if walked
-    alone: its points never share a cell with another job's, and a job on a
-    tree shallower than placed.levels is done at its own root.
-
-    Returns the matched pairs as (point, partner, job, mass, level) arrays
-    in the order the walk makes them: level by level, each level's diagonal
-    pairs by row, then its cross pairs in walk order. point and partner
-    index placed's points (partner -1 for a diagonal pair) and job indexes
-    the batch. Also returns the residuals, a (placed.levels, jobs) uint64
-    array: entry [k, p] is job p's mass left unmatched after level k, exact
-    since one job holds less than 2**64. Every entry is 0 from the job's
-    root on, where every row is terminal.
+    order. A row whose terminal level comes at or before its meet level is
+    retired: it can meet no point of the other diagram before it goes to
+    the diagonal (see the module docstring).
     """
-    levels = placed.levels
+    first, second = first[lo:hi], second[lo:hi]
     start = placed.start
     n_first = start[first + 1] - start[first]
     sizes = n_first + start[second + 1] - start[second]
-    job = np.repeat(np.arange(len(first)), sizes)
+    job = np.repeat(np.arange(hi - lo), sizes)
     within = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     from_first = within < n_first[job]
     point = within + np.where(from_first, start[first][job], (start[second] - n_first)[job])
+    terminal = placed.terminal_level[point]
+    meet = placed._meet_levels(point, np.where(from_first, second[job], first[job]))
+    walked = meet < terminal
+    retired = np.flatnonzero(~walked)
+    walked = np.flatnonzero(walked)
+    retiring = np.zeros((placed.levels, hi - lo), np.uint64)
+    np.add.at(
+        retiring.reshape(-1),
+        terminal[retired] * (hi - lo) + job[retired],
+        placed.mass[point[retired]].astype(np.uint64),
+    )
+    chunk = _Chunk(
+        lo=lo,
+        hi=hi,
+        mass=sum(placed._pair_totals(first, second)),
+        retired=point[retired],
+        retired_count=np.bincount(job[retired], minlength=hi - lo),
+        retiring=retiring,
+    )
+    return chunk, _Rows(job[walked] + lo, point[walked], from_first[walked], meet[walked])
+
+
+def _matchings(
+    placed: PlacedDiagrams, first: np.ndarray, second: np.ndarray
+) -> Iterator[tuple[_Chunk, tuple, np.ndarray]]:
+    """The greedy matchings of the jobs (diagram first[p], diagram
+    second[p]), each on its diagrams' tree.
+
+    The jobs are stacked in the setup chunks of PlacedDiagrams._batches.
+    The walked rows of consecutive whole chunks go to one walk, as long as
+    it holds at most _BATCH_ROWS of them, 2**(54 - levels) jobs and, unless
+    it is one chunk, less than 2**63 multiplicity.
+
+    Yields one (chunk, walked, residual) per _Chunk, in job order: walked
+    is the (point, partner, job, mass, level) arrays of the pairs the walk
+    made for the chunk's jobs, job indexing them from chunk.lo, by job and
+    each job's in the order the walk made them; residual is the
+    (placed.levels, jobs) slice of _walk's residuals. The chunk's retired
+    rows each pair whole with the diagonal at their terminal level.
+    """
+    most = 1 << (54 - placed.levels)
+    group: list[_Chunk] = []
+    parts: list[_Rows] = []
+    jobs = mass = rows = 0
+    for lo, hi in placed._batches(first, second):
+        chunk, walked = _chunk(placed, first, second, lo, hi)
+        jobs, mass, rows = jobs + hi - lo, mass + chunk.mass, rows + len(walked.job)
+        if group and (jobs > most or mass >= 1 << 63 or rows > _BATCH_ROWS):
+            yield from _walk_group(placed, first, second, group, parts)
+            group, jobs, mass, rows = [], hi - lo, chunk.mass, len(walked.job)
+        group.append(chunk)
+        parts.append(walked)
+    if group:
+        yield from _walk_group(placed, first, second, group, parts)
+
+
+def _walk_group(
+    placed: PlacedDiagrams,
+    first: np.ndarray,
+    second: np.ndarray,
+    group: list[_Chunk],
+    parts: list[_Rows],
+) -> list[tuple[_Chunk, tuple, np.ndarray]]:
+    """Walk the walked rows of a group of chunks, parts, at once, and give
+    each chunk's share as _matchings yields it. Empties parts, so that the
+    walk holds the rows once, and returns before the shares are read, so
+    that the rows are gone by then."""
+    lo, hi = group[0].lo, group[-1].hi
+    rows = parts[0] if len(parts) == 1 else _Rows(*map(np.concatenate, zip(*parts)))
+    parts.clear()
+    retiring = np.concatenate([chunk.retiring for chunk in group], axis=1)
+    walked, residual = _walk(
+        placed, first[lo:hi], second[lo:hi], rows._replace(job=rows.job - lo), retiring
+    )
+    # the smallest unsigned type: a stable sort of it is a radix sort
+    order = np.argsort(walked[2].astype(np.min_scalar_type(hi - lo)), kind="stable")
+    point, partner, job, pair_mass, level = (column[order] for column in walked)
+    ends = np.searchsorted(job, [chunk.hi - lo for chunk in group]).tolist()
+    shares = []
+    for chunk, a, b in zip(group, [0, *ends], ends):
+        shift = chunk.lo - lo
+        share = (point[a:b], partner[a:b], job[a:b] - shift, pair_mass[a:b], level[a:b])
+        shares.append((chunk, share, residual[:, shift : chunk.hi - lo]))
+    return shares
+
+
+def _walk(
+    placed: PlacedDiagrams,
+    first: np.ndarray,
+    second: np.ndarray,
+    rows: _Rows,
+    retiring: np.ndarray,
+):
+    """The level sweep of the jobs (diagram first[p], diagram second[p]),
+    each on its diagrams' tree, over their walked rows.
+
+    rows are the jobs' walked rows (job indexing first and second), each
+    with its multiplicity as mass, and retiring[k, p] is the mass job p
+    retires at level k without walking. Each job is matched exactly as if
+    walked alone: its points never share a cell with another job's, and a
+    job on a tree shallower than placed.levels is done at its own root.
+
+    Returns the walked rows' pairs as (point, partner, job, mass, level)
+    arrays in the order the walk makes them: level by level, each level's
+    diagonal pairs by row, then its cross pairs in walk order. point and
+    partner index placed's points (partner -1 for a diagonal pair). Also
+    returns the residuals, a (placed.levels, jobs) uint64 array: entry
+    [k, p] is job p's mass left unmatched after level k, retired rows
+    included, exact since one job holds less than 2**64. Every entry is 0
+    from the job's root on, where every row is terminal.
+    """
+    levels = placed.levels
+    job, point, from_first, meet = rows
     mass = placed.mass[point]
     # job index above the x cell index: the packed (job, x) key of a row's
     # cell on level k is cell_x >> k, below 2**53 and ordered like the tuple
     cell_x = (job << (levels - 1)) + placed.ix[point]
     iy = placed.iy[point]
     terminal = placed.terminal_level[point]
-    meet = placed._meet_levels(point, np.where(from_first, second[job], first[job]))
-    # each job's unmatched mass, below 2**64, so exact in uint64
-    live = np.array(placed._pair_totals(first, second), np.uint64)
+    # each job's retired mass still unmatched after every level, and its
+    # walked mass, below 2**64, so exact in uint64
+    retired = np.cumsum(retiring[::-1], axis=0)[::-1]
     residual = np.zeros((levels, len(first)), np.uint64)
+    residual[:-1] = retired[1:]
+    live = np.array(placed._pair_totals(first, second), np.uint64) - retired[0]
     no_partner = np.full(len(mass), -1)
-    # an empty first entry, for jobs of diagrams that hold no point
+    # an empty first entry, for walks without rows
     pairs = [(no_partner[:0], no_partner[:0], mass[:0], 0)]
     for level in range(levels):
         if not live.any():
@@ -461,7 +613,7 @@ def _walk(placed: PlacedDiagrams, first: np.ndarray, second: np.ndarray):
             pairs.append((rows[a], rows[b], take, level))
             mass[rows] = left
             np.subtract.at(live, job[rows[a]], 2 * take.astype(np.uint64))
-        residual[level] = live
+        residual[level] += live
 
     rows, partners, masses, levels_of = zip(*pairs)
     level = np.repeat(levels_of, [len(r) for r in rows])
@@ -498,8 +650,18 @@ def greedy_match(
     level by point alone); then the cross pairs, in walk order.
     """
     placed = PlacedDiagrams(tree, (first, second))
-    (point, partner, _, pair_mass, level), residual = _walk(placed, np.array([0]), np.array([1]))
-    # a stable sort: pairs with equal keys keep the order _walk made them in
+    ((chunk, walked, residual),) = _matchings(placed, np.array([0]), np.array([1]))
+    point, partner, _, pair_mass, level = walked
+    retired = chunk.retired
+    point = np.concatenate((retired, point))
+    partner = np.concatenate((np.full(len(retired), -1), partner))
+    pair_mass = np.concatenate((placed.mass[retired], pair_mass))
+    level = np.concatenate((placed.terminal_level[retired], level))
+    # a stable sort: pairs with equal keys keep their order, the retired
+    # rows' diagonal pairs first, by row. The two kinds of diagonal pairs of
+    # a level never share a cell one level down: a walked row's cell there
+    # holds a point of the other diagram, so a retired row in it would have
+    # met that point. On the finest level every diagonal pair is retired.
     terminal = (partner < 0) & (level > 0)
     down = np.maximum(level - 1, 0)
     order = np.lexsort(

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +167,32 @@ class TestDist:
         assert code == EXIT_PARSE
         assert out == ""
         assert err.splitlines()[1:] == [message]
+
+    def test_utf8_comment_parses_under_an_ascii_locale(self, tmp_path, capsys):
+        # the C locale with UTF-8 mode off makes ASCII the default encoding
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("# café\n0 4\n", encoding="utf-8")
+        write_singleton(b, 1, 3)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), LC_ALL="C", PYTHONUTF8="0")
+        env.pop("DGMDIST_SEED", None)
+        done = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "dgmdist.cli", "dist", str(a), str(b)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        code, out, _ = run(capsys, "dist", str(a), str(b))
+        assert code == EXIT_OK
+        assert json.loads(done.stdout)["value"] == json.loads(out)["value"]
+
+    def test_bytes_not_utf8_are_a_parse_error(self, tmp_path, capsys):
+        a, c = tmp_path / "a.txt", tmp_path / "c.txt"
+        a.write_bytes(b"0 4\n# stray \xff byte\n1 5\n")
+        write_singleton(c, 0, 4)
+        code, out, err = run(capsys, "dist", str(a), str(c))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.splitlines()[1:] == ["error: a.txt: not UTF-8 text at line 2"]
 
     def test_oracle_cap_exit_code(self, tmp_path, capsys):
         # 2001 + 2001 expanded points exceed the default 4000 cap

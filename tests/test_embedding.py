@@ -338,3 +338,9 @@ class TestVectorFiles:
         path.write_text(f"qt:0:abc\n0 1 1 2.0\n{entry}\n")
         with pytest.raises(ValueError, match=f"^bad.vec: {problem} at line 3$"):
             read_vector(path)
+
+    def test_bytes_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "bad.vec"
+        path.write_bytes(b"qt:0:abc\n0 1 1 2.0\n0 1 2 \xff\n")
+        with pytest.raises(ValueError, match="^bad.vec: not UTF-8 text at line 3$"):
+            read_vector(path)

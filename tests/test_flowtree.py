@@ -4,6 +4,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from dgmdist import (
     exact_distance,
     gen_gaussian,
     gen_uniform,
+    knn_distances,
     union_coords,
 )
 from dgmdist.embedding import embed, l1_distance
@@ -644,6 +646,152 @@ class TestStackedJobs:
         l1 = build_tree(points, TreeConfig(seed=1, ground_metric=GroundMetric.L1))
         with pytest.raises(ValueError, match="one ground metric"):
             PlacedDiagrams([trees[0], l1], [first, second])
+
+
+@st.composite
+def retirement_cases(draw):
+    """(trees, diagrams, jobs, batch_rows) whose rows mostly retire: small
+    near-diagonal gaussian diagrams, their births squeezed into a narrower
+    band so that some rows meet one level below their terminal level, the
+    first with a point terminal at the finest level, the last moved far
+    from the others, so that all its rows retire against them, and an empty
+    diagram. The trees are a 48-level tree, truncated by a near-diagonal
+    anchor point, and a 2-level one. Jobs include swapped and self pairs;
+    batch_rows is the row budget, down to a single row so that the walked
+    rows span several walks."""
+    metric = draw(st.sampled_from(list(GroundMetric)))
+    seeds = draw(st.lists(st.integers(0, 2**31 - 1), min_size=2, max_size=4))
+    squeeze = draw(st.sampled_from([1.0, 0.1, 0.01]))
+    diagrams = []
+    for seed in seeds:
+        coords = gen_gaussian(draw(st.integers(1, 30)), seed).coords()
+        births = coords[:, 0] * squeeze
+        diagrams.append(PersistenceDiagram(zip(births, births + coords[:, 1] - coords[:, 0])))
+    # a point one ulp off the diagonal, terminal on the finest level of the
+    # 48-level tree, so that a self pair sends it to the diagonal there
+    # next to cross pairs
+    birth = float(diagrams[0].coords()[0, 0]) + 0.5
+    diagrams[0] = PersistenceDiagram(
+        [*diagrams[0].coords().tolist(), (birth, math.nextafter(birth, math.inf))]
+    )
+    far = diagrams[-1].coords() + draw(st.sampled_from([500.0, 1e6]))
+    diagrams[-1] = PersistenceDiagram(far.tolist())
+    diagrams.append(PersistenceDiagram())
+    points = union_coords(diagrams)
+    seed = draw(st.integers(0, 2**32 - 1))
+    trees = [
+        build_tree(
+            [*points, (0.0, 1e-200)],
+            TreeConfig(seed=seed, max_levels_cap=MAX_LEVELS, ground_metric=metric),
+        ),
+        build_tree(points, TreeConfig(seed=seed, max_levels_cap=2, ground_metric=metric)),
+    ]
+    job = st.tuples(
+        st.integers(0, len(trees) - 1),
+        st.integers(0, len(diagrams) - 1),
+        st.integers(0, len(diagrams) - 1),
+    )
+    jobs = draw(st.lists(job, min_size=1, max_size=8))
+    jobs += [(t, b, a) for t, a, b in jobs[:2]] + [(t, a, a) for t, a, _ in jobs[:2]]
+    return trees, diagrams, jobs, draw(st.sampled_from([1, 8, 40, 1 << 13]))
+
+
+def assert_reference_pairs(tree, matching, pairs):
+    """matching's pairs equal the reference's pairs, compared as multisets
+    pair for pair, and come in greedy_match's order: by level, each level's
+    diagonal pairs first, by their cell one level down and then by point
+    (at the finest level by point alone)."""
+    assert sorted(
+        (p.source, p.target, p.mass, p.kind, p.level, p.distance) for p in matching.pairs
+    ) == sorted(pairs)
+    ix, iy, _ = tree.place(matching.coords)
+    keys = []
+    for level, partner, point in zip(
+        matching.level.tolist(), matching.partner.tolist(), matching.point.tolist()
+    ):
+        if partner >= 0:
+            keys.append((level, 1, 0, 0, 0))
+        else:
+            down = max(level - 1, 0)
+            cell = (ix[point] >> down, iy[point] >> down) if level else (0, 0)
+            keys.append((level, 0, *cell, point))
+    assert keys == sorted(keys)
+
+
+def walk_rows(call):
+    """call()'s result and the number of rows each of its walks took."""
+    rows = []
+    walk = dgmdist.flowtree._walk
+
+    def counting(*args):
+        rows.append(len(args[3].point))
+        return walk(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dgmdist.flowtree, "_walk", counting)
+        result = call()
+    return result, rows
+
+
+class TestEarlyRetirement:
+    """Rows that cannot cross-match before their terminal level go to the
+    diagonal without being walked; nothing else changes."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(retirement_cases())
+    def test_distances_and_pairs_equal_the_reference(self, case):
+        trees, diagrams, jobs, batch_rows = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dgmdist.flowtree, "_BATCH_ROWS", batch_rows)
+            _, costs, columns = stacked_walk(trees, diagrams, jobs)
+        assert len(columns) == len(jobs)
+        metric = trees[0].ground_metric
+        for p, (t, a, b) in enumerate(jobs):
+            tree, first, second = trees[t], diagrams[a], diagrams[b]
+            pairs, cost, residuals, _ = reference.greedy_match(tree, first, second, metric)
+            assert costs["flowtree"][p] == cost
+            assert costs["embedding"][p] == reference.embedding_cost(tree, first, second)
+            assert columns[p] == [r for _, r in residuals] + [0] * (MAX_LEVELS - len(residuals))
+            matching = greedy_match(tree, first, second)
+            assert matching.cost == cost
+            assert_reference_pairs(tree, matching, pairs)
+
+    @pytest.mark.parametrize("metric", list(GroundMetric))
+    def test_all_retired_jobs_walk_no_rows(self, metric):
+        # near-diagonal clusters far apart meet only in cells that already
+        # touch the diagonal, and an empty diagram meets nothing
+        near = gen_gaussian(40, 1)
+        far = PersistenceDiagram((gen_gaussian(30, 2).coords() + 1e6).tolist())
+        diagrams = [near, far, PersistenceDiagram()]
+        tree = build_tree(union_coords(diagrams), TreeConfig(seed=3, ground_metric=metric))
+        placed = PlacedDiagrams(tree, diagrams)
+        first, second = [0, 1, 0, 2, 1, 2], [1, 0, 2, 0, 2, 2]
+        costs, rows = walk_rows(lambda: placed.distances(first, second))
+        assert rows == [0]
+        for p, (a, b) in enumerate(zip(first, second)):
+            _, cost, _, _ = reference.greedy_match(tree, diagrams[a], diagrams[b], metric)
+            assert costs["flowtree"][p] == cost
+            assert costs["embedding"][p] == reference.embedding_cost(
+                tree, diagrams[a], diagrams[b]
+            )
+
+    def test_knn_command_is_one_walk(self):
+        # the shape of a knn command of the benchmark's near-diagonal
+        # rounds: 40 diagrams of up to 300 points, split 4 : 36; most rows
+        # retire, and the rest fit one walk
+        rng = np.random.default_rng(1)
+        diagrams = [
+            gen_gaussian(round(300 * (i + 1) / 40), int(rng.integers(0, 2**31 - 1)))
+            for i in range(40)
+        ]
+        order = rng.permutation(40).tolist()
+        queries = [diagrams[i] for i in order[:4]]
+        candidates = [diagrams[i] for i in order[4:]]
+        for method in ("flowtree", "embedding"):
+            _, rows = walk_rows(
+                lambda: knn_distances(queries, candidates, method, GroundMetric.L2, seed=0)
+            )
+            assert len(rows) == 1 and rows[0] < dgmdist.flowtree._BATCH_ROWS
 
 
 class TestMultiTree:

@@ -36,10 +36,24 @@ def test_bench_knn_report(tmp_path, monkeypatch, scripts):
         "flowtree_row_ms",
         "flowtree_rows_sorted",
     }
-    assert keys <= set(row)
+    counts = {
+        f"{method}_{count}"
+        for method in ("flowtree", "embedding")
+        for count in ("rows_walked", "rows_retired", "walks")
+    }
+    peaks = {"flowtree_traced_peak_mb", "embedding_traced_peak_mb"}
+    assert keys | counts | peaks <= set(row)
     assert row["name"] == "tiny" and row["points"] > 0
-    assert all(row[key] >= 0 for key in keys)
+    assert all(row[key] >= 0 for key in keys | counts)
+    assert all(row[key] > 0 for key in peaks)
     assert isinstance(row["flowtree_rows_sorted"], int) and row["flowtree_rows_sorted"] > 0
+    assert all(isinstance(row[key], int) for key in counts)
+    # every point of every query-candidate pair is one row, walked or retired
+    queries, candidates = bench_knn.split_dataset(spec)
+    rows = sum(len(q) + len(c) for q in queries for c in candidates)
+    for method in ("flowtree", "embedding"):
+        assert row[f"{method}_walks"] == 1
+        assert row[f"{method}_rows_walked"] + row[f"{method}_rows_retired"] == rows
 
 
 def test_bench_exact_report(tmp_path, scripts):
