@@ -105,11 +105,12 @@ def _derived_seeds(seed: int, count: int) -> list[int]:
 
 
 def _load_dir(directory) -> tuple[list[str], list[PersistenceDiagram]]:
-    """Diagrams of a directory in sorted file order, with their stems."""
+    """Diagrams of a directory's regular *.txt files in sorted file order,
+    with their stems."""
     directory = Path(directory)
     if not directory.is_dir():
         raise UsageError(f"not a directory: {directory}")
-    paths = sorted(directory.glob("*.txt"))
+    paths = sorted(p for p in directory.glob("*.txt") if p.is_file())
     if not paths:
         raise UsageError(f"no diagram files (*.txt) in {directory}")
     return [p.stem for p in paths], [load_diagram(p) for p in paths]

@@ -9,6 +9,7 @@ than expanded copies.
 from __future__ import annotations
 
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -260,6 +261,10 @@ def _open_utf8(path: Path, error: type[Exception]):
         raise error(f"{path.name}: not UTF-8 text") from None
 
 
+# a comment runs from '#' to the end of its line
+_COMMENT = re.compile("#[^\n]*")
+
+
 def load_diagram(path) -> PersistenceDiagram:
     """Parse a text diagram file: one "birth death [multiplicity]" per line.
 
@@ -269,55 +274,95 @@ def load_diagram(path) -> PersistenceDiagram:
     DiagramParseError for anything that does not tokenize or decode; both
     carry the offending line number. Multiplicities that sum past int64
     raise InvalidPointError too.
+
+    The whole file is checked and converted in bulk; only a file that
+    breaks a rule is then read line by line, to name its first bad line.
     """
     path = Path(path)
-    births: list[float] = []
-    deaths: list[float] = []
-    mults: list[int] = []
     with _open_utf8(path, DiagramParseError) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) not in (2, 3):
-                raise DiagramParseError(
-                    f"{path.name}: expected 'birth death [multiplicity]' at line {lineno}"
-                )
-            try:
-                birth = float(fields[0])
-                death = float(fields[1])
-            except ValueError:
-                raise DiagramParseError(
-                    f"{path.name}: malformed number at line {lineno}"
-                ) from None
-            if not (math.isfinite(birth) and math.isfinite(death)):
-                raise InvalidPointError(f"{path.name}: non-finite value at line {lineno}")
-            if death <= birth:
-                raise InvalidPointError(f"{path.name}: death <= birth at line {lineno}")
-            mult = 1
-            if len(fields) == 3:
-                try:
-                    mult = int(fields[2])
-                except ValueError:
-                    raise DiagramParseError(
-                        f"{path.name}: malformed multiplicity at line {lineno}"
-                    ) from None
-                if mult < 1:
-                    raise InvalidPointError(
-                        f"{path.name}: multiplicity < 1 at line {lineno}"
-                    )
-                if mult > _INT64_MAX:
-                    raise InvalidPointError(
-                        f"{path.name}: multiplicity does not fit in int64 at line {lineno}"
-                    )
-            births.append(birth)
-            deaths.append(death)
-            mults.append(mult)
+        text = fh.read()
+    columns = _bulk_columns(_COMMENT.sub("", text) if "#" in text else text)
+    if columns is None:
+        raise _line_error(path.name, text)
     try:
-        return PersistenceDiagram._from_columns(births, deaths, mults)
+        return PersistenceDiagram._from_columns(*columns)
     except OverflowError as exc:
         raise InvalidPointError(f"{path.name}: {exc}") from None
+
+
+def _bulk_columns(text: str):
+    """(births, deaths, multiplicities) of a comment-free file text, with
+    one conversion call per column kind, or None if any line breaks a rule.
+
+    Lines end at "\n" only (str.splitlines would also break at \x0c or
+    \x85, which separate fields), and fields split as str.split() does.
+    Coordinates go through float(), multiplicities through int(), as the
+    line scan reads them.
+    """
+    widths = set(map(len, map(str.split, text.split("\n"))))
+    if not widths <= {0, 2, 3}:
+        return None
+    tokens = text.split()
+    if 3 in widths:
+        # a second pass numbers the fields, to find each third one
+        fields = np.fromiter(map(len, map(str.split, text.split("\n"))), np.intp)
+        fields = fields[fields > 0]
+        third = np.cumsum(fields)[fields == 3] - 1
+        tokens = np.array(tokens, dtype=object)
+        try:
+            listed = tokens[third].astype(np.int64)
+        except (ValueError, OverflowError):
+            return None
+        if not (listed >= 1).all():
+            return None
+        mults = np.ones(len(fields), dtype=np.int64)
+        mults[fields == 3] = listed
+        tokens = np.delete(tokens, third)
+    else:
+        mults = np.ones(len(tokens) // 2, dtype=np.int64)
+    try:
+        values = np.array(tokens, dtype=float).reshape(-1, 2)
+    except ValueError:
+        return None
+    births, deaths = values[:, 0], values[:, 1]
+    if not (np.isfinite(values).all() and (deaths > births).all()):
+        return None
+    return births, deaths, mults
+
+
+def _line_error(name: str, text: str) -> DiagramError:
+    """The error for the first line of a file's text, numbered from 1, that
+    breaks a rule: the report for a file the bulk parse rejected."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) not in (2, 3):
+            return DiagramParseError(
+                f"{name}: expected 'birth death [multiplicity]' at line {lineno}"
+            )
+        try:
+            birth = float(fields[0])
+            death = float(fields[1])
+        except ValueError:
+            return DiagramParseError(f"{name}: malformed number at line {lineno}")
+        if not (math.isfinite(birth) and math.isfinite(death)):
+            return InvalidPointError(f"{name}: non-finite value at line {lineno}")
+        if death <= birth:
+            return InvalidPointError(f"{name}: death <= birth at line {lineno}")
+        if len(fields) == 3:
+            try:
+                mult = int(fields[2])
+            except ValueError:
+                return DiagramParseError(f"{name}: malformed multiplicity at line {lineno}")
+            if mult < 1:
+                return InvalidPointError(f"{name}: multiplicity < 1 at line {lineno}")
+            if mult > _INT64_MAX:
+                return InvalidPointError(
+                    f"{name}: multiplicity does not fit in int64 at line {lineno}"
+                )
+    raise AssertionError(f"{name}: the bulk parse rejected a file with no bad line")
 
 
 def save_diagram(diagram: PersistenceDiagram, path) -> None:

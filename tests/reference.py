@@ -20,9 +20,12 @@ brute-force enumerator over all partial matchings for tiny instances, and
 optimal transport between the augmented sets under the unmodified ground
 metric, which is within a factor 2 of the exact distance.
 
-The last part holds two independent minimum separations for the tree's
-depth: a brute force over every pair by scipy's ``cdist``, and the scipy
-``cKDTree`` query the library used before its own search.
+Then come two independent minimum separations for the tree's depth: a
+brute force over every pair by scipy's ``cdist``, and the scipy ``cKDTree``
+query the library used before its own search.
+
+The last part is the line-by-line diagram file parser the library used
+before its bulk parse, kept frozen as the oracle for it.
 """
 
 from __future__ import annotations
@@ -30,12 +33,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
+from dgmdist.diagram import (
+    _INT64_MAX,
+    DiagramParseError,
+    InvalidPointError,
+    PersistenceDiagram,
+    _open_utf8,
+)
 from dgmdist.exact import DEFAULT_SIZE_CAP, SizeCapError
 
 
@@ -350,3 +361,56 @@ def kd_min_separation(points, metric):
         dists, _ = cKDTree(points).query(points, k=2, p=_KD_P[metric.value])
         smallest = min(smallest, float(dists[:, 1].min()))
     return smallest
+
+
+def line_scan_diagram(path):
+    """The diagram in a text file, read line by line, with the errors and
+    line numbers of the library's load_diagram."""
+    path = Path(path)
+    births: list[float] = []
+    deaths: list[float] = []
+    mults: list[int] = []
+    with _open_utf8(path, DiagramParseError) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            fields = line.split()
+            if len(fields) not in (2, 3):
+                raise DiagramParseError(
+                    f"{path.name}: expected 'birth death [multiplicity]' at line {lineno}"
+                )
+            try:
+                birth = float(fields[0])
+                death = float(fields[1])
+            except ValueError:
+                raise DiagramParseError(
+                    f"{path.name}: malformed number at line {lineno}"
+                ) from None
+            if not (math.isfinite(birth) and math.isfinite(death)):
+                raise InvalidPointError(f"{path.name}: non-finite value at line {lineno}")
+            if death <= birth:
+                raise InvalidPointError(f"{path.name}: death <= birth at line {lineno}")
+            mult = 1
+            if len(fields) == 3:
+                try:
+                    mult = int(fields[2])
+                except ValueError:
+                    raise DiagramParseError(
+                        f"{path.name}: malformed multiplicity at line {lineno}"
+                    ) from None
+                if mult < 1:
+                    raise InvalidPointError(
+                        f"{path.name}: multiplicity < 1 at line {lineno}"
+                    )
+                if mult > _INT64_MAX:
+                    raise InvalidPointError(
+                        f"{path.name}: multiplicity does not fit in int64 at line {lineno}"
+                    )
+            births.append(birth)
+            deaths.append(death)
+            mults.append(mult)
+    try:
+        return PersistenceDiagram._from_columns(births, deaths, mults)
+    except OverflowError as exc:
+        raise InvalidPointError(f"{path.name}: {exc}") from None

@@ -492,6 +492,29 @@ class TestKnn:
         assert outputs["embedding"] == outputs["flowtree"] == outputs["exact"]
 
 
+    def test_subdirectory_named_txt_is_not_a_diagram(self, tmp_path, capsys):
+        queries, cands = tmp_path / "q", tmp_path / "c"
+        run(capsys, "gen", "--kind", "gaussian", "--count", "1",
+            "--max-size", "6", "--seed", "3", "--out", str(queries))
+        run(capsys, "gen", "--kind", "gaussian", "--count", "2",
+            "--max-size", "6", "--seed", "8", "--out", str(cands))
+        argv = ["knn", "--queries", str(queries), "--candidates", str(cands),
+                "--method", "exact", "-k", "2"]
+        code, before, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        (cands / "sub.txt").mkdir()
+        code, after, err = run(capsys, *argv)
+        assert code == EXIT_OK, err
+        assert after == before
+        # a directory holding only such an entry holds no diagram file
+        empty = tmp_path / "e"
+        (empty / "sub.txt").mkdir(parents=True)
+        code, out, err = run(capsys, "knn", "--queries", str(queries),
+                             "--candidates", str(empty))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.splitlines()[-1] == f"error: no diagram files (*.txt) in {empty}"
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     @pytest.mark.parametrize("out_file", [False, True])
     def test_nonpositive_workers_is_usage_error(self, tmp_path, capsys, workers, out_file):
@@ -536,6 +559,26 @@ class TestEval:
         assert code == EXIT_USAGE
         assert "error: dataset must contain at least two diagrams" in err
         assert not out.exists()
+
+    def test_subdirectory_named_txt_is_not_a_diagram(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run(capsys, "gen", "--kind", "uniform", "--count", "3",
+            "--max-size", "6", "--seed", "4", "--out", str(data))
+        (data / "sub.txt").mkdir()
+        out = tmp_path / "report"
+        code, _, err = run(
+            capsys, "eval", "--data", str(data), "--out", str(out), "--n-pairs", "2",
+            "--bench-sizes", "10", "--reps", "1",
+        )
+        assert code == EXIT_OK, err
+        assert (out / "recall.csv").is_file()
+        # one diagram file beside the directory is still one diagram
+        lone = tmp_path / "lone"
+        (lone / "sub.txt").mkdir(parents=True)
+        save_diagram(PersistenceDiagram([(0, 1)]), lone / "a.txt")
+        code, _, err = run(capsys, "eval", "--data", str(lone), "--out", str(out))
+        assert code == EXIT_USAGE
+        assert "error: dataset must contain at least two diagrams" in err
 
     @pytest.mark.parametrize("policy", ["per_pair", "whole_dataset"])
     def test_no_point_anywhere_completes(self, tmp_path, capsys, policy):

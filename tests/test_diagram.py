@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dgmdist.diagram
 from dgmdist import KIND_P_TO_DIAGONAL, TreeConfig, build_tree, greedy_match
 from dgmdist.diagram import (
+    DiagramError,
     DiagramParseError,
     GroundMetric,
     InvalidPointError,
@@ -337,6 +339,151 @@ class TestFileIO:
         path = tmp_path / "d.txt"
         save_diagram(PersistenceDiagram(), path)
         assert load_diagram(path) == PersistenceDiagram()
+
+
+# field separators inside a line: str.split() breaks at each, a line does not
+SEPARATORS = (" ", "  ", "\t", "\x0c", "\x85", "\u3000")
+# spellings float() and int() accept, and some they do not
+NUMBERS = ("0", "-0", "1.5", "-2", "7", "1e3", "1_0", "\u0661\u0662", "\uff13", "nan", "inf",
+           "-inf", "1e400", "x", "1__0")
+MULTS = ("1", "0", "-1", "1_0", "\u0663", "3.0", "1e3", str(2**62), str(2**63), str(-2**63),
+         str(10**30))
+VALID_MULTS = ("2", "3", "1_0", "\u0663") * 3 + (str(2**62), str(2**63 - 1))
+
+
+@st.composite
+def file_line(draw):
+    """One line of a diagram file, without its newline: mostly valid
+    points, with blank lines, comments, points that break one rule and
+    lines of any 1 to 4 tokens."""
+    kinds = ("point",) * 12 + ("bad point",) * 2 + ("blank", "comment", "tokens")
+    kind = draw(st.sampled_from(kinds))
+    sep = st.sampled_from(SEPARATORS)
+    if kind == "blank":
+        return draw(st.sampled_from(("", " ", "\t", "\x0c", "\u3000")))
+    if kind == "comment":
+        return draw(st.sampled_from(("#", "# 1 2 3", "  # x y")))
+    if kind == "tokens":
+        fields = draw(st.lists(st.sampled_from(NUMBERS + MULTS), min_size=1, max_size=4))
+    else:
+        birth = draw(st.sampled_from((0.0, -0.0, 1.5, -2.0, 1e11, 0.1 + 0.2)))
+        fields = [repr(birth), repr(birth + draw(st.sampled_from((0.5, 1.0, 3.0))))]
+        if draw(st.booleans()):
+            fields.append(draw(st.sampled_from(VALID_MULTS)))
+        if kind == "bad point":
+            broken = draw(
+                st.sampled_from(("birth", "death", "swap", "mult", "mult", "drop", "extra"))
+            )
+            if broken == "drop":
+                del fields[1:]
+            elif broken == "extra":
+                fields += ["1", "2"]
+            elif broken == "mult":
+                fields[2:] = [draw(st.sampled_from(MULTS))]
+            elif broken == "swap":
+                # death = birth, or the two swapped
+                fields[:2] = fields[draw(st.sampled_from((0, 1)))], fields[0]
+            else:
+                fields[0 if broken == "birth" else 1] = draw(st.sampled_from(NUMBERS))
+    line = draw(sep).join(fields)
+    if draw(st.booleans()):
+        line = draw(sep) + line + draw(sep)
+    if draw(st.sampled_from((False,) * 4 + (True,))):
+        line += draw(st.sampled_from(("#", " # 5 4", "\t#\t#")))
+    return line
+
+
+@st.composite
+def file_text(draw):
+    """A whole file: lines ended by LF, CRLF or lone CR, the last one
+    maybe unterminated, with now and then a leading byte-order mark."""
+    lines = draw(st.lists(file_line(), max_size=10))
+    ends = st.sampled_from(("\n",) * 4 + ("\r\n", "\r"))
+    text = "".join(line + draw(ends) for line in lines)
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return draw(st.sampled_from(("",) * 19 + ("\ufeff",))) + text
+
+
+def loaded(load, path):
+    """The diagram's columns and total, or the error's type and message."""
+    try:
+        d = load(path)
+    except DiagramError as exc:
+        return type(exc), str(exc)
+    return d.coords().tobytes(), d.multiplicities().tobytes(), d.total_count
+
+
+@pytest.fixture
+def no_line_scan(monkeypatch):
+    """load_diagram with its line-by-line error report made to fail."""
+
+    def refuse(name, text):
+        raise AssertionError("line scan reached")
+
+    monkeypatch.setattr(dgmdist.diagram, "_line_error", refuse)
+
+
+class TestBulkParse:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(file_text())
+    def test_same_diagram_or_error_as_the_line_scan(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("bulk") / "d.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert loaded(load_diagram, path) == loaded(reference.line_scan_diagram, path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0 4\n1\n",
+            "0 4\n1\n5\n",
+            "0 4 1 5\n",
+            "0 4\n\n1 x 2\n",
+            "# c\n0 inf\n",
+            "0 4 # c\r\n3 1\r\n",
+            "0 4\r0 4 3.0\r",
+            "0 4 0\n5 1\n",
+            f"0 4 {2**63}\n",
+            f"0 4 {2**62}\n0 4 {2**62}\n",
+            "\ufeff0 4\n",
+            "\ufeff# header\n0 4\n",
+        ],
+    )
+    def test_each_rule_reports_as_the_line_scan(self, tmp_path, text):
+        path = tmp_path / "d.txt"
+        path.write_bytes(text.encode("utf-8"))
+        outcome = loaded(load_diagram, path)
+        assert outcome[0] in (DiagramParseError, InvalidPointError)
+        assert outcome == loaded(reference.line_scan_diagram, path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "\n \n# only a comment\n",
+            "0 4\n1 5 3\n2 6\n",
+            "# header\n0 4  # note\n\n1 5 2 # x\n",
+            "0 4\r\n1 5 3\r\n",
+            "0 4\r1 5\r",
+            "0\x0c4\n1\x855\n1\u30005\t2",
+        ],
+    )
+    def test_valid_files_skip_the_line_scan(self, tmp_path, no_line_scan, text):
+        path = tmp_path / "d.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert load_diagram(path) == reference.line_scan_diagram(path)
+
+    def test_round_trips_skip_the_line_scan(self, tmp_path, no_line_scan):
+        rng = np.random.default_rng(3)
+        for diagram in (gen_uniform(500, 1), gen_gaussian(300, 2)):
+            coords = diagram.coords()
+            with_mults = PersistenceDiagram._from_columns(
+                coords[:, 0], coords[:, 1], rng.integers(1, 4, len(coords))
+            )
+            for original in (diagram, with_mults):
+                path = tmp_path / "d.txt"
+                save_diagram(original, path)
+                assert load_diagram(path) == original
 
 
 class TestGenerators:

@@ -157,3 +157,25 @@ def test_output_digests_listing(monkeypatch, capsys):
     for name in ("knn_l2_exact", "knn_l2_flowtree", "knn_l2_embedding", "eval_per_pair"):
         suffix = "" if name.startswith("eval") else ".csv"
         assert digests[f"tiny/{name}_w2{suffix}"] == digests[f"tiny/{name}{suffix}"]
+
+
+def test_bench_load_report(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench_load
+
+    tiny = {"name": "tiny", "kind": "gaussian", "count": 3, "max_size": 12, "seed": 1}
+    monkeypatch.setattr(bench_load, "FILE_SETS", (tiny,))
+    out = tmp_path / "load.json"
+    bench_load.main(["--out", str(out), "--runs", "1", "--sizes", "20,40"])
+    report = json.loads(out.read_text())
+    assert {"benchmark", "statistic", "git_sha", "nproc", "python", "numpy"} <= set(report)
+    assert [(t["generator"], t["n"]) for t in report["files"]] == [
+        ("uniform", 20),
+        ("uniform", 40),
+        ("gaussian", 20),
+        ("gaussian", 40),
+    ]
+    (row,) = report["sets"]
+    assert row["name"] == "tiny" and row["count"] == 3
+    keys = ("load_diagram_ms", "line_scan_ms", "speedup")
+    assert all(t[k] > 0 for t in report["files"] + report["sets"] for k in keys)
