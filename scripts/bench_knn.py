@@ -12,7 +12,7 @@ stages on the shared tree apart: the placement of queries and candidates,
 which both methods share, then one query's `flowtree_row` or
 `embedding_row` against every candidate. For flowtree
 it also counts the rows that one `knn_distances` call hands to the walk's
-per-level cell sort, summed over the levels (`group_rows`, wrapped here;
+per-level cell sort, summed over the levels (`group_cells`, wrapped here;
 the rows sent to the diagonal at a level are not sorted). The report also
 records the git commit, the processor count and the Python, numpy and
 scipy versions.
@@ -151,18 +151,18 @@ def flowtree_stages(queries, candidates, runs):
     js = range(len(queries), len(diagrams))
     rows_ms = median_ms(lambda: [placed.flowtree_row(i, js) for i in range(len(queries))], runs)
     sorted_rows = 0
-    group_rows = dgmdist.flowtree.group_rows
+    group_cells = dgmdist.flowtree.group_cells
 
-    def counting(a, b):
+    def counting(a, b, *bits):
         nonlocal sorted_rows
         sorted_rows += len(a)
-        return group_rows(a, b)
+        return group_cells(a, b, *bits)
 
-    dgmdist.flowtree.group_rows = counting
+    dgmdist.flowtree.group_cells = counting
     try:
         knn_distances(queries, candidates, "flowtree", GroundMetric.L2, seed=0)
     finally:
-        dgmdist.flowtree.group_rows = group_rows
+        dgmdist.flowtree.group_cells = group_cells
     return place_ms, rows_ms / len(queries), sorted_rows
 
 

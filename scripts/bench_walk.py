@@ -1,0 +1,130 @@
+"""Cost of the flowtree walk: `PlacedDiagrams.distances` by each method.
+
+For seeded pairs of uniform diagrams of n points per side (`gen_uniform(n,
+1)` against `gen_uniform(n, 2)`, on one L2 tree of seed 0 built over both),
+times in process, after one untimed call, the median over the runs in
+milliseconds of
+- the placement of the pair, `PlacedDiagrams(tree, (first, second))`;
+- `distances([0], [1], methods)` on that placement, by flowtree alone, by
+  embedding alone and by both, which the walk serves at once.
+
+The 100- and 200-point pairs are also timed as `runtime_bench` times one
+pair: placement and walk of one method together (`evaluate._rows` on the
+built tree), the small-call fixed cost. A call far below a millisecond is
+timed in blocks of calls, and its time is per call. The report records the
+git commit, the processor count and the Python and numpy versions.
+
+Usage, from anywhere in the repository:
+
+    python3 scripts/bench_walk.py [--out BENCH_walk.json] [--runs 5]
+        [--sizes 100,200,1000,4000,16000,64000]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "scripts"))
+
+import numpy as np  # noqa: E402
+
+from bench_knn import git, median_ms  # noqa: E402
+from dgmdist import (  # noqa: E402
+    GroundMetric,
+    PlacedDiagrams,
+    TreeConfig,
+    build_tree,
+    gen_uniform,
+    union_coords,
+)
+from dgmdist.evaluate import _rows  # noqa: E402
+
+METHODS = {
+    "flowtree": ("flowtree",),
+    "embedding": ("embedding",),
+    "both": ("flowtree", "embedding"),
+}
+SEEDS = (1, 2)
+TREE_SEED = 0
+# the runtime_bench shape: sizes timed as one whole single-pair call
+SMALL = (100, 200)
+
+
+def per_call_ms(fn, runs: int, calls: int) -> float:
+    """Median ms per call of fn, timed in blocks of `calls` calls."""
+
+    def block():
+        for _ in range(calls):
+            fn()
+
+    return median_ms(block, runs) / calls
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default="BENCH_walk.json", help="report path")
+    parser.add_argument("--runs", type=int, default=5, help="timed runs per entry")
+    parser.add_argument(
+        "--sizes", default="100,200,1000,4000,16000,64000", help="points per side"
+    )
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be >= 1")
+    sizes = [int(s) for s in args.sizes.split(",")]
+
+    rows = []
+    for n in sizes:
+        pair = tuple(gen_uniform(n, seed) for seed in SEEDS)
+        tree = build_tree(
+            union_coords(pair), TreeConfig(seed=TREE_SEED, ground_metric=GroundMetric.L2)
+        )
+        placed = PlacedDiagrams(tree, pair)
+        # blocks of about 20,000 points: one call from 10,000 points per side up
+        calls = max(1, 10_000 // n)
+        row = {
+            "n_per_side": n,
+            "levels": tree.num_levels,
+            "calls_per_sample": calls,
+            "place_ms": per_call_ms(lambda: PlacedDiagrams(tree, pair), args.runs, calls),
+        }
+        for name, methods in METHODS.items():
+            row[f"{name}_ms"] = per_call_ms(
+                lambda: placed.distances([0], [1], methods), args.runs, calls
+            )
+        if n in SMALL:
+            for method in ("flowtree", "embedding"):
+                row[f"single_pair_{method}_ms"] = per_call_ms(
+                    lambda: _rows(pair[:1], pair[1:], [method], GroundMetric.L2, tree),
+                    args.runs,
+                    calls,
+                )
+        print(json.dumps(row), file=sys.stderr)
+        rows.append(row)
+
+    status = git("status", "--porcelain", "--untracked-files=no")
+    report = {
+        "benchmark": "PlacedDiagrams placement and distances([0], [1]) by flowtree, "
+        "embedding and both, on gen_uniform pairs (seeds 1, 2) of n points per side, "
+        "one l2 tree of seed 0; single-pair runtime_bench calls at 100 and 200 points",
+        "statistic": f"median of {args.runs} runs after one untimed call, ms per call",
+        "seeds": list(SEEDS),
+        "tree_seed": TREE_SEED,
+        "git_sha": git("rev-parse", "HEAD"),
+        "git_dirty": bool(status) if status is not None else None,
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "timings": rows,
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -117,9 +118,7 @@ def _load_dir(directory) -> tuple[list[str], list[PersistenceDiagram]]:
 
 
 def _echo_args(args: argparse.Namespace) -> None:
-    resolved = {
-        k: v for k, v in sorted(vars(args).items()) if k not in ("func",)
-    }
+    resolved = dict(sorted(vars(args).items()))
     print(f"# dgmdist {args.command}: {json.dumps(resolved, default=str)}", file=sys.stderr)
 
 
@@ -322,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=int, required=True, help="size cap of the largest diagram")
     p.add_argument("--out", required=True, help="output directory")
     add_seed(p)
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("dist", help="distance between two diagram files")
     p.add_argument("first")
@@ -332,14 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_seed(p)
     p.add_argument("--trees", type=int, default=1, help="number of independent trees")
     p.add_argument("--reduce", choices=["mean", "min"], default="mean")
-    p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("embed", help="export embedding vectors for a directory of diagrams")
     p.add_argument("--in", dest="input", required=True, help="input directory")
     p.add_argument("--out", required=True, help="output directory")
     add_metric(p)
     add_seed(p)
-    p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("knn", help="rank candidates for each query diagram")
     p.add_argument("--queries", required=True)
@@ -350,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_seed(p)
     p.add_argument("--workers", type=int, default=1, help="processes for the exact oracle")
     p.add_argument("--out", default=None, help="output CSV (default stdout)")
-    p.set_defaults(func=cmd_knn)
 
     p = sub.add_parser("eval", help="run the evaluation harness on a dataset directory")
     p.add_argument("--data", required=True)
@@ -363,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bench-sizes", default="100,200", help="sizes for the runtime table")
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--workers", type=int, default=1, help="processes for the exact oracle")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="runtime scaling table")
     p.add_argument("--sizes", required=True, help="comma-separated diagram sizes")
@@ -372,9 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=5)
     add_seed(p)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_bench)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process: parsing leaves it unchanged."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
@@ -382,13 +381,14 @@ def main(argv=None) -> int:
         stream=sys.stderr, level=logging.WARNING, format="%(message)s", force=True
     )
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.seed is None:
             args.seed = _default_seed()
         elif args.seed < 0:
             raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
         _echo_args(args)
-        return args.func(args)
+        # by name on each call: the parser outlives any rebinding of a cmd_*
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

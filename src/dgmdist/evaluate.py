@@ -34,7 +34,6 @@ import logging
 import math
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -143,6 +142,9 @@ def _exact_rows(jobs: list, workers: int) -> list[list[float] | None]:
     """_exact_or_none of each job, on up to `workers` processes."""
     if workers <= 1:
         return [_exact_or_none(job) for job in jobs]
+    # imported here, so that importing the package loads no multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(jobs) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_exact_or_none, jobs, chunksize=chunk))

@@ -41,6 +41,20 @@ tree, multi_tree_estimate (dist) is one job per tree, and the evaluation
 harness reads every tree distance of a call from one distances call. Every
 flowtree cost is taken under the trees' one ground metric.
 
+Grouping. A level sorts its rows by one int64 key (_rows.group_cells):
+the job, then the cell's x and y indices on that level, then the row's
+position among the level's rows. The keys are unique, so a plain sort
+gives the stable (job, cell) order, each cell's rows in row order. The
+key's width follows from the walk's job count and the level; only where
+it would pass 63 bits, on the fine levels of deep trees, does a level
+take group_rows' stable sort of complex128 keys instead.
+
+Pairs are formed only when read. Every walk takes each cell's matched
+mass and the rows' leftover masses (_cell_match), which give the
+residuals. Only a walk whose caller reads the flowtree cost turns them
+into pair arrays (_cross_walk), gathers them and sorts them by job; an
+embedding-only distances call forms none.
+
 Placement. PlacedDiagrams places every point of its diagrams once, each
 diagram on its tree (ShiftedQuadtree.place: the finest cell, whose
 ancestor k levels up is the index shifted right by k, and the first
@@ -80,7 +94,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from ._rows import group_rows
+from ._rows import group_cells
 from .diagram import GroundMetric, PersistenceDiagram
 from .quadtree import MAX_LEVELS, ShiftedQuadtree, TreeConfig, tree_geometry, union_coords
 
@@ -162,8 +176,9 @@ class AugmentedMatching:
         return pairs
 
 
-def _cross_walk(mass: np.ndarray, starts: np.ndarray, from_first: np.ndarray):
-    """Greedy cross pairing inside every cell holding points of both diagrams.
+def _cell_match(mass: np.ndarray, starts: np.ndarray, from_first: np.ndarray):
+    """Greedy cross matching inside every cell holding points of both
+    diagrams, as masses.
 
     `mass` holds the live masses in walk order, `starts` the position where
     each cell begins and `from_first` marks first's points, which precede
@@ -171,21 +186,22 @@ def _cross_walk(mass: np.ndarray, starts: np.ndarray, from_first: np.ndarray):
     the smaller remaining mass is the north-west-corner rule, so it is
     computed for all cells at once: each side's cumulative masses, clipped to
     the cell's matched mass min(sum first, sum second) and offset by the mass
-    matched in earlier cells, are interval ends on one global axis, and every
-    interval between consecutive distinct ends is one pair. Returns the
-    positions of each pair's two points and its mass, in walk order, and the
-    mass each position has left.
+    matched in earlier cells, are interval ends on one global axis. Returns
+    the start position of every such cell and the mass matched in it, the
+    mass each position has left, and the ends for _cross_walk: the cells'
+    positions, all first's sides before all second's, each position's
+    interval end, and the number of first's positions.
     """
     ends = np.concatenate((starts[1:], [len(mass)]))
     splits = starts + np.add.reduceat(from_first, starts, dtype=np.int64)
     mixed = (starts < splits) & (splits < ends)
     if not mixed.any():
         none = np.zeros(0, np.int64)
-        return none, none, none, mass
+        return none, none, mass, (none, none, 0)
     lo, mid, hi = starts[mixed], splits[mixed], ends[mixed]
-    cum = np.concatenate(([0], np.cumsum(mass)))
+    cum = np.concatenate(([0], mass.cumsum()))
     matched = np.minimum(cum[mid] - cum[lo], cum[hi] - cum[mid])
-    offset = np.cumsum(matched) - matched
+    offset = matched.cumsum() - matched
     # one segment per side of every mixed cell, all first's sides before
     # all second's; each position of a segment gets the global interval of
     # mass [offset + min(cum[pos] - base, matched), offset + min(cum[pos + 1]
@@ -193,7 +209,7 @@ def _cross_walk(mass: np.ndarray, starts: np.ndarray, from_first: np.ndarray):
     first = np.concatenate((lo, mid))
     counts = np.concatenate((mid, hi)) - first
     seg = np.repeat(np.arange(len(first)), counts)
-    pos = np.arange(len(seg)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    pos = np.arange(len(seg)) + np.repeat(first - (counts.cumsum() - counts), counts)
     shift = np.concatenate((offset, offset))
     rebase = (shift - cum[first])[seg]
     cap = (shift + np.concatenate((matched, matched)))[seg]
@@ -201,14 +217,22 @@ def _cross_walk(mass: np.ndarray, starts: np.ndarray, from_first: np.ndarray):
     end = np.minimum(cum[pos + 1] + rebase, cap)
     left = mass.copy()
     left[pos] -= end - begin
-    n_first = len(seg) - (hi - mid).sum()
+    return lo, matched, left, (pos, end, len(seg) - (hi - mid).sum())
+
+
+def _cross_walk(pos: np.ndarray, end: np.ndarray, n_first: int):
+    """The pairs of _cell_match's cells, from its ends: every interval
+    between consecutive distinct ends is one pair. Returns the positions of
+    each pair's two points and its mass, in walk order."""
+    if not len(end):
+        return pos, pos, pos
     # each side's ends ascend, so a stable sort merges two runs
     ends = np.sort(end, kind="stable")
     breaks = ends[np.concatenate((ends[:-1] != ends[1:], [True]))]
     low = np.concatenate(([0], breaks[:-1]))
     a = pos[np.searchsorted(end[:n_first], low, side="right")]
     b = pos[n_first + np.searchsorted(end[n_first:], low, side="right")]
-    return a, b, breaks - low, left
+    return a, b, breaks - low
 
 
 def _spread(v: np.ndarray) -> np.ndarray:
@@ -329,11 +353,10 @@ class PlacedDiagrams:
             p, q = float(tree.root_side).as_integer_ratio()
             scales.append((p, q << tree.level_hi))
         metric = self.trees[0].ground_metric
-        for chunk, (point, partner, job, pair_mass, _), residual in _matchings(
-            self, first, second
-        ):
-            if "flowtree" in costs:
+        for chunk, walked, residual in _matchings(self, first, second, "flowtree" in costs):
+            if walked is not None:
                 # each job's products: its retired rows', then its walked pairs'
+                point, partner, job, pair_mass, _ = walked
                 retired = chunk.retired
                 distance = metric.diagonal_distances(self.coords[retired])
                 products = self.mass[retired] * distance
@@ -456,21 +479,29 @@ def _chunk(placed: PlacedDiagrams, first: np.ndarray, second: np.ndarray, lo: in
     first[p], then those of diagram second[p], each side in lexicographic
     order. A row whose terminal level comes at or before its meet level is
     retired: it can meet no point of the other diagram before it goes to
-    the diagonal (see the module docstring).
+    the diagonal (see the module docstring). The meet levels are searched
+    with each side's points in Morton order, by_code's order, so that the
+    keys ascend along each side, and scattered back to row order.
     """
     first, second = first[lo:hi], second[lo:hi]
     start = placed.start
     n_first = start[first + 1] - start[first]
     sizes = n_first + start[second + 1] - start[second]
     job = np.repeat(np.arange(hi - lo), sizes)
-    within = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    within = np.arange(sizes.sum()) - np.repeat(sizes.cumsum() - sizes, sizes)
     from_first = within < n_first[job]
     point = within + np.where(from_first, start[first][job], (start[second] - n_first)[job])
     terminal = placed.terminal_level[point]
-    meet = placed._meet_levels(point, np.where(from_first, second[job], first[job]))
+    # by_code[start[d] + i] is diagram d's i-th point in Morton order; a
+    # side's rows hold consecutive points, so point coded[r] is in row
+    # r + coded[r] - point[r]
+    coded = placed.by_code[point]
+    found = placed._meet_levels(coded, np.where(from_first, second[job], first[job]))
+    meet = np.empty_like(found)
+    meet[np.arange(len(point)) + coded - point] = found
     walked = meet < terminal
-    retired = np.flatnonzero(~walked)
-    walked = np.flatnonzero(walked)
+    retired = (~walked).nonzero()[0]
+    walked = walked.nonzero()[0]
     retiring = np.zeros((placed.levels, hi - lo), np.uint64)
     np.add.at(
         retiring.reshape(-1),
@@ -489,8 +520,8 @@ def _chunk(placed: PlacedDiagrams, first: np.ndarray, second: np.ndarray, lo: in
 
 
 def _matchings(
-    placed: PlacedDiagrams, first: np.ndarray, second: np.ndarray
-) -> Iterator[tuple[_Chunk, tuple, np.ndarray]]:
+    placed: PlacedDiagrams, first: np.ndarray, second: np.ndarray, pairs: bool = True
+) -> Iterator[tuple[_Chunk, tuple | None, np.ndarray]]:
     """The greedy matchings of the jobs (diagram first[p], diagram
     second[p]), each on its diagrams' tree.
 
@@ -504,7 +535,9 @@ def _matchings(
     made for the chunk's jobs, job indexing them from chunk.lo, by job and
     each job's in the order the walk made them; residual is the
     (placed.levels, jobs) slice of _walk's residuals. The chunk's retired
-    rows each pair whole with the diagonal at their terminal level.
+    rows each pair whole with the diagonal at their terminal level. Unless
+    pairs is set, walked is None: the walks form no pair, and only the
+    residuals are read.
     """
     most = 1 << (54 - placed.levels)
     group: list[_Chunk] = []
@@ -514,12 +547,12 @@ def _matchings(
         chunk, walked = _chunk(placed, first, second, lo, hi)
         jobs, mass, rows = jobs + hi - lo, mass + chunk.mass, rows + len(walked.job)
         if group and (jobs > most or mass >= 1 << 63 or rows > _BATCH_ROWS):
-            yield from _walk_group(placed, first, second, group, parts)
+            yield from _walk_group(placed, first, second, group, parts, pairs)
             group, jobs, mass, rows = [], hi - lo, chunk.mass, len(walked.job)
         group.append(chunk)
         parts.append(walked)
     if group:
-        yield from _walk_group(placed, first, second, group, parts)
+        yield from _walk_group(placed, first, second, group, parts, pairs)
 
 
 def _walk_group(
@@ -528,18 +561,21 @@ def _walk_group(
     second: np.ndarray,
     group: list[_Chunk],
     parts: list[_Rows],
-) -> list[tuple[_Chunk, tuple, np.ndarray]]:
+    pairs: bool,
+) -> list[tuple[_Chunk, tuple | None, np.ndarray]]:
     """Walk the walked rows of a group of chunks, parts, at once, and give
-    each chunk's share as _matchings yields it. Empties parts, so that the
-    walk holds the rows once, and returns before the shares are read, so
-    that the rows are gone by then."""
+    each chunk's share as _matchings yields it, its pairs only if pairs is
+    set. Empties parts, so that the walk holds the rows once, and returns
+    before the shares are read, so that the rows are gone by then."""
     lo, hi = group[0].lo, group[-1].hi
     rows = parts[0] if len(parts) == 1 else _Rows(*map(np.concatenate, zip(*parts)))
     parts.clear()
     retiring = np.concatenate([chunk.retiring for chunk in group], axis=1)
     walked, residual = _walk(
-        placed, first[lo:hi], second[lo:hi], rows._replace(job=rows.job - lo), retiring
+        placed, first[lo:hi], second[lo:hi], rows._replace(job=rows.job - lo), retiring, pairs
     )
+    if not pairs:
+        return [(chunk, None, residual[:, chunk.lo - lo : chunk.hi - lo]) for chunk in group]
     # the smallest unsigned type: a stable sort of it is a radix sort
     order = np.argsort(walked[2].astype(np.min_scalar_type(hi - lo)), kind="stable")
     point, partner, job, pair_mass, level = (column[order] for column in walked)
@@ -558,6 +594,7 @@ def _walk(
     second: np.ndarray,
     rows: _Rows,
     retiring: np.ndarray,
+    pairs: bool,
 ):
     """The level sweep of the jobs (diagram first[p], diagram second[p]),
     each on its diagrams' tree, over their walked rows.
@@ -568,11 +605,12 @@ def _walk(
     walked alone: its points never share a cell with another job's, and a
     job on a tree shallower than placed.levels is done at its own root.
 
-    Returns the walked rows' pairs as (point, partner, job, mass, level)
-    arrays in the order the walk makes them: level by level, each level's
-    diagonal pairs by row, then its cross pairs in walk order. point and
-    partner index placed's points (partner -1 for a diagonal pair). Also
-    returns the residuals, a (placed.levels, jobs) uint64 array: entry
+    If pairs is set, returns the walked rows' pairs as (point, partner,
+    job, mass, level) arrays in the order the walk makes them: level by
+    level, each level's diagonal pairs by row, then its cross pairs in walk
+    order. point and partner index placed's points (partner -1 for a
+    diagonal pair). Else it forms no pair and returns None in their place.
+    Also returns the residuals, a (placed.levels, jobs) uint64 array: entry
     [k, p] is job p's mass left unmatched after level k, retired rows
     included, exact since one job holds less than 2**64. Every entry is 0
     from the job's root on, where every row is terminal.
@@ -581,9 +619,11 @@ def _walk(
     job, point, from_first, meet = rows
     mass = placed.mass[point]
     # job index above the x cell index: the packed (job, x) key of a row's
-    # cell on level k is cell_x >> k, below 2**53 and ordered like the tuple
+    # cell on level k is cell_x >> k, below 2**(job_bits + levels - 1 - k),
+    # and ordered like the tuple
     cell_x = (job << (levels - 1)) + placed.ix[point]
     iy = placed.iy[point]
+    job_bits = (len(first) - 1).bit_length()
     terminal = placed.terminal_level[point]
     # each job's retired mass still unmatched after every level, and its
     # walked mass, below 2**64, so exact in uint64
@@ -593,29 +633,37 @@ def _walk(
     live = np.array(placed._pair_totals(first, second), np.uint64) - retired[0]
     no_partner = np.full(len(mass), -1)
     # an empty first entry, for walks without rows
-    pairs = [(no_partner[:0], no_partner[:0], mass[:0], 0)]
+    made = [(no_partner[:0], no_partner[:0], mass[:0], 0)]
     for level in range(levels):
         if not live.any():
             break
-        rows = np.flatnonzero((terminal == level) & (mass > 0))
+        rows = ((terminal == level) & (mass > 0)).nonzero()[0]
         sent = mass[rows]
-        pairs.append((rows, no_partner[: len(rows)], sent, level))
+        if pairs:
+            made.append((rows, no_partner[: len(rows)], sent, level))
         mass[rows] = 0
         np.subtract.at(live, job[rows], sent.astype(np.uint64))
         # the live rows at or past their meet level, in row order
-        rows = np.flatnonzero((meet <= level) & (mass > 0))
+        rows = ((meet <= level) & (mass > 0)).nonzero()[0]
         if len(rows):
             # sort by (job, cell); within a cell first's points precede
             # second's, each side in lexicographic order
-            order, starts = group_rows(cell_x[rows] >> level, iy[rows] >> level)
+            bits = levels - 1 - level
+            order, starts = group_cells(
+                cell_x[rows] >> level, iy[rows] >> level, job_bits + bits, bits
+            )
             rows = rows[order]
-            a, b, take, left = _cross_walk(mass[rows], starts, from_first[rows])
-            pairs.append((rows[a], rows[b], take, level))
+            cells, matched, left, ends = _cell_match(mass[rows], starts, from_first[rows])
+            if pairs:
+                a, b, take = _cross_walk(*ends)
+                made.append((rows[a], rows[b], take, level))
             mass[rows] = left
-            np.subtract.at(live, job[rows[a]], 2 * take.astype(np.uint64))
+            np.subtract.at(live, job[rows[cells]], 2 * matched.astype(np.uint64))
         residual[level] += live
+    if not pairs:
+        return None, residual
 
-    rows, partners, masses, levels_of = zip(*pairs)
+    rows, partners, masses, levels_of = zip(*made)
     level = np.repeat(levels_of, [len(r) for r in rows])
     row, partner = np.concatenate(rows), np.concatenate(partners)
     partner = np.where(partner >= 0, point[partner], -1)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import dgmdist.cli as cli
 from dgmdist import (
     GroundMetric,
     PersistenceDiagram,
@@ -842,3 +843,63 @@ class TestNegativeSeed:
         assert stdout == ""
         assert err.splitlines() == ["error: DGMDIST_SEED must be a non-negative integer, got '-3'"]
         assert not out.exists()
+
+
+class TestParserReuse:
+    @staticmethod
+    def outcome(capsys, argv):
+        """(exit code, stdout, stderr) of main(argv), an argparse exit
+        included; dist's elapsed time is dropped."""
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        if argv[0] == "dist" and code == EXIT_OK:
+            out = {k: v for k, v in json.loads(out).items() if k != "elapsed"}
+        return code, out, err
+
+    def test_consecutive_commands_match_a_fresh_parser(self, tmp_path, capsys):
+        # main builds its parser once per process; each of these commands,
+        # run back to back, prints and exits as on a freshly built parser
+        data = tmp_path / "data"
+        files = [str(data / f"dgm_000{i}.txt") for i in range(2)]
+        argvs = [
+            ["gen", "--kind", "uniform", "--count", "3", "--max-size", "30",
+             "--seed", "2", "--out", str(data)],
+            ["dist", *files, "--trees", "2", "--method", "embedding"],
+            ["knn", "--queries", str(data), "--candidates", str(data), "-k", "2"],
+            ["dist", files[0]],
+            ["dist", *files, "--metric", "l1"],
+            ["knn", "--queries", str(data), "--candidates", str(data), "--method", "magic"],
+            ["dist", *files, "--trees", "0"],
+            ["dist", *files, "--seed", "5"],
+        ]
+        cli._parser.cache_clear()
+        consecutive = [self.outcome(capsys, argv) for argv in argvs]
+        assert cli._parser.cache_info().misses == 1
+        fresh = []
+        for argv in argvs:
+            cli._parser.cache_clear()
+            fresh.append(self.outcome(capsys, argv))
+        assert consecutive == fresh
+        codes = [code for code, _, _ in consecutive]
+        assert codes == [EXIT_OK] * 3 + [EXIT_USAGE, EXIT_OK, EXIT_USAGE, EXIT_USAGE, EXIT_OK]
+        assert "the following arguments are required: second" in consecutive[3][2]
+
+    def test_rebound_command_runs_under_the_cached_parser(self, tmp_path, capsys, monkeypatch):
+        # a tracer wraps the module's cmd_* functions after the parser is
+        # built; main must run the wrapper
+        a = tmp_path / "a.txt"
+        write_singleton(a, 0, 4)
+        assert main(["dist", str(a), str(a)]) == EXIT_OK
+        calls = []
+        real = cli.cmd_dist
+
+        def wrapped(args):
+            calls.append(args.command)
+            return real(args)
+
+        monkeypatch.setattr(cli, "cmd_dist", wrapped)
+        assert main(["dist", str(a), str(a)]) == EXIT_OK
+        assert calls == ["dist"]

@@ -1,5 +1,6 @@
 """Tests for the evaluation harness: error suites, recall, ranking, runtime."""
 
+import concurrent.futures
 import dataclasses
 
 import pytest
@@ -316,13 +317,13 @@ class TestKnnDistances:
         # workers spreads the exact oracle only: the tree rows are one walk
         # in the calling process, whatever workers is
         pools = []
-        real = dgmdist.evaluate.ProcessPoolExecutor
+        real = concurrent.futures.ProcessPoolExecutor
 
         def counting(*args, **kwargs):
             pools.append(kwargs)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(dgmdist.evaluate, "ProcessPoolExecutor", counting)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
         queries, candidates = small_dataset[:3], small_dataset[3:]
         for method in TREE_METHODS:
             rows = knn_distances(queries, candidates, method, L2, seed=2, workers=2)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dgmdist._rows
 import dgmdist.flowtree
 import dgmdist.quadtree
 import reference
@@ -26,6 +27,7 @@ from dgmdist import (
     knn_distances,
     union_coords,
 )
+from dgmdist._rows import group_cells, group_rows
 from dgmdist.embedding import embed, l1_distance
 from dgmdist.flowtree import (
     KIND_CROSS,
@@ -489,9 +491,10 @@ class TestFlowtreeDistances:
 
 
 @st.composite
-def stacked_jobs(draw):
+def stacked_jobs(draw, offsets=(0.0, -250.0, 3e4)):
     """(trees, diagrams, jobs) for one stacked walk: every diagram placed on
-    every tree, and (tree, first, second) jobs among them.
+    every tree, and (tree, first, second) jobs among them, the diagrams'
+    points lying near one of offsets.
 
     The trees share a ground metric and span 2 to 48 levels: a 48-level tree
     truncated by a near-diagonal anchor point, a 2-level tree and up to two
@@ -501,7 +504,7 @@ def stacked_jobs(draw):
     that one walk packs on a 48-level tree. Jobs repeat and swap pairs.
     """
     metric = draw(st.sampled_from(list(GroundMetric)))
-    offset = draw(st.sampled_from([0.0, -250.0, 3e4]))
+    offset = draw(st.sampled_from(offsets))
     raw = draw(
         st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(1e-3, 1.0)), min_size=1, max_size=8)
     )
@@ -535,13 +538,20 @@ def stacked_jobs(draw):
     return trees, diagrams, jobs
 
 
-def stacked_walk(trees, diagrams, jobs):
-    """PlacedDiagrams.distances of the jobs, diagram d on tree t being
-    diagram t * len(diagrams) + d of one placement, with the residual column
-    of every job and the number of walks that made them."""
+def stacked_indices(trees, diagrams, jobs):
+    """The placement of every diagram on every tree, diagram d on tree t
+    being diagram t * len(diagrams) + d, and the jobs' first and second
+    diagram indices in it."""
     placed = PlacedDiagrams([t for t in trees for _ in diagrams], diagrams * len(trees))
     first = [t * len(diagrams) + a for t, a, _ in jobs]
     second = [t * len(diagrams) + b for t, _, b in jobs]
+    return placed, first, second
+
+
+def stacked_walk(trees, diagrams, jobs):
+    """PlacedDiagrams.distances of the jobs (see stacked_indices), with the
+    residual column of every job."""
+    placed, first, second = stacked_indices(trees, diagrams, jobs)
     columns = []
     walk = dgmdist.flowtree._walk
 
@@ -792,6 +802,156 @@ class TestEarlyRetirement:
                 lambda: knn_distances(queries, candidates, method, GroundMetric.L2, seed=0)
             )
             assert len(rows) == 1 and rows[0] < dgmdist.flowtree._BATCH_ROWS
+
+
+def int_column(data, n, bits):
+    """n values below 2**bits, few of them distinct, the largest among them."""
+    top = (1 << bits) - 1
+    values = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=4)) + [top]
+    picks = data.draw(st.lists(st.integers(0, len(values) - 1), min_size=n, max_size=n))
+    return np.array([values[i] for i in picks], np.int64)
+
+
+class TestLeanWalk:
+    """The walk groups each level by one int64 key, forms pairs only when
+    the flowtree cost is read and searches meet levels in Morton order; no
+    result changes."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_group_cells_is_group_rows(self, data):
+        # key widths up to and past the 63-bit limit, where group_cells
+        # hands over to group_rows; every column holds its largest value
+        n = data.draw(st.integers(0, 300))
+        pos_bits = (n - 1).bit_length()
+        total = data.draw(st.sampled_from([None, 62, 63, 64]))
+        if total is None:
+            a_bits, b_bits = data.draw(st.integers(0, 53)), data.draw(st.integers(0, 53))
+        else:
+            a_bits = data.draw(st.integers(max(0, total - pos_bits - 53), 53))
+            b_bits = total - pos_bits - a_bits
+            if not 0 <= b_bits <= 53:
+                return
+        a, b = int_column(data, n, a_bits), int_column(data, n, b_bits)
+        calls = []
+        real = dgmdist._rows.group_rows
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dgmdist._rows, "group_rows", counting)
+            order, starts = group_cells(a, b, a_bits, b_bits)
+        expected = group_rows(a, b)
+        assert order.tolist() == expected[0].tolist()
+        assert starts.tolist() == expected[1].tolist()
+        assert len(calls) == (a_bits + b_bits + pos_bits > 63)
+
+    @staticmethod
+    def assert_walks_as_group_rows(trees, diagrams, jobs):
+        """Every cost, residual and pair of the jobs equals a walk grouped
+        by group_rows alone, and every column the walk groups fits the width
+        it gives; returns the key widths the walk grouped."""
+        widths = []
+
+        def by_rows(a, b, a_bits, b_bits):
+            assert 0 <= a.min() <= a.max() < 1 << a_bits
+            assert 0 <= b.min() <= b.max() < 1 << b_bits
+            widths.append(a_bits + b_bits + (len(a) - 1).bit_length())
+            return group_rows(a, b)
+
+        walked = stacked_walk(trees, diagrams, jobs)[1:]
+        pairs = [greedy_match(trees[t], diagrams[a], diagrams[b]) for t, a, b in jobs[:4]]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dgmdist.flowtree, "group_cells", by_rows)
+            assert stacked_walk(trees, diagrams, jobs)[1:] == walked
+            for (t, a, b), matching in zip(jobs, pairs):
+                expected = greedy_match(trees[t], diagrams[a], diagrams[b])
+                for column in ("point", "partner", "mass", "level", "distance"):
+                    assert getattr(matching, column).tolist() == getattr(expected, column).tolist()
+        return widths
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(stacked_jobs(offsets=(1e6, -4e9, 1e12)))
+    def test_int64_keys_walk_as_group_rows(self, case):
+        # trees of up to 48 levels (one at cap 40, say) around huge offsets
+        self.assert_walks_as_group_rows(*case)
+
+    @pytest.mark.parametrize("cap", [40, MAX_LEVELS])
+    def test_deep_walk_takes_both_groupings(self, cap):
+        # the deep levels of a tree truncated at its cap take group_rows,
+        # the others one int64 key: first's point meets second's first
+        # point on a fine level and its surplus second's other point on a
+        # coarse one, far from the diagonal
+        pair = [
+            PersistenceDiagram([(1e12, 1.5e12, 5)]),
+            PersistenceDiagram([(1e12 + 0.5, 1.5e12 + 0.5, 1), (1e12 + 1e8, 1.5e12 + 1e8, 4)]),
+        ]
+        tree = build_tree(
+            [*union_coords(pair), (0.0, 1e-200)], TreeConfig(seed=4, max_levels_cap=cap)
+        )
+        assert tree.num_levels == cap
+        widths = self.assert_walks_as_group_rows([tree], pair, [(0, 0, 1), (0, 1, 0)])
+        assert max(widths) > 63 and min(widths) <= 63
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(retirement_cases())
+    def test_embedding_alone_forms_no_pair(self, case):
+        # row budgets down to one row: walks that join several setup chunks
+        trees, diagrams, jobs, batch_rows = case
+
+        def no_pairs(*args):
+            raise AssertionError("an embedding-only walk formed pairs")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dgmdist.flowtree, "_BATCH_ROWS", batch_rows)
+            _, costs, _ = stacked_walk(trees, diagrams, jobs)
+            placed, first, second = stacked_indices(trees, diagrams, jobs)
+            patch.setattr(dgmdist.flowtree, "_cross_walk", no_pairs)
+            alone = placed.distances(first, second, ("embedding",))
+        assert alone == {"embedding": costs["embedding"]}
+
+    def test_flowtree_forms_pairs(self):
+        # the patch point of test_embedding_alone_forms_no_pair is live
+        first, second = gen_uniform(50, 1), gen_uniform(50, 2)
+        placed = PlacedDiagrams(pair_tree(first, second, 1), [first, second])
+        calls = []
+        cross_walk = dgmdist.flowtree._cross_walk
+
+        def counting(*args):
+            calls.append(1)
+            return cross_walk(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dgmdist.flowtree, "_cross_walk", counting)
+            both = placed.distances([0], [1])
+        assert calls and both["embedding"] == placed.embedding_row(0, [1])
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(stacked_jobs())
+    def test_meet_levels_in_morton_order(self, case):
+        # _chunk searches each side's points in Morton order; its split
+        # and the walked rows' meet levels equal _meet_levels on row order
+        trees, diagrams, jobs = case
+        placed, first, second = stacked_indices(trees, diagrams, jobs)
+        start = placed.start.tolist()
+        point, other, job = [], [], []
+        for p, (a, b) in enumerate(zip(first, second)):
+            for d, o in ((a, b), (b, a)):
+                point += range(start[d], start[d + 1])
+                other += [o] * (start[d + 1] - start[d])
+                job += [p] * (start[d + 1] - start[d])
+        point, other, job = (np.array(v, np.int64) for v in (point, other, job))
+        meet = placed._meet_levels(point, other)
+        walked = meet < placed.terminal_level[point]
+        chunk, rows = dgmdist.flowtree._chunk(
+            placed, np.array(first), np.array(second), 0, len(first)
+        )
+        assert rows.point.tolist() == point[walked].tolist()
+        assert rows.meet.tolist() == meet[walked].tolist()
+        assert rows.job.tolist() == job[walked].tolist()
+        assert chunk.retired.tolist() == point[~walked].tolist()
 
 
 class TestMultiTree:

@@ -153,3 +153,30 @@ def test_tree_path_loads_no_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["ok"]
+
+
+# Run in a fresh interpreter: only a pool that _exact_rows starts needs
+# multiprocessing, so importing the CLI loads none of it.
+CLI_IMPORT_SCRIPT = """
+import sys
+
+import dgmdist.cli
+
+loaded = sorted(
+    m for m in sys.modules
+    if m.split(".")[0] == "multiprocessing" or m == "concurrent.futures.process"
+)
+assert loaded == [], loaded
+print("ok")
+"""
+
+
+def test_cli_import_loads_no_multiprocessing():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", CLI_IMPORT_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["ok"]

@@ -179,3 +179,20 @@ def test_bench_load_report(tmp_path, monkeypatch):
     assert row["name"] == "tiny" and row["count"] == 3
     keys = ("load_diagram_ms", "line_scan_ms", "speedup")
     assert all(t[k] > 0 for t in report["files"] + report["sets"] for k in keys)
+
+
+def test_bench_walk_report(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench_walk
+
+    out = tmp_path / "walk.json"
+    bench_walk.main(["--out", str(out), "--runs", "1", "--sizes", "100,300"])
+    report = json.loads(out.read_text())
+    assert {"benchmark", "statistic", "seeds", "tree_seed", "git_sha", "nproc", "python",
+            "numpy"} <= set(report)
+    small, large = report["timings"]
+    assert (small["n_per_side"], large["n_per_side"]) == (100, 300)
+    keys = {"place_ms", "flowtree_ms", "embedding_ms", "both_ms"}
+    single = {"single_pair_flowtree_ms", "single_pair_embedding_ms"}
+    assert keys | single <= set(small) and not single & set(large)
+    assert all(v > 0 for row in (small, large) for k, v in row.items() if k.endswith("_ms"))
