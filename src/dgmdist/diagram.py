@@ -43,34 +43,15 @@ class GroundMetric(Enum):
     LINF = "linf"
 
     @property
-    def q(self) -> float:
-        """Norm exponent: 1.0, 2.0 or math.inf (usable as Minkowski p)."""
-        return _METRIC_Q[self.value]
-
-    @property
     def diagonal_factor(self) -> float:
         """Distance from a point to its diagonal projection per unit lifetime."""
         return _DIAG_FACTOR[self.value]
 
     def distance(self, a: tuple[float, float], b: tuple[float, float]) -> float:
-        dx = abs(a[0] - b[0])
-        dy = abs(a[1] - b[1])
-        if self is GroundMetric.L1:
-            return dx + dy
-        if self is GroundMetric.L2:
-            return math.hypot(dx, dy)
-        return dx if dx > dy else dy
-
-    def rowwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """distance() of each row of one (n, 2) array to the same row of
-        another, with the same float operations, so equal bit for bit."""
-        dx = np.abs(a[:, 0] - b[:, 0])
-        dy = np.abs(a[:, 1] - b[:, 1])
-        if self is GroundMetric.L1:
-            return dx + dy
-        if self is GroundMetric.L2:
-            return np.array(list(map(math.hypot, dx.tolist(), dy.tolist())), dtype=float)
-        return np.where(dx > dy, dx, dy)
+        """Distance between two points, by combine()."""
+        with np.errstate(over="ignore"):
+            d = np.subtract(a, b, dtype=float)
+        return float(self.combine(d[:1], d[1:])[0])
 
     def diagonal_distances(self, coords: np.ndarray) -> np.ndarray:
         """Distance from each row of an (n, 2) coordinate array to the
@@ -79,18 +60,29 @@ class GroundMetric(Enum):
 
     def combine(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         """Distances of coordinate differences dx and dy, written into dx,
-        which is returned; dy is overwritten too.
+        which is returned; dy is overwritten too. Every point-to-point
+        distance of the package is computed here.
 
         The float operations are scipy's cdist and cKDTree ones: |dx| + |dy|,
-        sqrt(dx*dx + dy*dy) or max(|dx|, |dy|). So an L2 difference whose
-        square underflows reads 0, and one whose square overflows reads inf.
+        sqrt(dx*dx + dy*dy) or max(|dx|, |dy|), with one exception. An L2
+        entry whose larger |difference| reaches 2**511, where the sum of
+        squares could overflow, is math.hypot(dx, dy) instead, so an L2
+        distance is finite wherever its differences are. An L2 difference
+        whose square underflows still reads 0.
         """
         with np.errstate(over="ignore"):
             if self is GroundMetric.L2:
+                large = None
+                if dx.size and max(dx.max(), -dx.min(), dy.max(), -dy.min()) >= _L2_SAFE:
+                    large = (np.abs(dx) >= _L2_SAFE) | (np.abs(dy) >= _L2_SAFE)
+                    big = dx[large].tolist(), dy[large].tolist()
                 np.multiply(dx, dx, out=dx)
                 np.multiply(dy, dy, out=dy)
                 np.add(dx, dy, out=dx)
-                return np.sqrt(dx, out=dx)
+                np.sqrt(dx, out=dx)
+                if large is not None:
+                    dx[large] = list(map(math.hypot, *big))
+                return dx
             np.abs(dx, out=dx)
             np.abs(dy, out=dy)
             if self is GroundMetric.L1:
@@ -120,7 +112,8 @@ class GroundMetric(Enum):
 # entries per row block of GroundMetric.pairwise (256 KB), so that its passes
 # over a block run in cache
 _PAIRWISE_BLOCK = 1 << 15
-_METRIC_Q = {"l1": 1.0, "l2": 2.0, "linf": math.inf}
+# below this larger |difference|, no L2 square or sum of two squares overflows
+_L2_SAFE = 2.0**511
 _DIAG_FACTOR = {"l1": 1.0, "l2": 2.0 ** -0.5, "linf": 0.5}
 
 

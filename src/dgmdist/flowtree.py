@@ -676,7 +676,9 @@ def _pair_distances(placed: PlacedDiagrams, point, partner) -> np.ndarray:
     coords, metric = placed.coords, placed.trees[0].ground_metric
     distance = metric.diagonal_distances(coords[point])
     cross = partner >= 0
-    distance[cross] = metric.rowwise(coords[point[cross]], coords[partner[cross]])
+    a, b = point[cross], partner[cross]
+    xs, ys = coords[:, 0], coords[:, 1]
+    distance[cross] = metric.combine(xs[a] - xs[b], ys[a] - ys[b])
     return distance
 
 

@@ -219,12 +219,14 @@ _NO_CELL = np.iinfo(np.int64).max  # a key past every cell
 
 def _reach(metric: GroundMetric, u: float) -> float:
     """An upper bound on the gap max(|x - x'|, |y - y'|) of two points whose
-    distance, computed by metric.combine, is finite and at most u."""
+    distance, computed by metric.combine, is at most u. It is u itself, but
+    for rounding and for L2 squares that are subnormal or underflow to 0."""
     if metric is not GroundMetric.L2:
         return u * (1.0 + 2.0**-30)
-    # squares below 2**-1022 are subnormal, a gap below 2**-537.5 squares to
-    # 0, and a finite distance has gaps below 2**512
-    return min(max(u * (1.0 + 2.0**-30), min(1.23 * u, 2.0**-499), 2.0**-537), 2.0**513)
+    # squares below 2**-1022 are subnormal, and a gap below 2**-537.5
+    # squares to 0; math.hypot, which combine takes for large gaps, never
+    # reads below the gap
+    return max(u * (1.0 + 2.0**-30), min(1.23 * u, 2.0**-499), 2.0**-537)
 
 
 def _axis_cells(v: np.ndarray, s: float) -> np.ndarray:
@@ -265,11 +267,11 @@ def _closest_pair(points: np.ndarray, metric: GroundMetric, bound: float = math.
 
     **Cover.** A pair at distance d <= u has its gap t (the larger
     coordinate difference) at most its reach _reach(d) <= _reach(u):
-    metric.combine never reads below the rounded gap, except that an L2
-    square can underflow. A pair with t <= s (1 - 2**-20) lies in the same
-    run of each axis (a cut gap exceeds s) and in adjacent cells (each
-    quotient is at most n and carries two roundings), so the starting grid
-    holds the closest pair.
+    metric.combine never reads below the rounded gap (its math.hypot for
+    large L2 gaps included), except that an L2 square can underflow. A pair
+    with t <= s (1 - 2**-20) lies in the same run of each axis (a cut gap
+    exceeds s) and in adjacent cells (each quotient is at most n and carries
+    two roundings), so the starting grid holds the closest pair.
 
     **Packing.** Suppose a grid of side s holds more than C n candidate
     pairs, but the closest pair's reach is beyond s/2 (halving would lose
@@ -408,7 +410,6 @@ def tree_geometry(points, metric: GroundMetric) -> TreeGeometry:
         )
 
     mins, maxs = distinct.min(axis=0), distinct.max(axis=0)
-    extent = maxs - mins
     # the box holds the diagonal point (t, t) so that the root meets the
     # diagonal; the clip keeps a rounded midpoint of subnormals inside
     lo, hi = sorted((float(maxs[0]), float(mins[1])))
@@ -427,19 +428,13 @@ def tree_geometry(points, metric: GroundMetric) -> TreeGeometry:
             f"separation {delta_min!r} is out of floating-point range"
         ) from None
 
-    if metric is GroundMetric.L1:
-        diameter = float(extent.sum())
-    elif metric is GroundMetric.L2:
-        diameter = float(math.hypot(*extent))
-    else:
-        diameter = float(extent.max())
     return TreeGeometry(
         ground_metric=metric,
         mins=box_mins,
         span=span,
         min_separation=delta_min,
         levels=levels,
-        spread=diameter / delta_min,
+        spread=metric.distance(maxs, mins) / delta_min,
     )
 
 

@@ -14,6 +14,12 @@ Results use plain tuples: an embedding is a sorted list of
 ((level, ix, iy), value) or ((level, ix, iy), count), and a pair is
 (source, target, mass, kind, level, distance).
 
+Ground distances are computed here, not by ``GroundMetric``: point by point
+in Python floats (``ground_distance``), or as a matrix by scipy's ``cdist``
+(``ground_matrix``). Both follow the library's rule: cdist's float
+operations, except that an L2 distance whose larger coordinate difference
+reaches 2**511, where cdist's square can overflow, is ``math.hypot``'s.
+
 The second half holds three exact-distance paths independent of
 ``exact_distance``: the dense (m+n)² projection-augmented assignment, a
 brute-force enumerator over all partial matchings for tiny instances, and
@@ -21,8 +27,9 @@ optimal transport between the augmented sets under the unmodified ground
 metric, which is within a factor 2 of the exact distance.
 
 Then come two independent minimum separations for the tree's depth: a
-brute force over every pair by scipy's ``cdist``, and the scipy ``cKDTree``
-query the library used before its own search.
+brute force over every pair by ``ground_matrix``, and the scipy ``cKDTree``
+query the library used before its own search, which shares cdist's L2
+overflow.
 
 The last part is the line-by-line diagram file parser the library used
 before its bulk parse, kept frozen as the oracle for it.
@@ -43,6 +50,7 @@ from scipy.spatial.distance import cdist
 from dgmdist.diagram import (
     _INT64_MAX,
     DiagramParseError,
+    GroundMetric,
     InvalidPointError,
     PersistenceDiagram,
     _open_utf8,
@@ -183,7 +191,7 @@ def greedy_match(tree, first, second, metric):
             while i < len(ps) and j < len(qs):
                 a, b = ps[i], qs[j]
                 take = min(a[2], b[2])
-                dist = metric.distance((a[0], a[1]), (b[0], b[1]))
+                dist = ground_distance((a[0], a[1]), (b[0], b[1]), metric)
                 pairs.append(((a[0], a[1]), (b[0], b[1]), take, "cross", level, dist))
                 a[2] -= take
                 b[2] -= take
@@ -241,7 +249,7 @@ def build_assignment(first, second, metric, size_cap=DEFAULT_SIZE_CAP):
     q = _expanded(second)
     cost = np.zeros((m + n, m + n))
     if m and n:
-        cost[:m, :n] = metric.pairwise(p, q)
+        cost[:m, :n] = ground_matrix(p, q, metric)
     if m:
         cost[:m, n:] = _diagonal_distances(p, metric)[:, None]
     if n:
@@ -274,7 +282,7 @@ def brute_force_distance(first, second, metric, max_units=8):
         )
     p_diag = _diagonal_distances(p, metric) if len(p) else np.zeros(0)
     q_diag = _diagonal_distances(q, metric) if len(q) else np.zeros(0)
-    cross = metric.pairwise(p, q)
+    cross = ground_matrix(p, q, metric)
 
     best = math.inf
 
@@ -323,18 +331,59 @@ def ot_augmented(first, second, metric, size_cap=DEFAULT_SIZE_CAP):
 
     first_aug = np.vstack([p, project(q)]) if n else p
     second_aug = np.vstack([q, project(p)]) if m else q
-    cost = metric.pairwise(first_aug, second_aug)
+    cost = ground_matrix(first_aug, second_aug, metric)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum())
 
 
 _CDIST_NAME = {"l1": "cityblock", "l2": "euclidean", "linf": "chebyshev"}
 _KD_P = {"l1": 1.0, "l2": 2.0, "linf": math.inf}
+# from this larger |coordinate difference| on, an L2 square may overflow
+L2_OVERFLOW = 2.0**511
 
 
 def cdist_matrix(a, b, metric):
     """scipy's cdist distance matrix under the metric."""
     return cdist(a, b, metric=_CDIST_NAME[metric.value])
+
+
+def l2_overflow_mask(a, b):
+    """Which entries of the distance matrix of two (n, 2) arrays have a
+    larger |coordinate difference| of 2**511 or more."""
+    a = np.asarray(a, dtype=float).reshape(-1, 2)
+    b = np.asarray(b, dtype=float).reshape(-1, 2)
+    with np.errstate(over="ignore"):
+        dx = np.abs(np.subtract.outer(a[:, 0], b[:, 0]))
+        dy = np.abs(np.subtract.outer(a[:, 1], b[:, 1]))
+    return np.maximum(dx, dy) >= L2_OVERFLOW
+
+
+def ground_distance(a, b, metric):
+    """Distance between two points in Python floats: |dx| + |dy|,
+    max(|dx|, |dy|), or sqrt(dx*dx + dy*dy) below the L2 overflow range and
+    math.hypot(dx, dy) in it."""
+    dx = abs(a[0] - b[0])
+    dy = abs(a[1] - b[1])
+    if metric is GroundMetric.L1:
+        return dx + dy
+    if metric is GroundMetric.LINF:
+        return max(dx, dy)
+    if max(dx, dy) < L2_OVERFLOW:
+        return math.sqrt(dx * dx + dy * dy)
+    return math.hypot(dx, dy)
+
+
+def ground_matrix(a, b, metric):
+    """Distance matrix of two (n, 2) arrays: cdist's, but for L2 entries in
+    the overflow range, which are math.hypot of their differences."""
+    a = np.asarray(a, dtype=float).reshape(-1, 2)
+    b = np.asarray(b, dtype=float).reshape(-1, 2)
+    d = cdist_matrix(a, b, metric)
+    if metric is GroundMetric.L2:
+        for i, j in zip(*l2_overflow_mask(a, b).nonzero()):
+            (ax, ay), (bx, by) = a[i].tolist(), b[j].tolist()
+            d[i, j] = math.hypot(ax - bx, ay - by)
+    return d
 
 
 def closest_pair(points, metric):
@@ -343,7 +392,7 @@ def closest_pair(points, metric):
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(points) < 2:
         return math.inf
-    d = cdist_matrix(points, points, metric)
+    d = ground_matrix(points, points, metric)
     return float(d[np.triu_indices(len(points), 1)].min())
 
 
@@ -354,7 +403,8 @@ def min_separation(points, metric):
 
 
 def kd_min_separation(points, metric):
-    """The same minimum by a cKDTree query of each row's second neighbour."""
+    """The same minimum by a cKDTree query of each row's second neighbour;
+    in the L2 overflow range it reads cdist's overflowed squares."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     smallest = float(_diagonal_distances(points, metric).min())
     if len(points) > 1:

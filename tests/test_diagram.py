@@ -112,7 +112,8 @@ class TestDiagonalGeometry:
     @pytest.mark.parametrize("metric", list(GroundMetric))
     def test_pairwise_equals_cdist(self, metric):
         # the numpy matrix is scipy's cdist bit for bit, scales 1e-8 to 1e8,
-        # offsets to 1e3, plus squares that overflow (1e200) or underflow
+        # offsets to 1e3, plus squares that underflow; where an L2 square
+        # overflows in cdist (1e200), it is math.hypot's
         rng = np.random.default_rng(11)
         for trial in range(60):
             scale = 10.0 ** rng.integers(-8, 9)
@@ -124,7 +125,28 @@ class TestDiagonalGeometry:
                 b = np.vstack([b, [(0.0, 0.0), (1e-320, 1e-311)]])
             got = metric.pairwise(a, b)
             assert got.shape == (len(a), len(b))
-            assert got.tobytes() == reference.cdist_matrix(a, b, metric).tobytes()
+            cdist = reference.cdist_matrix(a, b, metric)
+            large = np.zeros(got.shape, bool)
+            if metric is GroundMetric.L2:
+                large = reference.l2_overflow_mask(a, b)
+                assert large.any() == (trial % 10 == 0)
+                hypot = [math.hypot(*(a[i] - b[j])) for i, j in zip(*large.nonzero())]
+                assert got[large].tolist() == hypot
+            assert got[~large].tobytes() == cdist[~large].tobytes()
+
+    def test_pairwise_past_the_l2_square_range(self):
+        # every difference of the row reaches 2**511, where a square can
+        # overflow: each entry is math.hypot's, and distance() reads the same
+        rng = np.random.default_rng(3)
+        dx = 2.0**511 * 2.0 ** rng.uniform(0.0, 511.0, 200)
+        dy = dx * rng.choice([0.0, 1e-300, 0.5, 1.0, 2.0], 200) * rng.choice([-1.0, 1.0], 200)
+        points = np.c_[dx, dy]
+        row = GroundMetric.L2.pairwise(np.zeros((1, 2)), points)[0]
+        hypot = [math.hypot(x, y) for x, y in points.tolist()]
+        assert row.tolist() == hypot
+        assert math.isfinite(max(hypot))
+        origin = (0.0, 0.0)
+        assert [GroundMetric.L2.distance(origin, p) for p in points] == hypot
 
 
 class TestPersistenceDiagram:

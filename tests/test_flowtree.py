@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dgmdist._rows
@@ -223,6 +223,17 @@ class TestFlowtreeDistance:
             assert cost >= exact_distance(first, second, metric) - 1e-9
 
 
+    def test_l2_pair_past_the_square_range(self):
+        # the differences square past the float range: exact, the flowtree
+        # and the tree's minimum separation all read the gap itself
+        first = PersistenceDiagram([(0.0, 1e300)])
+        second = PersistenceDiagram([(1e200, 1e300)])
+        assert exact_distance(first, second, GroundMetric.L2) == 1e200
+        for seed in range(50):
+            tree = pair_tree(first, second, seed=seed)
+            assert tree.min_separation == 1e200
+            assert flowtree_distance(tree, first, second) == 1e200
+
     def test_builds_no_pair_objects(self, monkeypatch):
         # the cost comes from the pair arrays; MatchPairs are built only
         # when .pairs is read
@@ -285,6 +296,34 @@ def test_flowtree_within_sqrt8_of_embedding_exactly(instance):
     flowtree = Fraction(flowtree_distance(tree, first, second))
     embedding = Fraction(PlacedDiagrams(tree, [first, second]).embedding_row(0, [1])[0])
     assert flowtree**2 <= 8 * embedding**2
+
+
+@st.composite
+def scaled_pairs(draw):
+    """(tree, first, second): an L2 pair of uniform diagrams scaled by 1e-3
+    up to 1e200, where the squares of the differences overflow."""
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e200]))
+    sizes = draw(st.tuples(st.integers(1, 40), st.integers(1, 40)))
+    seeds = draw(st.tuples(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1)))
+    first, second = (
+        PersistenceDiagram(gen_uniform(n, s).coords() * scale) for n, s in zip(sizes, seeds)
+    )
+    config = TreeConfig(seed=draw(st.integers(0, 2**32 - 1)), ground_metric=GroundMetric.L2)
+    return build_tree(union_coords((first, second)), config), first, second
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(scaled_pairs())
+def test_cross_pairs_cost_their_pairwise_entry(instance):
+    # one ground-metric kernel: a cross pair's per-unit distance is the exact
+    # oracle's matrix entry for its two points, bit for bit
+    tree, first, second = instance
+    matching = greedy_match(tree, first, second)
+    cross = matching.partner >= 0
+    assume(cross.any())
+    point, partner = matching.point[cross], matching.partner[cross] - matching.n_first
+    matrix = GroundMetric.L2.pairwise(first.coords(), second.coords())
+    assert matching.distance[cross].tobytes() == matrix[point, partner].tobytes()
 
 
 def per_pair_costs(tree, query, candidates):

@@ -540,7 +540,10 @@ class TestMinSeparation:
         for metric in GroundMetric:
             expected = reference.min_separation(points, metric)
             assert _min_separation(points, metric) == expected
-            assert reference.kd_min_separation(points, metric) == expected
+            # cKDTree's L2 squares overflow where the library takes math.hypot
+            overflow = reference.l2_overflow_mask(points, points).any()
+            if metric is not GroundMetric.L2 or not overflow:
+                assert reference.kd_min_separation(points, metric) == expected
             assert _closest_pair(points, metric)[0] == reference.closest_pair(points, metric)
             assert _closest_pair(shuffled, metric)[0] == reference.closest_pair(points, metric)
 
