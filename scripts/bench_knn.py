@@ -91,10 +91,10 @@ def walk_counts(queries, candidates, method):
 
     def counting_chunk(*args):
         nonlocal walked, retired
-        retired_rows, walked_rows = chunk(*args)
-        walked += len(walked_rows.point)
-        retired += len(retired_rows.retired)
-        return retired_rows, walked_rows
+        rows = chunk(*args)
+        walked += len(rows.point)
+        retired += len(rows.retired)
+        return rows
 
     def counting_walk(*args):
         nonlocal walks

@@ -6,9 +6,11 @@ lexicographically by (real, imag). Float64 values keep their order, and
 integers convert exactly as long as their magnitude is below 2**53; callers
 keep their keys inside that range.
 
-group_cells does the same for non-negative integer rows of known bit widths
+group_cells does the same for non-negative int64 rows of known bit widths
 through one int64 key that also holds the row's position, below the row:
 the keys are unique, so a plain sort of them gives group_rows' stable order.
+Rows too wide for one key take np.lexsort, which is stable and exact for any
+int64 values: group_cells has no 2**53 bound.
 """
 
 from __future__ import annotations
@@ -33,24 +35,29 @@ def group_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 
 def group_cells(a: np.ndarray, b: np.ndarray, a_bits: int, b_bits: int):
-    """group_rows(a, b) of int64 rows with 0 <= a < 2**a_bits and
-    0 <= b < 2**b_bits, bit for bit.
+    """The stable lexicographic order of the int64 rows (a[i], b[i]), with
+    0 <= a < 2**a_bits and 0 <= b < 2**b_bits, and the position in it where
+    each run of equal rows starts: group_rows(a, b), bit for bit, wherever
+    that is exact.
 
     The key of row i is (a[i], b[i], i) packed high to low. It takes
-    a_bits + b_bits + bit_length(len(a) - 1) bits; past 63 this calls
-    group_rows, so a and b must then lie below 2**53.
+    a_bits + b_bits + bit_length(len(a) - 1) bits; past 63 the rows are
+    sorted by np.lexsort instead.
     """
     n = len(a)
     pos_bits = (n - 1).bit_length()
+    new = np.empty(n, bool)
+    new[:1] = True
     if a_bits + b_bits + pos_bits > 63:
-        return group_rows(a, b)
+        order = np.lexsort((b, a))
+        a, b = a[order], b[order]
+        new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+        return order, new.nonzero()[0]
     key = a << (b_bits + pos_bits)
     key |= b << pos_bits
     key |= np.arange(n)
     key.sort()
     cell = key >> pos_bits
-    new = np.empty(n, bool)
-    new[:1] = True
     np.not_equal(cell[1:], cell[:-1], out=new[1:])
     key &= (1 << pos_bits) - 1
     return key, new.nonzero()[0]

@@ -24,18 +24,20 @@ once, a job being a pair of diagrams on one tree, and the jobs of one sweep
 may lie on different trees: their points are stacked job by job and grouped
 by (job, cell), so each level costs a fixed number of array operations
 however many jobs it carries, and a job on a shallower tree is done at its
-own root. _matchings feeds it: it stacks the jobs' rows in setup chunks
-(_batches), retires in closed form every row that cannot cross-match (see
-Placement), and walks the other rows of whole jobs, up to _BATCH_ROWS of
-them per walk. It yields, chunk by chunk, what each job matched: its
-retired rows' diagonal pairs, the pairs the walk made, and the job's
-residual after every level. greedy_match, the one caller that lists pairs,
-matches one job and sorts its pairs once afterwards.
+own root. _matchings feeds it: it stacks the jobs' rows in small setup
+chunks (_batches), retires in closed form every row that cannot
+cross-match (see Placement), and hands the rows of consecutive whole
+chunks to one walk, up to _BATCH_ROWS walked rows and below 2**63 mass
+unless the walk is one chunk: limits that keep _walk's keys and masses
+exact and its memory bounded. Each walk gives one _Walk record of what its
+jobs matched: the retired rows, which go to the diagonal whole, the pairs
+the walk made, sorted by job, and each job's residual after every level.
+greedy_match, the one caller that lists pairs, matches one job and sorts
+its pairs once afterwards.
 PlacedDiagrams.distances reads both costs of any list of jobs from the
-same matchings, within limits that keep _walk's keys and masses exact and
-its memory bounded: the flowtree cost is one math.fsum over the job's own
-pairs, which gives the same value in any order, so greedy_match's cost bit
-for bit; the embedding cost reads the job's residuals with its own tree's
+same records: the flowtree cost is one math.fsum over the job's own pairs,
+which gives the same value in any order, so greedy_match's cost bit for
+bit; the embedding cost reads the job's residuals with its own tree's
 side. flowtree_row and embedding_row are one diagram against many on one
 tree, multi_tree_estimate (dist) is one job per tree, and the evaluation
 harness reads every tree distance of a call from one distances call. Every
@@ -45,9 +47,11 @@ Grouping. A level sorts its rows by one int64 key (_rows.group_cells):
 the job, then the cell's x and y indices on that level, then the row's
 position among the level's rows. The keys are unique, so a plain sort
 gives the stable (job, cell) order, each cell's rows in row order. The
-key's width follows from the walk's job count and the level; only where
-it would pass 63 bits, on the fine levels of deep trees, does a level
-take group_rows' stable sort of complex128 keys instead.
+walk numbers its jobs with walked rows densely, at most _BATCH_ROWS of
+them or a single job, so the packed (job, cell x) part stays below 2**60;
+only where the whole key would pass 63 bits, on the fine levels of deep
+trees, does a level take np.lexsort's stable sort of the (job, cell x)
+and y columns instead.
 
 Pairs are formed only when read. Every walk takes each cell's matched
 mass and the rows' leftover masses (_cell_match), which give the
@@ -104,7 +108,9 @@ KIND_Q_TO_DIAGONAL = "q_to_diagonal"
 
 # walked rows one walk takes, and rows one setup chunk stacks, unless a single
 # job holds more: a walk keeps about a hundred bytes per walked row, and more
-# rows amortize its per-level costs no further
+# rows amortize its per-level costs no further. It also bounds the jobs a
+# walk numbers densely in its cell keys, so it must stay at most 2**16 for
+# keys of 48-level trees below 2**63
 _BATCH_ROWS = 1 << 13
 
 
@@ -310,6 +316,12 @@ class PlacedDiagrams:
         self.by_code = np.argsort(key)
         self.code_key = key[self.by_code]
 
+    @cached_property
+    def _diagonal_cost(self) -> np.ndarray:
+        """Each point's cost of going to the diagonal whole: its
+        multiplicity times its distance to the diagonal."""
+        return self.mass * self.trees[0].ground_metric.diagonal_distances(self.coords)
+
     def __len__(self) -> int:
         return len(self.start) - 1
 
@@ -352,24 +364,21 @@ class PlacedDiagrams:
         for tree in self.trees:
             p, q = float(tree.root_side).as_integer_ratio()
             scales.append((p, q << tree.level_hi))
-        metric = self.trees[0].ground_metric
-        for chunk, walked, residual in _matchings(self, first, second, "flowtree" in costs):
-            if walked is not None:
+        for walk in _matchings(self, first, second, "flowtree" in costs):
+            if walk.pairs is not None:
                 # each job's products: its retired rows', then its walked pairs'
-                point, partner, job, pair_mass, _ = walked
-                retired = chunk.retired
-                distance = metric.diagonal_distances(self.coords[retired])
-                products = self.mass[retired] * distance
+                point, partner, job, pair_mass, _ = walk.pairs
+                products = self._diagonal_cost[walk.retired]
                 walked = pair_mass * _pair_distances(self, point, partner)
-                ends = np.cumsum(chunk.retired_count).tolist()
-                walked_ends = np.cumsum(np.bincount(job, minlength=chunk.hi - chunk.lo)).tolist()
+                ends = np.cumsum(walk.retired_count).tolist()
+                walked_ends = np.cumsum(np.bincount(job, minlength=walk.hi - walk.lo)).tolist()
                 costs["flowtree"].extend(
                     math.fsum(chain(products[a:b].tolist(), walked[c:d].tolist()))
                     for a, b, c, d in zip([0, *ends], ends, [0, *walked_ends], walked_ends)
                 )
             if "embedding" in costs:
-                job_trees = self.tree_of[first[chunk.lo : chunk.hi]].tolist()
-                for t, column in zip(job_trees, residual.T.tolist()):
+                job_trees = self.tree_of[first[walk.lo : walk.hi]].tolist()
+                for t, column in zip(job_trees, walk.residual.T.tolist()):
                     p, scale = scales[t]
                     costs["embedding"].append(
                         p * sum(r << k for k, r in enumerate(column)) / scale
@@ -396,30 +405,25 @@ class PlacedDiagrams:
         js = np.asarray(js).reshape(-1)
         return np.full(len(js), i), js
 
-    def _batches(self, first: np.ndarray, second: np.ndarray) -> list[tuple[int, int]]:
+    def _batches(self, first: np.ndarray, second: np.ndarray) -> list[tuple[int, int, int]]:
         """The jobs (first[p], second[p]) cut into consecutive setup chunks
-        [lo, hi) for _matchings. A chunk holds at most 2**(54 - levels)
-        jobs, for _walk's packed cell keys, and, unless it is a single job,
-        less than 2**63 multiplicity, so that its int64 cumulative masses
-        cannot wrap (a single job's wrapped differences cancel), and at most
-        _BATCH_ROWS rows. A walk keeps the first two limits on the jobs of
-        the chunks it joins."""
-        start, most = self.start, 1 << (54 - self.levels)
+        [lo, hi) for _matchings, as (lo, hi, mass), mass being the chunk's
+        total multiplicity, a Python int. Unless it is a single job, a chunk
+        holds at most _BATCH_ROWS rows and less than 2**63 multiplicity, so
+        that its int64 cumulative masses cannot wrap (a single job's wrapped
+        differences cancel); _matchings joins chunks into walks within the
+        same limits, counting walked rows only."""
+        start, totals = self.start, self.totals
         rows = (start[first + 1] - start[first] + start[second + 1] - start[second]).tolist()
-        bounds, mass, size = [0], 0, 0
-        for k, (job_mass, job_rows) in enumerate(zip(self._pair_totals(first, second), rows)):
-            full = mass + job_mass >= 1 << 63 or size + job_rows > _BATCH_ROWS
-            if k > bounds[-1] and (full or k - bounds[-1] == most):
-                bounds.append(k)
-                mass = size = 0
+        chunks, lo, mass, size = [], 0, 0, 0
+        for k, (a, b, job_rows) in enumerate(zip(first.tolist(), second.tolist(), rows)):
+            job_mass = totals[a] + totals[b]
+            if k > lo and (mass + job_mass >= 1 << 63 or size + job_rows > _BATCH_ROWS):
+                chunks.append((lo, k, mass))
+                lo, mass, size = k, 0, 0
             mass += job_mass
             size += job_rows
-        return list(zip(bounds, bounds[1:] + [len(first)])) if len(first) else []
-
-    def _pair_totals(self, first: np.ndarray, second: np.ndarray) -> list[int]:
-        """Each pair's total multiplicity, a Python int below 2**64."""
-        totals = self.totals
-        return [totals[a] + totals[b] for a, b in zip(first.tolist(), second.tolist())]
+        return chunks + [(lo, len(first), mass)] if len(first) else []
 
     def _meet_levels(self, point: np.ndarray, other: np.ndarray) -> np.ndarray:
         """How many levels above the finest the cell of each given point
@@ -442,38 +446,42 @@ class PlacedDiagrams:
 
 
 class _Rows(NamedTuple):
-    """Rows of a walk, in row order: each row's job, its point in the
-    placement, whether it is a point of the job's first diagram, and its
-    meet level."""
+    """Rows of the jobs of a setup chunk or a walk, in row order, job being
+    the index of a row's job among all jobs: each retired row's job and
+    point, and each walked row's job, point in the placement, whether it is
+    a point of the job's first diagram, and meet level."""
 
+    retired_job: np.ndarray
+    retired: np.ndarray
     job: np.ndarray
     point: np.ndarray
     from_first: np.ndarray
     meet: np.ndarray
 
 
-@dataclass(frozen=True)
-class _Chunk:
-    """The jobs [lo, hi) and their retired rows.
+class _Walk(NamedTuple):
+    """What one walk matched for the jobs [lo, hi), job by job.
 
-    mass is the jobs' total multiplicity, a Python int. retired holds the
-    points of the retired rows in row order and retired_count each job's
-    number of them; retiring[k, p] is the mass job lo + p retires at level
-    k, exact in uint64.
+    retired holds the points of the jobs' retired rows, in row order, each
+    paired whole with the diagonal at its terminal level, and retired_count
+    each job's number of them. pairs are the (point, partner, job, mass,
+    level) arrays of the pairs the walk made, job counting from lo, by job
+    and each job's in the order the walk made them (see _walk), or None if
+    the caller reads no pairs. residual[k, p] is job lo + p's mass left
+    unmatched after level k, retired rows included, exact in uint64.
     """
 
     lo: int
     hi: int
-    mass: int
     retired: np.ndarray
     retired_count: np.ndarray
-    retiring: np.ndarray
+    pairs: tuple | None
+    residual: np.ndarray
 
 
 def _chunk(placed: PlacedDiagrams, first: np.ndarray, second: np.ndarray, lo: int, hi: int):
-    """Stack the rows of the jobs (diagram first[p], diagram second[p]) for
-    p in [lo, hi) and split them: the _Chunk of the retired ones, and the
-    walked ones, job being the index of the job among all jobs.
+    """The _Rows of the jobs (diagram first[p], diagram second[p]) for p in
+    [lo, hi).
 
     Rows stack the jobs' points job-major: job p's points of diagram
     first[p], then those of diagram second[p], each side in lexicographic
@@ -491,7 +499,6 @@ def _chunk(placed: PlacedDiagrams, first: np.ndarray, second: np.ndarray, lo: in
     within = np.arange(sizes.sum()) - np.repeat(sizes.cumsum() - sizes, sizes)
     from_first = within < n_first[job]
     point = within + np.where(from_first, start[first][job], (start[second] - n_first)[job])
-    terminal = placed.terminal_level[point]
     # by_code[start[d] + i] is diagram d's i-th point in Morton order; a
     # side's rows hold consecutive points, so point coded[r] is in row
     # r + coded[r] - point[r]
@@ -499,138 +506,89 @@ def _chunk(placed: PlacedDiagrams, first: np.ndarray, second: np.ndarray, lo: in
     found = placed._meet_levels(coded, np.where(from_first, second[job], first[job]))
     meet = np.empty_like(found)
     meet[np.arange(len(point)) + coded - point] = found
-    walked = meet < terminal
+    walked = meet < placed.terminal_level[point]
     retired = (~walked).nonzero()[0]
     walked = walked.nonzero()[0]
-    retiring = np.zeros((placed.levels, hi - lo), np.uint64)
-    np.add.at(
-        retiring.reshape(-1),
-        terminal[retired] * (hi - lo) + job[retired],
-        placed.mass[point[retired]].astype(np.uint64),
+    job += lo
+    return _Rows(
+        job[retired], point[retired], job[walked], point[walked], from_first[walked], meet[walked]
     )
-    chunk = _Chunk(
-        lo=lo,
-        hi=hi,
-        mass=sum(placed._pair_totals(first, second)),
-        retired=point[retired],
-        retired_count=np.bincount(job[retired], minlength=hi - lo),
-        retiring=retiring,
-    )
-    return chunk, _Rows(job[walked] + lo, point[walked], from_first[walked], meet[walked])
 
 
 def _matchings(
     placed: PlacedDiagrams, first: np.ndarray, second: np.ndarray, pairs: bool = True
-) -> Iterator[tuple[_Chunk, tuple | None, np.ndarray]]:
+) -> Iterator[_Walk]:
     """The greedy matchings of the jobs (diagram first[p], diagram
-    second[p]), each on its diagrams' tree.
+    second[p]), each on its diagrams' tree, as one _Walk per walk, in job
+    order; unless pairs is set, the walks form no pair.
 
     The jobs are stacked in the setup chunks of PlacedDiagrams._batches.
-    The walked rows of consecutive whole chunks go to one walk, as long as
-    it holds at most _BATCH_ROWS of them, 2**(54 - levels) jobs and, unless
-    it is one chunk, less than 2**63 multiplicity.
-
-    Yields one (chunk, walked, residual) per _Chunk, in job order: walked
-    is the (point, partner, job, mass, level) arrays of the pairs the walk
-    made for the chunk's jobs, job indexing them from chunk.lo, by job and
-    each job's in the order the walk made them; residual is the
-    (placed.levels, jobs) slice of _walk's residuals. The chunk's retired
-    rows each pair whole with the diagonal at their terminal level. Unless
-    pairs is set, walked is None: the walks form no pair, and only the
-    residuals are read.
+    The rows of consecutive whole chunks go to one walk, as long as it
+    holds at most _BATCH_ROWS walked rows and less than 2**63 multiplicity,
+    or is one chunk.
     """
-    most = 1 << (54 - placed.levels)
-    group: list[_Chunk] = []
     parts: list[_Rows] = []
-    jobs = mass = rows = 0
-    for lo, hi in placed._batches(first, second):
-        chunk, walked = _chunk(placed, first, second, lo, hi)
-        jobs, mass, rows = jobs + hi - lo, mass + chunk.mass, rows + len(walked.job)
-        if group and (jobs > most or mass >= 1 << 63 or rows > _BATCH_ROWS):
-            yield from _walk_group(placed, first, second, group, parts, pairs)
-            group, jobs, mass, rows = [], hi - lo, chunk.mass, len(walked.job)
-        group.append(chunk)
-        parts.append(walked)
-    if group:
-        yield from _walk_group(placed, first, second, group, parts, pairs)
+    lo = mass = rows = 0
+    for start, hi, chunk_mass in placed._batches(first, second):
+        chunk = _chunk(placed, first, second, start, hi)
+        mass, rows = mass + chunk_mass, rows + len(chunk.job)
+        if parts and (mass >= 1 << 63 or rows > _BATCH_ROWS):
+            yield _walk(placed, lo, start, parts, pairs)
+            lo, mass, rows = start, chunk_mass, len(chunk.job)
+        parts.append(chunk)
+    if parts:
+        yield _walk(placed, lo, len(first), parts, pairs)
 
 
-def _walk_group(
-    placed: PlacedDiagrams,
-    first: np.ndarray,
-    second: np.ndarray,
-    group: list[_Chunk],
-    parts: list[_Rows],
-    pairs: bool,
-) -> list[tuple[_Chunk, tuple | None, np.ndarray]]:
-    """Walk the walked rows of a group of chunks, parts, at once, and give
-    each chunk's share as _matchings yields it, its pairs only if pairs is
-    set. Empties parts, so that the walk holds the rows once, and returns
-    before the shares are read, so that the rows are gone by then."""
-    lo, hi = group[0].lo, group[-1].hi
-    rows = parts[0] if len(parts) == 1 else _Rows(*map(np.concatenate, zip(*parts)))
-    parts.clear()
-    retiring = np.concatenate([chunk.retiring for chunk in group], axis=1)
-    walked, residual = _walk(
-        placed, first[lo:hi], second[lo:hi], rows._replace(job=rows.job - lo), retiring, pairs
-    )
-    if not pairs:
-        return [(chunk, None, residual[:, chunk.lo - lo : chunk.hi - lo]) for chunk in group]
-    # the smallest unsigned type: a stable sort of it is a radix sort
-    order = np.argsort(walked[2].astype(np.min_scalar_type(hi - lo)), kind="stable")
-    point, partner, job, pair_mass, level = (column[order] for column in walked)
-    ends = np.searchsorted(job, [chunk.hi - lo for chunk in group]).tolist()
-    shares = []
-    for chunk, a, b in zip(group, [0, *ends], ends):
-        shift = chunk.lo - lo
-        share = (point[a:b], partner[a:b], job[a:b] - shift, pair_mass[a:b], level[a:b])
-        shares.append((chunk, share, residual[:, shift : chunk.hi - lo]))
-    return shares
+def _walk(placed: PlacedDiagrams, lo: int, hi: int, parts: list[_Rows], pairs: bool) -> _Walk:
+    """The level sweep of the jobs [lo, hi), each on its diagrams' tree,
+    over the walked rows of parts, each with its multiplicity as mass.
+    Empties parts, so that the walk holds the rows once.
 
+    Each job is matched exactly as if walked alone: its points never share a
+    cell with another job's, and a job on a tree shallower than
+    placed.levels is done at its own root.
 
-def _walk(
-    placed: PlacedDiagrams,
-    first: np.ndarray,
-    second: np.ndarray,
-    rows: _Rows,
-    retiring: np.ndarray,
-    pairs: bool,
-):
-    """The level sweep of the jobs (diagram first[p], diagram second[p]),
-    each on its diagrams' tree, over their walked rows.
-
-    rows are the jobs' walked rows (job indexing first and second), each
-    with its multiplicity as mass, and retiring[k, p] is the mass job p
-    retires at level k without walking. Each job is matched exactly as if
-    walked alone: its points never share a cell with another job's, and a
-    job on a tree shallower than placed.levels is done at its own root.
-
-    If pairs is set, returns the walked rows' pairs as (point, partner,
-    job, mass, level) arrays in the order the walk makes them: level by
-    level, each level's diagonal pairs by row, then its cross pairs in walk
-    order. point and partner index placed's points (partner -1 for a
-    diagonal pair). Else it forms no pair and returns None in their place.
-    Also returns the residuals, a (placed.levels, jobs) uint64 array: entry
-    [k, p] is job p's mass left unmatched after level k, retired rows
-    included, exact since one job holds less than 2**64. Every entry is 0
-    from the job's root on, where every row is terminal.
+    If pairs is set, the walk's pairs are made level by level, each level's
+    diagonal pairs by row, then its cross pairs in walk order, and sorted by
+    job stably. point and partner index placed's points (partner -1 for a
+    diagonal pair). Every residual is 0 from the job's root on, where every
+    row is terminal.
     """
-    levels = placed.levels
-    job, point, from_first, meet = rows
+    levels, jobs = placed.levels, hi - lo
+    # each job's retired rows and the mass it retires at every level, part
+    # by part, so that the temporaries of the many retired rows stay small
+    retiring = np.zeros((levels, jobs), np.uint64)
+    retired_count = np.zeros(jobs, np.int64)
+    for part in parts:
+        job, mass = part.retired_job - lo, placed.mass[part.retired].astype(np.uint64)
+        retired_count += np.bincount(job, minlength=jobs)
+        np.add.at(retiring.reshape(-1), placed.terminal_level[part.retired] * jobs + job, mass)
+    # the retired mass still unmatched after every level, below 2**64
+    residual = np.zeros((levels, jobs), np.uint64)
+    residual[:-1] = np.cumsum(retiring[:0:-1], axis=0)[::-1]
+    if len(parts) == 1:
+        _, retired, job, point, from_first, meet = parts[0]
+    else:
+        retired = np.concatenate([part.retired for part in parts])
+        job, point, from_first, meet = (np.concatenate(c) for c in zip(*(p[2:] for p in parts)))
+    parts.clear()
+    # the jobs with walked rows, from the row where each job's rows begin,
+    # numbered densely, their walked mass and their residuals after every level
+    starts = np.concatenate(([0], np.flatnonzero(job[1:] != job[:-1]) + 1))[: len(job)]
+    dense = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(job)))
+    walked_jobs = job[starts] - lo
     mass = placed.mass[point]
-    # job index above the x cell index: the packed (job, x) key of a row's
-    # cell on level k is cell_x >> k, below 2**(job_bits + levels - 1 - k),
-    # and ordered like the tuple
-    cell_x = (job << (levels - 1)) + placed.ix[point]
+    live = np.add.reduceat(mass.astype(np.uint64), starts)
+    walked_residual = np.zeros((levels, len(live)), np.uint64)
+    # the dense job index above the x cell index: the packed (job, x) key of
+    # a row's cell on level k is cell_x >> k, ordered like the tuple and
+    # below 2**(job_bits + levels - 1 - k) <= 2**60, since a walk holds at
+    # most _BATCH_ROWS jobs with walked rows, or one job
+    cell_x = (dense << (levels - 1)) + placed.ix[point]
     iy = placed.iy[point]
-    job_bits = (len(first) - 1).bit_length()
+    job_bits = (len(walked_jobs) - 1).bit_length()
     terminal = placed.terminal_level[point]
-    # each job's retired mass still unmatched after every level, and its
-    # walked mass, below 2**64, so exact in uint64
-    retired = np.cumsum(retiring[::-1], axis=0)[::-1]
-    residual = np.zeros((levels, len(first)), np.uint64)
-    residual[:-1] = retired[1:]
-    live = np.array(placed._pair_totals(first, second), np.uint64) - retired[0]
     no_partner = np.full(len(mass), -1)
     # an empty first entry, for walks without rows
     made = [(no_partner[:0], no_partner[:0], mass[:0], 0)]
@@ -642,7 +600,7 @@ def _walk(
         if pairs:
             made.append((rows, no_partner[: len(rows)], sent, level))
         mass[rows] = 0
-        np.subtract.at(live, job[rows], sent.astype(np.uint64))
+        np.subtract.at(live, dense[rows], sent.astype(np.uint64))
         # the live rows at or past their meet level, in row order
         rows = ((meet <= level) & (mass > 0)).nonzero()[0]
         if len(rows):
@@ -658,17 +616,21 @@ def _walk(
                 a, b, take = _cross_walk(*ends)
                 made.append((rows[a], rows[b], take, level))
             mass[rows] = left
-            np.subtract.at(live, job[rows[cells]], 2 * matched.astype(np.uint64))
-        residual[level] += live
+            np.subtract.at(live, dense[rows[cells]], 2 * matched.astype(np.uint64))
+        walked_residual[level] = live
+    residual[:, walked_jobs] += walked_residual
     if not pairs:
-        return None, residual
+        return _Walk(lo, hi, retired, retired_count, None, residual)
 
     rows, partners, masses, levels_of = zip(*made)
-    level = np.repeat(levels_of, [len(r) for r in rows])
-    row, partner = np.concatenate(rows), np.concatenate(partners)
+    row = np.concatenate(rows)
+    # the smallest unsigned type: a stable sort of it is a radix sort
+    order = np.argsort(dense[row].astype(np.min_scalar_type(len(walked_jobs))), kind="stable")
+    row, partner = row[order], np.concatenate(partners)[order]
+    level = np.repeat(levels_of, [len(r) for r in rows])[order]
     partner = np.where(partner >= 0, point[partner], -1)
-    matched = (point[row], partner, job[row], np.concatenate(masses), level)
-    return matched, residual
+    made = (point[row], partner, job[row] - lo, np.concatenate(masses)[order], level)
+    return _Walk(lo, hi, retired, retired_count, made, residual)
 
 
 def _pair_distances(placed: PlacedDiagrams, point, partner) -> np.ndarray:
@@ -700,9 +662,9 @@ def greedy_match(
     level by point alone); then the cross pairs, in walk order.
     """
     placed = PlacedDiagrams(tree, (first, second))
-    ((chunk, walked, residual),) = _matchings(placed, np.array([0]), np.array([1]))
-    point, partner, _, pair_mass, level = walked
-    retired = chunk.retired
+    (walk,) = _matchings(placed, np.array([0]), np.array([1]))
+    point, partner, _, pair_mass, level = walk.pairs
+    retired = walk.retired
     point = np.concatenate((retired, point))
     partner = np.concatenate((np.full(len(retired), -1), partner))
     pair_mass = np.concatenate((placed.mass[retired], pair_mass))
@@ -735,7 +697,7 @@ def greedy_match(
         mass=pair_mass,
         level=level,
         distance=distance,
-        level_residuals=list(zip(tree.levels(), residual[:, 0].tolist())),
+        level_residuals=list(zip(tree.levels(), walk.residual[:, 0].tolist())),
     )
 
 
@@ -762,9 +724,9 @@ def multi_tree_estimate(
     is placed on every tree and walked once per tree in one sweep
     (PlacedDiagrams.distances): flowtree reads each tree's greedy_match
     cost, bit for bit, embedding the same walk's exact sum of side *
-    residual, rounded once. Returns the
-    estimate and one tree.meta() dict per seed. Two empty diagrams give (0.0, [])
-    without building a tree. `dgmdist dist` prints exactly this result.
+    residual, rounded once. Returns the estimate and one tree.meta() dict
+    per seed. Two empty diagrams give (0.0, []) without building a tree.
+    `dgmdist dist` prints exactly this result.
     """
     if not seeds:
         raise ValueError("at least one seed is required")

@@ -415,7 +415,9 @@ def tree_geometry(points, metric: GroundMetric) -> TreeGeometry:
     lo, hi = sorted((float(maxs[0]), float(mins[1])))
     t = min(max(0.5 * lo + 0.5 * hi, lo), hi)
     box_mins = np.minimum(mins, t)
-    span = float((np.maximum(maxs, t) - box_mins).max())
+    # a span past the float range is inf, refused below as an overflow
+    with np.errstate(over="ignore"):
+        span = float((np.maximum(maxs, t) - box_mins).max())
     root_side = 2.0 * span
 
     try:

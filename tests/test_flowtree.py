@@ -498,10 +498,11 @@ class TestFlowtreeDistances:
     @settings(max_examples=6, deadline=None, derandomize=True, database=None)
     @given(st.data())
     def test_deepest_tree_past_one_walk(self, data):
-        # more candidates than one walk packs on a 48-level tree: pair
-        # index · 2^47 + ix would exceed 2^53 at the finest level. The points
-        # lie on one row of finest cells at uneven gaps, so cells merged by
-        # an inexact key would change the matching and its cost.
+        # more candidates than 64 on a 48-level tree: pair index · 2^47 +
+        # ix would exceed 2^53 at the finest level, where complex128 keys
+        # would round. The points lie on one row of finest cells at uneven
+        # gaps, so cells merged by an inexact key would change the matching
+        # and its cost.
         metric = data.draw(st.sampled_from(list(GroundMetric)))
         anchors = [(0.0, 1e-200), (0.0, 8.0), (8.0, 16.0)]
         config = TreeConfig(seed=5, max_levels_cap=MAX_LEVELS, ground_metric=metric)
@@ -539,8 +540,9 @@ def stacked_jobs(draw, offsets=(0.0, -250.0, 3e4)):
     truncated by a near-diagonal anchor point, a 2-level tree and up to two
     more of other seeds and caps, each built over a superset of the
     diagrams' points. A diagram may be empty or carry one multiplicity near
-    2**62, so that large batches pass 2**63 mass; up to 70 jobs pass the 64
-    that one walk packs on a 48-level tree. Jobs repeat and swap pairs.
+    2**62, so that large batches pass 2**63 mass; up to 70 jobs pass 64, past
+    which a (job, cell x) key on a 48-level tree would not fit 53 bits. Jobs
+    repeat and swap pairs.
     """
     metric = draw(st.sampled_from(list(GroundMetric)))
     offset = draw(st.sampled_from(offsets))
@@ -596,7 +598,7 @@ def stacked_walk(trees, diagrams, jobs):
 
     def recording(*args):
         result = walk(*args)
-        columns.extend(result[1].T.tolist())
+        columns.extend(result.residual.T.tolist())
         return result
 
     with pytest.MonkeyPatch.context() as patch:
@@ -627,8 +629,8 @@ class TestStackedJobs:
             assert columns[p] == residuals + [0] * (MAX_LEVELS - len(residuals))
 
     def test_limits_split_the_batch(self):
-        # 70 jobs on a 48-level and a 2-level tree: more than the 64 pairs
-        # one walk packs, and pairs near 2**62 + 2**62 mass each
+        # 70 jobs on a 48-level and a 2-level tree, pairs near 2**62 + 2**62
+        # mass each: the mass limit splits them into several walks
         heavy = PersistenceDiagram([(0.0, 2.0, 2**62), (1.0, 3.0)])
         other = PersistenceDiagram([(0.5, 2.0, 2**62 - 5), (1.0, 4.0, 3)])
         diagrams = [heavy, other, PersistenceDiagram(), gen_uniform(6, 2)]
@@ -643,8 +645,9 @@ class TestStackedJobs:
         walk = dgmdist.flowtree._walk
 
         def counting(*args):
-            walks.append(len(args[1]))
-            return walk(*args)
+            result = walk(*args)
+            walks.append(result.hi - result.lo)
+            return result
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dgmdist.flowtree, "_walk", counting)
@@ -668,8 +671,9 @@ class TestStackedJobs:
         walk = dgmdist.flowtree._walk
 
         def counting(*args):
-            walks.append(len(args[1]))
-            return walk(*args)
+            result = walk(*args)
+            walks.append(result.hi - result.lo)
+            return result
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dgmdist.flowtree, "_walk", counting)
@@ -769,17 +773,24 @@ def assert_reference_pairs(tree, matching, pairs):
 
 def walk_rows(call):
     """call()'s result and the number of rows each of its walks took."""
-    rows = []
-    walk = dgmdist.flowtree._walk
+    walked, walks = [], []
+    chunk, walk = dgmdist.flowtree._chunk, dgmdist.flowtree._walk
+
+    def chunking(*args):
+        rows = chunk(*args)
+        walked.extend(rows.job.tolist())
+        return rows
 
     def counting(*args):
-        rows.append(len(args[3].point))
-        return walk(*args)
+        result = walk(*args)
+        walks.append(sum(result.lo <= j < result.hi for j in walked))
+        return result
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dgmdist.flowtree, "_chunk", chunking)
         patch.setattr(dgmdist.flowtree, "_walk", counting)
         result = call()
-    return result, rows
+    return result, walks
 
 
 class TestEarlyRetirement:
@@ -860,32 +871,41 @@ class TestLeanWalk:
     @given(st.data())
     def test_group_cells_is_group_rows(self, data):
         # key widths up to and past the 63-bit limit, where group_cells
-        # hands over to group_rows; every column holds its largest value
+        # sorts by np.lexsort; every column holds its largest value, of up
+        # to 53 bits, where group_rows is exact, or of up to 63
         n = data.draw(st.integers(0, 300))
         pos_bits = (n - 1).bit_length()
+        most = data.draw(st.sampled_from([53, 63]))
         total = data.draw(st.sampled_from([None, 62, 63, 64]))
         if total is None:
-            a_bits, b_bits = data.draw(st.integers(0, 53)), data.draw(st.integers(0, 53))
+            a_bits, b_bits = data.draw(st.integers(0, most)), data.draw(st.integers(0, most))
         else:
-            a_bits = data.draw(st.integers(max(0, total - pos_bits - 53), 53))
+            a_bits = data.draw(st.integers(max(0, total - pos_bits - most), most))
             b_bits = total - pos_bits - a_bits
-            if not 0 <= b_bits <= 53:
+            if not 0 <= b_bits <= most:
                 return
         a, b = int_column(data, n, a_bits), int_column(data, n, b_bits)
         calls = []
-        real = dgmdist._rows.group_rows
+        lexsort = np.lexsort
 
         def counting(*args):
             calls.append(1)
-            return real(*args)
+            return lexsort(*args)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dgmdist._rows, "group_rows", counting)
+            patch.setattr(dgmdist._rows.np, "lexsort", counting)
+            patch.setattr(dgmdist._rows, "group_rows", None)
             order, starts = group_cells(a, b, a_bits, b_bits)
-        expected = group_rows(a, b)
-        assert order.tolist() == expected[0].tolist()
-        assert starts.tolist() == expected[1].tolist()
         assert len(calls) == (a_bits + b_bits + pos_bits > 63)
+        rows = list(zip(a.tolist(), b.tolist()))
+        expected = sorted(range(n), key=rows.__getitem__)
+        assert order.tolist() == expected
+        runs = [k for k in range(n) if k == 0 or rows[expected[k]] != rows[expected[k - 1]]]
+        assert starts.tolist() == runs
+        if most == 53:
+            expected = group_rows(a, b)
+            assert order.tolist() == expected[0].tolist()
+            assert starts.tolist() == expected[1].tolist()
 
     @staticmethod
     def assert_walks_as_group_rows(trees, diagrams, jobs):
@@ -933,6 +953,46 @@ class TestLeanWalk:
         assert tree.num_levels == cap
         widths = self.assert_walks_as_group_rows([tree], pair, [(0, 0, 1), (0, 1, 0)])
         assert max(widths) > 63 and min(widths) <= 63
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(
+            st.tuples(stacked_jobs(), st.sampled_from([1, 8, 40, 1 << 13])).map(
+                lambda case: (*case[0], case[1])
+            ),
+            retirement_cases(),
+        )
+    )
+    def test_walks_cover_the_jobs_within_limits(self, case):
+        # one _Walk per walk, in job order; a walk holds at most the row
+        # budget of walked rows and less than 2**63 mass, or is one setup
+        # chunk, so it numbers at most the row budget of walked jobs, or one
+        trees, diagrams, jobs, batch_rows = case
+        placed, first, second = stacked_indices(trees, diagrams, jobs)
+        first, second = np.array(first), np.array(second)
+        walked = []
+        chunk = dgmdist.flowtree._chunk
+
+        def chunking(*args):
+            rows = chunk(*args)
+            walked.extend(rows.job.tolist())
+            return rows
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dgmdist.flowtree, "_BATCH_ROWS", batch_rows)
+            patch.setattr(dgmdist.flowtree, "_chunk", chunking)
+            chunks = [(lo, hi) for lo, hi, _ in placed._batches(first, second)]
+            walks = list(dgmdist.flowtree._matchings(placed, first, second))
+        assert [w.lo for w in walks] == [0] + [w.hi for w in walks[:-1]]
+        assert walks[-1].hi == len(jobs)
+        totals = [placed.totals[a] + placed.totals[b] for a, b in zip(first, second)]
+        for walk in walks:
+            rows = [j for j in walked if walk.lo <= j < walk.hi]
+            mass = sum(totals[walk.lo : walk.hi])
+            assert (len(rows) <= batch_rows and mass < 1 << 63) or (walk.lo, walk.hi) in chunks
+            assert len(set(rows)) <= batch_rows or walk.hi - walk.lo == 1
+            assert len(walk.retired_count) == walk.hi - walk.lo
+            assert walk.retired_count.sum() == len(walk.retired)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(retirement_cases())
@@ -984,13 +1044,11 @@ class TestLeanWalk:
         point, other, job = (np.array(v, np.int64) for v in (point, other, job))
         meet = placed._meet_levels(point, other)
         walked = meet < placed.terminal_level[point]
-        chunk, rows = dgmdist.flowtree._chunk(
-            placed, np.array(first), np.array(second), 0, len(first)
-        )
+        rows = dgmdist.flowtree._chunk(placed, np.array(first), np.array(second), 0, len(first))
         assert rows.point.tolist() == point[walked].tolist()
         assert rows.meet.tolist() == meet[walked].tolist()
         assert rows.job.tolist() == job[walked].tolist()
-        assert chunk.retired.tolist() == point[~walked].tolist()
+        assert rows.retired.tolist() == point[~walked].tolist()
 
 
 class TestMultiTree:

@@ -157,6 +157,9 @@ class TestBuildTree:
             ([(0.0, 16.0), (5e-324, 16.0), (1.0, 9.0)], [GroundMetric.L1, GroundMetric.LINF]),
             # the ratio is finite but the depth needs 2.0 ** 1024
             ([(0.0, 1e300), (3e-21, 1e300), (1e287, 1e300)], list(GroundMetric)),
+            # the box's span passes the float range: refused as such, with
+            # no overflow warning first (warnings are errors under pytest)
+            ([(-1e308, -0.5e308), (1e308, 1.5e308)], list(GroundMetric)),
         ],
     )
     def test_depth_overflow_is_value_error(self, pts, metrics):
