@@ -21,7 +21,9 @@ It prints one line per output, "<sha256>  <set>/<output>". `dist`'s
 `elapsed` and the runtime table's timing columns are dropped before hashing;
 a directory output hashes its file names and bytes in name order. Run it at
 two commits and diff the listings; `--keep DIR` keeps the hashed outputs for
-a closer look.
+a closer look. `tests/data/output_digests.txt` is the committed listing,
+which the test suite compares with a fresh run: a change that moves an
+output on purpose rewrites it.
 
 Usage, from anywhere in the repository:
 

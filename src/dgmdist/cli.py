@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import logging
@@ -39,7 +38,15 @@ from .diagram import (
     save_diagram,
 )
 from .embedding import embed, write_vector
-from .evaluate import METHODS, BenchRow, eval_report, knn_distances, runtime_bench, write_csv
+from .evaluate import (
+    METHODS,
+    BenchRow,
+    _columns,
+    eval_report,
+    knn_distances,
+    runtime_bench,
+    write_csv,
+)
 from .exact import SizeCapError, exact_distance
 from .flowtree import multi_tree_estimate
 from .quadtree import TreeConfig, build_tree, union_coords
@@ -295,7 +302,7 @@ def cmd_bench(args) -> int:
         sizes, methods, metric=GroundMetric(args.metric), seed=args.seed, reps=args.reps
     )
     out = Path(args.out)
-    write_csv(out, [f.name for f in dataclasses.fields(BenchRow)], rows)
+    write_csv(out, _columns(BenchRow), rows)
     print(f"wrote {len(rows)} bench rows to {out}")
     return EXIT_OK
 

@@ -53,11 +53,12 @@ only where the whole key would pass 63 bits, on the fine levels of deep
 trees, does a level take np.lexsort's stable sort of the (job, cell x)
 and y columns instead.
 
-Pairs are formed only when read. Every walk takes each cell's matched
-mass and the rows' leftover masses (_cell_match), which give the
-residuals. Only a walk whose caller reads the flowtree cost turns them
-into pair arrays (_cross_walk), gathers them and sorts them by job; an
-embedding-only distances call forms none.
+Pairs are formed only when read. Each level gives every sorted row its
+interval of cross-matched mass on one axis and the mass it has left
+(_cell_match), and a job's residual after the level is the mass its rows
+have left. Only a walk whose caller reads the flowtree cost turns the
+intervals into pair arrays (_cross_walk), gathers them and sorts them by
+job; an embedding-only distances call forms none.
 
 Placement. PlacedDiagrams places every point of its diagrams once, each
 diagram on its tree (ShiftedQuadtree.place: the finest cell, whose
@@ -183,61 +184,49 @@ class AugmentedMatching:
 
 
 def _cell_match(mass: np.ndarray, starts: np.ndarray, from_first: np.ndarray):
-    """Greedy cross matching inside every cell holding points of both
-    diagrams, as masses.
+    """Greedy cross matching inside every cell, as masses.
 
     `mass` holds the live masses in walk order, `starts` the position where
     each cell begins and `from_first` marks first's points, which precede
     second's inside a cell. Walking both sides of a cell in order and pairing
     the smaller remaining mass is the north-west-corner rule, so it is
-    computed for all cells at once: each side's cumulative masses, clipped to
-    the cell's matched mass min(sum first, sum second) and offset by the mass
-    matched in earlier cells, are interval ends on one global axis. Returns
-    the start position of every such cell and the mass matched in it, the
-    mass each position has left, and the ends for _cross_walk: the cells'
-    positions, all first's sides before all second's, each position's
-    interval end, and the number of first's positions.
+    computed for all cells at once: a cell matches min(sum first, sum
+    second), 0 if it holds one side only, and each row's interval [begin,
+    end) on one global axis is its side's cumulative mass before and after
+    it, clipped to the cell's matched mass and offset by the mass matched in
+    earlier cells. Returns the mass each row has left and every row's begin
+    and end, for _cross_walk.
     """
-    ends = np.concatenate((starts[1:], [len(mass)]))
+    counts = np.diff(starts, append=len(mass))
     splits = starts + np.add.reduceat(from_first, starts, dtype=np.int64)
-    mixed = (starts < splits) & (splits < ends)
-    if not mixed.any():
-        none = np.zeros(0, np.int64)
-        return none, none, mass, (none, none, 0)
-    lo, mid, hi = starts[mixed], splits[mixed], ends[mixed]
     cum = np.concatenate(([0], mass.cumsum()))
-    matched = np.minimum(cum[mid] - cum[lo], cum[hi] - cum[mid])
+    matched = np.minimum(cum[splits] - cum[starts], cum[starts + counts] - cum[splits])
     offset = matched.cumsum() - matched
-    # one segment per side of every mixed cell, all first's sides before
-    # all second's; each position of a segment gets the global interval of
-    # mass [offset + min(cum[pos] - base, matched), offset + min(cum[pos + 1]
-    # - base, matched)), base being the cumulative mass where its side begins
-    first = np.concatenate((lo, mid))
-    counts = np.concatenate((mid, hi)) - first
-    seg = np.repeat(np.arange(len(first)), counts)
-    pos = np.arange(len(seg)) + np.repeat(first - (counts.cumsum() - counts), counts)
-    shift = np.concatenate((offset, offset))
-    rebase = (shift - cum[first])[seg]
-    cap = (shift + np.concatenate((matched, matched)))[seg]
-    begin = np.minimum(cum[pos] + rebase, cap)
-    end = np.minimum(cum[pos + 1] + rebase, cap)
-    left = mass.copy()
-    left[pos] -= end - begin
-    return lo, matched, left, (pos, end, len(seg) - (hi - mid).sum())
+    # a row's shift is its cell's offset less the cumulative mass where the
+    # row's own side of the cell begins
+    cell = np.repeat(np.arange(len(starts)), counts)
+    shift = offset[cell] - cum[np.where(from_first, starts[cell], splits[cell])]
+    cap = (offset + matched)[cell]
+    begin = np.minimum(cum[:-1] + shift, cap)
+    end = np.minimum(cum[1:] + shift, cap)
+    return mass - (end - begin), begin, end
 
 
-def _cross_walk(pos: np.ndarray, end: np.ndarray, n_first: int):
-    """The pairs of _cell_match's cells, from its ends: every interval
-    between consecutive distinct ends is one pair. Returns the positions of
-    each pair's two points and its mass, in walk order."""
-    if not len(end):
-        return pos, pos, pos
+def _cross_walk(begin: np.ndarray, end: np.ndarray, from_first: np.ndarray):
+    """The pairs of _cell_match's rows, from their intervals: every interval
+    between consecutive distinct ends of the rows with a non-empty interval
+    is one pair. Returns the positions of each pair's two points and its
+    mass, in walk order."""
+    crossed = end > begin
+    a, b = (crossed & from_first).nonzero()[0], (crossed & ~from_first).nonzero()[0]
+    if not len(a):
+        return a, b, a
     # each side's ends ascend, so a stable sort merges two runs
-    ends = np.sort(end, kind="stable")
+    ends = np.sort(np.concatenate((end[a], end[b])), kind="stable")
     breaks = ends[np.concatenate((ends[:-1] != ends[1:], [True]))]
     low = np.concatenate(([0], breaks[:-1]))
-    a = pos[np.searchsorted(end[:n_first], low, side="right")]
-    b = pos[n_first + np.searchsorted(end[n_first:], low, side="right")]
+    a = a[np.searchsorted(end[a], low, side="right")]
+    b = b[np.searchsorted(end[b], low, side="right")]
     return a, b, breaks - low
 
 
@@ -549,11 +538,12 @@ def _walk(placed: PlacedDiagrams, lo: int, hi: int, parts: list[_Rows], pairs: b
     cell with another job's, and a job on a tree shallower than
     placed.levels is done at its own root.
 
-    If pairs is set, the walk's pairs are made level by level, each level's
-    diagonal pairs by row, then its cross pairs in walk order, and sorted by
-    job stably. point and partner index placed's points (partner -1 for a
-    diagonal pair). Every residual is 0 from the job's root on, where every
-    row is terminal.
+    A job's residual after a level is the mass its rows have left then,
+    retired rows included; it is 0 from the job's root on, where every row
+    is terminal. If pairs is set, the walk's pairs are made level by level,
+    each level's diagonal pairs by row, then its cross pairs in walk order,
+    and sorted by job stably. point and partner index placed's points
+    (partner -1 for a diagonal pair).
     """
     levels, jobs = placed.levels, hi - lo
     # each job's retired rows and the mass it retires at every level, part
@@ -564,23 +554,20 @@ def _walk(placed: PlacedDiagrams, lo: int, hi: int, parts: list[_Rows], pairs: b
         job, mass = part.retired_job - lo, placed.mass[part.retired].astype(np.uint64)
         retired_count += np.bincount(job, minlength=jobs)
         np.add.at(retiring.reshape(-1), placed.terminal_level[part.retired] * jobs + job, mass)
-    # the retired mass still unmatched after every level, below 2**64
+    # the retired mass still unmatched after every level; each level adds the
+    # mass the walked rows have left
     residual = np.zeros((levels, jobs), np.uint64)
     residual[:-1] = np.cumsum(retiring[:0:-1], axis=0)[::-1]
-    if len(parts) == 1:
-        _, retired, job, point, from_first, meet = parts[0]
-    else:
-        retired = np.concatenate([part.retired for part in parts])
-        job, point, from_first, meet = (np.concatenate(c) for c in zip(*(p[2:] for p in parts)))
+    retired = np.concatenate([part.retired for part in parts])
+    job, point, from_first, meet = (np.concatenate(c) for c in zip(*(p[2:] for p in parts)))
     parts.clear()
-    # the jobs with walked rows, from the row where each job's rows begin,
-    # numbered densely, their walked mass and their residuals after every level
-    starts = np.concatenate(([0], np.flatnonzero(job[1:] != job[:-1]) + 1))[: len(job)]
-    dense = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(job)))
-    walked_jobs = job[starts] - lo
+    # the row where each job with walked rows begins, and those jobs numbered densely
+    job_starts = np.concatenate(([0], np.flatnonzero(job[1:] != job[:-1]) + 1))[: len(job)]
+    dense = np.repeat(np.arange(len(job_starts)), np.diff(job_starts, append=len(job)))
+    walked_jobs = job[job_starts] - lo
     mass = placed.mass[point]
-    live = np.add.reduceat(mass.astype(np.uint64), starts)
-    walked_residual = np.zeros((levels, len(live)), np.uint64)
+    # each job's mass left, exact: masses are non-negative, a job's total below 2**64
+    live = np.add.reduceat(mass.view(np.uint64), job_starts)
     # the dense job index above the x cell index: the packed (job, x) key of
     # a row's cell on level k is cell_x >> k, ordered like the tuple and
     # below 2**(job_bits + levels - 1 - k) <= 2**60, since a walk holds at
@@ -596,29 +583,27 @@ def _walk(placed: PlacedDiagrams, lo: int, hi: int, parts: list[_Rows], pairs: b
         if not live.any():
             break
         rows = ((terminal == level) & (mass > 0)).nonzero()[0]
-        sent = mass[rows]
         if pairs:
-            made.append((rows, no_partner[: len(rows)], sent, level))
+            made.append((rows, no_partner[: len(rows)], mass[rows], level))
         mass[rows] = 0
-        np.subtract.at(live, dense[rows], sent.astype(np.uint64))
         # the live rows at or past their meet level, in row order
         rows = ((meet <= level) & (mass > 0)).nonzero()[0]
         if len(rows):
             # sort by (job, cell); within a cell first's points precede
             # second's, each side in lexicographic order
             bits = levels - 1 - level
-            order, starts = group_cells(
+            order, cell_starts = group_cells(
                 cell_x[rows] >> level, iy[rows] >> level, job_bits + bits, bits
             )
             rows = rows[order]
-            cells, matched, left, ends = _cell_match(mass[rows], starts, from_first[rows])
+            side = from_first[rows]
+            left, begin, end = _cell_match(mass[rows], cell_starts, side)
             if pairs:
-                a, b, take = _cross_walk(*ends)
+                a, b, take = _cross_walk(begin, end, side)
                 made.append((rows[a], rows[b], take, level))
             mass[rows] = left
-            np.subtract.at(live, dense[rows[cells]], 2 * matched.astype(np.uint64))
-        walked_residual[level] = live
-    residual[:, walked_jobs] += walked_residual
+        live = np.add.reduceat(mass.view(np.uint64), job_starts)
+        residual[level, walked_jobs] += live
     if not pairs:
         return _Walk(lo, hi, retired, retired_count, None, residual)
 

@@ -1027,6 +1027,24 @@ class TestLeanWalk:
             both = placed.distances([0], [1])
         assert calls and both["embedding"] == placed.embedding_row(0, [1])
 
+    def test_cross_step_takes_live_rows_only(self):
+        # a level sorts only rows with mass left: a row matched whole on a
+        # finer level, or sent to the diagonal, is not sorted again
+        first, second = gen_uniform(60, 5), gen_uniform(60, 6)
+        placed = PlacedDiagrams(pair_tree(first, second, 2), [first, second])
+        cell_match = dgmdist.flowtree._cell_match
+        sizes = []
+
+        def live_only(mass, starts, from_first):
+            assert (mass > 0).all()
+            sizes.append(len(mass))
+            return cell_match(mass, starts, from_first)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dgmdist.flowtree, "_cell_match", live_only)
+            placed.distances([0], [1])
+        assert len(sizes) > 1
+
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(stacked_jobs())
     def test_meet_levels_in_morton_order(self, case):

@@ -159,6 +159,19 @@ def test_output_digests_listing(monkeypatch, capsys):
         assert digests[f"tiny/{name}_w2{suffix}"] == digests[f"tiny/{name}{suffix}"]
 
 
+def test_output_digests_match_the_committed_listing(monkeypatch, capsys):
+    # every CLI output on the full sets is byte-identical to the committed
+    # listing; a change that moves an output on purpose rewrites it with
+    # `python3 scripts/output_digests.py > tests/data/output_digests.txt`
+    # and says which lines moved
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import output_digests
+
+    assert output_digests.main([]) == 0
+    listing = Path(__file__).parent / "data" / "output_digests.txt"
+    assert capsys.readouterr().out == listing.read_text()
+
+
 def test_bench_load_report(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(SCRIPTS))
     import bench_load
