@@ -10,8 +10,7 @@ milliseconds of
   written into a temporary directory.
 
 The set is written by the CLI's `gen` command at a fixed seed, and every
-call uses the seed given. The report also records the git commit, the
-processor count and the Python, numpy and scipy versions.
+call uses the seed given.
 
 Usage, from anywhere in the repository:
 
@@ -22,25 +21,14 @@ Usage, from anywhere in the repository:
 from __future__ import annotations
 
 import argparse
-import io
 import json
-import os
-import platform
 import sys
 import tempfile
-from contextlib import redirect_stdout
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "scripts"))
+from benchlib import cli, median_ms, write_report
 
-import numpy as np  # noqa: E402
-import scipy  # noqa: E402
-
-from bench_knn import git, median_ms  # noqa: E402
-from dgmdist import GroundMetric, error_suite, eval_report, load_diagram  # noqa: E402
-from dgmdist.cli import main as cli  # noqa: E402
+from dgmdist import GroundMetric, error_suite, eval_report, load_diagram
 
 METHODS = ["embedding", "flowtree"]
 METRICS = [GroundMetric.L2]
@@ -49,11 +37,8 @@ POLICIES = ("per_pair", "whole_dataset")
 
 def dataset(directory: Path, count: int, max_size: int, seed: int):
     """The diagrams `dgmdist gen --kind uniform` writes, in file order."""
-    with redirect_stdout(io.StringIO()):
-        code = cli(["gen", "--kind", "uniform", "--count", str(count), "--max-size",
-                    str(max_size), "--seed", str(seed), "--out", str(directory)])
-    if code != 0:
-        raise SystemExit(f"gen exited with {code}")
+    cli(["gen", "--kind", "uniform", "--count", str(count), "--max-size", str(max_size),
+         "--seed", str(seed), "--out", str(directory)])
     return [load_diagram(path) for path in sorted(directory.glob("dgm_*.txt"))]
 
 
@@ -92,21 +77,14 @@ def main(argv=None):
         )
     print(json.dumps(timings), file=sys.stderr)
 
-    status = git("status", "--porcelain", "--untracked-files=no")
-    report = {
-        "benchmark": f"error_suite and eval_report on gen uniform {args.count} x "
-        f"<= {args.max_size} (seed {args.seed}), methods embedding,flowtree, "
-        f"ground metric l2, {args.pairs} pairs, workers 1",
-        "statistic": f"median of {args.runs} runs after one untimed call, ms",
-        "git_sha": git("rev-parse", "HEAD"),
-        "git_dirty": bool(status) if status is not None else None,
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "timings": timings,
-    }
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    write_report(
+        args.out,
+        f"error_suite and eval_report on gen uniform {args.count} x <= {args.max_size} "
+        f"(seed {args.seed}), methods embedding,flowtree, ground metric l2, "
+        f"{args.pairs} pairs, workers 1",
+        f"median of {args.runs} runs after one untimed call, ms",
+        timings=timings,
+    )
 
 
 if __name__ == "__main__":

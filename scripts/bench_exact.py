@@ -6,9 +6,7 @@ For each generator (`gen_uniform`, `gen_gaussian`) and size n, times
 ground metric and reports the median over the runs in milliseconds, after
 one untimed call. It then repeats criterion 6's exact measurement,
 `runtime_bench([100, 200, 400], ["exact"], seed=2, reps=5)`, and reports the
-log-log slope of each repeat with their median and range. The report also
-records the git commit, the processor count and the Python, numpy and scipy
-versions.
+log-log slope of each repeat with their median and range.
 
 Usage, from anywhere in the repository:
 
@@ -20,26 +18,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import statistics
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+import numpy as np
+from benchlib import median_ms, write_report
 
-import numpy as np  # noqa: E402
-import scipy  # noqa: E402
-
-from bench_knn import git, median_ms  # noqa: E402
-from dgmdist import (  # noqa: E402
-    GroundMetric,
-    exact_distance,
-    gen_gaussian,
-    gen_uniform,
-    runtime_bench,
-)
+from dgmdist import GroundMetric, exact_distance, gen_gaussian, gen_uniform, runtime_bench
 
 GENERATORS = {"uniform": gen_uniform, "gaussian": gen_gaussian}
 SLOPE_SIZES = [100, 200, 400]
@@ -78,27 +63,19 @@ def main(argv=None):
     slopes = [exact_slope() for _ in range(args.slope_runs)]
     print(json.dumps({"exact_slopes": slopes}), file=sys.stderr)
 
-    status = git("status", "--porcelain", "--untracked-files=no")
-    report = {
-        "benchmark": "exact_distance on gen_<generator>(n, 1) vs gen_<generator>(n, 2), "
-        "ground metric l2",
-        "statistic": f"median of {args.runs} runs, ms per distance",
-        "git_sha": git("rev-parse", "HEAD"),
-        "git_dirty": bool(status) if status is not None else None,
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "timings": timings,
-        "criterion_6_exact_slope": {
+    write_report(
+        args.out,
+        "exact_distance on gen_<generator>(n, 1) vs gen_<generator>(n, 2), ground metric l2",
+        f"median of {args.runs} runs, ms per distance",
+        timings=timings,
+        criterion_6_exact_slope={
             "sizes": SLOPE_SIZES,
             "runs": slopes,
             "median": statistics.median(slopes),
             "min": min(slopes),
             "max": max(slopes),
         },
-    }
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    )
 
 
 if __name__ == "__main__":

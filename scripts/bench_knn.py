@@ -13,9 +13,7 @@ which both methods share, then one query's `flowtree_row` or
 `embedding_row` against every candidate. For flowtree
 it also counts the rows that one `knn_distances` call hands to the walk's
 per-level cell sort, summed over the levels (`group_cells`, wrapped here;
-the rows sent to the diagonal at a level are not sorted). The report also
-records the git commit, the processor count and the Python, numpy and
-scipy versions.
+the rows sent to the diagonal at a level are not sorted).
 
 Usage, from anywhere in the repository:
 
@@ -26,31 +24,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
-import statistics
-import subprocess
 import sys
-import time
 import tracemalloc
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+import numpy as np
+from benchlib import median_ms, write_report
 
-import numpy as np  # noqa: E402
-import scipy  # noqa: E402
-
-import dgmdist.flowtree  # noqa: E402
-from dgmdist import (  # noqa: E402
-    GroundMetric,
-    PlacedDiagrams,
-    TreeConfig,
-    build_tree,
-    gen_gaussian,
-    knn_distances,
-    union_coords,
-)
+import dgmdist.flowtree
+from dgmdist import GroundMetric, PlacedDiagrams, gen_gaussian, knn_distances
+from dgmdist.evaluate import _tree
 
 # the first set has the shape of perfbench's knn-gaussian rounds
 SETS = (
@@ -115,20 +97,9 @@ def walk_counts(queries, candidates, method):
     return walked, retired, walks, peak / 1e6
 
 
-def median_ms(fn, runs):
-    """Median wall time of fn() over the runs, after one untimed call."""
-    fn()
-    seconds = []
-    for _ in range(runs):
-        start = time.perf_counter()
-        fn()
-        seconds.append(time.perf_counter() - start)
-    return statistics.median(seconds) * 1e3
-
-
 def shared_tree(diagrams):
     """The tree knn_distances builds over queries and candidates."""
-    return build_tree(union_coords(diagrams), TreeConfig(seed=0, ground_metric=GroundMetric.L2))
+    return _tree(METHODS, diagrams, 0, GroundMetric.L2)
 
 
 def embedding_stages(queries, candidates, runs):
@@ -166,15 +137,6 @@ def flowtree_stages(queries, candidates, runs):
     return place_ms, rows_ms / len(queries), sorted_rows
 
 
-def git(*args):
-    try:
-        return subprocess.run(
-            ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return None
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_knn.json", help="report path")
@@ -202,19 +164,12 @@ def main(argv=None):
         results.append(row)
         print(json.dumps(row), file=sys.stderr)
 
-    status = git("status", "--porcelain", "--untracked-files=no")
-    report = {
-        "benchmark": "knn_distances, ground metric l2, workers 1",
-        "statistic": f"median of {args.runs} runs, ms per query x candidate pair",
-        "git_sha": git("rev-parse", "HEAD"),
-        "git_dirty": bool(status) if status is not None else None,
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "sets": results,
-    }
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    write_report(
+        args.out,
+        "knn_distances, ground metric l2, workers 1",
+        f"median of {args.runs} runs, ms per query x candidate pair",
+        sets=results,
+    )
 
 
 if __name__ == "__main__":

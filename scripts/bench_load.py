@@ -10,8 +10,7 @@ command reads, each set timed as one pass over its files. The two parsers
 take turns for a number of rounds, and in each round each one is timed as
 the median of three runs after one untimed call. The report gives each
 parser's median over the rounds in milliseconds and the median of the
-rounds' ratios scan / load. It also records the git commit, the processor
-count and the Python and numpy versions.
+rounds' ratios scan / load.
 
 Usage, from anywhere in the repository:
 
@@ -22,25 +21,17 @@ Usage, from anywhere in the repository:
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
-import os
-import platform
 import statistics
 import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+from benchlib import ROOT, cli, median_ms, write_report
+
+from dgmdist import gen_gaussian, gen_uniform, load_diagram, save_diagram
+
 sys.path.insert(0, str(ROOT / "tests"))
-
-import numpy as np  # noqa: E402
-
-from bench_knn import git, median_ms  # noqa: E402
-from dgmdist import gen_gaussian, gen_uniform, load_diagram, save_diagram  # noqa: E402
-from dgmdist.cli import main as dgmdist_main  # noqa: E402
 from reference import line_scan_diagram  # noqa: E402
 
 GENERATORS = {"uniform": gen_uniform, "gaussian": gen_gaussian}
@@ -70,10 +61,9 @@ def timings(paths, runs):
 
 def write_set(spec, directory):
     """The set's files, written by the CLI's gen command."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        dgmdist_main(["gen", "--kind", spec["kind"], "--count", str(spec["count"]),
-                      "--max-size", str(spec["max_size"]), "--seed", str(spec["seed"]),
-                      "--out", str(directory)])
+    cli(["gen", "--kind", spec["kind"], "--count", str(spec["count"]),
+         "--max-size", str(spec["max_size"]), "--seed", str(spec["seed"]),
+         "--out", str(directory)])
     return sorted(directory.glob("*.txt"))
 
 
@@ -104,20 +94,14 @@ def main(argv=None):
             sets.append(row)
             print(json.dumps(row), file=sys.stderr)
 
-    status = git("status", "--porcelain", "--untracked-files=no")
-    report = {
-        "benchmark": "load_diagram against the line scan, files written by save_diagram",
-        "statistic": f"median of {args.runs} rounds of {BLOCK} runs per parser, ms per file or "
-                     "per set of files; speedup is the median of the rounds' scan / load",
-        "git_sha": git("rev-parse", "HEAD"),
-        "git_dirty": bool(status) if status is not None else None,
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "files": files,
-        "sets": sets,
-    }
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    write_report(
+        args.out,
+        "load_diagram against the line scan, files written by save_diagram",
+        f"median of {args.runs} rounds of {BLOCK} runs per parser, ms per file or per set "
+        "of files; speedup is the median of the rounds' scan / load",
+        files=files,
+        sets=sets,
+    )
 
 
 if __name__ == "__main__":

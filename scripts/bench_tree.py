@@ -10,8 +10,7 @@ median over the runs in milliseconds of
 It also starts fresh interpreters that run `import dgmdist` and reports the
 median time of that import, of the whole process (with its launcher) and
 the peak resident set size (`ru_maxrss`) of such an interpreter, and
-whether it loaded scipy. The report records the git commit, the processor
-count and the Python, numpy and scipy versions.
+whether it loaded scipy.
 
 Usage, from anywhere in the repository:
 
@@ -24,24 +23,17 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "scripts"))
+import numpy as np
+from benchlib import ROOT, median_ms, write_report
 
-import numpy as np  # noqa: E402
-import scipy  # noqa: E402
-
-from bench_knn import git, median_ms  # noqa: E402
-from dgmdist import GroundMetric, gen_gaussian, gen_uniform, tree_geometry  # noqa: E402
-from dgmdist._rows import group_rows  # noqa: E402
-from dgmdist.quadtree import _min_separation  # noqa: E402
+from dgmdist import GroundMetric, gen_gaussian, gen_uniform, tree_geometry
+from dgmdist._rows import group_rows
+from dgmdist.quadtree import _min_separation
 
 GENERATORS = {"uniform": gen_uniform, "gaussian": gen_gaussian}
 
@@ -129,23 +121,16 @@ def main(argv=None):
     imports = fresh_import(args.import_runs)
     print(json.dumps(imports), file=sys.stderr)
 
-    status = git("status", "--porcelain", "--untracked-files=no")
-    report = {
-        "benchmark": "tree_geometry (l2) and _min_separation (each metric) over "
-        "gen_uniform / gen_gaussian pairs (seeds 1, 2) of n points per side; "
-        "`import dgmdist` in fresh interpreters",
-        "statistic": f"median of {args.runs} runs after one untimed call, ms; "
+    write_report(
+        args.out,
+        "tree_geometry (l2) and _min_separation (each metric) over gen_uniform / "
+        "gen_gaussian pairs (seeds 1, 2) of n points per side; `import dgmdist` in "
+        "fresh interpreters",
+        f"median of {args.runs} runs after one untimed call, ms; "
         f"median of {args.import_runs} fresh imports",
-        "git_sha": git("rev-parse", "HEAD"),
-        "git_dirty": bool(status) if status is not None else None,
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "timings": rows,
-        "fresh_import": imports,
-    }
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+        timings=rows,
+        fresh_import=imports,
+    )
 
 
 if __name__ == "__main__":

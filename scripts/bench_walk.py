@@ -11,8 +11,7 @@ milliseconds of
 The 100- and 200-point pairs are also timed as `runtime_bench` times one
 pair: placement and walk of one method together (`evaluate._rows` on the
 built tree), the small-call fixed cost. A call far below a millisecond is
-timed in blocks of calls, and its time is per call. The report records the
-git commit, the processor count and the Python and numpy versions.
+timed in blocks of calls, and its time is per call.
 
 Usage, from anywhere in the repository:
 
@@ -24,27 +23,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "scripts"))
+from benchlib import median_ms, write_report
 
-import numpy as np  # noqa: E402
-
-from bench_knn import git, median_ms  # noqa: E402
-from dgmdist import (  # noqa: E402
-    GroundMetric,
-    PlacedDiagrams,
-    TreeConfig,
-    build_tree,
-    gen_uniform,
-    union_coords,
-)
-from dgmdist.evaluate import _rows  # noqa: E402
+from dgmdist import GroundMetric, PlacedDiagrams, gen_uniform
+from dgmdist.evaluate import _rows, _tree
 
 METHODS = {
     "flowtree": ("flowtree",),
@@ -82,9 +66,7 @@ def main(argv=None):
     rows = []
     for n in sizes:
         pair = tuple(gen_uniform(n, seed) for seed in SEEDS)
-        tree = build_tree(
-            union_coords(pair), TreeConfig(seed=TREE_SEED, ground_metric=GroundMetric.L2)
-        )
+        tree = _tree(METHODS["both"], pair, TREE_SEED, GroundMetric.L2)
         placed = PlacedDiagrams(tree, pair)
         # blocks of about 20,000 points: one call from 10,000 points per side up
         calls = max(1, 10_000 // n)
@@ -108,22 +90,16 @@ def main(argv=None):
         print(json.dumps(row), file=sys.stderr)
         rows.append(row)
 
-    status = git("status", "--porcelain", "--untracked-files=no")
-    report = {
-        "benchmark": "PlacedDiagrams placement and distances([0], [1]) by flowtree, "
-        "embedding and both, on gen_uniform pairs (seeds 1, 2) of n points per side, "
-        "one l2 tree of seed 0; single-pair runtime_bench calls at 100 and 200 points",
-        "statistic": f"median of {args.runs} runs after one untimed call, ms per call",
-        "seeds": list(SEEDS),
-        "tree_seed": TREE_SEED,
-        "git_sha": git("rev-parse", "HEAD"),
-        "git_dirty": bool(status) if status is not None else None,
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "timings": rows,
-    }
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    write_report(
+        args.out,
+        "PlacedDiagrams placement and distances([0], [1]) by flowtree, embedding and "
+        "both, on gen_uniform pairs (seeds 1, 2) of n points per side, one l2 tree of "
+        "seed 0; single-pair runtime_bench calls at 100 and 200 points",
+        f"median of {args.runs} runs after one untimed call, ms per call",
+        seeds=list(SEEDS),
+        tree_seed=TREE_SEED,
+        timings=rows,
+    )
 
 
 if __name__ == "__main__":

@@ -35,18 +35,15 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import shutil
 import sys
 import tempfile
-from contextlib import redirect_stdout
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+from benchlib import cli
 
-from dgmdist import (  # noqa: E402
+from dgmdist import (
     GroundMetric,
     PersistenceDiagram,
     TreeConfig,
@@ -57,7 +54,6 @@ from dgmdist import (  # noqa: E402
     union_coords,
     write_matching,
 )
-from dgmdist.cli import main as cli  # noqa: E402
 
 # a set is `gen` arguments or its diagrams' points; tables: the table
 # commands run on it (the exact oracle, which eval and the `--workers` twins
@@ -81,16 +77,6 @@ SETS = (
 METRICS = [m.value for m in GroundMetric]
 TREE_METHODS = ("flowtree", "embedding")
 TIMING_COLUMNS = ("mean_seconds", "median_seconds", "tree_seconds")
-
-
-def run(argv: list[str]) -> str:
-    """stdout of one CLI command; a non-zero exit raises."""
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = cli(argv)
-    if code != 0:
-        raise RuntimeError(f"dgmdist {' '.join(argv)} exited with {code}")
-    return out.getvalue()
 
 
 def digest(path: Path) -> str:
@@ -130,7 +116,7 @@ def set_outputs(spec: dict, work: Path) -> list[Path]:
         for i, points in enumerate(spec["diagrams"]):
             save_diagram(PersistenceDiagram(points), data / f"dgm_{i:04d}.txt")
     else:
-        run(["gen", "--kind", spec["kind"], "--count", str(spec["count"]),
+        cli(["gen", "--kind", spec["kind"], "--count", str(spec["count"]),
              "--max-size", str(spec["max_size"]), "--seed", str(spec["seed"]),
              "--out", str(data)])
     files = sorted(data.glob("dgm_*.txt"))
@@ -141,7 +127,7 @@ def set_outputs(spec: dict, work: Path) -> list[Path]:
         first, second = load_diagram(files[a]), load_diagram(files[b])
         for metric in METRICS:
             for method in TREE_METHODS:
-                report = json.loads(run(["dist", str(files[a]), str(files[b]),
+                report = json.loads(cli(["dist", str(files[a]), str(files[b]),
                                          "--method", method, "--metric", metric,
                                          "--trees", "2", "--seed", "0"]))
                 report.pop("elapsed")
@@ -155,7 +141,7 @@ def set_outputs(spec: dict, work: Path) -> list[Path]:
             outputs.append(out)
     for metric in METRICS:
         out = work / f"embed_{metric}"
-        run(["embed", "--in", str(data), "--out", str(out), "--metric", metric, "--seed", "0"])
+        cli(["embed", "--in", str(data), "--out", str(out), "--metric", metric, "--seed", "0"])
         outputs.append(out)
     if "knn" not in spec["tables"]:
         return outputs
@@ -168,7 +154,7 @@ def set_outputs(spec: dict, work: Path) -> list[Path]:
     def knn(metric: str, method: str, workers: str = "1") -> Path:
         suffix = "" if workers == "1" else f"_w{workers}"
         out = work / f"knn_{metric}_{method}{suffix}.csv"
-        run(["knn", "--queries", str(queries), "--candidates", str(candidates),
+        cli(["knn", "--queries", str(queries), "--candidates", str(candidates),
              "--method", method, "--metric", metric, "-k", "5", "--seed", "0",
              "--workers", workers, "--out", str(out)])
         return out
@@ -176,7 +162,7 @@ def set_outputs(spec: dict, work: Path) -> list[Path]:
     def evaluate(policy: str, workers: str = "1") -> Path:
         suffix = "" if workers == "1" else f"_w{workers}"
         out = work / f"eval_{policy}{suffix}"
-        run(["eval", "--data", str(data), "--methods", "exact,embedding,flowtree",
+        cli(["eval", "--data", str(data), "--methods", "exact,embedding,flowtree",
              "--metrics", "l2,l1", "--out", str(out), "--seed", "0", "--n-pairs", "10",
              "--tree-policy", policy, "--bench-sizes", "20", "--reps", "1",
              "--workers", workers])

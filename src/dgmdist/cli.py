@@ -42,6 +42,7 @@ from .evaluate import (
     METHODS,
     BenchRow,
     _columns,
+    _tree,
     eval_report,
     knn_distances,
     runtime_bench,
@@ -49,7 +50,6 @@ from .evaluate import (
 )
 from .exact import SizeCapError, exact_distance
 from .flowtree import multi_tree_estimate
-from .quadtree import TreeConfig, build_tree, union_coords
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -191,14 +191,11 @@ def cmd_dist(args) -> int:
 
 def cmd_embed(args) -> int:
     names, diagrams = _load_dir(args.input)
-    if not any(d.total_count for d in diagrams):
+    tree = _tree(["embedding"], diagrams, args.seed, GroundMetric(args.metric))
+    if tree is None:
         raise UsageError("no diagram holds a point; there is nothing to embed")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    metric = GroundMetric(args.metric)
-    tree = build_tree(
-        union_coords(diagrams), TreeConfig(seed=args.seed, ground_metric=metric)
-    )
     for name, diagram in zip(names, diagrams):
         write_vector(embed(tree, diagram), out_dir / f"{name}.vec")
     print(f"wrote {len(names)} vectors to {out_dir} (tree {tree.signature})")

@@ -415,6 +415,24 @@ class TestRuntimeBench:
             for _ in range(3 + (method == "exact"))
         ]
 
+    def test_one_tree_per_size(self, monkeypatch):
+        # both tree methods read one tree per size and report its build time;
+        # exact rows build none
+        build = dgmdist.evaluate.build_tree
+        builds = []
+
+        def counting(points, config):
+            builds.append(len(points))
+            return build(points, config)
+
+        monkeypatch.setattr(dgmdist.evaluate, "build_tree", counting)
+        rows = runtime_bench([10, 20], ["exact", "embedding", "flowtree"], seed=3, reps=1)
+        assert len(builds) == 2
+        for size in (10, 20):
+            exact, embedding, flowtree = (row for row in rows if row.size == size)
+            assert exact.tree_seconds == 0.0
+            assert embedding.tree_seconds == flowtree.tree_seconds > 0
+
 
 class TestWriters:
     def test_csv_and_json_deterministic(self, tmp_path):

@@ -2,16 +2,26 @@
 library change that breaks them shows up as a failing test."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+# benchlib.write_report's header, the same in every BENCH_<topic>.json
+HEADER = {"benchmark", "statistic", "git_sha", "git_dirty", "nproc", "python", "numpy",
+          "scipy"}
+
+
+def no_pythonpath():
+    return {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
 
 
 @pytest.fixture
 def scripts(monkeypatch):
-    # bench_exact imports bench_knn as a sibling module, as it does when run
+    # the scripts import benchlib as a sibling module, as they do when run
     monkeypatch.syspath_prepend(str(SCRIPTS))
     import bench_exact
     import bench_knn
@@ -26,7 +36,7 @@ def test_bench_knn_report(tmp_path, monkeypatch, scripts):
     out = tmp_path / "knn.json"
     bench_knn.main(["--out", str(out), "--runs", "1"])
     report = json.loads(out.read_text())
-    assert {"benchmark", "statistic", "git_sha", "nproc", "numpy", "scipy"} <= set(report)
+    assert HEADER <= set(report)
     (row,) = report["sets"]
     keys = {
         "flowtree_ms_per_pair",
@@ -63,6 +73,7 @@ def test_bench_exact_report(tmp_path, scripts):
         ["--out", str(out), "--sizes", "20,40", "--runs", "1", "--slope-runs", "1"]
     )
     report = json.loads(out.read_text())
+    assert HEADER <= set(report)
     assert [(t["generator"], t["n"]) for t in report["timings"]] == [
         ("uniform", 20),
         ("uniform", 40),
@@ -84,9 +95,7 @@ def test_bench_eval_report(tmp_path, monkeypatch):
          "--pairs", "3", "--bench-sizes", "10"]
     )
     report = json.loads(out.read_text())
-    assert {"benchmark", "statistic", "git_sha", "nproc", "python", "numpy", "scipy"} <= set(
-        report
-    )
+    assert HEADER <= set(report)
     assert set(report["timings"]) == {
         "error_suite_per_pair_ms",
         "error_suite_whole_dataset_ms",
@@ -104,9 +113,7 @@ def test_bench_tree_report(tmp_path, monkeypatch):
         ["--out", str(out), "--runs", "1", "--sizes", "20,40", "--import-runs", "1"]
     )
     report = json.loads(out.read_text())
-    assert {"benchmark", "statistic", "git_sha", "nproc", "python", "numpy", "scipy"} <= set(
-        report
-    )
+    assert HEADER <= set(report)
     assert [(t["generator"], t["n_per_side"]) for t in report["timings"]] == [
         ("uniform", 20),
         ("uniform", 40),
@@ -181,7 +188,7 @@ def test_bench_load_report(tmp_path, monkeypatch):
     out = tmp_path / "load.json"
     bench_load.main(["--out", str(out), "--runs", "1", "--sizes", "20,40"])
     report = json.loads(out.read_text())
-    assert {"benchmark", "statistic", "git_sha", "nproc", "python", "numpy"} <= set(report)
+    assert HEADER <= set(report)
     assert [(t["generator"], t["n"]) for t in report["files"]] == [
         ("uniform", 20),
         ("uniform", 40),
@@ -201,11 +208,37 @@ def test_bench_walk_report(tmp_path, monkeypatch):
     out = tmp_path / "walk.json"
     bench_walk.main(["--out", str(out), "--runs", "1", "--sizes", "100,300"])
     report = json.loads(out.read_text())
-    assert {"benchmark", "statistic", "seeds", "tree_seed", "git_sha", "nproc", "python",
-            "numpy"} <= set(report)
+    assert HEADER | {"seeds", "tree_seed"} <= set(report)
     small, large = report["timings"]
     assert (small["n_per_side"], large["n_per_side"]) == (100, 300)
     keys = {"place_ms", "flowtree_ms", "embedding_ms", "both_ms"}
     single = {"single_pair_flowtree_ms", "single_pair_embedding_ms"}
     assert keys | single <= set(small) and not single & set(large)
     assert all(v > 0 for row in (small, large) for k, v in row.items() if k.endswith("_ms"))
+
+
+@pytest.mark.parametrize(
+    "script", sorted(p.name for p in SCRIPTS.glob("*.py") if p.name != "benchlib.py")
+)
+def test_script_runs_from_anywhere(tmp_path, script):
+    # run as documented: a new process in any directory, with no PYTHONPATH
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), "--help"], cwd=tmp_path, env=no_pythonpath(),
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: ")
+
+
+def test_tree_scripts_load_no_scipy():
+    # only the exact oracle needs scipy, and these scripts never run it
+    probe = (
+        f"import sys; sys.path.insert(0, {str(SCRIPTS)!r})\n"
+        "import bench_knn, bench_tree, bench_walk\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=no_pythonpath(), capture_output=True, text=True,
+        check=True,
+    )
+    assert done.stdout == "[]\n"
