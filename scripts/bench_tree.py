@@ -7,6 +7,12 @@ median over the runs in milliseconds of
 - `quadtree._min_separation` over the distinct sorted points that
   `tree_geometry` hands it, under each ground metric.
 
+On the error-suite shape of `dgmdist eval` (a `gen uniform` set of 20
+diagrams of up to 150 points at seed 5, and 15 pairs of it drawn as
+`error_suite` draws them at that seed), it times the geometries of the 15
+pairs' trees under L2: one `tree_geometry` call per pair, against the one
+`quadtree._geometries` call that `error_suite` makes.
+
 It also starts fresh interpreters that run `import dgmdist` and reports the
 median time of that import, of the whole process (with its launcher) and
 the peak resident set size (`ru_maxrss`) of such an interpreter, and
@@ -26,16 +32,27 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
-from benchlib import ROOT, median_ms, write_report
+from benchlib import ROOT, cli, median_ms, write_report
 
-from dgmdist import GroundMetric, gen_gaussian, gen_uniform, tree_geometry
+from dgmdist import (
+    GroundMetric,
+    gen_gaussian,
+    gen_uniform,
+    load_diagram,
+    tree_geometry,
+    union_coords,
+)
 from dgmdist._rows import group_rows
-from dgmdist.quadtree import _min_separation
+from dgmdist.quadtree import _geometries, _min_separation
 
 GENERATORS = {"uniform": gen_uniform, "gaussian": gen_gaussian}
+# the error-suite shape: eval-uniform's set and pairs
+SUITE = {"diagrams": 20, "max_size": 150, "pairs": 15, "seed": 5}
 
 IMPORT_PROBE = (
     "import resource, sys, time\n"
@@ -64,6 +81,22 @@ def distinct_sorted(points: np.ndarray) -> np.ndarray:
     """The rows tree_geometry passes to _min_separation."""
     order, starts = group_rows(points[:, 0], points[:, 1])
     return points[order[starts]]
+
+
+def suite_point_sets() -> list[np.ndarray]:
+    """The stacked points of each error-suite pair: the pairs error_suite
+    draws at SUITE's seed from the diagrams `gen` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cli(["gen", "--kind", "uniform", "--count", str(SUITE["diagrams"]),
+             "--max-size", str(SUITE["max_size"]), "--seed", str(SUITE["seed"]), "--out", tmp])
+        diagrams = [load_diagram(path) for path in sorted(Path(tmp).glob("dgm_*.txt"))]
+    rng = np.random.default_rng(SUITE["seed"])
+    sets = []
+    for _ in range(SUITE["pairs"]):
+        i, j = rng.choice(len(diagrams), size=2, replace=False)
+        rng.integers(0, 2**31 - 1)  # the pair's tree seed, which no geometry reads
+        sets.append(union_coords((diagrams[i], diagrams[j])))
+    return sets
 
 
 def fresh_import(runs: int) -> dict:
@@ -114,21 +147,34 @@ def main(argv=None):
             }
             for metric in GroundMetric:
                 row[f"min_separation_{metric.value}_ms"] = median_ms(
-                    lambda: _min_separation(distinct, metric), args.runs
+                    lambda: _min_separation(distinct, [metric], np.zeros(1, int)), args.runs
                 )
             print(json.dumps(row), file=sys.stderr)
             rows.append(row)
+    sets = suite_point_sets()
+    metrics = [GroundMetric.L2] * len(sets)
+    suite = {
+        **SUITE,
+        "points": sum(map(len, sets)),
+        "per_pair_tree_geometry_ms": median_ms(
+            lambda: [tree_geometry(points, GroundMetric.L2) for points in sets], args.runs
+        ),
+        "batched_geometries_ms": median_ms(lambda: _geometries(sets, metrics), args.runs),
+    }
+    print(json.dumps(suite), file=sys.stderr)
     imports = fresh_import(args.import_runs)
     print(json.dumps(imports), file=sys.stderr)
 
     write_report(
         args.out,
         "tree_geometry (l2) and _min_separation (each metric) over gen_uniform / "
-        "gen_gaussian pairs (seeds 1, 2) of n points per side; `import dgmdist` in "
-        "fresh interpreters",
+        "gen_gaussian pairs (seeds 1, 2) of n points per side; the error-suite "
+        "shape's pair geometries (l2), per pair and in one call; `import dgmdist` "
+        "in fresh interpreters",
         f"median of {args.runs} runs after one untimed call, ms; "
         f"median of {args.import_runs} fresh imports",
         timings=rows,
+        error_suite_shape=suite,
         fresh_import=imports,
     )
 

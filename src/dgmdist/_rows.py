@@ -18,20 +18,40 @@ from __future__ import annotations
 import numpy as np
 
 
-def group_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
+def group_rows(a, b, sets=None) -> tuple[np.ndarray, np.ndarray]:
     """Stable lexicographic order of the rows (a[i], b[i]), and the position
     in that order where each run of equal rows starts.
 
     Equal rows keep their input order, so the first row of a run is the
-    first one given; -0.0 and 0.0 count as equal.
+    first one given; -0.0 and 0.0 count as equal. With sets, an array of
+    small non-negative integers, the rows are (sets[i], a[i], b[i]): each
+    set's rows come in the order they would have alone.
     """
     key = np.empty(len(a), np.complex128)
     key.real = a
     key.imag = b
     order = np.argsort(key, kind="stable")
+    if sets is not None:
+        order = set_major(order, sets)
+        sets = sets[order]
     key = key[order]
-    starts = np.flatnonzero(np.concatenate(([len(key) > 0], key[1:] != key[:-1])))
-    return order, starts
+    new = np.empty(len(key), bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    if sets is not None:
+        new[1:] |= sets[1:] != sets[:-1]
+    return order, new.nonzero()[0]
+
+
+def set_major(order: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """order, an ordering of rows, stably reordered by the rows' sets, small
+    non-negative integers: each set's rows in the order it gave them."""
+    sets = sets[order]
+    top = int(sets.max(initial=0))
+    if not top:  # one set
+        return order
+    # a stable sort of the smallest unsigned type is a radix sort
+    return order[np.argsort(sets.astype(np.min_scalar_type(top)), kind="stable")]
 
 
 def group_cells(a: np.ndarray, b: np.ndarray, a_bits: int, b_bits: int):

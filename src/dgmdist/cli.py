@@ -62,6 +62,32 @@ METRIC_NAMES = [m.value for m in GroundMetric]
 log = logging.getLogger("dgmdist")
 
 
+class _StderrHandler(logging.StreamHandler):
+    """A handler that writes each record to sys.stderr as it is when the
+    record is emitted, so that a redirected stderr receives it."""
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, value):
+        pass
+
+
+def _log_to_stderr() -> None:
+    """Send the package's warnings and errors, as bare messages, to stderr
+    and nowhere else. Only the dgmdist logger is configured, once per
+    process: the root logger of a program that runs commands in process
+    keeps its handlers and level."""
+    if not any(isinstance(h, _StderrHandler) for h in log.handlers):
+        handler = _StderrHandler()
+        handler.setFormatter(logging.Formatter("%(message)s"))
+        log.addHandler(handler)
+    log.setLevel(logging.WARNING)
+    log.propagate = False
+
+
 class UsageError(Exception):
     """Invalid argument values detected after parsing."""
 
@@ -381,9 +407,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        stream=sys.stderr, level=logging.WARNING, format="%(message)s", force=True
-    )
+    _log_to_stderr()
     try:
         args = _parser().parse_args(argv)
         if args.seed is None:

@@ -12,8 +12,9 @@ one rule for the tree the tree methods share.
   candidates once and walk all query-candidate pairs together.
 - error_suite solves the exact ground truth of its sampled pairs first, then
   walks all kept pairs together, one PlacedDiagrams.distances call per
-  metric, each pair on its own tree or on the shared one. Its exact method
-  reuses the truth.
+  metric, each pair on its own tree or on the shared one. The pairs' own
+  trees follow _tree's rule, their geometries computed in one call
+  (_trees). Its exact method reuses the truth.
 recall_at_m and ranking_table compute nothing themselves; they only reduce
 knn_distances rows, so the exact ground truth of a query set is solved once
 and shared by every method. eval_report writes every table of `dgmdist
@@ -43,7 +44,7 @@ import numpy as np
 from .diagram import GroundMetric, PersistenceDiagram, gen_uniform
 from .exact import SizeCapError, exact_distance
 from .flowtree import PlacedDiagrams
-from .quadtree import ShiftedQuadtree, TreeConfig, build_tree, union_coords
+from .quadtree import ShiftedQuadtree, TreeConfig, _geometries, build_tree, union_coords
 
 log = logging.getLogger(__name__)
 
@@ -125,6 +126,26 @@ def _tree(
     if not len(points):
         return None
     return build_tree(points, TreeConfig(seed=seed, ground_metric=metric))
+
+
+def _trees(
+    methods: Sequence[str],
+    groups: Sequence[Sequence[PersistenceDiagram]],
+    seeds: Sequence[int],
+    metrics: Sequence[GroundMetric],
+) -> list[ShiftedQuadtree | None]:
+    """_tree(methods, groups[k], seeds[k], metrics[k]) for every k, bit for
+    bit, with every tree's geometry computed in one quadtree._geometries
+    call."""
+    if not any(m in TREE_METHODS for m in methods):
+        return [None] * len(groups)
+    points = [union_coords(diagrams) for diagrams in groups]
+    built = [k for k, p in enumerate(points) if len(p)]
+    geometries = _geometries([points[k] for k in built], [metrics[k] for k in built])
+    trees: list[ShiftedQuadtree | None] = [None] * len(groups)
+    for k, geometry in zip(built, geometries):
+        trees[k] = geometry.tree(TreeConfig(seed=seeds[k], ground_metric=metrics[k]))
+    return trees
 
 
 def _exact_or_none(
@@ -238,8 +259,8 @@ def error_suite(
         workers,
     )
 
-    # the kept (pair, metric) jobs in row order, and the tree of each
-    kept, trees = [], []
+    # the kept (pair, metric) jobs in row order, and their pairs' tree seeds
+    kept, tree_seeds = [], []
     for (k, i, j, tree_seed), pair_truths in zip(sampled, truths):
         if pair_truths is None:
             continue
@@ -253,12 +274,16 @@ def error_suite(
                     metric.value,
                 )
                 continue
-            if shared_trees is None:
-                tree = _tree(methods, (dataset[i], dataset[j]), tree_seed, metric)
-            else:
-                tree = shared_trees[metric]
             kept.append((k, i, j, metric, d_true))
-            trees.append(tree)
+            tree_seeds.append(tree_seed)
+    # each kept job's tree: its pair's own, all built in one call, or its
+    # metric's shared one
+    job_metrics = [job[3] for job in kept]
+    if shared_trees is None:
+        pairs = [(dataset[i], dataset[j]) for _, i, j, _, _ in kept]
+        trees = _trees(methods, pairs, tree_seeds, job_metrics)
+    else:
+        trees = [shared_trees[metric] for metric in job_metrics]
 
     # one distances call per metric over its kept jobs, job p's diagrams
     # being diagrams 2p and 2p + 1 of the placement

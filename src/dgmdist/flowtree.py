@@ -61,9 +61,10 @@ intervals into pair arrays (_cross_walk), gathers them and sorts them by
 job; an embedding-only distances call forms none.
 
 Placement. PlacedDiagrams places every point of its diagrams once, each
-diagram on its tree (ShiftedQuadtree.place: the finest cell, whose
-ancestor k levels up is the index shifted right by k, and the first
-terminal level), so a walk computes no cell formula. Before the sweep each
+diagram on its tree, all trees in one sweep over levels (quadtree._place,
+as ShiftedQuadtree.place: the finest cell, whose ancestor k levels up is
+the index shifted right by k, and the first terminal level), so a walk
+computes no cell formula. Before the sweep each
 row gets its meet level, the first level at which the row's cell holds any
 point of the other diagram of its job, from the Morton order of the finest
 cells (see PlacedDiagrams._meet_levels). A row whose terminal level comes
@@ -101,7 +102,14 @@ import numpy as np
 
 from ._rows import group_cells
 from .diagram import GroundMetric, PersistenceDiagram
-from .quadtree import MAX_LEVELS, ShiftedQuadtree, TreeConfig, tree_geometry, union_coords
+from .quadtree import (
+    MAX_LEVELS,
+    ShiftedQuadtree,
+    TreeConfig,
+    _place,
+    tree_geometry,
+    union_coords,
+)
 
 KIND_CROSS = "cross"
 KIND_P_TO_DIAGONAL = "p_to_diagonal"
@@ -197,14 +205,14 @@ def _cell_match(mass: np.ndarray, starts: np.ndarray, from_first: np.ndarray):
     earlier cells. Returns the mass each row has left and every row's begin
     and end, for _cross_walk.
     """
-    counts = np.diff(starts, append=len(mass))
+    ends = np.concatenate((starts[1:], [len(mass)]))
     splits = starts + np.add.reduceat(from_first, starts, dtype=np.int64)
     cum = np.concatenate(([0], mass.cumsum()))
-    matched = np.minimum(cum[splits] - cum[starts], cum[starts + counts] - cum[splits])
+    matched = np.minimum(cum[splits] - cum[starts], cum[ends] - cum[splits])
     offset = matched.cumsum() - matched
     # a row's shift is its cell's offset less the cumulative mass where the
     # row's own side of the cell begins
-    cell = np.repeat(np.arange(len(starts)), counts)
+    cell = np.repeat(np.arange(len(starts)), ends - starts)
     shift = offset[cell] - cum[np.where(from_first, starts[cell], splits[cell])]
     cap = (offset + matched)[cell]
     begin = np.minimum(cum[:-1] + shift, cap)
@@ -283,15 +291,22 @@ class PlacedDiagrams:
         sizes = [len(d) for d in diagrams]
         self.totals = [d.total_count for d in diagrams]
         self.start = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
-        # each run of consecutive diagrams on one tree is placed at once
+
+        # every point on its diagram's tree in one sweep: each tree parameter
+        # is one value for all rows when every diagram's tree shares it
+        def per_row(values):
+            if len(set(values)) > 1:
+                return np.repeat(values, sizes)
+            return values[0] if values else 0
+
+        self.ix, self.iy, self.terminal_level = _place(
+            self.coords,
+            per_row([t.origin[0] for t in trees]),
+            per_row([t.origin[1] for t in trees]),
+            per_row([t.root_side for t in trees]),
+            per_row([t.level_hi for t in trees]),
+        )
         n = len(self.mass)
-        self.ix, self.iy, self.terminal_level = (np.empty(n, np.int64) for _ in range(3))
-        last = len(trees)
-        ends = [d for d in range(1, last + 1) if d == last or tree_of[d] != tree_of[d - 1]]
-        for lo, hi in zip([0, *ends], ends):
-            rows = slice(self.start[lo], self.start[hi])
-            cells = self.trees[tree_of[lo]].place(self.coords[rows])
-            self.ix[rows], self.iy[rows], self.terminal_level[rows] = cells
         # cell indices are below 2**level_hi <= 2**47: their
         # Morton codes rank through one 48-bit word per 24 bits of index,
         # the high bits first
@@ -563,7 +578,8 @@ def _walk(placed: PlacedDiagrams, lo: int, hi: int, parts: list[_Rows], pairs: b
     parts.clear()
     # the row where each job with walked rows begins, and those jobs numbered densely
     job_starts = np.concatenate(([0], np.flatnonzero(job[1:] != job[:-1]) + 1))[: len(job)]
-    dense = np.repeat(np.arange(len(job_starts)), np.diff(job_starts, append=len(job)))
+    job_ends = np.concatenate((job_starts[1:], [len(job)]))
+    dense = np.repeat(np.arange(len(job_starts)), job_ends - job_starts)
     walked_jobs = job[job_starts] - lo
     mass = placed.mass[point]
     # each job's mass left, exact: masses are non-negative, a job's total below 2**64

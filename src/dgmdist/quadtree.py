@@ -14,11 +14,12 @@ Geometry conventions:
 - The terminal test ("does the cell meet the diagonal y = x?") uses the
   closed square, so boundary contact counts as intersecting. The root is
   terminal: ShiftedQuadtree refuses a root that fails the test.
-- ShiftedQuadtree.place is the one place that computes cell indices and
-  terminality: one placement per point, its finest cell and the first level
-  whose cell is terminal, level_hi at the latest. A point counts as terminal
-  from that level up, so the embedding and the flowtree walk, which both
-  read the placement, retire it at the same level.
+- _place is the one place that computes cell indices and terminality: one
+  placement per point, its finest cell and the first level whose cell is
+  terminal, level_hi at the latest. A point counts as terminal from that
+  level up, so the embedding and the flowtree walk, which both read the
+  placement, retire it at the same level. ShiftedQuadtree.place is its call
+  for one tree; PlacedDiagrams places the points of many trees in one call.
 - The finest level is chosen so its side is strictly below half the minimum
   separation: each occupied finest cell then holds one distinct point and
   cannot be terminal. max_levels_cap, at most MAX_LEVELS, guards
@@ -28,7 +29,9 @@ Geometry conventions:
 Trees never materialize cells; a placement addresses only the given points.
 Only the shift depends on the seed: tree_geometry computes the rest once per
 point set, TreeGeometry.tree adds one seed's shift, and build_tree is the two
-in a row.
+in a row. _geometries computes the geometries of many point sets in one
+pass, each bit for bit that of its set alone, and tree_geometry is its call
+for one set.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._rows import group_rows
+from ._rows import group_rows, set_major
 from .diagram import GroundMetric, PersistenceDiagram
 
 # Deepest supported tree. Cell indices then stay below 2**(MAX_LEVELS - 1),
@@ -152,22 +155,7 @@ class ShiftedQuadtree:
         OutsideRootError if a point lies outside the closed root square.
         """
         coords = np.asarray(coords, dtype=float).reshape(-1, 2)
-        xs, ys = coords[:, 0], coords[:, 1]
-        ox, oy = self.origin
-        hi = self.root_side
-        if ((xs < ox) | (xs > ox + hi) | (ys < oy) | (ys > oy + hi)).any():
-            raise OutsideRootError("point outside root cell")
-        s = self.side(0)
-        last = (1 << self.level_hi) - 1
-        ix = np.minimum(np.floor((xs - ox) / s).astype(np.int64), last)
-        iy = np.minimum(np.floor((ys - oy) / s).astype(np.int64), last)
-        terminal_level = np.full(len(ix), self.level_hi, np.int64)
-        # from below the root down, so that a point's lowest hit is written last
-        for level in range(self.level_hi - 1, -1, -1):
-            s = self.side(level)
-            hit = _meets_diagonal(ox + (ix >> level) * s, oy + (iy >> level) * s, s)
-            terminal_level[hit] = level
-        return ix, iy, terminal_level
+        return _place(coords, *self.origin, self.root_side, self.level_hi)
 
     def meta(self) -> dict:
         """Reproducibility metadata for reports."""
@@ -203,12 +191,64 @@ def _meets_diagonal(x0, y0, side):
     return (x0 <= y0 + side) & (y0 <= x0 + side)
 
 
-def _min_separation(points: np.ndarray, metric: GroundMetric) -> float:
-    """Smallest of: pairwise distances between distinct points, and their
-    distances to the diagonal, under the given metric."""
-    smallest = float(metric.diagonal_distances(points).min())
+# _place's divisor of a root side to the side k levels down, at index k, and
+# 1 at the negative indices -MAX_LEVELS..-1, the levels above a row's root,
+# whose test is then its root's
+_HALVINGS = np.concatenate((2.0 ** np.arange(MAX_LEVELS), np.ones(MAX_LEVELS)))
+
+
+def _place(coords: np.ndarray, ox, oy, root_side, level_hi):
+    """ShiftedQuadtree.place of every row of coords, on a tree given by its
+    root's origin (ox, oy), root_side and level_hi: each is one value for
+    all rows or an array of one per row, so that one sweep over levels
+    places the rows of many trees at once.
+
+    The sweep runs down from below the deepest root, testing each row's
+    cell with the side root_side / 2**(level_hi - level) that
+    ShiftedQuadtree.side gives. A row of a shallower tree is tested on the
+    levels above its root, and on its root level, with its root square,
+    which meets the diagonal; so its lowest hit is level_hi at the latest,
+    as if the sweep had started at its own root.
+    """
+    xs, ys = coords[:, 0], coords[:, 1]
+    if ((xs < ox) | (xs > ox + root_side) | (ys < oy) | (ys > oy + root_side)).any():
+        raise OutsideRootError("point outside root cell")
+    s = root_side / _HALVINGS[level_hi]
+    last = np.left_shift(1, level_hi) - 1
+    ix = np.minimum(np.floor((xs - ox) / s).astype(np.int64), last)
+    iy = np.minimum(np.floor((ys - oy) / s).astype(np.int64), last)
+    top = int(np.max(level_hi, initial=0))
+    terminal_level = np.full(len(ix), top, np.int64)
+    # from below the deepest root down, so that a row's lowest hit is written last
+    for level in range(top - 1, -1, -1):
+        s = root_side / _HALVINGS[level_hi - level]
+        hit = _meets_diagonal(ox + (ix >> level) * s, oy + (iy >> level) * s, s)
+        terminal_level[hit] = level
+    return ix, iy, terminal_level
+
+
+def _combine(metrics, which: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Each entry's distance under metrics[which[i]].combine, written into
+    dx, which is returned; combine works entry by entry, so the bits are
+    those of a call on the entry alone."""
+    kinds = set(metrics)
+    if len(kinds) == 1:
+        return metrics[0].combine(dx, dy)
+    for metric in kinds:
+        rows = np.array([m is metric for m in metrics])[which].nonzero()[0]
+        dx[rows] = metric.combine(dx[rows], dy[rows])
+    return dx
+
+
+def _min_separation(points: np.ndarray, metrics, starts: np.ndarray) -> np.ndarray:
+    """Per set of rows, as _closest_pair takes them: the smallest of the
+    pairwise distances between its distinct points and their distances to
+    the diagonal, under its metric."""
+    # rounding is monotone, so the least product is the least lifetime's
+    factor = np.array([m.diagonal_factor for m in metrics])
+    smallest = np.minimum.reduceat(np.abs(points[:, 1] - points[:, 0]), starts) * factor
     with np.errstate(over="ignore"):  # far points differ by inf
-        return _closest_pair(points, metric, smallest)[0]
+        return _closest_pair(points, metrics, smallest, starts)[0]
 
 
 # Candidate pairs per point that the grid of _closest_pair may compare; the
@@ -229,19 +269,21 @@ def _reach(metric: GroundMetric, u: float) -> float:
     return max(u * (1.0 + 2.0**-30), min(1.23 * u, 2.0**-499), 2.0**-537)
 
 
-def _axis_cells(v: np.ndarray, s: float) -> np.ndarray:
-    """Grid indices of ascending values v for cells of side s.
+def _axis_cells(v: np.ndarray, s: np.ndarray, new_set: np.ndarray) -> np.ndarray:
+    """Grid indices of values v, ascending within each set of rows, for
+    cells of side s[i] at row i; new_set marks each set's first row.
 
-    The values are cut into runs wherever two neighbours lie more than s
-    apart. A run is indexed by floor((v - first) / s) from its first value,
-    and the next run starts 2 past the last index of the one before, so
-    cells of two runs are never adjacent. Every run index stays below its
-    length, so the largest index is below 2 len(v).
+    A set's values are cut into runs wherever two neighbours lie more than
+    s apart, and each set starts a run. A run is indexed by
+    floor((v - first) / s) from its first value, and the next run starts 2
+    past the last index of the one before, so cells of two runs are never
+    adjacent. Every run index stays below its length, so the largest index
+    is below 2 len(v).
     """
-    cut = (v[1:] - v[:-1] > s).nonzero()[0] + 1
+    cut = ((v[1:] - v[:-1] > s[1:]) | new_set[1:]).nonzero()[0] + 1
     # above side 1 the values are halved, so that v - first cannot overflow;
     # that is exact but for subnormal values, off by far less than s
-    scale = 0.5 if s > 1.0 else 1.0
+    scale = np.where(s > 1.0, 0.5, 1.0)
     w = v * scale
     first = np.zeros(len(v), np.intp)
     first[cut] = cut
@@ -253,17 +295,27 @@ def _axis_cells(v: np.ndarray, s: float) -> np.ndarray:
     return (q + offset).astype(np.int64)
 
 
-def _closest_pair(points: np.ndarray, metric: GroundMetric, bound: float = math.inf):
-    """min(bound, the least distance between two rows of points) under the
-    metric's combine(), exactly, and the number of grid pairs compared.
+def _closest_pair(points: np.ndarray, metrics, bound: np.ndarray, starts: np.ndarray):
+    """For every set k of rows of points, from starts[k] up to the next
+    set's start: min(bound[k], the least distance between two of its rows)
+    under metrics[k]'s combine(), exactly, and the number of grid pairs
+    compared for it. starts ascend from 0, and no set is empty.
 
-    **Search.** u, the smaller of bound and the least distance between
-    consecutive rows, bounds the answer. The points are bucketed on a grid
-    of side s, found per axis by _axis_cells, and each point is compared with
-    the points of its own cell and of the four forward neighbour cells. s
-    starts where every pair within distance u lies in adjacent cells, and is
-    halved while the grid holds more than C n candidate pairs
-    (C = _PAIRS_PER_POINT).
+    **Search.** For one set, u, the smaller of its bound and the least
+    distance between its consecutive rows, bounds the answer. The points
+    are bucketed on a grid of side s, found per axis by _axis_cells, and
+    each point is compared with the points of its own cell and of the four
+    forward neighbour cells. s starts where every pair within distance u
+    lies in adjacent cells, and is halved while the grid holds more than
+    C n candidate pairs (C = _PAIRS_PER_POINT, n the set's rows).
+
+    **Sets.** All sets share one grid of cell keys: each set starts a new
+    run on both axes, so no cell of a set meets one of another, and each
+    set's cells are the ones it would have alone, moved by one offset per
+    axis. Each set keeps its own side: a pass grids every set, and the sets
+    over C n candidate pairs halve theirs for the next pass. A set within
+    its C n is gridded again unchanged, so the last pass holds every set's
+    final grid and its count, as the set alone would have them.
 
     **Cover.** A pair at distance d <= u has its gap t (the larger
     coordinate difference) at most its reach _reach(d) <= _reach(u):
@@ -286,31 +338,44 @@ def _closest_pair(points: np.ndarray, metric: GroundMetric, bound: float = math.
     whose gap can reach 2**-537.5 under L2 (an underflowing square), so
     halving stops at 1.125 * 2**-537 (2**-1074 under L1 and Linf); a grid
     there with more than C n candidates has, by the same count, a pair at
-    distance 0, and 0 is returned.
+    distance 0, and 0 is returned, with a count of 0.
 
-    **Cost.** At most C n pairs are compared, after at most
-    2 + log2(s / max(answer, 2**-537)) passes of O(n log n) each, s the
-    starting side. Indices stay below 2 n per axis for any finite
-    coordinates. The result is exact whenever it is below 2**1022 or
-    infinite, for fewer than 2**29 rows.
+    **Cost.** At most C n pairs are compared per set, after at most
+    2 + log2(s / max(answer, 2**-537)) passes of O(N log N) each, s the
+    set's starting side and N the rows of all sets. Indices stay below 2 N
+    per axis for any finite coordinates. The result is exact whenever it is
+    below 2**1022 or infinite, for fewer than 2**29 rows.
     """
     n = len(points)
-    if n < 2:
-        return bound, 0
-    if (points[1:, 0] < points[:-1, 0]).any():  # tree_geometry's rows are sorted
-        points = points[np.argsort(points[:, 0], kind="stable")]
+    ends = np.concatenate((starts[1:], [n]))
+    set_of = np.repeat(np.arange(len(starts)), ends - starts)
+    if ((points[1:, 0] < points[:-1, 0]) & (set_of[1:] == set_of[:-1])).any():
+        # tree_geometry's sets are sorted
+        points = points[np.lexsort((points[:, 0], set_of))]
     xs, ys = points[:, 0], points[:, 1]
-    gaps = metric.combine(xs[1:] - xs[:-1], ys[1:] - ys[:-1])
-    u = min(bound, float(gaps.min()))
-    floor = 1.125 * 2.0**-537 if metric is GroundMetric.L2 else 2.0**-1074
-    s = max(min(_reach(metric, u) * (1.0 + 2.0**-19), 2.0**1023), 2.0**-1022)
-    y_order = np.argsort(ys)
+    new_set = np.zeros(n, bool)
+    new_set[starts] = True
+    gaps = np.empty(n)
+    gaps[1:] = _combine(metrics, set_of[1:], xs[1:] - xs[:-1], ys[1:] - ys[:-1])
+    gaps[new_set] = math.inf  # a set's first row follows no row of its own
+    u = np.minimum(bound, np.minimum.reduceat(gaps, starts))
+    floor = np.array([1.125 * 2.0**-537 if m is GroundMetric.L2 else 2.0**-1074 for m in metrics])
+    s = np.array(
+        [
+            max(min(_reach(m, d) * (1.0 + 2.0**-19), 2.0**1023), 2.0**-1022)
+            for m, d in zip(metrics, u.tolist())
+        ]
+    )
+    limit = _PAIRS_PER_POINT * (ends - starts)
+    zero = np.zeros(len(starts), bool)  # the sets whose halving reached the floor
+    y_order = set_major(np.argsort(ys), set_of)
     yv = ys[y_order]
     iy = np.empty(n, np.int64)
     while True:
-        # rows are sorted by x, so the keys are sorted by ix
-        ix = _axis_cells(xs, s)
-        iy[y_order] = _axis_cells(yv, s)
+        # rows are sorted by (set, x), so the keys are sorted by ix
+        row_side = s[set_of]
+        ix = _axis_cells(xs, row_side, new_set)
+        iy[y_order] = _axis_cells(yv, row_side, new_set)
         stride = int(iy.max()) + 2  # (ix + 1, -1) and (ix, max + 1) hold no point
         key = ix * stride + iy
         order = np.argsort(key, kind="stable")
@@ -332,26 +397,39 @@ def _closest_pair(points: np.ndarray, metric: GroundMetric, bound: float = math.
         right_end = right + (padded[right] <= last)
         right_end += (padded[right + 1] <= last) + (padded[right + 2] <= last)
         right, right_end = bounds[right], bounds[right_end]
-        count = int((size * (size - 1)).sum()) // 2 + int(
-            (size * (near - bounds[1:] + right_end - right)).sum()
+        # every set holds the same ranks in key order as in row order
+        cell_of = np.cumsum(new_cell) - 1
+        count = np.add.reduceat(
+            size * (size - 1) // 2 + size * (near - bounds[1:] + right_end - right),
+            cell_of[starts],
         )
-        if count <= _PAIRS_PER_POINT * n:
+        over = (count > limit) & ~zero
+        if not over.any():
             break
-        half = s * 0.5
-        if half * 2.0 != s:  # a subnormal side rounds up, never down
-            half = float(np.nextafter(half, math.inf))
-        if half < floor:
-            return 0.0, 0
-        s = half
-    # every rank of each run, against the point that owns the run
+        half = s[over] * 0.5
+        # a subnormal side rounds up, never down
+        half = np.where(half * 2.0 != s[over], np.nextafter(half, math.inf), half)
+        zero[over] = half < floor[over]
+        s[over] = np.where(half < floor[over], s[over], half)
+    count[zero] = 0
+    # every rank of each run, against the point that owns the run; a rank's
+    # two runs in turn, so that the pairs come set by set
     rank = np.arange(n)
-    cell_of = np.cumsum(new_cell) - 1
-    starts = np.concatenate((rank + 1, right[cell_of]))
-    counts = np.concatenate((near[cell_of] - starts[:n], right_end[cell_of] - starts[n:]))
-    a = order[np.repeat(np.concatenate((rank, rank)), counts)]
-    b = order[np.arange(count) + np.repeat(starts - (np.cumsum(counts) - counts), counts)]
-    dist = metric.combine(xs[a] - xs[b], ys[a] - ys[b])
-    return float(dist.min(initial=u)), count
+    run_start = np.stack((rank + 1, right[cell_of]), axis=1).reshape(-1)
+    run_len = np.stack((near[cell_of], right_end[cell_of]), axis=1).reshape(-1) - run_start
+    if zero.any():
+        run_len *= np.repeat(~zero[set_of], 2)
+    run_end = np.cumsum(run_len)
+    a = order[np.repeat(rank, run_len[0::2] + run_len[1::2])]
+    b = order[np.arange(run_end[-1]) + np.repeat(run_start - (run_end - run_len), run_len)]
+    dist = _combine(metrics, set_of[a], xs[a] - xs[b], ys[a] - ys[b])
+    # each set's pairs end with its last rank's
+    pairs_end = run_end[2 * ends - 1]
+    pairs_start = np.concatenate(([0], pairs_end[:-1]))
+    has = pairs_end > pairs_start
+    u[has] = np.minimum(u[has], np.minimum.reduceat(dist, pairs_start[has]))
+    u[zero] = 0.0
+    return u, count
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,51 +471,85 @@ def tree_geometry(points, metric: GroundMetric) -> TreeGeometry:
 
     Depth adapts to the minimum separation so that the finest cell side is
     strictly below half of it; a tree's max_levels_cap may cut it short.
+    It is the one-set call of the geometry routine that computes the
+    geometries of many point sets in one pass (_geometries), as the
+    evaluation harness does for its per-pair trees.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        raise ValueError("cannot build a tree over an empty point set")
-    pts = pts.reshape(-1, 2)
-    if not np.isfinite(pts).all():
-        raise ValueError("input points must have finite coordinates")
-    order, starts = group_rows(pts[:, 0], pts[:, 1])
-    distinct = pts[order[starts]]
+    return _geometries([points], [metric])[0]
 
-    delta_min = _min_separation(distinct, metric)
-    if delta_min <= 0.0:
-        raise ValueError(
-            "minimum separation is zero (a point lies on the diagonal)"
-        )
 
-    mins, maxs = distinct.min(axis=0), distinct.max(axis=0)
+def _geometries(point_sets, metrics) -> list[TreeGeometry]:
+    """tree_geometry(point_sets[k], metrics[k]) for every k, from one pass.
+
+    The sets are stacked, and the set joins the dedupe key and the
+    closest-pair grid key (_closest_pair), so no set meets another; box,
+    span and spread are per-set reductions of the stacked rows, and each
+    set's depth comes from its own span and separation. So every geometry
+    equals that of its set alone, bit for bit. An error is that of the
+    first set that tree_geometry refuses, with its message.
+    """
+    arrays = []
+    for k, points in enumerate(point_sets):
+        pts = np.asarray(points, dtype=float)
+        problem = None
+        if pts.size == 0:
+            problem = "cannot build a tree over an empty point set"
+        elif not np.isfinite(pts).all():
+            problem = "input points must have finite coordinates"
+        if problem:
+            _geometries(point_sets[:k], metrics[:k])  # an earlier set's error first
+            raise ValueError(problem)
+        arrays.append(pts.reshape(-1, 2))
+    if not arrays:
+        return []
+    pts = np.concatenate(arrays)
+    set_of = np.repeat(np.arange(len(arrays)), [len(a) for a in arrays])
+    # each set's distinct points in (x, y) order, the first given of equal ones
+    order, first = group_rows(pts[:, 0], pts[:, 1], set_of)
+    distinct, distinct_set = pts[order[first]], set_of[order[first]]
+    starts = np.flatnonzero(np.concatenate(([True], distinct_set[1:] != distinct_set[:-1])))
+
+    delta_min = _min_separation(distinct, metrics, starts)
+    mins = np.minimum.reduceat(distinct, starts)
+    maxs = np.maximum.reduceat(distinct, starts)
     # the box holds the diagonal point (t, t) so that the root meets the
     # diagonal; the clip keeps a rounded midpoint of subnormals inside
-    lo, hi = sorted((float(maxs[0]), float(mins[1])))
-    t = min(max(0.5 * lo + 0.5 * hi, lo), hi)
+    lo, hi = np.minimum(maxs[:, 0], mins[:, 1]), np.maximum(maxs[:, 0], mins[:, 1])
+    t = np.minimum(np.maximum(0.5 * lo + 0.5 * hi, lo), hi)[:, None]
     box_mins = np.minimum(mins, t)
     # a span past the float range is inf, refused below as an overflow
     with np.errstate(over="ignore"):
-        span = float((np.maximum(maxs, t) - box_mins).max())
-    root_side = 2.0 * span
+        spans = (np.maximum(maxs, t) - box_mins).max(axis=1).tolist()
+        extent = maxs - mins
 
-    try:
-        levels = max(2, int(math.floor(math.log2(root_side / delta_min))) + 3)
-        while root_side / 2.0 ** (levels - 1) >= 0.5 * delta_min:
-            levels += 1
-    except OverflowError:
-        raise ValueError(
-            f"tree depth overflows: root side {root_side!r} over minimum "
-            f"separation {delta_min!r} is out of floating-point range"
-        ) from None
+    levels = []
+    for span, delta in zip(spans, delta_min.tolist()):
+        if delta <= 0.0:
+            raise ValueError("minimum separation is zero (a point lies on the diagonal)")
+        root_side = 2.0 * span
+        try:
+            depth = max(2, int(math.floor(math.log2(root_side / delta))) + 3)
+            while root_side / 2.0 ** (depth - 1) >= 0.5 * delta:
+                depth += 1
+        except OverflowError:
+            raise ValueError(
+                f"tree depth overflows: root side {root_side!r} over minimum "
+                f"separation {delta!r} is out of floating-point range"
+            ) from None
+        levels.append(depth)
 
-    return TreeGeometry(
-        ground_metric=metric,
-        mins=box_mins,
-        span=span,
-        min_separation=delta_min,
-        levels=levels,
-        spread=metric.distance(maxs, mins) / delta_min,
-    )
+    spread = _combine(metrics, np.arange(len(metrics)), extent[:, 0], extent[:, 1]) / delta_min
+    return [
+        TreeGeometry(
+            ground_metric=metric,
+            mins=box_mins[k],
+            span=spans[k],
+            min_separation=float(delta_min[k]),
+            levels=levels[k],
+            spread=float(spread[k]),
+        )
+        for k, metric in enumerate(metrics)
+    ]
 
 
 def build_tree(points, config: TreeConfig) -> ShiftedQuadtree:

@@ -371,6 +371,55 @@ class TestEmbed:
         assert not out.exists()
 
 
+class TestLogging:
+    def test_host_logging_left_alone(self, tmp_path, monkeypatch):
+        # main configures the dgmdist logger only: a host's root handler and
+        # level stay as they were, the host's records still reach its
+        # handler, and a command's warning goes to the stderr in force when
+        # it is emitted, not to the host's handler
+        import contextlib
+        import io
+        import logging
+
+        import dgmdist.exact
+
+        root = logging.getLogger()
+        host_out = io.StringIO()
+        handler = logging.StreamHandler(host_out)
+        level = root.level
+        root.addHandler(handler)
+        root.setLevel(logging.INFO)
+        try:
+            queries, cands = tmp_path / "q", tmp_path / "c"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                assert main(["gen", "--kind", "uniform", "--count", "1", "--max-size", "1",
+                             "--seed", "2", "--out", str(cands)]) == EXIT_OK
+            assert err.getvalue().startswith("# dgmdist gen: ")
+            assert root.level == logging.INFO and handler in root.handlers
+            logging.getLogger("host").info("after gen")
+            assert host_out.getvalue() == "after gen\n"
+
+            # a cap of 3 points skips the 3-point query, not the 1-point one
+            queries.mkdir()
+            write_singleton(queries / "a.txt", 0, 4)
+            save_diagram(PersistenceDiagram([(0, 4), (1, 5), (2, 6)]), queries / "b.txt")
+            monkeypatch.setattr(dgmdist.exact, "DEFAULT_SIZE_CAP", 3)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                assert main(["knn", "--queries", str(queries), "--candidates", str(cands),
+                             "--method", "exact", "-k", "1"]) == EXIT_OK
+            lines = err.getvalue().splitlines()
+            assert lines[0].startswith("# dgmdist knn: ")
+            assert lines[1:] == ["query b skipped: oracle size cap exceeded"]
+            logging.getLogger("host").warning("after knn")
+            assert host_out.getvalue() == "after gen\nafter knn\n"
+            assert root.level == logging.INFO and root.handlers[-1] is handler
+        finally:
+            root.removeHandler(handler)
+            root.setLevel(level)
+
+
 class TestKnn:
     def test_exact_top1_is_ground_truth(self, tmp_path, capsys):
         queries, cands = tmp_path / "q", tmp_path / "c"

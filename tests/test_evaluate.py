@@ -168,14 +168,22 @@ class TestErrorSuite:
         # single pairs are read from two-diagram engines; each value is the
         # exact embedding cost or greedy_match's cost, bit for bit, on the
         # tree the suite built for it
+        # per_pair builds its trees in one _trees call, whole_dataset one
+        # _tree per metric
         trees = []
-        build = dgmdist.evaluate._tree
+        build, build_all = dgmdist.evaluate._tree, dgmdist.evaluate._trees
 
         def recording(*args):
             trees.append(build(*args))
             return trees[-1]
 
+        def recording_all(*args):
+            built = build_all(*args)
+            trees.extend(built)
+            return built
+
         monkeypatch.setattr(dgmdist.evaluate, "_tree", recording)
+        monkeypatch.setattr(dgmdist.evaluate, "_trees", recording_all)
         result = error_suite(
             small_dataset,
             ["embedding", "flowtree"],
@@ -194,6 +202,22 @@ class TestErrorSuite:
             else:
                 expected = greedy_match(tree, a, b).cost
             assert row.d_approx == expected
+
+    def test_trees_follow_the_tree_rule(self, small_dataset):
+        # the per-pair trees, all built in one geometry call, are _tree's:
+        # None without points or without a tree method
+        empty = PersistenceDiagram([])
+        groups = [small_dataset[:2], (empty, empty), small_dataset[3:5], small_dataset[6:7]]
+        seeds = [4, 5, 6, 7]
+        metrics = [L2, GroundMetric.L1, GroundMetric.LINF, L2]
+        trees = dgmdist.evaluate._trees(["flowtree"], groups, seeds, metrics)
+        expected = [
+            dgmdist.evaluate._tree(["flowtree"], group, seed, metric)
+            for group, seed, metric in zip(groups, seeds, metrics)
+        ]
+        assert trees[1] is None and expected[1] is None
+        assert [t and t.meta() for t in trees] == [t and t.meta() for t in expected]
+        assert dgmdist.evaluate._trees(["exact"], groups, seeds, metrics) == [None] * 4
 
     def test_validates_inputs(self, small_dataset):
         with pytest.raises(ValueError):

@@ -628,6 +628,25 @@ class TestStackedJobs:
             residuals = [r for _, r in matching.level_residuals]
             assert columns[p] == residuals + [0] * (MAX_LEVELS - len(residuals))
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(stacked_jobs(), st.data())
+    def test_placement_equals_each_trees_own(self, case, data):
+        # one sweep over levels places every diagram, each on its own tree
+        # among trees of 2 to 48 levels, exactly as that tree's place does
+        trees, diagrams, _ = case
+        picks = data.draw(
+            st.lists(st.integers(0, len(trees) - 1), min_size=2, max_size=3 * len(diagrams))
+        )
+        on = [trees[t] for t in picks]
+        stacked = [diagrams[k % len(diagrams)] for k in range(len(picks))]
+        placed = PlacedDiagrams(on, stacked)
+        for d, (tree, diagram) in enumerate(zip(on, stacked)):
+            rows = slice(placed.start[d], placed.start[d + 1])
+            ix, iy, terminal_level = tree.place(diagram.coords())
+            assert placed.ix[rows].tolist() == ix.tolist()
+            assert placed.iy[rows].tolist() == iy.tolist()
+            assert placed.terminal_level[rows].tolist() == terminal_level.tolist()
+
     def test_limits_split_the_batch(self):
         # 70 jobs on a 48-level and a 2-level tree, pairs near 2**62 + 2**62
         # mass each: the mass limit splits them into several walks

@@ -23,6 +23,7 @@ from dgmdist.quadtree import (
     ShiftedQuadtree,
     TreeConfig,
     _closest_pair,
+    _geometries,
     _min_separation,
     _reach,
     build_tree,
@@ -480,6 +481,74 @@ class TestShiftDistribution:
         assert abs(separated / trials - 0.25) < 0.05
 
 
+@st.composite
+def geometry_batches(draw):
+    """(point_sets, metrics) for one _geometries call: 1 to 6 sets, among
+    them single points, sets that share points with an earlier set,
+    near-duplicates whose depth passes the default cap and huge coordinate
+    offsets, each under any metric."""
+    sets = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["single", "shared", "near_duplicate", "offset", "uniform"]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n = draw(st.integers(1, 40))
+        births = rng.uniform(0.0, 10.0, n)
+        points = np.c_[births, births + rng.uniform(0.01, 5.0, n)]
+        if kind == "single":
+            points = points[:1]
+        elif kind == "shared" and sets:
+            earlier = sets[draw(st.integers(0, len(sets) - 1))]
+            points = np.vstack([earlier[rng.permutation(len(earlier))[: n // 2 + 1]], points])
+        elif kind == "near_duplicate":
+            twins = np.c_[points[:, 0], np.nextafter(points[:, 1], math.inf)]
+            points = np.vstack([points, twins[: draw(st.integers(1, n))]])
+        elif kind == "offset":
+            offset = draw(st.sampled_from([1e11, 1e300, -1e300]))
+            points = offset + points * abs(offset) * 1e-6
+        sets.append(points)
+    return sets, [draw(st.sampled_from(list(GroundMetric))) for _ in sets]
+
+
+class TestGeometryBatch:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(geometry_batches())
+    def test_batch_equals_each_set_alone(self, batch):
+        # the sets of one call never meet: each geometry is its set's own,
+        # field by field, and so is every tree shifted from it
+        point_sets, metrics = batch
+        batched = _geometries(point_sets, metrics)
+        assert len(batched) == len(point_sets)
+        for points, metric, geometry in zip(point_sets, metrics, batched):
+            alone = tree_geometry(points, metric)
+            assert geometry.ground_metric is alone.ground_metric is metric
+            assert geometry.mins.tolist() == alone.mins.tolist()
+            assert geometry.span == alone.span
+            assert geometry.min_separation == alone.min_separation
+            assert geometry.levels == alone.levels
+            assert geometry.spread == alone.spread
+            config = TreeConfig(seed=3, ground_metric=metric)
+            assert geometry.tree(config).meta() == build_tree(points, config).meta()
+
+    def test_near_duplicates_pass_the_cap(self):
+        points = [(0.0, 4.0), (0.0, np.nextafter(4.0, 5.0)), (1.0, 3.0)]
+        geometry, other = _geometries([points, points[2:]], [GroundMetric.L2] * 2)
+        assert geometry.levels > TreeConfig(seed=0).max_levels_cap
+        assert geometry.tree(TreeConfig(seed=0)).truncated
+        assert not other.tree(TreeConfig(seed=0)).truncated
+
+    def test_first_refused_set_raises(self):
+        # the error is the one tree_geometry raises on the first set it
+        # refuses, whatever the sets after it hold
+        good, diagonal, empty = [(0.0, 4.0)], [(2.0, 2.0)], []
+        with pytest.raises(ValueError, match="minimum separation is zero"):
+            _geometries([good, diagonal, empty], [GroundMetric.L2] * 3)
+        with pytest.raises(ValueError, match="empty point set"):
+            _geometries([good, empty, diagonal], [GroundMetric.L2] * 3)
+        with pytest.raises(ValueError, match="finite"):
+            _geometries([good, [(0.0, math.nan)], diagonal], [GroundMetric.L2] * 3)
+        assert _geometries([], []) == []
+
+
 def distinct_sorted(points):
     """The rows tree_geometry hands to _min_separation: distinct, sorted
     lexicographically."""
@@ -489,6 +558,18 @@ def distinct_sorted(points):
 
 
 TINY = 5e-324
+
+
+def closest_pair(points, metric):
+    """_closest_pair of one set with no bound: its value and its count of
+    candidate pairs."""
+    values, counts = _closest_pair(points, [metric], np.array([math.inf]), np.zeros(1, int))
+    return float(values[0]), int(counts[0])
+
+
+def min_separation(points, metric):
+    """_min_separation of one set."""
+    return float(_min_separation(points, [metric], np.zeros(1, int))[0])
 
 
 @st.composite
@@ -542,19 +623,19 @@ class TestMinSeparation:
         shuffled = points[np.random.default_rng(0).permutation(len(points))]
         for metric in GroundMetric:
             expected = reference.min_separation(points, metric)
-            assert _min_separation(points, metric) == expected
+            assert min_separation(points, metric) == expected
             # cKDTree's L2 squares overflow where the library takes math.hypot
             overflow = reference.l2_overflow_mask(points, points).any()
             if metric is not GroundMetric.L2 or not overflow:
                 assert reference.kd_min_separation(points, metric) == expected
-            assert _closest_pair(points, metric)[0] == reference.closest_pair(points, metric)
-            assert _closest_pair(shuffled, metric)[0] == reference.closest_pair(points, metric)
+            assert closest_pair(points, metric)[0] == reference.closest_pair(points, metric)
+            assert closest_pair(shuffled, metric)[0] == reference.closest_pair(points, metric)
 
     @pytest.mark.parametrize("metric", list(GroundMetric))
     def test_one_and_two_points(self, metric):
         for pts in ([(0.0, 4.0)], [(0.0, 4.0), (0.0, 6.0)], [(0.0, 4.0), (TINY, 4.0)]):
             points = distinct_sorted(pts)
-            assert _min_separation(points, metric) == reference.min_separation(points, metric)
+            assert min_separation(points, metric) == reference.min_separation(points, metric)
 
     @pytest.mark.parametrize("metric", list(GroundMetric))
     def test_reach_bounds_the_gap(self, metric):
@@ -574,13 +655,13 @@ class TestMinSeparation:
         xs = np.arange(-3.0, 4.0) * 4e307
         points = distinct_sorted(np.c_[xs, np.arange(7.0)])
         for metric in GroundMetric:
-            assert _closest_pair(points, metric)[0] == reference.closest_pair(points, metric)
+            assert closest_pair(points, metric)[0] == reference.closest_pair(points, metric)
 
     def test_subnormal_l2_gap_reads_zero(self):
         # the square of a subnormal gap underflows, as in cdist and cKDTree
         points = distinct_sorted([(0.0, 16.0), (TINY, 16.0), (1.0, 9.0)])
-        assert _min_separation(points, GroundMetric.L2) == 0.0
-        assert _min_separation(points, GroundMetric.L1) == TINY
+        assert min_separation(points, GroundMetric.L2) == 0.0
+        assert min_separation(points, GroundMetric.L1) == TINY
 
 
 def adversarial_sets():
@@ -608,7 +689,7 @@ class TestCandidateBound:
     @pytest.mark.parametrize("name", sorted(adversarial_sets()))
     def test_candidates_within_packing_bound(self, name, metric):
         points = distinct_sorted(adversarial_sets()[name])
-        value, candidates = _closest_pair(points, metric)
+        value, candidates = closest_pair(points, metric)
         assert value == reference.closest_pair(points, metric)
         assert candidates <= _PAIRS_PER_POINT * len(points)
 
@@ -617,6 +698,6 @@ class TestCandidateBound:
         points = distinct_sorted(adversarial_sets()["interleaved"])
         n = len(points)
         assert n * (n - 1) // 2 > _PAIRS_PER_POINT * n
-        value, candidates = _closest_pair(points, GroundMetric.L2)
+        value, candidates = closest_pair(points, GroundMetric.L2)
         assert value == reference.closest_pair(points, GroundMetric.L2)
         assert 0 < candidates <= _PAIRS_PER_POINT * n

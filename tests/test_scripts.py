@@ -123,6 +123,10 @@ def test_bench_tree_report(tmp_path, monkeypatch):
     keys = {"tree_geometry_ms", "min_separation_l1_ms", "min_separation_l2_ms",
             "min_separation_linf_ms"}
     assert all(keys <= set(t) and all(t[k] > 0 for k in keys) for t in report["timings"])
+    suite = report["error_suite_shape"]
+    assert suite["diagrams"] == 20 and suite["max_size"] == 150 and suite["pairs"] == 15
+    assert suite["seed"] == 5 and suite["points"] > 0
+    assert suite["per_pair_tree_geometry_ms"] > 0 and suite["batched_geometries_ms"] > 0
     imports = report["fresh_import"]
     assert imports["import_ms"] > 0 and imports["ru_maxrss_mb"] > 0
     assert imports["scipy_loaded"] is False
