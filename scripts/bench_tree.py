@@ -147,19 +147,18 @@ def main(argv=None):
             }
             for metric in GroundMetric:
                 row[f"min_separation_{metric.value}_ms"] = median_ms(
-                    lambda: _min_separation(distinct, [metric], np.zeros(1, int)), args.runs
+                    lambda: _min_separation(distinct, metric, np.zeros(1, int)), args.runs
                 )
             print(json.dumps(row), file=sys.stderr)
             rows.append(row)
     sets = suite_point_sets()
-    metrics = [GroundMetric.L2] * len(sets)
     suite = {
         **SUITE,
         "points": sum(map(len, sets)),
         "per_pair_tree_geometry_ms": median_ms(
             lambda: [tree_geometry(points, GroundMetric.L2) for points in sets], args.runs
         ),
-        "batched_geometries_ms": median_ms(lambda: _geometries(sets, metrics), args.runs),
+        "batched_geometries_ms": median_ms(lambda: _geometries(sets, GroundMetric.L2), args.runs),
     }
     print(json.dumps(suite), file=sys.stderr)
     imports = fresh_import(args.import_runs)

@@ -119,15 +119,23 @@ _DIAG_FACTOR = {"l1": 1.0, "l2": 2.0 ** -0.5, "linf": 0.5}
 
 def _checked(birth, death, multiplicity=1) -> tuple[float, float, int]:
     """A point's (birth, death, multiplicity) as float, float, int, or
-    InvalidPointError if it is not a valid persistence point."""
-    birth, death, multiplicity = float(birth), float(death), int(multiplicity)
+    InvalidPointError if it is not a valid persistence point. The
+    multiplicity must equal an integer from 1 to 2**63 - 1: an integral
+    float such as 3.0 is taken, 1.9, nan or inf is not."""
+    birth, death = float(birth), float(death)
     if not (math.isfinite(birth) and math.isfinite(death)):
         raise InvalidPointError(f"non-finite coordinates ({birth}, {death})")
     if death <= birth:
         raise InvalidPointError(f"death <= birth for point ({birth}, {death})")
-    if multiplicity < 1:
-        raise InvalidPointError(f"multiplicity must be >= 1, got {multiplicity}")
-    return birth, death, multiplicity
+    try:
+        count = int(multiplicity)
+    except (TypeError, ValueError, OverflowError):
+        count = 0
+    if count != multiplicity or not 1 <= count <= _INT64_MAX:
+        raise InvalidPointError(
+            f"multiplicity must be an integer from 1 to 2**63 - 1, got {multiplicity}"
+        )
+    return birth, death, count
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ one rule for the tree the tree methods share.
   table (one query, one candidate). Its tree methods place queries and
   candidates once and walk all query-candidate pairs together.
 - error_suite solves the exact ground truth of its sampled pairs first, then
-  walks all kept pairs together, one PlacedDiagrams.distances call per
-  metric, each pair on its own tree or on the shared one. The pairs' own
-  trees follow _tree's rule, their geometries computed in one call
-  (_trees). Its exact method reuses the truth.
+  takes one metric at a time, as a geometry pass and a placement hold one
+  ground metric: the metric's trees, each kept pair's own (their
+  geometries computed in one call, _trees, by _tree's rule) or the shared
+  one, then one PlacedDiagrams.distances call over its kept pairs. Its
+  exact method reuses the truth.
 recall_at_m and ranking_table compute nothing themselves; they only reduce
 knn_distances rows, so the exact ground truth of a query set is solved once
 and shared by every method. eval_report writes every table of `dgmdist
@@ -132,19 +133,18 @@ def _trees(
     methods: Sequence[str],
     groups: Sequence[Sequence[PersistenceDiagram]],
     seeds: Sequence[int],
-    metrics: Sequence[GroundMetric],
+    metric: GroundMetric,
 ) -> list[ShiftedQuadtree | None]:
-    """_tree(methods, groups[k], seeds[k], metrics[k]) for every k, bit for
-    bit, with every tree's geometry computed in one quadtree._geometries
-    call."""
+    """_tree(methods, groups[k], seeds[k], metric) for every k, bit for bit,
+    with every tree's geometry computed in one quadtree._geometries call."""
     if not any(m in TREE_METHODS for m in methods):
         return [None] * len(groups)
     points = [union_coords(diagrams) for diagrams in groups]
     built = [k for k, p in enumerate(points) if len(p)]
-    geometries = _geometries([points[k] for k in built], [metrics[k] for k in built])
+    geometries = _geometries([points[k] for k in built], metric)
     trees: list[ShiftedQuadtree | None] = [None] * len(groups)
     for k, geometry in zip(built, geometries):
-        trees[k] = geometry.tree(TreeConfig(seed=seeds[k], ground_metric=metrics[k]))
+        trees[k] = geometry.tree(TreeConfig(seed=seeds[k], ground_metric=metric))
     return trees
 
 
@@ -228,10 +228,11 @@ def error_suite(
 
     The ground truths are solved first, on up to `workers` processes, one
     pair per job. A pair over the oracle cap is skipped; a pair and metric
-    with zero truth are excluded, as the relative error is undefined. The
-    kept pairs are then walked together, one PlacedDiagrams.distances call
-    per metric, each pair on its tree, and both tree methods are read from
-    the same walks.
+    with zero truth are excluded, as the relative error is undefined. Then,
+    one metric at a time, the metric's trees are built (the kept pairs' own
+    in one _trees call, or one _tree over the dataset) and its kept pairs
+    are walked together in one PlacedDiagrams.distances call, each pair on
+    its tree; both tree methods are read from the same walks.
     """
     if len(dataset) < 2:
         raise ValueError("dataset must contain at least two diagrams")
@@ -240,12 +241,6 @@ def error_suite(
     if tree_policy not in ("per_pair", "whole_dataset"):
         raise ValueError(f"unknown tree_policy {tree_policy!r}")
     _check_methods(methods)
-
-    shared_trees = None
-    if tree_policy == "whole_dataset":
-        shared_trees = {
-            metric: _tree(methods, dataset, seed, metric) for metric in metrics
-        }
 
     rng = np.random.default_rng(seed)
     sampled = []
@@ -259,8 +254,8 @@ def error_suite(
         workers,
     )
 
-    # the kept (pair, metric) jobs in row order, and their pairs' tree seeds
-    kept, tree_seeds = [], []
+    # the kept (pair, metric) jobs in row order, with their pairs' tree seeds
+    kept = []
     for (k, i, j, tree_seed), pair_truths in zip(sampled, truths):
         if pair_truths is None:
             continue
@@ -274,27 +269,24 @@ def error_suite(
                     metric.value,
                 )
                 continue
-            kept.append((k, i, j, metric, d_true))
-            tree_seeds.append(tree_seed)
-    # each kept job's tree: its pair's own, all built in one call, or its
-    # metric's shared one
-    job_metrics = [job[3] for job in kept]
-    if shared_trees is None:
-        pairs = [(dataset[i], dataset[j]) for _, i, j, _, _ in kept]
-        trees = _trees(methods, pairs, tree_seeds, job_metrics)
-    else:
-        trees = [shared_trees[metric] for metric in job_metrics]
+            kept.append((k, i, j, metric, d_true, tree_seed))
 
-    # one distances call per metric over its kept jobs, job p's diagrams
-    # being diagrams 2p and 2p + 1 of the placement
+    # per metric, its kept jobs' trees, each pair's own from one _trees call
+    # or the metric's shared one, then one placement and one distances call,
+    # job p's diagrams being diagrams 2p and 2p + 1 of the placement
     approx: dict[tuple[int, str], float] = {}
     tree_methods = [m for m in TREE_METHODS if m in methods]
     for metric in metrics:
         positions = [p for p, job in enumerate(kept) if job[3] is metric]
         if not positions or not tree_methods:
             continue
+        if tree_policy == "per_pair":
+            groups = [(dataset[kept[p][1]], dataset[kept[p][2]]) for p in positions]
+            trees = _trees(methods, groups, [kept[p][5] for p in positions], metric)
+        else:
+            trees = [_tree(methods, dataset, seed, metric)] * len(positions)
         placed = PlacedDiagrams(
-            [trees[p] for p in positions for _ in "ab"],
+            [tree for tree in trees for _ in "ab"],
             [dataset[side] for p in positions for side in kept[p][1:3]],
         )
         pairs = 2 * np.arange(len(positions))
@@ -302,7 +294,7 @@ def error_suite(
             approx.update(((p, method), value) for p, value in zip(positions, values))
 
     rows: list[PairErrorRow] = []
-    for p, (k, i, j, metric, d_true) in enumerate(kept):
+    for p, (k, i, j, metric, d_true, _) in enumerate(kept):
         for method in methods:
             d_approx = d_true if method == "exact" else approx[p, method]
             rows.append(

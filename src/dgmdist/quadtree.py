@@ -31,7 +31,8 @@ Only the shift depends on the seed: tree_geometry computes the rest once per
 point set, TreeGeometry.tree adds one seed's shift, and build_tree is the two
 in a row. _geometries computes the geometries of many point sets in one
 pass, each bit for bit that of its set alone, and tree_geometry is its call
-for one set.
+for one set. A geometry pass, like a placement, holds one ground metric:
+every set of a _geometries call is measured under the metric it is given.
 """
 
 from __future__ import annotations
@@ -227,28 +228,15 @@ def _place(coords: np.ndarray, ox, oy, root_side, level_hi):
     return ix, iy, terminal_level
 
 
-def _combine(metrics, which: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Each entry's distance under metrics[which[i]].combine, written into
-    dx, which is returned; combine works entry by entry, so the bits are
-    those of a call on the entry alone."""
-    kinds = set(metrics)
-    if len(kinds) == 1:
-        return metrics[0].combine(dx, dy)
-    for metric in kinds:
-        rows = np.array([m is metric for m in metrics])[which].nonzero()[0]
-        dx[rows] = metric.combine(dx[rows], dy[rows])
-    return dx
-
-
-def _min_separation(points: np.ndarray, metrics, starts: np.ndarray) -> np.ndarray:
+def _min_separation(points: np.ndarray, metric: GroundMetric, starts: np.ndarray) -> np.ndarray:
     """Per set of rows, as _closest_pair takes them: the smallest of the
     pairwise distances between its distinct points and their distances to
-    the diagonal, under its metric."""
+    the diagonal, under metric."""
     # rounding is monotone, so the least product is the least lifetime's
-    factor = np.array([m.diagonal_factor for m in metrics])
-    smallest = np.minimum.reduceat(np.abs(points[:, 1] - points[:, 0]), starts) * factor
+    lifetimes = np.abs(points[:, 1] - points[:, 0])
+    smallest = np.minimum.reduceat(lifetimes, starts) * metric.diagonal_factor
     with np.errstate(over="ignore"):  # far points differ by inf
-        return _closest_pair(points, metrics, smallest, starts)[0]
+        return _closest_pair(points, metric, smallest, starts)[0]
 
 
 # Candidate pairs per point that the grid of _closest_pair may compare; the
@@ -295,10 +283,10 @@ def _axis_cells(v: np.ndarray, s: np.ndarray, new_set: np.ndarray) -> np.ndarray
     return (q + offset).astype(np.int64)
 
 
-def _closest_pair(points: np.ndarray, metrics, bound: np.ndarray, starts: np.ndarray):
+def _closest_pair(points: np.ndarray, metric: GroundMetric, bound: np.ndarray, starts: np.ndarray):
     """For every set k of rows of points, from starts[k] up to the next
     set's start: min(bound[k], the least distance between two of its rows)
-    under metrics[k]'s combine(), exactly, and the number of grid pairs
+    under metric.combine(), exactly, and the number of grid pairs
     compared for it. starts ascend from 0, and no set is empty.
 
     **Search.** For one set, u, the smaller of its bound and the least
@@ -309,13 +297,14 @@ def _closest_pair(points: np.ndarray, metrics, bound: np.ndarray, starts: np.nda
     lies in adjacent cells, and is halved while the grid holds more than
     C n candidate pairs (C = _PAIRS_PER_POINT, n the set's rows).
 
-    **Sets.** All sets share one grid of cell keys: each set starts a new
-    run on both axes, so no cell of a set meets one of another, and each
-    set's cells are the ones it would have alone, moved by one offset per
-    axis. Each set keeps its own side: a pass grids every set, and the sets
-    over C n candidate pairs halve theirs for the next pass. A set within
-    its C n is gridded again unchanged, so the last pass holds every set's
-    final grid and its count, as the set alone would have them.
+    **Sets.** All sets share the one metric and one grid of cell keys: each
+    set starts a new run on both axes, so no cell of a set meets one of
+    another, and each set's cells are the ones it would have alone, moved by
+    one offset per axis. Each set keeps its own side: a pass grids every
+    set, and the sets over C n candidate pairs halve theirs for the next
+    pass. A set within its C n is gridded again unchanged, so the last pass
+    holds every set's final grid and its count, as the set alone would have
+    them.
 
     **Cover.** A pair at distance d <= u has its gap t (the larger
     coordinate difference) at most its reach _reach(d) <= _reach(u):
@@ -356,16 +345,12 @@ def _closest_pair(points: np.ndarray, metrics, bound: np.ndarray, starts: np.nda
     new_set = np.zeros(n, bool)
     new_set[starts] = True
     gaps = np.empty(n)
-    gaps[1:] = _combine(metrics, set_of[1:], xs[1:] - xs[:-1], ys[1:] - ys[:-1])
+    gaps[1:] = metric.combine(xs[1:] - xs[:-1], ys[1:] - ys[:-1])
     gaps[new_set] = math.inf  # a set's first row follows no row of its own
     u = np.minimum(bound, np.minimum.reduceat(gaps, starts))
-    floor = np.array([1.125 * 2.0**-537 if m is GroundMetric.L2 else 2.0**-1074 for m in metrics])
-    s = np.array(
-        [
-            max(min(_reach(m, d) * (1.0 + 2.0**-19), 2.0**1023), 2.0**-1022)
-            for m, d in zip(metrics, u.tolist())
-        ]
-    )
+    floor = 1.125 * 2.0**-537 if metric is GroundMetric.L2 else 2.0**-1074
+    reach = [_reach(metric, d) * (1.0 + 2.0**-19) for d in u.tolist()]
+    s = np.clip(reach, 2.0**-1022, 2.0**1023)
     limit = _PAIRS_PER_POINT * (ends - starts)
     zero = np.zeros(len(starts), bool)  # the sets whose halving reached the floor
     y_order = set_major(np.argsort(ys), set_of)
@@ -409,8 +394,8 @@ def _closest_pair(points: np.ndarray, metrics, bound: np.ndarray, starts: np.nda
         half = s[over] * 0.5
         # a subnormal side rounds up, never down
         half = np.where(half * 2.0 != s[over], np.nextafter(half, math.inf), half)
-        zero[over] = half < floor[over]
-        s[over] = np.where(half < floor[over], s[over], half)
+        zero[over] = half < floor
+        s[over] = np.where(half < floor, s[over], half)
     count[zero] = 0
     # every rank of each run, against the point that owns the run; a rank's
     # two runs in turn, so that the pairs come set by set
@@ -422,7 +407,7 @@ def _closest_pair(points: np.ndarray, metrics, bound: np.ndarray, starts: np.nda
     run_end = np.cumsum(run_len)
     a = order[np.repeat(rank, run_len[0::2] + run_len[1::2])]
     b = order[np.arange(run_end[-1]) + np.repeat(run_start - (run_end - run_len), run_len)]
-    dist = _combine(metrics, set_of[a], xs[a] - xs[b], ys[a] - ys[b])
+    dist = metric.combine(xs[a] - xs[b], ys[a] - ys[b])
     # each set's pairs end with its last rank's
     pairs_end = run_end[2 * ends - 1]
     pairs_start = np.concatenate(([0], pairs_end[:-1]))
@@ -475,11 +460,11 @@ def tree_geometry(points, metric: GroundMetric) -> TreeGeometry:
     geometries of many point sets in one pass (_geometries), as the
     evaluation harness does for its per-pair trees.
     """
-    return _geometries([points], [metric])[0]
+    return _geometries([points], metric)[0]
 
 
-def _geometries(point_sets, metrics) -> list[TreeGeometry]:
-    """tree_geometry(point_sets[k], metrics[k]) for every k, from one pass.
+def _geometries(point_sets, metric: GroundMetric) -> list[TreeGeometry]:
+    """tree_geometry(points, metric) for every point set, from one pass.
 
     The sets are stacked, and the set joins the dedupe key and the
     closest-pair grid key (_closest_pair), so no set meets another; box,
@@ -497,7 +482,7 @@ def _geometries(point_sets, metrics) -> list[TreeGeometry]:
         elif not np.isfinite(pts).all():
             problem = "input points must have finite coordinates"
         if problem:
-            _geometries(point_sets[:k], metrics[:k])  # an earlier set's error first
+            _geometries(point_sets[:k], metric)  # an earlier set's error first
             raise ValueError(problem)
         arrays.append(pts.reshape(-1, 2))
     if not arrays:
@@ -509,7 +494,7 @@ def _geometries(point_sets, metrics) -> list[TreeGeometry]:
     distinct, distinct_set = pts[order[first]], set_of[order[first]]
     starts = np.flatnonzero(np.concatenate(([True], distinct_set[1:] != distinct_set[:-1])))
 
-    delta_min = _min_separation(distinct, metrics, starts)
+    delta_min = _min_separation(distinct, metric, starts)
     mins = np.minimum.reduceat(distinct, starts)
     maxs = np.maximum.reduceat(distinct, starts)
     # the box holds the diagonal point (t, t) so that the root meets the
@@ -538,7 +523,7 @@ def _geometries(point_sets, metrics) -> list[TreeGeometry]:
             ) from None
         levels.append(depth)
 
-    spread = _combine(metrics, np.arange(len(metrics)), extent[:, 0], extent[:, 1]) / delta_min
+    spread = metric.combine(extent[:, 0], extent[:, 1]) / delta_min
     return [
         TreeGeometry(
             ground_metric=metric,
@@ -548,7 +533,7 @@ def _geometries(point_sets, metrics) -> list[TreeGeometry]:
             levels=levels[k],
             spread=float(spread[k]),
         )
-        for k, metric in enumerate(metrics)
+        for k in range(len(arrays))
     ]
 
 

@@ -1,6 +1,7 @@
 """Tests for the diagram data model, file I/O and synthetic generators."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,20 @@ class TestPDPoint:
     def test_multiplicity_at_least_one(self):
         with pytest.raises(InvalidPointError):
             PDPoint(0.0, 1.0, 0)
+
+    def test_multiplicity_must_be_an_int64_integer(self):
+        # as the file parser: a fraction, nan, inf or a count past int64 is
+        # refused as an invalid point, naming the value given
+        for bad in (1.9, 0.5, math.nan, math.inf, -math.inf, 2**63, float(2**63), "x"):
+            with pytest.raises(InvalidPointError, match=re.escape(f"got {bad}") + "$"):
+                PersistenceDiagram([(0, 1, bad)])
+            with pytest.raises(InvalidPointError, match=re.escape(f"got {bad}") + "$"):
+                PDPoint(0.0, 1.0, bad)
+        top = 2**63 - 1
+        for good, count in ((np.float64(3.0), 3), (np.int64(top), top), (2.0, 2), (top, top)):
+            assert PDPoint(0.0, 1.0, good).multiplicity == count
+            assert type(PDPoint(0.0, 1.0, good).multiplicity) is int
+            assert PersistenceDiagram([(0, 1, good)]).total_count == count
 
 
 class TestDiagonalGeometry:

@@ -119,6 +119,28 @@ class TestErrorSuite:
         assert (0, 3) not in kept and (3, 0) not in kept
         assert len(runs[0].rows) % (len(methods) * len(metrics)) == 0
 
+    @pytest.mark.parametrize("tree_policy", ["per_pair", "whole_dataset"])
+    def test_each_metric_as_if_alone(self, small_dataset, tree_policy):
+        # each metric's trees, placement and walk are its own: a run over
+        # three metrics gives, per metric, the rows and stats of a run with
+        # that metric alone; the repeated diagram gives zero-truth pairs
+        dataset = [*small_dataset[:7], small_dataset[2]]
+        methods = ["exact", "embedding", "flowtree"]
+        metrics = [GroundMetric.L1, L2, GroundMetric.LINF]
+        together = error_suite(
+            dataset, methods, metrics, seed=4, n_pairs=12, tree_policy=tree_policy
+        )
+        for metric in metrics:
+            alone = error_suite(
+                dataset, methods, [metric], seed=4, n_pairs=12, tree_policy=tree_policy
+            )
+            rows = [r for r in together.rows if r.ground_metric == metric.value]
+            # every field, d_approx included, compared with ==
+            assert rows == alone.rows and len(rows) > 0
+            stats = [s for s in together.stats if s.ground_metric == metric.value]
+            assert stats == alone.stats
+        assert {(r.left, r.right) for r in together.rows}.isdisjoint({(2, 7), (7, 2)})
+
     def test_whole_dataset_policy(self, small_dataset):
         result = error_suite(
             small_dataset,
@@ -209,15 +231,15 @@ class TestErrorSuite:
         empty = PersistenceDiagram([])
         groups = [small_dataset[:2], (empty, empty), small_dataset[3:5], small_dataset[6:7]]
         seeds = [4, 5, 6, 7]
-        metrics = [L2, GroundMetric.L1, GroundMetric.LINF, L2]
-        trees = dgmdist.evaluate._trees(["flowtree"], groups, seeds, metrics)
-        expected = [
-            dgmdist.evaluate._tree(["flowtree"], group, seed, metric)
-            for group, seed, metric in zip(groups, seeds, metrics)
-        ]
-        assert trees[1] is None and expected[1] is None
-        assert [t and t.meta() for t in trees] == [t and t.meta() for t in expected]
-        assert dgmdist.evaluate._trees(["exact"], groups, seeds, metrics) == [None] * 4
+        for metric in GroundMetric:
+            trees = dgmdist.evaluate._trees(["flowtree"], groups, seeds, metric)
+            expected = [
+                dgmdist.evaluate._tree(["flowtree"], group, seed, metric)
+                for group, seed in zip(groups, seeds)
+            ]
+            assert trees[1] is None and expected[1] is None
+            assert [t and t.meta() for t in trees] == [t and t.meta() for t in expected]
+            assert dgmdist.evaluate._trees(["exact"], groups, seeds, metric) == [None] * 4
 
     def test_validates_inputs(self, small_dataset):
         with pytest.raises(ValueError):

@@ -483,10 +483,10 @@ class TestShiftDistribution:
 
 @st.composite
 def geometry_batches(draw):
-    """(point_sets, metrics) for one _geometries call: 1 to 6 sets, among
+    """(point_sets, metric) for one _geometries call: 1 to 6 sets, among
     them single points, sets that share points with an earlier set,
     near-duplicates whose depth passes the default cap and huge coordinate
-    offsets, each under any metric."""
+    offsets, all under one metric, any of the three."""
     sets = []
     for _ in range(draw(st.integers(1, 6))):
         kind = draw(st.sampled_from(["single", "shared", "near_duplicate", "offset", "uniform"]))
@@ -506,7 +506,7 @@ def geometry_batches(draw):
             offset = draw(st.sampled_from([1e11, 1e300, -1e300]))
             points = offset + points * abs(offset) * 1e-6
         sets.append(points)
-    return sets, [draw(st.sampled_from(list(GroundMetric))) for _ in sets]
+    return sets, draw(st.sampled_from(list(GroundMetric)))
 
 
 class TestGeometryBatch:
@@ -515,10 +515,10 @@ class TestGeometryBatch:
     def test_batch_equals_each_set_alone(self, batch):
         # the sets of one call never meet: each geometry is its set's own,
         # field by field, and so is every tree shifted from it
-        point_sets, metrics = batch
-        batched = _geometries(point_sets, metrics)
+        point_sets, metric = batch
+        batched = _geometries(point_sets, metric)
         assert len(batched) == len(point_sets)
-        for points, metric, geometry in zip(point_sets, metrics, batched):
+        for points, geometry in zip(point_sets, batched):
             alone = tree_geometry(points, metric)
             assert geometry.ground_metric is alone.ground_metric is metric
             assert geometry.mins.tolist() == alone.mins.tolist()
@@ -531,7 +531,7 @@ class TestGeometryBatch:
 
     def test_near_duplicates_pass_the_cap(self):
         points = [(0.0, 4.0), (0.0, np.nextafter(4.0, 5.0)), (1.0, 3.0)]
-        geometry, other = _geometries([points, points[2:]], [GroundMetric.L2] * 2)
+        geometry, other = _geometries([points, points[2:]], GroundMetric.L2)
         assert geometry.levels > TreeConfig(seed=0).max_levels_cap
         assert geometry.tree(TreeConfig(seed=0)).truncated
         assert not other.tree(TreeConfig(seed=0)).truncated
@@ -541,12 +541,12 @@ class TestGeometryBatch:
         # refuses, whatever the sets after it hold
         good, diagonal, empty = [(0.0, 4.0)], [(2.0, 2.0)], []
         with pytest.raises(ValueError, match="minimum separation is zero"):
-            _geometries([good, diagonal, empty], [GroundMetric.L2] * 3)
+            _geometries([good, diagonal, empty], GroundMetric.L2)
         with pytest.raises(ValueError, match="empty point set"):
-            _geometries([good, empty, diagonal], [GroundMetric.L2] * 3)
+            _geometries([good, empty, diagonal], GroundMetric.L2)
         with pytest.raises(ValueError, match="finite"):
-            _geometries([good, [(0.0, math.nan)], diagonal], [GroundMetric.L2] * 3)
-        assert _geometries([], []) == []
+            _geometries([good, [(0.0, math.nan)], diagonal], GroundMetric.L2)
+        assert _geometries([], GroundMetric.L2) == []
 
 
 def distinct_sorted(points):
@@ -563,13 +563,13 @@ TINY = 5e-324
 def closest_pair(points, metric):
     """_closest_pair of one set with no bound: its value and its count of
     candidate pairs."""
-    values, counts = _closest_pair(points, [metric], np.array([math.inf]), np.zeros(1, int))
+    values, counts = _closest_pair(points, metric, np.array([math.inf]), np.zeros(1, int))
     return float(values[0]), int(counts[0])
 
 
 def min_separation(points, metric):
     """_min_separation of one set."""
-    return float(_min_separation(points, [metric], np.zeros(1, int))[0])
+    return float(_min_separation(points, metric, np.zeros(1, int))[0])
 
 
 @st.composite
