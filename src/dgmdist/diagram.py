@@ -13,6 +13,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -122,7 +123,12 @@ def _checked(birth, death, multiplicity=1) -> tuple[float, float, int]:
     InvalidPointError if it is not a valid persistence point. The
     multiplicity must equal an integer from 1 to 2**63 - 1: an integral
     float such as 3.0 is taken, 1.9, nan or inf is not."""
-    birth, death = float(birth), float(death)
+    try:
+        birth, death = float(birth), float(death)
+    except (TypeError, ValueError):
+        raise InvalidPointError(
+            f"coordinates must be numbers, got ({birth!r}, {death!r})"
+        ) from None
     if not (math.isfinite(birth) and math.isfinite(death)):
         raise InvalidPointError(f"non-finite coordinates ({birth}, {death})")
     if death <= birth:
@@ -300,29 +306,22 @@ def _bulk_columns(text: str):
     Coordinates go through float(), multiplicities through int(), as the
     line scan reads them.
     """
-    widths = set(map(len, map(str.split, text.split("\n"))))
-    if not widths <= {0, 2, 3}:
+    rows = [fields for fields in map(str.split, text.split("\n")) if fields]
+    widths = set(map(len, rows))
+    if not widths <= {2, 3}:
         return None
-    tokens = text.split()
     if 3 in widths:
-        # a second pass numbers the fields, to find each third one
-        fields = np.fromiter(map(len, map(str.split, text.split("\n"))), np.intp)
-        fields = fields[fields > 0]
-        third = np.cumsum(fields)[fields == 3] - 1
-        tokens = np.array(tokens, dtype=object)
         try:
-            listed = tokens[third].astype(np.int64)
+            mults = np.array([int(row[2]) if len(row) == 3 else 1 for row in rows], np.int64)
         except (ValueError, OverflowError):
             return None
-        if not (listed >= 1).all():
+        if not (mults >= 1).all():
             return None
-        mults = np.ones(len(fields), dtype=np.int64)
-        mults[fields == 3] = listed
-        tokens = np.delete(tokens, third)
+        rows = [row[:2] for row in rows]
     else:
-        mults = np.ones(len(tokens) // 2, dtype=np.int64)
+        mults = np.ones(len(rows), dtype=np.int64)
     try:
-        values = np.array(tokens, dtype=float).reshape(-1, 2)
+        values = np.array(list(chain.from_iterable(rows)), dtype=float).reshape(-1, 2)
     except ValueError:
         return None
     births, deaths = values[:, 0], values[:, 1]

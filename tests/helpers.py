@@ -1,6 +1,7 @@
-"""Shared instance generators for the test suite.
+"""Shared instance generators for the suite's seeded example tests.
 
 Everything here is a pure function of its seed so failures replay exactly.
+The pairs come from the uniform and gaussian families of families.py.
 """
 
 from __future__ import annotations
@@ -9,50 +10,37 @@ import numpy as np
 
 from dgmdist import (
     GroundMetric,
-    PersistenceDiagram,
     TreeConfig,
     build_tree,
     gen_gaussian,
     gen_uniform,
     union_coords,
 )
-
-
-def tiny_diagram(rng: np.random.Generator, max_total: int) -> PersistenceDiagram:
-    """Small random diagram with occasional multiplicities; may be empty."""
-    total = int(rng.integers(0, max_total + 1))
-    points = []
-    used = 0
-    while used < total:
-        mult = int(rng.integers(1, min(2, total - used) + 1))
-        birth = float(rng.uniform(0.0, 10.0))
-        death = birth + float(rng.uniform(0.1, 6.0))
-        points.append((birth, death, mult))
-        used += mult
-    return PersistenceDiagram(points)
+from families import pick
 
 
 def tiny_pair(seed: int, max_units: int = 8):
-    """Random pair with expanded size at most max_units (brute-force regime)."""
+    """A pair of the uniform family with multiplicities up to 2, expanded
+    size at most max_units together (the brute-force regime); either may be
+    empty."""
     rng = np.random.default_rng(seed)
-    first_total = int(rng.integers(0, max_units + 1))
-    first = tiny_diagram(rng, first_total)
-    second = tiny_diagram(rng, max_units - first.total_count)
+    pool = gen_uniform(max(max_units, 1), seed).coords().tolist()
+    first, budget = pick(rng, pool, int(rng.integers(0, max_units + 1)), 2, max_units)
+    second, _ = pick(rng, pool, int(rng.integers(0, max_units + 1)), 2, budget)
     return first, second
 
 
 def random_pair(seed: int, max_points: int = 30):
-    """Synthetic pair mixing the uniform and near-diagonal generators."""
+    """A pair of up to max_points points each: gaussian, uniform and
+    gaussian, or uniform, by seed modulo 3."""
     rng = np.random.default_rng(seed)
     size_a = int(rng.integers(1, max_points + 1))
     size_b = int(rng.integers(1, max_points + 1))
     seed_a = int(rng.integers(0, 2**31 - 1))
     seed_b = int(rng.integers(0, 2**31 - 1))
-    if seed % 3 == 0:
-        return gen_gaussian(size_a, seed_a), gen_gaussian(size_b, seed_b)
-    if seed % 3 == 1:
-        return gen_uniform(size_a, seed_a), gen_gaussian(size_b, seed_b)
-    return gen_uniform(size_a, seed_a), gen_uniform(size_b, seed_b)
+    law_a = gen_gaussian if seed % 3 == 0 else gen_uniform
+    law_b = gen_uniform if seed % 3 == 2 else gen_gaussian
+    return law_a(size_a, seed_a), law_b(size_b, seed_b)
 
 
 def pair_tree(first, second, seed: int, metric: GroundMetric = GroundMetric.L2):

@@ -5,12 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from dgmdist import GroundMetric, PDPoint, PersistenceDiagram, gen_gaussian
 from dgmdist.exact import SizeCapError, exact_distance
 
+from families import instances
 from helpers import tiny_pair
 from reference import (
     brute_force_distance,
@@ -85,14 +85,6 @@ class TestExactDistance:
         ) == 0.0
 
     @pytest.mark.parametrize("metric", METRICS)
-    def test_agrees_with_brute_force(self, metric):
-        for seed in range(60):
-            first, second = tiny_pair(seed)
-            lhs = exact_distance(first, second, metric)
-            rhs = brute_force_distance(first, second, metric)
-            assert lhs == pytest.approx(rhs, abs=1e-9)
-
-    @pytest.mark.parametrize("metric", METRICS)
     def test_metric_axioms(self, metric):
         for seed in range(12):
             a, b = tiny_pair(seed + 300)
@@ -163,57 +155,6 @@ class TestAugmentedTransport:
         ) == 0.0
 
 
-def _points(rng, kind, count, offset):
-    """count (birth, death) points of one kind at an offset: "uniform" with
-    lifetimes up to 100, "gaussian" with near-diagonal lifetimes |N(0, 1)|,
-    or "near", a cluster a few ulps apart with lifetimes above 2."""
-    if kind == "near":
-        birth = offset + float(rng.uniform(-8.0, -2.0))
-        death = offset + float(rng.uniform(0.0, 1.0))
-        points = []
-        for _ in range(count):
-            b, d = birth, death
-            for _ in range(int(rng.integers(0, 3))):
-                b = math.nextafter(b, -math.inf)
-            for _ in range(int(rng.integers(0, 3))):
-                d = math.nextafter(d, math.inf)
-            points.append((b, d))
-        return points
-    births = offset + rng.uniform(0.0, 200.0, count)
-    if kind == "uniform":
-        lifetimes = rng.uniform(1e-3, 100.0, count)
-    else:
-        lifetimes = np.abs(rng.normal(0.0, 1.0, count)) + 1e-6
-    return list(zip(births.tolist(), (births + lifetimes).tolist()))
-
-
-@st.composite
-def diagram_pairs(
-    draw, kinds=("uniform", "gaussian"), max_own=30, max_shared=8, max_mult=3
-):
-    """(first, second, metric) from a seeded generator at an offset up to 1e6.
-
-    Each diagram has up to max_own points of its own, with multiplicities up
-    to 3, and a pool of up to max_shared points enters both diagrams with
-    independent multiplicities up to max_mult, so part of it cancels and
-    part is left over. Either side may be empty.
-    """
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(kinds))
-    offset = draw(st.sampled_from([0.0, -250.0, 1e6]))
-    shared = _points(rng, kind, draw(st.integers(0, max_shared)), offset)
-
-    def diagram():
-        own = _points(rng, kind, draw(st.integers(0, max_own)), offset)
-        mults = [int(m) for m in rng.integers(1, 4, len(own))]
-        mults += [int(m) for m in rng.integers(1, max_mult + 1, len(shared))]
-        return PersistenceDiagram(
-            [(b, d, m) for (b, d), m in zip(own + shared, mults)]
-        )
-
-    return diagram(), diagram(), draw(st.sampled_from(METRICS))
-
-
 def diagonal_sum(diagram, metric):
     return math.fsum(
         (p.death - p.birth) * metric.diagonal_factor
@@ -223,52 +164,35 @@ def diagonal_sum(diagram, metric):
 
 
 class TestReducedAssignment:
-    """exact_distance against the dense (m+n)² augmented assignment, brute
-    force and its own invariants."""
+    """exact_distance against the dense (m+n)² augmented assignment and its
+    own invariants, on every family (brute force and symmetry are in
+    test_invariants.py)."""
 
-    @given(diagram_pairs())
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(instances(max_units=400))
+    @settings(max_examples=150)
     def test_equals_dense_reference(self, instance):
-        first, second, metric = instance
+        first, second, metric = instance.first, instance.second, instance.metric
         assert exact_distance(first, second, metric) == pytest.approx(
             dense_distance(first, second, metric), rel=1e-12
         )
 
-    @given(diagram_pairs(max_own=20, max_shared=1, max_mult=1000))
-    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(instances("lattice", max_mults=(1000,), max_units=2100))
+    @settings(max_examples=15)
     def test_equals_dense_reference_with_large_multiplicities(self, instance):
-        first, second, metric = instance
+        first, second, metric = instance.first, instance.second, instance.metric
         assert exact_distance(first, second, metric) == pytest.approx(
             dense_distance(first, second, metric), rel=1e-12
         )
 
-    @given(diagram_pairs(max_own=3, max_shared=2, max_mult=2))
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    def test_equals_brute_force(self, instance):
-        first, second, metric = instance
-        assume(first.total_count + second.total_count <= 8)
-        assert exact_distance(first, second, metric) == pytest.approx(
-            brute_force_distance(first, second, metric), rel=1e-12
-        )
-
-    @given(diagram_pairs())
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    def test_symmetric(self, instance):
-        first, second, metric = instance
-        assert exact_distance(first, second, metric) == pytest.approx(
-            exact_distance(second, first, metric), rel=1e-12
-        )
-
-    @given(diagram_pairs(kinds=("uniform", "gaussian", "near")))
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(instances(max_units=400))
+    @settings(max_examples=150)
     def test_self_distance_is_exactly_zero(self, instance):
-        first, _, metric = instance
-        assert exact_distance(first, first, metric) == 0.0
+        assert exact_distance(instance.first, instance.first, instance.metric) == 0.0
 
-    @given(diagram_pairs(kinds=("uniform", "gaussian", "near")))
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(instances(max_units=400))
+    @settings(max_examples=150)
     def test_added_points_cost_exactly_their_diagonal_distances(self, instance):
-        base, extra, metric = instance
+        base, extra, metric = instance.first, instance.second, instance.metric
         grown = PersistenceDiagram(list(base.points) + list(extra.points))
         expected = diagonal_sum(extra, metric)
         assert exact_distance(base, grown, metric) == expected

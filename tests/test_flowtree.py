@@ -2,7 +2,6 @@
 
 import math
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +27,6 @@ from dgmdist import (
     union_coords,
 )
 from dgmdist._rows import group_cells, group_rows
-from dgmdist.embedding import embed, l1_distance
 from dgmdist.flowtree import (
     KIND_CROSS,
     KIND_P_TO_DIAGONAL,
@@ -39,6 +37,7 @@ from dgmdist.flowtree import (
     write_matching,
 )
 
+from families import ANCHOR, CAPS, METRICS, SEEDS, instances, points
 from helpers import pair_tree, placed_levels, random_pair
 
 SQRT2 = math.sqrt(2.0)
@@ -112,29 +111,6 @@ class TestGreedyMatch:
                 mid = 0.5 * (pair.target[0] + pair.target[1])
                 assert pair.source == (mid, mid)
 
-    def test_swap_mirrors_pairs_at_equal_cost(self):
-        first, second = random_pair(13, max_points=10)
-        tree = pair_tree(first, second, seed=5)
-        forward = greedy_match(tree, first, second)
-        backward = greedy_match(tree, second, first)
-        assert forward.cost == backward.cost
-
-        def canonical(matching, flip):
-            flip_kind = {
-                KIND_CROSS: KIND_CROSS,
-                KIND_P_TO_DIAGONAL: KIND_Q_TO_DIAGONAL,
-                KIND_Q_TO_DIAGONAL: KIND_P_TO_DIAGONAL,
-            }
-            out = []
-            for p in matching.pairs:
-                if flip:
-                    out.append((p.target, p.source, p.mass, flip_kind[p.kind], p.level))
-                else:
-                    out.append((p.source, p.target, p.mass, p.kind, p.level))
-            return Counter(out)
-
-        assert canonical(forward, flip=False) == canonical(backward, flip=True)
-
     def test_level_cost_bound(self):
         # under L2, anything matched inside a level-l cell moves at most
         # side(l) * sqrt(2) per unit
@@ -186,43 +162,6 @@ class TestFlowtreeDistance:
             )
             assert flowtree_distance(tree, first, empty) == pytest.approx(expected)
 
-    def test_upper_bounds_exact_on_every_tree(self):
-        first = gen_uniform(6, 31)
-        second = gen_uniform(6, 32)
-        d_true = exact_distance(first, second, GroundMetric.L2)
-        for seed in range(100):
-            tree = pair_tree(first, second, seed=seed)
-            assert d_true <= flowtree_distance(tree, first, second) + 1e-9
-
-    def test_two_singletons_sandwiched_per_seed(self):
-        first = PersistenceDiagram([(0, 4)])
-        second = PersistenceDiagram([(0, 6)])
-        d_true = exact_distance(first, second, GroundMetric.L2)
-        for seed in range(50):
-            tree = pair_tree(first, second, seed=seed)
-            cost = flowtree_distance(tree, first, second)
-            d_embed = l1_distance(embed(tree, first), embed(tree, second))
-            assert d_true <= cost + 1e-9
-            assert cost <= 2 * SQRT2 * d_embed + 1e-9
-
-    def test_chained_below_embedding_distance(self):
-        for seed in range(20):
-            first, second = random_pair(seed + 60, max_points=15)
-            tree = pair_tree(first, second, seed=seed)
-            matching = greedy_match(tree, first, second)
-            if tree.truncated:
-                continue
-            d_embed = l1_distance(embed(tree, first), embed(tree, second))
-            assert matching.cost <= 2 * SQRT2 * d_embed + 1e-9
-
-    def test_supports_all_ground_metrics(self):
-        first, second = random_pair(3, max_points=8)
-        for metric in GroundMetric:
-            tree = pair_tree(first, second, seed=2, metric=metric)
-            cost = flowtree_distance(tree, first, second)
-            assert cost >= exact_distance(first, second, metric) - 1e-9
-
-
     def test_l2_pair_past_the_square_range(self):
         # the differences square past the float range: exact, the flowtree
         # and the tree's minimum separation all read the gap itself
@@ -252,72 +191,21 @@ class TestFlowtreeDistance:
         assert matching.pairs == expected
 
 
-@st.composite
-def l2_pairs(draw):
-    """(tree, first, second): an L2 pair on an untruncated tree over its own
-    points. The points come from a shared pool on a grid of 1/1000 of the
-    scale, at offsets up to 1e11; multiplicities run up to 3 or up to 10^6,
-    and the second diagram may be empty."""
-    offset = draw(st.sampled_from([0.0, -250.0, 3e4, 1e11]))
-    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
-    raw = draw(
-        st.lists(st.tuples(st.integers(-1000, 1000), st.integers(1, 1000)), min_size=1, max_size=10)
-    )
-    pool = []
-    for b, life in raw:
-        birth = offset + scale * b / 1000
-        pool.append((birth, birth + scale * life / 1000 + abs(birth) * 1e-9))
-    max_mult = draw(st.sampled_from([3, 10**6]))
-
-    def diagram(min_size):
-        picks = draw(
-            st.lists(
-                st.tuples(st.integers(0, len(pool) - 1), st.integers(1, max_mult)),
-                min_size=min_size,
-                max_size=12,
-            )
-        )
-        return PersistenceDiagram([(*pool[i], m) for i, m in picks])
-
-    first, second = diagram(1), diagram(0)
-    config = TreeConfig(seed=draw(st.integers(0, 2**32 - 1)), ground_metric=GroundMetric.L2)
-    return build_tree(union_coords((first, second)), config), first, second
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(l2_pairs())
-def test_flowtree_within_sqrt8_of_embedding_exactly(instance):
-    # the sandwich's upper half, flowtree <= sqrt(8) * embedding, compared
-    # in exact arithmetic with no tolerance, on every drawn pair: clusters
-    # far from the diagonal compared with their spread included, since the
-    # root meets the diagonal
-    tree, first, second = instance
-    assert not tree.truncated
-    flowtree = Fraction(flowtree_distance(tree, first, second))
-    embedding = Fraction(PlacedDiagrams(tree, [first, second]).embedding_row(0, [1])[0])
-    assert flowtree**2 <= 8 * embedding**2
-
-
-@st.composite
-def scaled_pairs(draw):
-    """(tree, first, second): an L2 pair of uniform diagrams scaled by 1e-3
-    up to 1e200, where the squares of the differences overflow."""
-    scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e200]))
-    sizes = draw(st.tuples(st.integers(1, 40), st.integers(1, 40)))
-    seeds = draw(st.tuples(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1)))
-    first, second = (
-        PersistenceDiagram(gen_uniform(n, s).coords() * scale) for n, s in zip(sizes, seeds)
-    )
-    config = TreeConfig(seed=draw(st.integers(0, 2**32 - 1)), ground_metric=GroundMetric.L2)
-    return build_tree(union_coords((first, second)), config), first, second
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(scaled_pairs())
-def test_cross_pairs_cost_their_pairwise_entry(instance):
+@settings(max_examples=150)
+@given(
+    instances(metrics=[GroundMetric.L2]), st.sampled_from([2.0**-10, 1.0, 2.0**10, 2.0**665])
+)
+def test_cross_pairs_cost_their_pairwise_entry(instance, scale):
     # one ground-metric kernel: a cross pair's per-unit distance is the exact
-    # oracle's matrix entry for its two points, bit for bit
-    tree, first, second = instance
+    # oracle's matrix entry for its two points, bit for bit, under L2 and
+    # scales up to 2**665 (about 1e200), where the squares of the
+    # differences overflow
+    first, second = (
+        PersistenceDiagram._from_columns(*(d.coords() * scale).T, d.multiplicities())
+        for d in instance.diagrams
+    )
+    assume(first.total_count and second.total_count)
+    tree = build_tree(union_coords((first, second)), instance.config)
     matching = greedy_match(tree, first, second)
     cross = matching.partner >= 0
     assume(cross.any())
@@ -330,50 +218,12 @@ def per_pair_costs(tree, query, candidates):
     return [greedy_match(tree, query, c).cost for c in candidates]
 
 
-@st.composite
-def batches(draw):
-    """(tree, query, candidates) over a shared pool of points.
-
-    As test_reference's instances: offsets up to 1e11, a possible
-    near-duplicate that truncates a small-cap tree, multiplicities up to 3 or
-    up to 10^6, and diagrams that may be empty.
-    """
-    offset = draw(st.sampled_from([0.0, -250.0, 3e4, 1e11]))
-    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
-    raw = draw(
-        st.lists(
-            st.tuples(st.floats(-1.0, 1.0), st.floats(1e-3, 1.0)),
-            min_size=1,
-            max_size=10,
-        )
-    )
-    pool = []
-    for b, life in raw:
-        birth = offset + scale * b
-        pool.append((birth, birth + scale * life + abs(birth) * 1e-9))
-    if draw(st.booleans()):
-        birth, death = pool[0]
-        pool.append((birth, math.nextafter(death, math.inf)))
-    max_mult = draw(st.sampled_from([3, 10**6]))
-
-    def diagram():
-        picks = draw(
-            st.lists(
-                st.tuples(st.integers(0, len(pool) - 1), st.integers(1, max_mult)),
-                max_size=12,
-            )
-        )
-        return PersistenceDiagram([(*pool[i], m) for i, m in picks])
-
-    query = diagram()
-    candidates = [diagram() for _ in range(draw(st.integers(0, 8)))]
-    metric = draw(st.sampled_from(list(GroundMetric)))
-    config = TreeConfig(
-        seed=draw(st.integers(0, 2**32 - 1)),
-        max_levels_cap=draw(st.sampled_from([2, 3, 5, 12, 40])),
-        ground_metric=metric,
-    )
-    return build_tree(pool, config), query, candidates
+# (tree, query, candidates): up to 9 diagrams of one family's pool, with
+# multiplicities up to 3 or up to 10^6, on a tree over the pool with a level
+# cap down to 2
+BATCHES = instances(count=1, max_count=9, max_mults=(3, 10**6), caps=CAPS).map(
+    lambda instance: (instance.tree(), instance.first, list(instance.diagrams[1:]))
+)
 
 
 def query_row(tree, query, candidates):
@@ -383,14 +233,14 @@ def query_row(tree, query, candidates):
 
 
 class TestFlowtreeDistances:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(batches())
+    @settings(max_examples=300)
+    @given(BATCHES)
     def test_equals_per_pair_costs(self, batch):
         tree, query, candidates = batch
         assert query_row(tree, query, candidates) == per_pair_costs(tree, query, candidates)
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(batches(), st.data())
+    @settings(max_examples=150)
+    @given(BATCHES, st.data())
     def test_placed_rows_equal_per_pair_costs(self, batch, data):
         # any diagram against any list of them, itself and repeats included
         tree, query, candidates = batch
@@ -495,7 +345,7 @@ class TestFlowtreeDistances:
             cost,
         ]
 
-    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=6)
     @given(st.data())
     def test_deepest_tree_past_one_walk(self, data):
         # more candidates than 64 on a 48-level tree: pair index · 2^47 +
@@ -531,10 +381,10 @@ class TestFlowtreeDistances:
 
 
 @st.composite
-def stacked_jobs(draw, offsets=(0.0, -250.0, 3e4)):
+def stacked_jobs(draw, family=None):
     """(trees, diagrams, jobs) for one stacked walk: every diagram placed on
     every tree, and (tree, first, second) jobs among them, the diagrams'
-    points lying near one of offsets.
+    points drawn from a pool of the family (of any by default).
 
     The trees share a ground metric and span 2 to 48 levels: a 48-level tree
     truncated by a near-diagonal anchor point, a 2-level tree and up to two
@@ -544,18 +394,14 @@ def stacked_jobs(draw, offsets=(0.0, -250.0, 3e4)):
     which a (job, cell x) key on a 48-level tree would not fit 53 bits. Jobs
     repeat and swap pairs.
     """
-    metric = draw(st.sampled_from(list(GroundMetric)))
-    offset = draw(st.sampled_from(offsets))
-    raw = draw(
-        st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(1e-3, 1.0)), min_size=1, max_size=8)
-    )
-    pool = [(offset + b, offset + b + life) for b, life in raw]
+    metric = draw(st.sampled_from(METRICS))
+    pool = draw(points(family, max_points=8))
 
     def tree(points, cap):
-        seed = draw(st.integers(0, 2**32 - 1))
+        seed = draw(SEEDS)
         return build_tree(points, TreeConfig(seed=seed, max_levels_cap=cap, ground_metric=metric))
 
-    trees = [tree(pool + [(0.0, 1e-200)], MAX_LEVELS), tree(pool, 2)]
+    trees = [tree(pool + [ANCHOR], MAX_LEVELS), tree(pool, 2)]
     for _ in range(draw(st.integers(0, 2))):
         trees.append(tree(pool, draw(st.sampled_from([3, 5, 12, 40]))))
 
@@ -611,7 +457,7 @@ class TestStackedJobs:
     """PlacedDiagrams.distances over jobs on different trees: each job is
     walked exactly as greedy_match walks its pair on its own tree."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(stacked_jobs())
     def test_every_job_equals_its_own_tree(self, case):
         trees, diagrams, jobs = case
@@ -628,7 +474,7 @@ class TestStackedJobs:
             residuals = [r for _, r in matching.level_residuals]
             assert columns[p] == residuals + [0] * (MAX_LEVELS - len(residuals))
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(stacked_jobs(), st.data())
     def test_placement_equals_each_trees_own(self, case, data):
         # one sweep over levels places every diagram, each on its own tree
@@ -731,12 +577,11 @@ def retirement_cases(draw):
     anchor point, and a 2-level one. Jobs include swapped and self pairs;
     batch_rows is the row budget, down to a single row so that the walked
     rows span several walks."""
-    metric = draw(st.sampled_from(list(GroundMetric)))
-    seeds = draw(st.lists(st.integers(0, 2**31 - 1), min_size=2, max_size=4))
+    metric = draw(st.sampled_from(METRICS))
     squeeze = draw(st.sampled_from([1.0, 0.1, 0.01]))
     diagrams = []
-    for seed in seeds:
-        coords = gen_gaussian(draw(st.integers(1, 30)), seed).coords()
+    for _ in range(draw(st.integers(2, 4))):
+        coords = np.array(draw(points("gaussian", max_points=30)))
         births = coords[:, 0] * squeeze
         diagrams.append(PersistenceDiagram(zip(births, births + coords[:, 1] - coords[:, 0])))
     # a point one ulp off the diagonal, terminal on the finest level of the
@@ -749,14 +594,13 @@ def retirement_cases(draw):
     far = diagrams[-1].coords() + draw(st.sampled_from([500.0, 1e6]))
     diagrams[-1] = PersistenceDiagram(far.tolist())
     diagrams.append(PersistenceDiagram())
-    points = union_coords(diagrams)
-    seed = draw(st.integers(0, 2**32 - 1))
+    pool = union_coords(diagrams).tolist()
+    seed = draw(SEEDS)
     trees = [
         build_tree(
-            [*points, (0.0, 1e-200)],
-            TreeConfig(seed=seed, max_levels_cap=MAX_LEVELS, ground_metric=metric),
+            [*pool, ANCHOR], TreeConfig(seed=seed, max_levels_cap=MAX_LEVELS, ground_metric=metric)
         ),
-        build_tree(points, TreeConfig(seed=seed, max_levels_cap=2, ground_metric=metric)),
+        build_tree(pool, TreeConfig(seed=seed, max_levels_cap=2, ground_metric=metric)),
     ]
     job = st.tuples(
         st.integers(0, len(trees) - 1),
@@ -816,7 +660,7 @@ class TestEarlyRetirement:
     """Rows that cannot cross-match before their terminal level go to the
     diagonal without being walked; nothing else changes."""
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(retirement_cases())
     def test_distances_and_pairs_equal_the_reference(self, case):
         trees, diagrams, jobs, batch_rows = case
@@ -886,7 +730,7 @@ class TestLeanWalk:
     the flowtree cost is read and searches meet levels in Morton order; no
     result changes."""
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(st.data())
     def test_group_cells_is_group_rows(self, data):
         # key widths up to and past the 63-bit limit, where group_cells
@@ -950,8 +794,8 @@ class TestLeanWalk:
                     assert getattr(matching, column).tolist() == getattr(expected, column).tolist()
         return widths
 
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-    @given(stacked_jobs(offsets=(1e6, -4e9, 1e12)))
+    @settings(max_examples=25)
+    @given(stacked_jobs("offset"))
     def test_int64_keys_walk_as_group_rows(self, case):
         # trees of up to 48 levels (one at cap 40, say) around huge offsets
         self.assert_walks_as_group_rows(*case)
@@ -973,7 +817,7 @@ class TestLeanWalk:
         widths = self.assert_walks_as_group_rows([tree], pair, [(0, 0, 1), (0, 1, 0)])
         assert max(widths) > 63 and min(widths) <= 63
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(
         st.one_of(
             st.tuples(stacked_jobs(), st.sampled_from([1, 8, 40, 1 << 13])).map(
@@ -1013,7 +857,7 @@ class TestLeanWalk:
             assert len(walk.retired_count) == walk.hi - walk.lo
             assert walk.retired_count.sum() == len(walk.retired)
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(retirement_cases())
     def test_embedding_alone_forms_no_pair(self, case):
         # row budgets down to one row: walks that join several setup chunks
@@ -1064,7 +908,7 @@ class TestLeanWalk:
             placed.distances([0], [1])
         assert len(sizes) > 1
 
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=30)
     @given(stacked_jobs())
     def test_meet_levels_in_morton_order(self, case):
         # _chunk searches each side's points in Morton order; its split
@@ -1127,15 +971,6 @@ class TestMultiTree:
         low, _ = multi_tree_estimate(first, second, GroundMetric.L2, seeds, reduce="min")
         mid, _ = multi_tree_estimate(first, second, GroundMetric.L2, seeds, reduce="mean")
         assert low <= mid
-
-    def test_min_still_upper_bounds_exact(self):
-        for seed in range(10):
-            first, second = random_pair(seed + 80, max_points=8)
-            d_true = exact_distance(first, second, GroundMetric.L2)
-            low, _ = multi_tree_estimate(
-                first, second, GroundMetric.L2, seeds=list(range(10)), reduce="min"
-            )
-            assert d_true <= low + 1e-9
 
     def test_embedding_method(self):
         first, second = random_pair(29, max_points=8)

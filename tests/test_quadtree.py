@@ -32,6 +32,7 @@ from dgmdist.quadtree import (
 )
 
 import reference
+from families import ANCHOR, CAPS, METRICS, SEEDS, aligned_grids, instances, points
 from helpers import cells_at, pair_tree, placed_levels, random_pair
 
 
@@ -304,56 +305,26 @@ def first_terminal_levels(tree, coords):
 @st.composite
 def placed_points(draw):
     """(kind, tree, coords) under any ground metric, of one of three kinds:
-    random pools at offsets up to 1e11, possibly with a near-duplicate that
-    truncates a small-cap tree; pools with a point 1e-200 from the diagonal,
-    which truncate the deepest (48-level) tree; and an unshifted grid with
-    corners on the diagonal and points on a half-cell lattice, whose cells
-    touch the diagonal at corners."""
-    metric = draw(st.sampled_from(list(GroundMetric)))
+    a pool of any family on a tree with a level cap down to 2; the same pool
+    with ANCHOR, which truncates the deepest (48-level) tree; and an aligned
+    grid (families.aligned_grids) with points anywhere on its half-cell
+    lattice, whose cells touch the diagonal at corners."""
     kind = draw(st.sampled_from(["pool", "deepest", "grid"]))
     if kind == "grid":
-        levels = draw(st.integers(2, 8))
-        side = 2.0 ** draw(st.integers(-3, 3))  # finest cell side
-        steps = 2**levels  # half-cell steps across the root
-        offset = draw(st.sampled_from([0.0, -8.0, 1e11]))
-        tree = ShiftedQuadtree(
-            origin=(offset, offset),
-            root_side=steps * side / 2,
-            level_hi=levels - 1,
-            shift=(0.0, 0.0),
-            spread=1.0,
-            seed=0,
-            ground_metric=metric,
-            min_separation=side,
-        )
+        tree, steps, at = draw(aligned_grids(8))
         lattice = st.tuples(st.integers(0, steps), st.integers(0, steps))
-        cells = draw(st.lists(lattice, min_size=1, max_size=20))
-        return kind, tree, [(offset + i * side / 2, offset + j * side / 2) for i, j in cells]
-    offset = 0.0 if kind == "deepest" else draw(st.sampled_from([0.0, -250.0, 3e4, 1e11]))
-    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
-    raw = draw(
-        st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(1e-3, 1.0)), min_size=1, max_size=20)
-    )
-    pool = []
-    for b, life in raw:
-        birth = offset + scale * b
-        pool.append((birth, birth + scale * life + abs(birth) * 1e-9))
+        return kind, tree, [at(i, j) for i, j in draw(st.lists(lattice, min_size=1, max_size=20))]
+    pool = draw(points(max_points=20))
     if kind == "deepest":
-        pool.append((0.0, 1e-200))
-        cap = MAX_LEVELS
+        pool, cap = [*pool, ANCHOR], MAX_LEVELS
     else:
-        if draw(st.booleans()):
-            birth, death = pool[0]
-            pool.append((birth, math.nextafter(death, math.inf)))
-        cap = draw(st.sampled_from([2, 3, 5, 12, 40, MAX_LEVELS]))
-    config = TreeConfig(
-        seed=draw(st.integers(0, 2**32 - 1)), max_levels_cap=cap, ground_metric=metric
-    )
+        cap = draw(st.sampled_from([*CAPS, MAX_LEVELS]))
+    config = TreeConfig(draw(SEEDS), cap, draw(st.sampled_from(METRICS)))
     return kind, build_tree(pool, config), pool
 
 
 class TestPlace:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(placed_points())
     def test_agrees_with_reference_formula(self, instance):
         # the finest cells, and the first level at which the reference's
@@ -385,47 +356,24 @@ class TestPlace:
             manual_tree().place([(1.0, 2.0), (9.0, 9.5)])
 
 
-@st.composite
-def off_diagonal_sets(draw):
-    """(points, config): a single point or a cluster of up to 8, whose
-    lifetimes may be far longer than its spread (so that its box misses the
-    diagonal) or far shorter, at offsets up to 1e11, under any metric."""
-    offset = draw(st.sampled_from([0.0, -250.0, 3e4, 1e11]))
-    spread = draw(st.sampled_from([1e-3, 1.0, 1e3]))
-    lifetime = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e6]))
-    raw = draw(
-        st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(1e-3, 1.0)), min_size=1, max_size=8)
-    )
-    points = []
-    for u, w in raw:
-        birth = offset + spread * u
-        points.append((birth, birth + lifetime * w + abs(birth) * 1e-9))
-    config = TreeConfig(
-        seed=draw(st.integers(0, 2**32 - 1)),
-        ground_metric=draw(st.sampled_from(list(GroundMetric))),
-    )
-    return points, config
-
-
 class TestRootMeetsDiagonal:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(off_diagonal_sets())
+    @settings(max_examples=300)
+    @given(instances(max_points=8))
     def test_every_point_retires_by_the_root(self, instance):
         # the tree builds, every point is terminal at the root at the latest,
-        # and the reference walk leaves no mass for a fallback; a box that
-        # meets the diagonal is the points' own
-        points, config = instance
-        tree = build_tree(points, config)
+        # and the reference walk leaves no mass for a fallback, on pools whose
+        # box misses the diagonal (a single point, or lifetimes far longer
+        # than the spread) or meets it; a box that meets the diagonal is the
+        # points' own
+        tree, points, metric = instance.tree(), instance.points, instance.metric
         assert (tree.place(points)[2] <= tree.level_hi).all()
-        first = PersistenceDiagram(points[::2])
-        second = PersistenceDiagram(points[1::2])
         _, _, residuals, root_fallback = reference.greedy_match(
-            tree, first, second, config.ground_metric
+            tree, instance.first, instance.second, metric
         )
         assert residuals[-1] == (tree.level_hi, 0) and root_fallback is False
         pts = np.unique(np.asarray(points), axis=0)
         if pts[:, 1].min() <= pts[:, 0].max():
-            geometry = tree_geometry(points, config.ground_metric)
+            geometry = tree_geometry(points, metric)
             assert geometry.mins.tolist() == pts.min(axis=0).tolist()
             assert geometry.span == float((pts.max(axis=0) - pts.min(axis=0)).max())
 
@@ -483,34 +431,29 @@ class TestShiftDistribution:
 
 @st.composite
 def geometry_batches(draw):
-    """(point_sets, metric) for one _geometries call: 1 to 6 sets, among
-    them single points, sets that share points with an earlier set,
-    near-duplicates whose depth passes the default cap and huge coordinate
-    offsets, all under one metric, any of the three."""
+    """(point_sets, metric) for one _geometries call: 1 to 6 sets, each a
+    pool of any family (near-duplicates past the default cap and large
+    offsets among them), a single point of one, a uniform pool with points
+    of an earlier set, or a uniform pool moved out to +-1e300, all under one
+    metric, any of the three."""
     sets = []
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["single", "shared", "near_duplicate", "offset", "uniform"]))
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        n = draw(st.integers(1, 40))
-        births = rng.uniform(0.0, 10.0, n)
-        points = np.c_[births, births + rng.uniform(0.01, 5.0, n)]
+        kind = draw(st.sampled_from(["pool", "single", "shared", "far"]))
+        family = None if kind in ("pool", "single") else "uniform"
+        pool = np.array(draw(points(family, max_points=20)))
         if kind == "single":
-            points = points[:1]
+            pool = pool[:1]
         elif kind == "shared" and sets:
-            earlier = sets[draw(st.integers(0, len(sets) - 1))]
-            points = np.vstack([earlier[rng.permutation(len(earlier))[: n // 2 + 1]], points])
-        elif kind == "near_duplicate":
-            twins = np.c_[points[:, 0], np.nextafter(points[:, 1], math.inf)]
-            points = np.vstack([points, twins[: draw(st.integers(1, n))]])
-        elif kind == "offset":
-            offset = draw(st.sampled_from([1e11, 1e300, -1e300]))
-            points = offset + points * abs(offset) * 1e-6
-        sets.append(points)
-    return sets, draw(st.sampled_from(list(GroundMetric)))
+            pool = np.vstack([sets[draw(st.integers(0, len(sets) - 1))][::2], pool])
+        elif kind == "far":
+            offset = draw(st.sampled_from([1e300, -1e300]))
+            pool = offset + pool * abs(offset) * 1e-6
+        sets.append(pool)
+    return sets, draw(st.sampled_from(METRICS))
 
 
 class TestGeometryBatch:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(geometry_batches())
     def test_batch_equals_each_set_alone(self, batch):
         # the sets of one call never meet: each geometry is its set's own,
@@ -574,19 +517,18 @@ def min_separation(points, metric):
 
 @st.composite
 def separation_sets(draw):
-    """Point sets that stress the closest-pair search: clusters, vertical
-    and horizontal lines, nextafter near-duplicates, huge offsets and
-    subnormal gaps, from 1 point up."""
+    """Point sets that stress the closest-pair search: pools of any family
+    (one-ulp near-duplicates among them), clusters, vertical and horizontal
+    lines, huge offsets and subnormal gaps, from 1 point up."""
     kind = draw(
         st.sampled_from(
-            ["uniform", "clustered", "vertical", "horizontal", "near_duplicate",
-             "offset", "subnormal", "interleaved"]
+            ["family", "clustered", "vertical", "horizontal", "offset", "subnormal", "interleaved"]
         )
     )
     n = draw(st.integers(1, 80))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind == "uniform":
-        pts = rng.uniform(0.0, 10.0, (n, 2))
+    rng = np.random.default_rng(draw(SEEDS))
+    if kind == "family":
+        pts = np.array(draw(points(max_points=40)))
     elif kind == "clustered":
         centres = rng.uniform(0.0, 100.0, (3, 2))
         spread = 10.0 ** draw(st.integers(-12, 0))
@@ -595,12 +537,6 @@ def separation_sets(draw):
         lines = rng.choice([0.0, 1.0, 1e9], n)
         along = rng.uniform(0.0, 5.0, n)
         pts = np.c_[lines, along] if kind == "vertical" else np.c_[along, lines]
-    elif kind == "near_duplicate":
-        base = rng.uniform(0.0, 10.0, (n, 2))
-        twin = base.copy()
-        axis = draw(st.integers(0, 1))
-        twin[:, axis] = np.nextafter(twin[:, axis], math.inf)
-        pts = np.vstack([base, twin[: draw(st.integers(1, n))]])
     elif kind == "offset":
         offset = draw(st.sampled_from([1e11, 1e300, -1e300]))
         pts = offset + rng.uniform(0.0, 1.0, (n, 2)) * abs(offset) * 1e-6
@@ -617,7 +553,7 @@ def separation_sets(draw):
 
 
 class TestMinSeparation:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(separation_sets())
     def test_equals_brute_force(self, points):
         shuffled = points[np.random.default_rng(0).permutation(len(points))]

@@ -3,19 +3,18 @@ matching against the pure-Python reference oracles in reference.py,
 compared with exact ==."""
 
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from families import ANCHOR, CAPS, aligned_grids, instances
 from dgmdist import (
     MAX_LEVELS,
     GroundMetric,
     PersistenceDiagram,
     PlacedDiagrams,
-    ShiftedQuadtree,
     TreeConfig,
     build_tree,
     embed,
@@ -51,59 +50,22 @@ def assert_matches_reference(tree, first, second, metric):
     assert sorted(map(pair_tuple, matching.pairs)) == sorted(pairs)
 
 
-@st.composite
-def instances(draw, max_mult=3):
-    """(tree, first, second, metric) over a shared pool of points.
-
-    The pool sits at an offset up to 1e11 and may contain a near-duplicate,
-    which with a small level cap truncates the tree. Diagrams draw pool
-    points with multiplicities up to max_mult and may be empty or hold a
-    single point.
-    """
-    offset = draw(st.sampled_from([0.0, -250.0, 3e4, 1e11]))
-    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
-    raw = draw(
-        st.lists(
-            st.tuples(st.floats(-1.0, 1.0), st.floats(1e-3, 1.0)),
-            min_size=1,
-            max_size=10,
-        )
+def trees(**bounds):
+    """(tree, first, second, metric): a pair of one family's pool on a tree
+    over the pool with a level cap down to 2."""
+    return instances(caps=CAPS, **bounds).map(
+        lambda instance: (instance.tree(), instance.first, instance.second, instance.metric)
     )
-    pool = []
-    for b, life in raw:
-        birth = offset + scale * b
-        pool.append((birth, birth + scale * life + abs(birth) * 1e-9))
-    if draw(st.booleans()):
-        birth, death = pool[0]
-        pool.append((birth, math.nextafter(death, math.inf)))
-
-    def diagram():
-        picks = draw(
-            st.lists(
-                st.tuples(st.integers(0, len(pool) - 1), st.integers(1, max_mult)),
-                max_size=12,
-            )
-        )
-        return PersistenceDiagram([(*pool[i], m) for i, m in picks])
-
-    first, second = diagram(), diagram()
-    metric = draw(st.sampled_from(list(GroundMetric)))
-    config = TreeConfig(
-        seed=draw(st.integers(0, 2**32 - 1)),
-        max_levels_cap=draw(st.sampled_from([2, 3, 5, 12, 40])),
-        ground_metric=metric,
-    )
-    return build_tree(pool, config), first, second, metric
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(instances())
+@settings(max_examples=300)
+@given(trees())
 def test_matches_reference(instance):
     assert_matches_reference(*instance)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(instances(max_mult=10**6))
+@settings(max_examples=150)
+@given(trees(max_mults=(10**6,)))
 def test_matches_reference_with_large_multiplicities(instance):
     # unequal masses up to 10^6 per point: a point's mass is split over
     # several cross pairs and several levels, and the surplus side changes
@@ -150,8 +112,8 @@ def assert_embedding_distance_is_exact(tree, first, second, metric):
     ]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from([3, 10**6]).flatmap(lambda max_mult: instances(max_mult=max_mult)))
+@settings(max_examples=300)
+@given(trees(max_mults=(3, 10**6)))
 def test_embedding_distance_is_exact(instance):
     assert_embedding_distance_is_exact(*instance)
 
@@ -167,112 +129,25 @@ def test_embedding_distance_is_exact_past_int64_totals(metric):
     assert_embedding_distance_is_exact(tree, first, second, metric)
 
 
-def assert_residual_identity(tree, first, second, metric):
-    # the two-diagram row is the greedy walk's sum of side * residual over
-    # the levels, rounded once, and the reference's embedding cost
-    residuals = greedy_match(tree, first, second).level_residuals
-    walk = float(sum(Fraction(tree.side(level)) * r for level, r in residuals))
-    row = PlacedDiagrams(tree, [first, second]).embedding_row(0, [1])[0]
-    assert row == walk
-    assert row == reference.embedding_cost(tree, first, second)
-
-
-@pytest.mark.parametrize(
-    "metric,birth,death,seed",
-    [
-        (GroundMetric.L1, 1e11, 1e11 + 1e-4, 33),
-        (GroundMetric.L2, 1e9, 1e9 + 1e-6, 53),
-        (GroundMetric.LINF, 1e11, 1e11 + 1e-4, 136),
-    ],
-)
-def test_residual_identity_far_from_the_origin(metric, birth, death, seed):
-    # a point a few ulps above the diagonal: on these trees its cell is
-    # terminal at some level and clear again at the next by the float test,
-    # which must not count it again after the walk has retired it
-    first = PersistenceDiagram([(birth, death)])
-    second = PersistenceDiagram([(birth, death, 2)])
-    tree = build_tree(union_coords((first, second)), TreeConfig(seed, ground_metric=metric))
-    assert not tree.truncated
-    assert_residual_identity(tree, first, second, metric)
-
-
-@st.composite
-def far_offset_instances(draw):
-    """(tree, first, second, metric) at offsets 1e9 and +-1e11, where a
-    cell's float terminal test can fail above a level at which it held.
-    Lifetimes run from 1 ulp of the birth up to 16 times the pool's spread,
-    and the tree is built over the two diagrams, the first of which is
-    non-empty."""
-    offset = draw(st.sampled_from([1e9, 1e11, -1e11]))
-    scale = draw(st.sampled_from([1e-4, 1.0, 1e3]))
-    raw = draw(
-        st.lists(
-            st.tuples(st.floats(-1.0, 1.0), st.integers(1, 16), st.booleans()),
-            min_size=1,
-            max_size=6,
-        )
-    )
-    pool = []
-    for b, steps, short in raw:
-        birth = offset + scale * b
-        life = steps * math.ulp(birth) if short else scale * steps
-        pool.append((birth, birth + life))
-
-    def diagram(min_size):
-        picks = draw(
-            st.lists(
-                st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 3)),
-                min_size=min_size,
-                max_size=6,
-            )
-        )
-        return PersistenceDiagram([(*pool[i], m) for i, m in picks])
-
-    first, second = diagram(1), diagram(0)
-    metric = draw(st.sampled_from(list(GroundMetric)))
-    config = TreeConfig(seed=draw(st.integers(0, 2**32 - 1)), ground_metric=metric)
-    return build_tree(union_coords((first, second)), config), first, second, metric
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(far_offset_instances())
-def test_residual_identity_at_any_offset(instance):
-    assert_residual_identity(*instance)
-
-
 @st.composite
 def index_instances(draw):
-    """(tree, diagrams): the pair of instances() and 0-8 candidates, each an
-    exact repeat of an earlier diagram or drawn from the pair's points, with
-    multiplicities up to 10^6. The tree is either the instance's or one
-    with MAX_LEVELS levels over the diagrams' points, truncated when they
-    hold the near-duplicate."""
-    max_mult = draw(st.sampled_from([3, 10**6]))
-    tree, first, second, metric = draw(instances(max_mult=max_mult))
-    diagrams = [first, second]
-    points = first.coords().tolist() + second.coords().tolist()
-    for _ in range(draw(st.integers(0, 8))):
-        if draw(st.booleans()) or not points:
-            diagrams.append(draw(st.sampled_from(diagrams)))
-            continue
-        picks = draw(
-            st.lists(
-                st.tuples(st.sampled_from(points), st.integers(1, max_mult)),
-                max_size=12,
-            )
-        )
-        diagrams.append(PersistenceDiagram([(b, d, m) for (b, d), m in picks]))
-    if points and draw(st.booleans()):
-        config = TreeConfig(
-            seed=draw(st.integers(0, 2**32 - 1)),
-            max_levels_cap=MAX_LEVELS,
-            ground_metric=metric,
-        )
-        tree = build_tree(union_coords(diagrams), config)
-    return tree, diagrams
+    """(tree, diagrams): 2 to 6 diagrams of one family's pool, with
+    multiplicities up to 3 or up to 10^6, and up to 4 exact repeats, in any
+    order. The tree is the pool's, with a level cap down to 2, or one with
+    MAX_LEVELS levels over the diagrams' points, truncated when they hold a
+    near-duplicate."""
+    instance = draw(instances(count=2, max_count=6, max_mults=(3, 10**6), caps=CAPS))
+    diagrams = list(instance.diagrams)
+    repeats = draw(st.lists(st.sampled_from(diagrams), max_size=4))
+    diagrams = draw(st.permutations(diagrams + repeats))
+    points = union_coords(diagrams)
+    if len(points) and draw(st.booleans()):
+        config = TreeConfig(instance.config.seed, MAX_LEVELS, instance.metric)
+        return build_tree(points, config), diagrams
+    return instance.tree(), diagrams
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(index_instances())
 def test_index_matches_reference(instance):
     assert_index_matches_reference(*instance)
@@ -280,39 +155,22 @@ def test_index_matches_reference(instance):
 
 @st.composite
 def aligned_instances(draw):
-    """(tree, first, second, metric) on an unshifted grid whose corners lie
-    on the diagonal, with points on a half-cell lattice: cells touch the
-    diagonal at corners, and points sit on cell edges and the root's far
-    edge."""
-    levels = draw(st.integers(2, 6))
-    side = 2.0 ** draw(st.integers(-3, 3))  # finest cell side
-    steps = 2**levels  # half-cell steps across the root
-    offset = draw(st.sampled_from([0.0, -8.0, 1e11]))
-    metric = draw(st.sampled_from(list(GroundMetric)))
-    tree = ShiftedQuadtree(
-        origin=(offset, offset),
-        root_side=steps * side / 2,
-        level_hi=levels - 1,
-        shift=(0.0, 0.0),
-        spread=1.0,
-        seed=0,
-        ground_metric=metric,
-        min_separation=side,
-    )
+    """(tree, first, second, metric) on an aligned grid of up to 6 levels
+    (families.aligned_grids), the points on its half-cell lattice above the
+    diagonal, with multiplicities up to 3."""
+    tree, steps, at = draw(aligned_grids(6))
 
     def diagram():
-        points = []
+        rows = []
         for _ in range(draw(st.integers(0, 10))):
             i = draw(st.integers(0, steps - 1))
-            j = draw(st.integers(i + 1, steps))
-            m = draw(st.integers(1, 3))
-            points.append((offset + i * side / 2, offset + j * side / 2, m))
-        return PersistenceDiagram(points)
+            rows.append((*at(i, draw(st.integers(i + 1, steps))), draw(st.integers(1, 3))))
+        return PersistenceDiagram(rows)
 
-    return tree, diagram(), diagram(), metric
+    return tree, diagram(), diagram(), tree.ground_metric
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(aligned_instances())
 def test_matches_reference_on_aligned_grid(instance):
     assert_matches_reference(*instance)
@@ -353,39 +211,18 @@ def test_deepest_tree_matches_reference(metric):
     assert_matches_reference(tree, first, second, metric)
 
 
-@st.composite
-def deep_spread_instances(draw):
-    """(tree, first, second, metric) on the deepest tree a config allows,
-    truncated by a point 1e-200 from the diagonal, with the diagrams' points
-    spread far from the diagonal: they stay live into the coarse half of the
-    48 levels and meet the other diagram only there, where cells differ in
-    the high bits of their indices."""
-    metric = draw(st.sampled_from(list(GroundMetric)))
-    steps = st.integers(0, 512)  # a 1/64 lattice: no two points closer
-
-    def diagram():
-        points = []
-        for _ in range(draw(st.integers(0, 12))):
-            x = draw(steps) / 64
-            y = x + 2.0 + draw(steps) / 64
-            points.append((x, y, draw(st.integers(1, 10**6))))
-        return PersistenceDiagram(points)
-
-    first, second = diagram(), diagram()
-    pool = [(0.0, 1e-200), (0.0, 16.0), *union_coords((first, second)).tolist()]
-    config = TreeConfig(
-        seed=draw(st.integers(0, 2**32 - 1)), max_levels_cap=MAX_LEVELS, ground_metric=metric
-    )
-    tree = build_tree(pool, config)
-    assert tree.num_levels == MAX_LEVELS and tree.truncated
-    return tree, first, second, metric
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(deep_spread_instances())
+@settings(max_examples=150)
+@given(instances("lattice", max_mults=(10**6,), caps=(MAX_LEVELS,)))
 def test_deep_spread_matches_reference(instance):
-    assert_matches_reference(*instance)
-    tree, first, second, metric = instance
+    # the deepest tree a config allows, truncated by a point 1e-200 from the
+    # diagonal, over lattice points far from the diagonal compared with its
+    # finest cells: they stay live into the coarse half of the 48 levels and
+    # meet the other diagram only there, where cells differ in the high bits
+    # of their indices
+    tree = build_tree([ANCHOR, *instance.points], instance.config)
+    first, second, metric = instance.first, instance.second, instance.metric
+    assert tree.num_levels == MAX_LEVELS and tree.truncated
+    assert_matches_reference(tree, first, second, metric)
     placed = PlacedDiagrams(tree, [first, second])
     costs = [reference.greedy_match(tree, a, b, metric)[1] for a, b in
              ((first, second), (second, first), (first, first))]
