@@ -125,7 +125,7 @@ def _checked(birth, death, multiplicity=1) -> tuple[float, float, int]:
     float such as 3.0 is taken, 1.9, nan or inf is not."""
     try:
         birth, death = float(birth), float(death)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidPointError(
             f"coordinates must be numbers, got ({birth!r}, {death!r})"
         ) from None

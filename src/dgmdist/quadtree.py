@@ -456,7 +456,8 @@ def tree_geometry(points, metric: GroundMetric) -> TreeGeometry:
 
     Depth adapts to the minimum separation so that the finest cell side is
     strictly below half of it; a tree's max_levels_cap may cut it short.
-    It is the one-set call of the geometry routine that computes the
+    Under L2, a set whose closest gap squares to 0 takes its Linf
+    separation instead. It is the one-set call of the geometry routine that computes the
     geometries of many point sets in one pass (_geometries), as the
     evaluation harness does for its per-pair trees.
     """
@@ -495,6 +496,12 @@ def _geometries(point_sets, metric: GroundMetric) -> list[TreeGeometry]:
     starts = np.flatnonzero(np.concatenate(([True], distinct_set[1:] != distinct_set[:-1])))
 
     delta_min = _min_separation(distinct, metric, starts)
+    if metric is GroundMetric.L2 and not delta_min.all():
+        # an L2 gap whose square underflows reads 0 (GroundMetric.combine);
+        # a set with no point on the diagonal takes its Linf separation,
+        # which is positive and, in exact arithmetic, at most its L2 one
+        linf = _min_separation(distinct, GroundMetric.LINF, starts)
+        delta_min = np.where(delta_min > 0.0, delta_min, linf)
     mins = np.minimum.reduceat(distinct, starts)
     maxs = np.maximum.reduceat(distinct, starts)
     # the box holds the diagonal point (t, t) so that the root meets the

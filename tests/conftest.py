@@ -1,6 +1,5 @@
-"""One Hypothesis profile for every property test: no deadline, a search
-derandomized from each test's name and no example database, so every run
-draws the same examples."""
+"""One Hypothesis profile for every property test: every run draws the
+same examples, with no deadline."""
 
 from hypothesis import settings
 

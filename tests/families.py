@@ -1,34 +1,23 @@
-"""Named diagram families for the property tests, and one strategy that
-draws instances from them.
+"""Named diagram families for the property tests. A family draws a pool
+of (birth, death) points and the largest multiplicity its diagrams carry;
+``instances`` draws diagrams that pick points of one family's pool, a
+ground metric and a tree config, with a bound on the units that keeps it in
+reach of the brute-force oracle (8 units) or of the exact solver:
 
-A family draws a pool of (birth, death) points and the largest
-multiplicity its diagrams carry. ``instances`` draws a pool from one family,
-diagrams that pick pool points with multiplicities, a ground metric and a
-tree config over the pool. A size bound (``max_units``, counted with
-multiplicity over all the diagrams) keeps instances in reach of the
-brute-force oracle, which stops at 8 units, or of the exact solver.
-
-The families:
-
-- ``uniform``: ``gen_uniform``'s law, births in [0, 200], deaths up to 300;
-- ``gaussian``: ``gen_gaussian``'s near-diagonal law, lifetimes |N(0, 1)|;
-- ``ulp``: one cluster a few ulps wide, lifetimes 2 to 9, at an offset up
-  to 1e6, where the exact solver's reduced costs lose the distance
-  (ROADMAP item 17);
-- ``lattice``: a grid in steps of 1/1000, 1/10 or 1/2 of a scale from 1e-3
-  to 1e3, at offsets up to 1e11, so that points tie on cell edges and
-  between diagrams, with multiplicities up to 3 or up to 10^6;
-- ``offset``: points at 1e6, -3e9 and 1e11, lifetimes from one ulp of the
-  birth up to 16 times the pool's spread, where cells fall below a
-  coordinate's ulp and the float terminal test is not monotone;
-- ``near_duplicate``: a pool with one-ulp twins, whose depth passes the
-  default cap of 40 levels, so that trees over it are truncated;
-- ``small``: one or two pool points, and diagrams that are empty or hold a
-  single point.
+- ``uniform`` and ``gaussian``: ``gen_uniform``'s and ``gen_gaussian``'s
+  laws at an offset of 0, -250 or 1e6;
+- ``ulp``: one cluster a few ulps wide at those offsets, where the exact
+  solver's reduced costs lose the distance (ROADMAP item 17);
+- ``lattice``: a grid at offsets up to 1e11 on which points tie, with
+  multiplicities up to 3 or up to 10^6;
+- ``offset``: points at 1e6, -3e9 and 1e11, lifetimes from one ulp up,
+  where cells fall below a coordinate's ulp;
+- ``near_duplicate``: one-ulp twins, which truncate every tree at cap 40;
+- ``small``: one or two pool points, diagrams empty or of one point.
 
 A new family is one more entry of FAMILIES: a function of Hypothesis's
-draw that returns (pool, max_mult). Every invariant test in
-test_invariants.py then runs on it, or names why it cannot.
+draw and a size bound that returns (pool, max_mult). Every invariant test
+in test_invariants.py then runs on it, or names why it cannot.
 """
 
 from __future__ import annotations
@@ -36,7 +25,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
 from hypothesis import strategies as st
 
 from dgmdist import (
@@ -53,88 +41,95 @@ METRICS = list(GroundMetric)
 SEEDS = st.integers(0, 2**32 - 1)
 CAPS = (2, 3, 5, 12, 40)  # level caps down to 2, which truncate any pool
 ANCHOR = (0.0, 1e-200)  # truncates the deepest tree a config allows
+OFFSETS = (0.0, -250.0, 1e6)
+SCALES = (1e-3, 1.0, 1e3)
 
 
-def _rng(draw):
-    return np.random.default_rng(draw(SEEDS))
+def lists(elements, min_size, max_size):
+    """Lists of min_size to max_size elements. st.lists averages about 6
+    elements whatever max_size is, so past 12 the length is drawn first."""
+    if max_size <= 12:
+        return st.lists(elements, min_size=min_size, max_size=max_size)
+    sizes = st.integers(min_size, max_size)
+    return sizes.flatmap(lambda n: st.lists(elements, min_size=n, max_size=n))
 
 
-def _uniform(draw, max_points):
-    return gen_uniform(draw(st.integers(1, max_points)), draw(SEEDS)).coords().tolist(), 3
+def _law(generate):
+    def family(draw, max_points):
+        offset = draw(st.sampled_from(OFFSETS))
+        coords = generate(draw(st.integers(1, max_points)), draw(SEEDS)).coords() + offset
+        return coords.tolist(), 3
 
-
-def _gaussian(draw, max_points):
-    return gen_gaussian(draw(st.integers(1, max_points)), draw(SEEDS)).coords().tolist(), 3
+    return family
 
 
 def _ulp(draw, max_points):
-    rng = _rng(draw)
-    offset = draw(st.sampled_from([0.0, -250.0, 1e6]))
-    birth = offset + float(rng.uniform(-8.0, -2.0))
-    death = offset + float(rng.uniform(0.0, 1.0))
-    pool = []
-    for _ in range(draw(st.integers(1, max_points))):
-        b, d = birth, death
-        for _ in range(int(rng.integers(0, 3))):
-            b = math.nextafter(b, -math.inf)
-        for _ in range(int(rng.integers(0, 3))):
-            d = math.nextafter(d, math.inf)
-        pool.append((b, d))
-    return pool, 3
+    # deaths from 2**-20 up: a cluster a few ulps around 0 would need a tree
+    # deeper than the float range, which tree_geometry refuses
+    offset = draw(st.sampled_from(OFFSETS))
+    birth, death = offset + draw(st.floats(-8.0, -2.0)), offset + draw(st.floats(2**-20, 1.0))
+    # one integer a point: 3 * its ulps off the birth + those off the death
+    steps = (divmod(k, 3) for k in draw(lists(st.integers(0, 8), 1, max_points)))
+    return [(birth - i * math.ulp(birth), death + j * math.ulp(death)) for i, j in steps], 3
 
 
 def _lattice(draw, max_points):
-    rng, n = _rng(draw), draw(st.integers(1, max_points))
     offset = draw(st.sampled_from([0.0, -250.0, 3e4, 1e11]))
-    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    scale = draw(st.sampled_from(SCALES))
     # steps of 1/1000 of the scale, or of 1/10 or 1/2, on which points tie
     step = draw(st.sampled_from([1, 100, 500]))
-    b = rng.integers(-1000 // step, 1000 // step + 1, n) * step
-    life = rng.integers(1, 1000 // step + 1, n) * step
-    births = offset + scale * b / 1000
-    deaths = births + scale * life / 1000 + np.abs(births) * 1e-9
-    return list(zip(births.tolist(), deaths.tolist())), draw(st.sampled_from([3, 10**6]))
+    # one integer a point: its birth and lifetime in steps
+    n, pool = 1000 // step, []
+    for k in draw(lists(st.integers(0, (2 * n + 1) * n - 1), 1, max_points)):
+        b, life = divmod(k, n)
+        birth = offset + scale * ((b - n) * step) / 1000
+        pool.append((birth, birth + scale * ((life + 1) * step) / 1000 + abs(birth) * 1e-9))
+    return pool, draw(st.sampled_from([3, 10**6]))
 
 
 def _offset(draw, max_points):
-    rng, n = _rng(draw), draw(st.integers(1, max_points))
     offset = draw(st.sampled_from([1e6, -3e9, 1e11]))
     scale = draw(st.sampled_from([1e-4, 1.0, 1e3]))
-    births = offset + scale * rng.uniform(-1.0, 1.0, n)
-    steps = rng.integers(1, 17, n)
-    lives = np.where(rng.random(n) < 0.5, steps * np.spacing(np.abs(births)), scale * steps)
-    return list(zip(births.tolist(), (births + lives).tolist())), 3
+    # a birth, and one integer: a lifetime of 1 to 16 ulps of the birth or
+    # of 1 to 16 times the scale
+    rows, pool = st.tuples(st.floats(-1.0, 1.0), st.integers(0, 31)), []
+    for b, k in draw(lists(rows, 1, max_points)):
+        birth, (short, steps) = offset + scale * b, divmod(k, 16)
+        life = (steps + 1) * (math.ulp(birth) if short else scale)
+        pool.append((birth, birth + life))
+    return pool, 3
 
 
 def _near_duplicate(draw, max_points):
-    rng, n = _rng(draw), draw(st.integers(1, max(1, max_points - 1)))
-    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
-    b = rng.integers(-(10**6), 10**6 + 1, n)
-    d = b + rng.integers(1, 10**6, n)
-    pool = list(zip((scale * b / 10**6).tolist(), (scale * d / 10**6).tolist()))
-    # a twin one ulp off in its larger coordinate, so that the gap is never
-    # subnormal, where an L2 square underflows to a zero separation
-    twins = [
-        (b, math.nextafter(d, math.inf)) if abs(d) >= abs(b) else (math.nextafter(b, -math.inf), d)
-        for b, d in pool[: draw(st.integers(1, n))]
-    ]
-    return pool + twins, 3
+    # births within 2**-900 of the scale from 0 read 0, and a coordinate of
+    # 0 is not twinned: closer to 0, a tree would need more levels than the
+    # float range allows, which tree_geometry refuses
+    scale = draw(st.sampled_from(SCALES))
+    rows, pool = st.tuples(st.floats(-1.0, 1.0), st.floats(1e-3, 1.0)), []
+    for b, life in draw(lists(rows, 1, max_points)):
+        b = b if abs(b) > 2**-900 else 0.0
+        pool.append((scale * b, scale * b + scale * life))
+    # twins one ulp down in the birth or up in the death
+    for k in draw(lists(st.integers(0, 2 * len(pool) - 1), 1, len(pool))):
+        (birth, death), down = pool[k // 2], k % 2
+        if down and birth != 0.0 or death == 0.0:
+            pool.append((math.nextafter(birth, -math.inf), death))
+        else:
+            pool.append((birth, math.nextafter(death, math.inf)))
+    return pool, 3
 
 
-def _small(draw, max_points):
-    return _uniform(draw, min(2, max_points))
-
-
-# name -> family(draw, max_points): (a pool of at most about max_points
-# points, the largest multiplicity of its diagrams)
+# name -> family(draw, max_points): (a pool of up to max_points points, or
+# twice that with near-duplicates, and the largest multiplicity of its
+# diagrams)
 FAMILIES = {
-    "uniform": _uniform,
-    "gaussian": _gaussian,
+    "uniform": _law(gen_uniform),
+    "gaussian": _law(gen_gaussian),
     "ulp": _ulp,
     "lattice": _lattice,
     "offset": _offset,
     "near_duplicate": _near_duplicate,
-    "small": _small,
+    "small": lambda draw, max_points: FAMILIES["uniform"](draw, min(2, max_points)),
 }
 
 
@@ -148,34 +143,29 @@ class Instance(NamedTuple):
     metric: GroundMetric
     config: TreeConfig
 
-    @property
-    def first(self):
-        return self.diagrams[0]
-
-    @property
-    def second(self):
-        return self.diagrams[1]
+    first = property(lambda self: self.diagrams[0])
+    second = property(lambda self: self.diagrams[1])
 
     def tree(self):
         return build_tree(self.points, self.config)
 
 
 @st.composite
-def points(draw, family=None, max_points=10):
+def points(draw, family=None, max_points=12):
     """A pool of (birth, death) points of one family, or of any."""
     family = family or draw(st.sampled_from(list(FAMILIES)))
     return FAMILIES[family](draw, max_points)[0]
 
 
-def pick(rng, pool, count, max_mult, budget=math.inf):
-    """A diagram of count points drawn from pool by rng, with
-    multiplicities up to max_mult, and what is left of budget: the picks
-    end where they would pass it."""
+def pick(pool, choices, budget=math.inf):
+    """A diagram of the pool points chosen as (index, multiplicity - 1)
+    pairs, and what is left of budget: the choices end where they would
+    pass it."""
     rows = []
-    for i, mult in zip(rng.integers(0, len(pool), count), rng.integers(1, max_mult + 1, count)):
+    for i, extra in choices:
         if budget < 1:
             break
-        mult = min(int(mult), budget)
+        mult = min(int(extra) + 1, budget)
         budget -= mult
         rows.append((*pool[i], mult))
     return PersistenceDiagram(rows), budget
@@ -189,29 +179,30 @@ def instances(
     max_count=None,
     max_units=math.inf,
     max_mults=None,
-    max_points=10,
+    max_points=12,
+    max_picks=12,
     metrics=METRICS,
     caps=(40,),
 ):
     """An Instance of count diagrams (up to max_count) from one family, or
-    from any: each picks up to 12 pool points (one in the small family)
-    with multiplicities up to the family's largest, or up to one drawn
-    from max_mults. Under max_units, the picks end where the diagrams
-    together would pass that many units."""
+    from any, over a pool of up to max_points points: each picks up to
+    max_picks of them (one in the small family) with multiplicities up to
+    the family's largest, or up to one drawn from max_mults. Under
+    max_units, the picks end where the diagrams would pass that many."""
     family = family or draw(st.sampled_from(list(FAMILIES)))
     pool, max_mult = FAMILIES[family](draw, max_points)
     if max_mults:
         max_mult = draw(st.sampled_from(max_mults))
-    rng = _rng(draw)
-    picks = st.integers(0, 1 if family == "small" else 12)
+    # a pick is one integer: its pool index * max_mult + multiplicity - 1
+    choice = st.integers(0, len(pool) * max_mult - 1)
+    picks = lists(choice, 0, 1 if family == "small" else max_picks)
     diagrams = []
     for _ in range(draw(st.integers(count, max_count or count))):
-        diagram, max_units = pick(rng, pool, draw(picks), max_mult, max_units)
+        choices = (divmod(k, max_mult) for k in draw(picks))
+        diagram, max_units = pick(pool, choices, max_units)
         diagrams.append(diagram)
     metric = draw(st.sampled_from(metrics))
-    config = TreeConfig(
-        seed=draw(SEEDS), max_levels_cap=draw(st.sampled_from(caps)), ground_metric=metric
-    )
+    config = TreeConfig(draw(SEEDS), draw(st.sampled_from(caps)), metric)
     return Instance(family, pool, tuple(diagrams), metric, config)
 
 

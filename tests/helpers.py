@@ -1,7 +1,6 @@
-"""Shared instance generators for the suite's seeded example tests.
+"""Shared instance generators for the test suite.
 
 Everything here is a pure function of its seed so failures replay exactly.
-The pairs come from the uniform and gaussian families of families.py.
 """
 
 from __future__ import annotations
@@ -20,27 +19,31 @@ from families import pick
 
 
 def tiny_pair(seed: int, max_units: int = 8):
-    """A pair of the uniform family with multiplicities up to 2, expanded
-    size at most max_units together (the brute-force regime); either may be
-    empty."""
+    """A pair of gen_uniform points with multiplicities up to 2, at most
+    max_units units together (the brute-force regime); either may be empty."""
     rng = np.random.default_rng(seed)
     pool = gen_uniform(max(max_units, 1), seed).coords().tolist()
-    first, budget = pick(rng, pool, int(rng.integers(0, max_units + 1)), 2, max_units)
-    second, _ = pick(rng, pool, int(rng.integers(0, max_units + 1)), 2, budget)
-    return first, second
+
+    def choices():
+        count = int(rng.integers(0, max_units + 1))
+        return zip(rng.integers(0, len(pool), count), rng.integers(0, 2, count))
+
+    first, budget = pick(pool, choices(), max_units)
+    return first, pick(pool, choices(), budget)[0]
 
 
 def random_pair(seed: int, max_points: int = 30):
-    """A pair of up to max_points points each: gaussian, uniform and
-    gaussian, or uniform, by seed modulo 3."""
+    """Synthetic pair mixing the uniform and near-diagonal generators."""
     rng = np.random.default_rng(seed)
     size_a = int(rng.integers(1, max_points + 1))
     size_b = int(rng.integers(1, max_points + 1))
     seed_a = int(rng.integers(0, 2**31 - 1))
     seed_b = int(rng.integers(0, 2**31 - 1))
-    law_a = gen_gaussian if seed % 3 == 0 else gen_uniform
-    law_b = gen_uniform if seed % 3 == 2 else gen_gaussian
-    return law_a(size_a, seed_a), law_b(size_b, seed_b)
+    if seed % 3 == 0:
+        return gen_gaussian(size_a, seed_a), gen_gaussian(size_b, seed_b)
+    if seed % 3 == 1:
+        return gen_uniform(size_a, seed_a), gen_gaussian(size_b, seed_b)
+    return gen_uniform(size_a, seed_a), gen_uniform(size_b, seed_b)
 
 
 def pair_tree(first, second, seed: int, metric: GroundMetric = GroundMetric.L2):

@@ -82,7 +82,7 @@ class TestPDPoint:
     def test_coordinates_must_be_numbers(self):
         # a birth or death that float() refuses is an invalid point, named
         # as given
-        for birth, death in (("x", 1.0), (None, 1.0), (0.0, "1 2"), (0.0, [1.0])):
+        for birth, death in (("x", 1.0), (None, 1.0), (0.0, "1 2"), (0.0, [1.0]), (10**400, 1.0)):
             given = re.escape(f"got ({birth!r}, {death!r})") + "$"
             with pytest.raises(InvalidPointError, match=given):
                 PersistenceDiagram([(birth, death)])
@@ -444,7 +444,7 @@ def file_text(draw):
     """A whole file of the points of one family's pool: lines ended by LF,
     CRLF or lone CR, the last one maybe unterminated, with now and then a
     leading byte-order mark."""
-    pool = draw(points(max_points=3))
+    pool = draw(points(max_points=6))
     lines = draw(st.lists(file_line(pool), max_size=10))
     ends = st.sampled_from(("\n",) * 4 + ("\r\n", "\r"))
     text = "".join(line + draw(ends) for line in lines)

@@ -165,10 +165,9 @@ def diagonal_sum(diagram, metric):
 
 class TestReducedAssignment:
     """exact_distance against the dense (m+n)² augmented assignment and its
-    own invariants, on every family (brute force and symmetry are in
-    test_invariants.py)."""
+    own invariants (brute force and symmetry: test_invariants.py)."""
 
-    @given(instances(max_units=400))
+    @given(instances(max_units=400, max_points=68, max_picks=38))
     @settings(max_examples=150)
     def test_equals_dense_reference(self, instance):
         first, second, metric = instance.first, instance.second, instance.metric
@@ -176,7 +175,7 @@ class TestReducedAssignment:
             dense_distance(first, second, metric), rel=1e-12
         )
 
-    @given(instances("lattice", max_mults=(1000,), max_units=2100))
+    @given(instances("lattice", max_mults=(1000,), max_units=2100, max_points=41, max_picks=21))
     @settings(max_examples=15)
     def test_equals_dense_reference_with_large_multiplicities(self, instance):
         first, second, metric = instance.first, instance.second, instance.metric
@@ -184,12 +183,12 @@ class TestReducedAssignment:
             dense_distance(first, second, metric), rel=1e-12
         )
 
-    @given(instances(max_units=400))
+    @given(instances(max_units=400, max_points=68, max_picks=38))
     @settings(max_examples=150)
     def test_self_distance_is_exactly_zero(self, instance):
         assert exact_distance(instance.first, instance.first, instance.metric) == 0.0
 
-    @given(instances(max_units=400))
+    @given(instances(max_units=400, max_points=68, max_picks=38))
     @settings(max_examples=150)
     def test_added_points_cost_exactly_their_diagonal_distances(self, instance):
         base, extra, metric = instance.first, instance.second, instance.metric

@@ -193,7 +193,8 @@ class TestFlowtreeDistance:
 
 @settings(max_examples=150)
 @given(
-    instances(metrics=[GroundMetric.L2]), st.sampled_from([2.0**-10, 1.0, 2.0**10, 2.0**665])
+    instances(max_points=80, max_picks=40, metrics=[GroundMetric.L2]),
+    st.sampled_from([2.0**-10, 1.0, 2.0**10, 2.0**665]),
 )
 def test_cross_pairs_cost_their_pairwise_entry(instance, scale):
     # one ground-metric kernel: a cross pair's per-unit distance is the exact

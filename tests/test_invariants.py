@@ -1,14 +1,8 @@
 """The correctness invariants of ROADMAP aim 3, each one test parametrized
-over every family of families.py:
-
-- exact equals brute force;
-- exact <= flowtree on every tree;
-- the sqrt(8) sandwich on untruncated trees;
-- the residual identity, with ==;
-- the same results with the two diagrams swapped;
-- the same results with multiplicities merged.
-
-An invariant that cannot run on a family says why (out_of_reach), and
+over every family of families.py: exact equals brute force, exact <=
+flowtree on every tree, the sqrt(8) sandwich, the residual identity, and
+the same results with the diagrams swapped or multiplicities merged. An
+invariant that cannot run on a family says why (out_of_reach), and
 test_matrix_is_complete checks that every invariant names every family
 one way or the other.
 """
@@ -18,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, given, settings
 
 import reference
 from dgmdist import (
@@ -35,32 +29,36 @@ from dgmdist import (
 from dgmdist.flowtree import KIND_P_TO_DIAGONAL, KIND_Q_TO_DIAGONAL
 from families import FAMILIES, Instance, instances
 
-EXACT_UNITS = 60  # the size bound of the invariants that read the exact solver
 L2 = GroundMetric.L2
 
 
-def over_families(max_examples, at_least={}, out_of_reach={}, xfail={}, examples={}, **bounds):
+def over_families(
+    max_examples, at_least={}, wide={}, out_of_reach={}, xfail={}, examples={}, **bounds
+):
     """Parametrize an invariant check(instance) over every family but those
-    out_of_reach (family -> why). Each parametrization runs its pinned
-    examples, then draws max_examples instances of its family under bounds
-    (at_least[family] for a family that an older test drew that many
-    times); a family in xfail must fail, for the reason given."""
+    out_of_reach (family -> why). Each parametrization draws max_examples
+    (or at_least[family]) instances of its family under bounds, with pools
+    and picks of up to wide[family] points, then checks its pinned examples;
+    a family in xfail must fail an assertion, for the reason given."""
 
     def decorate(check):
+        xfails = {
+            family: pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+            for family, reason in xfail.items()
+        }
         params = [
-            pytest.param(family, marks=[pytest.mark.xfail(strict=True, reason=xfail[family])])
-            if family in xfail
-            else pytest.param(family)
+            pytest.param(family, marks=xfails.get(family, ()))
             for family in FAMILIES
             if family not in out_of_reach
         ]
 
         @pytest.mark.parametrize("family", params)
         def test(family):
-            run = given(instances(family, **bounds))(check)
-            for case in examples.get(family, ()):
-                run = example(case)(run)
+            points, picks = wide.get(family, (12, 12))
+            run = given(instances(family, max_points=points, max_picks=picks, **bounds))(check)
             settings(max_examples=at_least.get(family, max_examples))(run)()
+            for case in examples.get(family, ()):
+                check(case)
 
         test.__name__, test.__doc__ = check.__name__, check.__doc__
         test.out_of_reach = out_of_reach
@@ -110,7 +108,7 @@ def test_exact_equals_brute_force(instance):
     assert math.isclose(exact, reference.brute_force_distance(first, second, metric), rel_tol=1e-12)
 
 
-@over_families(max_examples=25, examples={"small": SINGLETONS}, max_units=EXACT_UNITS)
+@over_families(max_examples=25, examples={"small": SINGLETONS}, max_units=60)
 def test_exact_at_most_flowtree_on_every_tree(instance):
     # on the instance's tree over the pool, and on four trees over the pair
     # alone, their minimum included
@@ -126,9 +124,10 @@ def test_exact_at_most_flowtree_on_every_tree(instance):
     max_examples=25,
     at_least={"lattice": 300},
     out_of_reach={
-        "ulp": "a cluster a few ulps wide needs over 50 levels, so every tree is truncated",
+        "ulp": "a cluster a few ulps wide needs over 50 levels, past the cap",
         "near_duplicate": "the one-ulp twins truncate every tree at its cap",
     },
+    wide={"uniform": (30, 15), "gaussian": (30, 15)},
     examples={"small": SINGLETONS},
     metrics=[L2],
 )
@@ -137,34 +136,36 @@ def test_flowtree_within_sqrt8_of_embedding(instance):
     # in exact arithmetic with no tolerance: clusters far from the diagonal
     # compared with their spread included, since the root meets the diagonal
     tree, first, second = instance.tree(), instance.first, instance.second
+    if instance.family == "offset":  # a lifetime of one ulp can pass the cap
+        assume(not tree.truncated)
     assert not tree.truncated
     flowtree = Fraction(flowtree_distance(tree, first, second))
     embedding = Fraction(PlacedDiagrams(tree, [first, second]).embedding_row(0, [1])[0])
     assert flowtree**2 <= 8 * embedding**2
 
 
+# a point a few ulps above the diagonal: on these untruncated trees its cell
+# is terminal at some level and clear again at the next by the float test,
+# which must not count it again after the walk has retired it
+FAR_POINTS = [
+    pinned("offset", PersistenceDiagram([(b, d)]), PersistenceDiagram([(b, d, 2)]), metric, seed)
+    for metric, b, d, seed in [
+        (GroundMetric.L1, 1e11, 1e11 + 1e-4, 33),
+        (GroundMetric.L2, 1e9, 1e9 + 1e-6, 53),
+        (GroundMetric.LINF, 1e11, 1e11 + 1e-4, 136),
+    ]
+]
+
+
+def test_far_points_walk_every_level():
+    assert not any(case.tree().truncated for case in FAR_POINTS)
+
+
 @over_families(
     max_examples=25,
-    at_least={"uniform": 100, "gaussian": 100, "offset": 300},
-    examples={
-        # a point a few ulps above the diagonal: on these trees its cell is
-        # terminal at some level and clear again at the next by the float
-        # test, which must not count it again after the walk has retired it
-        "offset": [
-            pinned(
-                "offset",
-                PersistenceDiagram([(birth, death)]),
-                PersistenceDiagram([(birth, death, 2)]),
-                metric,
-                seed,
-            )
-            for metric, birth, death, seed in [
-                (GroundMetric.L1, 1e11, 1e11 + 1e-4, 33),
-                (GroundMetric.L2, 1e9, 1e9 + 1e-6, 53),
-                (GroundMetric.LINF, 1e11, 1e11 + 1e-4, 136),
-            ]
-        ]
-    },
+    at_least={"uniform": 110, "gaussian": 110, "offset": 300},
+    wide={"uniform": (40, 20), "gaussian": (40, 20)},
+    examples={"offset": FAR_POINTS},
 )
 def test_residual_identity(instance):
     # the two-diagram row is the greedy walk's sum of side * residual over
@@ -187,7 +188,12 @@ def pairs(matching, mirror=False):
     )
 
 
-@over_families(max_examples=25, at_least={"uniform": 75, "gaussian": 75}, max_units=EXACT_UNITS)
+@over_families(
+    max_examples=25,
+    at_least={"uniform": 75, "gaussian": 75},
+    wide={"uniform": (68, 38), "gaussian": (68, 38)},
+    max_units=400,
+)
 def test_swap_symmetry(instance):
     # exact to 1e-12 relative; the flowtree pairs mirror each other at equal
     # cost, and the embedding rows are equal
@@ -202,7 +208,7 @@ def test_swap_symmetry(instance):
     assert placed.embedding_row(0, [1]) == placed.embedding_row(1, [0])
 
 
-@over_families(max_examples=25, max_units=EXACT_UNITS)
+@over_families(max_examples=25, max_units=60)
 def test_merged_multiplicities(instance):
     # the first diagram listed with each multiplicity split over two rows,
     # in reverse order, through either constructor: the same diagram, and

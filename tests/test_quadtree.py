@@ -440,7 +440,7 @@ def geometry_batches(draw):
     for _ in range(draw(st.integers(1, 6))):
         kind = draw(st.sampled_from(["pool", "single", "shared", "far"]))
         family = None if kind in ("pool", "single") else "uniform"
-        pool = np.array(draw(points(family, max_points=20)))
+        pool = np.array(draw(points(family, max_points=40)))
         if kind == "single":
             pool = pool[:1]
         elif kind == "shared" and sets:
@@ -478,6 +478,14 @@ class TestGeometryBatch:
         assert geometry.levels > TreeConfig(seed=0).max_levels_cap
         assert geometry.tree(TreeConfig(seed=0)).truncated
         assert not other.tree(TreeConfig(seed=0)).truncated
+
+    def test_l2_gap_that_squares_to_zero(self):
+        # two distinct points whose L2 gap squares to 0: the geometry takes
+        # the Linf separation and builds a (truncated) tree
+        points = [(0.0, 0.001), (2.868943756372454e-207, 0.001), (0.0, 0.0010000000000000002)]
+        l2, linf = (tree_geometry(points, m) for m in (GroundMetric.L2, GroundMetric.LINF))
+        assert l2.min_separation == linf.min_separation == 2.868943756372454e-207
+        assert l2.levels == linf.levels and l2.tree(TreeConfig(seed=0)).truncated
 
     def test_first_refused_set_raises(self):
         # the error is the one tree_geometry raises on the first set it
@@ -528,7 +536,7 @@ def separation_sets(draw):
     n = draw(st.integers(1, 80))
     rng = np.random.default_rng(draw(SEEDS))
     if kind == "family":
-        pts = np.array(draw(points(max_points=40)))
+        pts = np.array(draw(points(max_points=80)))
     elif kind == "clustered":
         centres = rng.uniform(0.0, 100.0, (3, 2))
         spread = 10.0 ** draw(st.integers(-12, 0))
