@@ -31,8 +31,15 @@ import numpy as np
 from benchlib import median_ms, write_report
 
 import dgmdist.flowtree
-from dgmdist import GroundMetric, PlacedDiagrams, gen_gaussian, knn_distances
-from dgmdist.evaluate import _tree
+from dgmdist import (
+    GroundMetric,
+    PlacedDiagrams,
+    TreeConfig,
+    build_tree,
+    gen_gaussian,
+    knn_distances,
+    union_coords,
+)
 
 # the first set has the shape of perfbench's knn-gaussian rounds
 SETS = (
@@ -99,7 +106,7 @@ def walk_counts(queries, candidates, method):
 
 def shared_tree(diagrams):
     """The tree knn_distances builds over queries and candidates."""
-    return _tree(METHODS, diagrams, 0, GroundMetric.L2)
+    return build_tree(union_coords(diagrams), TreeConfig(seed=0, ground_metric=GroundMetric.L2))
 
 
 def embedding_stages(queries, candidates, runs):

@@ -9,8 +9,9 @@ milliseconds of
   embedding alone and by both, which the walk serves at once.
 
 The 100- and 200-point pairs are also timed as `runtime_bench` times one
-pair: placement and walk of one method together (`evaluate._rows` on the
-built tree), the small-call fixed cost. A call far below a millisecond is
+pair: placement and walk of one method together (`PlacedDiagrams(tree,
+pair).distances([0], [1], (method,))` on the built tree), the small-call
+fixed cost. A call far below a millisecond is
 timed in blocks of calls, and its time is per call.
 
 Usage, from anywhere in the repository:
@@ -27,8 +28,7 @@ import sys
 
 from benchlib import median_ms, write_report
 
-from dgmdist import GroundMetric, PlacedDiagrams, gen_uniform
-from dgmdist.evaluate import _rows, _tree
+from dgmdist import GroundMetric, PlacedDiagrams, TreeConfig, build_tree, gen_uniform, union_coords
 
 METHODS = {
     "flowtree": ("flowtree",),
@@ -66,7 +66,8 @@ def main(argv=None):
     rows = []
     for n in sizes:
         pair = tuple(gen_uniform(n, seed) for seed in SEEDS)
-        tree = _tree(METHODS["both"], pair, TREE_SEED, GroundMetric.L2)
+        config = TreeConfig(seed=TREE_SEED, ground_metric=GroundMetric.L2)
+        tree = build_tree(union_coords(pair), config)
         placed = PlacedDiagrams(tree, pair)
         # blocks of about 20,000 points: one call from 10,000 points per side up
         calls = max(1, 10_000 // n)
@@ -83,7 +84,7 @@ def main(argv=None):
         if n in SMALL:
             for method in ("flowtree", "embedding"):
                 row[f"single_pair_{method}_ms"] = per_call_ms(
-                    lambda: _rows(pair[:1], pair[1:], [method], GroundMetric.L2, tree),
+                    lambda: PlacedDiagrams(tree, pair).distances([0], [1], (method,)),
                     args.runs,
                     calls,
                 )

@@ -5,10 +5,10 @@ result; dist with a tree method prints what multi_tree_estimate returns,
 and eval's tables are those evaluate.eval_report writes.
 
 Exit codes: 0 success, 2 usage (including invalid option values, such as
---trees 0, an unknown or repeated eval/bench method or metric, non-ascending
-sizes, a negative --seed and a non-integer or negative DGMDIST_SEED), 3
-diagram parse error (including a multiplicity, or a sum of them, past
-int64), 4 oracle size cap, 5 internal error. The first stderr line echoes
+--trees 0, an unknown or repeated eval/bench method or metric, sizes that
+do not strictly ascend, a negative --seed and a non-integer or negative
+DGMDIST_SEED), 3 diagram parse error (including a multiplicity, or a sum of
+them, past int64), 4 oracle size cap, 5 internal error. The first stderr line echoes
 the fully resolved arguments, so every run can be reproduced from its log.
 Without --seed the seed is read from the DGMDIST_SEED environment
 variable, else 0.
@@ -42,7 +42,7 @@ from .evaluate import (
     METHODS,
     BenchRow,
     _columns,
-    _tree,
+    _trees,
     eval_report,
     knn_distances,
     runtime_bench,
@@ -128,8 +128,8 @@ def _sizes(text: str, option: str) -> list[int]:
         sizes = [int(s) for s in text.split(",")]
     except ValueError:
         raise UsageError(f"{option} must be comma-separated integers, got {text!r}") from None
-    if sizes[0] < 1 or sizes != sorted(sizes):
-        raise UsageError(f"{option} must be positive and ascending, got {text!r}")
+    if sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise UsageError(f"{option} must be positive and strictly ascending, got {text!r}")
     return sizes
 
 
@@ -217,7 +217,7 @@ def cmd_dist(args) -> int:
 
 def cmd_embed(args) -> int:
     names, diagrams = _load_dir(args.input)
-    tree = _tree(["embedding"], diagrams, args.seed, GroundMetric(args.metric))
+    (tree,) = _trees([diagrams], [args.seed], GroundMetric(args.metric))
     if tree is None:
         raise UsageError("no diagram holds a point; there is nothing to embed")
     out_dir = Path(args.out)

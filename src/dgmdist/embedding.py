@@ -45,13 +45,12 @@ class EmbeddingVector:
 
     cells holds (level, ix, iy) rows in lexicographic order and values the
     matching side*count coordinates; zero values and terminal cells never
-    appear. Two vectors are == when all four fields are equal.
+    appear. Two vectors are == when all three fields are equal.
     """
 
     tree_signature: str
     cells: np.ndarray
     values: np.ndarray
-    total_mass: int | None = None
 
     def __len__(self) -> int:
         return len(self.values)
@@ -61,7 +60,6 @@ class EmbeddingVector:
             return NotImplemented
         return (
             self.tree_signature == other.tree_signature
-            and self.total_mass == other.total_mass
             and np.array_equal(self.cells, other.cells)
             and np.array_equal(self.values, other.values)
         )
@@ -87,7 +85,6 @@ def embed(tree: ShiftedQuadtree, diagram: PersistenceDiagram) -> EmbeddingVector
         tree_signature=tree.signature,
         cells=np.concatenate(cells),
         values=np.concatenate(values),
-        total_mass=diagram.total_count,
     )
 
 

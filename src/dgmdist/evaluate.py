@@ -4,22 +4,24 @@ The tree methods read their distances from flowtree walks of many pairs at
 once (PlacedDiagrams.distances): flowtree costs each pair's matching in the
 ground metric, embedding sums side * residual, the pair's mass left
 unmatched after every level. So an embedding distance here is the exactly
-rounded value that multi_tree_estimate gives on the same tree. _tree is the
-one rule for the tree the tree methods share.
+rounded value that multi_tree_estimate gives on the same tree. _trees is
+the one rule for every harness tree: the tree over a group of diagrams'
+points, one geometry call for many groups.
 - _rows gives every query's distances to its candidates by each method, for
-  knn_distances, eval_report's recall and ranking tables and the runtime
-  table (one query, one candidate). Its tree methods place queries and
-  candidates once and walk all query-candidate pairs together.
+  knn_distances and eval_report's recall and ranking tables. Its tree
+  methods share one tree over queries and candidates, place them once and
+  walk all query-candidate pairs together.
 - error_suite solves the exact ground truth of its sampled pairs first, then
   takes one metric at a time, as a geometry pass and a placement hold one
-  ground metric: the metric's trees, each kept pair's own (their
-  geometries computed in one call, _trees, by _tree's rule) or the shared
-  one, then one PlacedDiagrams.distances call over its kept pairs. Its
-  exact method reuses the truth.
+  ground metric: the metric's trees (each kept pair's own or one over the
+  dataset, from one _trees call), then one PlacedDiagrams.distances call
+  over its kept pairs. Its exact method reuses the truth.
+- runtime_bench times the engines themselves on one pair per size:
+  exact_distance, and a placement and walk on the pair's tree.
 recall_at_m and ranking_table compute nothing themselves; they only reduce
 knn_distances rows, so the exact ground truth of a query set is solved once
 and shared by every method. eval_report writes every table of `dgmdist
-eval`.
+eval`, reading its exact and tree rows from one _rows call.
 
 All aggregates are pure functions of (dataset, seed); reruns with identical
 seeds reproduce CSV bodies byte-for-byte apart from timing columns. `workers`
@@ -45,7 +47,7 @@ import numpy as np
 from .diagram import GroundMetric, PersistenceDiagram, gen_uniform
 from .exact import SizeCapError, exact_distance
 from .flowtree import PlacedDiagrams
-from .quadtree import ShiftedQuadtree, TreeConfig, _geometries, build_tree, union_coords
+from .quadtree import ShiftedQuadtree, TreeConfig, _geometries, union_coords
 
 log = logging.getLogger(__name__)
 
@@ -113,32 +115,16 @@ def _check_methods(methods: Sequence[str]) -> None:
             raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
 
 
-def _tree(
-    methods: Sequence[str],
-    diagrams: Sequence[PersistenceDiagram],
-    seed: int,
-    metric: GroundMetric,
-) -> ShiftedQuadtree | None:
-    """The tree over the diagrams' points that the tree methods share; None
-    when no tree method is among methods or no diagram holds a point."""
-    if not any(m in TREE_METHODS for m in methods):
-        return None
-    points = union_coords(diagrams)
-    if not len(points):
-        return None
-    return build_tree(points, TreeConfig(seed=seed, ground_metric=metric))
-
-
 def _trees(
-    methods: Sequence[str],
     groups: Sequence[Sequence[PersistenceDiagram]],
     seeds: Sequence[int],
     metric: GroundMetric,
 ) -> list[ShiftedQuadtree | None]:
-    """_tree(methods, groups[k], seeds[k], metric) for every k, bit for bit,
-    with every tree's geometry computed in one quadtree._geometries call."""
-    if not any(m in TREE_METHODS for m in methods):
-        return [None] * len(groups)
+    """The harness's tree rule: per k, the tree over the points of the
+    diagrams of groups[k] with seed seeds[k], which is build_tree's tree
+    over union_coords(groups[k]), bit for bit; None when no diagram of the
+    group holds a point. Every tree's geometry comes from one
+    quadtree._geometries call."""
     points = [union_coords(diagrams) for diagrams in groups]
     built = [k for k, p in enumerate(points) if len(p)]
     geometries = _geometries([points[k] for k in built], metric)
@@ -176,17 +162,18 @@ def _rows(
     candidates: Sequence[PersistenceDiagram],
     methods: Sequence[str],
     metric: GroundMetric,
-    tree: ShiftedQuadtree | None,
+    seed: int,
     workers: int = 1,
 ) -> dict[str, list[list[float] | None]]:
     """Each method's rows, one row of distances to every candidate per query.
 
-    tree is _tree's tree over queries and candidates; with None the tree
-    methods give 0.0 rows, as no diagram holds a point. An exact row is None
-    when the oracle cap was exceeded. Exact rows are solved on up to
-    `workers` processes, one query per job. The tree methods place queries
-    and candidates together once and read every row from one
-    PlacedDiagrams.distances call over all query-candidate pairs.
+    An exact row is None when the oracle cap was exceeded. Exact rows are
+    solved on up to `workers` processes, one query per job. The tree
+    methods share _trees' tree of seed `seed` over queries and candidates,
+    built only when a tree method is asked for, place them together once
+    and read every row from one PlacedDiagrams.distances call over all
+    query-candidate pairs. When no diagram holds a point there is no tree,
+    and the tree methods give 0.0 rows.
     """
     rows: dict[str, list[list[float] | None]] = {}
     if "exact" in methods:
@@ -195,6 +182,7 @@ def _rows(
     tree_methods = tuple(m for m in TREE_METHODS if m in methods)
     if not tree_methods:
         return rows
+    (tree,) = _trees([[*queries, *candidates]], [seed], metric)
     if tree is None:
         rows.update((m, [[0.0] * len(candidates) for _ in queries]) for m in tree_methods)
         return rows
@@ -229,8 +217,8 @@ def error_suite(
     The ground truths are solved first, on up to `workers` processes, one
     pair per job. A pair over the oracle cap is skipped; a pair and metric
     with zero truth are excluded, as the relative error is undefined. Then,
-    one metric at a time, the metric's trees are built (the kept pairs' own
-    in one _trees call, or one _tree over the dataset) and its kept pairs
+    one metric at a time, the metric's trees are built in one _trees call
+    (the kept pairs' own, or one over the dataset) and its kept pairs
     are walked together in one PlacedDiagrams.distances call, each pair on
     its tree; both tree methods are read from the same walks.
     """
@@ -282,9 +270,9 @@ def error_suite(
             continue
         if tree_policy == "per_pair":
             groups = [(dataset[kept[p][1]], dataset[kept[p][2]]) for p in positions]
-            trees = _trees(methods, groups, [kept[p][5] for p in positions], metric)
+            trees = _trees(groups, [kept[p][5] for p in positions], metric)
         else:
-            trees = [_tree(methods, dataset, seed, metric)] * len(positions)
+            trees = _trees([dataset], [seed], metric) * len(positions)
         placed = PlacedDiagrams(
             [tree for tree in trees for _ in "ab"],
             [dataset[side] for p in positions for side in kept[p][1:3]],
@@ -368,8 +356,7 @@ def knn_distances(
     if not candidates:
         raise ValueError("candidates must be non-empty")
     _check_methods([method])
-    tree = _tree([method], [*queries, *candidates], seed, metric)
-    return _rows(queries, candidates, [method], metric, tree, workers)[method]
+    return _rows(queries, candidates, [method], metric, seed, workers)[method]
 
 
 def recall_at_m(
@@ -424,14 +411,16 @@ def runtime_bench(
 ) -> list[BenchRow]:
     """Wall-clock scaling of distance computation over synthetic diagrams.
 
-    Per size, one tree over the pair serves every tree method, and its build
-    time is each tree-method row's tree_seconds (0.0 for exact rows); the
-    per-rep timing covers only the distance computation on the already
-    built tree. The exact method times the full assignment solve, after one
-    untimed solve per size.
+    Per size, one tree over the pair (_trees) serves every tree method, and
+    its build time is each tree-method row's tree_seconds (0.0 for exact
+    rows, and no tree is built without a tree method). A tree method's rep
+    times the pair's placement and walk on that tree,
+    PlacedDiagrams(tree, pair).distances([0], [1], (method,)). The exact
+    method's rep times exact_distance, after one untimed solve per size;
+    over the oracle cap, that solve raises SizeCapError.
     """
-    if list(sizes) != sorted(sizes):
-        raise ValueError("sizes must be ascending")
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("sizes must be strictly ascending")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     _check_methods(methods)
@@ -441,21 +430,24 @@ def runtime_bench(
         first = gen_uniform(size, int(rng.integers(0, 2**31 - 1)))
         second = gen_uniform(size, int(rng.integers(0, 2**31 - 1)))
         tree_seed = int(rng.integers(0, 2**31 - 1))
-        t0 = time.perf_counter()
-        tree = _tree(methods, (first, second), tree_seed, metric)
-        tree_seconds = 0.0 if tree is None else time.perf_counter() - t0
+        tree_seconds = 0.0
+        if any(m in TREE_METHODS for m in methods):
+            t0 = time.perf_counter()
+            (tree,) = _trees([(first, second)], [tree_seed], metric)
+            tree_seconds = time.perf_counter() - t0
         for method in methods:
             if method == "exact":
                 # one untimed solve first: exact_distance imports its solver
                 # on first use, and no timed rep may pay that
-                _rows((first,), (second,), [method], metric, tree)
+                exact_distance(first, second, metric)
             times = []
             for _ in range(reps):
                 t0 = time.perf_counter()
-                (row,) = _rows((first,), (second,), [method], metric, tree)[method]
+                if method == "exact":
+                    exact_distance(first, second, metric)
+                else:
+                    PlacedDiagrams(tree, (first, second)).distances([0], [1], (method,))
                 times.append(time.perf_counter() - t0)
-            if row is None:  # capped: raise the oracle's own SizeCapError
-                exact_distance(first, second, metric)
             rows.append(
                 BenchRow(
                     size=size,
@@ -498,11 +490,13 @@ def eval_report(
     Writes pair_errors and error_stats (error_suite), then recall and
     ranking over a seeded 10/90 query/candidate split under metrics[0], then
     runtime (runtime_bench), each as .csv and .json, each as soon as it is
-    computed. The exact rows of the split are solved once and serve as
-    method exact's rows too. A query over the oracle cap raises SizeCapError
-    after recall is written and before ranking is. Arguments are checked by
-    the functions that use them, as they run. Returns the error suite, whose
-    skipped_pairs count the pairs over the oracle cap.
+    computed. The split's rows come from one _rows call: its exact rows,
+    solved once, serve as the ground truth and as method exact's rows, and
+    both tree methods read the same walks on the tree of seed `seed`. A
+    query over the oracle cap raises SizeCapError after recall is written
+    and before ranking is. Arguments are checked by the functions that use
+    them, as they run. Returns the error suite, whose skipped_pairs count
+    the pairs over the oracle cap.
     """
     out_dir = Path(out_dir)
     suite = error_suite(
@@ -521,14 +515,11 @@ def eval_report(
     candidates = [dataset[i] for i in cand_idx]
 
     primary_metric = metrics[0]
-    true_rows = knn_distances(queries, candidates, "exact", primary_metric, workers=workers)
-    # knn_distances' tree for seed: both tree methods read the same walks
     tree_methods = [m for m in methods if m in TREE_METHODS]
-    tree = _tree(tree_methods, [*queries, *candidates], seed, primary_metric)
-    rows_by_method = {
-        "exact": true_rows,
-        **_rows(queries, candidates, tree_methods, primary_metric, tree),
-    }
+    rows_by_method = _rows(
+        queries, candidates, ["exact", *tree_methods], primary_metric, seed, workers
+    )
+    true_rows = rows_by_method["exact"]
 
     columns = ["method", "ground_metric", "m", "recall"]
     recall_rows = []

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
 import hashlib
 import json
 import os
@@ -724,15 +725,19 @@ class TestEval:
     def test_capped_query_exits_after_recall(self, tmp_path, capsys, monkeypatch):
         import dgmdist.evaluate
 
-        knn = dgmdist.evaluate.knn_distances
+        exact_rows = dgmdist.evaluate._exact_rows
+        jobs_per_call = []
 
-        def first_query_capped(queries, candidates, method, *args, **kwargs):
-            rows = knn(queries, candidates, method, *args, **kwargs)
-            if method == "exact":
+        def first_query_capped(jobs, workers):
+            # the second call solves the split's exact rows, after the error
+            # suite's truths: its first query is over the oracle cap
+            rows = exact_rows(jobs, workers)
+            jobs_per_call.append(len(jobs))
+            if len(jobs_per_call) == 2:
                 rows[0] = None
             return rows
 
-        monkeypatch.setattr(dgmdist.evaluate, "knn_distances", first_query_capped)
+        monkeypatch.setattr(dgmdist.evaluate, "_exact_rows", first_query_capped)
         data = tmp_path / "data"
         run(capsys, "gen", "--kind", "uniform", "--count", "20",
             "--max-size", "8", "--seed", "5", "--out", str(data))
@@ -752,6 +757,64 @@ class TestEval:
             "recall.csv",
             "recall.json",
         ]
+        assert jobs_per_call == [4, 2]  # 4 pairs, then 2 queries of 20 diagrams
+
+    @pytest.mark.parametrize("metrics", ["l2", "l1,l2"])
+    def test_knn_tables_are_knn_distances_rows(self, tmp_path, capsys, metrics):
+        # recall and ranking are recall_at_m and ranking_table of each
+        # method's knn_distances rows under the first metric, on the split
+        # that ranking.csv names
+        import dgmdist.evaluate as evaluate
+
+        data = tmp_path / "data"
+        run(capsys, "gen", "--kind", "uniform", "--count", "20",
+            "--max-size", "8", "--seed", "5", "--out", str(data))
+        out = tmp_path / "report"
+        code, _, err = run(
+            capsys,
+            "eval", "--data", str(data), "--out", str(out), "--metrics", metrics,
+            "--methods", "exact,embedding,flowtree", "--n-pairs", "3", "--bench-sizes", "10", "--reps", "1", "--seed", "7",
+        )
+        assert code == EXIT_OK, err
+        _, dataset = cli._load_dir(data)
+        metric = GroundMetric(metrics.split(",")[0])
+        ranking = read_csv_rows(out / "ranking.csv")
+        query_idx = sorted({int(row["query"]) for row in ranking})
+        cand_idx = sorted({int(row["candidate"]) for row in ranking})
+        assert len(query_idx) == 2 and len(query_idx) + len(cand_idx) == 20
+        queries = [dataset[i] for i in query_idx]
+        candidates = [dataset[i] for i in cand_idx]
+        rows = {
+            method: evaluate.knn_distances(queries, candidates, method, metric, 7)
+            for method in evaluate.METHODS
+        }
+        recall, ranks = [], []
+        for method, approx in rows.items():
+            curve, skipped = evaluate.recall_at_m(rows["exact"], approx, method)
+            assert skipped == 0
+            recall.extend(
+                {"method": method, "ground_metric": metric.value, "m": str(m), "recall": str(r)}
+                for m, r in zip(curve.m_values, curve.recall)
+            )
+            for q, true_d, approx_d in zip(query_idx, rows["exact"], approx):
+                ranks.extend(
+                    {
+                        "method": method,
+                        "ground_metric": metric.value,
+                        "query": str(q),
+                        "candidate": str(cand_idx[c]),
+                        "true_rank": str(tr),
+                        "approx_rank": str(ar),
+                    }
+                    for c, (tr, ar) in enumerate(evaluate.ranking_table(true_d, approx_d))
+                )
+        assert read_csv_rows(out / "recall.csv") == recall
+        assert ranking == ranks
+
+
+def read_csv_rows(path):
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestOptionValues:
@@ -769,6 +832,8 @@ class TestOptionValues:
             ("eval", ["--methods", "flowtree,flowtree"]),
             ("eval", ["--metrics", "l2,l1,l2"]),
             ("bench", ["--methods", "embedding,embedding"]),
+            ("bench", ["--sizes", "5,5"]),
+            ("eval", ["--bench-sizes", "10,20,20"]),
         ],
     )
     def test_bad_option_value_is_usage_error(self, tmp_path, capsys, command, options):

@@ -77,11 +77,6 @@ class TestEmbed:
             )
         assert set(keys) == clear
 
-    def test_total_mass_recorded(self):
-        first, _ = random_pair(5)
-        tree = pair_tree(first, first, seed=2)
-        assert embed(tree, first).total_mass == first.total_count
-
     def test_outside_point_rejected(self):
         small = PersistenceDiagram([(0, 4)])
         far = PersistenceDiagram([(50, 90)])
@@ -180,7 +175,6 @@ class TestEmbeddingIndex:
             expected = reference.embed(tree, diagram)
             assert vector.cells.tolist() == [list(cell) for cell, _ in expected]
             assert vector.values.tolist() == [value for _, value in expected]
-            assert vector.total_mass == diagram.total_count
 
     @pytest.mark.parametrize("metric", list(GroundMetric))
     def test_rows_equal_l1_distance(self, metric):
@@ -276,6 +270,16 @@ class TestVectorFiles:
         ra, rb = read_vector(tmp_path / "a.vec"), read_vector(tmp_path / "b.vec")
         assert ra.tree_signature == tree.signature
         assert l1_distance(ra, rb) == l1_distance(va, vb)
+
+    @pytest.mark.parametrize("metric", list(GroundMetric))
+    def test_round_trip_is_equal(self, tmp_path, metric):
+        # a read vector is == to the one written, the empty one included
+        diagrams = TestEmbeddingIndex().dataset()
+        tree = build_tree(union_coords(diagrams), TreeConfig(seed=6, ground_metric=metric))
+        for diagram in diagrams:
+            vector = embed(tree, diagram)
+            write_vector(vector, tmp_path / "v.vec")
+            assert read_vector(tmp_path / "v.vec") == vector
 
     def test_written_bytes_deterministic(self, tmp_path):
         first, second = random_pair(12)

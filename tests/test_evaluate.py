@@ -189,22 +189,16 @@ class TestErrorSuite:
     def test_tree_methods_equal_pair_path(self, small_dataset, monkeypatch, tree_policy, metric):
         # single pairs are read from two-diagram engines; each value is the
         # exact embedding cost or greedy_match's cost, bit for bit, on the
-        # tree the suite built for it
-        # per_pair builds its trees in one _trees call, whole_dataset one
-        # _tree per metric
+        # tree the suite built for it; per_pair builds one tree per pair,
+        # whole_dataset one tree per metric, each in one _trees call
         trees = []
-        build, build_all = dgmdist.evaluate._tree, dgmdist.evaluate._trees
-
-        def recording(*args):
-            trees.append(build(*args))
-            return trees[-1]
+        build_all = dgmdist.evaluate._trees
 
         def recording_all(*args):
             built = build_all(*args)
             trees.extend(built)
             return built
 
-        monkeypatch.setattr(dgmdist.evaluate, "_tree", recording)
         monkeypatch.setattr(dgmdist.evaluate, "_trees", recording_all)
         result = error_suite(
             small_dataset,
@@ -226,20 +220,18 @@ class TestErrorSuite:
             assert row.d_approx == expected
 
     def test_trees_follow_the_tree_rule(self, small_dataset):
-        # the per-pair trees, all built in one geometry call, are _tree's:
-        # None without points or without a tree method
+        # the trees, all built in one geometry call, are build_tree's over
+        # each group's points: None when no diagram of the group has one
         empty = PersistenceDiagram([])
         groups = [small_dataset[:2], (empty, empty), small_dataset[3:5], small_dataset[6:7]]
         seeds = [4, 5, 6, 7]
         for metric in GroundMetric:
-            trees = dgmdist.evaluate._trees(["flowtree"], groups, seeds, metric)
-            expected = [
-                dgmdist.evaluate._tree(["flowtree"], group, seed, metric)
-                for group, seed in zip(groups, seeds)
-            ]
-            assert trees[1] is None and expected[1] is None
-            assert [t and t.meta() for t in trees] == [t and t.meta() for t in expected]
-            assert dgmdist.evaluate._trees(["exact"], groups, seeds, metric) == [None] * 4
+            trees = dgmdist.evaluate._trees(groups, seeds, metric)
+            assert trees[1] is None
+            for k in (0, 2, 3):
+                config = TreeConfig(seed=seeds[k], ground_metric=metric)
+                expected = build_tree(union_coords(groups[k]), config)
+                assert trees[k].meta() == expected.meta()
 
     def test_validates_inputs(self, small_dataset):
         with pytest.raises(ValueError):
@@ -385,6 +377,22 @@ class TestKnnDistances:
         )
         assert len(pools) == 2  # the error suite's truths and the exact knn rows
 
+    def test_one_tree_per_tree_method_call(self, small_dataset, monkeypatch):
+        # a tree method's rows share one tree over queries and candidates;
+        # exact rows build none
+        trees = dgmdist.evaluate._trees
+        group_sizes = []
+
+        def counting(groups, seeds, metric):
+            group_sizes.append([len(group) for group in groups])
+            return trees(groups, seeds, metric)
+
+        monkeypatch.setattr(dgmdist.evaluate, "_trees", counting)
+        queries, candidates = small_dataset[:3], small_dataset[3:]
+        for method in METHODS:
+            knn_distances(queries, candidates, method, L2, seed=2)
+        assert group_sizes == [[len(small_dataset)]] * len(TREE_METHODS)
+
     @pytest.mark.parametrize("method", METHODS)
     def test_no_point_anywhere_gives_zero_rows(self, method):
         # as for exact, and as multi_tree_estimate does for two empty
@@ -433,47 +441,48 @@ class TestRuntimeBench:
         small, large = rows[0], rows[1]
         assert large.mean_seconds >= 0.8 * small.mean_seconds
 
-    def test_sizes_must_ascend(self):
-        with pytest.raises(ValueError):
-            runtime_bench([100, 50], ["flowtree"], seed=0, reps=1)
+    @pytest.mark.parametrize("sizes", [[100, 50], [100, 100]])
+    def test_sizes_must_ascend(self, sizes):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            runtime_bench(sizes, ["flowtree"], seed=0, reps=1)
 
     def test_exact_cells_solve_once_untimed(self, monkeypatch):
         # an exact cell makes one untimed call before its reps, so that no
         # timed rep pays the solver's first import; a tree-method cell
-        # imports nothing and runs its reps only
-        rows_fn = dgmdist.evaluate._rows
+        # calls no exact solver
+        exact = dgmdist.evaluate.exact_distance
         calls = []
 
-        def counting(first, second, methods, metric, tree):
-            calls.append(tuple(methods))
-            return rows_fn(first, second, methods, metric, tree)
+        def counting(first, second, metric):
+            calls.append((len(first), len(second)))
+            return exact(first, second, metric)
 
-        monkeypatch.setattr(dgmdist.evaluate, "_rows", counting)
+        monkeypatch.setattr(dgmdist.evaluate, "exact_distance", counting)
         methods = ["exact", "embedding", "flowtree"]
         rows = runtime_bench([10, 20], methods, seed=3, reps=3)
         assert [(row.size, row.method, row.reps) for row in rows] == [
             (size, method, 3) for size in (10, 20) for method in methods
         ]
-        assert calls == [
-            (method,)
-            for _ in (10, 20)
-            for method in methods
-            for _ in range(3 + (method == "exact"))
-        ]
+        assert len(calls) == 2 * (3 + 1)
+        # each size's own pair, solved reps + 1 times
+        assert calls[:4] == [calls[0]] * 4 and calls[4:] == [calls[4]] * 4
+        assert calls[0] != calls[4]
 
     def test_one_tree_per_size(self, monkeypatch):
         # both tree methods read one tree per size and report its build time;
         # exact rows build none
-        build = dgmdist.evaluate.build_tree
+        trees = dgmdist.evaluate._trees
         builds = []
 
-        def counting(points, config):
-            builds.append(len(points))
-            return build(points, config)
+        def counting(groups, seeds, metric):
+            builds.append(len(groups))
+            return trees(groups, seeds, metric)
 
-        monkeypatch.setattr(dgmdist.evaluate, "build_tree", counting)
+        monkeypatch.setattr(dgmdist.evaluate, "_trees", counting)
         rows = runtime_bench([10, 20], ["exact", "embedding", "flowtree"], seed=3, reps=1)
-        assert len(builds) == 2
+        assert builds == [1, 1]
+        runtime_bench([10, 20], ["exact"], seed=3, reps=1)
+        assert builds == [1, 1]
         for size in (10, 20):
             exact, embedding, flowtree = (row for row in rows if row.size == size)
             assert exact.tree_seconds == 0.0
