@@ -5,6 +5,8 @@ Times, in process and after one untimed call, the median over the runs in
 milliseconds of
 - `error_suite` with methods embedding and flowtree under l2, 15 pairs, once
   per tree policy (per_pair, whole_dataset);
+- `error_suite` with method exact under l2, 15 pairs, at workers 1 and 2:
+  the exact oracle in line and on two threads;
 - the whole `eval_report` of `dgmdist eval --methods embedding,flowtree
   --metrics l2 --n-pairs 15 --bench-sizes 100,200 --reps 3 --workers 1`,
   written into a temporary directory.
@@ -66,6 +68,13 @@ def main(argv=None):
                 ),
                 args.runs,
             )
+        for workers in (1, 2):
+            timings[f"exact_error_suite_workers_{workers}_ms"] = median_ms(
+                lambda: error_suite(
+                    data, ["exact"], METRICS, args.seed, args.pairs, workers=workers
+                ),
+                args.runs,
+            )
         out = Path(tmp) / "report"
         out.mkdir()
         timings["eval_report_ms"] = median_ms(
@@ -80,8 +89,8 @@ def main(argv=None):
     write_report(
         args.out,
         f"error_suite and eval_report on gen uniform {args.count} x <= {args.max_size} "
-        f"(seed {args.seed}), methods embedding,flowtree, ground metric l2, "
-        f"{args.pairs} pairs, workers 1",
+        f"(seed {args.seed}), methods embedding,flowtree (exact in exact_error_suite_*), "
+        f"ground metric l2, {args.pairs} pairs, workers 1 (2 in *_workers_2_ms)",
         f"median of {args.runs} runs after one untimed call, ms",
         timings=timings,
     )

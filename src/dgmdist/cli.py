@@ -228,15 +228,11 @@ def cmd_embed(args) -> int:
     return EXIT_OK
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise UsageError("workers must be >= 1")
-
-
 def cmd_knn(args) -> int:
     if args.k < 1:
         raise UsageError("k must be >= 1")
-    _check_workers(args.workers)
+    if args.workers < 1:
+        raise UsageError("workers must be >= 1")
     query_names, queries = _load_dir(args.queries)
     cand_names, candidates = _load_dir(args.candidates)
     metric = GroundMetric(args.metric)
@@ -291,7 +287,8 @@ def cmd_eval(args) -> int:
         raise UsageError("n-pairs must be >= 1")
     if args.reps < 1:
         raise UsageError("reps must be >= 1")
-    _check_workers(args.workers)
+    if args.workers < 1:
+        raise UsageError("workers must be >= 1")
     _, dataset = _load_dir(args.data)
     if len(dataset) < 2:
         raise UsageError("dataset must contain at least two diagrams")
@@ -374,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_metric(p)
     p.add_argument("-k", type=int, default=5)
     add_seed(p)
-    p.add_argument("--workers", type=int, default=1, help="processes for the exact oracle")
+    p.add_argument("--workers", type=int, default=1, help="threads for the exact oracle")
     p.add_argument("--out", default=None, help="output CSV (default stdout)")
 
     p = sub.add_parser("eval", help="run the evaluation harness on a dataset directory")
@@ -387,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree-policy", choices=["per_pair", "whole_dataset"], default="per_pair")
     p.add_argument("--bench-sizes", default="100,200", help="sizes for the runtime table")
     p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--workers", type=int, default=1, help="processes for the exact oracle")
+    p.add_argument("--workers", type=int, default=1, help="threads for the exact oracle")
 
     p = sub.add_parser("bench", help="runtime scaling table")
     p.add_argument("--sizes", required=True, help="comma-separated diagram sizes")

@@ -252,13 +252,14 @@ class PersistenceDiagram:
 
 @contextmanager
 def _open_utf8(path: Path, error: type[Exception]):
-    """path opened as UTF-8 text, whatever the locale. A byte sequence that
-    is not UTF-8 raises error, naming the file and the line it sits on."""
+    """path opened as UTF-8 text less one leading byte-order mark, whatever
+    the locale. Bytes that are not UTF-8 raise error, naming the file and the
+    line they sit on."""
     try:
-        with path.open(encoding="utf-8") as fh:
+        with path.open(encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError:
-        # the decoder reads ahead, so find the line in the file's bytes
+        # the decoder reads ahead, so find the line in the file's bytes, BOM included
         data = path.read_bytes()
         try:
             data.decode("utf-8")

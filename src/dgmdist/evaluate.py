@@ -25,9 +25,8 @@ eval`, reading its exact and tree rows from one _rows call.
 
 All aggregates are pure functions of (dataset, seed); reruns with identical
 seeds reproduce CSV bodies byte-for-byte apart from timing columns. `workers`
-runs the exact oracle on that many processes, one pair or query per job; the
-tree methods ignore it and walk in the calling process. Aggregation is
-order-independent.
+runs the exact oracle on that many threads, one pair or query per job; the
+tree methods ignore it. Aggregation is order-independent.
 """
 
 from __future__ import annotations
@@ -134,27 +133,26 @@ def _trees(
     return trees
 
 
-def _exact_or_none(
-    triples: Sequence[tuple[PersistenceDiagram, PersistenceDiagram, GroundMetric]],
-) -> list[float] | None:
-    """Exact distances of (first, second, metric) triples, or None if the
-    oracle cap was exceeded."""
-    try:
-        return [exact_distance(a, b, metric) for a, b, metric in triples]
-    except SizeCapError:
-        return None
+def _exact_rows(jobs: Sequence, workers: int) -> list[list[float] | None]:
+    """Each job's exact distances of its (first, second, metric) triples, or
+    None when a solve exceeds the oracle cap, in job order. The jobs run on
+    up to `workers` threads, which overlap as scipy's solver releases the GIL."""
+    def solve(job):
+        try:
+            return [exact_distance(a, b, metric) for a, b, metric in job]
+        except SizeCapError:
+            return None
 
-
-def _exact_rows(jobs: list, workers: int) -> list[list[float] | None]:
-    """_exact_or_none of each job, on up to `workers` processes."""
     if workers <= 1:
-        return [_exact_or_none(job) for job in jobs]
-    # imported here, so that importing the package loads no multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+        return [solve(job) for job in jobs]
+    # imported here, so that importing the CLI loads no executor
+    from concurrent.futures import ThreadPoolExecutor
 
-    chunk = max(1, len(jobs) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_exact_or_none, jobs, chunksize=chunk))
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        return list(pool.map(solve, jobs))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _rows(
@@ -168,7 +166,7 @@ def _rows(
     """Each method's rows, one row of distances to every candidate per query.
 
     An exact row is None when the oracle cap was exceeded. Exact rows are
-    solved on up to `workers` processes, one query per job. The tree
+    solved on up to `workers` threads, one query per job. The tree
     methods share _trees' tree of seed `seed` over queries and candidates,
     built only when a tree method is asked for, place them together once
     and read every row from one PlacedDiagrams.distances call over all
@@ -214,7 +212,7 @@ def error_suite(
     metric). tree_policy chooses between one fresh tree per pair
     ("per_pair") and one tree over the whole dataset ("whole_dataset").
 
-    The ground truths are solved first, on up to `workers` processes, one
+    The ground truths are solved first, on up to `workers` threads, one
     pair per job. A pair over the oracle cap is skipped; a pair and metric
     with zero truth are excluded, as the relative error is undefined. Then,
     one metric at a time, the metric's trees are built in one _trees call
@@ -237,10 +235,8 @@ def error_suite(
         tree_seed = int(rng.integers(0, 2**31 - 1))
         sampled.append((k, int(i), int(j), tree_seed))
 
-    truths = _exact_rows(
-        [[(dataset[i], dataset[j], metric) for metric in metrics] for _, i, j, _ in sampled],
-        workers,
-    )
+    jobs = [[(dataset[i], dataset[j], m) for m in metrics] for _, i, j, _ in sampled]
+    truths = _exact_rows(jobs, workers)
 
     # the kept (pair, metric) jobs in row order, with their pairs' tree seeds
     kept = []
@@ -350,7 +346,7 @@ def knn_distances(
     the embedding method costing the matchings in the tree metric (exact,
     rounded once) and the flowtree method in the ground metric.
     When no diagram holds a point, the tree methods return 0.0 rows without
-    building a tree. `workers` is the number of processes for the exact
+    building a tree. `workers` is the number of threads for the exact
     method, one query per job; the tree methods ignore it.
     """
     if not candidates:

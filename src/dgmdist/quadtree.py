@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from typing import Iterable
@@ -67,7 +68,11 @@ class TreeConfig:
     ground_metric: GroundMetric = GroundMetric.L2
 
     def __post_init__(self):
-        if self.seed < 0:
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            seed = -1
+        if seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if not 2 <= self.max_levels_cap <= MAX_LEVELS:
             raise ValueError(f"max_levels_cap must lie in [2, {MAX_LEVELS}]")

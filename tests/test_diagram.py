@@ -493,8 +493,7 @@ class TestBulkParse:
             "0 4 0\n5 1\n",
             f"0 4 {2**63}\n",
             f"0 4 {2**62}\n0 4 {2**62}\n",
-            "\ufeff0 4\n",
-            "\ufeff# header\n0 4\n",
+            "\ufeff\ufeff0 4\n",
         ],
     )
     def test_each_rule_reports_as_the_line_scan(self, tmp_path, text):
@@ -514,12 +513,26 @@ class TestBulkParse:
             "0 4\r\n1 5 3\r\n",
             "0 4\r1 5\r",
             "0\x0c4\n1\x855\n1\u30005\t2",
+            "\ufeff0 4\n",
+            "\ufeff# header\n0 4\n",
         ],
     )
     def test_valid_files_skip_the_line_scan(self, tmp_path, no_line_scan, text):
         path = tmp_path / "d.txt"
         path.write_bytes(text.encode("utf-8"))
         assert load_diagram(path) == reference.line_scan_diagram(path)
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # one leading BOM is not part of the first line; a byte that is not
+        # UTF-8 is still named by its line in the file
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(b"0 1\n2 5 3\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_diagram(marked) == load_diagram(plain)
+        assert reference.line_scan_diagram(marked) == load_diagram(plain)
+        marked.write_bytes(b"\xef\xbb\xbf0 1\n\xff\n")
+        with pytest.raises(DiagramParseError, match="^marked.txt: not UTF-8 text at line 2$"):
+            load_diagram(marked)
 
     def test_round_trips_skip_the_line_scan(self, tmp_path, no_line_scan):
         rng = np.random.default_rng(3)

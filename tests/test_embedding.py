@@ -281,6 +281,13 @@ class TestVectorFiles:
             write_vector(vector, tmp_path / "v.vec")
             assert read_vector(tmp_path / "v.vec") == vector
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        first, second = random_pair(13)
+        write_vector(embed(pair_tree(first, second, seed=4), first), tmp_path / "v.vec")
+        marked = tmp_path / "marked.vec"
+        marked.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "v.vec").read_bytes())
+        assert read_vector(marked) == read_vector(tmp_path / "v.vec")
+
     def test_written_bytes_deterministic(self, tmp_path):
         first, second = random_pair(12)
         tree = pair_tree(first, second, seed=9)

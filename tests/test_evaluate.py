@@ -2,6 +2,8 @@
 
 import concurrent.futures
 import dataclasses
+import os
+import threading
 
 import pytest
 
@@ -45,7 +47,7 @@ def small_dataset():
 
 
 def cap_oracle(monkeypatch, cap):
-    """Make the exact solver use a small size cap (workers=1 only)."""
+    """Make the exact solver use a small size cap."""
     monkeypatch.setattr(dgmdist.exact, "DEFAULT_SIZE_CAP", cap)
 
 
@@ -302,6 +304,7 @@ class TestRecall:
         cap = max(largest) - 1
         cap_oracle(monkeypatch, cap)
         true_rows = knn_distances(queries, candidates, "exact", L2, workers=1)
+        assert knn_distances(queries, candidates, "exact", L2, workers=2) == true_rows
         approx_rows = knn_distances(queries, candidates, "flowtree", L2, seed=1)
         curve, skipped = recall_at_m(true_rows, approx_rows, "flowtree")
         capped = [n > cap for n in largest]
@@ -353,15 +356,15 @@ class TestKnnDistances:
 
     def test_only_exact_rows_start_a_pool(self, small_dataset, monkeypatch, tmp_path):
         # workers spreads the exact oracle only: the tree rows are one walk
-        # in the calling process, whatever workers is
+        # on the calling thread, whatever workers is
         pools = []
-        real = concurrent.futures.ProcessPoolExecutor
+        real = concurrent.futures.ThreadPoolExecutor
 
         def counting(*args, **kwargs):
             pools.append(kwargs)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counting)
         queries, candidates = small_dataset[:3], small_dataset[3:]
         for method in TREE_METHODS:
             rows = knn_distances(queries, candidates, method, L2, seed=2, workers=2)
@@ -376,6 +379,40 @@ class TestKnnDistances:
             tree_policy="per_pair", bench_sizes=[10], reps=1, workers=2,
         )
         assert len(pools) == 2  # the error suite's truths and the exact knn rows
+
+    def test_workers_solve_in_the_calling_process(self, small_dataset, monkeypatch):
+        # the pool's threads see a patched solver: every solve is recorded
+        # here, off the calling thread, on no more threads than jobs
+        solves = []
+
+        def recording(first, second, metric):
+            solves.append((os.getpid(), threading.get_ident(), id(first), id(second)))
+            return exact_distance(first, second, metric)
+
+        monkeypatch.setattr(dgmdist.evaluate, "exact_distance", recording)
+        queries, candidates = small_dataset[:3], small_dataset[3:]
+        rows = knn_distances(queries, candidates, "exact", L2, workers=8)
+        assert rows == [[exact_distance(q, c, L2) for c in candidates] for q in queries]
+        assert sorted(solve[2:] for solve in solves) == sorted(
+            (id(q), id(c)) for q in queries for c in candidates
+        )
+        assert {solve[0] for solve in solves} == {os.getpid()}
+        threads = {solve[1] for solve in solves}
+        assert threading.get_ident() not in threads and len(threads) <= len(queries)
+
+    def test_other_solver_errors_propagate(self, small_dataset, monkeypatch):
+        # only SizeCapError makes a None row; any other error of a solve
+        # leaves _exact_rows, as it does in line
+        def failing(first, second, metric):
+            if first is small_dataset[1]:
+                raise RuntimeError("solver failed")
+            return exact_distance(first, second, metric)
+
+        monkeypatch.setattr(dgmdist.evaluate, "exact_distance", failing)
+        jobs = [[(query, c, L2) for c in small_dataset[4:]] for query in small_dataset[:4]]
+        for workers in (1, 2):
+            with pytest.raises(RuntimeError, match="solver failed"):
+                dgmdist.evaluate._exact_rows(jobs, workers)
 
     def test_one_tree_per_tree_method_call(self, small_dataset, monkeypatch):
         # a tree method's rows share one tree over queries and candidates;

@@ -155,8 +155,8 @@ def test_tree_path_loads_no_scipy():
     assert done.stdout.splitlines() == ["ok"]
 
 
-# Run in a fresh interpreter: only a pool that _exact_rows starts needs
-# multiprocessing, so importing the CLI loads none of it.
+# Run in a fresh interpreter: no part of the package needs multiprocessing,
+# so importing the CLI loads none of it.
 CLI_IMPORT_SCRIPT = """
 import sys
 

@@ -70,6 +70,11 @@ class TestConfig:
             build_tree(union_coords((first, second)), TreeConfig(seed=-1))
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
             multi_tree_estimate(first, second, GroundMetric.L2, seeds=[-1])
+        # a seed must be an integer: numpy integers are, integral floats are not
+        assert TreeConfig(seed=np.int64(2)).seed == 2
+        for seed in (1.5, np.float64(2.0)):
+            with pytest.raises(ValueError, match=f"non-negative integer, got {seed}$"):
+                TreeConfig(seed=seed)
 
     def test_tree_levels_bounded(self):
         manual_tree(levels=MAX_LEVELS)

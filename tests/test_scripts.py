@@ -99,6 +99,8 @@ def test_bench_eval_report(tmp_path, monkeypatch):
     assert set(report["timings"]) == {
         "error_suite_per_pair_ms",
         "error_suite_whole_dataset_ms",
+        "exact_error_suite_workers_1_ms",
+        "exact_error_suite_workers_2_ms",
         "eval_report_ms",
     }
     assert all(ms > 0 for ms in report["timings"].values())
