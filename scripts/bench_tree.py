@@ -28,16 +28,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
-import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
-from benchlib import ROOT, cli, median_ms, write_report
+from benchlib import cli, median_ms, probe, write_report
 
 from dgmdist import (
     GroundMetric,
@@ -62,12 +59,6 @@ IMPORT_PROBE = (
     "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
     "scipy = any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
     "print(seconds, rss, scipy)\n"
-)
-# Linux carries a process's peak RSS across fork and exec into its child's
-# ru_maxrss, so each probe is started by a small launcher interpreter, not
-# by this process with its arrays.
-LAUNCHER = (
-    "import subprocess, sys; subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)"
 )
 
 
@@ -101,18 +92,13 @@ def suite_point_sets() -> list[np.ndarray]:
 
 def fresh_import(runs: int) -> dict:
     """Median import time and peak RSS of `import dgmdist` in new processes."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     seconds, rss, loaded = [], [], set()
     for _ in range(runs):
-        start = time.perf_counter()
-        out = subprocess.run(
-            [sys.executable, "-c", LAUNCHER, IMPORT_PROBE], env=env,
-            capture_output=True, text=True, check=True,
-        ).stdout.split()
-        wall = time.perf_counter() - start
-        seconds.append((float(out[0]), wall))
-        rss.append(int(out[1]) / 1024.0)
-        loaded.add(out[2] == "True")
+        out, wall = probe(IMPORT_PROBE)
+        import_s, maxrss, scipy = out.split()
+        seconds.append((float(import_s), wall))
+        rss.append(int(maxrss) / 1024.0)
+        loaded.add(scipy == "True")
     return {
         "import_ms": statistics.median(s for s, _ in seconds) * 1e3,
         "process_ms": statistics.median(w for _, w in seconds) * 1e3,

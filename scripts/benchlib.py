@@ -1,5 +1,5 @@
 """What the measurement scripts share: the package path, timing, quiet CLI
-runs and the report header.
+runs, fresh-interpreter probes and the report header.
 
 A script imports this module as its sibling (Python puts a script's own
 directory first on `sys.path`), and this module puts `src/` on the path, so
@@ -31,6 +31,13 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from dgmdist.cli import main as _dgmdist  # noqa: E402
+
+# Linux carries a process's peak RSS across fork and exec into its child's
+# ru_maxrss, so each probe is started by a small launcher interpreter, not
+# by the measuring process with its arrays.
+LAUNCHER = (
+    "import subprocess, sys; subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)"
+)
 
 
 def median_ms(fn, runs):
@@ -65,6 +72,18 @@ def cli(argv: list[str]) -> str:
             f"dgmdist {' '.join(argv)} exited with {code}:\n{err.getvalue()}"
         )
     return out.getvalue()
+
+
+def probe(code: str) -> tuple[str, float]:
+    """stdout of `code` run in a fresh interpreter with src/ on its path,
+    started through LAUNCHER, and the wall seconds of the whole run."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, code], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    return out, time.perf_counter() - start
 
 
 def write_report(path, benchmark: str, statistic: str, **fields) -> None:

@@ -58,6 +58,7 @@ EXIT_SIZE_CAP = 4
 EXIT_INTERNAL = 5
 
 METRIC_NAMES = [m.value for m in GroundMetric]
+WORKERS_HELP = "threads for the exact oracle; 1 is faster below a few hundred points per diagram"
 
 log = logging.getLogger("dgmdist")
 
@@ -371,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_metric(p)
     p.add_argument("-k", type=int, default=5)
     add_seed(p)
-    p.add_argument("--workers", type=int, default=1, help="threads for the exact oracle")
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.add_argument("--out", default=None, help="output CSV (default stdout)")
 
     p = sub.add_parser("eval", help="run the evaluation harness on a dataset directory")
@@ -384,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree-policy", choices=["per_pair", "whole_dataset"], default="per_pair")
     p.add_argument("--bench-sizes", default="100,200", help="sizes for the runtime table")
     p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--workers", type=int, default=1, help="threads for the exact oracle")
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
 
     p = sub.add_parser("bench", help="runtime scaling table")
     p.add_argument("--sizes", required=True, help="comma-separated diagram sizes")

@@ -433,8 +433,8 @@ def runtime_bench(
             tree_seconds = time.perf_counter() - t0
         for method in methods:
             if method == "exact":
-                # one untimed solve first: exact_distance imports its solver
-                # on first use, and no timed rep may pay that
+                # one untimed solve first: exact_distance loads its compiled
+                # solver on first use, and no timed rep may pay that
                 exact_distance(first, second, metric)
             times = []
             for _ in range(reps):

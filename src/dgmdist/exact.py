@@ -29,11 +29,21 @@ since m ≤ n leaves a free column for every row sent to the diagonal.
 is not returned. The matching is rebuilt instead: row i is crossed iff
 d − δ_q[j] < δ_p[i], the same float comparison the min made, and the result
 is the math.fsum of the crossed d, the diagonal δ_p and the uncrossed δ_q.
+
+**Solver.** scipy's `linear_sum_assignment` is one compiled module, which is
+loaded alone on the first solve: `import scipy.optimize` would load some 320
+modules and 50 MB. It is registered as `scipy.optimize._lsap`, which a later
+scipy import reuses. Without it there, the solve raises ImportError.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 
@@ -41,10 +51,30 @@ from ._rows import group_rows
 from .diagram import GroundMetric, PersistenceDiagram
 
 DEFAULT_SIZE_CAP = 4000
+_LSAP = "scipy.optimize._lsap"
+_LSAP_LOCK = threading.Lock()
 
 
 class SizeCapError(ValueError):
     """Instance too large for the exact solver; use an approximation."""
+
+
+def _linear_sum_assignment():
+    """scipy's compiled solver; its module is loaded once, under a lock, and
+    no scipy package's __init__ runs."""
+    with _LSAP_LOCK:
+        if _LSAP not in sys.modules:
+            scipy = importlib.util.find_spec("scipy")
+            where = scipy and os.path.join(scipy.submodule_search_locations[0], "optimize")
+            spec = where and importlib.machinery.PathFinder.find_spec(_LSAP, [where])
+            if not spec or not isinstance(spec.loader, importlib.machinery.ExtensionFileLoader):
+                from importlib.metadata import version  # raises if scipy is absent
+
+                raise ImportError(f"scipy {version('scipy')} has no compiled {_LSAP} in {where}")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_LSAP] = module
+    return sys.modules[_LSAP].linear_sum_assignment
 
 
 def _unshared(
@@ -89,14 +119,11 @@ def exact_distance(
     dq = metric.diagonal_distances(q)
     if len(p) == 0:
         return math.fsum(dq.tolist())
-    # imported here, so that only exact callers load scipy
-    from scipy.optimize import linear_sum_assignment
-
     d = metric.pairwise(p, q)
     cost = d - dq
     np.minimum(cost, dp[:, None], out=cost)
     # m <= n assigns every row, so the row indices are 0..m-1 in order
-    _, cols = linear_sum_assignment(cost)
+    _, cols = _linear_sum_assignment()(cost)
     matched = d[np.arange(len(p)), cols]
     cross = matched - dq[cols] < dp
     uncrossed = np.ones(len(q), bool)

@@ -1,7 +1,11 @@
 """Tests for the exact solver, and for the brute-force, dense-assignment and
 augmented-transport oracles it is checked against."""
 
+import importlib.machinery
+import importlib.metadata
+import importlib.util
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -107,6 +111,33 @@ class TestExactDistance:
             moved = exact_distance(grown, second, GroundMetric.L2)
             slack = extra.lifetime / SQRT2 + 1e-9
             assert abs(moved - base) <= slack
+
+
+class TestSolverModule:
+    @pytest.mark.parametrize("content", [None, "linear_sum_assignment = None\n"])
+    def test_missing_extension_raises(self, tmp_path, monkeypatch, content):
+        # scipy located at an optimize/ directory that is empty, or holds a
+        # source _lsap.py: the first solve raises and imports no scipy.optimize
+        (tmp_path / "optimize").mkdir()
+        if content is not None:
+            (tmp_path / "optimize" / "_lsap.py").write_text(content)
+        fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        fake.submodule_search_locations = [str(tmp_path)]
+        find_spec = importlib.util.find_spec
+        monkeypatch.setattr(
+            importlib.util, "find_spec",
+            lambda name, package=None: fake if name == "scipy" else find_spec(name, package),
+        )
+        for name in ("scipy.optimize", "scipy.optimize._lsap"):
+            monkeypatch.delitem(sys.modules, name, raising=False)
+        first, second = PersistenceDiagram([(0, 4)]), PersistenceDiagram([(1, 6)])
+        with pytest.raises(ImportError) as raised:
+            exact_distance(first, second, GroundMetric.L2)
+        message = str(raised.value)
+        assert str(tmp_path / "optimize") in message
+        assert importlib.metadata.version("scipy") in message
+        assert "scipy.optimize" not in sys.modules
+        assert "scipy.optimize._lsap" not in sys.modules
 
 
 class TestBruteForce:

@@ -5,6 +5,7 @@ its line in CHANGES.md.
 """
 
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -98,8 +99,22 @@ def test_signature_is_pinned(function, parameters):
     assert list(inspect.signature(function).parameters) == parameters
 
 
+def run_fresh(script: str, *args: str) -> str:
+    """stdout of the script run in a fresh interpreter with src/ on its path."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("DGMDIST_SEED", None)
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 # Run in a fresh interpreter: the tree path, from the CLI and the library,
-# must leave scipy unloaded; the exact oracle then loads its solver.
+# must leave scipy unloaded; every exact call, from the CLI and the library,
+# then loads one scipy module, the assignment solver's.
 TREE_PATH_SCRIPT = """
 import contextlib, io, sys, tempfile
 from pathlib import Path
@@ -136,23 +151,71 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringI
         multi_tree_estimate(dgms[0], dgms[1], GroundMetric.L2, [0, 1], method=method)
         knn_distances(dgms[:1], dgms[1:], method, GroundMetric.L2, seed=1)
     build_tree(union_coords(dgms), TreeConfig(seed=0, ground_metric=GroundMetric.L1))
-assert scipy_modules() == [], scipy_modules()
+    assert scipy_modules() == [], scipy_modules()
+    for argv in (
+        ["dist", files[0], files[1], "--method", "exact"],
+        ["knn", "--queries", str(tmp / "q"), "--candidates", str(tmp / "c"),
+         "--method", "exact", "-k", "2"],
+        ["eval", "--data", str(tmp / "q"), "--out", str(tmp / "e"), "--n-pairs", "2",
+         "--bench-sizes", "10", "--reps", "1"],
+    ):
+        assert main(argv) == 0, argv
+        assert scipy_modules() == ["scipy.optimize._lsap"], (argv, scipy_modules())
 assert exact_distance(dgms[0], dgms[1], GroundMetric.L2) > 0.0
-assert "scipy.optimize" in sys.modules, scipy_modules()
+assert scipy_modules() == ["scipy.optimize._lsap"], scipy_modules()
 print("ok")
 """
 
 
 def test_tree_path_loads_no_scipy():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("DGMDIST_SEED", None)
-    done = subprocess.run(
-        [sys.executable, "-c", TREE_PATH_SCRIPT],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["ok"]
+    assert run_fresh(TREE_PATH_SCRIPT).splitlines() == ["ok"]
+
+
+# Run in fresh interpreters. With "after", the oracle's first solves run on
+# two threads at once, and a later scipy.optimize import reuses its solver
+# module; with "before", scipy.optimize comes first and the oracle loads no
+# module. Both print the same rows.
+SOLVER_LOAD_SCRIPT = """
+import json, sys
+
+import numpy as np
+
+from dgmdist import GroundMetric, gen_gaussian, gen_uniform
+from dgmdist.evaluate import _exact_rows
+from dgmdist.exact import _linear_sum_assignment
+
+if sys.argv[1] == "before":
+    import scipy.optimize
+diagrams = [gen(40 + 7 * i, i) for i, gen in enumerate([gen_uniform, gen_gaussian] * 4)]
+metrics = list(GroundMetric)
+jobs = [
+    [(diagrams[i], diagrams[j], metrics[(i + j) % 3]) for j in range(i + 1, len(diagrams))]
+    for i in range(len(diagrams) - 1)
+]
+loaded = set(sys.modules)
+if sys.argv[1] == "before":
+    rows = _exact_rows(jobs, 1)
+    assert set(sys.modules) == loaded, sorted(set(sys.modules) - loaded)
+else:
+    rows = _exact_rows(jobs, 2)
+    lsap = sys.modules["scipy.optimize._lsap"]
+    assert _exact_rows(jobs, 1) == rows
+    import scipy.optimize
+    assert sys.modules["scipy.optimize._lsap"] is lsap
+    assert scipy.optimize.linear_sum_assignment is lsap.linear_sum_assignment
+assert _linear_sum_assignment() is scipy.optimize.linear_sum_assignment
+cost = np.random.default_rng(0).random((7, 11))
+ours, theirs = _linear_sum_assignment()(cost), scipy.optimize.linear_sum_assignment(cost)
+assert all(np.array_equal(a, b) for a, b in zip(ours, theirs)), (ours, theirs)
+print(json.dumps(rows))
+"""
+
+
+def test_solver_loads_once_on_threads_and_with_scipy():
+    after = json.loads(run_fresh(SOLVER_LOAD_SCRIPT, "after"))
+    before = json.loads(run_fresh(SOLVER_LOAD_SCRIPT, "before"))
+    assert after == before
+    assert len(after) == 7 and all(row is not None and len(row) > 0 for row in after)
 
 
 # Run in a fresh interpreter: no part of the package needs multiprocessing,
@@ -172,11 +235,4 @@ print("ok")
 
 
 def test_cli_import_loads_no_multiprocessing():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run(
-        [sys.executable, "-c", CLI_IMPORT_SCRIPT],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["ok"]
+    assert run_fresh(CLI_IMPORT_SCRIPT).splitlines() == ["ok"]

@@ -70,7 +70,8 @@ def test_bench_exact_report(tmp_path, scripts):
     _, bench_exact = scripts
     out = tmp_path / "exact.json"
     bench_exact.main(
-        ["--out", str(out), "--sizes", "20,40", "--runs", "1", "--slope-runs", "1"]
+        ["--out", str(out), "--sizes", "20,40", "--runs", "1", "--slope-runs", "1",
+         "--cold-runs", "1"]
     )
     report = json.loads(out.read_text())
     assert HEADER <= set(report)
@@ -83,6 +84,10 @@ def test_bench_exact_report(tmp_path, scripts):
     assert all(t["exact_ms"] >= 0 for t in report["timings"])
     slope = report["criterion_6_exact_slope"]
     assert len(slope["runs"]) == 1 and slope["min"] == slope["median"] == slope["max"]
+    cold = report["cold_exact"]
+    assert cold["n"] == 150 and cold["seeds"] == [1, 2]
+    assert cold["cold_ms"] > 0 and cold["ru_maxrss_mb"] > 0
+    assert cold["scipy_modules"] == ["scipy.optimize._lsap"]
 
 
 def test_bench_eval_report(tmp_path, monkeypatch):
